@@ -3,7 +3,12 @@
     Addresses are byte addresses in the simulated virtual address space; the
     cache operates on line-granular tags.  This module is purely about
     hit/miss bookkeeping — latencies and inter-level traffic live in
-    {!Hierarchy}. *)
+    {!Machine}.
+
+    A per-set most-recently-used memo answers a repeat hit on a set's last
+    touched way with one tag compare; everything else takes one pass over
+    the set that finds the line or picks the LRU victim.  The memo changes
+    only host cost: hits, misses and evictions are exactly true LRU's. *)
 
 type t
 

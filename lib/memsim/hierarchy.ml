@@ -41,147 +41,3 @@ type counters = {
   llc_misses : int;
   prefetches : int;
 }
-
-type t = {
-  cfg : config;
-  c1 : Cache.t;
-  c2 : Cache.t;
-  c3 : Cache.t;
-  pf : Prefetcher.t;
-  pf_buf : int array;  (* preallocated Prefetcher.observe_into target *)
-  mutable loads : int;
-  mutable stores : int;
-  mutable l1_misses : int;
-  mutable l2_misses : int;
-  mutable llc_misses : int;
-  mutable prefetches : int;
-}
-
-let create cfg =
-  if
-    cfg.l1.Cache.line_bytes <> cfg.l2.Cache.line_bytes
-    || cfg.l2.Cache.line_bytes <> cfg.llc.Cache.line_bytes
-  then invalid_arg "Hierarchy.create: all levels must share a line size";
-  let pf = Prefetcher.create () in
-  {
-    cfg;
-    c1 = Cache.create cfg.l1;
-    c2 = Cache.create cfg.l2;
-    c3 = Cache.create cfg.llc;
-    pf;
-    pf_buf = Array.make (Prefetcher.degree pf) 0;
-    loads = 0;
-    stores = 0;
-    l1_misses = 0;
-    l2_misses = 0;
-    llc_misses = 0;
-    prefetches = 0;
-  }
-
-let config t = t.cfg
-
-let line_bytes t = t.cfg.l1.Cache.line_bytes
-
-(* Fill [line] into every level without demand accounting. *)
-let[@inline] prefetch_fill t line =
-  Cache.insert t.c3 line;
-  Cache.insert t.c2 line;
-  Cache.insert t.c1 line;
-  t.prefetches <- t.prefetches + 1
-
-let run_prefetcher t line =
-  if t.cfg.prefetch then begin
-    let n = Prefetcher.observe_into t.pf line t.pf_buf in
-    for i = 0 to n - 1 do
-      let l = Array.unsafe_get t.pf_buf i in
-      if l >= 0 then prefetch_fill t l
-    done
-  end
-
-(* Demand access for the line; returns latency and maintains inclusion. *)
-let demand t line ~is_load =
-  if Cache.access t.c1 line then t.cfg.lat_l1
-  else begin
-    if is_load then t.l1_misses <- t.l1_misses + 1;
-    if Cache.access t.c2 line then t.cfg.lat_l2
-    else begin
-      if is_load then t.l2_misses <- t.l2_misses + 1;
-      if Cache.access t.c3 line then t.cfg.lat_llc
-      else begin
-        if is_load then t.llc_misses <- t.llc_misses + 1;
-        t.cfg.lat_mem
-      end
-    end
-  end
-
-let load t addr =
-  let line = Cache.line_of_addr t.c1 addr in
-  t.loads <- t.loads + 1;
-  let lat = demand t line ~is_load:true in
-  run_prefetcher t line;
-  lat
-
-let store t addr =
-  let line = Cache.line_of_addr t.c1 addr in
-  t.stores <- t.stores + 1;
-  ignore (demand t line ~is_load:false);
-  run_prefetcher t line;
-  t.cfg.lat_store
-
-(* Direct loops over the line range, repeating the exact per-line sequence
-   of [load]/[store]; replaces a closure-per-call [range_fold]. *)
-let load_range t addr bytes =
-  if bytes <= 0 then 0
-  else begin
-    let lb = line_bytes t in
-    let first = addr / lb and last = (addr + bytes - 1) / lb in
-    let total = ref 0 in
-    for line = first to last do
-      t.loads <- t.loads + 1;
-      let lat = demand t line ~is_load:true in
-      run_prefetcher t line;
-      total := !total + lat
-    done;
-    !total
-  end
-
-let store_range t addr bytes =
-  if bytes <= 0 then 0
-  else begin
-    let lb = line_bytes t in
-    let first = addr / lb and last = (addr + bytes - 1) / lb in
-    let lat_store = t.cfg.lat_store in
-    let total = ref 0 in
-    for line = first to last do
-      t.stores <- t.stores + 1;
-      ignore (demand t line ~is_load:false);
-      run_prefetcher t line;
-      total := !total + lat_store
-    done;
-    !total
-  end
-
-let counters t =
-  {
-    loads = t.loads;
-    stores = t.stores;
-    l1_misses = t.l1_misses;
-    l2_misses = t.l2_misses;
-    llc_misses = t.llc_misses;
-    prefetches = t.prefetches;
-  }
-
-let reset_counters t =
-  t.loads <- 0;
-  t.stores <- 0;
-  t.l1_misses <- 0;
-  t.l2_misses <- 0;
-  t.llc_misses <- 0;
-  t.prefetches <- 0
-
-let flush t =
-  Cache.invalidate_all t.c1;
-  Cache.invalidate_all t.c2;
-  Cache.invalidate_all t.c3;
-  Prefetcher.reset t.pf;
-  reset_counters t

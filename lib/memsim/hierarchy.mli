@@ -1,11 +1,10 @@
-(** The three-level cache hierarchy with latencies and event counters.
+(** The cache-hierarchy configuration and event counters.
 
-    Stands in for the paper's `perf` measurements (§4.2 "Cache Statistics"):
-    it exposes the same three counters the paper plots — total loads
-    ([L1-dcache-loads]), L1 load misses and LLC load misses — plus latency
-    accounting that feeds the simulated execution clock. *)
-
-type t
+    {!Machine} simulates the hierarchy; this module holds what describes it.
+    The counters stand in for the paper's `perf` measurements (§4.2 "Cache
+    Statistics"): the same three counters the paper plots — total loads
+    ([L1-dcache-loads]), L1 load misses and LLC load misses — plus stores,
+    L2 misses and prefetch fills. *)
 
 type config = {
   l1 : Cache.geometry;
@@ -44,35 +43,3 @@ type counters = {
   llc_misses : int;  (** demand loads missing LLC (served by memory) *)
   prefetches : int;  (** prefetch fills issued *)
 }
-
-val create : config -> t
-
-val config : t -> config
-
-val line_bytes : t -> int
-
-val load : t -> int -> int
-(** [load t addr] performs a demand load of the line containing byte address
-    [addr]; returns the latency in cycles and updates counters.  Drives the
-    prefetcher. *)
-
-val store : t -> int -> int
-(** [store t addr] models a write-allocate store: the line is filled into
-    the hierarchy, but the returned latency is the fixed [lat_store]
-    (write buffers hide miss latency).  Counted separately from loads
-    (perf's L1-dcache-loads excludes stores). *)
-
-val load_range : t -> int -> int -> int
-(** [load_range t addr bytes] loads every line overlapped by
-    [\[addr, addr+bytes)]; returns total latency. *)
-
-val store_range : t -> int -> int -> int
-
-val counters : t -> counters
-
-val reset_counters : t -> unit
-(** Zero the counters but keep cache contents (used at the warm-up boundary,
-    mirroring the paper's DaCapo methodology). *)
-
-val flush : t -> unit
-(** Invalidate all levels and reset the prefetcher and counters. *)

@@ -44,6 +44,11 @@ type t = {
 
 let create ?(cfg = Hierarchy.default_config) ~cores () =
   if cores < 1 then invalid_arg "Machine.create: need at least one core";
+  let lb (g : Cache.geometry) = g.Cache.line_bytes in
+  if
+    lb cfg.Hierarchy.l1 <> lb cfg.Hierarchy.l2
+    || lb cfg.Hierarchy.l2 <> lb cfg.Hierarchy.llc
+  then invalid_arg "Machine.create: all levels must share a line size";
   {
     cfg;
     llc = Cache.create cfg.Hierarchy.llc;

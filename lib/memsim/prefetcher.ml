@@ -1,21 +1,23 @@
-type stream = {
-  mutable last : int;  (* last line seen in this stream; -1 = free slot *)
-  mutable dir : int;  (* +1 ascending, -1 descending, 0 undecided *)
-  mutable hits : int;  (* consecutive stride confirmations *)
-  mutable lru : int;
-}
-
+(* The stream table as struct-of-arrays: stream [i] is
+   (last.(i), dir.(i), hits.(i), lru.(i)).  Flat int arrays keep the scans
+   below to straight loads, with no pointer chase per slot. *)
 type t = {
-  streams : stream array;
+  last : int array;  (* last line seen in this stream; -1 = free slot *)
+  dir : int array;  (* +1 ascending, -1 descending, 0 undecided *)
+  hits : int array;  (* consecutive stride confirmations *)
+  lru : int array;
   degree : int;
   confirm : int;
   mutable clock : int;
 }
 
 let create ?(streams = 16) ?(degree = 4) ?(confirm = 2) () =
+  if streams < 1 then invalid_arg "Prefetcher.create: need at least one stream";
   {
-    streams =
-      Array.init streams (fun _ -> { last = -1; dir = 0; hits = 0; lru = 0 });
+    last = Array.make streams (-1);
+    dir = Array.make streams 0;
+    hits = Array.make streams 0;
+    lru = Array.make streams 0;
     degree;
     confirm;
     clock = 0;
@@ -24,13 +26,11 @@ let create ?(streams = 16) ?(degree = 4) ?(confirm = 2) () =
 let degree t = t.degree
 
 let reset t =
-  Array.iter
-    (fun s ->
-      s.last <- -1;
-      s.dir <- 0;
-      s.hits <- 0;
-      s.lru <- 0)
-    t.streams;
+  let n = Array.length t.last in
+  Array.fill t.last 0 n (-1);
+  Array.fill t.dir 0 n 0;
+  Array.fill t.hits 0 n 0;
+  Array.fill t.lru 0 n 0;
   t.clock <- 0
 
 (* The hot path: called once per demand access by the cache simulators.
@@ -41,31 +41,44 @@ let observe_into t line buf =
   if Array.length buf < t.degree then
     invalid_arg "Prefetcher.observe_into: buffer shorter than degree";
   t.clock <- t.clock + 1;
-  let streams = t.streams in
-  let n = Array.length streams in
-  (* Look for a stream whose expected next line matches. *)
+  let lasts = t.last and lrus = t.lru in
+  let n = Array.length lasts in
+  (* One scan finds the first stream whose expected next line matches
+     and, in case none does, the slot a new stream takes: the first free
+     one, else the least recently used (the first on a tie). *)
   let matched = ref (-1) in
   let mdelta = ref 0 in
+  let free = ref (-1) and oldest = ref 0 in
   let i = ref 0 in
   while !matched < 0 && !i < n do
-    let s = Array.unsafe_get streams !i in
-    if s.last >= 0 then begin
-      let delta = line - s.last in
-      if (delta = 1 || delta = -1) && (s.dir = 0 || s.dir = delta) then begin
-        matched := !i;
-        mdelta := delta
+    let s = !i in
+    let last = Array.unsafe_get lasts s in
+    if last >= 0 then begin
+      let delta = line - last in
+      if delta = 1 || delta = -1 then begin
+        let dir = Array.unsafe_get t.dir s in
+        if dir = 0 || dir = delta then begin
+          matched := s;
+          mdelta := delta
+        end
       end
     end;
+    if last = -1 then begin
+      if !free < 0 then free := s
+    end
+    else if Array.unsafe_get lrus s < Array.unsafe_get lrus !oldest then
+      oldest := s;
     incr i
   done;
   if !matched >= 0 then begin
-    let s = Array.unsafe_get streams !matched in
+    let s = !matched in
     let delta = !mdelta in
-    s.last <- line;
-    s.dir <- delta;
-    s.hits <- s.hits + 1;
-    s.lru <- t.clock;
-    if s.hits >= t.confirm then begin
+    let hits = Array.unsafe_get t.hits s + 1 in
+    Array.unsafe_set t.last s line;
+    Array.unsafe_set t.dir s delta;
+    Array.unsafe_set t.hits s hits;
+    Array.unsafe_set t.lru s t.clock;
+    if hits >= t.confirm then begin
       for i = 0 to t.degree - 1 do
         Array.unsafe_set buf i (line + (delta * (i + 1)))
       done;
@@ -74,19 +87,12 @@ let observe_into t line buf =
     else 0
   end
   else begin
-    (* Allocate (or steal LRU) a slot for a potential new stream. *)
-    let victim = ref streams.(0) in
-    for i = 0 to n - 1 do
-      let s = Array.unsafe_get streams i in
-      if s.last = -1 && !victim.last <> -1 then victim := s
-      else if s.last <> -1 && !victim.last <> -1 && s.lru < !victim.lru then
-        victim := s
-    done;
-    let v = !victim in
-    v.last <- line;
-    v.dir <- 0;
-    v.hits <- 0;
-    v.lru <- t.clock;
+    (* No match, so the scan saw every slot. *)
+    let v = if !free >= 0 then !free else !oldest in
+    Array.unsafe_set t.last v line;
+    Array.unsafe_set t.dir v 0;
+    Array.unsafe_set t.hits v 0;
+    Array.unsafe_set t.lru v t.clock;
     0
   end
 

@@ -11,7 +11,8 @@ type t
 
 val create : ?streams:int -> ?degree:int -> ?confirm:int -> unit -> t
 (** [create ()] uses 16 stream slots, degree 4, and 2 accesses to confirm a
-    stream — roughly an L2 stream prefetcher on a client core. *)
+    stream — roughly an L2 stream prefetcher on a client core.
+    @raise Invalid_argument if [streams < 1]. *)
 
 val degree : t -> int
 (** Prefetch distance: the maximum number of line addresses one

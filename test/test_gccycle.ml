@@ -60,17 +60,21 @@ let churn_cycle_allocates_nothing () =
   done;
   let ovh = overhead_per_call () in
   let rounds = 50 in
-  let bytes = ref 0.0 in
-  for _ = 1 to rounds do
+  let per_cycle = Array.make rounds 0.0 in
+  for r = 0 to rounds - 1 do
     mutate ();
     let a0 = Gc.allocated_bytes () in
     run_cycle col;
     let a1 = Gc.allocated_bytes () in
-    bytes := !bytes +. (a1 -. a0 -. ovh)
+    per_cycle.(r) <- (a1 -. a0 -. ovh) /. float_of_int (Sys.word_size / 8)
   done;
-  let words_per_cycle =
-    !bytes /. float_of_int (Sys.word_size / 8) /. float_of_int rounds
-  in
+  (* Judged on the median cycle, not the mean: in a full-suite run, after
+     suites that spawn domains, one cycle's [Gc.allocated_bytes] delta has
+     been seen to jump by thousands of words that this test run alone
+     never shows.  A real per-cycle allocation shows in every cycle, so
+     the median still catches it. *)
+  Array.sort Float.compare per_cycle;
+  let words_per_cycle = per_cycle.(rounds / 2) in
   check Alcotest.bool
     (Printf.sprintf "steady-state churn cycle allocates (%.4f w/c, want < 0.05)"
        words_per_cycle)

@@ -128,40 +128,26 @@ let machine_range_equals_per_line () =
   check Alcotest.int "tlb misses identical" (Machine.tlb_misses b)
     (Machine.tlb_misses a)
 
-let hierarchy_range_equals_per_line () =
-  let a = Hierarchy.create Hierarchy.default_config in
-  let b = Hierarchy.create Hierarchy.default_config in
-  let lb = Hierarchy.line_bytes a in
-  let ranges =
-    [ (0, 64); (40, 200); (4096 - 8, 4096); (65536, 16384); (7, 1);
-      (123456, 777) ]
-  in
-  List.iter
-    (fun (addr, bytes) ->
-      let first = addr / lb and last = (addr + bytes - 1) / lb in
-      let cost_a = Hierarchy.load_range a addr bytes in
-      let cost_b = ref 0 in
-      for line = first to last do
-        cost_b := !cost_b + Hierarchy.load b (line * lb)
-      done;
-      check Alcotest.int
-        (Printf.sprintf "load_range cost @0x%x+%d" addr bytes)
-        !cost_b cost_a;
-      let scost_a = Hierarchy.store_range a addr bytes in
-      let scost_b = ref 0 in
-      for line = first to last do
-        scost_b := !scost_b + Hierarchy.store b (line * lb)
-      done;
-      check Alcotest.int
-        (Printf.sprintf "store_range cost @0x%x+%d" addr bytes)
-        !scost_b scost_a)
-    ranges;
-  check counters_testable "hierarchy counters identical"
-    (Hierarchy.counters b) (Hierarchy.counters a)
-
 (* ------------------------------------------------------------------ *)
 (* Satellite 3: steady-state load/store ops allocate nothing.          *)
 (* ------------------------------------------------------------------ *)
+
+(* Median host words per op over [windows] back-to-back runs of
+   [kernel ops].  The fences judge the median window, not the total: in a
+   full-suite run, after suites that spawn domains, one window's
+   [Gc.allocated_bytes] delta has been seen to jump by thousands of words
+   that a run of this suite alone never shows.  A real per-op allocation
+   shows in every window, so the median still catches it. *)
+let median_words_per_op ~windows ~ops kernel =
+  let per_window = Array.make windows 0.0 in
+  for w = 0 to windows - 1 do
+    let before = Gc.allocated_bytes () in
+    kernel ops;
+    let after = Gc.allocated_bytes () in
+    per_window.(w) <- (after -. before) /. 8.0 /. float_of_int ops
+  done;
+  Array.sort Float.compare per_window;
+  per_window.(windows / 2)
 
 let steady_state_allocation_free () =
   let vm =
@@ -182,8 +168,7 @@ let steady_state_allocation_free () =
   (* Drain any in-flight GC cycle; nothing below allocates simulated
      memory, so no new cycle can start mid-measurement. *)
   Vm.full_gc vm;
-  let ops = 100_000 in
-  let kernel () =
+  let kernel ops =
     for i = 0 to ops - 1 do
       let o = Array.unsafe_get objs (i mod n) in
       if i land 1 = 0 then ignore (Vm.load_word vm o (i land 3) : int)
@@ -191,12 +176,9 @@ let steady_state_allocation_free () =
       Vm.touch vm o
     done
   in
-  kernel ();
+  kernel 100_000;
   (* warm *)
-  let before = Gc.allocated_bytes () in
-  kernel ();
-  let after = Gc.allocated_bytes () in
-  let words_per_op = (after -. before) /. 8.0 /. float_of_int ops in
+  let words_per_op = median_words_per_op ~windows:10 ~ops:10_000 kernel in
   (* The steady-state load/store path allocates 0 words per op.  The bound
      is 0.05 rather than exactly 0.0 to absorb (a) the boxed floats of the
      two [Gc.allocated_bytes] calls themselves and (b) the rare GC-pump
@@ -223,19 +205,15 @@ let load_ref_allocation_bounded () =
     Vm.store_ref vm objs.(i) 0 (Some objs.((i + 1) mod n))
   done;
   Vm.full_gc vm;
-  let ops = 100_000 in
-  let kernel () =
+  let kernel ops =
     for i = 0 to ops - 1 do
       ignore
         (Vm.load_ref vm (Array.unsafe_get objs (i mod n)) 0
           : Vm.Heap_obj.t option)
     done
   in
-  kernel ();
-  let before = Gc.allocated_bytes () in
-  kernel ();
-  let after = Gc.allocated_bytes () in
-  let words_per_op = (after -. before) /. 8.0 /. float_of_int ops in
+  kernel 100_000;
+  let words_per_op = median_words_per_op ~windows:10 ~ops:10_000 kernel in
   (* load_ref returns [Some obj] — one 2-word block per op by design (the
      documented exception to the zero-allocation rule).  Guard that it is
      *only* that: 3 words/op would mean a new hidden allocation. *)
@@ -379,8 +357,6 @@ let suite =
           remove_root_preserves_order;
         case "machine: range = sum of per-line accesses" `Quick
           machine_range_equals_per_line;
-        case "hierarchy: range = sum of per-line accesses" `Quick
-          hierarchy_range_equals_per_line;
         case "vm: steady-state load/store allocates 0 words/op" `Quick
           steady_state_allocation_free;
         case "vm: load_ref allocates only its Some" `Quick

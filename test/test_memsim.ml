@@ -80,6 +80,60 @@ let prop_cache_hit_after_access =
       | [] -> true
       | last :: _ -> Cache.probe c last)
 
+(* A naive true-LRU reference: per set, the resident lines, most recently
+   used first, at most [ways] of them. *)
+module Lru_model = struct
+  type t = { ways : int; lists : int list array }
+
+  let create ~ways ~sets = { ways; lists = Array.make sets [] }
+
+  let set t line = line land (Array.length t.lists - 1)
+
+  let probe t line = List.mem line t.lists.(set t line)
+
+  let access t line =
+    let s = set t line in
+    let hit = probe t line in
+    let rest = List.filter (fun l -> l <> line) t.lists.(s) in
+    t.lists.(s) <- List.filteri (fun i _ -> i < t.ways) (line :: rest);
+    hit
+
+  let invalidate_all t = Array.fill t.lists 0 (Array.length t.lists) []
+end
+
+(* Cache and the model in lockstep over random interleavings, on tiny
+   geometries (1-4 ways, 1-8 sets) and 32 distinct lines, so evictions and
+   MRU-memo misses are frequent.  An op is (kind, line): kind < 45 is
+   [access], < 75 [insert], < 98 [probe], else [invalidate_all]. *)
+let prop_cache_matches_lru_model =
+  QCheck.Test.make ~name:"cache: access/insert/probe = true-LRU model"
+    ~count:500
+    QCheck.(
+      triple (int_range 1 4) (int_range 0 3)
+        (list_of_size Gen.(0 -- 300) (pair (int_bound 99) (int_bound 31))))
+    (fun (ways, log_sets, ops) ->
+      let sets = 1 lsl log_sets in
+      let c =
+        Cache.create
+          { Cache.size_bytes = sets * ways * 64; ways; line_bytes = 64 }
+      in
+      let m = Lru_model.create ~ways ~sets in
+      List.for_all
+        (fun (kind, line) ->
+          if kind < 45 then Cache.access c line = Lru_model.access m line
+          else if kind < 75 then begin
+            Cache.insert c line;
+            ignore (Lru_model.access m line : bool);
+            true
+          end
+          else if kind < 98 then Cache.probe c line = Lru_model.probe m line
+          else begin
+            Cache.invalidate_all c;
+            Lru_model.invalidate_all m;
+            true
+          end)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 (* Prefetcher                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -128,98 +182,102 @@ let prefetcher_reset () =
   check (Alcotest.list Alcotest.int) "no stream after reset" []
     (Prefetcher.observe pf 12)
 
+let prefetcher_needs_a_stream () =
+  Alcotest.check_raises "no stream slots"
+    (Invalid_argument "Prefetcher.create: need at least one stream")
+    (fun () -> ignore (Prefetcher.create ~streams:0 ()))
+
 (* ------------------------------------------------------------------ *)
-(* Hierarchy                                                           *)
+(* Hierarchy: the three levels as one core of a Machine sees them      *)
 (* ------------------------------------------------------------------ *)
 
 let no_prefetch_config =
   { Hierarchy.default_config with Hierarchy.prefetch = false }
 
+let single_core cfg = Machine.create ~cfg ~cores:1 ()
+
 let hierarchy_latencies () =
-  let h = Hierarchy.create no_prefetch_config in
-  let lat1 = Hierarchy.load h 4096 in
+  let m = single_core no_prefetch_config in
+  let lat1 = Machine.load m ~core:0 4096 in
   check Alcotest.int "cold load pays memory latency" 200 lat1;
-  let lat2 = Hierarchy.load h 4096 in
+  let lat2 = Machine.load m ~core:0 4096 in
   check Alcotest.int "warm load pays L1 latency" 4 lat2
 
 let hierarchy_counters () =
-  let h = Hierarchy.create no_prefetch_config in
-  ignore (Hierarchy.load h 0);
-  ignore (Hierarchy.load h 0);
-  ignore (Hierarchy.store h 64);
-  let c = Hierarchy.counters h in
+  let m = single_core no_prefetch_config in
+  ignore (Machine.load m ~core:0 0);
+  ignore (Machine.load m ~core:0 0);
+  ignore (Machine.store m ~core:0 64);
+  let c = Machine.counters m in
   check Alcotest.int "loads" 2 c.Hierarchy.loads;
   check Alcotest.int "stores" 1 c.Hierarchy.stores;
   check Alcotest.int "l1 misses" 1 c.Hierarchy.l1_misses;
   check Alcotest.int "llc misses" 1 c.Hierarchy.llc_misses
 
 let hierarchy_l2_hit () =
-  let h = Hierarchy.create no_prefetch_config in
-  ignore (Hierarchy.load h 0);
+  let m = single_core no_prefetch_config in
+  ignore (Machine.load m ~core:0 0);
   (* Evict from L1 (32KB, 8 ways, 64 sets): 8 conflicting lines at stride
      64*64 bytes. *)
   for i = 1 to 8 do
-    ignore (Hierarchy.load h (i * 64 * 64))
+    ignore (Machine.load m ~core:0 (i * 64 * 64))
   done;
-  let lat = Hierarchy.load h 0 in
+  let lat = Machine.load m ~core:0 0 in
   check Alcotest.int "L2 hit latency" 12 lat
 
 let hierarchy_store_fills () =
-  let h = Hierarchy.create no_prefetch_config in
-  let lat_store = Hierarchy.store h 128 in
+  let m = single_core no_prefetch_config in
+  let lat_store = Machine.store m ~core:0 128 in
   check Alcotest.int "store is write-buffered" 2 lat_store;
-  check Alcotest.int "subsequent load hits L1" 4 (Hierarchy.load h 128)
+  check Alcotest.int "subsequent load hits L1" 4 (Machine.load m ~core:0 128)
 
 let hierarchy_range () =
-  let h = Hierarchy.create no_prefetch_config in
+  let m = single_core no_prefetch_config in
   (* 3 lines: 200 + 200 + 200 *)
-  let lat = Hierarchy.load_range h 0 192 in
+  let lat = Machine.load_range m ~core:0 0 192 in
   check Alcotest.int "range latency" 600 lat;
-  let c = Hierarchy.counters h in
+  let c = Machine.counters m in
   check Alcotest.int "range loads" 3 c.Hierarchy.loads
 
 let hierarchy_range_partial_lines () =
-  let h = Hierarchy.create no_prefetch_config in
+  let m = single_core no_prefetch_config in
   (* 32 bytes starting at 48 spans two lines. *)
-  ignore (Hierarchy.load_range h 48 32);
-  let c = Hierarchy.counters h in
+  ignore (Machine.load_range m ~core:0 48 32);
+  let c = Machine.counters m in
   check Alcotest.int "two lines touched" 2 c.Hierarchy.loads
 
 let hierarchy_prefetch_hides_stream () =
-  let h = Hierarchy.create Hierarchy.default_config in
+  let m = single_core Hierarchy.default_config in
   (* Sequential walk: after the stream is confirmed, loads hit L1. *)
-  let total_cold = ref 0 in
   for i = 0 to 63 do
-    total_cold := !total_cold + Hierarchy.load h (i * 64)
+    ignore (Machine.load m ~core:0 (i * 64))
   done;
-  let c = Hierarchy.counters h in
+  let c = Machine.counters m in
   check Alcotest.bool "prefetches issued" true (c.Hierarchy.prefetches > 0);
   check Alcotest.bool "misses far below line count" true
     (c.Hierarchy.l1_misses < 16)
 
 let hierarchy_flush () =
-  let h = Hierarchy.create no_prefetch_config in
-  ignore (Hierarchy.load h 0);
-  Hierarchy.flush h;
-  let c = Hierarchy.counters h in
+  let m = single_core no_prefetch_config in
+  ignore (Machine.load m ~core:0 0);
+  Machine.flush m;
+  let c = Machine.counters m in
   check Alcotest.int "counters zero" 0 c.Hierarchy.loads;
-  check Alcotest.int "cold again" 200 (Hierarchy.load h 0)
+  check Alcotest.int "cold again" 200 (Machine.load m ~core:0 0)
 
 (* ------------------------------------------------------------------ *)
 (* Machine                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let machine_cfg = { Hierarchy.default_config with Hierarchy.prefetch = false }
-
 let machine_private_l1 () =
-  let m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   ignore (Machine.load m ~core:0 0);
   (* Core 1 misses its private L1/L2 but hits the shared LLC. *)
   let lat = Machine.load m ~core:1 0 in
   check Alcotest.int "core 1 hits shared LLC" 40 lat
 
 let machine_shared_llc_counts () =
-  let m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   ignore (Machine.load m ~core:0 0);
   ignore (Machine.load m ~core:1 0);
   let c = Machine.counters m in
@@ -233,8 +291,15 @@ let machine_core_bounds () =
     (Invalid_argument "Machine: core index out of range") (fun () ->
       ignore (Machine.load m ~core:1 0))
 
+let machine_line_size_mismatch () =
+  let l2 = { Cache.size_bytes = 256 * 1024; ways = 8; line_bytes = 128 } in
+  Alcotest.check_raises "mixed line sizes"
+    (Invalid_argument "Machine.create: all levels must share a line size")
+    (fun () ->
+      ignore (single_core { Hierarchy.default_config with Hierarchy.l2 = l2 }))
+
 let machine_flush () =
-  let m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   ignore (Machine.load m ~core:0 0);
   Machine.flush m;
   check Alcotest.int "cold after flush" 200 (Machine.load m ~core:0 0)
@@ -244,7 +309,7 @@ let machine_flush () =
 (* ------------------------------------------------------------------ *)
 
 let machine_shard_defers () =
-  let m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   Machine.attach_shards m 1;
   check Alcotest.int "one shard" 1 (Machine.shards m);
   check Alcotest.bool "clean before traffic" false (Machine.shards_dirty m);
@@ -273,11 +338,11 @@ let machine_shard_matches_inline () =
     done;
     !lat
   in
-  let inline_m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let inline_m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   let inline_lat =
     drive (Machine.load inline_m ~core:0) (Machine.store inline_m ~core:0)
   in
-  let sharded = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let sharded = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   Machine.attach_shards sharded 1;
   let zero =
     drive (Machine.load sharded ~core:0) (Machine.store sharded ~core:0)
@@ -295,7 +360,7 @@ let machine_shard_matches_inline () =
 
 (* Mirror of the machine-wide counters test, through the per-shard view. *)
 let machine_shard_counters () =
-  let m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   Machine.attach_shards m 2;
   ignore (Machine.load m ~core:0 0);
   ignore (Machine.load m ~core:1 0);
@@ -320,7 +385,7 @@ let machine_shard_counters () =
       ignore (Machine.shard_counters m ~shard:2))
 
 let machine_shard_flush_discards_log () =
-  let m = Machine.create ~cfg:machine_cfg ~cores:2 () in
+  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
   Machine.attach_shards m 1;
   ignore (Machine.load m ~core:0 0);
   Machine.flush m;
@@ -341,6 +406,7 @@ let suite =
         case "bad geometry rejected" `Quick cache_bad_geometry;
         case "associativity" `Quick cache_associativity_capacity;
         QCheck_alcotest.to_alcotest prop_cache_hit_after_access;
+        QCheck_alcotest.to_alcotest prop_cache_matches_lru_model;
       ] );
     ( "memsim.prefetcher",
       [
@@ -349,6 +415,7 @@ let suite =
         case "random traffic" `Quick prefetcher_ignores_random;
         case "interleaved streams" `Quick prefetcher_tracks_interleaved_streams;
         case "reset" `Quick prefetcher_reset;
+        case "no streams rejected" `Quick prefetcher_needs_a_stream;
       ] );
     ( "memsim.hierarchy",
       [
@@ -366,6 +433,7 @@ let suite =
         case "private L1, shared LLC" `Quick machine_private_l1;
         case "machine-wide counters" `Quick machine_shared_llc_counts;
         case "core bounds" `Quick machine_core_bounds;
+        case "mixed line sizes rejected" `Quick machine_line_size_mismatch;
         case "flush" `Quick machine_flush;
       ] );
     ( "memsim.machine.shards",
