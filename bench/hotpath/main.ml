@@ -131,9 +131,27 @@ let kernels =
         let buf = Array.make (Prefetcher.degree pf) 0 in
         fun k ->
           for i = 0 to k - 1 do
-            (* Alternate two interleaved streams, as mark/evacuation scans
-               do, so confirmed-stream hits dominate. *)
-            let line = if i land 1 = 0 then i else 1_000_000 - i in
+            (* Two interleaved sequences with a stride of +/-2 lines: no
+               access extends a stream, so this measures only the no-match
+               path (a new stream over the LRU slot).  Kept under its old
+               name for comparison with earlier runs; see
+               prefetcher-stream for the confirmed-stream path.  The
+               descending sequence starts at 2^40 so that no op count
+               reaches a negative line, which observe_into rejects. *)
+            let line = if i land 1 = 0 then i else (1 lsl 40) - i in
+            ignore (Prefetcher.observe_into pf line buf)
+          done );
+    ( "prefetcher-stream",
+      fun _ops ->
+        let pf = Prefetcher.create () in
+        let buf = Array.make (Prefetcher.degree pf) 0 in
+        fun k ->
+          for i = 0 to k - 1 do
+            (* Two interleaved +1/-1 streams, as mark/evacuation scans do:
+               after the first accesses every one extends a confirmed
+               stream and issues [degree] prefetches. *)
+            let j = i lsr 1 in
+            let line = if i land 1 = 0 then j else (1 lsl 40) - j in
             ignore (Prefetcher.observe_into pf line buf)
           done );
   ]

@@ -9,21 +9,12 @@ type t = {
   ways : int;
   set_mask : int;
   line_shift : int;
-  (* tags.(set * ways + way); -1 = invalid.  Ways fill in order (a miss
-     takes the first invalid way and only [invalidate_all] clears a tag),
-     so a set's invalid ways are always a suffix of it. *)
+  (* tags.(set * ways + rank), each set in recency order: rank 0 is the
+     most recently used line, the last valid rank the least recently used.
+     -1 = invalid; a set fills rank by rank and only [invalidate_all]
+     clears a tag, so a set's invalid ranks are always a suffix of it.
+     True LRU per set is fully determined by this order, so no stamps. *)
   tags : int array;
-  (* LRU stamps, same indexing; larger = more recent *)
-  stamps : int array;
-  (* Per-set MRU memo: mru.(set) is the slot (index into [tags]) touched
-     last in [set].  That slot already holds its set's largest stamp, and
-     victim choice reads only the stamp order within a set, so a hit on it
-     needs no re-stamp: skipping the touch leaves every later hit, miss
-     and victim exactly as the plain LRU would have them.  Entries start
-     at slot 0, which is safe: slot 0 holds only lines of set 0, where it
-     is also the first way filled. *)
-  mru : int array;
-  mutable clock : int;
 }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -45,68 +36,52 @@ let create geom =
     set_mask = sets - 1;
     line_shift = log2 geom.line_bytes;
     tags = Array.make (sets * geom.ways) (-1);
-    stamps = Array.make (sets * geom.ways) 0;
-    mru = Array.make sets 0;
-    clock = 0;
   }
 
 let geometry t = t.geom
 
 let[@inline] line_of_addr t addr = addr lsr t.line_shift
 
-(* One pass over [line]'s set that either finds the line or picks the way
-   to fill: returns the slot holding [line], or [-1 - slot] for the
-   victim — the first invalid way, else the way with the smallest stamp
-   (the first such way on a tie).  Since invalid ways are a suffix, the
-   first invalid way also ends the search.  A plain counting loop, not a
-   local recursive function: a [let rec] closure here would capture its
-   free variables and be allocated per call.  (The refs compile to mutable
-   locals — no allocation.) *)
-let lookup t line =
-  let base = (line land t.set_mask) * t.ways in
-  let last = base + t.ways in
-  let res = ref min_int in
-  let best = ref base and best_stamp = ref max_int in
-  let slot = ref base in
-  while !res = min_int && !slot < last do
-    let s = !slot in
-    let tag = Array.unsafe_get t.tags s in
-    if tag = line then res := s
-    else if tag = -1 then res := -1 - s
-    else begin
-      let stamp = Array.unsafe_get t.stamps s in
-      if stamp < !best_stamp then begin
-        best := s;
-        best_stamp := stamp
-      end
-    end;
-    incr slot
-  done;
-  if !res = min_int then -1 - !best else !res
-
-(* The memo missed: full lookup, fill on a miss, then the LRU touch. *)
+(* Move-to-front in one pass: [line] goes to rank 0 and each older tag
+   moves down one rank, until the pass reaches [line] itself (a hit), the
+   first invalid rank (a fill) or the end of the set, where the last tag
+   drops out as the LRU victim.  A counting loop over mutable locals, not a
+   local recursive function, so nothing is allocated per call. *)
 let[@inline never] access_slow t line =
-  let r = lookup t line in
-  let slot = if r >= 0 then r else -1 - r in
-  if r < 0 then Array.unsafe_set t.tags slot line;
-  Array.unsafe_set t.mru (line land t.set_mask) slot;
-  t.clock <- t.clock + 1;
-  Array.unsafe_set t.stamps slot t.clock;
-  r >= 0
+  let tags = t.tags in
+  let slot = ref ((line land t.set_mask) * t.ways) in
+  let last = !slot + t.ways - 1 in
+  let carry = ref line and hit = ref false and go = ref true in
+  while !go do
+    let s = !slot in
+    let tag = Array.unsafe_get tags s in
+    Array.unsafe_set tags s !carry;
+    if tag = line then begin
+      hit := true;
+      go := false
+    end
+    else if tag = -1 || s = last then go := false
+    else begin
+      carry := tag;
+      slot := s + 1
+    end
+  done;
+  !hit
 
 (* Small enough to inline across modules without flambda, so a hit on the
-   MRU way costs the callers one tag compare and no call. *)
+   set's MRU line costs the callers one tag compare and no call. *)
 let[@inline] access t line =
-  Array.unsafe_get t.tags (Array.unsafe_get t.mru (line land t.set_mask))
-  = line
+  Array.unsafe_get t.tags ((line land t.set_mask) * t.ways) = line
   || access_slow t line
 
 let[@inline] insert t line = ignore (access t line : bool)
 
-let probe t line = lookup t line >= 0
+let probe t line =
+  let slot = ref ((line land t.set_mask) * t.ways) in
+  let stop = !slot + t.ways in
+  while !slot < stop && Array.unsafe_get t.tags !slot <> line do
+    incr slot
+  done;
+  !slot < stop
 
-let invalidate_all t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
-  Array.fill t.stamps 0 (Array.length t.stamps) 0;
-  Array.fill t.mru 0 (Array.length t.mru) 0;
-  t.clock <- 0
+let invalidate_all t = Array.fill t.tags 0 (Array.length t.tags) (-1)

@@ -5,10 +5,13 @@
     hit/miss bookkeeping — latencies and inter-level traffic live in
     {!Machine}.
 
-    A per-set most-recently-used memo answers a repeat hit on a set's last
-    touched way with one tag compare; everything else takes one pass over
-    the set that finds the line or picks the LRU victim.  The memo changes
-    only host cost: hits, misses and evictions are exactly true LRU's. *)
+    Each set keeps its tags in recency order (move-to-front): rank 0 is the
+    most recently used line and the last valid rank the least recently
+    used.  A hit on rank 0 costs one tag compare; anything else takes one
+    pass that moves the line to rank 0, shifting older tags down one rank
+    and dropping the last one on a miss in a full set.  True LRU is fully
+    determined by recency order, so hits, misses and evictions are exactly
+    true LRU's. *)
 
 type t
 

@@ -1,26 +1,50 @@
 (* The stream table as struct-of-arrays: stream [i] is
-   (last.(i), dir.(i), hits.(i), lru.(i)).  Flat int arrays keep the scans
-   below to straight loads, with no pointer chase per slot. *)
+   (last.(i), dir.(i), hits.(i)).  Flat int arrays keep the loops below to
+   straight loads, with no pointer chase per slot.
+
+   Slots are never freed between resets and a new stream takes the first
+   free slot, so the used slots are always the prefix [0, used).  Two more
+   structures answer the per-access questions without a scan:
+   - recency: a doubly linked list of the used slots through [newer] and
+     [older] (-1 ends it), most recent at [head].  Each observe touches one
+     slot, so the list tail is the slot touched least recently — the LRU
+     victim once every slot is in use.
+   - match buckets: bit [s] of [bucket.(last.(s) land 63)] is set for every
+     used stream [s], so the streams whose [last] is [line - 1] or
+     [line + 1] are all among the bits of two buckets. *)
 type t = {
   last : int array;  (* last line seen in this stream; -1 = free slot *)
   dir : int array;  (* +1 ascending, -1 descending, 0 undecided *)
   hits : int array;  (* consecutive stride confirmations *)
-  lru : int array;
+  newer : int array;
+  older : int array;
+  bucket : int array;  (* 64 stream bitmasks *)
   degree : int;
   confirm : int;
-  mutable clock : int;
+  mutable used : int;
+  mutable head : int;
+  mutable tail : int;
 }
+
+(* Stream bitmasks live in an OCaml int: 63 bits, the top one the sign. *)
+let max_streams = 62
 
 let create ?(streams = 16) ?(degree = 4) ?(confirm = 2) () =
   if streams < 1 then invalid_arg "Prefetcher.create: need at least one stream";
+  if streams > max_streams then
+    invalid_arg "Prefetcher.create: at most 62 streams";
   {
     last = Array.make streams (-1);
     dir = Array.make streams 0;
     hits = Array.make streams 0;
-    lru = Array.make streams 0;
+    newer = Array.make streams (-1);
+    older = Array.make streams (-1);
+    bucket = Array.make 64 0;
     degree;
     confirm;
-    clock = 0;
+    used = 0;
+    head = -1;
+    tail = -1;
   }
 
 let degree t = t.degree
@@ -30,54 +54,88 @@ let reset t =
   Array.fill t.last 0 n (-1);
   Array.fill t.dir 0 n 0;
   Array.fill t.hits 0 n 0;
-  Array.fill t.lru 0 n 0;
-  t.clock <- 0
+  Array.fill t.bucket 0 64 0;
+  t.used <- 0;
+  t.head <- -1;
+  t.tail <- -1
+
+(* Index of the single set bit of [b], by de Bruijn multiplication: for
+   each of the 62 stream bits, the top six bits of the 63-bit product are a
+   different window of the constant, so a 64-entry table names the bit. *)
+let debruijn = 0x022fdd63cc95386d
+
+let bit_of_window =
+  let t = Array.make 64 0 in
+  for k = 0 to max_streams - 1 do
+    t.(((1 lsl k) * debruijn) lsr 57) <- k
+  done;
+  t
+
+let[@inline] bit_index b = Array.unsafe_get bit_of_window ((b * debruijn) lsr 57)
+
+(* Make used slot [s] the most recent. *)
+let[@inline] touch t s =
+  let h = t.head in
+  if h <> s then begin
+    let nw = Array.unsafe_get t.newer s and od = Array.unsafe_get t.older s in
+    (* [s] is in the list but not its head, so [nw >= 0]. *)
+    Array.unsafe_set t.older nw od;
+    if od >= 0 then Array.unsafe_set t.newer od nw else t.tail <- nw;
+    Array.unsafe_set t.older s h;
+    Array.unsafe_set t.newer s (-1);
+    Array.unsafe_set t.newer h s;
+    t.head <- s
+  end
+
+(* Point stream [s] at [line], keeping its bucket bit in step. *)
+let[@inline] set_last t s line =
+  let bit = 1 lsl s in
+  let old = Array.unsafe_get t.last s in
+  if old >= 0 then begin
+    let k = old land 63 in
+    Array.unsafe_set t.bucket k (Array.unsafe_get t.bucket k land lnot bit)
+  end;
+  let k = line land 63 in
+  Array.unsafe_set t.bucket k (Array.unsafe_get t.bucket k lor bit);
+  Array.unsafe_set t.last s line
 
 (* The hot path: called once per demand access by the cache simulators.
    Writes at most [degree t] prefetch line addresses into [buf] and returns
-   how many were written; allocation-free (the scans are index loops, no
-   closures or options). *)
+   how many were written; allocation-free (index loops over mutable locals,
+   no closures or options). *)
 let observe_into t line buf =
   if Array.length buf < t.degree then
     invalid_arg "Prefetcher.observe_into: buffer shorter than degree";
-  t.clock <- t.clock + 1;
-  let lasts = t.last and lrus = t.lru in
-  let n = Array.length lasts in
-  (* One scan finds the first stream whose expected next line matches
-     and, in case none does, the slot a new stream takes: the first free
-     one, else the least recently used (the first on a tie). *)
-  let matched = ref (-1) in
-  let mdelta = ref 0 in
-  let free = ref (-1) and oldest = ref 0 in
-  let i = ref 0 in
-  while !matched < 0 && !i < n do
-    let s = !i in
-    let last = Array.unsafe_get lasts s in
-    if last >= 0 then begin
-      let delta = line - last in
-      if delta = 1 || delta = -1 then begin
-        let dir = Array.unsafe_get t.dir s in
-        if dir = 0 || dir = delta then begin
-          matched := s;
-          mdelta := delta
-        end
-      end
-    end;
-    if last = -1 then begin
-      if !free < 0 then free := s
+  if line < 0 then invalid_arg "Prefetcher.observe_into: negative line";
+  (* The first stream, in index order, whose expected next line is [line]:
+     try the candidate bits lowest first and verify each, so a bucket
+     collision never matches and no true match is skipped. *)
+  let cand =
+    ref
+      (Array.unsafe_get t.bucket ((line - 1) land 63)
+      lor Array.unsafe_get t.bucket ((line + 1) land 63))
+  in
+  let matched = ref (-1) and mdelta = ref 0 in
+  while !cand <> 0 do
+    let b = !cand land (- !cand) in
+    let s = bit_index b in
+    let delta = line - Array.unsafe_get t.last s in
+    let dir = Array.unsafe_get t.dir s in
+    if (delta = 1 || delta = -1) && (dir = 0 || dir = delta) then begin
+      matched := s;
+      mdelta := delta;
+      cand := 0
     end
-    else if Array.unsafe_get lrus s < Array.unsafe_get lrus !oldest then
-      oldest := s;
-    incr i
+    else cand := !cand lxor b
   done;
   if !matched >= 0 then begin
     let s = !matched in
     let delta = !mdelta in
     let hits = Array.unsafe_get t.hits s + 1 in
-    Array.unsafe_set t.last s line;
+    set_last t s line;
     Array.unsafe_set t.dir s delta;
     Array.unsafe_set t.hits s hits;
-    Array.unsafe_set t.lru s t.clock;
+    touch t s;
     if hits >= t.confirm then begin
       for i = 0 to t.degree - 1 do
         Array.unsafe_set buf i (line + (delta * (i + 1)))
@@ -87,12 +145,26 @@ let observe_into t line buf =
     else 0
   end
   else begin
-    (* No match, so the scan saw every slot. *)
-    let v = if !free >= 0 then !free else !oldest in
-    Array.unsafe_set t.last v line;
+    (* A new stream: the first free slot, else the least recently used. *)
+    let v =
+      if t.used < Array.length t.last then begin
+        let v = t.used in
+        t.used <- v + 1;
+        Array.unsafe_set t.newer v (-1);
+        Array.unsafe_set t.older v t.head;
+        if t.head >= 0 then Array.unsafe_set t.newer t.head v else t.tail <- v;
+        t.head <- v;
+        v
+      end
+      else begin
+        let v = t.tail in
+        touch t v;
+        v
+      end
+    in
+    set_last t v line;
     Array.unsafe_set t.dir v 0;
     Array.unsafe_set t.hits v 0;
-    Array.unsafe_set t.lru v t.clock;
     0
   end
 

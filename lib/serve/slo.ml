@@ -50,13 +50,10 @@ let analyze ~slo ~duration ~pauses (result : Serve.result) =
   in
   if n = 0 then zero
   else begin
-    let pauses = Analyzer.coalesce pauses in
-    let latencies =
-      Array.to_list (Array.map (fun r -> r.Serve.latency) requests)
-    in
-    let total =
-      Array.fold_left (fun acc r -> acc + r.Serve.latency) 0 requests
-    in
+    let pauses = Array.of_list (Analyzer.coalesce pauses) in
+    let latencies = Array.map (fun r -> r.Serve.latency) requests in
+    let total = Array.fold_left ( + ) 0 latencies in
+    Array.sort Int.compare latencies;
     (* Busy-period pause attribution, per shard: pause overlap absorbed by
        a request's wall window carries to everything queued behind it; a
        request that starts with zero wait opens a fresh busy period. *)
@@ -73,8 +70,7 @@ let analyze ~slo ~duration ~pauses (result : Serve.result) =
         let m = r.Serve.mutator in
         if r.Serve.wait = 0 then carry.(m) <- 0;
         let own =
-          Analyzer.overlap ~coalesced:true ~window:(r.Serve.w0, r.Serve.w1)
-            pauses
+          Analyzer.overlap_sorted pauses ~window:(r.Serve.w0, r.Serve.w1)
         in
         if slo > 0 && r.Serve.latency > slo then begin
           incr violations;
@@ -90,11 +86,11 @@ let analyze ~slo ~duration ~pauses (result : Serve.result) =
     {
       zero with
       mean = float_of_int total /. float_of_int n;
-      p50 = Analyzer.percentile latencies ~pct:50.0;
-      p95 = Analyzer.percentile latencies ~pct:95.0;
-      p99 = Analyzer.percentile latencies ~pct:99.0;
-      p999 = Analyzer.percentile latencies ~pct:99.9;
-      max_latency = Array.fold_left (fun acc r -> max acc r.Serve.latency) 0 requests;
+      p50 = Analyzer.percentile_sorted latencies ~pct:50.0;
+      p95 = Analyzer.percentile_sorted latencies ~pct:95.0;
+      p99 = Analyzer.percentile_sorted latencies ~pct:99.0;
+      p999 = Analyzer.percentile_sorted latencies ~pct:99.9;
+      max_latency = max 0 latencies.(n - 1);
       violations = !violations;
       pause_attributed = !pause_attributed;
       service_attributed = !service_attributed;

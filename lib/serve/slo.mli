@@ -4,11 +4,11 @@
     nearest-rank over the per-request enqueue→completion latencies, and
     each violation is attributed to GC by intersecting the request's
     wall-clock service window with the run's coalesced STW-pause
-    intervals ({!Analyzer.overlap}).  Attribution follows busy periods: a
-    pause's cycles carry forward to every request queued behind it on the
-    same shard (the queue only drains when a request starts with zero
-    wait), so a violation is {e pause-attributed} when its own window or
-    its busy period absorbed pause time, and {e service-attributed}
+    intervals ({!Analyzer.overlap_sorted}).  Attribution follows busy
+    periods: a pause's cycles carry forward to every request queued behind
+    it on the same shard (the queue only drains when a request starts with
+    zero wait), so a violation is {e pause-attributed} when its own window
+    or its busy period absorbed pause time, and {e service-attributed}
     otherwise. *)
 
 val cycles_per_us : int

@@ -8,18 +8,30 @@ type pause_stats = {
   max : int;
 }
 
-let percentile xs ~pct =
-  if xs = [] then invalid_arg "Analyzer.percentile: empty list";
+let check_pct name pct =
   if pct <= 0.0 || pct > 100.0 then
-    invalid_arg "Analyzer.percentile: pct outside (0, 100]";
-  let arr = Array.of_list xs in
-  Array.sort compare arr;
+    invalid_arg (name ^ ": pct outside (0, 100]")
+
+(* Nearest rank ⌈pct/100 × n⌉ of a sorted, non-empty array, nudged below
+   the float division's upward rounding so an exactly-integral rank (99.9%
+   of 1000 = 999) is not bumped to the next sample. *)
+let nearest_rank arr ~pct =
   let n = Array.length arr in
-  (* Nearest rank ⌈pct/100 × n⌉, nudged below the float division's upward
-     rounding so an exactly-integral rank (99.9% of 1000 = 999) is not
-     bumped to the next sample. *)
   let rank = int_of_float (ceil ((pct /. 100.0 *. float_of_int n) -. 1e-9)) in
   arr.(max 0 (min (n - 1) (rank - 1)))
+
+let percentile_sorted arr ~pct =
+  if Array.length arr = 0 then
+    invalid_arg "Analyzer.percentile_sorted: empty array";
+  check_pct "Analyzer.percentile_sorted" pct;
+  nearest_rank arr ~pct
+
+let percentile xs ~pct =
+  if xs = [] then invalid_arg "Analyzer.percentile: empty list";
+  check_pct "Analyzer.percentile" pct;
+  let arr = Array.of_list xs in
+  Array.sort Int.compare arr;
+  nearest_rank arr ~pct
 
 let is_pause (s : Recorder.span) =
   s.Recorder.track = Recorder.Gc
@@ -41,14 +53,17 @@ let pause_stats r =
   match pause_durations r with
   | [] -> { count = 0; total = 0; p50 = 0; p95 = 0; p99 = 0; p999 = 0; max = 0 }
   | ds ->
+      let arr = Array.of_list ds in
+      Array.sort Int.compare arr;
+      let n = Array.length arr in
       {
-        count = List.length ds;
-        total = List.fold_left ( + ) 0 ds;
-        p50 = percentile ds ~pct:50.0;
-        p95 = percentile ds ~pct:95.0;
-        p99 = percentile ds ~pct:99.0;
-        p999 = percentile ds ~pct:99.9;
-        max = List.fold_left max 0 ds;
+        count = n;
+        total = Array.fold_left ( + ) 0 arr;
+        p50 = nearest_rank arr ~pct:50.0;
+        p95 = nearest_rank arr ~pct:95.0;
+        p99 = nearest_rank arr ~pct:99.0;
+        p999 = nearest_rank arr ~pct:99.9;
+        max = max 0 arr.(n - 1);
       }
 
 (* Coalesce overlapping/touching intervals so summed window overlap never
@@ -66,14 +81,28 @@ let coalesce = merge_intervals
 
 (* Overlap of one window with a set of intervals.  Coalescing first keeps
    the sum honest when intervals overlap each other (simulated pauses can
-   share a wall stamp), so the result never exceeds the window width.
-   The SLO attribution calls this once per violating request with the
-   already-coalesced pause list, hence the [?coalesced] fast path. *)
-let overlap ?(coalesced = false) ~window:(w0, w1) intervals =
-  let intervals = if coalesced then intervals else merge_intervals intervals in
+   share a wall stamp), so the result never exceeds the window width. *)
+let overlap ~window:(w0, w1) intervals =
   List.fold_left
     (fun acc (a, b) -> acc + max 0 (min b w1 - max a w0))
-    0 intervals
+    0 (merge_intervals intervals)
+
+(* Coalesced intervals are sorted and disjoint, so their stops ascend too:
+   binary-search the first interval ending after [w0], then sum until one
+   starts at or after [w1]. *)
+let overlap_sorted ivs ~window:(w0, w1) =
+  let lo = ref 0 and hi = ref (Array.length ivs) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if snd ivs.(mid) > w0 then hi := mid else lo := mid + 1
+  done;
+  let acc = ref 0 and i = ref !lo in
+  while !i < Array.length ivs && fst ivs.(!i) < w1 do
+    let a, b = ivs.(!i) in
+    acc := !acc + max 0 (min b w1 - max a w0);
+    incr i
+  done;
+  !acc
 
 let mmu ~window ~total ~pauses =
   if window <= 0 then invalid_arg "Analyzer.mmu: window must be positive";

@@ -22,6 +22,11 @@ val percentile : int list -> pct:float -> int
     [percentile xs ~pct:50.0] is the median sample.
     @raise Invalid_argument on an empty list or [pct] outside (0, 100]. *)
 
+val percentile_sorted : int array -> pct:float -> int
+(** {!percentile} of an array already sorted ascending, read in place: sort
+    once, then read several ranks.
+    @raise Invalid_argument on an empty array or [pct] outside (0, 100]. *)
+
 val pause_durations : Recorder.t -> int list
 (** Durations of the recorded STW pause slices, chronological. *)
 
@@ -36,15 +41,19 @@ val coalesce : (int * int) list -> (int * int) list
     or touching neighbours — the normal form {!overlap} and {!mmu} reduce
     to before summing. *)
 
-val overlap :
-  ?coalesced:bool -> window:int * int -> (int * int) list -> int
+val overlap : window:int * int -> (int * int) list -> int
 (** [overlap ~window:(w0, w1) intervals] is the total length of
     [\[w0, w1\]] covered by the intervals — the request-window ∩
-    pause-intervals helper behind pause-attributed SLO accounting.
-    Intervals are {!coalesce}d first (pass [~coalesced:true] when the
-    caller already did, e.g. once per request batch), so the result is in
+    pause-intervals semantics of pause-attributed SLO accounting.
+    Intervals are {!coalesce}d first, so the result is in
     [\[0, w1 - w0\]] even when inputs overlap each other.  An empty or
     inverted window yields 0. *)
+
+val overlap_sorted : (int * int) array -> window:int * int -> int
+(** {!overlap} over intervals already in {!coalesce} normal form, as an
+    array.  A binary search finds the first interval ending after [w0], so
+    a window costs O(log n) plus the intervals it meets — the per-request
+    form for SLO attribution over many pauses. *)
 
 val mmu : window:int -> total:int -> pauses:(int * int) list -> float
 (** Minimum mutator utilisation: the worst-case fraction of any

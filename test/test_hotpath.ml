@@ -292,38 +292,46 @@ module Model = struct
         []
 end
 
+(* An op is (kind, v): kind < 6 extends the previous line by +1, < 10 by
+   -1 (so streams actually confirm); 10-12 step by +64, +63 and -63, into
+   the same or a neighbouring match bucket (lines mod 64); 13 repeats the
+   previous line, leaving two streams with the same [last]; 14 resets both
+   prefetchers; anything else jumps to line [v]. *)
 let prop_observe_into_matches_model =
   QCheck.Test.make ~name:"prefetcher: observe_into = list semantics"
-    ~count:200
+    ~count:300
     QCheck.(
-      quad (int_range 1 5) (int_range 1 6) (int_range 1 3)
-        (small_list (int_bound 15)))
-    (fun (streams, degree, confirm, raw) ->
-      (* Stretch the raw input into line addresses with embedded runs so
-         streams actually confirm: each element either extends the previous
-         line by +/-1 or jumps. *)
-      let lines =
-        let last = ref 0 in
-        List.concat_map
-          (fun x ->
-            let l =
-              if x < 6 then !last + 1
-              else if x < 10 then max 0 (!last - 1)
-              else (x * 37) mod 256
-            in
-            last := l;
-            [ l ])
-          raw
-      in
+      quad (int_range 1 16) (int_range 1 6) (int_range 1 3)
+        (list_of_size Gen.(0 -- 400) (pair (int_bound 19) (int_bound 255))))
+    (fun (streams, degree, confirm, ops) ->
       let real = Prefetcher.create ~streams ~degree ~confirm () in
-      let model = Model.create ~streams ~degree ~confirm in
+      let model = ref (Model.create ~streams ~degree ~confirm) in
       let buf = Array.make (Prefetcher.degree real) 0 in
+      let last = ref 0 in
       List.for_all
-        (fun line ->
-          let n = Prefetcher.observe_into real line buf in
-          let got = List.init n (fun i -> buf.(i)) in
-          got = Model.observe model line)
-        lines)
+        (fun (kind, v) ->
+          if kind = 14 then begin
+            Prefetcher.reset real;
+            model := Model.create ~streams ~degree ~confirm;
+            true
+          end
+          else begin
+            let l = !last in
+            let line =
+              if kind < 6 then l + 1
+              else if kind < 10 then max 0 (l - 1)
+              else if kind = 10 then l + 64
+              else if kind = 11 then l + 63
+              else if kind = 12 then max 0 (l - 63)
+              else if kind = 13 then l
+              else v
+            in
+            last := line;
+            let n = Prefetcher.observe_into real line buf in
+            let got = List.init n (fun i -> buf.(i)) in
+            got = Model.observe !model line
+          end)
+        ops)
 
 let observe_wrapper_matches_into () =
   (* The compat wrapper and the buffered path, driven in lockstep on twin

@@ -102,15 +102,17 @@ module Lru_model = struct
 end
 
 (* Cache and the model in lockstep over random interleavings, on tiny
-   geometries (1-4 ways, 1-8 sets) and 32 distinct lines, so evictions and
-   MRU-memo misses are frequent.  An op is (kind, line): kind < 45 is
-   [access], < 75 [insert], < 98 [probe], else [invalidate_all]. *)
+   geometries (1-16 ways, powers of two or not, and 1-8 sets) and twice as
+   many distinct lines as the cache holds, so evictions and moves down the
+   whole length of a set are frequent.  An op is (kind, raw): kind < 45 is
+   [access], < 75 [insert], < 98 [probe], else [invalidate_all]; the line
+   is [raw mod (2 * ways * sets)]. *)
 let prop_cache_matches_lru_model =
   QCheck.Test.make ~name:"cache: access/insert/probe = true-LRU model"
     ~count:500
     QCheck.(
-      triple (int_range 1 4) (int_range 0 3)
-        (list_of_size Gen.(0 -- 300) (pair (int_bound 99) (int_bound 31))))
+      triple (int_range 1 16) (int_range 0 3)
+        (list_of_size Gen.(0 -- 300) (pair (int_bound 99) (int_bound 1023))))
     (fun (ways, log_sets, ops) ->
       let sets = 1 lsl log_sets in
       let c =
@@ -119,7 +121,8 @@ let prop_cache_matches_lru_model =
       in
       let m = Lru_model.create ~ways ~sets in
       List.for_all
-        (fun (kind, line) ->
+        (fun (kind, raw) ->
+          let line = raw mod (2 * ways * sets) in
           if kind < 45 then Cache.access c line = Lru_model.access m line
           else if kind < 75 then begin
             Cache.insert c line;
@@ -186,6 +189,34 @@ let prefetcher_needs_a_stream () =
   Alcotest.check_raises "no stream slots"
     (Invalid_argument "Prefetcher.create: need at least one stream")
     (fun () -> ignore (Prefetcher.create ~streams:0 ()))
+
+let prefetcher_stream_limit () =
+  (* Streams are bits of an OCaml int in the match buckets.  Open all 62
+     slots (lines 1000 apart, so each is its own stream), then extend each
+     twice: every slot, up to bit 61, must match and confirm. *)
+  let pf = Prefetcher.create ~streams:62 ~confirm:2 ~degree:1 () in
+  let base i = 1000 * (i + 1) in
+  for i = 0 to 61 do
+    ignore (Prefetcher.observe pf (base i))
+  done;
+  for i = 0 to 61 do
+    ignore (Prefetcher.observe pf (base i + 1))
+  done;
+  for i = 0 to 61 do
+    check (Alcotest.list Alcotest.int)
+      (Printf.sprintf "stream %d confirmed" i)
+      [ base i + 3 ]
+      (Prefetcher.observe pf (base i + 2))
+  done;
+  Alcotest.check_raises "63 stream slots"
+    (Invalid_argument "Prefetcher.create: at most 62 streams")
+    (fun () -> ignore (Prefetcher.create ~streams:63 ()))
+
+let prefetcher_rejects_negative_line () =
+  let pf = Prefetcher.create () in
+  Alcotest.check_raises "line -1"
+    (Invalid_argument "Prefetcher.observe_into: negative line")
+    (fun () -> ignore (Prefetcher.observe pf (-1)))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy: the three levels as one core of a Machine sees them      *)
@@ -416,6 +447,8 @@ let suite =
         case "interleaved streams" `Quick prefetcher_tracks_interleaved_streams;
         case "reset" `Quick prefetcher_reset;
         case "no streams rejected" `Quick prefetcher_needs_a_stream;
+        case "too many streams rejected" `Quick prefetcher_stream_limit;
+        case "negative line rejected" `Quick prefetcher_rejects_negative_line;
       ] );
     ( "memsim.hierarchy",
       [

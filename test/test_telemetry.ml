@@ -306,6 +306,10 @@ let percentile_fixtures () =
   check Alcotest.bool "empty list rejected" true
     (match Analyzer.percentile [] ~pct:50.0 with
     | _ -> false
+    | exception Invalid_argument _ -> true);
+  check Alcotest.bool "empty sorted array rejected" true
+    (match Analyzer.percentile_sorted [||] ~pct:50.0 with
+    | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* Nearest-rank p99.9: rank = ceil(99.9/100 * n), so every sample short of
@@ -324,9 +328,7 @@ let p999_fixtures () =
     (Analyzer.percentile (List.init 10_000 (fun i -> 10_000 - i)) ~pct:99.9)
 
 let overlap_fixtures () =
-  let ov ?coalesced window intervals =
-    Analyzer.overlap ?coalesced ~window intervals
-  in
+  let ov window intervals = Analyzer.overlap ~window intervals in
   check Alcotest.int "disjoint" 0 (ov (0, 10) [ (20, 30) ]);
   check Alcotest.int "touching edges do not overlap" 0 (ov (0, 10) [ (10, 20) ]);
   check Alcotest.int "interval inside window" 5 (ov (0, 100) [ (10, 15) ]);
@@ -338,8 +340,8 @@ let overlap_fixtures () =
   check Alcotest.int "duplicates coalesce" 5 (ov (0, 100) [ (10, 15); (10, 15) ]);
   check Alcotest.int "overlapping intervals coalesce" 15
     (ov (0, 100) [ (10, 20); (15, 25) ]);
-  check Alcotest.int "already-coalesced fast path" 15
-    (ov ~coalesced:true (0, 100) [ (10, 20); (20, 25) ]);
+  check Alcotest.int "sorted form over coalesced intervals" 8
+    (Analyzer.overlap_sorted [| (10, 20); (30, 35) |] ~window:(15, 33));
   check Alcotest.int "empty interval dropped" 0 (ov (0, 100) [ (50, 50) ]);
   check Alcotest.int "inverted window" 0 (ov (10, 10) [ (0, 100) ]);
   check
@@ -347,6 +349,35 @@ let overlap_fixtures () =
     "coalesce normal form"
     [ (0, 25); (40, 50) ]
     (Analyzer.coalesce [ (15, 25); (0, 10); (10, 20); (40, 50); (45, 45) ])
+
+(* The sorted-array forms the SLO report reads against the list forms they
+   replace.  Intervals and windows are small and dense over [0, 100], so
+   overlapping, touching, empty and inverted ones are all common. *)
+let prop_overlap_sorted_matches_overlap =
+  QCheck.Test.make ~name:"analyzer: overlap_sorted = overlap" ~count:500
+    QCheck.(
+      pair
+        (small_list (pair (int_bound 100) (int_bound 30)))
+        (pair (int_bound 100) (int_range (-20) 60)))
+    (fun (raw, (w0, width)) ->
+      (* Widths down to 0 keep empty intervals in play; negative window
+         widths give inverted windows. *)
+      let ivs = List.map (fun (a, len) -> (a, a + len)) raw in
+      let window = (w0, w0 + width) in
+      Analyzer.overlap_sorted (Array.of_list (Analyzer.coalesce ivs)) ~window
+      = Analyzer.overlap ~window ivs)
+
+let prop_percentile_sorted_matches_percentile =
+  QCheck.Test.make ~name:"analyzer: percentile_sorted = percentile"
+    ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 300) (int_range (-50) 1000))
+        (oneofl [ 0.1; 1.0; 50.0; 95.0; 99.0; 99.9; 100.0 ]))
+    (fun (xs, pct) ->
+      let arr = Array.of_list xs in
+      Array.sort Int.compare arr;
+      Analyzer.percentile_sorted arr ~pct = Analyzer.percentile xs ~pct)
 
 let close_to msg expected actual =
   if Float.abs (expected -. actual) > 1e-9 then
@@ -679,6 +710,8 @@ let suite =
         case "percentile fixtures" `Quick percentile_fixtures;
         case "p99.9 nearest-rank fixtures" `Quick p999_fixtures;
         case "interval overlap fixtures" `Quick overlap_fixtures;
+        QCheck_alcotest.to_alcotest prop_overlap_sorted_matches_overlap;
+        QCheck_alcotest.to_alcotest prop_percentile_sorted_matches_percentile;
         case "mmu fixtures" `Quick mmu_fixtures;
         case "pause stats" `Quick pause_stats_of_recorder;
         case "relocation attribution" `Quick attribution_of_real_run;
