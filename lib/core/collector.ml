@@ -346,23 +346,23 @@ let rec resolve t ~who addr =
             (Invalid_handle (Printf.sprintf "pointer 0x%x maps to no page" addr))
       | Some page -> (
           let offset = addr - page.Page.start in
-          match Page.find_object page ~offset with
-          | Some obj ->
-              if page.Page.state = Page.In_ec then begin
-                t.acc_cost <- t.acc_cost + relocate t ~who obj page;
-                obj
-              end
-              else obj
-          | None -> (
-              (* Relocated out of an in-EC page: follow its forwarding. *)
-              t.acc_cost <- t.acc_cost + Cost.fwd_lookup;
-              match Fwd_table.get page.Page.fwd ~offset with
-              | -1 ->
-                  raise
-                    (Invalid_handle
-                       (Printf.sprintf "no object at 0x%x on page #%d" addr
-                          page.Page.id))
-              | new_addr -> resolve t ~who new_addr)))
+          let obj = Page.object_at page ~offset in
+          if obj != Page.no_obj then begin
+            if page.Page.state = Page.In_ec then
+              t.acc_cost <- t.acc_cost + relocate t ~who obj page;
+            obj
+          end
+          else begin
+            (* Relocated out of an in-EC page: follow its forwarding. *)
+            t.acc_cost <- t.acc_cost + Cost.fwd_lookup;
+            match Fwd_table.get page.Page.fwd ~offset with
+            | -1 ->
+                raise
+                  (Invalid_handle
+                     (Printf.sprintf "no object at 0x%x on page #%d" addr
+                        page.Page.id))
+            | new_addr -> resolve t ~who new_addr
+          end))
   | idx -> (
       let old_page = Vec.unsafe_get t.retire_pages idx in
       t.acc_cost <- t.acc_cost + Cost.fwd_lookup;
@@ -933,9 +933,8 @@ let release_page t (page : Page.t) =
 let rec collect_victims t (page : Page.t) bit =
   let bit = Bitmap.next_set page.Page.livemap bit in
   if bit >= 0 then begin
-    (match Page.find_object_exn page ~offset:(bit * 8) with
-    | obj -> Vec.push t.relo_victims obj
-    | exception Not_found -> ());
+    let obj = Page.object_at page ~offset:(bit * 8) in
+    if obj != Page.no_obj then Vec.push t.relo_victims obj;
     collect_victims t page (bit + 1)
   end
 
@@ -1157,16 +1156,14 @@ let verify t =
       (match Heap.page_of_addr t.heap page.Page.start with
       | Some p when p == page -> ()
       | _ -> err "page #%d not mapped at its own start" page.Page.id);
-      Hashtbl.iter
-        (fun offset (obj : Heap_obj.t) ->
+      Page.iter_objects page (fun offset (obj : Heap_obj.t) ->
           if obj.Heap_obj.addr <> page.Page.start + offset then
             err "object #%d registered at offset %d but addr=0x%x on page #%d"
               obj.Heap_obj.id offset obj.Heap_obj.addr page.Page.id;
           if obj.Heap_obj.addr + obj.Heap_obj.size > page.Page.start + page.Page.top
           then
             err "object #%d extends past the bump pointer of page #%d"
-              obj.Heap_obj.id page.Page.id)
-        page.Page.objects);
+              obj.Heap_obj.id page.Page.id));
   if !used <> Heap.used_bytes t.heap then
     err "used_bytes accounting: pages sum to %d, heap reports %d" !used
       (Heap.used_bytes t.heap);

@@ -1,8 +1,18 @@
 module Bitmap = Hcsgc_util.Bitmap
+module Int_tbl = Hcsgc_util.Int_tbl
 
 type state = Active | In_ec | Freed
 
 type tier_loc = Dram | Far
+
+(* Byte offset -> object, open-addressed with linear probing over two
+   flat arrays (see [object_at] below). *)
+type obj_index = {
+  mutable keys : int array;  (* byte offset per slot; -1 = empty *)
+  mutable objs : Heap_obj.t array;  (* [no_obj] = empty or removed *)
+  mutable shift : int;  (* Sys.int_size - log2 capacity *)
+  mutable used : int;  (* slots holding a key, removed ones included *)
+}
 
 type t = {
   id : int;
@@ -12,7 +22,7 @@ type t = {
   birth_cycle : int;
   mutable top : int;
   mutable state : state;
-  objects : (int, Heap_obj.t) Hashtbl.t;
+  objects : obj_index;
   livemap : Bitmap.t;
   mutable hot_cur : Bitmap.t;
   mutable hot_prev : Bitmap.t;
@@ -33,8 +43,8 @@ type t = {
 
 let word_bits layout size = size / layout.Layout.word_bytes
 
-(* Placeholder for an empty [memo_obj]; never returned (guarded by
-   [memo_off = -1] and offsets are non-negative). *)
+(* The "no object" sentinel: what [object_at] returns on a miss, the
+   value of empty and removed index slots, and the empty [memo_obj]. *)
 let no_obj : Heap_obj.t =
   {
     Heap_obj.id = -1;
@@ -47,6 +57,63 @@ let no_obj : Heap_obj.t =
     page_id = -1;
   }
 
+(* ---- object index ------------------------------------------------
+
+   Removal blanks the slot's value to [no_obj] and keeps its key, so
+   probe chains never break and there are no tombstones.  This is exact
+   for any call order: a removed key's value reads exactly as a miss
+   does, and re-adding at that offset reuses the slot.  Dead keys keep
+   their slots, but a page never re-keys one: every [Heap.alloc_page]
+   makes a fresh [t] and production registrations are bump allocations,
+   whose offsets only increase, so the index holds at most one key per
+   object ever placed on the page. *)
+
+let index_capacity = 16
+
+let index_create () =
+  {
+    keys = Array.make index_capacity (-1);
+    objs = Array.make index_capacity no_obj;
+    shift = Int_tbl.shift_for ~capacity:index_capacity;
+    used = 0;
+  }
+
+(* The slot holding [key], or the empty slot where it would go (the
+   load factor stays at most 3/4, so one exists).  A negative key stops
+   at an empty slot, whose value is [no_obj]. *)
+let rec probe keys mask i key =
+  let k = Array.unsafe_get keys i in
+  if k = key || k = -1 then i else probe keys mask ((i + 1) land mask) key
+
+let[@inline] slot ix key =
+  let keys = ix.keys in
+  probe keys (Array.length keys - 1) (Int_tbl.home_slot ~shift:ix.shift key) key
+
+let index_grow ix =
+  let old_keys = ix.keys and old_objs = ix.objs in
+  let cap = 2 * Array.length old_keys in
+  ix.keys <- Array.make cap (-1);
+  ix.objs <- Array.make cap no_obj;
+  ix.shift <- ix.shift - 1;
+  for i = 0 to Array.length old_keys - 1 do
+    let k = Array.unsafe_get old_keys i in
+    if k <> -1 then begin
+      let j = slot ix k in
+      Array.unsafe_set ix.keys j k;
+      Array.unsafe_set ix.objs j (Array.unsafe_get old_objs i)
+    end
+  done
+
+let index_set ix key obj =
+  let i = slot ix key in
+  if Array.unsafe_get ix.keys i = key then Array.unsafe_set ix.objs i obj
+  else begin
+    Array.unsafe_set ix.keys i key;
+    Array.unsafe_set ix.objs i obj;
+    ix.used <- ix.used + 1;
+    if 4 * ix.used > 3 * Array.length ix.keys then index_grow ix
+  end
+
 let create ~layout ~id ~cls ~start ~size ~birth_cycle =
   let bits = word_bits layout size in
   {
@@ -57,7 +124,7 @@ let create ~layout ~id ~cls ~start ~size ~birth_cycle =
     birth_cycle;
     top = 0;
     state = Active;
-    objects = Hashtbl.create 64;
+    objects = index_create ();
     livemap = Bitmap.create bits;
     hot_cur = Bitmap.create bits;
     hot_prev = Bitmap.create bits;
@@ -101,23 +168,41 @@ let contains t addr = addr >= t.start && addr < t.start + t.size
 let add_object t obj =
   t.memo_off <- -1;
   obj.Heap_obj.page_id <- t.id;
-  Hashtbl.replace t.objects (offset_of_addr t obj.Heap_obj.addr) obj
+  index_set t.objects (offset_of_addr t obj.Heap_obj.addr) obj
 
 let remove_object t obj =
   t.memo_off <- -1;
   obj.Heap_obj.page_id <- -1;
-  Hashtbl.remove t.objects (offset_of_addr t obj.Heap_obj.addr)
+  let ix = t.objects and offset = offset_of_addr t obj.Heap_obj.addr in
+  let i = slot ix offset in
+  if Array.unsafe_get ix.keys i = offset then Array.unsafe_set ix.objs i no_obj
 
-let find_object t ~offset = Hashtbl.find_opt t.objects offset
+(* A miss ends on an empty slot (value [no_obj]) or on a removed key
+   (value [no_obj]), so the value read is the answer either way. *)
+let object_at t ~offset =
+  let ix = t.objects in
+  Array.unsafe_get ix.objs (slot ix offset)
+
+let find_object t ~offset =
+  let obj = object_at t ~offset in
+  if obj == no_obj then None else Some obj
 
 let find_object_exn t ~offset =
   if offset = t.memo_off then t.memo_obj
   else begin
-    let obj = Hashtbl.find t.objects offset in
+    let obj = object_at t ~offset in
+    if obj == no_obj then raise Not_found;
     t.memo_off <- offset;
     t.memo_obj <- obj;
     obj
   end
+
+let iter_objects t f =
+  let { keys; objs; _ } = t.objects in
+  for i = 0 to Array.length keys - 1 do
+    let obj = Array.unsafe_get objs i in
+    if obj != no_obj then f (Array.unsafe_get keys i) obj
+  done
 
 let free_bytes t = t.size - t.top
 
@@ -151,9 +236,8 @@ let is_marked_live t obj = Bitmap.get t.livemap (bit_of t obj)
 
 let iter_live t f =
   Bitmap.iter_set t.livemap (fun bit ->
-      match Hashtbl.find_opt t.objects (bit * 8) with
-      | Some obj -> f obj
-      | None -> ())
+      let obj = object_at t ~offset:(bit * 8) in
+      if obj != no_obj then f obj)
 
 let live_ratio t = float_of_int t.live_bytes /. float_of_int t.size
 

@@ -21,6 +21,13 @@ type state =
     sync. *)
 type tier_loc = Dram | Far
 
+type obj_index
+(** The page's byte offset → object index: open addressing over two flat
+    arrays, so a lookup allocates nothing and runs no polymorphic hash or
+    compare.  Read it through {!object_at}, {!find_object} and
+    {!iter_objects}; change it only through {!add_object} and
+    {!remove_object}. *)
+
 type t = {
   id : int;
   cls : Layout.size_class;
@@ -29,7 +36,8 @@ type t = {
   birth_cycle : int;  (** GC cycle sequence number at allocation *)
   mutable top : int;  (** bump offset; next free byte within the page *)
   mutable state : state;
-  objects : (int, Heap_obj.t) Hashtbl.t;  (** byte offset → object *)
+  objects : obj_index;
+      (** byte offset → object of every object registered on the page *)
   livemap : Hcsgc_util.Bitmap.t;  (** bit per word-offset of object starts *)
   mutable hot_cur : Hcsgc_util.Bitmap.t;  (** hotness, current epoch *)
   mutable hot_prev : Hcsgc_util.Bitmap.t;  (** snapshot for lazy relocation *)
@@ -68,18 +76,36 @@ val bump_try : t -> int -> int
     page is full.  The collector's bump-target path uses this so a
     steady-state allocation touches no host heap. *)
 
+val no_obj : Heap_obj.t
+(** The "no object" sentinel {!object_at} returns on a miss (id and addr
+    -1).  Compare with [==]. *)
+
 val add_object : t -> Heap_obj.t -> unit
-(** Register an object whose [addr] lies within this page. *)
+(** Register an object at the offset of its [addr], which must lie within
+    this page, replacing any object registered there. *)
 
 val remove_object : t -> Heap_obj.t -> unit
+(** Unregister the object at the offset of its [addr] (a no-op if none
+    is).  The slot keeps its key with the value blanked, so probe chains
+    stay intact; re-adding at that offset reuses the slot. *)
+
+val object_at : t -> offset:int -> Heap_obj.t
+(** The object registered at byte [offset], or {!no_obj}.  Allocates
+    nothing; any offset (negative included) is accepted. *)
 
 val find_object : t -> offset:int -> Heap_obj.t option
+(** {!object_at} as an option. *)
 
 val find_object_exn : t -> offset:int -> Heap_obj.t
-(** Allocation-free {!find_object} for the barrier hot path: no option
-    wrapping, and repeated lookups of the same offset hit a last-find memo
-    instead of the hash table.
+(** {!object_at} for the barrier hot path: repeated lookups of the same
+    offset hit a last-find memo instead of probing the index.
     @raise Not_found if no object starts at [offset]. *)
+
+val iter_objects : t -> (int -> Heap_obj.t -> unit) -> unit
+(** [iter_objects t f] applies [f offset obj] to every registered object,
+    in index slot order (deterministic, not sorted).  [offset] is the key
+    the object was registered under, not recomputed from [obj.addr], so
+    verifiers can check that the two still agree. *)
 
 val offset_of_addr : t -> int -> int
 (** Byte offset of an address within the page.

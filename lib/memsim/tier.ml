@@ -8,7 +8,9 @@ type t = {
   granule_bytes : int;
   capacity_bytes : int;
   lat_far : int;
-  resident : (int, unit) Hashtbl.t;  (* granule index -> present *)
+  mutable resident : Bytes.t;
+      (* bit per granule index; grows on demand.  The heap hands out
+         granules densely from 0, so its length tracks the heap's span. *)
   mutable used_bytes : int;
   mutable peak_bytes : int;
 }
@@ -25,7 +27,7 @@ let create ~granule_bytes ~capacity_bytes ~lat_far () =
     granule_bytes;
     capacity_bytes;
     lat_far;
-    resident = Hashtbl.create 64;
+    resident = Bytes.empty;
     used_bytes = 0;
     peak_bytes = 0;
   }
@@ -36,7 +38,25 @@ let lat_far t = t.lat_far
 let used_bytes t = t.used_bytes
 let peak_bytes t = t.peak_bytes
 
-let[@inline] resident t addr = Hashtbl.mem t.resident (addr / t.granule_bytes)
+(* A negative granule's byte index is huge after [lsr], so it reads as
+   absent like any granule past the end. *)
+let[@inline] has t g =
+  let byte = g lsr 3 in
+  byte < Bytes.length t.resident
+  && Char.code (Bytes.unsafe_get t.resident byte) land (1 lsl (g land 7)) <> 0
+
+let[@inline] resident t addr = has t (addr / t.granule_bytes)
+
+let set_bit t g on =
+  let byte = g lsr 3 in
+  let len = Bytes.length t.resident in
+  if byte >= len then begin
+    let bits = Bytes.make (max (2 * len) (byte + 1)) '\000' in
+    Bytes.blit t.resident 0 bits 0 len;
+    t.resident <- bits
+  end;
+  let c = Char.code (Bytes.get t.resident byte) and m = 1 lsl (g land 7) in
+  Bytes.set t.resident byte (Char.chr (if on then c lor m else c land lnot m))
 
 let check_range name t ~addr ~bytes =
   if addr < 0 || bytes <= 0 then
@@ -53,9 +73,8 @@ let demote t ~addr ~bytes =
     let first = addr / t.granule_bytes in
     let last = (addr + bytes - 1) / t.granule_bytes in
     for g = first to last do
-      if Hashtbl.mem t.resident g then
-        invalid_arg "Tier.demote: granule already resident";
-      Hashtbl.replace t.resident g ()
+      if has t g then invalid_arg "Tier.demote: granule already resident";
+      set_bit t g true
     done;
     t.used_bytes <- t.used_bytes + bytes;
     if t.used_bytes > t.peak_bytes then t.peak_bytes <- t.used_bytes;
@@ -67,13 +86,12 @@ let promote t ~addr ~bytes =
   let first = addr / t.granule_bytes in
   let last = (addr + bytes - 1) / t.granule_bytes in
   for g = first to last do
-    if not (Hashtbl.mem t.resident g) then
-      invalid_arg "Tier.promote: granule not resident";
-    Hashtbl.remove t.resident g
+    if not (has t g) then invalid_arg "Tier.promote: granule not resident";
+    set_bit t g false
   done;
   t.used_bytes <- t.used_bytes - bytes
 
 let reset t =
-  Hashtbl.reset t.resident;
+  Bytes.fill t.resident 0 (Bytes.length t.resident) '\000';
   t.used_bytes <- 0;
   t.peak_bytes <- 0

@@ -9,7 +9,9 @@
 
     Residency is keyed by raw byte address — the tier knows nothing about
     heap pages, keeping this module below [hcsgc_heap] in the dependency
-    order.  The collector drives demotion/promotion of whole pages and
+    order.  It is stored as a bitmap over granule indices that grows to
+    the highest granule ever demoted; the heap hands out granules densely
+    from 0, so that is the heap's span.  The collector drives demotion/promotion of whole pages and
     mirrors residency into [Page.tier]/[Heap.far_bytes]; the tiering
     property tests check the two stay in lock-step.
 

@@ -1,6 +1,10 @@
 (* Open-addressed linear-probing int -> int hash table.
 
-   Flat parallel int arrays, power-of-two capacity, Fibonacci hashing.
+   Flat parallel int arrays, power-of-two capacity, Fibonacci hashing:
+   a key's home slot is the top log2(capacity) bits of [key * fib], so
+   every key bit moves it.  (The low bits of that product depend only on
+   the key's low bits; taking them sent every word-aligned offset to a
+   slot that is a multiple of 8.)
    No boxing anywhere: lookups return an int sentinel instead of an
    option, and [clear] keeps the backing arrays, so a table reused
    across GC cycles allocates only when it grows past its high-water
@@ -13,17 +17,25 @@ type t = {
   mutable keys : int array;  (* empty slots hold [empty] *)
   mutable vals : int array;
   mutable mask : int;  (* capacity - 1; capacity is a power of two *)
+  mutable shift : int;  (* Sys.int_size - log2 capacity *)
   mutable count : int;
 }
 
 let empty = -1
 
 (* Fibonacci-style odd multiplier (the 64-bit 2^64/phi constant truncated
-   to OCaml's 63-bit int range); [land mask] keeps the result
-   non-negative. *)
+   to OCaml's 63-bit int range).  [lsr] by [shift] keeps the top bits of
+   the product and is always in [0, capacity); at capacity 1 the shift is
+   [Sys.int_size] and every key lands in slot 0. *)
 let fib = 0x1E3779B97F4A7C15
 
-let[@inline] slot_of t key = key * fib land t.mask
+let[@inline] home_slot ~shift key = (key * fib) lsr shift
+
+let[@inline] slot_of t key = home_slot ~shift:t.shift key
+
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let shift_for ~capacity = Sys.int_size - log2 capacity
 
 let default_capacity = 16
 
@@ -36,6 +48,7 @@ let create ?(capacity = default_capacity) () =
     keys = Array.make !cap empty;
     vals = Array.make !cap 0;
     mask = !cap - 1;
+    shift = shift_for ~capacity:!cap;
     count = 0;
   }
 
@@ -60,6 +73,7 @@ let grow t =
   t.keys <- Array.make ncap empty;
   t.vals <- Array.make ncap 0;
   t.mask <- ncap - 1;
+  t.shift <- t.shift - 1;
   for i = 0 to Array.length old_keys - 1 do
     let k = Array.unsafe_get old_keys i in
     if k <> empty then begin
@@ -115,3 +129,14 @@ let iter t f =
   done
 
 let capacity t = t.mask + 1
+
+let mean_probe_length t =
+  if t.count = 0 then 0.0
+  else begin
+    let total = ref 0 in
+    Array.iteri
+      (fun i k ->
+        if k <> empty then total := !total + ((i - slot_of t k) land t.mask) + 1)
+      t.keys;
+    float_of_int !total /. float_of_int t.count
+  end

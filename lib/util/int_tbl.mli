@@ -1,7 +1,10 @@
 (** Open-addressed linear-probing int → int hash table.
 
     The GC-phase replacement for [(int, int) Hashtbl.t]: flat parallel
-    int arrays (no buckets, no boxing), power-of-two capacity, and a
+    int arrays (no buckets, no boxing), power-of-two capacity, Fibonacci
+    hashing on the {e top} bits of [key * fib] (so keys that differ only
+    in high bits, such as word-aligned byte offsets, still spread over
+    every slot), and a
     {!clear} that keeps the backing store — so a table reused across GC
     cycles allocates nothing once it has reached its high-water size.
     Keys must be non-negative (the empty-slot sentinel is -1); there is
@@ -45,3 +48,17 @@ val clear : t -> unit
 val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] applies [f key value] to every binding, in slot order
     (deterministic for a given insertion history, but not sorted). *)
+
+val home_slot : shift:int -> int -> int
+(** [home_slot ~shift key] is the slot a probe for [key] starts from in
+    a table of [2^(Sys.int_size - shift)] slots: the top bits of
+    [key * fib].  Exposed so other flat tables (the heap's per-page
+    object index) hash the same way. *)
+
+val shift_for : capacity:int -> int
+(** The [shift] for a power-of-two [capacity]. *)
+
+val mean_probe_length : t -> float
+(** Diagnostic: the mean number of slots a lookup of a present key
+    examines (1.0 = every key in its home slot; 0.0 when empty).
+    Read-only, O(capacity); the hash-quality regression test uses it. *)

@@ -129,8 +129,7 @@ let check_pages ctx =
       if page.Page.top < 0 || page.Page.top > page.Page.size then
         err ctx "page #%d bump pointer %d outside [0, %d]" page.Page.id
           page.Page.top page.Page.size;
-      Hashtbl.iter
-        (fun offset (obj : Heap_obj.t) ->
+      Page.iter_objects page (fun offset (obj : Heap_obj.t) ->
           if obj.Heap_obj.addr <> page.Page.start + offset then
             err ctx
               "object #%d registered at offset %d of page #%d but addr=0x%x"
@@ -146,8 +145,7 @@ let check_pages ctx =
               obj.Heap_obj.id page.Page.id;
           if obj.Heap_obj.id >= ids_issued then
             err ctx "object #%d on page #%d exceeds the issued-id watermark %d"
-              obj.Heap_obj.id page.Page.id ids_issued)
-        page.Page.objects;
+              obj.Heap_obj.id page.Page.id ids_issued);
       (* Livemap vs object registration vs byte accounting. *)
       let live_bytes = ref 0 in
       let live_objects = ref 0 in

@@ -208,6 +208,95 @@ let page_object_registry () =
   Page.remove_object p o;
   check Alcotest.bool "removed" true (Page.find_object p ~offset:128 = None)
 
+(* The object index against an assoc-list model: word-aligned offsets
+   in any order (production registers only increasing bump offsets),
+   removal, re-adding at a removed offset, and growth well past the
+   initial 16 slots.  After every step all four readers must agree with
+   the model; [iter_live] runs over a livemap that also has bits at every
+   unregistered offset, which it must skip. *)
+let prop_page_index_matches_model =
+  let words = 200 in
+  let op =
+    QCheck.(
+      oneof
+        [
+          map (fun w -> `Add (w * 8)) (int_bound (words - 1));
+          map (fun w -> `Remove (w * 8)) (int_bound (words - 1));
+        ])
+  in
+  QCheck.Test.make ~name:"page: object index matches an assoc-list model"
+    ~count:50
+    QCheck.(list_of_size Gen.(int_range 50 400) op)
+    (fun script ->
+      let p = make_page () in
+      let obj_at offset id =
+        Heap_obj.create ~layout:test_layout ~id ~addr:(p.Page.start + offset)
+          ~nrefs:0 ~nwords:1
+      in
+      let model = ref [] in
+      let agrees () =
+        let same a b =
+          match (a, b) with
+          | Some a, Some b -> a == b
+          | None, None -> true
+          | _ -> false
+        in
+        let lookups_agree =
+          List.for_all
+            (fun w ->
+              let offset = w * 8 in
+              let expect = List.assoc_opt offset !model in
+              let exn_found =
+                match Page.find_object_exn p ~offset with
+                | o -> Some o
+                | exception Not_found -> None
+              in
+              let at = Page.object_at p ~offset in
+              same (Page.find_object p ~offset) expect
+              && same exn_found expect
+              && same (if at == Page.no_obj then None else Some at) expect)
+            (List.init words Fun.id)
+        in
+        let sorted l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
+        let pairs_equal l1 l2 =
+          List.length l1 = List.length l2
+          && List.for_all2 (fun (a, x) (b, y) -> a = b && x == y) l1 l2
+        in
+        let iterated = ref [] in
+        Page.iter_objects p (fun offset o -> iterated := (offset, o) :: !iterated);
+        Page.reset_mark_state p;
+        for w = 0 to words - 1 do
+          let offset = w * 8 in
+          ignore
+            (Page.mark_live p
+               (match List.assoc_opt offset !model with
+               | Some o -> o
+               | None -> obj_at offset (-1)))
+        done;
+        let live = ref [] in
+        Page.iter_live p (fun o -> live := o :: !live);
+        let expect = sorted !model in
+        lookups_agree
+        && pairs_equal (sorted !iterated) expect
+        && List.length !live = List.length expect
+        && List.for_all2 (fun o (_, e) -> o == e) (List.rev !live) expect
+      in
+      List.for_all
+        (fun step ->
+          (match step with
+          | `Add offset ->
+              let o = obj_at offset (List.length !model) in
+              Page.add_object p o;
+              model := (offset, o) :: List.remove_assoc offset !model
+          | `Remove offset -> (
+              match List.assoc_opt offset !model with
+              | Some o ->
+                  Page.remove_object p o;
+                  model := List.remove_assoc offset !model
+              | None -> Page.remove_object p (obj_at offset (-1))));
+          agrees ())
+        script)
+
 let page_liveness_accounting () =
   let p = make_page () in
   let o1 = obj_on_page p 0 and o2 = obj_on_page p 64 in
@@ -598,6 +687,7 @@ let suite =
         case "bump alloc" `Quick page_bump_alloc;
         case "bump full" `Quick page_bump_full;
         case "object registry" `Quick page_object_registry;
+        QCheck_alcotest.to_alcotest prop_page_index_matches_model;
         case "liveness accounting" `Quick page_liveness_accounting;
         case "iter_live order" `Quick page_iter_live_order;
         case "hotness" `Quick page_hotness;

@@ -133,18 +133,16 @@ let machine_range_equals_per_line () =
 (* ------------------------------------------------------------------ *)
 
 (* Median host words per op over [windows] back-to-back runs of
-   [kernel ops].  The fences judge the median window, not the total: in a
-   full-suite run, after suites that spawn domains, one window's
-   [Gc.allocated_bytes] delta has been seen to jump by thousands of words
-   that a run of this suite alone never shows.  A real per-op allocation
-   shows in every window, so the median still catches it. *)
+   [kernel ops].  The fences judge the median window, not the total: a
+   real per-op allocation shows in every window, so the median still
+   catches it, and one odd window cannot fail the gate. *)
 let median_words_per_op ~windows ~ops kernel =
   let per_window = Array.make windows 0.0 in
   for w = 0 to windows - 1 do
-    let before = Gc.allocated_bytes () in
+    let before = Alloc_meter.words () in
     kernel ops;
-    let after = Gc.allocated_bytes () in
-    per_window.(w) <- (after -. before) /. 8.0 /. float_of_int ops
+    let after = Alloc_meter.words () in
+    per_window.(w) <- (after -. before) /. float_of_int ops
   done;
   Array.sort Float.compare per_window;
   per_window.(windows / 2)
@@ -181,7 +179,7 @@ let steady_state_allocation_free () =
   let words_per_op = median_words_per_op ~windows:10 ~ops:10_000 kernel in
   (* The steady-state load/store path allocates 0 words per op.  The bound
      is 0.05 rather than exactly 0.0 to absorb (a) the boxed floats of the
-     two [Gc.allocated_bytes] calls themselves and (b) the rare GC-pump
+     two meter calls themselves and (b) the rare GC-pump
      housekeeping tick (runs once per ~4k charged ops, and in dev builds —
      without cross-module inlining of the float accessors — may box a
      couple of words).  Per *op* that is < 0.001 words; any real per-op

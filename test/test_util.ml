@@ -514,42 +514,56 @@ let int_tbl_clear_keeps_capacity () =
   check Alcotest.int "capacity retained" cap (Int_tbl.capacity t);
   check Alcotest.int "old bindings gone" (-1) (Int_tbl.get t ~key:5 ~default:(-1))
 
-(* Scripted model check against [Hashtbl], including growth (scripts
-   far exceed the initial capacity) and bulk clears.  Keys are drawn as
-   [base * 64] with small jitter so many collide modulo the (power of
-   two) capacity — the probe chains this exercises are the
-   forwarding-index access pattern (granule numbers share low bits). *)
+(* Hash quality: 4096 word-aligned keys [k * 8], and separately 4096
+   consecutive keys, must each sit close to their home slots.  Taking
+   the low bits of [key * fib] sends every [k * 8] to a slot that is a
+   multiple of 8, which puts four keys on each home slot here (mean
+   probe length 2.5). *)
+let int_tbl_spreads_aligned_keys () =
+  List.iter
+    (fun (name, key_of) ->
+      let t = Int_tbl.create () in
+      for k = 0 to 4095 do
+        Int_tbl.set t ~key:(key_of k) ~value:k
+      done;
+      let mean = Int_tbl.mean_probe_length t in
+      check Alcotest.bool
+        (Printf.sprintf "%s: mean probe length %.3f < 2" name mean)
+        true (mean < 2.0))
+    [ ("k * 8", fun k -> k * 8); ("consecutive", Fun.id) ]
+
+(* Scripted model check against [Hashtbl], including growth from a
+   single slot (scripts far exceed it) and bulk clears.  Keys are drawn
+   as [base * 8] (word-aligned byte offsets, the forwarding tables'
+   keys) or [base * 64], so they share low bits — the pattern a low-bit
+   hash would pile into a few home slots. *)
 let prop_int_tbl_matches_hashtbl =
+  let key =
+    QCheck.(map (fun (k, m) -> k * m) (pair (int_bound 60) (oneofl [ 8; 64 ])))
+  in
   let op =
     QCheck.(
       oneof
         [
-          map
-            (fun (k, v) -> `Set (k, v))
-            (pair (int_bound 60) (int_bound 1000));
-          map
-            (fun (k, v) -> `Add (k, v))
-            (pair (int_bound 60) (int_bound 1000));
-          map (fun k -> `Get k) (int_bound 60);
+          map (fun (k, v) -> `Set (k, v)) (pair key (int_bound 1000));
+          map (fun (k, v) -> `Add (k, v)) (pair key (int_bound 1000));
+          map (fun k -> `Get k) key;
           map (fun () -> `Clear) unit;
         ])
   in
   QCheck.Test.make ~name:"int_tbl: scripted ops match Hashtbl model" ~count:300
     QCheck.(list op)
     (fun script ->
-      let t = Int_tbl.create ~capacity:4 () in
+      let t = Int_tbl.create ~capacity:1 () in
       let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let collide k = k * 64 in
       List.for_all
         (fun operation ->
           match operation with
           | `Set (k, v) ->
-              let k = collide k in
               Int_tbl.set t ~key:k ~value:v;
               Hashtbl.replace model k v;
               true
           | `Add (k, v) ->
-              let k = collide k in
               let expect =
                 match Hashtbl.find_opt model k with
                 | Some existing -> existing
@@ -559,7 +573,6 @@ let prop_int_tbl_matches_hashtbl =
               in
               Int_tbl.add_if_absent t ~key:k ~value:v = expect
           | `Get k ->
-              let k = collide k in
               Int_tbl.get t ~key:k ~default:(-1)
               = (match Hashtbl.find_opt model k with
                 | Some v -> v
@@ -640,6 +653,7 @@ let suite =
         case "basic" `Quick int_tbl_basic;
         case "add_if_absent" `Quick int_tbl_add_if_absent;
         case "clear keeps capacity" `Quick int_tbl_clear_keeps_capacity;
+        case "spreads aligned keys" `Quick int_tbl_spreads_aligned_keys;
         QCheck_alcotest.to_alcotest prop_int_tbl_matches_hashtbl;
       ] );
   ]

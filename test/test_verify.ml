@@ -119,6 +119,21 @@ let corrupt_live_objects_detected () =
   page.Page.live_objects <- page.Page.live_objects + 1;
   expect_violation ~what:"skewed live_objects" ~needle:"livemap covers" vm
 
+(* An object moved by one word without re-registering: the page walk
+   must report the offset the object was registered under, which only
+   [Page.iter_objects] yielding stored keys (not [addr - start]) can. *)
+let corrupt_registration_detected () =
+  let vm, _ = ripe_vm () in
+  let o = Vm.alloc vm ~nrefs:0 ~nwords:2 in
+  let page = Option.get (Heap.page_of_addr (Vm.heap vm) o.Heap_obj.addr) in
+  let offset = Page.offset_of_addr page o.Heap_obj.addr in
+  o.Heap_obj.addr <- o.Heap_obj.addr + 8;
+  expect_violation ~what:"object moved without re-registering"
+    ~needle:
+      (Printf.sprintf "registered at offset %d of page #%d but addr=0x%x"
+         offset page.Page.id o.Heap_obj.addr)
+    vm
+
 let check_exn_raises () =
   let vm, keeper = ripe_vm () in
   let ptr = Heap_obj.get_ref keeper 0 in
@@ -386,6 +401,7 @@ let suite =
         case "forged forwarding detected" `Slow corrupt_fwd_detected;
         case "cleared live bit detected" `Slow corrupt_livemap_detected;
         case "skewed live_objects detected" `Slow corrupt_live_objects_detected;
+        case "unregistered move detected" `Slow corrupt_registration_detected;
         case "check_exn raises Violation" `Slow check_exn_raises;
         case "verified run stays clean" `Slow verified_run_is_clean;
       ] );
