@@ -86,7 +86,6 @@ type artefact = {
     runs:int option ->
     full:bool ->
     jobs:int ->
-    shard_domains:int ->
     cache:E.Runner.cache option ->
     scheduling:[ `Cost | `Fifo ] ->
     unit;
@@ -103,86 +102,85 @@ let or_runs r d = match r with Some r -> r | None -> d
 let artefacts =
   [
     { id = "t1"; what = "Table 1: ZGC page size classes";
-      run = (fun ~runs:_ ~full:_ ~jobs:_ ~shard_domains:_ ~cache:_ ~scheduling:_ -> E.Tables.t1 fmt) };
+      run = (fun ~runs:_ ~full:_ ~jobs:_ ~cache:_ ~scheduling:_ -> E.Tables.t1 fmt) };
     { id = "t2"; what = "Table 2: the 19 benchmark configurations";
-      run = (fun ~runs:_ ~full:_ ~jobs:_ ~shard_domains:_ ~cache:_ ~scheduling:_ -> E.Tables.t2 fmt) };
+      run = (fun ~runs:_ ~full:_ ~jobs:_ ~cache:_ ~scheduling:_ -> E.Tables.t2 fmt) };
     { id = "t3"; what = "Table 3: LAW graph datasets (generator stand-ins)";
       run =
-        (fun ~runs:_ ~full:_ ~jobs:_ ~shard_domains:_ ~cache:_ ~scheduling:_ ->
+        (fun ~runs:_ ~full:_ ~jobs:_ ~cache:_ ~scheduling:_ ->
           E.Tables.t3 ~scale:4 fmt) };
     { id = "f4"; what = "Fig. 4: synthetic, single phase";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
           E.Fig_synthetic.fig4 ~runs:(or_runs runs (if full then 10 else 3)) ~jobs
-            ~shard_domains ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
+            ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
     { id = "f5"; what = "Fig. 5: synthetic, three phases";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
           E.Fig_synthetic.fig5 ~runs:(or_runs runs (if full then 10 else 3)) ~jobs
-            ~shard_domains ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
+            ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
     { id = "f6"; what = "Fig. 6: ample relocation, saturated core";
       run =
-        (* saturated single core: sharded execution does not apply *)
-        (fun ~runs ~full ~jobs ~shard_domains:_ ~cache ~scheduling ->
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
           E.Fig_synthetic.fig6 ~runs:(or_runs runs (if full then 5 else 2)) ~jobs
             ?cache ~scheduling ~scale:(scale_or ~full 4 2) fmt) };
     { id = "f7"; what = "Fig. 7: CC on uk";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
-          E.Fig_graph.fig7 ~runs:(or_runs runs 3) ~jobs ~shard_domains ?cache
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
+          E.Fig_graph.fig7 ~runs:(or_runs runs 3) ~jobs ?cache
             ~scheduling ~scale:(scale_or ~full 16 8) fmt) };
     { id = "f8"; what = "Fig. 8: CC on enwiki";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
-          E.Fig_graph.fig8 ~runs:(or_runs runs 3) ~jobs ~shard_domains ?cache
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
+          E.Fig_graph.fig8 ~runs:(or_runs runs 3) ~jobs ?cache
             ~scheduling ~scale:(scale_or ~full 16 8) fmt) };
     { id = "f9"; what = "Fig. 9: MC on uk";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
-          E.Fig_graph.fig9 ~runs:(or_runs runs 2) ~jobs ~shard_domains ?cache
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
+          E.Fig_graph.fig9 ~runs:(or_runs runs 2) ~jobs ?cache
             ~scheduling ~scale:(scale_or ~full 4 2) fmt) };
     { id = "f10"; what = "Fig. 10: MC on enwiki";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
-          E.Fig_graph.fig10 ~runs:(or_runs runs 2) ~jobs ~shard_domains ?cache
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
+          E.Fig_graph.fig10 ~runs:(or_runs runs 2) ~jobs ?cache
             ~scheduling ~scale:(scale_or ~full 4 2) fmt) };
     { id = "f11"; what = "Fig. 11: DaCapo tradebeans (simulated)";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
           E.Fig_dacapo.fig11 ~runs:(or_runs runs (if full then 5 else 3)) ~jobs
-            ~shard_domains ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
+            ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
     { id = "f12"; what = "Fig. 12: DaCapo h2 (simulated)";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache ~scheduling ->
+        (fun ~runs ~full ~jobs ~cache ~scheduling ->
           E.Fig_dacapo.fig12 ~runs:(or_runs runs (if full then 5 else 2)) ~jobs
-            ~shard_domains ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
+            ?cache ~scheduling ~scale:(scale_or ~full 2 1) fmt) };
     { id = "f13"; what = "Fig. 13: SPECjbb2015 (simulated)";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains ~cache:_ ~scheduling:_ ->
-          E.Fig_specjbb.fig13 ~runs:(or_runs runs 2) ~jobs ~shard_domains
+        (fun ~runs ~full ~jobs ~cache:_ ~scheduling:_ ->
+          E.Fig_specjbb.fig13 ~runs:(or_runs runs 2) ~jobs
             ~scale:(scale_or ~full 2 1) fmt) };
     { id = "abl-prefetch"; what = "ablation: access-order layout needs prefetching";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains:_ ~cache:_ ~scheduling:_ ->
+        (fun ~runs ~full ~jobs ~cache:_ ~scheduling:_ ->
           E.Ablations.prefetcher ~runs:(or_runs runs 3) ~jobs
             ~scale:(scale_or ~full 2 1) fmt) };
     { id = "abl-tlb"; what = "ablation: page-locality (dTLB) effect";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains:_ ~cache:_ ~scheduling:_ ->
+        (fun ~runs ~full ~jobs ~cache:_ ~scheduling:_ ->
           E.Ablations.tlb ~runs:(or_runs runs 3) ~jobs ~scale:(scale_or ~full 2 1)
             fmt) };
     { id = "abl-pagesize"; what = "ablation: page-size-class granularity";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains:_ ~cache:_ ~scheduling:_ ->
+        (fun ~runs ~full ~jobs ~cache:_ ~scheduling:_ ->
           E.Ablations.page_size ~runs:(or_runs runs 3) ~jobs
             ~scale:(scale_or ~full 2 1) fmt) };
     { id = "abl-autotune"; what = "ablation: COLDCONFIDENCE feedback loop";
       run =
-        (fun ~runs ~full ~jobs ~shard_domains:_ ~cache:_ ~scheduling:_ ->
+        (fun ~runs ~full ~jobs ~cache:_ ~scheduling:_ ->
           E.Ablations.autotuner ~runs:(or_runs runs 3) ~jobs
             ~scale:(scale_or ~full 2 1) fmt) };
     { id = "micro"; what = "bechamel micro-benchmarks of HCSGC primitives";
-      run = (fun ~runs:_ ~full:_ ~jobs:_ ~shard_domains:_ ~cache:_ ~scheduling:_ -> micro ()) };
+      run = (fun ~runs:_ ~full:_ ~jobs:_ ~cache:_ ~scheduling:_ -> micro ()) };
   ]
 
 let () =
@@ -191,7 +189,6 @@ let () =
   let full = ref false in
   let list_only = ref false in
   let jobs = ref (Hcsgc_exec.Pool.default_jobs ()) in
-  let shard_domains = ref 0 in
   let cache_dir = ref E.Runner.default_cache_dir in
   let no_cache = ref false in
   let refresh = ref false in
@@ -214,14 +211,6 @@ let () =
            output is identical at any N"
           !jobs );
       ("-j", Arg.Int set_jobs, "N short for --jobs");
-      ( "--shard-domains",
-        Arg.Int
-          (fun n ->
-            if n < 0 then raise (Arg.Bad "--shard-domains must be >= 0");
-            shard_domains := n),
-        "N epoch-sharded execution inside each run: mutator cache traffic \
-         replays across up to N worker domains (0 = classic inline model; \
-         results are byte-identical at any N >= 1)" );
       ("--full", Arg.Set full, " paper-closer sizes (much slower)");
       ( "--cache-dir",
         Arg.Set_string cache_dir,
@@ -265,8 +254,7 @@ let () =
     List.iter
       (fun a ->
         Format.eprintf "[bench] running %s (%s)@." a.id a.what;
-        a.run ~runs:!runs ~full:!full ~jobs:!jobs ~shard_domains:!shard_domains
-          ~cache ~scheduling)
+        a.run ~runs:!runs ~full:!full ~jobs:!jobs ~cache ~scheduling)
       selected;
     (* One auditable cache line per sweep (stderr, like all progress
        output, so stdout panels stay byte-identical cold vs warm). *)

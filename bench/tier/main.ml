@@ -1,11 +1,9 @@
 (* bench/tier: the far-memory tier across capacities.
 
-   Runs the cold-heavy tiered synthetic family once per tier capacity,
-   asserts every capacity's run metrics are byte-identical between
-   --shard-domains 1 and 4 (the determinism contract, checked even while
-   benchmarking), and reports host wall-clock seconds plus the simulated
-   far-tier effect: far-load share of LLC misses, peak far residency and
-   the demotion/promotion counts.
+   Runs the cold-heavy tiered synthetic family once per tier capacity and
+   reports host wall-clock seconds plus the simulated far-tier effect:
+   far-load share of LLC misses, peak far residency and the
+   demotion/promotion counts.
 
    Usage:
      dune exec bench/tier/main.exe --                     # default sizes
@@ -18,12 +16,12 @@ module Runner = Hcsgc_experiments.Runner
 module Fig_tier = Hcsgc_experiments.Fig_tier
 module Fig_synthetic = Hcsgc_experiments.Fig_synthetic
 
-let run_once ~capacity ~shard_domains ~scale =
+let run_once ~capacity ~scale =
   let config =
     Fig_tier.tier_config ~capacity ~lat_far:Fig_tier.default_lat_far
       ~promote:true
   in
-  let exp = Fig_synthetic.experiment ~cold_ratio:4 ~shard_domains ~scale () in
+  let exp = Fig_synthetic.experiment ~cold_ratio:4 ~scale () in
   let vm = exp.Runner.make_vm config in
   let t0 = Unix.gettimeofday () in
   exp.Runner.workload vm ~run:0;
@@ -33,7 +31,7 @@ let run_once ~capacity ~shard_domains ~scale =
   let far_peak =
     match Vm.tier vm with Some t -> Tier.peak_bytes t | None -> 0
   in
-  (dt, m, far_peak, Runner.metrics_to_string m)
+  (dt, m, far_peak)
 
 type sample = {
   capacity : int;
@@ -53,7 +51,6 @@ let json_of ~label ~scale ~lat_far samples =
   Buffer.add_string b (Printf.sprintf "  \"ocaml\": %S,\n" Sys.ocaml_version);
   Buffer.add_string b (Printf.sprintf "  \"scale\": %d,\n" scale);
   Buffer.add_string b (Printf.sprintf "  \"lat_far\": %d,\n" lat_far);
-  Buffer.add_string b "  \"deterministic\": true,\n";
   Buffer.add_string b "  \"samples\": [\n";
   List.iteri
     (fun i s ->
@@ -90,22 +87,14 @@ let () =
   in
   Arg.parse spec
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench/tier/main.exe -- far-tier capacity sweep and determinism";
+    "bench/tier/main.exe -- far-tier capacity sweep";
   Printf.printf "tier sweep: scale /%d, capacities %s, lat_far %dc\n%!" !scale
     (String.concat "," (List.map string_of_int !capacities))
     Fig_tier.default_lat_far;
   let samples =
     List.map
       (fun capacity ->
-        let seconds, m, far_peak, fp1 =
-          run_once ~capacity ~shard_domains:1 ~scale:!scale
-        in
-        let _, _, _, fp4 = run_once ~capacity ~shard_domains:4 ~scale:!scale in
-        if fp1 <> fp4 then (
-          Printf.eprintf
-            "FATAL: capacity %d diverged between --shard-domains 1 and 4\n%!"
-            capacity;
-          exit 1);
+        let seconds, m, far_peak = run_once ~capacity ~scale:!scale in
         let far_share =
           if m.Runner.llc_misses > 0.0 then
             m.Runner.far_loads /. m.Runner.llc_misses
@@ -127,7 +116,6 @@ let () =
         })
       !capacities
   in
-  Printf.printf "all capacities byte-identical across shard counts\n%!";
   match !out with
   | None -> ()
   | Some file ->

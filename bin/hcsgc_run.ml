@@ -48,20 +48,6 @@ let scale =
   let doc = "Divide workload size by $(docv)." in
   Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
 
-let shard_domains =
-  let doc =
-    "Execution model for the memory-hierarchy simulation. 0 (default) is \
-     the classic inline interleave. $(docv) >= 1 selects epoch-sharded \
-     execution: each mutator core's cache traffic is deferred and replayed \
-     across up to $(docv) worker domains at epoch barriers, then merged \
-     into the shared LLC in mutator order. Results are byte-identical at \
-     any $(docv) >= 1 (only wall-clock time changes); sharded and inline \
-     runs are cached under distinct keys. Orthogonal to --jobs, which \
-     parallelises across whole runs of a sweep; --shard-domains \
-     parallelises inside a single many-mutator run."
-  in
-  Arg.(value & opt int 0 & info [ "shard-domains" ] ~docv:"N" ~doc)
-
 let saturated =
   let doc = "Pin mutator and GC to a single core (Fig. 6 setup)." in
   Arg.(value & flag & info [ "saturated" ] ~doc)
@@ -297,13 +283,12 @@ let synthetic_cmd =
     Arg.(value & opt int 0 & info [ "cold-ratio" ] ~docv:"R"
            ~doc:"Never-accessed cold elements per hot element (Fig. 6 uses 10).")
   in
-  let run config_id all runs jobs scale saturated shard_domains _seed elements
-      phases cold_ratio trace_out trace_sample verify cache_dir no_cache
+  let run config_id all runs jobs scale saturated _seed elements phases
+      cold_ratio trace_out trace_sample verify cache_dir no_cache
       refresh tier_cap tier_lat tier_nop =
     let scale = max 1 (scale * (100_000 / max 1 elements)) in
     let exp =
-      E.Fig_synthetic.experiment ~phases ~cold_ratio ~saturated ~shard_domains
-        ~scale ()
+      E.Fig_synthetic.experiment ~phases ~cold_ratio ~saturated ~scale ()
     in
     run_experiment ?trace_out ~trace_sample ~verify
       ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
@@ -313,7 +298,7 @@ let synthetic_cmd =
     (Cmd.info "synthetic" ~doc:"The paper's synthetic micro-benchmark (§4.4)")
     Term.(
       const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ elements $ phases $ cold_ratio $ trace_out
+      $ seed $ elements $ phases $ cold_ratio $ trace_out
       $ trace_sample $ verify_flag $ cache_dir $ no_cache $ refresh_flag
       $ tier_capacity $ lat_far_arg $ tier_no_promote)
 
@@ -348,23 +333,23 @@ let graph_cmd =
         & opt (conv (parse, print)) `Uk
         & info [ "dataset" ] ~docv:"uk|enwiki" ~doc:"Table 3 input (generator stand-in).")
   in
-  let run config_id all runs jobs scale _saturated shard_domains _seed algo
-      dataset trace_out trace_sample verify cache_dir no_cache refresh
-      tier_cap tier_lat tier_nop =
+  let run config_id all runs jobs scale _saturated _seed algo dataset
+      trace_out trace_sample verify cache_dir no_cache refresh tier_cap
+      tier_lat tier_nop =
     let module D = Hcsgc_graph.Dataset in
     let exp =
       match (algo, dataset) with
       | `Cc, `Uk ->
-          E.Fig_graph.cc_experiment ~shard_domains ~dataset:D.uk_cc
+          E.Fig_graph.cc_experiment ~dataset:D.uk_cc
             ~scale:(4 * scale) ()
       | `Cc, `Enwiki ->
-          E.Fig_graph.cc_experiment ~shard_domains ~dataset:D.enwiki_cc
+          E.Fig_graph.cc_experiment ~dataset:D.enwiki_cc
             ~scale:(4 * scale) ()
       | `Mc, `Uk ->
-          E.Fig_graph.mc_experiment ~shard_domains ~dataset:D.uk_mc
+          E.Fig_graph.mc_experiment ~dataset:D.uk_mc
             ~scale:(2 * scale) ()
       | `Mc, `Enwiki ->
-          E.Fig_graph.mc_experiment ~shard_domains ~dataset:D.enwiki_mc
+          E.Fig_graph.mc_experiment ~dataset:D.enwiki_mc
             ~scale:(2 * scale) ()
     in
     run_experiment ?trace_out ~trace_sample ~verify
@@ -375,7 +360,7 @@ let graph_cmd =
     (Cmd.info "graph" ~doc:"JGraphT-style graph workloads (§4.5)")
     Term.(
       const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ algo $ dataset $ trace_out $ trace_sample
+      $ seed $ algo $ dataset $ trace_out $ trace_sample
       $ verify_flag $ cache_dir $ no_cache $ refresh_flag $ tier_capacity
       $ lat_far_arg $ tier_no_promote)
 
@@ -384,42 +369,42 @@ let graph_cmd =
 (* ------------------------------------------------------------------ *)
 
 let h2_cmd =
-  let run config_id all runs jobs scale _ shard_domains _ trace_out
+  let run config_id all runs jobs scale _ _ trace_out
       trace_sample verify cache_dir no_cache refresh tier_cap tier_lat
       tier_nop =
     run_experiment ?trace_out ~trace_sample ~verify
       ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
       ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id
-      (E.Fig_dacapo.h2_experiment ~shard_domains ~scale ())
+      (E.Fig_dacapo.h2_experiment ~scale ())
   in
   Cmd.v
     (Cmd.info "h2" ~doc:"In-memory-database workload (DaCapo h2 stand-in, §4.6)")
     Term.(
       const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ trace_out $ trace_sample $ verify_flag
+      $ seed $ trace_out $ trace_sample $ verify_flag
       $ cache_dir $ no_cache $ refresh_flag $ tier_capacity $ lat_far_arg
       $ tier_no_promote)
 
 let tradebeans_cmd =
-  let run config_id all runs jobs scale _ shard_domains _ trace_out
+  let run config_id all runs jobs scale _ _ trace_out
       trace_sample verify cache_dir no_cache refresh tier_cap tier_lat
       tier_nop =
     run_experiment ?trace_out ~trace_sample ~verify
       ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
       ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id
-      (E.Fig_dacapo.tradebeans_experiment ~shard_domains ~scale ())
+      (E.Fig_dacapo.tradebeans_experiment ~scale ())
   in
   Cmd.v
     (Cmd.info "tradebeans"
        ~doc:"Trading-session workload (DaCapo tradebeans stand-in, §4.6)")
     Term.(
       const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ shard_domains $ seed $ trace_out $ trace_sample $ verify_flag
+      $ seed $ trace_out $ trace_sample $ verify_flag
       $ cache_dir $ no_cache $ refresh_flag $ tier_capacity $ lat_far_arg
       $ tier_no_promote)
 
 let specjbb_cmd =
-  let run config_id _all _runs scale _ shard_domains seed verify =
+  let run config_id _all _runs scale _ seed verify =
     let module S = Hcsgc_workloads.Specjbb_sim in
     let config = Config.of_id config_id in
     let params = E.Fig_specjbb.experiment_params ~scale in
@@ -427,7 +412,7 @@ let specjbb_cmd =
       Vm.create
         ~layout:(Layout.scaled ~small_page:(64 * 1024))
         ~machine_config:E.Scaled_machine.config
-        ~mutators:params.S.handlers ~shard_domains ~config
+        ~mutators:params.S.handlers ~config
         ~max_heap:(24 * 1024 * 1024) ()
     in
     if verify then Vm.enable_verification vm;
@@ -446,7 +431,7 @@ let specjbb_cmd =
     (Cmd.info "specjbb" ~doc:"SPECjbb2015-style ramping workload (§4.7)")
     Term.(
       const run $ config_id $ all_configs $ runs $ scale $ saturated
-      $ shard_domains $ seed $ verify_flag)
+      $ seed $ verify_flag)
 
 let lru_cmd =
   let run config_id gc_log seed verify =
@@ -535,8 +520,8 @@ let serve_cmd =
            ~doc:"Max heap in MiB.")
   in
   let run config_id keys value_words mutators dist mix scan_len arrivals load
-      duration slo_us heap_mb seed shard_domains trace_out trace_sample
-      verify tier_cap tier_lat tier_nop =
+      duration slo_us heap_mb seed trace_out trace_sample verify tier_cap
+      tier_lat tier_nop =
     let fail fmt_str = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 2) fmt_str in
     let dist =
       match Keydist.spec_of_string dist with
@@ -570,17 +555,14 @@ let serve_cmd =
       apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
         (Config.of_id config_id)
     in
-    Format.fprintf fmt "serve under config %d (%s)%s%s@." config_id
+    Format.fprintf fmt "serve under config %d (%s)%s@." config_id
       (Config.to_string config)
-      (if shard_domains > 0 then
-         Printf.sprintf " [sharded x%d]" shard_domains
-       else "")
       (if verify then " [verified]" else "");
     let vm =
       Vm.create
         ~layout:(Layout.scaled ~small_page:(64 * 1024))
-        ~machine_config:E.Scaled_machine.config ~mutators ~shard_domains
-        ~trigger:0.10 ~config
+        ~machine_config:E.Scaled_machine.config ~mutators ~trigger:0.10
+        ~config
         ~max_heap:(heap_mb * 1024 * 1024)
         ()
     in
@@ -614,8 +596,8 @@ let serve_cmd =
     Term.(
       const run $ config_id $ keys $ value_words $ mutators $ dist $ mix
       $ scan_len $ arrivals $ load $ duration $ slo_us $ heap_mb $ seed
-      $ shard_domains $ trace_out $ trace_sample $ verify_flag
-      $ tier_capacity $ lat_far_arg $ tier_no_promote)
+      $ trace_out $ trace_sample $ verify_flag $ tier_capacity $ lat_far_arg
+      $ tier_no_promote)
 
 (* ------------------------------------------------------------------ *)
 (* profile: one (experiment, config) pair with full telemetry          *)
@@ -722,26 +704,23 @@ let fuzz_cmd =
     Arg.(value & opt int 1 & info [ "mutators" ] ~docv:"N"
            ~doc:"Deal actions round-robin over $(docv) mutator threads.")
   in
-  let run config_id seed seeds ops slots out no_oracle mutators shard_domains
-      tier_cap tier_lat tier_nop =
+  let run config_id seed seeds ops slots out no_oracle mutators tier_cap
+      tier_lat tier_nop =
     let config =
       apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
         (Config.of_id config_id)
     in
     Format.fprintf fmt
       "fuzzing %d seed(s) from %d: config %d (%s), %d ops x %d slots, %d \
-       mutator(s)%s@."
-      seeds seed config_id (Config.to_string config) ops slots mutators
-      (if shard_domains > 0 then
-         Printf.sprintf " [sharded x%d]" shard_domains
-       else "");
+       mutator(s)@."
+      seeds seed config_id (Config.to_string config) ops slots mutators;
     let failed = ref None in
     let i = ref 0 in
     while !failed = None && !i < seeds do
       let s = seed + !i in
       (match
-         Fuzz.check_seed ~oracle:(not no_oracle) ~mutators ~shard_domains
-           ~config ~slots ~ops ~seed:s ()
+         Fuzz.check_seed ~oracle:(not no_oracle) ~mutators ~config ~slots
+           ~ops ~seed:s ()
        with
       | None ->
           if (!i + 1) mod 25 = 0 || !i + 1 = seeds then
@@ -769,8 +748,7 @@ let fuzz_cmd =
           sequence (written to --out)")
     Term.(
       const run $ config_id $ seed $ seeds $ ops $ slots $ out $ no_oracle
-      $ mutators $ shard_domains $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+      $ mutators $ tier_capacity $ lat_far_arg $ tier_no_promote)
 
 (* ------------------------------------------------------------------ *)
 (* tier: the far-memory capacity sweep                                 *)
@@ -786,10 +764,10 @@ let tier_cmd =
         & opt (list int) E.Fig_tier.default_capacities
         & info [ "capacities" ] ~docv:"P1,P2,..." ~doc)
   in
-  let run runs jobs scale shard_domains capacities lat_far no_promote verify
-      cache_dir no_cache refresh =
+  let run runs jobs scale capacities lat_far no_promote verify cache_dir
+      no_cache refresh =
     let cache = cache_of ~no_cache ~refresh ~cache_dir in
-    E.Fig_tier.figure ~runs ~jobs ~scale ~shard_domains ~capacities ~lat_far
+    E.Fig_tier.figure ~runs ~jobs ~scale ~capacities ~lat_far
       ~promote:(not no_promote) ~verify ?cache fmt;
     Option.iter
       (fun c -> Format.eprintf "[tier] %s@." (store_line c.E.Runner.store))
@@ -802,7 +780,7 @@ let tier_cmd =
           hit rate, simulated wall time and DRAM-footprint savings per \
           capacity, under the strongest hotness configuration")
     Term.(
-      const run $ runs $ jobs $ scale $ shard_domains $ capacities
+      const run $ runs $ jobs $ scale $ capacities
       $ lat_far_arg $ tier_no_promote $ verify_flag $ cache_dir $ no_cache
       $ refresh_flag)
 
@@ -816,31 +794,24 @@ let figure_cmd =
         & pos 0 (some string) None
         & info [] ~docv:"FIG" ~doc:"t1 t2 t3 f4..f13 fserve ftier")
   in
-  let run which runs jobs scale shard_domains cache_dir no_cache refresh =
+  let run which runs jobs scale cache_dir no_cache refresh =
     let cache = cache_of ~no_cache ~refresh ~cache_dir in
-    let sd = shard_domains in
     (match which with
     | "t1" -> E.Tables.t1 fmt
     | "t2" -> E.Tables.t2 fmt
     | "t3" -> E.Tables.t3 ~scale fmt
-    | "f4" -> E.Fig_synthetic.fig4 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f5" -> E.Fig_synthetic.fig5 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f6" ->
-        (* saturated single core: no sharded execution model *)
-        if sd > 0 then
-          Format.eprintf "[figure] --shard-domains ignored for saturated f6@.";
-        E.Fig_synthetic.fig6 ~runs ~jobs ~scale ?cache fmt
-    | "f7" -> E.Fig_graph.fig7 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f8" -> E.Fig_graph.fig8 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f9" -> E.Fig_graph.fig9 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f10" -> E.Fig_graph.fig10 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f11" -> E.Fig_dacapo.fig11 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f12" -> E.Fig_dacapo.fig12 ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "f13" -> E.Fig_specjbb.fig13 ~runs ~jobs ~scale ~shard_domains:sd fmt
-    | "fserve" ->
-        E.Fig_serve.figure ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
-    | "ftier" ->
-        E.Fig_tier.figure ~runs ~jobs ~scale ~shard_domains:sd ?cache fmt
+    | "f4" -> E.Fig_synthetic.fig4 ~runs ~jobs ~scale ?cache fmt
+    | "f5" -> E.Fig_synthetic.fig5 ~runs ~jobs ~scale ?cache fmt
+    | "f6" -> E.Fig_synthetic.fig6 ~runs ~jobs ~scale ?cache fmt
+    | "f7" -> E.Fig_graph.fig7 ~runs ~jobs ~scale ?cache fmt
+    | "f8" -> E.Fig_graph.fig8 ~runs ~jobs ~scale ?cache fmt
+    | "f9" -> E.Fig_graph.fig9 ~runs ~jobs ~scale ?cache fmt
+    | "f10" -> E.Fig_graph.fig10 ~runs ~jobs ~scale ?cache fmt
+    | "f11" -> E.Fig_dacapo.fig11 ~runs ~jobs ~scale ?cache fmt
+    | "f12" -> E.Fig_dacapo.fig12 ~runs ~jobs ~scale ?cache fmt
+    | "f13" -> E.Fig_specjbb.fig13 ~runs ~jobs ~scale fmt
+    | "fserve" -> E.Fig_serve.figure ~runs ~jobs ~scale ?cache fmt
+    | "ftier" -> E.Fig_tier.figure ~runs ~jobs ~scale ?cache fmt
     | other -> Format.eprintf "unknown figure: %s@." other);
     Option.iter
       (fun c -> Format.eprintf "[figure] %s@." (store_line c.E.Runner.store))
@@ -853,7 +824,7 @@ let figure_cmd =
       $ Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Sample size.")
       $ jobs
       $ Arg.(value & opt int 2 & info [ "scale" ] ~docv:"K" ~doc:"Scale divisor.")
-      $ shard_domains $ cache_dir $ no_cache $ refresh_flag)
+      $ cache_dir $ no_cache $ refresh_flag)
 
 let () =
   let info =

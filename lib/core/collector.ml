@@ -92,9 +92,9 @@ type t = {
   retire_cycles : int Vec.t;
   retire_pages : Page.t Vec.t;
   (* Bump targets.  Mutator allocation and relocation pages are per core
-     — array-backed so each shard core owns exactly one slot and reads
-     allocate nothing (shard-safe allocation regions); GC threads keep a
-     hot and a cold target (§3.3); medium-object targets are shared. *)
+     — array-backed so each core owns exactly one slot and reads allocate
+     nothing; GC threads keep a hot and a cold target (§3.3);
+     medium-object targets are shared. *)
   mut_alloc : Alloc_region.t;
   mut_relo : Alloc_region.t;
   mutable medium_alloc : Page.t option;

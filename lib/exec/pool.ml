@@ -135,37 +135,6 @@ let map_array_in_order t ~order f xs =
   Array.iter (fun i -> promises.(i) <- Some (async t (fun () -> f xs.(i)))) order;
   Array.map (function Some p -> await p | None -> assert false) promises
 
-(* Scoped fork-join for intra-run sharding: the caller keeps task 0 (it
-   usually owns non-shareable state such as the submitting domain's
-   telemetry), workers take the rest, and everyone joins before return.
-   Exceptions re-raise in task-index order, so a multi-task failure is
-   reported deterministically no matter which worker lost the race. *)
-let fork_join t ~n f =
-  if n < 0 then invalid_arg "Pool.fork_join: negative task count";
-  if n > 0 then
-    if t.jobs <= 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let promises =
-        Array.init (n - 1) (fun i -> async t (fun () -> f (i + 1)))
-      in
-      let first_exn = ref None in
-      (try f 0
-       with e -> first_exn := Some (e, Printexc.get_raw_backtrace ()));
-      Array.iter
-        (fun p ->
-          try ignore (await p)
-          with e ->
-            if !first_exn = None then
-              first_exn := Some (e, Printexc.get_raw_backtrace ()))
-        promises;
-      match !first_exn with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
-
 let shutdown t =
   if not t.closed then begin
     Mutex.lock t.mutex;

@@ -60,18 +60,6 @@ val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Array analogue of {!map_list}. *)
 
-val fork_join : t -> n:int -> (int -> unit) -> unit
-(** [fork_join t ~n f] runs [f 0 .. f (n-1)] and returns when all have
-    finished — the scoped parallelism primitive intra-run sharding uses
-    (each task owns disjoint shard state; the join is the epoch barrier).
-    Task 0 always runs on the calling domain; with [jobs <= 1] every task
-    does, in index order.  The mutex-protected submission and join give the
-    usual happens-before edges: writes made before the call are visible to
-    every task, and every task's writes are visible to the caller after the
-    call returns.  If tasks raise, the exception of the lowest-indexed
-    failing task is re-raised (with its backtrace) after all tasks settle,
-    so failure reporting is deterministic under any interleaving. *)
-
 val map_array_in_order : t -> order:int array -> ('a -> 'b) -> 'a array -> 'b array
 (** [map_array_in_order t ~order f xs] is {!map_array}[ t f xs] — same
     results, same positions — but thunks are {e submitted} to the queue in

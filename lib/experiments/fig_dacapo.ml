@@ -5,11 +5,10 @@ module H2 = Hcsgc_workloads.H2_sim
 
 let layout = Layout.scaled ~small_page:(64 * 1024)
 
-let make_vm ?(shard_domains = 0) ~max_heap config =
-  Vm.create ~layout ~machine_config:Scaled_machine.config ~shard_domains
-    ~config ~max_heap ()
+let make_vm ~max_heap config =
+  Vm.create ~layout ~machine_config:Scaled_machine.config ~config ~max_heap ()
 
-let tradebeans_experiment ?(shard_domains = 0) ~scale () =
+let tradebeans_experiment ~scale () =
   let base = Tradebeans.default in
   let params =
     {
@@ -23,18 +22,17 @@ let tradebeans_experiment ?(shard_domains = 0) ~scale () =
   {
     Runner.name = "tradebeans";
     key =
-      Printf.sprintf "tradebeans;acct=%d;instr=%d;orders=%d;hot=%d;heap=%d%s"
+      Printf.sprintf "tradebeans;acct=%d;instr=%d;orders=%d;hot=%d;heap=%d"
         params.Tradebeans.accounts params.Tradebeans.instruments
         params.Tradebeans.orders params.Tradebeans.hot_accounts
-        (12 * 1024 * 1024)
-        (Runner.em_tag shard_domains);
-    make_vm = make_vm ~shard_domains ~max_heap:(12 * 1024 * 1024);
+        (12 * 1024 * 1024);
+    make_vm = make_vm ~max_heap:(12 * 1024 * 1024);
     workload =
       (fun vm ~run ->
         ignore (Tradebeans.run vm { params with Tradebeans.seed = run }));
   }
 
-let h2_experiment ?(shard_domains = 0) ~scale () =
+let h2_experiment ~scale () =
   let base = H2.default in
   (* Scale shortens the run (fewer transactions) but keeps the table — the
      hot working set must stay larger than the LLC for the paper's effect
@@ -49,10 +47,9 @@ let h2_experiment ?(shard_domains = 0) ~scale () =
   {
     Runner.name = "h2";
     key =
-      Printf.sprintf "h2;rows=%d;txns=%d;heap=%d%s" params.H2.rows
-        params.H2.transactions max_heap
-        (Runner.em_tag shard_domains);
-    make_vm = make_vm ~shard_domains ~max_heap;
+      Printf.sprintf "h2;rows=%d;txns=%d;heap=%d" params.H2.rows
+        params.H2.transactions max_heap;
+    make_vm = make_vm ~max_heap;
     workload =
       (fun vm ~run -> ignore (H2.run vm { params with H2.seed = run }));
   }
@@ -65,7 +62,7 @@ let render fmt ~title ~expectation ~runs ~jobs ?cache ?scheduling exp =
   in
   Report.figure fmt ~title ~expectation results
 
-let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 11 — DaCapo tradebeans (simulated)" ?cache ?scheduling
     ~expectation:
@@ -73,9 +70,9 @@ let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
        lived, and HCSGC only improves locality for objects surviving a GC \
        cycle"
     ~runs ~jobs
-    (tradebeans_experiment ~shard_domains ~scale ())
+    (tradebeans_experiment ~scale ())
 
-let fig12 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig12 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 12 — DaCapo h2 (simulated)" ?cache ?scheduling
     ~expectation:
@@ -83,4 +80,4 @@ let fig12 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
        hotness tracking alone (config 5); RELOCATEALLSMALLPAGES outperforms \
        COLDCONFIDENCE"
     ~runs ~jobs
-    (h2_experiment ~shard_domains ~scale ())
+    (h2_experiment ~scale ())

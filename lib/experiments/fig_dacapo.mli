@@ -2,23 +2,18 @@
     ≈ flat — objects die too young for relocation to help) and {!fig12} h2
     (expected 5–9 % improvements, hotness-tracking overhead < 2 %).
     [cache] and [scheduling] are the incremental-sweep knobs of
-    {!Runner.run_configs}; they never change output bytes.
-    [shard_domains] selects the VM execution model (0 = inline interleave,
-    [n >= 1] = epoch-sharded, byte-identical at any [n >= 1]; see
-    {!Hcsgc_runtime.Vm.create}). *)
+    {!Runner.run_configs}; they never change output bytes. *)
 
 val fig11 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 
 val fig12 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 
-val tradebeans_experiment :
-  ?shard_domains:int -> scale:int -> unit -> Runner.experiment
+val tradebeans_experiment : scale:int -> unit -> Runner.experiment
 
-val h2_experiment :
-  ?shard_domains:int -> scale:int -> unit -> Runner.experiment
+val h2_experiment : scale:int -> unit -> Runner.experiment

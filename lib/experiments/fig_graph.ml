@@ -15,13 +15,12 @@ let graph_bytes (d : Dataset.t) =
   (d.Dataset.nodes * 48) + (d.Dataset.edges * 40)
   + (2 * d.Dataset.edges / 4 * 64)
 
-let make_vm_for ?(heap_mult = 6) ?(shard_domains = 0) d config =
+let make_vm_for ?(heap_mult = 6) d config =
   (* Sized so GC cycles are driven by the loader's and the algorithm's
      allocation (the paper's heaps are generous; ours scale with the graph
      so cycle counts stay comparable at reduced run lengths). *)
   let max_heap = max (6 * 1024 * 1024) (heap_mult * graph_bytes d) in
-  Vm.create ~layout ~machine_config:Scaled_machine.config ~shard_domains
-    ~config ~max_heap ()
+  Vm.create ~layout ~machine_config:Scaled_machine.config ~config ~max_heap ()
 
 let build_graph vm (d : Dataset.t) ~run =
   let rng = Rng.create (0x9e37 + run) in
@@ -34,14 +33,12 @@ let dataset_key (d : Dataset.t) =
   Printf.sprintf "%s;nodes=%d;edges=%d" d.Dataset.name d.Dataset.nodes
     d.Dataset.edges
 
-let cc_experiment ?(shard_domains = 0) ~dataset ~scale () =
+let cc_experiment ~dataset ~scale () =
   let d = Dataset.scaled dataset ~factor:scale in
   {
     Runner.name = Printf.sprintf "CC %s /%d" d.Dataset.name scale;
-    key =
-      Printf.sprintf "cc;%s;passes=6%s" (dataset_key d)
-        (Runner.em_tag shard_domains);
-    make_vm = make_vm_for ~shard_domains d;
+    key = Printf.sprintf "cc;%s;passes=6" (dataset_key d);
+    make_vm = make_vm_for d;
     workload =
       (fun vm ~run ->
         let g = build_graph vm d ~run in
@@ -52,15 +49,12 @@ let cc_experiment ?(shard_domains = 0) ~dataset ~scale () =
         Hcsgc_graph.Mgraph.dispose g);
   }
 
-let mc_experiment ?(max_expansions = 30_000) ?(shard_domains = 0) ~dataset
-    ~scale () =
+let mc_experiment ?(max_expansions = 30_000) ~dataset ~scale () =
   let d = Dataset.scaled dataset ~factor:scale in
   {
     Runner.name = Printf.sprintf "MC %s /%d" d.Dataset.name scale;
-    key =
-      Printf.sprintf "mc;%s;maxexp=%d%s" (dataset_key d) max_expansions
-        (Runner.em_tag shard_domains);
-    make_vm = make_vm_for ~heap_mult:4 ~shard_domains d;
+    key = Printf.sprintf "mc;%s;maxexp=%d" (dataset_key d) max_expansions;
+    make_vm = make_vm_for ~heap_mult:4 d;
     workload =
       (fun vm ~run ->
         let g = build_graph vm d ~run in
@@ -87,26 +81,26 @@ let mc_expectation =
    14-16; config 3 well ahead of config 2 (hot objects on well-populated \
    pages need the bigger EC)"
 
-let fig7 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig7 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 7 — connected components, uk dataset"
     ~expectation:cc_expectation ~runs ~jobs ?cache ?scheduling
-    (cc_experiment ~shard_domains ~dataset:Dataset.uk_cc ~scale ())
+    (cc_experiment ~dataset:Dataset.uk_cc ~scale ())
 
-let fig8 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig8 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 8 — connected components, enwiki dataset"
     ~expectation:cc_expectation ~runs ~jobs ?cache ?scheduling
-    (cc_experiment ~shard_domains ~dataset:Dataset.enwiki_cc ~scale ())
+    (cc_experiment ~dataset:Dataset.enwiki_cc ~scale ())
 
-let fig9 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig9 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 9 — Bron-Kerbosch (MC), uk dataset"
     ~expectation:mc_expectation ~runs ~jobs ?cache ?scheduling
-    (mc_experiment ~shard_domains ~dataset:Dataset.uk_mc ~scale ())
+    (mc_experiment ~dataset:Dataset.uk_mc ~scale ())
 
-let fig10 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig10 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 10 — Bron-Kerbosch (MC), enwiki dataset"
     ~expectation:mc_expectation ~runs ~jobs ?cache ?scheduling
-    (mc_experiment ~shard_domains ~dataset:Dataset.enwiki_mc ~scale ())
+    (mc_experiment ~dataset:Dataset.enwiki_mc ~scale ())

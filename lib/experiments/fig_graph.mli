@@ -5,37 +5,33 @@
     [scale] divides Table 3's node/edge counts (default 4 for CC, 2 for MC)
     so a full 19-configuration sweep stays minutes-scale.  [cache] and
     [scheduling] are the incremental-sweep knobs of
-    {!Runner.run_configs}; they never change output bytes.
-    [shard_domains] selects the VM execution model (0 = inline interleave,
-    [n >= 1] = epoch-sharded, byte-identical at any [n >= 1]; see
-    {!Hcsgc_runtime.Vm.create}). *)
+    {!Runner.run_configs}; they never change output bytes. *)
 
 val fig7 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 (** CC on uk. *)
 
 val fig8 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 (** CC on enwiki. *)
 
 val fig9 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 (** MC on uk. *)
 
 val fig10 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 (** MC on enwiki. *)
 
 val cc_experiment :
-  ?shard_domains:int ->
   dataset:Hcsgc_graph.Dataset.t ->
   scale:int ->
   unit ->
@@ -43,7 +39,6 @@ val cc_experiment :
 
 val mc_experiment :
   ?max_expansions:int ->
-  ?shard_domains:int ->
   dataset:Hcsgc_graph.Dataset.t ->
   scale:int ->
   unit ->

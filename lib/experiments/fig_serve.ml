@@ -75,11 +75,15 @@ let outcome_of_string s =
 (* Content addressing                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let experiment_key ?(heap = max_heap) ~params ~shard_domains ~slo () =
-  Printf.sprintf "%s;slo=%d;heap=%d;trig=%h%s"
+let key ~heap ~params ~slo =
+  Printf.sprintf "%s;slo=%d;heap=%d;trig=%h"
     (Serve.params_key { params with Serve.seed = 0 })
     slo heap trigger
-    (Runner.em_tag shard_domains)
+
+let experiment_key ?(heap = max_heap) ~params ~shard_domains ~slo () =
+  if shard_domains <> 0 then
+    invalid_arg "Fig_serve.experiment_key: only the inline model (0) exists";
+  key ~heap ~params ~slo
 
 let fingerprint ~key ~verify (id, run) =
   Fingerprint.make ~experiment:key ~config:(Runner.config_key id) ~run ~verify
@@ -90,10 +94,10 @@ let cost_key ~key id = key ^ "#" ^ Runner.config_key id
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compute ~heap ~verify ~shard_domains ~slo ~params (id, run) =
+let compute ~heap ~verify ~slo ~params (id, run) =
   let vm =
     Vm.create ~layout ~machine_config:Scaled_machine.config
-      ~mutators:params.Serve.mutators ~shard_domains ~trigger
+      ~mutators:params.Serve.mutators ~trigger
       ~config:(Config.of_id id) ~max_heap:heap ()
   in
   if verify then Vm.enable_verification vm;
@@ -125,9 +129,9 @@ let try_cached (c : Runner.cache) fp =
             None)
 
 let sweep ?(config_ids = default_configs) ?(runs = 3) ?(jobs = 1)
-    ?(verify = false) ?cache ?(shard_domains = 0) ?(slo = default_slo)
-    ?(heap = max_heap) ?(progress = fun _ -> ()) ~params () =
-  let key = experiment_key ~heap ~params ~shard_domains ~slo () in
+    ?(verify = false) ?cache ?(slo = default_slo) ?(heap = max_heap)
+    ?(progress = fun _ -> ()) ~params () =
+  let key = key ~heap ~params ~slo in
   let job_arr =
     Array.of_list
       (List.concat_map
@@ -158,7 +162,7 @@ let sweep ?(config_ids = default_configs) ?(runs = 3) ?(jobs = 1)
           Reporter.sayf reporter "serve: config %d (%s)" id
             (Config.to_string (Config.of_id id));
         let t0 = Unix.gettimeofday () in
-        let o = compute ~heap ~verify ~shard_domains ~slo ~params job in
+        let o = compute ~heap ~verify ~slo ~params job in
         (match cache with
         | None -> ()
         | Some c ->
@@ -196,11 +200,10 @@ let scaled_heap ~scale = max (2 * 1024 * 1024) (max_heap / scale)
 let bootstrap_seed = 42
 
 let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?verify ?cache
-    ?(shard_domains = 0) ?(config_ids = default_configs) ?(slo = default_slo)
-    fmt =
+    ?(config_ids = default_configs) ?(slo = default_slo) fmt =
   let params = scaled_params ~scale in
   let results =
-    sweep ~config_ids ~runs ~jobs ?verify ?cache ~shard_domains ~slo
+    sweep ~config_ids ~runs ~jobs ?verify ?cache ~slo
       ~heap:(scaled_heap ~scale)
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ~params ()

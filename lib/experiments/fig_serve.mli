@@ -45,8 +45,12 @@ val experiment_key :
   string
 (** The content-address experiment key: every result-affecting workload
     and machine knob (including the [heap] budget, default 8 MiB), seed
-    normalised out (the run index is addressed separately), execution
-    model tagged via {!Runner.em_tag}. *)
+    normalised out (the run index is addressed separately).
+    [shard_domains] is a leftover label from the retired epoch-sharded
+    execution model; the end-to-end benchmark still passes [0], so it
+    stays until that benchmark next changes.  Only the inline model
+    exists now.
+    @raise Invalid_argument if [shard_domains <> 0]. *)
 
 val sweep :
   ?config_ids:int list ->
@@ -54,7 +58,6 @@ val sweep :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
-  ?shard_domains:int ->
   ?slo:int ->
   ?heap:int ->
   ?progress:(string -> unit) ->
@@ -81,7 +84,6 @@ val figure :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
-  ?shard_domains:int ->
   ?config_ids:int list ->
   ?slo:int ->
   Format.formatter ->

@@ -21,7 +21,7 @@ let experiment_params ~scale =
     txns_per_step = max 100 (base.Specjbb.txns_per_step / scale);
   }
 
-let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) fmt =
+let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) fmt =
   let params = experiment_params ~scale in
   Format.fprintf fmt "=== Fig. 13 — SPECjbb2015 (simulated composite) ===@.";
   Format.fprintf fmt
@@ -42,7 +42,7 @@ let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) fmt =
     if run = 0 then Reporter.sayf reporter "[bench] specjbb: config %d" id;
     let vm =
       Vm.create ~layout ~machine_config:Scaled_machine.config
-        ~mutators:params.Specjbb.handlers ~shard_domains ~config ~max_heap ()
+        ~mutators:params.Specjbb.handlers ~config ~max_heap ()
     in
     let r = Specjbb.run vm { params with Specjbb.seed = run } in
     Vm.finish vm;

@@ -4,15 +4,10 @@
 
     Expected shape: overlapping confidence intervals (no conclusive HCSGC
     effect — survival rate ≈ 1 %), and heap usage that grows over the run
-    as the injector ramps the allocation rate.
-
-    The transaction handlers are real VM mutator threads, so this is the
-    figure that most exercises [shard_domains] ([n >= 1] = epoch-sharded
-    execution, byte-identical at any [n >= 1]; see
-    {!Hcsgc_runtime.Vm.create}). *)
+    as the injector ramps the allocation rate.  The transaction handlers
+    are real VM mutator threads. *)
 
 val fig13 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
-  Format.formatter -> unit
+  ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
 
 val experiment_params : scale:int -> Hcsgc_workloads.Specjbb_sim.params

@@ -5,7 +5,7 @@ module Synthetic = Hcsgc_workloads.Synthetic
 let layout = Layout.scaled ~small_page:(64 * 1024)
 
 let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
-    ?(heap_mult = 5) ?(shard_domains = 0) ~scale () =
+    ?(heap_mult = 5) ~scale () =
   let base = Synthetic.default in
   let elements = max 1_000 (base.Synthetic.elements / scale) in
   let params =
@@ -33,15 +33,14 @@ let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
        share a display name. *)
     key =
       Printf.sprintf
-        "synthetic;el=%d;apl=%d;phases=%d;loops=%d;cold=%d;sat=%b;heap=%d%s"
+        "synthetic;el=%d;apl=%d;phases=%d;loops=%d;cold=%d;sat=%b;heap=%d"
         elements params.Synthetic.accesses_per_loop phases
         params.Synthetic.loops params.Synthetic.cold_elements saturated
-        max_heap
-        (Runner.em_tag shard_domains);
+        max_heap;
     make_vm =
       (fun config ->
         Vm.create ~layout ~machine_config:Scaled_machine.config ~saturated
-          ~shard_domains ~config ~max_heap ());
+          ~config ~max_heap ());
     workload =
       (fun vm ~run ->
         ignore (Synthetic.run vm { params with Synthetic.seed = run }));
@@ -55,7 +54,7 @@ let render fmt ~title ~expectation ~runs ~jobs ?cache ?scheduling exp =
   in
   Report.figure fmt ~title ~expectation results
 
-let fig4 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig4 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 4 — synthetic, single phase" ?cache ?scheduling
     ~expectation:
@@ -63,20 +62,17 @@ let fig4 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
        some improvement 7/13, none for 2/5/8/11/14; large L1/LLC miss \
        reductions for improving configs; loads increase but are cache-served"
     ~runs ~jobs
-    (experiment ~shard_domains ~scale ())
+    (experiment ~scale ())
 
-let fig5 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?(shard_domains = 0) ?cache
+let fig5 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
     ?scheduling fmt =
   render fmt ~title:"Fig. 5 — synthetic, three phases" ?cache ?scheduling
     ~expectation:
       "same shape as Fig. 4: HCSGC adapts to phase changes (per-phase stable \
        access orders are re-captured after each change)"
     ~runs ~jobs
-    (experiment ~phases:3 ~shard_domains ~scale ())
+    (experiment ~phases:3 ~scale ())
 
-(* Fig. 6 is the saturated single-core experiment; sharded execution is
-   incompatible with (and pointless on) one core, so there is no
-   [?shard_domains] here and the figure CLI skips the flag for it. *)
 let fig6 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache ?scheduling fmt =
   render fmt ~title:"Fig. 6 — ample relocation, saturated single core"
     ?cache ?scheduling

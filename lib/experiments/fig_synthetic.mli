@@ -13,19 +13,15 @@
     so the rendered figure is identical at any [jobs].  [cache] serves
     repeats from a {!Hcsgc_store.Result_store} and [scheduling] picks the
     pool submission order (see {!Runner.run_configs}); neither changes a
-    byte of output.  [shard_domains] selects the VM execution model (see
-    {!Hcsgc_runtime.Vm.create}): [0] (default) is the inline interleave,
-    [n >= 1] epoch-sharded execution — results are byte-identical at any
-    [n >= 1] and content-addressed under a distinct [;em=1] key.  {!fig6}
-    is saturated (single core) and has no [?shard_domains]. *)
+    byte of output. *)
 
 val fig4 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 
 val fig5 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?shard_domains:int ->
+  ?runs:int -> ?scale:int -> ?jobs:int ->
   ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
   Format.formatter -> unit
 
@@ -38,7 +34,6 @@ val experiment :
   ?cold_ratio:int ->
   ?saturated:bool ->
   ?heap_mult:int ->
-  ?shard_domains:int ->
   scale:int ->
   unit ->
   Runner.experiment

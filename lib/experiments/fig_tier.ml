@@ -33,20 +33,19 @@ let layout = Layout.scaled ~small_page:(64 * 1024)
 
 (* The serving workload as a plain runner experiment (Fig_serve wraps it
    in SLO analysis, which the tier figure does not need). *)
-let serve_experiment ?(shard_domains = 0) ~scale () =
+let serve_experiment ~scale () =
   let params = Fig_serve.scaled_params ~scale in
   let heap = Fig_serve.scaled_heap ~scale in
   {
     Runner.name = "serve";
     key =
-      Printf.sprintf "tier-serve;%s;heap=%d;trig=%h%s"
+      Printf.sprintf "tier-serve;%s;heap=%d;trig=%h"
         (Serve.params_key { params with Serve.seed = 0 })
-        heap 0.10
-        (Runner.em_tag shard_domains);
+        heap 0.10;
     make_vm =
       (fun config ->
         Vm.create ~layout ~machine_config:Scaled_machine.config
-          ~mutators:params.Serve.mutators ~shard_domains ~trigger:0.10
+          ~mutators:params.Serve.mutators ~trigger:0.10
           ~config ~max_heap:heap ());
     workload =
       (fun vm ~run -> ignore (Serve.run vm { params with Serve.seed = run }));
@@ -55,12 +54,12 @@ let serve_experiment ?(shard_domains = 0) ~scale () =
 (* The synthetic family carries a 4x cold population, so there genuinely
    are cold pages for the collector to demote; the DaCapo sims and the
    serving tier bring their natural hot/cold skew. *)
-let families ?(shard_domains = 0) ~scale () =
+let families ~scale () =
   [
-    ("synthetic", Fig_synthetic.experiment ~cold_ratio:4 ~shard_domains ~scale ());
-    ("h2", Fig_dacapo.h2_experiment ~shard_domains ~scale ());
-    ("tradebeans", Fig_dacapo.tradebeans_experiment ~shard_domains ~scale ());
-    ("serve", serve_experiment ~shard_domains ~scale ());
+    ("synthetic", Fig_synthetic.experiment ~cold_ratio:4 ~scale ());
+    ("h2", Fig_dacapo.h2_experiment ~scale ());
+    ("tradebeans", Fig_dacapo.tradebeans_experiment ~scale ());
+    ("serve", serve_experiment ~scale ());
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -164,8 +163,8 @@ let try_cached (c : Runner.cache) fp =
 
 let sweep ?(capacities = default_capacities) ?(lat_far = default_lat_far)
     ?(promote = true) ?(runs = 3) ?(jobs = 1) ?(verify = false) ?cache
-    ?(shard_domains = 0) ?(scale = 1) ?(progress = fun _ -> ()) () =
-  let fams = families ~shard_domains ~scale () in
+    ?(scale = 1) ?(progress = fun _ -> ()) () =
+  let fams = families ~scale () in
   let job_arr =
     Array.of_list
       (List.concat_map
@@ -242,11 +241,10 @@ let mean f (os : outcome array) =
   /. float_of_int (Array.length os)
 
 let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?verify ?cache
-    ?(shard_domains = 0) ?(capacities = default_capacities)
+    ?(capacities = default_capacities)
     ?(lat_far = default_lat_far) ?(promote = true) fmt =
   let results =
-    sweep ~capacities ~lat_far ~promote ~runs ~jobs ?verify ?cache
-      ~shard_domains ~scale
+    sweep ~capacities ~lat_far ~promote ~runs ~jobs ?verify ?cache ~scale
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ()
   in

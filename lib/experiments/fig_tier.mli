@@ -21,11 +21,7 @@ val tier_config : capacity:int -> lat_far:int -> promote:bool -> Config.t
 (** The fixed hotness collector with the given tier knobs;
     [capacity = 0] disables tiering entirely. *)
 
-val families :
-  ?shard_domains:int ->
-  scale:int ->
-  unit ->
-  (string * Runner.experiment) list
+val families : scale:int -> unit -> (string * Runner.experiment) list
 (** The four workload families, in figure order: [synthetic] (with a 4x
     cold population so demotion has targets), [h2], [tradebeans],
     [serve]. *)
@@ -54,15 +50,14 @@ val sweep :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
-  ?shard_domains:int ->
   ?scale:int ->
   ?progress:(string -> unit) ->
   unit ->
   (string * (int * outcome array) list) list
 (** Run every (family, capacity, repetition) job, fanning misses over
     [jobs] domains; results are grouped per family then per capacity, in
-    input order, and are byte-identical at any [jobs]/[shard_domains]
-    setting and whether served from [cache] or computed. *)
+    input order, and are byte-identical at any [jobs] and whether served
+    from [cache] or computed. *)
 
 val figure :
   ?runs:int ->
@@ -70,7 +65,6 @@ val figure :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
-  ?shard_domains:int ->
   ?capacities:int list ->
   ?lat_far:int ->
   ?promote:bool ->

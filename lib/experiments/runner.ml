@@ -53,8 +53,6 @@ type experiment = {
   workload : Vm.t -> run:int -> unit;
 }
 
-let em_tag shard_domains = if shard_domains > 0 then ";em=1" else ""
-
 type job = { exp : experiment; config_id : int; run : int }
 
 let jobs_of ?config_ids ~runs exp =

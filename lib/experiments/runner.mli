@@ -56,14 +56,6 @@ type experiment = {
   workload : Vm.t -> run:int -> unit;  (** [run] indexes the repetition *)
 }
 
-val em_tag : int -> string
-(** [em_tag shard_domains] is the key suffix encoding the {e execution
-    model}: [";em=1"] when epoch-sharded ([shard_domains > 0]), [""] for
-    the classic inline interleave.  The shard {e count} must never reach a
-    key or fingerprint — every [shard_domains >= 1] is byte-identical, so
-    cached results are shared across counts; the two execution models do
-    differ and must not share entries. *)
-
 type job = { exp : experiment; config_id : int; run : int }
 (** One unit of work: repetition [run] of [exp] under Table 2
     configuration [config_id].  Jobs share nothing — {!execute} builds a

@@ -2,12 +2,8 @@
     allocating (or relocating) into.
 
     A plain array indexed by core id, replacing the hashtable the collector
-    used to key bump targets by core.  The representation matters for the
-    sharded execution mode: each shard core owns exactly one slot, distinct
-    cores touch distinct slots, and reading a slot allocates nothing — so
-    allocation-target state is trivially shard-private.  (The logical heap
-    mutation itself still happens on the merging domain; the array is about
-    making per-core state explicit and cheap, not about locking.)
+    used to key bump targets by core: each core owns exactly one slot and
+    reading a slot allocates nothing.
 
     Empty slots are [None]; the table grows on demand, so any non-negative
     core id is valid, as with the hashtable it replaces. *)

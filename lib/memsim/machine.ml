@@ -18,9 +18,7 @@ type t = {
   cfg : Hierarchy.config;
   llc : Cache.t;
   core_arr : core array;
-  (* Machine-wide counter totals.  In sharded mode these are only updated
-     on the merging domain (inline for non-shard cores, via the buffered
-     deltas for shard cores), so they stay race-free. *)
+  (* Machine-wide counter totals. *)
   mutable loads : int;
   mutable stores : int;
   mutable l1_misses : int;
@@ -29,17 +27,10 @@ type t = {
   mutable prefetches : int;
   mutable tlb_misses_ : int;
   mutable far_loads_ : int;
-  (* Optional far-memory tier behind the LLC.  Consulted only on the
-     demand-load LLC-miss path — inline (unsharded cores / GC core) or in
-     the sequential [merge_shard] — so tiered results stay byte-identical
-     at any shard-domain count.  [None] (the default) charges [lat_mem]
+  (* Optional far-memory tier behind the LLC, consulted only on the
+     demand-load LLC-miss path.  [None] (the default) charges [lat_mem]
      for every LLC miss, exactly the pre-tier machine. *)
   mutable tier : Tier.t option;
-  (* Epoch sharding: cores [0 .. nshards-1] defer their traffic into
-     per-shard logs instead of simulating inline ([nshards = 0] is the
-     classic fully-inline machine).  See {!attach_shards}. *)
-  mutable nshards : int;
-  mutable shard_arr : Shard_cache.t array;
 }
 
 let create ?(cfg = Hierarchy.default_config) ~cores () =
@@ -91,30 +82,13 @@ let create ?(cfg = Hierarchy.default_config) ~cores () =
     tlb_misses_ = 0;
     far_loads_ = 0;
     tier = None;
-    nshards = 0;
-    shard_arr = [||];
   }
 
 let cores t = Array.length t.core_arr
 
-let attach_shards t n =
-  if n < 0 || n > Array.length t.core_arr then
-    invalid_arg "Machine.attach_shards: shard count out of range";
-  t.nshards <- n;
-  t.shard_arr <- Array.init n (fun _ -> Shard_cache.create ())
-
-let shards t = t.nshards
-
 let set_tier t tier = t.tier <- tier
 
 let tier t = t.tier
-
-let shards_dirty t =
-  let dirty = ref false in
-  for i = 0 to t.nshards - 1 do
-    if Shard_cache.pending t.shard_arr.(i) then dirty := true
-  done;
-  !dirty
 
 let line_bytes t = t.cfg.Hierarchy.l1.Cache.line_bytes
 
@@ -190,36 +164,24 @@ let[@inline] translate t c addr =
       end
 
 let load t ~core:i addr =
-  if i < t.nshards then begin
-    Shard_cache.log_access t.shard_arr.(i) ~op:Shard_cache.op_load addr;
-    0
-  end
-  else begin
-    let c = core t i in
-    let line = Cache.line_of_addr c.l1 addr in
-    t.loads <- t.loads + 1;
-    c.c_loads <- c.c_loads + 1;
-    let walk = translate t c addr in
-    let lat = demand t c line ~is_load:true in
-    run_prefetcher t c line;
-    walk + lat
-  end
+  let c = core t i in
+  let line = Cache.line_of_addr c.l1 addr in
+  t.loads <- t.loads + 1;
+  c.c_loads <- c.c_loads + 1;
+  let walk = translate t c addr in
+  let lat = demand t c line ~is_load:true in
+  run_prefetcher t c line;
+  walk + lat
 
 let store t ~core:i addr =
-  if i < t.nshards then begin
-    Shard_cache.log_access t.shard_arr.(i) ~op:Shard_cache.op_store addr;
-    0
-  end
-  else begin
-    let c = core t i in
-    let line = Cache.line_of_addr c.l1 addr in
-    t.stores <- t.stores + 1;
-    c.c_stores <- c.c_stores + 1;
-    let walk = translate t c addr in
-    ignore (demand t c line ~is_load:false);
-    run_prefetcher t c line;
-    walk + t.cfg.Hierarchy.lat_store
-  end
+  let c = core t i in
+  let line = Cache.line_of_addr c.l1 addr in
+  t.stores <- t.stores + 1;
+  c.c_stores <- c.c_stores + 1;
+  let walk = translate t c addr in
+  ignore (demand t c line ~is_load:false);
+  run_prefetcher t c line;
+  walk + t.cfg.Hierarchy.lat_store
 
 (* The range walks repeat the exact per-line sequence of [load]/[store]
    (counters, translation, demand, prefetcher), but resolve the core once
@@ -227,11 +189,6 @@ let store t ~core:i addr =
    application this replaces dominated the GC relocation copy path. *)
 let load_range t ~core:i addr bytes =
   if bytes <= 0 then 0
-  else if i < t.nshards then begin
-    Shard_cache.log_range t.shard_arr.(i) ~op:Shard_cache.op_load_range addr
-      bytes;
-    0
-  end
   else begin
     let c = core t i in
     let lb = line_bytes t in
@@ -250,11 +207,6 @@ let load_range t ~core:i addr bytes =
 
 let store_range t ~core:i addr bytes =
   if bytes <= 0 then 0
-  else if i < t.nshards then begin
-    Shard_cache.log_range t.shard_arr.(i) ~op:Shard_cache.op_store_range addr
-      bytes;
-    0
-  end
   else begin
     let c = core t i in
     let lb = line_bytes t in
@@ -271,162 +223,6 @@ let store_range t ~core:i addr bytes =
     done;
     !total
   end
-
-(* ------------------------------------------------------------------ *)
-(* Epoch replay: the deferred half of sharded simulation.               *)
-(*                                                                      *)
-(* [replay_shard] walks one shard's access log against that shard's     *)
-(* private core state only — no shared LLC, no machine-wide counters —  *)
-(* so any number of shards replay concurrently.  The accesses that miss *)
-(* both private levels are emitted, in program order, into the shard's  *)
-(* LLC request stream; [merge_shard] then resolves streams against the  *)
-(* shared LLC strictly one shard at a time.  Calling merge in a fixed   *)
-(* shard order makes the machine's evolution a pure function of the     *)
-(* logged traffic, independent of which domains replayed what.          *)
-(* ------------------------------------------------------------------ *)
-
-module S = Shard_cache
-
-let[@inline] replay_translate t c s addr =
-  match c.tlb with
-  | None -> 0
-  | Some tlb ->
-      if Cache.access tlb (Cache.line_of_addr tlb addr) then 0
-      else begin
-        c.c_tlbm <- c.c_tlbm + 1;
-        s.S.d_tlbm <- s.S.d_tlbm + 1;
-        t.cfg.Hierarchy.lat_tlb_miss
-      end
-
-(* Private levels of [demand]: an access that misses L1 and L2 is deferred
-   to the merge as an LLC request and contributes no latency here. *)
-let replay_demand t c s line ~is_load =
-  if Cache.access c.l1 line then t.cfg.Hierarchy.lat_l1
-  else begin
-    if is_load then begin
-      c.c_l1m <- c.c_l1m + 1;
-      s.S.d_l1m <- s.S.d_l1m + 1
-    end;
-    if Cache.access c.l2 line then t.cfg.Hierarchy.lat_l2
-    else begin
-      if is_load then begin
-        c.c_l2m <- c.c_l2m + 1;
-        s.S.d_l2m <- s.S.d_l2m + 1
-      end;
-      S.push_llc s line
-        ~kind:(if is_load then S.llc_demand_load else S.llc_demand_store);
-      0
-    end
-  end
-
-let replay_prefetcher t c s line =
-  if t.cfg.Hierarchy.prefetch then begin
-    let n = Prefetcher.observe_into c.pf line c.pf_buf in
-    for i = 0 to n - 1 do
-      let l = Array.unsafe_get c.pf_buf i in
-      if l >= 0 then begin
-        S.push_llc s ~kind:S.llc_insert l;
-        Cache.insert c.l2 l;
-        Cache.insert c.l1 l;
-        c.c_pf <- c.c_pf + 1;
-        s.S.d_pf <- s.S.d_pf + 1
-      end
-    done
-  end
-
-(* One logged single-address access: the exact [load]/[store] sequence with
-   the LLC level deferred.  Stores take [lat_store] and ignore the demand
-   latency, as inline stores do. *)
-let[@inline] replay_one t c s ~is_load addr =
-  if is_load then begin
-    c.c_loads <- c.c_loads + 1;
-    s.S.d_loads <- s.S.d_loads + 1
-  end
-  else begin
-    c.c_stores <- c.c_stores + 1;
-    s.S.d_stores <- s.S.d_stores + 1
-  end;
-  let line = Cache.line_of_addr c.l1 addr in
-  let walk = replay_translate t c s addr in
-  let lat = replay_demand t c s line ~is_load in
-  replay_prefetcher t c s line;
-  s.S.lat <-
-    s.S.lat + walk
-    + (if is_load then lat else t.cfg.Hierarchy.lat_store)
-
-let check_shard t i =
-  if i < 0 || i >= t.nshards then
-    invalid_arg "Machine: shard index out of range"
-
-let replay_shard t ~shard:i =
-  check_shard t i;
-  let s = t.shard_arr.(i) in
-  let c = t.core_arr.(i) in
-  let log = s.S.log in
-  let n = s.S.log_len in
-  let lb = line_bytes t in
-  let j = ref 0 in
-  while !j < n do
-    let e = Array.unsafe_get log !j in
-    let op = e land 3 and addr = e lsr 2 in
-    if op = S.op_load then begin
-      replay_one t c s ~is_load:true addr;
-      incr j
-    end
-    else if op = S.op_store then begin
-      replay_one t c s ~is_load:false addr;
-      incr j
-    end
-    else begin
-      (* Range walk: per line, same as the inline ranges. *)
-      let bytes = Array.unsafe_get log (!j + 1) in
-      let is_load = op = S.op_load_range in
-      let first = addr / lb and last = (addr + bytes - 1) / lb in
-      for line = first to last do
-        replay_one t c s ~is_load (line * lb)
-      done;
-      j := !j + 2
-    end
-  done
-
-let merge_shard t ~shard:i =
-  check_shard t i;
-  let s = t.shard_arr.(i) in
-  let c = t.core_arr.(i) in
-  t.loads <- t.loads + s.S.d_loads;
-  t.stores <- t.stores + s.S.d_stores;
-  t.l1_misses <- t.l1_misses + s.S.d_l1m;
-  t.l2_misses <- t.l2_misses + s.S.d_l2m;
-  t.prefetches <- t.prefetches + s.S.d_pf;
-  t.tlb_misses_ <- t.tlb_misses_ + s.S.d_tlbm;
-  let lat = ref s.S.lat in
-  let lat_llc = t.cfg.Hierarchy.lat_llc in
-  for k = 0 to s.S.llc_len - 1 do
-    let e = Array.unsafe_get s.S.llc k in
-    let kind = e land 3 and line = e lsr 2 in
-    if kind = S.llc_demand_load then begin
-      if Cache.access t.llc line then lat := !lat + lat_llc
-      else begin
-        t.llc_misses <- t.llc_misses + 1;
-        c.c_llcm <- c.c_llcm + 1;
-        lat := !lat + far_or_mem t c line
-      end
-    end
-    else if kind = S.llc_demand_store then ignore (Cache.access t.llc line)
-    else Cache.insert t.llc line
-  done;
-  S.reset_epoch s;
-  !lat
-
-let flush_shards t =
-  let lats = Array.make t.nshards 0 in
-  for i = 0 to t.nshards - 1 do
-    replay_shard t ~shard:i
-  done;
-  for i = 0 to t.nshards - 1 do
-    lats.(i) <- merge_shard t ~shard:i
-  done;
-  lats
 
 let counters t =
   {
@@ -448,10 +244,6 @@ let core_counters t ~core:i =
     llc_misses = c.c_llcm;
     prefetches = c.c_pf;
   }
-
-let shard_counters t ~shard:i =
-  check_shard t i;
-  core_counters t ~core:i
 
 let tlb_misses t = t.tlb_misses_
 
@@ -491,7 +283,4 @@ let flush t =
       Option.iter Cache.invalidate_all c.tlb;
       Prefetcher.reset c.pf)
     t.core_arr;
-  (* Logged-but-unmerged epoch traffic is discarded along with the cache
-     state it would have touched. *)
-  Array.iter S.reset_epoch t.shard_arr;
   reset_counters t

@@ -13,29 +13,12 @@
 
     - {b Machine-wide} ({!counters}, {!tlb_misses}): all cores summed —
       what process-level perf reports (§4.2: "the statistics is for the
-      whole process").  In sharded mode these are maintained by the merging
-      domain only and therefore include a shard's traffic {e only after}
-      that shard's epoch has been merged.
-    - {b Per-shard / per-core} ({!core_counters}, {!shard_counters},
-      {!core_tlb_misses}): one private hierarchy's view, for attributing
-      traffic to mutator vs GC threads.  Loads, stores, L1/L2/TLB misses
-      and prefetches are private-state facts and are updated during replay;
-      LLC misses need the shared LLC and land at merge.
+      whole process").
+    - {b Per-core} ({!core_counters}, {!core_tlb_misses}): one private
+      hierarchy's view, for attributing traffic to mutator vs GC threads.
 
-    {2 Epoch sharding}
-
-    {!attach_shards} puts cores [0 .. n-1] into {e deferred} mode: their
-    {!load}/{!store}/{!load_range}/{!store_range} calls return latency [0]
-    and append to a per-shard access log instead of simulating.  The log is
-    later simulated in two phases: {!replay_shard} (parallel-safe — touches
-    only the shard's private caches, prefetcher and counters, emitting the
-    accesses that fall through to the LLC into a per-shard request stream)
-    and {!merge_shard} (sequential — resolves the stream against the shared
-    LLC and returns the shard's total deferred latency).  Merging shards in
-    a fixed order makes the machine's evolution a pure function of the
-    logged traffic: byte-identical results at any worker-domain count.
-    Cores [>= n] (the GC core) keep the classic inline behaviour. *)
-
+    Every access is simulated inline, when it is made: it walks the
+    core's private levels and the shared LLC and returns its latency. *)
 type t
 
 val create : ?cfg:Hierarchy.config -> cores:int -> unit -> t
@@ -48,8 +31,7 @@ val line_bytes : t -> int
 
 val load : t -> core:int -> int -> int
 (** Demand load of the line containing the byte address, on the given core;
-    returns latency in cycles.  On a shard core the access is logged and
-    the result is [0] — the latency is returned by {!merge_shard}. *)
+    returns latency in cycles. *)
 
 val store : t -> core:int -> int -> int
 
@@ -58,47 +40,11 @@ val load_range : t -> core:int -> int -> int -> int
 
 val store_range : t -> core:int -> int -> int -> int
 
-(** {2 Epoch sharding} *)
-
-val attach_shards : t -> int -> unit
-(** [attach_shards t n] defers cores [0 .. n-1] (see module doc).  [0]
-    restores fully-inline simulation.  Discards any previous shard logs.
-    @raise Invalid_argument if [n < 0] or [n > cores t]. *)
-
-val shards : t -> int
-(** Attached shard count (0 = classic inline machine). *)
-
-val shards_dirty : t -> bool
-(** Whether any shard has logged accesses awaiting replay + merge. *)
-
-val replay_shard : t -> shard:int -> unit
-(** Simulate the shard's logged epoch against its private state only.
-    Distinct shards may replay concurrently from different domains (the
-    caller provides the happens-before edges, e.g. via
-    {!Hcsgc_exec.Pool.fork_join}). *)
-
-val merge_shard : t -> shard:int -> int
-(** Resolve the shard's LLC request stream against the shared LLC, fold
-    its counter deltas into the machine-wide totals, clear its epoch, and
-    return the shard's total deferred latency.  Must be called from one
-    domain at a time, after {!replay_shard}, in a fixed shard order for
-    deterministic results. *)
-
-val flush_shards : t -> int array
-(** Replay then merge every shard inline (shard order); returns the
-    per-shard latencies.  The single-domain convenience used by direct
-    Machine clients and tests. *)
-
-val shard_counters : t -> shard:int -> Hierarchy.counters
-(** Per-shard counters — the shard's private hierarchy view (equals
-    {!core_counters} of the same index; see {e Counter scopes} above).
-    @raise Invalid_argument outside [0 .. shards t - 1]. *)
-
 (** {2 Counters} *)
 
 val counters : t -> Hierarchy.counters
 (** Machine-wide counters (all cores summed) — what process-level perf
-    reports.  In sharded mode, merged epochs only. *)
+    reports. *)
 
 val core_counters : t -> core:int -> Hierarchy.counters
 (** Per-core counters, for attributing traffic to mutator vs GC threads
@@ -115,22 +61,17 @@ val set_tier : t -> Tier.t option -> unit
 (** Attach (or detach with [None]) a far-memory tier.  With a tier
     attached, every demand-load LLC miss whose line falls in a resident
     {!Tier} granule is served at [Tier.lat_far] instead of [lat_mem] and
-    counted in {!far_loads}.  Stores are unaffected (write-buffered).
-    Residency lookups happen inline on unsharded cores and during the
-    sequential {!merge_shard} on sharded ones, so tiered runs stay
-    byte-identical at any shard-domain count. *)
+    counted in {!far_loads}.  Stores are unaffected (write-buffered). *)
 
 val tier : t -> Tier.t option
 
 val far_loads : t -> int
 (** Machine-wide count of demand loads served from the far tier (a
-    subset of the LLC misses in {!counters}).  Same scope discipline as
-    {!tlb_misses}: in sharded mode, merged epochs only. *)
+    subset of the LLC misses in {!counters}). *)
 
 val core_far_loads : t -> core:int -> int
 
 val reset_counters : t -> unit
 
 val flush : t -> unit
-(** Invalidate all caches and prefetchers, zero counters, and discard any
-    pending shard logs. *)
+(** Invalidate all caches and prefetchers and zero counters. *)

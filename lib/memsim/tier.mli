@@ -16,9 +16,8 @@
     property tests check the two stay in lock-step.
 
     Determinism: residency is only mutated by the collector (on the
-    logical instruction stream) and only read inline on the simulating
-    domain or during the sequential LLC merge of sharded execution, so
-    tiered runs are byte-identical at any [--shard-domains] count. *)
+    logical instruction stream) and only read by the machine on the
+    demand-load LLC-miss path, so tiered runs are deterministic. *)
 
 type t
 

@@ -10,37 +10,9 @@ module Invariants = Hcsgc_verify.Invariants
 module Gc_stats = Hcsgc_core.Gc_stats
 module Cost = Hcsgc_core.Cost
 module Vec = Hcsgc_util.Vec
-module Pool = Hcsgc_exec.Pool
 
 (* How much mutator cost accumulates between GC pump runs. *)
 let pump_quantum = 4096
-
-(* Sharded (epoch) execution, [shard_domains > 0]:
-
-   Logical mutator operations still run sequentially on the calling
-   domain — heap mutation order, barrier decisions and GC scheduling are
-   exactly as authored.  What is deferred is the memory-hierarchy
-   simulation: each mutator core's accesses accumulate in a per-shard log
-   inside the Machine, and at an epoch barrier the logs are replayed
-   against the shards' private L1/L2/TLB/prefetcher state — fanned across
-   up to [shard_domains] worker domains — after which each shard's
-   LLC-bound traffic is merged into the shared LLC in fixed order:
-   mutator id first, program order (simulated time) within a mutator.
-   The resolved latencies then land on the mutators' clocks and in the GC
-   pacing credit.  Results are a pure function of the logged traffic, so
-   any [shard_domains >= 1] produces byte-identical output; the worker
-   count only changes wall-clock time.
-
-   Epoch barriers sit at every GC pump (so collector phases always see
-   fully-merged mutator traffic, and the GC core's own inline LLC traffic
-   is ordered after the epoch's mutator traffic) and at every clock or
-   counter read (so observed values are exact).
-
-   [shard_domains = 0] (the default) is the classic inline interleave —
-   per-access latencies feed the clocks immediately.  The two execution
-   models honestly differ (deferral changes when latency reaches the pump),
-   which is why the flag default changes nothing and experiments tag their
-   content-address keys with the execution model, never the shard count. *)
 
 type t = {
   machine : Machine.t;
@@ -69,9 +41,6 @@ type t = {
   mutable tuner_cycle : int;
   mutable tuner_loads : int;
   mutable tuner_misses : int;
-  (* Epoch sharding (see the note above [create]'s implementation). *)
-  shard_domains : int;
-  mutable pool : Pool.t option;  (* lazy; shut down in [finish] *)
   recorder : Hcsgc_core.Gc_log.recorder option;
   (* Telemetry (hcsgc.telemetry): off unless enable_telemetry installed a
      recorder.  Recording charges no simulated cycles, so instrumented and
@@ -92,16 +61,12 @@ let env_verify () =
 
 let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
     ?(trigger = 0.25) ?(autotune = false) ?(gc_log = false) ?(mutators = 1)
-    ?(shard_domains = 0) ?verify ~config ~max_heap () =
+    ?verify ~config ~max_heap () =
   if autotune && not config.Config.hotness then
     invalid_arg "Vm.create: autotuning requires a HOTNESS-enabled config";
   if mutators < 1 then invalid_arg "Vm.create: need at least one mutator";
   if saturated && mutators > 1 then
     invalid_arg "Vm.create: saturated mode models a single mutator core";
-  if shard_domains < 0 then
-    invalid_arg "Vm.create: shard_domains must be non-negative";
-  if saturated && shard_domains > 0 then
-    invalid_arg "Vm.create: sharded execution is incompatible with saturated mode";
   let recorder =
     if gc_log then Some (Hcsgc_core.Gc_log.recorder ()) else None
   in
@@ -111,9 +76,6 @@ let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
     | Some cfg -> Machine.create ~cfg ~cores ()
     | None -> Machine.create ~cores ()
   in
-  (* Every mutator core is a shard; the GC core stays inline so collector
-     phases interact with the merged LLC directly at epoch barriers. *)
-  if shard_domains > 0 then Machine.attach_shards machine mutators;
   let heap =
     match layout with
     | Some layout -> Heap.create ~layout ~max_bytes:max_heap ()
@@ -169,8 +131,6 @@ let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
     seen_stw = 0;
     credit = 0;
     op_count = 0;
-    shard_domains;
-    pool = None;
     tuner =
       (if autotune then
          Some (Hcsgc_core.Autotuner.create ~initial:config.Config.cold_confidence ())
@@ -189,45 +149,10 @@ let check_m t m =
 
 (* Wall time follows the slowest mutator thread; pauses (and, on a
    saturated core, GC work) are serial additions. *)
-let mutator_cycles_sum t = Array.fold_left ( + ) 0 t.mut_clock
-
-let mutator_cycles_max t = Array.fold_left max 0 t.mut_clock
-
-(* The epoch barrier.  Replay fans over worker domains (task 0 runs here);
-   the merge is strictly sequential in mutator-id order, so the shared-LLC
-   evolution — and with it every counter and latency — is independent of
-   the worker count.  Latencies reach both the owning mutator's clock and
-   the GC pacing credit, exactly where inline simulation would have put
-   them.  A no-op when nothing is logged, so it is safe (and cheap) to call
-   from every observation point. *)
-let flush_epoch t =
-  if t.shard_domains > 0 && Machine.shards_dirty t.machine then begin
-    (if t.shard_domains > 1 && t.mutators > 1 then begin
-       let pool =
-         match t.pool with
-         | Some p -> p
-         | None ->
-             let p = Pool.create ~jobs:(min t.shard_domains t.mutators) in
-             t.pool <- Some p;
-             p
-       in
-       Pool.fork_join pool ~n:t.mutators (fun i ->
-           Machine.replay_shard t.machine ~shard:i)
-     end
-     else
-       for i = 0 to t.mutators - 1 do
-         Machine.replay_shard t.machine ~shard:i
-       done);
-    for m = 0 to t.mutators - 1 do
-      let lat = Machine.merge_shard t.machine ~shard:m in
-      t.mut_clock.(m) <- t.mut_clock.(m) + lat;
-      t.credit <- t.credit + lat
-    done
-  end
+let mutator_cycles t = Array.fold_left max 0 t.mut_clock
 
 let wall_cycles t =
-  flush_epoch t;
-  mutator_cycles_max t + t.stw_cycles_ + if t.saturated then t.gc_cycles_ else 0
+  mutator_cycles t + t.stw_cycles_ + if t.saturated then t.gc_cycles_ else 0
 
 (* Route the collector work performed since the last absorption: normally
    concurrent work accrues to the GC clock and pauses to the STW clock... *)
@@ -280,8 +205,6 @@ let take_sample t =
   | None -> ()
   | Some r ->
       let module H = Hcsgc_memsim.Hierarchy in
-      (* Flush before reading any counter: record fields evaluate in
-         unspecified order, and [far_loads] must see the merged epoch. *)
       let wall = wall_cycles t in
       let c = Machine.counters t.machine in
       let st = Collector.stats t.collector in
@@ -314,9 +237,6 @@ let maybe_sample t =
 
 (* Give GC threads CPU time proportional to the mutator cycles elapsed. *)
 let pump t =
-  (* Epoch barrier first: deferred latencies join the credit before the
-     budget is computed, and collector phases see fully-merged traffic. *)
-  flush_epoch t;
   let budget = int_of_float (float_of_int t.credit *. t.gc_share) in
   t.credit <- 0;
   Collector.set_wall_hint t.collector (wall_cycles t);
@@ -447,36 +367,23 @@ let with_local t obj f =
       push_local t obj;
       f ())
 
-let mutator_cycles t =
-  flush_epoch t;
-  mutator_cycles_max t
-
 let mutator_count t = t.mutators
-
-let shard_domains t = t.shard_domains
 
 let mutator_clock t ~m =
   check_m t m;
-  flush_epoch t;
   t.mut_clock.(m)
 
-let _ = mutator_cycles_sum
 let gc_cycles t = t.gc_cycles_
 let stw_cycles t = t.stw_cycles_
 let ops t = t.op_count
 
-let counters t =
-  flush_epoch t;
-  Machine.counters t.machine
+let counters t = Machine.counters t.machine
 
 let tier t = Machine.tier t.machine
 
-let far_loads t =
-  flush_epoch t;
-  Machine.far_loads t.machine
+let far_loads t = Machine.far_loads t.machine
 
 let mutator_counters t =
-  flush_epoch t;
   let module H = Hcsgc_memsim.Hierarchy in
   let sum = ref (Machine.core_counters t.machine ~core:0) in
   for m = 1 to t.mutators - 1 do
@@ -508,7 +415,6 @@ let enable_telemetry ?(sample_interval = 50_000) t =
       t.telemetry <- Some r;
       t.trace_sample <- sample_interval;
       t.next_sample <- sample_interval;
-      flush_epoch t;
       (* One sink for everything: the Gc_log recorder (if any) and the
          telemetry translation share the collector's event stream.  Extra
          counter samples are forced at cycle boundaries so per-cycle deltas
@@ -565,14 +471,7 @@ let finish t =
   | None -> ()
   | Some r ->
       Recorder.close_all r ~wall:(wall_cycles t);
-      take_sample t);
-  (* Join the shard workers.  A later epoch (unusual but legal) lazily
-     spawns a fresh pool. *)
-  match t.pool with
-  | None -> ()
-  | Some p ->
-      Pool.shutdown p;
-      t.pool <- None
+      take_sample t)
 
 let full_gc t =
   for _ = 1 to 2 do

@@ -34,7 +34,6 @@ val create :
   ?autotune:bool ->
   ?gc_log:bool ->
   ?mutators:int ->
-  ?shard_domains:int ->
   ?verify:bool ->
   config:Hcsgc_core.Config.t ->
   max_heap:int ->
@@ -60,18 +59,6 @@ val create :
     pages, own clock); the workload interleaves them cooperatively by
     passing [~m] to the mutator operations.  Wall time follows the slowest
     mutator.  Incompatible with [saturated].
-    [shard_domains] (default 0) selects the execution model for the memory
-    hierarchy simulation.  [0] is the classic inline interleave.  [n >= 1]
-    is {e epoch-sharded} execution: each mutator core's cache traffic is
-    deferred into a per-shard log and simulated at epoch barriers — replay
-    of private L1/L2/TLB/prefetcher state fans out over up to [n] worker
-    domains, then each shard's LLC-bound traffic merges into the shared
-    LLC sequentially in mutator-id order.  Results are byte-identical for
-    every [n >= 1]; only wall-clock time varies with [n].  Note the two
-    execution models legitimately differ (deferral changes when latency
-    reaches the GC pacing credit), which is why [0] remains the default
-    and sharded runs are content-addressed under a distinct key.
-    Incompatible with [saturated].
     [verify] installs the {!Hcsgc_verify.Invariants} heap sanitizer (with
     the mark-sweep oracle) for the whole run; when omitted it defaults to
     the [HCSGC_VERIFY] environment variable ([1]/[true]/[yes]), the hook CI
@@ -164,9 +151,6 @@ val mutator_cycles : t -> int
 
 val mutator_count : t -> int
 
-val shard_domains : t -> int
-(** The [shard_domains] the VM was created with (0 = inline execution). *)
-
 val mutator_clock : t -> m:int -> int
 (** A specific mutator thread's simulated cycles. *)
 
@@ -182,8 +166,7 @@ val tier : t -> Hcsgc_memsim.Tier.t option
     ([tier_capacity_pages > 0]). *)
 
 val far_loads : t -> int
-(** Machine-wide demand loads served by the far tier (0 with tiering off).
-    Flushes any pending epoch first, so the value is exact. *)
+(** Machine-wide demand loads served by the far tier (0 with tiering off). *)
 
 val mutator_counters : t -> Hcsgc_memsim.Hierarchy.counters
 (** Counters summed over the mutator cores only (unavailable to the paper's

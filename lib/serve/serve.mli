@@ -83,7 +83,7 @@ val default : params
 val run : Vm.t -> params -> result
 (** Prepopulate every key, then drive the arrival timeline to exhaustion.
     Deterministic for fixed params on a fixed VM configuration — including
-    across [shard_domains] counts and instrumented vs. plain runs.
+    across instrumented vs. plain runs.
     @raise Invalid_argument on non-positive sizes or a mix that does not
     sum to 100. *)
 

@@ -101,8 +101,8 @@ type mirror = {
 
 (* [cur_m] is the mutator thread issuing the current action: the driver
    deals actions round-robin over the VM's mutators, so a multi-mutator
-   fuzz exercises per-thread clocks, bump targets and (sharded) epoch
-   logs without changing the logical action sequence. *)
+   fuzz exercises per-thread clocks, bump targets and private caches
+   without changing the logical action sequence. *)
 type st = {
   vm : Vm.t;
   root : Heap_obj.t;
@@ -267,9 +267,9 @@ let message_of_exn = function
   | Mismatch m -> "mirror mismatch: " ^ m
   | e -> Printexc.to_string e
 
-let run ?(verify = true) ?(oracle = true) ?(mutators = 1)
-    ?(shard_domains = 0) ~config ~slots actions =
-  let vm = Vm.create ~layout ~mutators ~shard_domains ~config ~max_heap () in
+let run ?(verify = true) ?(oracle = true) ?(mutators = 1) ~config ~slots
+    actions =
+  let vm = Vm.create ~layout ~mutators ~config ~max_heap () in
   if verify then Invariants.install ~oracle (Vm.collector vm);
   let root = Vm.alloc vm ~nrefs:slots ~nwords:0 in
   Vm.add_root vm root;
@@ -360,12 +360,11 @@ let splice inject base =
   go 0 base inj
 
 let check_seed ?(verify = true) ?(oracle = true) ?(mutators = 1)
-    ?(shard_domains = 0) ?(shrink_budget = 400) ?(inject = []) ~config
-    ~slots ~ops ~seed () =
+    ?(shrink_budget = 400) ?(inject = []) ~config ~slots ~ops ~seed () =
   let base = Array.to_list (generate ~seed ~ops ~slots) in
   let all = splice inject base in
   let indexed = List.mapi (fun i a -> (i, a)) all in
-  let run = run ~verify ~oracle ~mutators ~shard_domains ~config ~slots in
+  let run = run ~verify ~oracle ~mutators ~config ~slots in
   match run all with
   | Pass _ -> None
   | Fail first ->
@@ -380,10 +379,9 @@ let check_seed ?(verify = true) ?(oracle = true) ?(mutators = 1)
       Some
         { seed; ops; slots; kept = List.map fst minimal; actions; failure }
 
-let replay ?(verify = true) ?(oracle = true) ?(mutators = 1)
-    ?(shard_domains = 0) ~config (cex : counterexample) =
-  run ~verify ~oracle ~mutators ~shard_domains ~config ~slots:cex.slots
-    cex.actions
+let replay ?(verify = true) ?(oracle = true) ?(mutators = 1) ~config
+    (cex : counterexample) =
+  run ~verify ~oracle ~mutators ~config ~slots:cex.slots cex.actions
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

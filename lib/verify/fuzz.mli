@@ -75,7 +75,6 @@ val run :
   ?verify:bool ->
   ?oracle:bool ->
   ?mutators:int ->
-  ?shard_domains:int ->
   config:Config.t ->
   slots:int ->
   action list ->
@@ -89,9 +88,7 @@ val run :
     [mutators] (default 1) deals the actions round-robin over that many VM
     mutator threads (action [i] runs on thread [i mod mutators]) — the
     logical sequence is unchanged, but clocks, allocation targets and cache
-    traffic spread across cores.  [shard_domains] (default 0) selects the
-    VM execution model ({!Hcsgc_runtime.Vm.create}); outcomes are identical
-    at any [shard_domains >= 1]. *)
+    traffic spread across cores. *)
 
 val shrink :
   ?budget:int ->
@@ -106,7 +103,6 @@ val check_seed :
   ?verify:bool ->
   ?oracle:bool ->
   ?mutators:int ->
-  ?shard_domains:int ->
   ?shrink_budget:int ->
   ?inject:(int * action) list ->
   config:Config.t ->
@@ -120,10 +116,9 @@ val check_seed :
     (the hook for seeded-corruption tests).  [None] means the seed passed. *)
 
 val replay : ?verify:bool -> ?oracle:bool -> ?mutators:int ->
-  ?shard_domains:int -> config:Config.t -> counterexample -> outcome
+  config:Config.t -> counterexample -> outcome
 (** Re-run a counterexample's minimal action list (under the same
-    [mutators]/[shard_domains] as the original run, or the failure may not
-    reproduce). *)
+    [mutators] as the original run, or the failure may not reproduce). *)
 
 val pp_action : Format.formatter -> action -> unit
 val pp_failure : Format.formatter -> failure -> unit

@@ -36,8 +36,7 @@ let run vm p =
     invalid_arg "Multi_synthetic.run: more mutators than VM threads";
   (* One element array per mutator, all hanging off a shared root: each
      thread's working set is private (its own pages, its own cache
-     footprint) while the heap, GC schedule and LLC stay shared — the
-     shape sharded execution is built for. *)
+     footprint) while the heap, GC schedule and LLC stay shared. *)
   let root = Vm.alloc vm ~nrefs:p.mutators ~nwords:0 in
   Vm.add_root vm root;
   for m = 0 to p.mutators - 1 do

@@ -6,9 +6,8 @@
     Threads interleave in round-robin slices — thread [m] runs its whole
     slice of a round before thread [m+1] — so the logical schedule is
     deterministic by construction.  Per-thread checksums make any
-    cross-thread mixup observable.  This is the stress workload for the
-    epoch-sharded execution model ({!Hcsgc_runtime.Vm.create}'s
-    [shard_domains]) and the [bench/shard] scaling microbench. *)
+    cross-thread mixup observable.  Tests use it to check that
+    verification stays transparent with many mutators sharing the heap. *)
 
 type params = {
   mutators : int;  (** cooperative threads; must be <= the VM's mutators *)

@@ -5,7 +5,7 @@ let () =
     (Test_util.suite @ Test_exec.suite @ Test_memsim.suite @ Test_tlb.suite
    @ Test_heap.suite
    @ Test_stats.suite
-   @ Test_core.suite @ Test_runtime.suite @ Test_multi_mutator.suite @ Test_shard.suite
+   @ Test_core.suite @ Test_runtime.suite @ Test_multi_mutator.suite
    @ Test_graph.suite
    @ Test_workloads.suite @ Test_experiments.suite @ Test_store.suite
    @ Test_collector_unit.suite

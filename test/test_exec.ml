@@ -135,25 +135,6 @@ let default_jobs_env_override () =
             (d >= 1 && d <= 16)))
     [ "0"; "-2"; "many"; "" ]
 
-let fork_join_covers_all_indices () =
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          let hits = Array.make 40 0 in
-          Pool.fork_join pool ~n:40 (fun i ->
-              hits.(i) <- hits.(i) + 1);
-          check (Alcotest.array Alcotest.int)
-            (Printf.sprintf "each index once at jobs:%d" jobs)
-            (Array.make 40 1) hits;
-          (* n = 0 is a no-op, not an error. *)
-          Pool.fork_join pool ~n:0 (fun _ -> Alcotest.fail "called at n=0")))
-    [ 1; 4 ]
-
-let fork_join_propagates_exception () =
-  Alcotest.check_raises "task exception re-raised" (Boom 3) (fun () ->
-      Pool.with_pool ~jobs:2 (fun pool ->
-          Pool.fork_join pool ~n:8 (fun i -> if i = 6 then raise (Boom 3))))
-
 (* ------------------------------------------------------------------ *)
 (* Reporter                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -225,9 +206,6 @@ let suite =
         case "shutdown rejects submits" `Quick submit_after_shutdown_rejected;
         case "default_jobs clamped" `Quick default_jobs_clamped;
         case "default_jobs env override" `Quick default_jobs_env_override;
-        case "fork_join covers indices" `Quick fork_join_covers_all_indices;
-        case "fork_join propagates exception" `Quick
-          fork_join_propagates_exception;
       ] );
     ("exec.reporter", [ case "lines stay whole" `Quick reporter_lines_stay_whole ]);
     ( "exec.determinism",

@@ -335,95 +335,6 @@ let machine_flush () =
   Machine.flush m;
   check Alcotest.int "cold after flush" 200 (Machine.load m ~core:0 0)
 
-(* ------------------------------------------------------------------ *)
-(* Machine: epoch sharding                                             *)
-(* ------------------------------------------------------------------ *)
-
-let machine_shard_defers () =
-  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
-  Machine.attach_shards m 1;
-  check Alcotest.int "one shard" 1 (Machine.shards m);
-  check Alcotest.bool "clean before traffic" false (Machine.shards_dirty m);
-  (* Shard core: logged, latency deferred to the merge. *)
-  check Alcotest.int "deferred load returns 0" 0 (Machine.load m ~core:0 0);
-  check Alcotest.bool "dirty after logging" true (Machine.shards_dirty m);
-  (* Non-shard core (the GC core) stays inline. *)
-  check Alcotest.int "core 1 still inline" 200 (Machine.load m ~core:1 4096);
-  let lats = Machine.flush_shards m in
-  check Alcotest.int "cold deferred load cost at merge" 200 lats.(0);
-  check Alcotest.bool "clean after merge" false (Machine.shards_dirty m)
-
-(* The single-shard oracle: with all mutator traffic on one shard core,
-   replay order equals issue order, so an epoch must resolve to exactly
-   the latencies and counters of the classic inline machine driven with
-   the same sequence. *)
-let machine_shard_matches_inline () =
-  let drive load store =
-    (* Mixed loads/stores/ranges with re-references (cache hits), spread
-       wide enough to produce L1/L2/LLC misses. *)
-    let lat = ref 0 in
-    for i = 0 to 199 do
-      lat := !lat + load (i * 8192);
-      lat := !lat + store ((i * 8192) + 64);
-      if i mod 3 = 0 then lat := !lat + load ((i / 2) * 8192)
-    done;
-    !lat
-  in
-  let inline_m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
-  let inline_lat =
-    drive (Machine.load inline_m ~core:0) (Machine.store inline_m ~core:0)
-  in
-  let sharded = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
-  Machine.attach_shards sharded 1;
-  let zero =
-    drive (Machine.load sharded ~core:0) (Machine.store sharded ~core:0)
-  in
-  check Alcotest.int "all latency deferred" 0 zero;
-  let lats = Machine.flush_shards sharded in
-  check Alcotest.int "epoch latency equals inline" inline_lat lats.(0);
-  check Alcotest.bool "machine counters equal" true
-    (Machine.counters sharded = Machine.counters inline_m);
-  check Alcotest.bool "core counters equal" true
-    (Machine.core_counters sharded ~core:0
-    = Machine.core_counters inline_m ~core:0);
-  check Alcotest.int "tlb equal" (Machine.tlb_misses inline_m)
-    (Machine.tlb_misses sharded)
-
-(* Mirror of the machine-wide counters test, through the per-shard view. *)
-let machine_shard_counters () =
-  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
-  Machine.attach_shards m 2;
-  ignore (Machine.load m ~core:0 0);
-  ignore (Machine.load m ~core:1 0);
-  ignore (Machine.flush_shards m);
-  let s0 = Machine.shard_counters m ~shard:0 in
-  let s1 = Machine.shard_counters m ~shard:1 in
-  check Alcotest.int "shard 0 loads" 1 s0.Hierarchy.loads;
-  check Alcotest.int "shard 1 loads" 1 s1.Hierarchy.loads;
-  check Alcotest.int "shard 0 misses L1" 1 s0.Hierarchy.l1_misses;
-  (* Shard 0 merged first, so only it missed the shared LLC; shard 1
-     missed its private levels but hit the LLC. *)
-  check Alcotest.int "shard 0 missed LLC" 1 s0.Hierarchy.llc_misses;
-  check Alcotest.int "shard 1 hit LLC" 0 s1.Hierarchy.llc_misses;
-  (* The per-shard view is the per-core view (see machine.mli). *)
-  check Alcotest.bool "shard = core counters" true
-    (s0 = Machine.core_counters m ~core:0);
-  let c = Machine.counters m in
-  check Alcotest.int "machine-wide loads" 2 c.Hierarchy.loads;
-  check Alcotest.int "one LLC miss machine-wide" 1 c.Hierarchy.llc_misses;
-  Alcotest.check_raises "bad shard"
-    (Invalid_argument "Machine: shard index out of range") (fun () ->
-      ignore (Machine.shard_counters m ~shard:2))
-
-let machine_shard_flush_discards_log () =
-  let m = Machine.create ~cfg:no_prefetch_config ~cores:2 () in
-  Machine.attach_shards m 1;
-  ignore (Machine.load m ~core:0 0);
-  Machine.flush m;
-  check Alcotest.bool "pending log discarded" false (Machine.shards_dirty m);
-  let lats = Machine.flush_shards m in
-  check Alcotest.int "nothing to replay" 0 lats.(0)
-
 let suite =
   [
     ( "memsim.cache",
@@ -468,13 +379,5 @@ let suite =
         case "core bounds" `Quick machine_core_bounds;
         case "mixed line sizes rejected" `Quick machine_line_size_mismatch;
         case "flush" `Quick machine_flush;
-      ] );
-    ( "memsim.machine.shards",
-      [
-        case "deferred routing" `Quick machine_shard_defers;
-        case "single shard matches inline" `Quick machine_shard_matches_inline;
-        case "shard counters" `Quick machine_shard_counters;
-        case "flush discards pending log" `Quick
-          machine_shard_flush_discards_log;
       ] );
   ]

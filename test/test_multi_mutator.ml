@@ -1,11 +1,15 @@
 (* Tests for multi-mutator VMs: per-thread clocks and caches, shared heap,
-   relocation attribution per thread, determinism. *)
+   relocation attribution per thread, determinism, verifier transparency
+   and multi-mutator fuzzing under the mark-sweep oracle. *)
 
 module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
 module Gc_stats = Hcsgc_core.Gc_stats
 module Layout = Hcsgc_heap.Layout
 module H = Hcsgc_memsim.Hierarchy
+module Runner = Hcsgc_experiments.Runner
+module Multi = Hcsgc_workloads.Multi_synthetic
+module Fuzz = Hcsgc_fuzz.Fuzz
 
 let check = Alcotest.check
 let case = Alcotest.test_case
@@ -130,6 +134,67 @@ let counters_cover_all_mutators () =
   let mc = Vm.mutator_counters vm in
   check Alcotest.bool "both threads' loads counted" true (mc.H.loads >= 2)
 
+(* The verification mirror observes the heap and never touches the memory
+   hierarchy, so a verified Multi_synthetic run must match an unverified
+   one metric for metric. *)
+let verifier_transparent () =
+  let params =
+    {
+      Multi.default with
+      Multi.mutators = 4;
+      elements_per_mutator = 800;
+      rounds = 10;
+      accesses_per_round = 1_000;
+    }
+  in
+  let run verify =
+    let vm =
+      Vm.create ~layout ~verify ~mutators:params.Multi.mutators
+        ~config:(Config.of_id 18) ~max_heap:(16 * 1024 * 1024) ()
+    in
+    let r = Multi.run vm params in
+    Vm.finish vm;
+    Runner.metrics_to_string (Runner.collect vm)
+    ^ "|"
+    ^ String.concat ","
+        (List.map string_of_int (Array.to_list r.Multi.checksums))
+  in
+  check Alcotest.string "verify:true = verify:false" (run false) (run true)
+
+(* Random heap-op sequences over three mutators; [check_seed] keeps the
+   invariant sweeps and the mark-sweep oracle on. *)
+let fuzz_seeds ~config seeds =
+  List.iter
+    (fun seed ->
+      match
+        Fuzz.check_seed ~mutators:3 ~config ~slots:24 ~ops:1_200 ~seed ()
+      with
+      | None -> ()
+      | Some cex ->
+          Alcotest.failf "seed %d failed:@.%a" seed Fuzz.pp_counterexample cex)
+    seeds
+
+let fuzz_multi_mutator () = fuzz_seeds ~config:(Config.of_id 18) [ 1; 2; 3 ]
+
+(* Demotion at mark end and promotion from the barrier, with three
+   mutators racing the collector for the same far-tier pages. *)
+let fuzz_multi_mutator_tiered () =
+  fuzz_seeds
+    ~config:
+      (Hcsgc_experiments.Fig_tier.tier_config ~capacity:8 ~lat_far:800
+         ~promote:true)
+    [ 2 ]
+
+let fuzz_outcome_repeatable () =
+  let actions = Array.to_list (Fuzz.generate ~seed:11 ~ops:1_000 ~slots:20) in
+  let outcome () =
+    Fuzz.run ~mutators:3 ~config:(Config.of_id 18) ~slots:20 actions
+  in
+  match (outcome (), outcome ()) with
+  | Fuzz.Pass { gc_cycles = a }, Fuzz.Pass { gc_cycles = b } ->
+      check Alcotest.int "gc cycles repeat" a b
+  | _ -> Alcotest.fail "expected Pass on both runs"
+
 let suite =
   [
     ( "runtime.multi_mutator",
@@ -141,5 +206,9 @@ let suite =
         case "GC with two mutators" `Slow gc_with_multiple_mutators;
         case "deterministic" `Quick deterministic;
         case "counters cover mutators" `Quick counters_cover_all_mutators;
+        case "verifier transparent" `Quick verifier_transparent;
+        case "fuzz three mutators" `Slow fuzz_multi_mutator;
+        case "fuzz three mutators tiered" `Slow fuzz_multi_mutator_tiered;
+        case "fuzz outcome repeatable" `Quick fuzz_outcome_repeatable;
       ] );
   ]

@@ -1,5 +1,5 @@
 (* Tests for hcsgc.serve: the arrival process, the serving loop's
-   determinism contract (shard counts, telemetry, verification, fig_serve
+   determinism contract (telemetry, verification, fig_serve
    job parallelism, warm-vs-cold store replay), and the SLO analyzer's
    busy-period pause attribution. *)
 
@@ -27,16 +27,15 @@ let small_params =
     load = 300.0;
   }
 
-let make_vm ?(shard_domains = 0) ?(config = 18) () =
+let make_vm ?(config = 18) () =
   Vm.create ~layout
     ~machine_config:Hcsgc_experiments.Scaled_machine.config
     ~config:(Config.of_id config)
     ~max_heap:(2 * 1024 * 1024)
-    ~mutators:small_params.Serve.mutators ~shard_domains ~trigger:0.10 ()
+    ~mutators:small_params.Serve.mutators ~trigger:0.10 ()
 
-let run_small ?shard_domains ?config ?(telemetry = true) ?(verify = false) ()
-    =
-  let vm = make_vm ?shard_domains ?config () in
+let run_small ?config ?(telemetry = true) ?(verify = false) () =
+  let vm = make_vm ?config () in
   if verify then Vm.enable_verification vm;
   let recorder = if telemetry then Some (Vm.enable_telemetry vm) else None in
   let r = Serve.run vm small_params in
@@ -155,13 +154,6 @@ let arrival_validation () =
 (* ------------------------------------------------------------------ *)
 (* Serving-loop determinism                                            *)
 (* ------------------------------------------------------------------ *)
-
-let serve_shard_determinism () =
-  let s1 = signature (run_small ~shard_domains:1 ()) in
-  let s2 = signature (run_small ~shard_domains:2 ()) in
-  let s4 = signature (run_small ~shard_domains:4 ()) in
-  Alcotest.(check string) "shard 2 = shard 1" s1 s2;
-  Alcotest.(check string) "shard 4 = shard 1" s1 s4
 
 let serve_telemetry_free () =
   (* Recording is pure observation: the request streams (latencies, wall
@@ -440,8 +432,6 @@ let suite =
         Alcotest.test_case "arrival: bursty shape" `Quick arrival_bursty_shape;
         Alcotest.test_case "arrival: parser" `Quick arrival_parser;
         Alcotest.test_case "arrival: validation" `Quick arrival_validation;
-        Alcotest.test_case "determinism across shard counts" `Quick
-          serve_shard_determinism;
         Alcotest.test_case "telemetry charges nothing" `Quick
           serve_telemetry_free;
         Alcotest.test_case "verified run identical" `Quick

@@ -366,48 +366,6 @@ let corrupt_entry_rerun_end_to_end () =
            (Runner.fingerprint ~verify:false (job ()))))
 
 (* ------------------------------------------------------------------ *)
-(* Sharded execution and the store                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Fig_synthetic = Hcsgc_experiments.Fig_synthetic
-
-let shard_job shard_domains =
-  {
-    Runner.exp = Fig_synthetic.experiment ~shard_domains ~scale:50 ();
-    config_id = 18;
-    run = 0;
-  }
-
-let shard_count_not_in_fingerprint () =
-  (* The epoch model is deterministic at any shard count, so the count is
-     an execution knob, not a parameter: fingerprints at counts >= 1 must
-     coincide.  The inline model (count 0) is a different interleaving and
-     must key separately — em_tag marks the model, not the width. *)
-  let fp sd = Runner.fingerprint ~verify:false (shard_job sd) in
-  check Alcotest.bool "shard 1 = shard 4" true (fp 1 = fp 4);
-  check Alcotest.bool "shard 4 = shard 8" true (fp 4 = fp 8);
-  check Alcotest.bool "inline /= sharded" true (fp 0 <> fp 1);
-  check Alcotest.string "em_tag spells the model" ";em=1" (Runner.em_tag 4);
-  check Alcotest.string "inline has no tag" "" (Runner.em_tag 0)
-
-let cache_hit_across_shard_counts () =
-  with_temp_dir (fun dir ->
-      let cache = Runner.cache ~dir () in
-      let cold = Runner.execute ~cache (shard_job 1) in
-      let warm = Runner.execute ~cache (shard_job 4) in
-      check Alcotest.bool "shard-4 job served from shard-1 entry" true
-        (cold = warm);
-      let c = Result_store.counters cache.Runner.store in
-      check Alcotest.int "computed once" 1 c.Result_store.stored;
-      check Alcotest.int "served once" 1 c.Result_store.hits;
-      (* ... and the cached payload really is what shard 4 would compute:
-         a fresh uncached run agrees byte for byte. *)
-      let fresh = Runner.execute (shard_job 4) in
-      check Alcotest.string "cached = recomputed at shard 4"
-        (Runner.metrics_to_string cold)
-        (Runner.metrics_to_string fresh))
-
-(* ------------------------------------------------------------------ *)
 (* Serving-tier experiment keys                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -418,12 +376,10 @@ module Keydist = Hcsgc_workloads.Keydist
 
 let serve_knobs_in_experiment_key () =
   (* Every result-affecting serving knob must move the content address;
-     the run seed must not (repetitions are addressed via ~run), and the
-     shard count must only key the execution model (0 vs >= 1). *)
+     the run seed must not (repetitions are addressed via ~run). *)
   let p = Serve.default in
-  let key ?heap ?(params = p) ?(shard_domains = 1)
-      ?(slo = Fig_serve.default_slo) () =
-    Fig_serve.experiment_key ?heap ~params ~shard_domains ~slo ()
+  let key ?heap ?(params = p) ?(slo = Fig_serve.default_slo) () =
+    Fig_serve.experiment_key ?heap ~params ~shard_domains:0 ~slo ()
   in
   let base = key () in
   let moved name k =
@@ -452,10 +408,17 @@ let serve_knobs_in_experiment_key () =
     (key ~params:{ p with Serve.duration = p.Serve.duration + 1 } ());
   moved "slo threshold" (key ~slo:(Fig_serve.default_slo + 1) ());
   moved "heap budget" (key ~heap:(4 * 1024 * 1024) ());
-  moved "execution model" (key ~shard_domains:0 ());
   check Alcotest.string "seed normalised out" base
     (key ~params:{ p with Serve.seed = 17 } ());
-  check Alcotest.string "shard width not addressed" base (key ~shard_domains:4 ())
+  (* Only the inline execution model exists: the retired label rejects
+     anything else. *)
+  Alcotest.check_raises "non-zero shard_domains rejected"
+    (Invalid_argument
+       "Fig_serve.experiment_key: only the inline model (0) exists")
+    (fun () ->
+      ignore
+        (Fig_serve.experiment_key ~params:p ~shard_domains:1
+           ~slo:Fig_serve.default_slo ()))
 
 let suite =
   [
@@ -466,6 +429,8 @@ let suite =
         case "sensitive to every input" `Quick fingerprint_sensitive_to_each_input;
         case "sensitive to tier knobs" `Quick fingerprint_sensitive_to_tier_knobs;
         case "length-prefixed fields" `Quick fingerprint_no_concatenation_collisions;
+        case "serve knobs in experiment key" `Quick
+          serve_knobs_in_experiment_key;
       ] );
     ( "store.codec",
       [
@@ -487,15 +452,6 @@ let suite =
         case "LPT order" `Quick scheduler_orders_longest_first;
         case "pool preserves result positions" `Quick
           pool_in_order_respects_result_positions;
-      ] );
-    ( "store.sharding",
-      [
-        case "shard count not in fingerprint" `Quick
-          shard_count_not_in_fingerprint;
-        case "cache hit across shard counts" `Quick
-          cache_hit_across_shard_counts;
-        case "serve knobs in experiment key" `Quick
-          serve_knobs_in_experiment_key;
       ] );
     ( "store.sweep",
       [

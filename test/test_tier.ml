@@ -1,8 +1,8 @@
 (* Tests for the far-memory tier: raw Tier residency against a naive
    reference model, heap tier-byte accounting against a reference, the
    far-counter scoping discipline at the machine level, end-to-end
-   tiering effectiveness, the determinism battery (shard counts, worker
-   counts, verified runs, warm store replay), and Corrupt_tier fault
+   tiering effectiveness, the determinism battery (worker counts,
+   verified runs, warm store replay), and Corrupt_tier fault
    injection through the sanitizer. *)
 
 module Tier = Hcsgc_memsim.Tier
@@ -316,25 +316,18 @@ let config_validation () =
 (* Determinism battery                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let tiered_metrics ~shard_domains ~verify =
-  let exp = Fig_synthetic.experiment ~cold_ratio:4 ~shard_domains ~scale:50 () in
+let tiered_metrics ~verify =
+  let exp = Fig_synthetic.experiment ~cold_ratio:4 ~scale:50 () in
   let vm = exp.Runner.make_vm (tiered_config ()) in
   if verify then Vm.enable_verification vm;
   exp.Runner.workload vm ~run:0;
   Vm.finish vm;
   Runner.metrics_to_string (Runner.collect vm)
 
-let tiered_shard_counts_identical () =
-  let reference = tiered_metrics ~shard_domains:1 ~verify:false in
-  check Alcotest.string "shard 2 = shard 1" reference
-    (tiered_metrics ~shard_domains:2 ~verify:false);
-  check Alcotest.string "shard 4 = shard 1" reference
-    (tiered_metrics ~shard_domains:4 ~verify:false)
-
 let tiered_verified_equals_unverified () =
   check Alcotest.string "verified = unverified"
-    (tiered_metrics ~shard_domains:0 ~verify:false)
-    (tiered_metrics ~shard_domains:0 ~verify:true)
+    (tiered_metrics ~verify:false)
+    (tiered_metrics ~verify:true)
 
 let render_sweep results =
   String.concat "\n"
@@ -459,7 +452,6 @@ let suite =
       ] );
     ( "tier.determinism",
       [
-        case "shard counts byte-identical" `Slow tiered_shard_counts_identical;
         case "verified = unverified" `Slow tiered_verified_equals_unverified;
         case "sweep -j4 = -j1" `Slow tier_sweep_jobs_identical;
         case "warm store replay byte-identical" `Slow
