@@ -1,4 +1,5 @@
-(* hcsgc-run: command-line driver for single experiments.
+(* hcsgc-run: command-line driver for single experiments and the paper's
+   tables and figures.
 
    Examples:
      hcsgc-run synthetic --config 16 --elements 50000
@@ -6,7 +7,8 @@
      hcsgc-run graph --algo mc --dataset uk --config 4
      hcsgc-run h2 --config 7
      hcsgc-run specjbb --config 0
-     hcsgc-run figure f9 --runs 5 --scale 2 *)
+     hcsgc-run figure f9 f12 --runs 5
+     hcsgc-run figure all --full *)
 
 open Cmdliner
 module E = Hcsgc_experiments
@@ -15,62 +17,50 @@ module Config = Hcsgc_core.Config
 module Gc_stats = Hcsgc_core.Gc_stats
 module Layout = Hcsgc_heap.Layout
 module H = Hcsgc_memsim.Hierarchy
+module Result_store = Hcsgc_store.Result_store
 
 let fmt = Format.std_formatter
 
 (* ------------------------------------------------------------------ *)
-(* Common options                                                      *)
+(* Shared terms, one per concern                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* Validating converters: a bad value is a usage error (exit 124), never
+   an exception deep inside a run. *)
+let int_conv ~expected ok =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when ok n -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expected s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive = int_conv ~expected:"a positive integer" (fun n -> n > 0)
 
 let config_id =
   let doc = "Table 2 configuration id (0-18); 0 is unmodified ZGC." in
-  Arg.(value & opt int 0 & info [ "config"; "c" ] ~docv:"ID" ~doc)
+  let id =
+    int_conv ~expected:"a configuration id in 0-18" (fun n ->
+        n >= 0 && n < Config.id_count)
+  in
+  Arg.(value & opt id 0 & info [ "config"; "c" ] ~docv:"ID" ~doc)
 
 let all_configs =
   let doc = "Sweep all 19 configurations and print the figure panels." in
   Arg.(value & flag & info [ "all-configs"; "a" ] ~doc)
 
-let runs =
-  let doc = "Sample size per configuration (with --all-configs)." in
-  Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc)
-
-let jobs =
+let scale_opt =
   let doc =
-    "Worker domains for sweeps (with --all-configs). The default is the \
-     machine's recommended domain count, clamped. Results are aggregated \
-     in job order, so output is identical at any $(docv)."
+    "Divide workload size by $(docv). Defaults to 1; $(b,figure) defaults \
+     to each artefact's own scale."
   in
-  Arg.(value
-      & opt int (Hcsgc_exec.Pool.default_jobs ())
-      & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some positive) None & info [ "scale" ] ~docv:"K" ~doc)
 
-let scale =
-  let doc = "Divide workload size by $(docv)." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
-
-let saturated =
-  let doc = "Pin mutator and GC to a single core (Fig. 6 setup)." in
-  Arg.(value & flag & info [ "saturated" ] ~doc)
+let scale = Term.(const (Option.value ~default:1) $ scale_opt)
 
 let seed =
   let doc = "Workload seed." in
   Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
-
-let gc_log_flag =
-  let doc = "Print the structured GC event log after the run." in
-  Arg.(value & flag & info [ "gc-log" ] ~doc)
-
-let trace_out =
-  let doc =
-    "Write a Chrome trace-event JSON profile of the run to $(docv) \
-     (load it in Perfetto or chrome://tracing), plus a CSV counter \
-     time-series and a plain-text summary next to it."
-  in
-  Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
-
-let trace_sample =
-  let doc = "Counter sampling interval in simulated cycles (with --trace-out)." in
-  Arg.(value & opt int 50_000 & info [ "trace-sample" ] ~docv:"N" ~doc)
 
 let verify_flag =
   let doc =
@@ -82,75 +72,172 @@ let verify_flag =
   in
   Arg.(value & flag & info [ "verify" ] ~doc)
 
-let cache_dir =
-  let doc =
-    "Persistent result store for sweep jobs (with --all-configs). Jobs \
-     are content-addressed by experiment parameters, configuration \
-     knobs, seed and verify flag; warm sweeps are byte-identical to cold \
-     ones and only faster."
+(* The result store: [None] with --no-cache. *)
+let cache =
+  let cache_dir =
+    let doc =
+      "Persistent result store for sweep jobs. Jobs are content-addressed \
+       by experiment parameters, configuration knobs, seed and verify flag; \
+       warm sweeps are byte-identical to cold ones and only faster."
+    in
+    Arg.(value
+        & opt string E.Runner.default_cache_dir
+        & info [ "cache-dir" ] ~docv:"DIR" ~doc)
   in
-  Arg.(value
-      & opt string E.Runner.default_cache_dir
-      & info [ "cache-dir" ] ~docv:"DIR" ~doc)
-
-let no_cache =
-  let doc = "Disable the result store entirely." in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
-let refresh_flag =
-  let doc =
-    "Recompute every job and overwrite its result-store entry (use after \
-     changes the fingerprint cannot see, e.g. to re-measure timings)."
+  let no_cache =
+    let doc = "Disable the result store entirely." in
+    Arg.(value & flag & info [ "no-cache" ] ~doc)
   in
-  Arg.(value & flag & info [ "refresh" ] ~doc)
-
-let cache_of ~no_cache ~refresh ~cache_dir =
-  if no_cache then None
-  else Some (E.Runner.cache ~refresh ~dir:cache_dir ())
-
-(* Far-memory tier knobs, accepted by every workload command.  Default
-   off (capacity 0), which leaves each command's output byte-identical to
-   the tier-free build. *)
-
-let tier_capacity =
-  let doc =
-    "Far-memory tier capacity in small pages; 0 (default) disables \
-     tiering. Cold pages (no hot evidence across a GC cycle) are demoted \
-     behind DRAM at mark end and promoted back on barrier access. \
-     Requires a HOTNESS configuration."
+  let refresh =
+    let doc =
+      "Recompute every job and overwrite its result-store entry (use after \
+       changes the fingerprint cannot see, e.g. to re-measure timings)."
+    in
+    Arg.(value & flag & info [ "refresh" ] ~doc)
   in
-  Arg.(value & opt int 0 & info [ "tier-capacity" ] ~docv:"PAGES" ~doc)
-
-let lat_far_arg =
-  let doc =
-    "Far-tier access latency in cycles (a demand load into a far-resident \
-     line pays $(docv) instead of DRAM latency)."
+  let make dir no_cache refresh =
+    if no_cache then None else Some (E.Runner.cache ~refresh ~dir ())
   in
-  Arg.(value & opt int 800 & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
+  Term.(const make $ cache_dir $ no_cache $ refresh)
 
-let tier_no_promote =
-  let doc =
-    "Leave far pages stranded on mutator access (demote-only tiering) \
-     instead of promoting them back to DRAM."
+let report_store tag cache =
+  Option.iter
+    (fun c ->
+      let store = c.E.Runner.store in
+      let s = Result_store.counters store in
+      Format.eprintf "[%s] %s@." tag
+        (Hcsgc_telemetry.Summary.store_line ~dir:(Result_store.dir store)
+           ~hits:s.Result_store.hits ~misses:s.Result_store.misses
+           ~corrupt:s.Result_store.corrupt ~stored:s.Result_store.stored
+           ~bytes_read:s.Result_store.bytes_read
+           ~bytes_written:s.Result_store.bytes_written))
+    cache
+
+type sweep = {
+  runs : int option;  (** [None]: the command's own default *)
+  jobs : int;
+  cache : E.Runner.cache option;
+}
+
+let sweep =
+  let runs =
+    let doc =
+      "Sample size per configuration. Workload sweeps default to 3; \
+       $(b,figure) defaults to each artefact's own size."
+    in
+    Arg.(value & opt (some positive) None & info [ "runs" ] ~docv:"N" ~doc)
   in
-  Arg.(value & flag & info [ "tier-no-promote" ] ~doc)
+  let jobs =
+    let doc =
+      "Worker domains for sweeps. The default is the machine's recommended \
+       domain count, clamped. Results are aggregated in job order, so \
+       output is identical at any $(docv)."
+    in
+    Arg.(value
+        & opt positive (Hcsgc_exec.Pool.default_jobs ())
+        & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  in
+  Term.(const (fun runs jobs cache -> { runs; jobs; cache })
+        $ runs $ jobs $ cache)
 
-let apply_tier ~capacity ~lat_far ~no_promote config =
-  if capacity = 0 then config
-  else
-    match
-      Config.validate
-        {
-          config with
-          Config.tier_capacity_pages = capacity;
-          lat_far;
-          tier_promote = not no_promote;
-        }
-    with
-    | Ok c -> c
-    | Error e ->
-        Format.eprintf "invalid tier flags: %s@." e;
-        exit 2
+(* Far-memory tier knobs.  [None] when --tier-capacity is 0 (the default),
+   which leaves each command's output byte-identical to the tier-free
+   build; otherwise the function puts the knobs on a configuration. *)
+let tier =
+  let capacity =
+    let doc =
+      "Far-memory tier capacity in small pages; 0 (default) disables \
+       tiering. Cold pages (no hot evidence across a GC cycle) are demoted \
+       behind DRAM at mark end and promoted back on barrier access. \
+       Requires a HOTNESS configuration."
+    in
+    Arg.(value & opt int 0 & info [ "tier-capacity" ] ~docv:"PAGES" ~doc)
+  in
+  let lat_far =
+    let doc =
+      "Far-tier access latency in cycles (a demand load into a far-resident \
+       line pays $(docv) instead of DRAM latency)."
+    in
+    Arg.(value & opt int 800 & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
+  in
+  let no_promote =
+    let doc =
+      "Leave far pages stranded on mutator access (demote-only tiering) \
+       instead of promoting them back to DRAM."
+    in
+    Arg.(value & flag & info [ "tier-no-promote" ] ~doc)
+  in
+  let make capacity lat_far no_promote =
+    if capacity = 0 then None
+    else
+      Some
+        (fun config ->
+          match
+            Config.validate
+              {
+                config with
+                Config.tier_capacity_pages = capacity;
+                lat_far;
+                tier_promote = not no_promote;
+              }
+          with
+          | Ok c -> c
+          | Error e ->
+              Format.eprintf "invalid tier flags: %s@." e;
+              exit 2)
+  in
+  Term.(const make $ capacity $ lat_far $ no_promote)
+
+let config_of ~tier config_id =
+  let config = Config.of_id config_id in
+  match tier with Some f -> f config | None -> config
+
+type trace = { out : string option; sample : int }
+
+let trace =
+  let out =
+    let doc =
+      "Write a Chrome trace-event JSON profile of the run to $(docv) \
+       (load it in Perfetto or chrome://tracing), plus a CSV counter \
+       time-series and a plain-text summary next to it."
+    in
+    Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE" ~doc)
+  in
+  let sample =
+    let doc = "Counter sampling interval in simulated cycles." in
+    Arg.(value & opt positive 50_000 & info [ "trace-sample" ] ~docv:"N" ~doc)
+  in
+  Term.(const (fun out sample -> { out; sample }) $ out $ sample)
+
+(* Named experiments, shared by [profile --exp] and [graph --algo
+   --dataset].  Graph inputs are divided by 4 (CC) or 2 (MC) on top of
+   --scale, so the default sizes stay minutes-scale. *)
+let experiments =
+  let module D = Hcsgc_graph.Dataset in
+  let cc dataset scale =
+    E.Fig_graph.cc_experiment ~dataset ~scale:(4 * scale) ()
+  in
+  let mc dataset scale =
+    E.Fig_graph.mc_experiment ~dataset ~scale:(2 * scale) ()
+  in
+  [
+    ("f4", fun scale -> E.Fig_synthetic.experiment ~scale ());
+    ("f5", fun scale -> E.Fig_synthetic.experiment ~phases:3 ~scale ());
+    ( "f6",
+      fun scale ->
+        E.Fig_synthetic.experiment ~cold_ratio:10 ~saturated:true ~heap_mult:2
+          ~scale () );
+    ("cc-uk", cc D.uk_cc);
+    ("cc-enwiki", cc D.enwiki_cc);
+    ("mc-uk", mc D.uk_mc);
+    ("mc-enwiki", mc D.enwiki_mc);
+    ("h2", fun scale -> E.Fig_dacapo.h2_experiment ~scale ());
+    ("tradebeans", fun scale -> E.Fig_dacapo.tradebeans_experiment ~scale ());
+  ]
+
+(* An [enum] over names only: Cmdliner prints defaults by comparing
+   values, which functions do not support. *)
+let names xs = Arg.enum (List.map (fun (n, _) -> (n, n)) xs)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry artefacts                                                 *)
@@ -208,203 +295,120 @@ let report_single vm =
         (Gc_stats.pages_promoted st)
         (Hcsgc_memsim.Tier.peak_bytes t / 1024)
 
-let store_line store =
-  let s = Hcsgc_store.Result_store.counters store in
-  Tel.Summary.store_line
-    ~dir:(Hcsgc_store.Result_store.dir store)
-    ~hits:s.Hcsgc_store.Result_store.hits
-    ~misses:s.Hcsgc_store.Result_store.misses
-    ~corrupt:s.Hcsgc_store.Result_store.corrupt
-    ~stored:s.Hcsgc_store.Result_store.stored
-    ~bytes_read:s.Hcsgc_store.Result_store.bytes_read
-    ~bytes_written:s.Hcsgc_store.Result_store.bytes_written
+(* ------------------------------------------------------------------ *)
+(* synthetic / graph / h2 / tradebeans                                 *)
+(* ------------------------------------------------------------------ *)
 
-let run_experiment ?trace_out ?(trace_sample = 50_000) ?(verify = false)
-    ?cache ?(tier = (0, 800, false)) ~all ~runs ~jobs ~config_id
+let run_experiment config_id all sweep tier trace verify
     (exp : E.Runner.experiment) =
-  let tier_cap, tier_lat, tier_nop = tier in
   if all then begin
-    if trace_out <> None then
+    if trace.out <> None then
       Format.eprintf "[run] --trace-out ignored with --all-configs@.";
-    if tier_cap > 0 then
+    if Option.is_some tier then
       Format.eprintf
         "[run] tier flags ignored with --all-configs (Table 2 sweep; use \
-         the tier command for capacity sweeps)@.";
+         figure ftier for capacity sweeps)@.";
     let results =
-      E.Runner.run_configs ~runs ~jobs ~verify ?cache
+      E.Runner.run_configs
+        ~runs:(Option.value sweep.runs ~default:3)
+        ~jobs:sweep.jobs ~verify ?cache:sweep.cache
         ~progress:(fun m -> Format.eprintf "[run] %s@." m)
         exp
     in
     E.Report.figure fmt ~title:exp.E.Runner.name
-      ~expectation:"(ad-hoc sweep; see bench/main.exe for paper figures)"
+      ~expectation:"(ad-hoc sweep; see hcsgc-run figure for paper figures)"
       results;
-    match cache with
-    | Some c -> Format.eprintf "[run] %s@." (store_line c.E.Runner.store)
-    | None -> ()
+    report_store "run" sweep.cache
   end
   else begin
-    let config =
-      apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
-        (Config.of_id config_id)
-    in
+    let config = config_of ~tier config_id in
     Format.fprintf fmt "workload %s under config %d (%s)%s@." exp.E.Runner.name
       config_id (Config.to_string config)
       (if verify then " [verified]" else "");
     let vm = exp.E.Runner.make_vm config in
     if verify then Vm.enable_verification vm;
-    let recorder =
-      match trace_out with
-      | None -> None
-      | Some _ ->
-          Some (Vm.enable_telemetry ~sample_interval:trace_sample vm)
+    let traced =
+      Option.map
+        (fun path ->
+          (path, Vm.enable_telemetry ~sample_interval:trace.sample vm))
+        trace.out
     in
     exp.E.Runner.workload vm ~run:0;
     Vm.finish vm;
     report_single vm;
-    match (trace_out, recorder) with
-    | Some path, Some recorder -> emit_artifacts ~trace_out:path recorder
-    | _ -> ()
+    Option.iter
+      (fun (path, recorder) -> emit_artifacts ~trace_out:path recorder)
+      traced
   end
 
-(* ------------------------------------------------------------------ *)
-(* synthetic                                                           *)
-(* ------------------------------------------------------------------ *)
+(* One constructor for the Table 2 workload commands: they share every
+   flag, and [exp] adds the command's own workload flags, giving the
+   experiment at a --scale. *)
+let workload_cmd name ~doc exp =
+  let run config_id all sweep scale tier trace verify exp =
+    run_experiment config_id all sweep tier trace verify (exp scale)
+  in
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ config_id $ all_configs $ sweep $ scale $ tier $ trace
+      $ verify_flag $ exp)
 
 let synthetic_cmd =
+  let saturated =
+    let doc = "Pin mutator and GC to a single core (Fig. 6 setup)." in
+    Arg.(value & flag & info [ "saturated" ] ~doc)
+  in
   let elements =
-    Arg.(value & opt int 100_000 & info [ "elements" ] ~docv:"N"
+    Arg.(value & opt positive 100_000 & info [ "elements" ] ~docv:"N"
            ~doc:"Array length.")
   in
   let phases =
-    Arg.(value & opt int 1 & info [ "phases" ] ~docv:"P"
+    Arg.(value & opt positive 1 & info [ "phases" ] ~docv:"P"
            ~doc:"Access-pattern phases (Fig. 5 uses 3).")
   in
   let cold_ratio =
     Arg.(value & opt int 0 & info [ "cold-ratio" ] ~docv:"R"
            ~doc:"Never-accessed cold elements per hot element (Fig. 6 uses 10).")
   in
-  let run config_id all runs jobs scale saturated _seed elements phases
-      cold_ratio trace_out trace_sample verify cache_dir no_cache
-      refresh tier_cap tier_lat tier_nop =
-    let scale = max 1 (scale * (100_000 / max 1 elements)) in
-    let exp =
-      E.Fig_synthetic.experiment ~phases ~cold_ratio ~saturated ~scale ()
-    in
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id exp
+  let exp saturated elements phases cold_ratio scale =
+    let scale = max 1 (scale * (100_000 / elements)) in
+    E.Fig_synthetic.experiment ~phases ~cold_ratio ~saturated ~scale ()
   in
-  Cmd.v
-    (Cmd.info "synthetic" ~doc:"The paper's synthetic micro-benchmark (§4.4)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ seed $ elements $ phases $ cold_ratio $ trace_out
-      $ trace_sample $ verify_flag $ cache_dir $ no_cache $ refresh_flag
-      $ tier_capacity $ lat_far_arg $ tier_no_promote)
-
-(* ------------------------------------------------------------------ *)
-(* graph                                                               *)
-(* ------------------------------------------------------------------ *)
+  workload_cmd "synthetic" ~doc:"The paper's synthetic micro-benchmark (§4.4)"
+    Term.(const exp $ saturated $ elements $ phases $ cold_ratio)
 
 let graph_cmd =
   let algo =
-    let parse = function
-      | "cc" -> Ok `Cc
-      | "mc" -> Ok `Mc
-      | s -> Error (`Msg ("unknown algorithm: " ^ s))
-    in
-    let print fmt a =
-      Format.pp_print_string fmt (match a with `Cc -> "cc" | `Mc -> "mc")
-    in
     Arg.(value
-        & opt (conv (parse, print)) `Cc
+        & opt (enum [ ("cc", "cc"); ("mc", "mc") ]) "cc"
         & info [ "algo" ] ~docv:"cc|mc" ~doc:"Connected components or maximal cliques.")
   in
   let dataset =
-    let parse = function
-      | "uk" -> Ok `Uk
-      | "enwiki" -> Ok `Enwiki
-      | s -> Error (`Msg ("unknown dataset: " ^ s))
-    in
-    let print fmt d =
-      Format.pp_print_string fmt (match d with `Uk -> "uk" | `Enwiki -> "enwiki")
-    in
     Arg.(value
-        & opt (conv (parse, print)) `Uk
+        & opt (enum [ ("uk", "uk"); ("enwiki", "enwiki") ]) "uk"
         & info [ "dataset" ] ~docv:"uk|enwiki" ~doc:"Table 3 input (generator stand-in).")
   in
-  let run config_id all runs jobs scale _saturated _seed algo dataset
-      trace_out trace_sample verify cache_dir no_cache refresh tier_cap
-      tier_lat tier_nop =
-    let module D = Hcsgc_graph.Dataset in
-    let exp =
-      match (algo, dataset) with
-      | `Cc, `Uk ->
-          E.Fig_graph.cc_experiment ~dataset:D.uk_cc
-            ~scale:(4 * scale) ()
-      | `Cc, `Enwiki ->
-          E.Fig_graph.cc_experiment ~dataset:D.enwiki_cc
-            ~scale:(4 * scale) ()
-      | `Mc, `Uk ->
-          E.Fig_graph.mc_experiment ~dataset:D.uk_mc
-            ~scale:(2 * scale) ()
-      | `Mc, `Enwiki ->
-          E.Fig_graph.mc_experiment ~dataset:D.enwiki_mc
-            ~scale:(2 * scale) ()
-    in
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id exp
-  in
-  Cmd.v
-    (Cmd.info "graph" ~doc:"JGraphT-style graph workloads (§4.5)")
+  workload_cmd "graph" ~doc:"JGraphT-style graph workloads (§4.5)"
     Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ seed $ algo $ dataset $ trace_out $ trace_sample
-      $ verify_flag $ cache_dir $ no_cache $ refresh_flag $ tier_capacity
-      $ lat_far_arg $ tier_no_promote)
-
-(* ------------------------------------------------------------------ *)
-(* h2 / tradebeans / specjbb                                           *)
-(* ------------------------------------------------------------------ *)
+      const (fun algo dataset -> List.assoc (algo ^ "-" ^ dataset) experiments)
+      $ algo $ dataset)
 
 let h2_cmd =
-  let run config_id all runs jobs scale _ _ trace_out
-      trace_sample verify cache_dir no_cache refresh tier_cap tier_lat
-      tier_nop =
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id
-      (E.Fig_dacapo.h2_experiment ~scale ())
-  in
-  Cmd.v
-    (Cmd.info "h2" ~doc:"In-memory-database workload (DaCapo h2 stand-in, §4.6)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ seed $ trace_out $ trace_sample $ verify_flag
-      $ cache_dir $ no_cache $ refresh_flag $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+  workload_cmd "h2"
+    ~doc:"In-memory-database workload (DaCapo h2 stand-in, §4.6)"
+    (Term.const (List.assoc "h2" experiments))
 
 let tradebeans_cmd =
-  let run config_id all runs jobs scale _ _ trace_out
-      trace_sample verify cache_dir no_cache refresh tier_cap tier_lat
-      tier_nop =
-    run_experiment ?trace_out ~trace_sample ~verify
-      ?cache:(cache_of ~no_cache ~refresh ~cache_dir)
-      ~tier:(tier_cap, tier_lat, tier_nop) ~all ~runs ~jobs ~config_id
-      (E.Fig_dacapo.tradebeans_experiment ~scale ())
-  in
-  Cmd.v
-    (Cmd.info "tradebeans"
-       ~doc:"Trading-session workload (DaCapo tradebeans stand-in, §4.6)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ jobs $ scale $ saturated
-      $ seed $ trace_out $ trace_sample $ verify_flag
-      $ cache_dir $ no_cache $ refresh_flag $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+  workload_cmd "tradebeans"
+    ~doc:"Trading-session workload (DaCapo tradebeans stand-in, §4.6)"
+    (Term.const (List.assoc "tradebeans" experiments))
+
+(* ------------------------------------------------------------------ *)
+(* specjbb / lru                                                       *)
+(* ------------------------------------------------------------------ *)
 
 let specjbb_cmd =
-  let run config_id _all _runs scale _ seed verify =
+  let run config_id scale seed verify =
     let module S = Hcsgc_workloads.Specjbb_sim in
     let config = Config.of_id config_id in
     let params = E.Fig_specjbb.experiment_params ~scale in
@@ -429,11 +433,13 @@ let specjbb_cmd =
   in
   Cmd.v
     (Cmd.info "specjbb" ~doc:"SPECjbb2015-style ramping workload (§4.7)")
-    Term.(
-      const run $ config_id $ all_configs $ runs $ scale $ saturated
-      $ seed $ verify_flag)
+    Term.(const run $ config_id $ scale $ seed $ verify_flag)
 
 let lru_cmd =
+  let gc_log_flag =
+    let doc = "Print the structured GC event log after the run." in
+    Arg.(value & flag & info [ "gc-log" ] ~doc)
+  in
   let run config_id gc_log seed verify =
     let module L = Hcsgc_workloads.Lru_sim in
     let config = Config.of_id config_id in
@@ -520,8 +526,7 @@ let serve_cmd =
            ~doc:"Max heap in MiB.")
   in
   let run config_id keys value_words mutators dist mix scan_len arrivals load
-      duration slo_us heap_mb seed trace_out trace_sample verify tier_cap
-      tier_lat tier_nop =
+      duration slo_us heap_mb seed trace verify tier =
     let fail fmt_str = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 2) fmt_str in
     let dist =
       match Keydist.spec_of_string dist with
@@ -551,10 +556,7 @@ let serve_cmd =
         seed;
       }
     in
-    let config =
-      apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
-        (Config.of_id config_id)
-    in
+    let config = config_of ~tier config_id in
     Format.fprintf fmt "serve under config %d (%s)%s@." config_id
       (Config.to_string config)
       (if verify then " [verified]" else "");
@@ -569,7 +571,7 @@ let serve_cmd =
     if verify then Vm.enable_verification vm;
     (* Telemetry is always on here: pause intervals feed the SLO
        attribution (and it charges no simulated cycles). *)
-    let recorder = Vm.enable_telemetry ~sample_interval:trace_sample vm in
+    let recorder = Vm.enable_telemetry ~sample_interval:trace.sample vm in
     let r = Serve.run vm p in
     Vm.finish vm;
     let report =
@@ -583,9 +585,7 @@ let serve_cmd =
     Format.fprintf fmt "%a@." Slo.pp_histogram (Slo.histogram r.Serve.requests);
     Format.fprintf fmt "checksum: %d@.@." r.Serve.checksum;
     report_single vm;
-    match trace_out with
-    | Some path -> emit_artifacts ~trace_out:path recorder
-    | None -> ()
+    Option.iter (fun path -> emit_artifacts ~trace_out:path recorder) trace.out
   in
   Cmd.v
     (Cmd.info "serve"
@@ -596,70 +596,35 @@ let serve_cmd =
     Term.(
       const run $ config_id $ keys $ value_words $ mutators $ dist $ mix
       $ scan_len $ arrivals $ load $ duration $ slo_us $ heap_mb $ seed
-      $ trace_out $ trace_sample $ verify_flag $ tier_capacity $ lat_far_arg
-      $ tier_no_promote)
+      $ trace $ verify_flag $ tier)
 
 (* ------------------------------------------------------------------ *)
 (* profile: one (experiment, config) pair with full telemetry          *)
 (* ------------------------------------------------------------------ *)
 
 let profile_cmd =
-  let exp_names =
-    [ "f4"; "f5"; "f6"; "cc-uk"; "cc-enwiki"; "mc-uk"; "mc-enwiki"; "h2";
-      "tradebeans" ]
-  in
   let exp_arg =
     let doc =
       Printf.sprintf "Experiment to profile: %s."
-        (String.concat ", " exp_names)
+        (String.concat ", " (List.map fst experiments))
     in
-    Arg.(value & opt string "f4" & info [ "exp" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt (names experiments) "f4" & info [ "exp" ] ~docv:"NAME" ~doc)
   in
-  let experiment_of ~scale name =
-    let module D = Hcsgc_graph.Dataset in
-    match name with
-    | "f4" -> Some (E.Fig_synthetic.experiment ~scale ())
-    | "f5" -> Some (E.Fig_synthetic.experiment ~phases:3 ~scale ())
-    | "f6" ->
-        Some
-          (E.Fig_synthetic.experiment ~cold_ratio:10 ~saturated:true
-             ~heap_mult:2 ~scale ())
-    | "cc-uk" ->
-        Some (E.Fig_graph.cc_experiment ~dataset:D.uk_cc ~scale:(4 * scale) ())
-    | "cc-enwiki" ->
-        Some
-          (E.Fig_graph.cc_experiment ~dataset:D.enwiki_cc ~scale:(4 * scale) ())
-    | "mc-uk" -> Some (E.Fig_graph.mc_experiment ~dataset:D.uk_mc ~scale:(2 * scale) ())
-    | "mc-enwiki" ->
-        Some (E.Fig_graph.mc_experiment ~dataset:D.enwiki_mc ~scale:(2 * scale) ())
-    | "h2" -> Some (E.Fig_dacapo.h2_experiment ~scale ())
-    | "tradebeans" -> Some (E.Fig_dacapo.tradebeans_experiment ~scale ())
-    | _ -> None
-  in
-  let run config_id scale exp_name trace_out trace_sample seed verify
-      cache_dir no_cache refresh =
-    match experiment_of ~scale exp_name with
-    | None ->
-        Format.eprintf "unknown experiment %S (expected one of: %s)@." exp_name
-          (String.concat ", " exp_names);
-        exit 2
-    | Some exp ->
-        let trace_out = Option.value trace_out ~default:"trace.json" in
-        Format.fprintf fmt "profiling %s under config %d (%s)%s@."
-          exp.E.Runner.name config_id
-          (Config.to_string (Config.of_id config_id))
-          (if verify then " [verified]" else "");
-        let job = { E.Runner.exp; config_id; run = seed } in
-        let cache = cache_of ~no_cache ~refresh ~cache_dir in
-        let metrics, recorder =
-          E.Runner.profile ~sample_interval:trace_sample ~verify ?cache job
-        in
-        Format.fprintf fmt "execution time: %.0f cycles, %d GC cycles@."
-          metrics.E.Runner.wall metrics.E.Runner.gc_cycle_count;
-        emit_artifacts ~trace_out recorder;
-        Option.iter
-          (fun c -> Format.eprintf "[profile] %s@." (store_line c.E.Runner.store))
-          cache
+  let run config_id scale exp_name trace seed verify cache =
+    let exp = List.assoc exp_name experiments scale in
+    let trace_out = Option.value trace.out ~default:"trace.json" in
+    Format.fprintf fmt "profiling %s under config %d (%s)%s@."
+      exp.E.Runner.name config_id
+      (Config.to_string (Config.of_id config_id))
+      (if verify then " [verified]" else "");
+    let job = { E.Runner.exp; config_id; run = seed } in
+    let metrics, recorder =
+      E.Runner.profile ~sample_interval:trace.sample ~verify ?cache job
+    in
+    Format.fprintf fmt "execution time: %.0f cycles, %d GC cycles@."
+      metrics.E.Runner.wall metrics.E.Runner.gc_cycle_count;
+    emit_artifacts ~trace_out recorder;
+    report_store "profile" cache
   in
   Cmd.v
     (Cmd.info "profile"
@@ -669,8 +634,8 @@ let profile_cmd =
           counter time-series and a text summary (pause percentiles, MMU, \
           relocation attribution)")
     Term.(
-      const run $ config_id $ scale $ exp_arg $ trace_out $ trace_sample
-      $ seed $ verify_flag $ cache_dir $ no_cache $ refresh_flag)
+      const run $ config_id $ scale $ exp_arg $ trace $ seed $ verify_flag
+      $ cache)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: random-mutator smoke under full verification                  *)
@@ -704,12 +669,8 @@ let fuzz_cmd =
     Arg.(value & opt int 1 & info [ "mutators" ] ~docv:"N"
            ~doc:"Deal actions round-robin over $(docv) mutator threads.")
   in
-  let run config_id seed seeds ops slots out no_oracle mutators tier_cap
-      tier_lat tier_nop =
-    let config =
-      apply_tier ~capacity:tier_cap ~lat_far:tier_lat ~no_promote:tier_nop
-        (Config.of_id config_id)
-    in
+  let run config_id seed seeds ops slots out no_oracle mutators tier =
+    let config = config_of ~tier config_id in
     Format.fprintf fmt
       "fuzzing %d seed(s) from %d: config %d (%s), %d ops x %d slots, %d \
        mutator(s)@."
@@ -748,83 +709,120 @@ let fuzz_cmd =
           sequence (written to --out)")
     Term.(
       const run $ config_id $ seed $ seeds $ ops $ slots $ out $ no_oracle
-      $ mutators $ tier_capacity $ lat_far_arg $ tier_no_promote)
+      $ mutators $ tier)
 
 (* ------------------------------------------------------------------ *)
-(* tier: the far-memory capacity sweep                                 *)
+(* figure: the paper's tables and figures, plus our ablations          *)
 (* ------------------------------------------------------------------ *)
 
-let tier_cmd =
-  let capacities =
-    let doc =
-      "Far-tier capacities to sweep, in small pages (64 KiB each at the \
-       scaled layout); 0 is the tier-free baseline."
-    in
-    Arg.(value
-        & opt (list int) E.Fig_tier.default_capacities
-        & info [ "capacities" ] ~docv:"P1,P2,..." ~doc)
+type artefact = {
+  id : string;
+  what : string;
+  fast : int * int;  (** default (runs, scale) *)
+  full : int * int;  (** (runs, scale) under --full: paper-closer sizes *)
+  render : runs:int -> scale:int -> jobs:int -> E.Runner.cache option -> unit;
+}
+
+type cached =
+  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:E.Runner.cache ->
+  Format.formatter -> unit
+
+type uncached = ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
+
+(* The one registry of artefacts, in the order [figure all] renders them.
+   Tables, the SPECjbb composite (which keeps a workload-specific result
+   record the store does not model) and the ablations ignore the store. *)
+let artefacts =
+  let a id what fast full render = { id; what; fast; full; render } in
+  let cached (f : cached) ~runs ~scale ~jobs cache =
+    f ~runs ~scale ~jobs ?cache fmt
   in
-  let run runs jobs scale capacities lat_far no_promote verify cache_dir
-      no_cache refresh =
-    let cache = cache_of ~no_cache ~refresh ~cache_dir in
-    E.Fig_tier.figure ~runs ~jobs ~scale ~capacities ~lat_far
-      ~promote:(not no_promote) ~verify ?cache fmt;
-    Option.iter
-      (fun c -> Format.eprintf "[tier] %s@." (store_line c.E.Runner.store))
-      cache
-  in
-  Cmd.v
-    (Cmd.info "tier"
-       ~doc:
-         "Sweep far-memory tier capacity across the workload families: far \
-          hit rate, simulated wall time and DRAM-footprint savings per \
-          capacity, under the strongest hotness configuration")
-    Term.(
-      const run $ runs $ jobs $ scale $ capacities
-      $ lat_far_arg $ tier_no_promote $ verify_flag $ cache_dir $ no_cache
-      $ refresh_flag)
-
-(* ------------------------------------------------------------------ *)
-(* figure: delegate to the bench registry                              *)
-(* ------------------------------------------------------------------ *)
+  let uncached (f : uncached) ~runs ~scale ~jobs _ = f ~runs ~scale ~jobs fmt in
+  let table f ~runs:_ ~scale ~jobs:_ _ = f scale fmt in
+  [
+    a "t1" "Table 1: ZGC page size classes" (1, 1) (1, 1)
+      (table (fun _ -> E.Tables.t1));
+    a "t2" "Table 2: the 19 benchmark configurations" (1, 1) (1, 1)
+      (table (fun _ -> E.Tables.t2));
+    a "t3" "Table 3: LAW graph datasets (generator stand-ins)" (1, 4) (1, 4)
+      (table (fun scale -> E.Tables.t3 ~scale));
+    a "f4" "Fig. 4: synthetic, single phase" (3, 2) (10, 1)
+      (cached E.Fig_synthetic.fig4);
+    a "f5" "Fig. 5: synthetic, three phases" (3, 2) (10, 1)
+      (cached E.Fig_synthetic.fig5);
+    a "f6" "Fig. 6: ample relocation, saturated core" (2, 4) (5, 2)
+      (cached E.Fig_synthetic.fig6);
+    a "f7" "Fig. 7: CC on uk" (3, 16) (3, 8) (cached E.Fig_graph.fig7);
+    a "f8" "Fig. 8: CC on enwiki" (3, 16) (3, 8) (cached E.Fig_graph.fig8);
+    a "f9" "Fig. 9: MC on uk" (2, 4) (2, 2) (cached E.Fig_graph.fig9);
+    a "f10" "Fig. 10: MC on enwiki" (2, 4) (2, 2) (cached E.Fig_graph.fig10);
+    a "f11" "Fig. 11: DaCapo tradebeans (simulated)" (3, 2) (5, 1)
+      (cached E.Fig_dacapo.fig11);
+    a "f12" "Fig. 12: DaCapo h2 (simulated)" (2, 2) (5, 1)
+      (cached E.Fig_dacapo.fig12);
+    a "f13" "Fig. 13: SPECjbb2015 (simulated)" (2, 2) (2, 1)
+      (uncached E.Fig_specjbb.fig13);
+    a "abl-prefetch" "ablation: access-order layout needs prefetching" (3, 2)
+      (3, 1) (uncached E.Ablations.prefetcher);
+    a "abl-tlb" "ablation: page-locality (dTLB) effect" (3, 2) (3, 1)
+      (uncached E.Ablations.tlb);
+    a "abl-pagesize" "ablation: page-size-class granularity" (3, 2) (3, 1)
+      (uncached E.Ablations.page_size);
+    a "abl-autotune" "ablation: COLDCONFIDENCE feedback loop" (3, 2) (3, 1)
+      (uncached E.Ablations.autotuner);
+    a "fserve" "serving tier: tail latency and SLO attribution" (3, 2) (3, 2)
+      (cached E.Fig_serve.figure);
+    a "ftier" "far-memory tier: capacity sweep" (3, 2) (3, 2)
+      (cached E.Fig_tier.figure);
+  ]
 
 let figure_cmd =
-  let which =
-    Arg.(required
-        & pos 0 (some string) None
-        & info [] ~docv:"FIG" ~doc:"t1 t2 t3 f4..f13 fserve ftier")
+  let ids =
+    let doc =
+      "Artefacts to render, in order: any id listed under ARTEFACTS, or \
+       $(b,all) for every one of them."
+    in
+    Arg.(non_empty
+        & pos_all (names (("all", ()) :: List.map (fun a -> (a.id, ())) artefacts)) []
+        & info [] ~docv:"ID" ~doc)
   in
-  let run which runs jobs scale cache_dir no_cache refresh =
-    let cache = cache_of ~no_cache ~refresh ~cache_dir in
-    (match which with
-    | "t1" -> E.Tables.t1 fmt
-    | "t2" -> E.Tables.t2 fmt
-    | "t3" -> E.Tables.t3 ~scale fmt
-    | "f4" -> E.Fig_synthetic.fig4 ~runs ~jobs ~scale ?cache fmt
-    | "f5" -> E.Fig_synthetic.fig5 ~runs ~jobs ~scale ?cache fmt
-    | "f6" -> E.Fig_synthetic.fig6 ~runs ~jobs ~scale ?cache fmt
-    | "f7" -> E.Fig_graph.fig7 ~runs ~jobs ~scale ?cache fmt
-    | "f8" -> E.Fig_graph.fig8 ~runs ~jobs ~scale ?cache fmt
-    | "f9" -> E.Fig_graph.fig9 ~runs ~jobs ~scale ?cache fmt
-    | "f10" -> E.Fig_graph.fig10 ~runs ~jobs ~scale ?cache fmt
-    | "f11" -> E.Fig_dacapo.fig11 ~runs ~jobs ~scale ?cache fmt
-    | "f12" -> E.Fig_dacapo.fig12 ~runs ~jobs ~scale ?cache fmt
-    | "f13" -> E.Fig_specjbb.fig13 ~runs ~jobs ~scale fmt
-    | "fserve" -> E.Fig_serve.figure ~runs ~jobs ~scale ?cache fmt
-    | "ftier" -> E.Fig_tier.figure ~runs ~jobs ~scale ?cache fmt
-    | other -> Format.eprintf "unknown figure: %s@." other);
-    Option.iter
-      (fun c -> Format.eprintf "[figure] %s@." (store_line c.E.Runner.store))
-      cache
+  let full =
+    let doc = "Use each artefact's paper-closer full sizes (much slower)." in
+    Arg.(value & flag & info [ "full" ] ~doc)
+  in
+  let run ids full sweep scale =
+    let selected =
+      List.concat_map
+        (fun id ->
+          if id = "all" then artefacts
+          else [ List.find (fun a -> a.id = id) artefacts ])
+        ids
+    in
+    List.iter
+      (fun a ->
+        let default_runs, default_scale = if full then a.full else a.fast in
+        Format.eprintf "[figure] running %s (%s)@." a.id a.what;
+        a.render
+          ~runs:(Option.value sweep.runs ~default:default_runs)
+          ~scale:(Option.value scale ~default:default_scale)
+          ~jobs:sweep.jobs sweep.cache)
+      selected;
+    report_store "figure" sweep.cache
+  in
+  let man =
+    `S "ARTEFACTS"
+    :: `P "Each id with its default runs and scale, then its $(b,--full) ones."
+    :: List.map
+         (fun a ->
+           let (r, k), (r', k') = (a.fast, a.full) in
+           `I (a.id, Printf.sprintf "%s (runs %d, scale %d; full: runs %d, scale %d)"
+                       a.what r k r' k'))
+         artefacts
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's tables or figures")
-    Term.(
-      const run $ which
-      $ Arg.(value & opt int 3 & info [ "runs" ] ~docv:"N" ~doc:"Sample size.")
-      $ jobs
-      $ Arg.(value & opt int 2 & info [ "scale" ] ~docv:"K" ~doc:"Scale divisor.")
-      $ cache_dir $ no_cache $ refresh_flag)
+    (Cmd.info "figure" ~man
+       ~doc:"Regenerate the paper's tables and figures, and our ablations")
+    Term.(const run $ ids $ full $ sweep $ scale_opt)
 
 let () =
   let info =
@@ -837,4 +835,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ synthetic_cmd; graph_cmd; h2_cmd; tradebeans_cmd; specjbb_cmd;
-            lru_cmd; serve_cmd; profile_cmd; fuzz_cmd; tier_cmd; figure_cmd ]))
+            lru_cmd; serve_cmd; profile_cmd; fuzz_cmd; figure_cmd ]))

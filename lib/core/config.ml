@@ -80,38 +80,59 @@ let of_id n =
   | Some t -> t
   | None -> invalid_arg "Config.of_id: id must be in 0-18"
 
-let equal a b =
-  a.hotness = b.hotness && a.coldpage = b.coldpage
-  && Float.equal a.cold_confidence b.cold_confidence
-  && a.relocate_all_small_pages = b.relocate_all_small_pages
-  && a.lazy_relocate = b.lazy_relocate
-  && a.tier_capacity_pages = b.tier_capacity_pages
-  && a.lat_far = b.lat_far
-  && a.tier_promote = b.tier_promote
+(* [equal] and [to_string] destructure with closed record patterns, so a
+   knob added to [t] is a compile error here until it is compared and
+   named (as it is in [Runner.config_value_key]). *)
+let equal a
+    {
+      hotness;
+      coldpage;
+      cold_confidence;
+      relocate_all_small_pages;
+      lazy_relocate;
+      tier_capacity_pages;
+      lat_far;
+      tier_promote;
+    } =
+  a.hotness = hotness && a.coldpage = coldpage
+  && Float.equal a.cold_confidence cold_confidence
+  && a.relocate_all_small_pages = relocate_all_small_pages
+  && a.lazy_relocate = lazy_relocate
+  && a.tier_capacity_pages = tier_capacity_pages
+  && a.lat_far = lat_far
+  && a.tier_promote = tier_promote
 
-let to_string t =
+let to_string
+    {
+      hotness;
+      coldpage;
+      cold_confidence;
+      relocate_all_small_pages;
+      lazy_relocate;
+      tier_capacity_pages;
+      lat_far;
+      tier_promote;
+    } =
+  let tiered = tier_capacity_pages > 0 in
   let parts =
     List.filter_map
       (fun x -> x)
       [
-        (if t.hotness then Some "hot" else None);
-        (if t.coldpage then Some "cp" else None);
-        (if t.cold_confidence > 0.0 then
-           Some (Printf.sprintf "cc%.1f" t.cold_confidence)
+        (if hotness then Some "hot" else None);
+        (if coldpage then Some "cp" else None);
+        (if cold_confidence > 0.0 then
+           Some (Printf.sprintf "cc%.1f" cold_confidence)
          else None);
-        (if t.relocate_all_small_pages then Some "ra" else None);
-        (if t.lazy_relocate then Some "lazy" else None);
+        (if relocate_all_small_pages then Some "ra" else None);
+        (if lazy_relocate then Some "lazy" else None);
         (* Tier parts appear only with tiering on, so every pre-tier
            configuration keeps its exact historical name. *)
-        (if t.tier_capacity_pages > 0 then
-           Some (Printf.sprintf "tier%d" t.tier_capacity_pages)
+        (if tiered then Some (Printf.sprintf "tier%d" tier_capacity_pages)
          else None);
-        (if t.tier_capacity_pages > 0 && t.lat_far <> zgc.lat_far then
-           Some (Printf.sprintf "far%d" t.lat_far)
+        (if tiered && lat_far <> zgc.lat_far then
+           Some (Printf.sprintf "far%d" lat_far)
          else None);
-        (if t.tier_capacity_pages > 0 && not t.tier_promote then
-           Some "nopromote"
-         else None);
+        (if tiered && not tier_promote then Some "nopromote" else None);
       ]
   in
   match parts with [] -> "zgc" | _ -> String.concat "+" parts

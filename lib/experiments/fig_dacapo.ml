@@ -54,17 +54,8 @@ let h2_experiment ~scale () =
       (fun vm ~run -> ignore (H2.run vm { params with H2.seed = run }));
   }
 
-let render fmt ~title ~expectation ~runs ~jobs ?cache ?scheduling exp =
-  let results =
-    Runner.run_configs ~runs ~jobs ?cache ?scheduling
-      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-      exp
-  in
-  Report.figure fmt ~title ~expectation results
-
-let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 11 — DaCapo tradebeans (simulated)" ?cache ?scheduling
+let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 11 — DaCapo tradebeans (simulated)" ?cache
     ~expectation:
       "little improvement (≤ ~5% at best): most objects are very short \
        lived, and HCSGC only improves locality for objects surviving a GC \
@@ -72,9 +63,8 @@ let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
     ~runs ~jobs
     (tradebeans_experiment ~scale ())
 
-let fig12 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 12 — DaCapo h2 (simulated)" ?cache ?scheduling
+let fig12 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 12 — DaCapo h2 (simulated)" ?cache
     ~expectation:
       "5-9% improvement for several configurations; < 2% overhead for \
        hotness tracking alone (config 5); RELOCATEALLSMALLPAGES outperforms \

@@ -1,18 +1,16 @@
 (** Reproductions of the DaCapo figures (§4.6): {!fig11} tradebeans (expected
     ≈ flat — objects die too young for relocation to help) and {!fig12} h2
     (expected 5–9 % improvements, hotness-tracking overhead < 2 %).
-    [cache] and [scheduling] are the incremental-sweep knobs of
-    {!Runner.run_configs}; they never change output bytes. *)
+    [cache] is the incremental-sweep knob of {!Runner.run_configs}; it
+    never changes output bytes. *)
 
 val fig11 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 
 val fig12 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 
 val tradebeans_experiment : scale:int -> unit -> Runner.experiment
 

@@ -62,14 +62,6 @@ let mc_experiment ?(max_expansions = 30_000) ~dataset ~scale () =
         Hcsgc_graph.Mgraph.dispose g);
   }
 
-let render fmt ~title ~expectation ~runs ~jobs ?cache ?scheduling exp =
-  let results =
-    Runner.run_configs ~runs ~jobs ?cache ?scheduling
-      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-      exp
-  in
-  Report.figure fmt ~title ~expectation results
-
 let cc_expectation =
   "few GC cycles (mostly during graph loading), but enough to reorganise \
    objects into traversal order: reduced cache misses and execution time \
@@ -81,26 +73,22 @@ let mc_expectation =
    14-16; config 3 well ahead of config 2 (hot objects on well-populated \
    pages need the bigger EC)"
 
-let fig7 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 7 — connected components, uk dataset"
-    ~expectation:cc_expectation ~runs ~jobs ?cache ?scheduling
+let fig7 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 7 — connected components, uk dataset"
+    ~expectation:cc_expectation ~runs ~jobs ?cache
     (cc_experiment ~dataset:Dataset.uk_cc ~scale ())
 
-let fig8 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 8 — connected components, enwiki dataset"
-    ~expectation:cc_expectation ~runs ~jobs ?cache ?scheduling
+let fig8 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 8 — connected components, enwiki dataset"
+    ~expectation:cc_expectation ~runs ~jobs ?cache
     (cc_experiment ~dataset:Dataset.enwiki_cc ~scale ())
 
-let fig9 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 9 — Bron-Kerbosch (MC), uk dataset"
-    ~expectation:mc_expectation ~runs ~jobs ?cache ?scheduling
+let fig9 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 9 — Bron-Kerbosch (MC), uk dataset"
+    ~expectation:mc_expectation ~runs ~jobs ?cache
     (mc_experiment ~dataset:Dataset.uk_mc ~scale ())
 
-let fig10 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 10 — Bron-Kerbosch (MC), enwiki dataset"
-    ~expectation:mc_expectation ~runs ~jobs ?cache ?scheduling
+let fig10 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 10 — Bron-Kerbosch (MC), enwiki dataset"
+    ~expectation:mc_expectation ~runs ~jobs ?cache
     (mc_experiment ~dataset:Dataset.enwiki_mc ~scale ())

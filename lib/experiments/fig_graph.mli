@@ -3,32 +3,28 @@
     LAW uk / enwiki datasets (Table 3).
 
     [scale] divides Table 3's node/edge counts (default 4 for CC, 2 for MC)
-    so a full 19-configuration sweep stays minutes-scale.  [cache] and
-    [scheduling] are the incremental-sweep knobs of
-    {!Runner.run_configs}; they never change output bytes. *)
+    so a full 19-configuration sweep stays minutes-scale.  [cache] is the
+    incremental-sweep knob of {!Runner.run_configs}; it never changes
+    output bytes. *)
 
 val fig7 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 (** CC on uk. *)
 
 val fig8 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 (** CC on enwiki. *)
 
 val fig9 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 (** MC on uk. *)
 
 val fig10 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 (** MC on enwiki. *)
 
 val cc_experiment :

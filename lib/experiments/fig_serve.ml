@@ -199,12 +199,11 @@ let scaled_heap ~scale = max (2 * 1024 * 1024) (max_heap / scale)
 
 let bootstrap_seed = 42
 
-let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?verify ?cache
-    ?(config_ids = default_configs) ?(slo = default_slo) fmt =
+let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
   let params = scaled_params ~scale in
+  let config_ids = default_configs and slo = default_slo in
   let results =
-    sweep ~config_ids ~runs ~jobs ?verify ?cache ~slo
-      ~heap:(scaled_heap ~scale)
+    sweep ~config_ids ~runs ~jobs ?cache ~slo ~heap:(scaled_heap ~scale)
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ~params ()
   in

@@ -82,12 +82,9 @@ val figure :
   ?runs:int ->
   ?scale:int ->
   ?jobs:int ->
-  ?verify:bool ->
   ?cache:Runner.cache ->
-  ?config_ids:int list ->
-  ?slo:int ->
   Format.formatter ->
   unit
-(** Render the figure: percentile table with bootstrap CIs on p99.9,
+(** Render the figure over {!default_configs} at {!default_slo}: percentile table with bootstrap CIs on p99.9,
     violation attribution, and throughput.  [scale] divides the default
     workload's duration and key count (for quick smokes). *)

@@ -46,17 +46,8 @@ let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
         ignore (Synthetic.run vm { params with Synthetic.seed = run }));
   }
 
-let render fmt ~title ~expectation ~runs ~jobs ?cache ?scheduling exp =
-  let results =
-    Runner.run_configs ~runs ~jobs ?cache ?scheduling
-      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-      exp
-  in
-  Report.figure fmt ~title ~expectation results
-
-let fig4 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 4 — synthetic, single phase" ?cache ?scheduling
+let fig4 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 4 — synthetic, single phase" ?cache
     ~expectation:
       "largest speedups for configs 4/10/16/18 (big EC + lazy), next 3/17, \
        some improvement 7/13, none for 2/5/8/11/14; large L1/LLC miss \
@@ -64,18 +55,17 @@ let fig4 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
     ~runs ~jobs
     (experiment ~scale ())
 
-let fig5 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache
-    ?scheduling fmt =
-  render fmt ~title:"Fig. 5 — synthetic, three phases" ?cache ?scheduling
+let fig5 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 5 — synthetic, three phases" ?cache
     ~expectation:
       "same shape as Fig. 4: HCSGC adapts to phase changes (per-phase stable \
        access orders are re-captured after each change)"
     ~runs ~jobs
     (experiment ~phases:3 ~scale ())
 
-let fig6 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache ?scheduling fmt =
-  render fmt ~title:"Fig. 6 — ample relocation, saturated single core"
-    ?cache ?scheduling
+let fig6 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
+  Report.sweep_figure fmt ~title:"Fig. 6 — ample relocation, saturated single core"
+    ?cache
     ~expectation:
       "large overhead for RELOCATEALLSMALLPAGES configs 3/4/17/18 (copying \
        the 10x cold population on the critical path); COLDCONFIDENCE configs \

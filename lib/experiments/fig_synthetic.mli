@@ -11,23 +11,20 @@
     sweep's (configuration, run) jobs across a {!Hcsgc_exec.Pool} of
     domains (default 1 = in-process); results are aggregated in job order,
     so the rendered figure is identical at any [jobs].  [cache] serves
-    repeats from a {!Hcsgc_store.Result_store} and [scheduling] picks the
-    pool submission order (see {!Runner.run_configs}); neither changes a
-    byte of output. *)
+    repeats from a {!Hcsgc_store.Result_store} (see
+    {!Runner.run_configs}); it never changes a byte of output. *)
 
 val fig4 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 
 val fig5 :
   ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> ?scheduling:[ `Cost | `Fifo ] ->
-  Format.formatter -> unit
+  ?cache:Runner.cache -> Format.formatter -> unit
 
 val fig6 :
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:Runner.cache ->
-  ?scheduling:[ `Cost | `Fifo ] -> Format.formatter -> unit
+  ?runs:int -> ?scale:int -> ?jobs:int ->
+  ?cache:Runner.cache -> Format.formatter -> unit
 
 val experiment :
   ?phases:int ->

@@ -240,22 +240,19 @@ let mean f (os : outcome array) =
   Array.fold_left (fun acc o -> acc +. f o) 0.0 os
   /. float_of_int (Array.length os)
 
-let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?verify ?cache
-    ?(capacities = default_capacities)
-    ?(lat_far = default_lat_far) ?(promote = true) fmt =
+let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
   let results =
-    sweep ~capacities ~lat_far ~promote ~runs ~jobs ?verify ?cache ~scale
+    sweep ~runs ~jobs ?cache ~scale
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ()
   in
   Format.fprintf fmt "=== Far-memory tier — hotness-driven page tiering ===@.";
   Format.fprintf fmt
-    "collector config h+cp+cc1.0+lz%s; far latency %dc; capacities in 64 KiB \
+    "collector config h+cp+cc1.0+lz; far latency %dc; capacities in 64 KiB \
      pages; expectation: far hit rate and DRAM savings grow with capacity \
      while the wall-time penalty stays bounded by the cold-page demotion \
      policy (only pages with no hot evidence move far)@.@."
-    (if promote then "" else " (promotion off)")
-    lat_far;
+    default_lat_far;
   List.iter
     (fun (fam, rows) ->
       let base_wall =

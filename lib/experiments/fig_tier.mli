@@ -63,13 +63,10 @@ val figure :
   ?runs:int ->
   ?scale:int ->
   ?jobs:int ->
-  ?verify:bool ->
   ?cache:Runner.cache ->
-  ?capacities:int list ->
-  ?lat_far:int ->
-  ?promote:bool ->
   Format.formatter ->
   unit
-(** Render the figure: one table per family — wall time (bootstrap CI),
+(** Render the figure over {!default_capacities} at {!default_lat_far},
+    with promotion on: one table per family — wall time (bootstrap CI),
     wall delta vs capacity 0, far hit rate (far loads / LLC misses),
     peak far residency and demotion/promotion counts per capacity. *)

@@ -116,6 +116,14 @@ let figure fmt ~title ~expectation results =
          results);
   Format.pp_print_newline fmt ()
 
+let sweep_figure fmt ~title ~expectation ~runs ~jobs ?cache exp =
+  let results =
+    Runner.run_configs ~runs ~jobs ?cache
+      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
+      exp
+  in
+  figure fmt ~title ~expectation results
+
 let heap_usage_series fmt ~max_heap samples =
   match samples with
   | [] -> Format.fprintf fmt "(no heap samples)@."

@@ -72,12 +72,22 @@ let jobs_of ?config_ids ~runs exp =
 (* Lossless knob rendering ([%h] floats), deliberately excluding the
    config {e id}: ids 0 and 1 are the same knob vector, so by content
    addressing they share one cache entry — which is exactly right, their
-   metrics are bit-identical. *)
-let config_value_key (c : Config.t) =
-  Printf.sprintf "h=%b;cp=%b;cc=%h;ra=%b;lz=%b;tc=%d;lf=%d;tp=%b"
-    c.Config.hotness c.Config.coldpage c.Config.cold_confidence
-    c.Config.relocate_all_small_pages c.Config.lazy_relocate
-    c.Config.tier_capacity_pages c.Config.lat_far c.Config.tier_promote
+   metrics are bit-identical.  The record pattern is closed, so a knob
+   added to [Config.t] is a compile error here until it is keyed. *)
+let config_value_key
+    {
+      Config.hotness;
+      coldpage;
+      cold_confidence;
+      relocate_all_small_pages;
+      lazy_relocate;
+      tier_capacity_pages;
+      lat_far;
+      tier_promote;
+    } =
+  Printf.sprintf "h=%b;cp=%b;cc=%h;ra=%b;lz=%b;tc=%d;lf=%d;tp=%b" hotness
+    coldpage cold_confidence relocate_all_small_pages lazy_relocate
+    tier_capacity_pages lat_far tier_promote
 
 let config_fingerprint_key config_id = config_value_key (Config.of_id config_id)
 
@@ -261,7 +271,7 @@ let regroup ~ids ~runs metrics =
   go ids metrics
 
 let run_configs ?config_ids ?(progress = fun _ -> ()) ?(jobs = 1)
-    ?(verify = false) ?cache ?(scheduling = `Cost) ~runs exp =
+    ?(verify = false) ?cache ~runs exp =
   let ids =
     match config_ids with
     | Some ids -> ids
@@ -298,14 +308,14 @@ let run_configs ?config_ids ?(progress = fun _ -> ()) ?(jobs = 1)
   in
   let miss = Array.of_list miss_idx in
   let scheduled_misses =
-    match (scheduling, cache) with
-    | `Cost, Some c ->
+    match cache with
+    | Some c ->
         let estimate k =
           Result_store.estimate c.store ~cost_key:(cost_key job_arr.(miss.(k)))
         in
         Array.map (fun k -> miss.(k))
           (Scheduler.order ~estimate (Array.length miss))
-    | _ -> miss
+    | None -> miss
   in
   (* Hits resolve instantly, so submitting them first never delays a
      worker; the computing jobs follow in scheduled order. *)

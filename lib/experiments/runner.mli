@@ -151,7 +151,6 @@ val run_configs :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:cache ->
-  ?scheduling:[ `Cost | `Fifo ] ->
   runs:int ->
   experiment ->
   (int * run_metrics array) list
@@ -172,13 +171,12 @@ val run_configs :
 
     [cache] makes the sweep incremental: hits are resolved up front on the
     calling domain, only misses are submitted to the pool, and every
-    computed job is stored (entry + duration) on completion.  [scheduling]
-    (default [`Cost]) submits misses longest-estimated-first using the
-    store's cost model ({!Hcsgc_store.Scheduler}); [`Fifo] keeps the
-    expansion order (the pre-scheduler baseline, kept measurable for
-    benchmarking).  With no [cache], or an empty cost model, [`Cost]
-    degrades to exactly FIFO.  Neither caching nor scheduling changes a
-    single output byte — results are woven back in job order either way.
+    computed job is stored (entry + duration) on completion.  Misses are
+    submitted longest-estimated-first using the store's cost model
+    ({!Hcsgc_store.Scheduler}); with no [cache], or an empty cost model,
+    that is exactly the expansion order.  Neither caching nor scheduling
+    changes a single output byte — results are woven back in job order
+    either way.
 
     {b Thread safety of [progress]:} calls are serialized through a
     {!Hcsgc_exec.Reporter}, so [progress] never runs concurrently with

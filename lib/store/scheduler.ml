@@ -1,5 +1,3 @@
-let fifo n = Array.init n (fun i -> i)
-
 let order ~estimate n =
   let est = Array.init n estimate in
   let idx = Array.init n (fun i -> i) in

@@ -24,7 +24,3 @@ val order : estimate:(int -> float option) -> int -> int array
     with [estimate i = None] (in index order), then the rest by decreasing
     estimate, ties broken by index.  Deterministic for a fixed [estimate].
     [estimate] is called exactly once per index. *)
-
-val fifo : int -> int array
-(** [fifo n] is the identity permutation — the pre-scheduler baseline,
-    kept so harnesses can measure FIFO vs cost-aware makespans. *)

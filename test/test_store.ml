@@ -266,11 +266,8 @@ let scheduler_orders_longest_first () =
   check (Alcotest.array Alcotest.int) "LPT with unknowns first"
     [| 1; 4; 2; 0; 3 |] order;
   check Alcotest.bool "permutation" true (is_permutation order 5);
-  check (Alcotest.array Alcotest.int) "no estimates = FIFO"
-    (Scheduler.fifo 4)
-    (Scheduler.order ~estimate:(fun _ -> None) 4);
-  check (Alcotest.array Alcotest.int) "fifo is identity" [| 0; 1; 2; 3 |]
-    (Scheduler.fifo 4)
+  check (Alcotest.array Alcotest.int) "no estimates = FIFO" [| 0; 1; 2; 3 |]
+    (Scheduler.order ~estimate:(fun _ -> None) 4)
 
 let pool_in_order_respects_result_positions () =
   let xs = Array.init 8 Fun.id in
@@ -295,8 +292,8 @@ let render results =
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
-let sweep ?scheduling ~cache ~jobs () =
-  Runner.run_configs ~config_ids:[ 0; 4; 16 ] ~runs:2 ~jobs ~cache ?scheduling
+let sweep ~cache ~jobs () =
+  Runner.run_configs ~config_ids:[ 0; 4; 16 ] ~runs:2 ~jobs ~cache
     tiny_experiment
 
 let warm_sweep_byte_identical () =
@@ -315,10 +312,8 @@ let warm_sweep_byte_identical () =
         (after_warm.Result_store.hits - after_cold.Result_store.hits);
       (* Parallel warm sweep under cost-aware scheduling: still the same
          bytes, whatever order the pool ran things in. *)
-      let parallel = render (sweep ~cache ~jobs:4 ~scheduling:`Cost ()) in
-      check Alcotest.string "-j4 scheduled warm sweep identical" cold parallel;
-      let fifo = render (sweep ~cache ~jobs:4 ~scheduling:`Fifo ()) in
-      check Alcotest.string "-j4 fifo warm sweep identical" cold fifo)
+      let parallel = render (sweep ~cache ~jobs:4 ()) in
+      check Alcotest.string "-j4 scheduled warm sweep identical" cold parallel)
 
 let cold_scheduled_sweep_matches_uncached () =
   (* Cost-aware scheduling on a *cold* store (and on a store with a
@@ -328,11 +323,11 @@ let cold_scheduled_sweep_matches_uncached () =
       let cache = Runner.cache ~dir () in
       let seed =
         render (Runner.run_configs ~config_ids:[ 0; 16 ] ~runs:2 ~cache
-                  ~scheduling:`Cost ~jobs:2 tiny_experiment)
+                  ~jobs:2 tiny_experiment)
       in
       check Alcotest.string "cold scheduled = uncached" plain seed;
       (* Drop the entries but keep costs.tsv: the next sweep is cold with
-         a fully-informed cost model — the FIFO-vs-LPT benchmark setup. *)
+         a fully-informed cost model. *)
       Array.iter
         (fun e ->
           if Filename.check_suffix e ".v1" then
@@ -340,7 +335,7 @@ let cold_scheduled_sweep_matches_uncached () =
         (Sys.readdir dir);
       let informed =
         render (Runner.run_configs ~config_ids:[ 0; 16 ] ~runs:2 ~cache
-                  ~scheduling:`Cost ~jobs:2 tiny_experiment)
+                  ~jobs:2 tiny_experiment)
       in
       check Alcotest.string "informed-model cold sweep = uncached" plain informed)
 
