@@ -25,6 +25,7 @@ module Collector = Hcsgc_core.Collector
 module Config = Hcsgc_core.Config
 module Gc_stats = Hcsgc_core.Gc_stats
 module Vec = Hcsgc_util.Vec
+module Alloc_meter = Hcsgc_util.Alloc_meter
 
 type result = {
   name : string;
@@ -162,36 +163,19 @@ let multi_mutator () =
 
 (* ---- measurement -------------------------------------------------- *)
 
-(* Host words allocated so far: minor words plus words allocated directly
-   in the major heap (arrays above the minor-heap size limit).  Not
-   Gc.allocated_bytes: on OCaml 5.1 it counts the words of the current
-   minor heap at one eighth and catches up at the next minor collection,
-   so a window holding a minor GC jumps by ~230k words and any other
-   window undercounts 8x.  The meter itself allocates its boxed results;
-   the per-call constant is deterministic, so calibrate it once and
-   subtract it per window. *)
-let allocated_words () =
-  let _minor, promoted, major = Gc.counters () in
-  Gc.minor_words () +. major -. promoted
-
-let overhead_per_call () =
-  let a0 = allocated_words () in
-  let a1 = allocated_words () in
-  a1 -. a0
-
 let measure ~name ~warmup ~rounds (col, mutate) =
   for r = 1 to warmup do
     mutate r;
     run_cycle col
   done;
-  let ovh = overhead_per_call () in
+  let ovh = Alloc_meter.overhead_per_call () in
   let words = ref 0.0 and secs = ref 0.0 in
   for r = warmup + 1 to warmup + rounds do
     mutate r;
     let t0 = Unix.gettimeofday () in
-    let a0 = allocated_words () in
+    let a0 = Alloc_meter.words () in
     run_cycle col;
-    let a1 = allocated_words () in
+    let a1 = Alloc_meter.words () in
     let t1 = Unix.gettimeofday () in
     words := !words +. (a1 -. a0 -. ovh);
     secs := !secs +. (t1 -. t0)

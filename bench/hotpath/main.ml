@@ -4,7 +4,7 @@
    -> cache hierarchy -> prefetcher) in a steady state (no simulated
    allocation, so no GC cycles start) and reports host-side throughput
    (ops/sec) and host-side allocation per op (minor plus direct major
-   words, see [allocated_words]).
+   words, see [Hcsgc_util.Alloc_meter]).
    These are the numbers that bound how large the paper's experiments can
    get; the allocation figures back the hot-path allocation-regression test.
 
@@ -19,6 +19,7 @@ module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
 module Machine = Hcsgc_memsim.Machine
 module Prefetcher = Hcsgc_memsim.Prefetcher
+module Alloc_meter = Hcsgc_util.Alloc_meter
 
 type result = {
   name : string;
@@ -28,33 +29,17 @@ type result = {
   alloc_words_per_op : float;
 }
 
-(* Host words allocated so far: minor words plus words allocated directly
-   in the major heap (arrays above the minor-heap size limit).  Not
-   Gc.allocated_bytes: on OCaml 5.1 it counts the words of the current
-   minor heap at one eighth and catches up at the next minor collection,
-   so any window undercounts up to 8x.  The meter itself allocates its
-   boxed results; the per-call constant is deterministic, so calibrate it
-   once and subtract it per window. *)
-let allocated_words () =
-  let _minor, promoted, major = Gc.counters () in
-  Gc.minor_words () +. major -. promoted
-
-let overhead_per_call () =
-  let a0 = allocated_words () in
-  let a1 = allocated_words () in
-  a1 -. a0
-
 (* Time [f ops] and measure host allocation.  One warmup run (1/8 of the
    measured size) brings the simulated caches and the host branch predictors
    to steady state before the timed run. *)
 let measure ~name ~ops f =
   f (max 1 (ops / 8));
-  let ovh = overhead_per_call () in
-  let a0 = allocated_words () in
+  let ovh = Alloc_meter.overhead_per_call () in
+  let a0 = Alloc_meter.words () in
   let t0 = Unix.gettimeofday () in
   f ops;
   let t1 = Unix.gettimeofday () in
-  let a1 = allocated_words () in
+  let a1 = Alloc_meter.words () in
   let dt = t1 -. t0 in
   let words_per_op = (a1 -. a0 -. ovh) /. float_of_int ops in
   {

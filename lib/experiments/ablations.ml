@@ -28,7 +28,7 @@ let run_one ?(layout = layout) ~machine_config ~autotune ~config ~scale ~seed
 
 (* Expand every (variant, seed) pair into one engine job, fan across the
    pool, then bootstrap each variant from its seed-ordered samples — the
-   same ordered-aggregation determinism as Runner.run_configs. *)
+   same ordered-aggregation determinism as Runner.sweep. *)
 let estimates ~jobs ~runs variants =
   let job_list =
     List.concat_map

@@ -6,10 +6,6 @@ module Slo = Hcsgc_serve.Slo
 module Arrival = Hcsgc_serve.Arrival
 module Keydist = Hcsgc_workloads.Keydist
 module Analyzer = Hcsgc_telemetry.Analyzer
-module Pool = Hcsgc_exec.Pool
-module Reporter = Hcsgc_exec.Reporter
-module Fingerprint = Hcsgc_store.Fingerprint
-module Result_store = Hcsgc_store.Result_store
 module Bootstrap = Hcsgc_stats.Bootstrap
 module Render = Hcsgc_stats.Render
 
@@ -85,16 +81,11 @@ let experiment_key ?(heap = max_heap) ~params ~shard_domains ~slo () =
     invalid_arg "Fig_serve.experiment_key: only the inline model (0) exists";
   key ~heap ~params ~slo
 
-let fingerprint ~key ~verify (id, run) =
-  Fingerprint.make ~experiment:key ~config:(Runner.config_key id) ~run ~verify
-
-let cost_key ~key id = key ^ "#" ^ Runner.config_key id
-
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compute ~heap ~verify ~slo ~params (id, run) =
+let compute ~heap ~verify ~params id run =
   let vm =
     Vm.create ~layout ~machine_config:Scaled_machine.config
       ~mutators:params.Serve.mutators ~trigger
@@ -105,7 +96,7 @@ let compute ~heap ~verify ~slo ~params (id, run) =
   let r = Serve.run vm { params with Serve.seed = run } in
   Vm.finish vm;
   let report =
-    Slo.analyze ~slo ~duration:params.Serve.duration
+    Slo.analyze ~slo:default_slo ~duration:params.Serve.duration
       ~pauses:(Analyzer.pause_intervals recorder)
       r
   in
@@ -116,69 +107,27 @@ let compute ~heap ~verify ~slo ~params (id, run) =
     metrics = Runner.collect vm;
   }
 
-let try_cached (c : Runner.cache) fp =
-  if c.Runner.refresh then None
-  else
-    match Result_store.find c.Runner.store fp with
-    | None -> None
-    | Some payload -> (
-        match outcome_of_string payload with
-        | Some o -> Some o
-        | None ->
-            Result_store.note_invalid c.Runner.store;
-            None)
-
-let sweep ?(config_ids = default_configs) ?(runs = 3) ?(jobs = 1)
-    ?(verify = false) ?cache ?(slo = default_slo) ?(heap = max_heap)
-    ?(progress = fun _ -> ()) ~params () =
-  let key = key ~heap ~params ~slo in
-  let job_arr =
+let sweep ?(config_ids = default_configs) ?(runs = 3) ?jobs ?(verify = false)
+    ?cache ?(heap = max_heap) ?progress ~params () =
+  let experiment = key ~heap ~params ~slo:default_slo in
+  let task id run =
+    {
+      Runner.group =
+        Printf.sprintf "serve: config %d (%s)" id
+          (Config.to_string (Config.of_id id));
+      experiment;
+      config = Runner.config_key id;
+      run;
+      compute = (fun () -> compute ~heap ~verify ~params id run);
+    }
+  in
+  let tasks =
     Array.of_list
-      (List.concat_map
-         (fun id -> List.init runs (fun run -> (id, run)))
-         config_ids)
+      (List.concat_map (fun id -> List.init runs (task id)) config_ids)
   in
-  let n = Array.length job_arr in
-  let reporter = Reporter.create ~emit:progress () in
-  (* Hits are resolved up front on the calling domain (store reads stay
-     single-domain); only misses reach the pool, hits-first submission so
-     no worker waits behind instant jobs. *)
-  let cached =
-    match cache with
-    | Some c ->
-        Array.map (fun job -> try_cached c (fingerprint ~key ~verify job)) job_arr
-    | None -> Array.make n None
-  in
-  let hit_idx, miss_idx =
-    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
-  in
-  let order = Array.of_list (hit_idx @ miss_idx) in
-  let run_one i =
-    match cached.(i) with
-    | Some o -> o
-    | None ->
-        let ((id, run) as job) = job_arr.(i) in
-        if run = 0 then
-          Reporter.sayf reporter "serve: config %d (%s)" id
-            (Config.to_string (Config.of_id id));
-        let t0 = Unix.gettimeofday () in
-        let o = compute ~heap ~verify ~slo ~params job in
-        (match cache with
-        | None -> ()
-        | Some c ->
-            Result_store.add c.Runner.store (fingerprint ~key ~verify job)
-              ~cost_key:(cost_key ~key id)
-              ~cost:(Unix.gettimeofday () -. t0)
-              (outcome_to_string o));
-        o
-  in
-  let outcomes =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
-  in
-  List.mapi
-    (fun i id -> (id, Array.sub outcomes (i * runs) runs))
-    config_ids
+  Runner.sweep ?jobs ?cache ?progress ~verify ~encode:outcome_to_string
+    ~decode:outcome_of_string tasks
+  |> Runner.chunks config_ids ~size:runs
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -203,7 +152,7 @@ let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
   let params = scaled_params ~scale in
   let config_ids = default_configs and slo = default_slo in
   let results =
-    sweep ~config_ids ~runs ~jobs ?cache ~slo ~heap:(scaled_heap ~scale)
+    sweep ~config_ids ~runs ~jobs ?cache ~heap:(scaled_heap ~scale)
       ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
       ~params ()
   in

@@ -7,12 +7,13 @@
     SLO violations and their pause/service attribution per
     configuration.
 
-    Jobs fan out over a {!Hcsgc_exec.Pool} and aggregate in job order,
-    so output is byte-identical at any [--jobs].  With a [cache], each
-    job's {!outcome} (SLO report + latency histogram + checksum + run
-    metrics) is content-addressed in the {!Hcsgc_store.Result_store}
-    under {!Runner.config_key} addressing, so warm re-renders skip the
-    simulation entirely and stay byte-identical to cold ones. *)
+    Each (configuration, run) job is a {!Runner.task} for the one sweep
+    engine, {!Runner.sweep}, so output is byte-identical at any [--jobs].
+    With a [cache], each job's {!outcome} (SLO report + latency histogram
+    + checksum + run metrics) is content-addressed in the
+    {!Hcsgc_store.Result_store} under {!experiment_key} and
+    {!Runner.config_key}, so warm re-renders skip the simulation entirely
+    and stay byte-identical to cold ones. *)
 
 module Serve = Hcsgc_serve.Serve
 module Slo = Hcsgc_serve.Slo
@@ -58,15 +59,15 @@ val sweep :
   ?jobs:int ->
   ?verify:bool ->
   ?cache:Runner.cache ->
-  ?slo:int ->
   ?heap:int ->
   ?progress:(string -> unit) ->
   params:Serve.params ->
   unit ->
   (int * outcome array) list
-(** Execute the sweep; outcomes per configuration in run order.
-    Repetition [i] reseeds the workload with [seed = i] under every
-    configuration.  [heap] is the VM heap budget in bytes (default
+(** Execute the sweep through {!Runner.sweep}, judging every run against
+    {!default_slo}; outcomes per configuration in run order.  Repetition
+    [i] reseeds the workload with [seed = i] under every configuration.
+    [heap] is the VM heap budget in bytes (default
     8 MiB — shrink it alongside scaled-down [params] or the run never
     paces a GC cycle). *)
 

@@ -27,10 +27,10 @@ let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) fmt =
   Format.fprintf fmt
     "paper: overlapping CIs — no conclusive effect (survival ~1%%); heap \
      usage grows as the injector ramps@.@.";
-  (* Fig. 13 keeps the workload's own result record alongside run_metrics,
-     so it drives the execution engine directly rather than through
-     Runner.run_configs: same (config, run) job expansion, same job-order
-     aggregation, hence the same determinism guarantee. *)
+  (* Fig. 13 keeps the workload's own result record, which has no store
+     codec, alongside run_metrics, so it is an uncached parallel map
+     rather than a Runner.sweep: same (config, run) job expansion, same
+     job-order aggregation, hence the same determinism guarantee. *)
   let reporter = Reporter.create () in
   let job_list =
     List.concat_map

@@ -3,10 +3,6 @@ module Config = Hcsgc_core.Config
 module Layout = Hcsgc_heap.Layout
 module Tier = Hcsgc_memsim.Tier
 module Serve = Hcsgc_serve.Serve
-module Pool = Hcsgc_exec.Pool
-module Reporter = Hcsgc_exec.Reporter
-module Fingerprint = Hcsgc_store.Fingerprint
-module Result_store = Hcsgc_store.Result_store
 module Bootstrap = Hcsgc_stats.Bootstrap
 module Render = Hcsgc_stats.Render
 
@@ -121,20 +117,8 @@ let outcome_of_string s =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let fingerprint ~verify (exp : Runner.experiment) config run =
-  Fingerprint.make
-    ~experiment:("ftier;" ^ exp.Runner.key)
-    ~config:(Runner.config_value_key config)
-    ~run ~verify
-
-let cost_key (exp : Runner.experiment) config =
-  "ftier;" ^ exp.Runner.key ^ "#" ^ Runner.config_value_key config
-
-let compute ~verify (exp : Runner.experiment) config run =
-  let vm = exp.Runner.make_vm config in
-  if verify then Vm.enable_verification vm;
-  exp.Runner.workload vm ~run;
-  Vm.finish vm;
+let compute ~verify exp config run =
+  let vm = Runner.simulate ~verify exp config ~run in
   let m = Runner.collect vm in
   let far_peak =
     match Vm.tier vm with Some t -> Tier.peak_bytes t | None -> 0
@@ -149,86 +133,36 @@ let compute ~verify (exp : Runner.experiment) config run =
     promoted = m.Runner.pages_promoted;
   }
 
-let try_cached (c : Runner.cache) fp =
-  if c.Runner.refresh then None
-  else
-    match Result_store.find c.Runner.store fp with
-    | None -> None
-    | Some payload -> (
-        match outcome_of_string payload with
-        | Some o -> Some o
-        | None ->
-            Result_store.note_invalid c.Runner.store;
-            None)
-
-let sweep ?(capacities = default_capacities) ?(lat_far = default_lat_far)
-    ?(promote = true) ?(runs = 3) ?(jobs = 1) ?(verify = false) ?cache
-    ?(scale = 1) ?(progress = fun _ -> ()) () =
+let sweep ?(capacities = default_capacities) ?(runs = 3) ?jobs
+    ?(verify = false) ?cache ?(scale = 1) ?progress () =
   let fams = families ~scale () in
-  let job_arr =
+  let tasks_at (fam, (exp : Runner.experiment)) cap =
+    let config =
+      tier_config ~capacity:cap ~lat_far:default_lat_far ~promote:true
+    in
+    List.init runs (fun run ->
+        {
+          Runner.group =
+            Printf.sprintf "tier: %s cap=%d pages (lat_far=%d)" fam cap
+              default_lat_far;
+          experiment = "ftier;" ^ exp.Runner.key;
+          config = Runner.config_value_key config;
+          run;
+          compute = (fun () -> compute ~verify exp config run);
+        })
+  in
+  let tasks =
     Array.of_list
       (List.concat_map
-         (fun (fam, exp) ->
-           List.concat_map
-             (fun cap ->
-               let config = tier_config ~capacity:cap ~lat_far ~promote in
-               List.init runs (fun run -> (fam, exp, cap, config, run)))
-             capacities)
+         (fun fam -> List.concat_map (tasks_at fam) capacities)
          fams)
   in
-  let n = Array.length job_arr in
-  let reporter = Reporter.create ~emit:progress () in
-  (* Hits resolve up front on the calling domain (store reads stay
-     single-domain); misses reach the pool hits-first, so no worker waits
-     behind instant jobs. *)
-  let cached =
-    match cache with
-    | Some c ->
-        Array.map
-          (fun (_, exp, _, config, run) ->
-            try_cached c (fingerprint ~verify exp config run))
-          job_arr
-    | None -> Array.make n None
-  in
-  let hit_idx, miss_idx =
-    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
-  in
-  let order = Array.of_list (hit_idx @ miss_idx) in
-  let run_one i =
-    match cached.(i) with
-    | Some o -> o
-    | None ->
-        let fam, exp, cap, config, run = job_arr.(i) in
-        if run = 0 then
-          Reporter.sayf reporter "tier: %s cap=%d pages (lat_far=%d)" fam cap
-            lat_far;
-        let t0 = Unix.gettimeofday () in
-        let o = compute ~verify exp config run in
-        (match cache with
-        | None -> ()
-        | Some c ->
-            Result_store.add c.Runner.store
-              (fingerprint ~verify exp config run)
-              ~cost_key:(cost_key exp config)
-              ~cost:(Unix.gettimeofday () -. t0)
-              (outcome_to_string o));
-        o
-  in
-  let outcomes =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
-  in
-  (* Regroup the flat job-order outcome array: families in order, then
-     capacities in order, then runs. *)
-  let per_fam = List.length capacities * runs in
-  List.mapi
-    (fun fi (fam, _) ->
-      ( fam,
-        List.mapi
-          (fun ci cap ->
-            (cap, Array.sub outcomes ((fi * per_fam) + (ci * runs)) runs))
-          capacities ))
-    fams
+  (* Families in order, then capacities in order, then runs. *)
+  Runner.sweep ?jobs ?cache ?progress ~verify ~encode:outcome_to_string
+    ~decode:outcome_of_string tasks
+  |> Runner.chunks fams ~size:(List.length capacities * runs)
+  |> List.map (fun ((fam, _), os) ->
+         (fam, Runner.chunks capacities ~size:runs os))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

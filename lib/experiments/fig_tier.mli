@@ -5,10 +5,11 @@
     Unlike the Table 2 figures, the sweep holds the collector fixed (the
     strongest hotness knob vector — the tier consumes the hotmap/EC cold
     evidence) and varies only the tier knobs, so capacity 0 is the
-    tier-free baseline of each family.  Jobs are content-addressed like
-    every other figure: the experiment key plus the full knob-vector
-    rendering ({!Runner.config_value_key}) name each outcome, so warm
-    re-renders are byte-identical to cold ones. *)
+    tier-free baseline of each family.  Jobs are {!Runner.task}s for the
+    one sweep engine, {!Runner.sweep}, content-addressed like every other
+    figure: the experiment key plus the full knob-vector rendering
+    ({!Runner.config_value_key}) name each outcome, so warm re-renders
+    are byte-identical to cold ones. *)
 
 module Config = Hcsgc_core.Config
 
@@ -44,8 +45,6 @@ val outcome_of_string : string -> outcome option
 
 val sweep :
   ?capacities:int list ->
-  ?lat_far:int ->
-  ?promote:bool ->
   ?runs:int ->
   ?jobs:int ->
   ?verify:bool ->
@@ -54,10 +53,11 @@ val sweep :
   ?progress:(string -> unit) ->
   unit ->
   (string * (int * outcome array) list) list
-(** Run every (family, capacity, repetition) job, fanning misses over
-    [jobs] domains; results are grouped per family then per capacity, in
-    input order, and are byte-identical at any [jobs] and whether served
-    from [cache] or computed. *)
+(** Run every (family, capacity, repetition) job through {!Runner.sweep}
+    at {!default_lat_far} with promotion on, fanning misses over [jobs]
+    domains; results are grouped per family then per capacity, in input
+    order, and are byte-identical at any [jobs] and whether served from
+    [cache] or computed. *)
 
 val figure :
   ?runs:int ->

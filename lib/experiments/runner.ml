@@ -55,15 +55,10 @@ type experiment = {
 
 type job = { exp : experiment; config_id : int; run : int }
 
-let jobs_of ?config_ids ~runs exp =
-  let ids =
-    match config_ids with
-    | Some ids -> ids
-    | None -> List.map fst Config.table2
-  in
+let jobs_of ?(config_ids = List.map fst Config.table2) ~runs exp =
   List.concat_map
     (fun id -> List.init runs (fun run -> { exp; config_id = id; run }))
-    ids
+    config_ids
 
 (* ------------------------------------------------------------------ *)
 (* Result-store integration: fingerprints, metrics codec, cache handle *)
@@ -89,20 +84,7 @@ let config_value_key
     coldpage cold_confidence relocate_all_small_pages lazy_relocate
     tier_capacity_pages lat_far tier_promote
 
-let config_fingerprint_key config_id = config_value_key (Config.of_id config_id)
-
-let config_key = config_fingerprint_key
-
-let fingerprint ~verify job =
-  Fingerprint.make ~experiment:job.exp.key
-    ~config:(config_fingerprint_key job.config_id)
-    ~run:job.run ~verify
-
-(* Cost-model granularity: one key per (experiment, knob vector).  Run
-   seeds barely move a job's duration, but configurations move it a lot
-   (relocate-all vs baseline), so this is the level the scheduler can
-   usefully distinguish. *)
-let cost_key job = job.exp.key ^ "#" ^ config_fingerprint_key job.config_id
+let config_key config_id = config_value_key (Config.of_id config_id)
 
 let metrics_magic = "hcsgc-metrics 2"
 
@@ -185,153 +167,150 @@ let cache ?(refresh = false) ~dir () = { store = Result_store.open_ ~dir; refres
 
 let default_cache_dir = "_hcsgc_cache"
 
-(* A cache lookup that only ever says yes with a fully decoded payload:
-   an entry passing the store checksum but failing the metrics decoder is
-   counted invalid and treated as a miss, so it gets recomputed and
-   overwritten rather than crashing the sweep. *)
-let try_cached c ~verify job =
-  if c.refresh then None
-  else
-    match Result_store.find c.store (fingerprint ~verify job) with
-    | None -> None
-    | Some payload -> (
-        match metrics_of_string payload with
-        | Some m -> Some m
-        | None ->
-            Result_store.note_invalid c.store;
-            None)
-
 (* ------------------------------------------------------------------ *)
-(* Execution                                                           *)
+(* The sweep engine                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let execute_vm ~verify { exp; config_id; run } =
-  let config = Config.of_id config_id in
-  let vm = exp.make_vm config in
-  if verify then Vm.enable_verification vm;
-  exp.workload vm ~run;
-  Vm.finish vm;
-  collect vm
+type 'a task = {
+  group : string;
+  experiment : string;
+  config : string;
+  run : int;
+  compute : unit -> 'a;
+}
 
-let compute_and_store c ~verify job =
+(* The one place a content address and a cost key are spelled.  Cost
+   model granularity is one key per (experiment, knob vector): run seeds
+   barely move a job's duration, but configurations move it a lot
+   (relocate-all vs baseline), so this is the level the scheduler can
+   usefully distinguish. *)
+let address ~verify t =
+  Fingerprint.make ~experiment:t.experiment ~config:t.config ~run:t.run ~verify
+
+let task_cost_key t = t.experiment ^ "#" ^ t.config
+
+(* The store step: simulate, then record the result under its address
+   together with how long it took. *)
+let compute_and_store ?cache ~verify ~encode t =
   let t0 = Unix.gettimeofday () in
-  let m = execute_vm ~verify job in
-  let cost = Unix.gettimeofday () -. t0 in
-  Result_store.add c.store (fingerprint ~verify job) ~cost_key:(cost_key job)
-    ~cost (metrics_to_string m);
-  m
-
-let execute ?(verify = false) ?cache job =
-  match cache with
-  | None -> execute_vm ~verify job
-  | Some c -> (
-      match try_cached c ~verify job with
-      | Some m -> m
-      | None -> compute_and_store c ~verify job)
-
-let profile ?sample_interval ?(verify = false) ?cache { exp; config_id; run } =
-  let config = Config.of_id config_id in
-  let vm = exp.make_vm config in
-  if verify then Vm.enable_verification vm;
-  let recorder = Vm.enable_telemetry ?sample_interval vm in
-  let t0 = Unix.gettimeofday () in
-  exp.workload vm ~run;
-  Vm.finish vm;
-  let cost = Unix.gettimeofday () -. t0 in
-  let m = collect vm in
-  (* A profiled run's metrics are bit-identical to an unprofiled one
-     (telemetry charges no simulated cycles), so profiling may seed the
-     store for later sweeps.  The trace itself is not cached. *)
+  let v = t.compute () in
   (match cache with
   | None -> ()
   | Some c ->
-      let job = { exp; config_id; run } in
-      Result_store.add c.store (fingerprint ~verify job)
-        ~cost_key:(cost_key job) ~cost (metrics_to_string m));
-  (m, recorder)
+      Result_store.add c.store (address ~verify t) ~cost_key:(task_cost_key t)
+        ~cost:(Unix.gettimeofday () -. t0)
+        (encode v));
+  v
 
-(* Group a job-ordered flat metrics list back into per-configuration
-   arrays.  [jobs_of] emits [runs] consecutive jobs per id, so this is a
-   plain in-order split — no reordering, hence deterministic. *)
-let regroup ~ids ~runs metrics =
-  let rec split n = function
-    | rest when n = 0 -> ([], rest)
-    | [] -> invalid_arg "Runner.regroup: short metrics list"
-    | m :: rest ->
-        let chunk, rest = split (n - 1) rest in
-        (m :: chunk, rest)
-  in
-  let rec go ids metrics =
-    match ids with
-    | [] -> []
-    | id :: ids ->
-        let chunk, rest = split runs metrics in
-        (id, Array.of_list chunk) :: go ids rest
-  in
-  go ids metrics
-
-let run_configs ?config_ids ?(progress = fun _ -> ()) ?(jobs = 1)
-    ?(verify = false) ?cache ~runs exp =
-  let ids =
-    match config_ids with
-    | Some ids -> ids
-    | None -> List.map fst Config.table2
-  in
-  let job_arr = Array.of_list (jobs_of ~config_ids:ids ~runs exp) in
-  let n = Array.length job_arr in
-  (* Progress lines go through a Reporter so concurrent workers cannot
-     interleave them mid-line; each configuration that actually computes
-     is announced once, by whichever of its jobs starts first (fully
-     cached configurations stay silent). *)
-  let reporter = Reporter.create ~emit:progress () in
-  let announced = Array.map (fun _ -> Atomic.make false) (Array.of_list ids) in
-  let index_of = Hashtbl.create 32 in
-  List.iteri (fun i id -> Hashtbl.replace index_of id i) ids;
-  let announce job =
-    match Hashtbl.find_opt index_of job.config_id with
-    | Some i when Atomic.compare_and_set announced.(i) false true ->
-        Reporter.sayf reporter "%s: config %d (%s)" job.exp.name job.config_id
-          (Config.to_string (Config.of_id job.config_id))
-    | _ -> ()
-  in
-  (* Resolve cache hits up front on the calling domain: hits cost
-     milliseconds, and knowing the miss set lets the scheduler order real
-     work only. *)
-  let cached =
+let sweep ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify ~encode ~decode
+    tasks =
+  let n = Array.length tasks in
+  (* Resolve hits up front on the calling domain: hits cost milliseconds,
+     and knowing the miss set lets the scheduler order real work only.  A
+     payload that passes the store checksum but fails [decode] is counted
+     invalid and treated as a miss, so it is recomputed and overwritten
+     rather than crashing the sweep. *)
+  let lookup t =
     match cache with
-    | Some c -> Array.map (fun job -> try_cached c ~verify job) job_arr
-    | None -> Array.make n None
+    | Some c when not c.refresh -> (
+        match Result_store.find c.store (address ~verify t) with
+        | None -> None
+        | Some payload ->
+            let v = decode payload in
+            if Option.is_none v then Result_store.note_invalid c.store;
+            v)
+    | _ -> None
   in
-  let hit_idx, miss_idx =
-    List.init n Fun.id
-    |> List.partition (fun i -> Option.is_some cached.(i))
+  let cached = Array.map lookup tasks in
+  let hits, misses =
+    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
   in
-  let miss = Array.of_list miss_idx in
-  let scheduled_misses =
-    match cache with
-    | Some c ->
-        let estimate k =
-          Result_store.estimate c.store ~cost_key:(cost_key job_arr.(miss.(k)))
-        in
-        Array.map (fun k -> miss.(k))
-          (Scheduler.order ~estimate (Array.length miss))
-    | None -> miss
+  let misses = Array.of_list misses in
+  let estimate k =
+    let cost_key = task_cost_key tasks.(misses.(k)) in
+    Option.bind cache (fun c -> Result_store.estimate c.store ~cost_key)
   in
   (* Hits resolve instantly, so submitting them first never delays a
-     worker; the computing jobs follow in scheduled order. *)
-  let order = Array.append (Array.of_list hit_idx) scheduled_misses in
+     worker; the computing tasks follow longest-estimated-first. *)
+  let order =
+    Array.append (Array.of_list hits)
+      (Array.map (fun k -> misses.(k))
+         (Scheduler.order ~estimate (Array.length misses)))
+  in
+  (* Progress lines go through a Reporter so concurrent workers cannot
+     interleave them mid-line.  Each group that computes anything is
+     announced once, by whichever of its tasks starts first. *)
+  let reporter = Reporter.create ~emit:progress () in
+  let announced = Hashtbl.create 32 in
+  Array.iter
+    (fun t -> Hashtbl.replace announced t.group (Atomic.make false))
+    tasks;
   let run_one i =
     match cached.(i) with
-    | Some m -> m
+    | Some v -> v
     | None ->
-        let job = job_arr.(i) in
-        announce job;
-        (match cache with
-        | Some c -> compute_and_store c ~verify job
-        | None -> execute_vm ~verify job)
+        let t = tasks.(i) in
+        let flag = Hashtbl.find announced t.group in
+        if Atomic.compare_and_set flag false true then
+          Reporter.say reporter t.group;
+        compute_and_store ?cache ~verify ~encode t
   in
-  let metrics =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
+  Pool.with_pool ~jobs (fun pool ->
+      Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
+
+let chunks keys ~size xs =
+  List.mapi (fun i k -> (k, Array.sub xs (i * size) size)) keys
+
+(* ------------------------------------------------------------------ *)
+(* Table 2 sweeps on top of the engine                                 *)
+(* ------------------------------------------------------------------ *)
+
+let simulate ~verify exp config ~run =
+  let vm = exp.make_vm config in
+  if verify then Vm.enable_verification vm;
+  exp.workload vm ~run;
+  Vm.finish vm;
+  vm
+
+let task ~verify { exp; config_id; run } =
+  let config = Config.of_id config_id in
+  {
+    group =
+      Printf.sprintf "%s: config %d (%s)" exp.name config_id
+        (Config.to_string config);
+    experiment = exp.key;
+    config = config_value_key config;
+    run;
+    compute = (fun () -> collect (simulate ~verify exp config ~run));
+  }
+
+let fingerprint ~verify job = address ~verify (task ~verify job)
+let cost_key job = task_cost_key (task ~verify:false job)
+
+let sweep_jobs ?jobs ?cache ?progress ~verify job_arr =
+  sweep ?jobs ?cache ?progress ~verify ~encode:metrics_to_string
+    ~decode:metrics_of_string
+    (Array.map (task ~verify) job_arr)
+
+let execute ?(verify = false) ?cache job =
+  (sweep_jobs ?cache ~verify [| job |]).(0)
+
+let profile ?sample_interval ?(verify = false) ?cache job =
+  (* Telemetry attaches after verification and before the workload, on
+     the calling domain; it charges no simulated cycles, so a profiled
+     run's metrics equal an unprofiled one's and may seed the store for
+     later sweeps.  The trace itself is not cached. *)
+  let recorder = ref None in
+  let workload vm ~run =
+    recorder := Some (Vm.enable_telemetry ?sample_interval vm);
+    job.exp.workload vm ~run
   in
-  regroup ~ids ~runs (Array.to_list metrics)
+  let t = task ~verify { job with exp = { job.exp with workload } } in
+  let m = compute_and_store ?cache ~verify ~encode:metrics_to_string t in
+  (m, Option.get !recorder)
+
+let run_configs ?(config_ids = List.map fst Config.table2) ?progress ?jobs
+    ?(verify = false) ?cache ~runs exp =
+  let job_arr = Array.of_list (jobs_of ~config_ids ~runs exp) in
+  sweep_jobs ?jobs ?cache ?progress ~verify job_arr
+  |> chunks config_ids ~size:runs

@@ -1,24 +1,17 @@
 (** Running a workload across Table 2's configurations, collecting the
     metrics §4.2 plots: execution time, cache statistics and GC statistics.
 
-    Since the execution-engine refactor this module separates job
-    {e description} from job {e execution}: a sweep is first expanded into
-    an explicit list of {!job}s — one per (configuration, repetition) pair,
-    each independent and seed-deterministic — which then either run
-    in-process ([~jobs:1], the default) or fan out across a
-    {!Hcsgc_exec.Pool} of domains ([~jobs:n]).  Results are aggregated in
-    job order regardless of completion order, so parallel sweeps are
-    bit-identical to sequential ones.
-
-    Since the incremental-sweep layer, jobs are additionally
-    {e content-addressed}: a {!Hcsgc_store.Fingerprint} of the experiment's
-    parameter {!field:experiment.key}, the configuration knobs, the run
-    seed and the verify flag (salted with
-    {!Hcsgc_store.Fingerprint.code_version}) names each job's metrics, and
+    A sweep is expanded into an explicit list of {!job}s — one per
+    (configuration, repetition) pair, each independent and
+    seed-deterministic — and run by the one sweep engine, {!sweep}, which
+    every cached sweep in the experiment stack shares.  Jobs are
+    {e content-addressed}: a {!Hcsgc_store.Fingerprint} of the
+    experiment's parameter {!field:experiment.key}, the configuration
+    knobs, the run seed and the verify flag names each job's metrics, and
     an optional {!cache} serves repeats from a persistent
-    {!Hcsgc_store.Result_store} instead of re-simulating.  Because jobs
-    are bit-deterministic, a warm sweep is byte-identical to a cold one —
-    the store only ever changes wall-clock time, never output. *)
+    {!Hcsgc_store.Result_store}.  Results are aggregated in job order
+    whatever the completion order and whether computed or cached, so
+    output is byte-identical at any [--jobs], warm or cold. *)
 
 module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
@@ -111,21 +104,81 @@ val metrics_of_string : string -> run_metrics option
 (** Strict inverse of {!metrics_to_string}; [None] on any malformation.
     Round-trips every value bit-exactly. *)
 
-(** {2 Execution} *)
+(** {2 The sweep engine}
+
+    Every cached sweep in the experiment stack — Table 2 figures, the
+    serving tier, the far-tier capacity sweep — runs through {!sweep}.
+    Callers describe each job as a {!task} and supply their payload
+    codec; the engine owns lookup, scheduling, the pool, the store and
+    progress. *)
+
+type 'a task = {
+  group : string;
+      (** Progress line announcing the task's group (typically one
+          configuration); tasks of a group share the same string. *)
+  experiment : string;  (** stable parameter key, as {!field:experiment.key} *)
+  config : string;  (** lossless knob rendering, as {!config_value_key} *)
+  run : int;  (** repetition index *)
+  compute : unit -> 'a;  (** simulate; a pure function of the fields above *)
+}
+(** One content-addressed unit of work.  Its fingerprint is
+    [Fingerprint.make ~experiment ~config ~run ~verify] and its cost key
+    [experiment ^ "#" ^ config]. *)
+
+val sweep :
+  ?jobs:int ->
+  ?cache:cache ->
+  ?progress:(string -> unit) ->
+  verify:bool ->
+  encode:('a -> string) ->
+  decode:(string -> 'a option) ->
+  'a task array ->
+  'a array
+(** Run every task and return the results in task order, bit-identical
+    at any [jobs] (default 1: in-process on the calling domain) and
+    whether served from [cache] or computed.
+
+    With [cache], hits are resolved up front on the calling domain; a
+    payload that fails [decode] is counted invalid
+    ({!Hcsgc_store.Result_store.note_invalid}) and treated as a miss.
+    Misses are submitted longest-estimated-first by the store's cost
+    model ({!Hcsgc_store.Scheduler}); with no [cache] or no estimates,
+    that is task order.  Each computed result is stored, [encode]d, with
+    its measured duration.  [verify] enters every fingerprint; the tasks'
+    [compute] closures must honour it themselves.
+
+    [progress] receives each group's [group] line once, when the first of
+    its tasks starts computing; fully cached groups stay silent.  Calls
+    are serialized through a {!Hcsgc_exec.Reporter}, so each message
+    arrives whole, but under [~jobs:n] they come from worker domains:
+    [progress] must not assume it runs on the calling domain, and must
+    not call back into the runner. *)
+
+val chunks : 'k list -> size:int -> 'a array -> ('k * 'a array) list
+(** [chunks keys ~size xs] pairs the [i]-th key with [xs.(i*size) ..
+    xs.(i*size + size - 1)] — the regroup of a task-ordered result array
+    whose tasks were expanded [size] per key.
+    @raise Invalid_argument if [xs] is shorter than the keys need. *)
+
+(** {2 Table 2 sweeps} *)
+
+val simulate : verify:bool -> experiment -> Config.t -> run:int -> Vm.t
+(** The one simulation step: fresh VM ({!field:experiment.make_vm}), the
+    heap sanitizer when [verify] ({!Vm.enable_verification}), the
+    workload, {!Vm.finish}.  Returns the finished VM for {!collect}. *)
 
 val execute : ?verify:bool -> ?cache:cache -> job -> run_metrics
-(** Run one job to completion: fresh VM, workload, {!Vm.finish},
-    {!collect}.  Pure function of the job (workloads are seeded by
-    [run]); safe to call from any domain.  [verify] (default [false])
-    attaches the {!Hcsgc_verify.Invariants} heap sanitizer to the job's VM
-    ({!Vm.enable_verification}); verification reads state only, so verified
-    metrics are bit-identical to unverified ones.
+(** Run one job to completion: {!simulate}, then {!collect}.  Pure
+    function of the job (workloads are seeded by [run]); safe to call
+    from any domain.  [verify] (default [false]) attaches the
+    {!Hcsgc_verify.Invariants} heap sanitizer to the job's VM; verification
+    reads state only, so verified metrics are bit-identical to unverified
+    ones.
 
-    With [cache], the job's fingerprint is consulted first: a valid entry
-    is decoded and returned without simulating; a miss (including a
-    corrupt or undecodable entry) simulates, then stores the metrics and
-    the measured duration.  Cached and computed results are bit-identical
-    by the determinism guarantee above. *)
+    With [cache], this is a one-task {!sweep}: a valid entry is decoded
+    and returned without simulating; a miss (including a corrupt or
+    undecodable entry) simulates, then stores the metrics and the
+    measured duration. *)
 
 val profile :
   ?sample_interval:int ->
@@ -142,8 +195,8 @@ val profile :
     [--jobs] setting.
 
     A profiled run always simulates (the trace cannot come from the
-    store), but with [cache] it {e stores} its metrics afterwards, seeding
-    later sweeps. *)
+    store), but with [cache] it {e stores} its metrics afterwards through
+    {!sweep}'s store step, seeding later sweeps. *)
 
 val run_configs :
   ?config_ids:int list ->
@@ -155,34 +208,10 @@ val run_configs :
   experiment ->
   (int * run_metrics array) list
 (** Execute [runs] repetitions of the experiment under each requested
-    Table 2 configuration (default: all 19).  Deterministic: repetition [i]
-    uses the same workload seed under every configuration, mirroring the
-    paper's N VM invocations per configuration.
-
-    [verify] (default false) runs every job under the heap sanitizer (see
-    {!execute}); each VM gets its own verifier, so verified sweeps fan out
-    across domains unchanged.
-
-    [jobs] (default 1) sets the degree of parallelism.  [~jobs:1] runs
-    everything in-process on the calling domain, exactly as before the
-    engine existed.  [~jobs:n] distributes the (configuration, run) jobs
-    over [n] worker domains; results are still aggregated in job order,
-    so the returned metrics are bit-identical to the sequential run.
-
-    [cache] makes the sweep incremental: hits are resolved up front on the
-    calling domain, only misses are submitted to the pool, and every
-    computed job is stored (entry + duration) on completion.  Misses are
-    submitted longest-estimated-first using the store's cost model
-    ({!Hcsgc_store.Scheduler}); with no [cache], or an empty cost model,
-    that is exactly the expansion order.  Neither caching nor scheduling
-    changes a single output byte — results are woven back in job order
-    either way.
-
-    {b Thread safety of [progress]:} calls are serialized through a
-    {!Hcsgc_exec.Reporter}, so [progress] never runs concurrently with
-    itself and each message arrives whole — but under [~jobs:n] it is
-    invoked from worker domains in scheduling order, one message per
-    {e computing} configuration (emitted by whichever of the
-    configuration's jobs starts first; fully cached configurations are
-    not announced).  It must not assume it runs on the calling domain,
-    and must not itself call back into the runner. *)
+    Table 2 configuration (default: all 19) through {!sweep}.
+    Deterministic: repetition [i] uses the same workload seed under every
+    configuration, mirroring the paper's N VM invocations per
+    configuration.  [jobs], [cache] and [progress] are {!sweep}'s; each
+    configuration is one progress group.  [verify] (default false) runs
+    every job under the heap sanitizer (see {!execute}); each VM gets its
+    own verifier, so verified sweeps fan out across domains unchanged. *)

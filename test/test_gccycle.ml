@@ -14,6 +14,7 @@ module Machine = Hcsgc_memsim.Machine
 module Collector = Hcsgc_core.Collector
 module Config = Hcsgc_core.Config
 module Vec = Hcsgc_util.Vec
+module Alloc_meter = Hcsgc_util.Alloc_meter
 
 let check = Alcotest.check
 let case = Alcotest.test_case

@@ -5,6 +5,7 @@
    numbers as the code it replaced. *)
 
 module Vec = Hcsgc_util.Vec
+module Alloc_meter = Hcsgc_util.Alloc_meter
 module Prefetcher = Hcsgc_memsim.Prefetcher
 module Machine = Hcsgc_memsim.Machine
 module Hierarchy = Hcsgc_memsim.Hierarchy

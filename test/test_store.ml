@@ -415,6 +415,188 @@ let serve_knobs_in_experiment_key () =
         (Fig_serve.experiment_key ~params:p ~shard_domains:1
            ~slo:Fig_serve.default_slo ()))
 
+(* ------------------------------------------------------------------ *)
+(* The sweep engine on toy tasks                                       *)
+(* ------------------------------------------------------------------ *)
+
+(* Task [i] squares [i]; its config is [i / 3] and its run [i mod 3], so
+   each group of three is one configuration.  [computed] counts real
+   computations across domains. *)
+let toy_tasks ?(computed = Atomic.make 0) n =
+  Array.init n (fun i ->
+      let config = string_of_int (i / 3) in
+      {
+        Runner.group = "group " ^ config;
+        experiment = "toy";
+        config;
+        run = i mod 3;
+        compute =
+          (fun () ->
+            Atomic.incr computed;
+            i * i);
+      })
+
+let toy_sweep ?cache ?progress ~jobs tasks =
+  Runner.sweep ~jobs ?cache ?progress ~verify:false ~encode:string_of_int
+    ~decode:int_of_string_opt tasks
+
+let toy_address (t : int Runner.task) =
+  Fingerprint.make ~experiment:t.Runner.experiment ~config:t.Runner.config
+    ~run:t.Runner.run ~verify:false
+
+let int_array = Alcotest.(array int)
+
+let engine_results_in_task_order () =
+  let expected = Array.init 12 (fun i -> i * i) in
+  List.iter
+    (fun jobs ->
+      check int_array
+        (Printf.sprintf "uncached -j%d" jobs)
+        expected
+        (toy_sweep ~jobs (toy_tasks 12));
+      with_temp_dir (fun dir ->
+          check int_array
+            (Printf.sprintf "cold store -j%d" jobs)
+            expected
+            (toy_sweep ~cache:(Runner.cache ~dir ()) ~jobs (toy_tasks 12))))
+    [ 1; 4 ]
+
+let engine_serves_hits () =
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      let computed = Atomic.make 0 in
+      let cold = toy_sweep ~cache ~jobs:4 (toy_tasks ~computed 12) in
+      check Alcotest.int "cold computes all" 12 (Atomic.get computed);
+      Atomic.set computed 0;
+      let warm = toy_sweep ~cache ~jobs:4 (toy_tasks ~computed 12) in
+      check Alcotest.int "warm computes none" 0 (Atomic.get computed);
+      check int_array "warm = cold" cold warm;
+      check Alcotest.int "12 hits" 12
+        (Result_store.counters cache.Runner.store).Result_store.hits)
+
+let engine_recomputes_undecodable () =
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      let tasks = toy_tasks 3 in
+      let fp = toy_address tasks.(2) in
+      (* Passes the store's checksum, fails the int decoder. *)
+      Result_store.add cache.Runner.store fp ~cost:0.1 "not an int";
+      let computed = Atomic.make 0 in
+      let results = toy_sweep ~cache ~jobs:1 (toy_tasks ~computed 3) in
+      check int_array "results" [| 0; 1; 4 |] results;
+      check Alcotest.int "all three computed" 3 (Atomic.get computed);
+      check Alcotest.int "counted corrupt" 1
+        (Result_store.counters cache.Runner.store).Result_store.corrupt;
+      check
+        Alcotest.(option string)
+        "overwritten" (Some "4")
+        (Result_store.find cache.Runner.store fp))
+
+let engine_computes_longest_first () =
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      (* Seed the cost model under other runs' addresses: config 1 is the
+         longest, then 2, then 0. *)
+      List.iter
+        (fun (config, cost) ->
+          Result_store.add cache.Runner.store
+            (Fingerprint.make ~experiment:"toy" ~config ~run:99 ~verify:false)
+            ~cost_key:("toy#" ^ config) ~cost "0")
+        [ ("0", 1.0); ("1", 3.0); ("2", 2.0) ];
+      let started = ref [] in
+      let tasks =
+        Array.map
+          (fun (t : int Runner.task) ->
+            {
+              t with
+              Runner.compute =
+                (fun () ->
+                  started := t.Runner.config :: !started;
+                  t.Runner.compute ());
+            })
+          (toy_tasks 9)
+      in
+      let results = toy_sweep ~cache ~jobs:1 tasks in
+      check int_array "results in task order" (Array.init 9 (fun i -> i * i))
+        results;
+      check
+        Alcotest.(list string)
+        "longest configuration first"
+        [ "1"; "1"; "1"; "2"; "2"; "2"; "0"; "0"; "0" ]
+        (List.rev !started))
+
+let engine_announces_each_group_once () =
+  List.iter
+    (fun jobs ->
+      with_temp_dir (fun dir ->
+          let cache = Runner.cache ~dir () in
+          let tasks = toy_tasks 9 in
+          (* Group 0 computes everything; group 1's run 0 is a hit and its
+             runs 1 and 2 miss; group 2 is fully cached. *)
+          List.iter
+            (fun i ->
+              Result_store.add cache.Runner.store (toy_address tasks.(i))
+                ~cost:0.1
+                (string_of_int (i * i)))
+            [ 3; 6; 7; 8 ];
+          let lines = ref [] in
+          let results =
+            toy_sweep ~cache ~jobs
+              ~progress:(fun l -> lines := l :: !lines)
+              (toy_tasks 9)
+          in
+          check int_array "results" (Array.init 9 (fun i -> i * i)) results;
+          check
+            Alcotest.(list string)
+            (Printf.sprintf "announcements at -j%d" jobs)
+            [ "group 0"; "group 1" ]
+            (List.sort compare !lines)))
+    [ 1; 4 ]
+
+(* ------------------------------------------------------------------ *)
+(* Store addresses the end-to-end benchmark computes on its own        *)
+(* ------------------------------------------------------------------ *)
+
+module Fig_tier = Hcsgc_experiments.Fig_tier
+
+(* bench/e2e's tier and serve jobs spell out their fingerprints by hand
+   rather than through the figures' sweeps; so do these checks.  A change
+   that re-keys either sweep turns every warm store cold, and fails here. *)
+let tier_sweep_store_addresses () =
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      ignore (Fig_tier.sweep ~capacities:[ 8 ] ~runs:1 ~scale:8 ~cache ());
+      let config =
+        Fig_tier.tier_config ~capacity:8 ~lat_far:Fig_tier.default_lat_far
+          ~promote:true
+      in
+      List.iter
+        (fun (family, (exp : Runner.experiment)) ->
+          check Alcotest.bool (family ^ " stored at its address") true
+            (Result_store.mem cache.Runner.store
+               (Fingerprint.make
+                  ~experiment:("ftier;" ^ exp.Runner.key)
+                  ~config:(Runner.config_value_key config)
+                  ~run:0 ~verify:false)))
+        (Fig_tier.families ~scale:8 ()))
+
+let serve_sweep_store_address () =
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      let scale = 16 in
+      let params = Fig_serve.scaled_params ~scale
+      and heap = Fig_serve.scaled_heap ~scale in
+      ignore
+        (Fig_serve.sweep ~config_ids:[ 18 ] ~runs:1 ~cache ~heap ~params ());
+      let experiment =
+        Fig_serve.experiment_key ~heap ~params ~shard_domains:0
+          ~slo:Fig_serve.default_slo ()
+      in
+      check Alcotest.bool "stored at its address" true
+        (Result_store.mem cache.Runner.store
+           (Fingerprint.make ~experiment ~config:(Runner.config_key 18) ~run:0
+              ~verify:false)))
+
 let suite =
   [
     ( "store.fingerprint",
@@ -453,5 +635,21 @@ let suite =
         case "warm sweep byte-identical" `Quick warm_sweep_byte_identical;
         case "cold scheduled sweep = uncached" `Quick
           cold_scheduled_sweep_matches_uncached;
+      ] );
+    ( "store.engine",
+      [
+        case "results in task order" `Quick engine_results_in_task_order;
+        case "hits are not recomputed" `Quick engine_serves_hits;
+        case "undecodable payload recomputed" `Quick
+          engine_recomputes_undecodable;
+        case "misses compute longest first" `Quick
+          engine_computes_longest_first;
+        case "each group announced once" `Quick
+          engine_announces_each_group_once;
+      ] );
+    ( "store.addresses",
+      [
+        case "tier sweep" `Quick tier_sweep_store_addresses;
+        case "serve sweep" `Quick serve_sweep_store_address;
       ] );
   ]
