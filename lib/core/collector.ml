@@ -141,7 +141,6 @@ type t = {
   ec_scratch : Page.t Vec.t;  (* this cycle's EC, small then medium *)
   mutable select_cls : Layout.size_class;
   mutable ec_threshold : int;
-  debug_ec : bool;  (* HCSGC_DEBUG_EC=1, read once at create *)
   mutable collect_candidate_fn : Page.t -> unit;
   mutable ec_filter_fn : Page.t -> bool;
   mutable ec_cmp_fn : Page.t -> Page.t -> int;
@@ -187,6 +186,13 @@ let mark_watermark t = t.mark_watermark
 let iter_stale_fwd_pages t f =
   (* The retire queue holds each freed-but-unretired page exactly once. *)
   Vec.iter f t.retire_pages
+
+let iter_stale_fwd_index t f =
+  Int_tbl.iter t.fwd_index (fun granule idx ->
+      f granule
+        (if idx >= 0 && idx < Vec.length t.retire_pages then
+           Some (Vec.get t.retire_pages idx)
+         else None))
 
 let stale_fwd_page_at t ~addr =
   match
@@ -707,13 +713,6 @@ let select_class t ~cls ~page_size =
   Heap.iter_pages t.heap t.collect_candidate_fn;
   t.acc_cost <-
     t.acc_cost + (Vec.length t.select_cands * Cost.ec_select_per_page);
-  (* Debug aid: HCSGC_DEBUG_EC=1 dumps per-candidate liveness/hotness and
-     the selection outcome to stderr each cycle; snapshot the candidate
-     list before filtering destroys it (debug mode may allocate). *)
-  let debug_cands =
-    if t.debug_ec && cls = Layout.Small then Vec.to_list t.select_cands
-    else []
-  in
   let relocate_all =
     cls = Layout.Small && t.config.Config.relocate_all_small_pages
   in
@@ -740,16 +739,6 @@ let select_class t ~cls ~page_size =
     page.Page.state <- Page.In_ec;
     Vec.push t.ec_scratch page
   done;
-  if t.debug_ec && cls = Layout.Small then begin
-    Printf.eprintf "cycle %d: %d candidates\n" t.cycle_no
-      (List.length debug_cands);
-    List.iter
-      (fun (p : Page.t) ->
-        Printf.eprintf "  page#%d birth=%d live=%d hot=%d key=%d sel=%b tgt=%b\n"
-          p.Page.id p.Page.birth_cycle p.Page.live_bytes p.Page.hot_bytes
-          (ec_key t p) (p.Page.state = Page.In_ec) p.Page.is_alloc_target)
-      debug_cands
-  end;
   selected
 
 (* Demote cold small pages to the far tier, capacity permitting.  Runs on
@@ -1064,18 +1053,22 @@ let init_callbacks t =
         && (t.dyn_cold_confidence >= 1.0 || page.Page.prev_hot_bytes = 0)
       then Vec.push t.demote_cands page)
 
-let create ?(sink = Gc_log.null_sink) ?tier ~heap ~machine ~config ~gc_core
-    ~roots () =
+let create ?(sink = Gc_log.null_sink) ~heap ~machine ~config ~gc_core ~roots
+    () =
   (match Config.validate config with
   | Ok _ -> ()
   | Error msg -> invalid_arg ("Collector.create: " ^ msg));
-  (match tier with
-  | Some _ when t_cap config = 0 ->
-      invalid_arg "Collector.create: tier supplied but tiering disabled"
-  | None when t_cap config > 0 ->
-      invalid_arg "Collector.create: tiering enabled but no tier supplied"
-  | _ -> ());
-  let dummy = dummy_page (Heap.layout heap) in
+  let lay = Heap.layout heap in
+  let tier =
+    if t_cap config > 0 then
+      Some
+        (Tier.create ~granule_bytes:(Layout.granule lay)
+           ~capacity_bytes:(t_cap config * lay.Layout.small_page)
+           ~lat_far:config.Config.lat_far ())
+    else None
+  in
+  Machine.set_tier machine tier;
+  let dummy = dummy_page lay in
   let t =
     {
       heap;
@@ -1124,8 +1117,6 @@ let create ?(sink = Gc_log.null_sink) ?tier ~heap ~machine ~config ~gc_core
       ec_scratch = Vec.create ();
       select_cls = Layout.Small;
       ec_threshold = 0;
-      debug_ec =
-        (try Sys.getenv "HCSGC_DEBUG_EC" = "1" with Not_found -> false);
       collect_candidate_fn = ignore;
       ec_filter_fn = (fun _ -> false);
       ec_cmp_fn = (fun _ _ -> 0);
@@ -1140,110 +1131,6 @@ let create ?(sink = Gc_log.null_sink) ?tier ~heap ~machine ~config ~gc_core
      above, so the phase paths never construct a closure. *)
   init_callbacks t;
   t
-
-(* ------------------------------------------------------------------ *)
-(* Invariant verification (tests & debugging)                          *)
-(* ------------------------------------------------------------------ *)
-
-let verify t =
-  let errors = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errors := m :: !errors) fmt in
-  let granule_bytes = Layout.granule (layout t) in
-  (* Page-level invariants. *)
-  let used = ref 0 in
-  Heap.iter_pages t.heap (fun page ->
-      used := !used + page.Page.size;
-      (match Heap.page_of_addr t.heap page.Page.start with
-      | Some p when p == page -> ()
-      | _ -> err "page #%d not mapped at its own start" page.Page.id);
-      Page.iter_objects page (fun offset (obj : Heap_obj.t) ->
-          if obj.Heap_obj.addr <> page.Page.start + offset then
-            err "object #%d registered at offset %d but addr=0x%x on page #%d"
-              obj.Heap_obj.id offset obj.Heap_obj.addr page.Page.id;
-          if obj.Heap_obj.addr + obj.Heap_obj.size > page.Page.start + page.Page.top
-          then
-            err "object #%d extends past the bump pointer of page #%d"
-              obj.Heap_obj.id page.Page.id));
-  if !used <> Heap.used_bytes t.heap then
-    err "used_bytes accounting: pages sum to %d, heap reports %d" !used
-      (Heap.used_bytes t.heap);
-  (* Forwarding-index granules must be unmapped until retirement, and
-     must point at their queued page. *)
-  Int_tbl.iter t.fwd_index (fun granule idx ->
-      (match Heap.page_of_addr t.heap (granule * granule_bytes) with
-      | Some p ->
-          err "fwd-index granule %d still mapped to live page #%d" granule
-            p.Page.id
-      | None -> ());
-      if idx < 0 || idx >= Vec.length t.retire_pages then
-        err "fwd-index granule %d points at retired slot %d (of %d)" granule
-          idx
-          (Vec.length t.retire_pages));
-  (* Reachability: every ref slot of every reachable object must resolve to
-     a registered object, possibly through forwarding. *)
-  let seen = Hashtbl.create 1024 in
-  let stale_page_at addr =
-    match Int_tbl.get t.fwd_index ~key:(addr / granule_bytes) ~default:(-1) with
-    | -1 -> None
-    | idx when idx >= 0 && idx < Vec.length t.retire_pages ->
-        Some (Vec.get t.retire_pages idx)
-    | _ -> None
-  in
-  let rec trace (obj : Heap_obj.t) =
-    if not (Hashtbl.mem seen obj.Heap_obj.id) then begin
-      Hashtbl.add seen obj.Heap_obj.id ();
-      Array.iteri
-        (fun slot ptr ->
-          if not (Addr.is_null ptr) then begin
-            (match Addr.color ptr with
-            | (_ : Addr.color) -> ()
-            | exception Invalid_argument _ ->
-                err "object #%d slot %d holds a malformed pointer"
-                  obj.Heap_obj.id slot);
-            let rec chase addr depth =
-              if depth > 4 then
-                err "forwarding chain too deep from object #%d slot %d"
-                  obj.Heap_obj.id slot
-              else
-                match stale_page_at addr with
-                | Some old_page -> (
-                    match
-                      Fwd_table.find old_page.Page.fwd
-                        ~offset:(addr - old_page.Page.start)
-                    with
-                    | Some fwd -> chase fwd (depth + 1)
-                    | None ->
-                        err "object #%d slot %d: stale 0x%x has no forwarding"
-                          obj.Heap_obj.id slot addr)
-                | None -> (
-                    match Heap.page_of_addr t.heap addr with
-                    | None ->
-                        err "object #%d slot %d points at unmapped 0x%x"
-                          obj.Heap_obj.id slot addr
-                    | Some page -> (
-                        match
-                          Page.find_object page ~offset:(addr - page.Page.start)
-                        with
-                        | Some target -> trace target
-                        | None -> (
-                            match
-                              Fwd_table.find page.Page.fwd
-                                ~offset:(addr - page.Page.start)
-                            with
-                            | Some fwd -> chase fwd (depth + 1)
-                            | None ->
-                                err
-                                  "object #%d slot %d points at 0x%x with no \
-                                   object or forwarding"
-                                  obj.Heap_obj.id slot addr)))
-            in
-            chase (Addr.addr ptr) 0
-          end)
-        obj.Heap_obj.refs
-    end
-  in
-  t.roots trace;
-  match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let drain t =
   (* Complete the in-flight cycle, then — if a LAZYRELOCATE set is pending —

@@ -40,7 +40,6 @@ exception Invalid_handle of string
 
 val create :
   ?sink:Gc_log.sink ->
-  ?tier:Hcsgc_memsim.Tier.t ->
   heap:Heap.t ->
   machine:Machine.t ->
   config:Config.t ->
@@ -52,14 +51,14 @@ val create :
     {!Gc_log.null_sink}.  Fan out to several consumers (event log,
     telemetry, ...) with {!Gc_log.tee}.
 
-    [tier] is the far-memory tier the collector manages (the same value
-    the embedder passes to {!Machine.set_tier}).  Required exactly when
-    [config.tier_capacity_pages > 0]: the collector demotes cold small
-    pages into it at sweep, promotes far pages back to DRAM on barrier
-    access (under [config.tier_promote]), and clears residency when a
-    far page is freed.
-    @raise Invalid_argument if [tier]'s presence disagrees with the
-    config's [tier_capacity_pages], or the config is invalid.
+    When [config.tier_capacity_pages > 0] the collector builds the
+    far-memory tier ({!tier}: [tier_capacity_pages] small pages, one
+    residency granule per small page, [config.lat_far]) and attaches it
+    to [machine] with {!Machine.set_tier}.  The collector demotes cold
+    small pages into it at sweep, promotes far pages back to DRAM on
+    barrier access (under [config.tier_promote]), and clears residency
+    when a far page is freed.
+    @raise Invalid_argument if the config is invalid.
 
     [roots] enumerates the current root set by applying its callback to
     every root, in a stable order (determinism depends on it).  An iterator
@@ -75,8 +74,9 @@ val heap : t -> Heap.t
 val config : t -> Config.t
 
 val tier : t -> Hcsgc_memsim.Tier.t option
-(** The far-memory tier, when tiering is on — read-only access for the
-    verifier (per-tier byte totals round-trip against {!Heap.far_bytes}). *)
+(** The far-memory tier {!create} built, when tiering is on — read-only
+    access for the verifier (per-tier byte totals round-trip against
+    {!Heap.far_bytes}) and for reports. *)
 
 val stats : t -> Gc_stats.t
 val phase : t -> phase
@@ -128,6 +128,12 @@ val iter_stale_fwd_pages : t -> (Page.t -> unit) -> unit
 (** Iterate the freed pages whose forwarding tables are still live (i.e.
     not yet retired at a Mark End pause) — the pages stale coloured
     pointers may still resolve through. *)
+
+val iter_stale_fwd_index : t -> (int -> Page.t option -> unit) -> unit
+(** Iterate the stale-pointer forwarding index: [f granule page] for every
+    indexed granule, with the freed-but-unretired page the entry names, or
+    [None] if the entry names no slot of the retirement queue (the reverse
+    direction of {!iter_stale_fwd_pages}, for the verifier). *)
 
 val stale_fwd_page_at : t -> addr:int -> Page.t option
 (** The freed-but-unretired page whose recycled address range covers
@@ -225,10 +231,3 @@ val set_cold_confidence : t -> float -> unit
 val pending_relocation_pages : t -> int
 (** Pages selected for evacuation and not yet fully evacuated (includes the
     LAZYRELOCATE carry-over while idle). *)
-
-val verify : t -> (unit, string list) result
-(** Walk the heap and check structural invariants: object registration
-    matches addresses, page accounting is consistent, forwarding-table
-    index granules are unmapped, reachable reference slots resolve to
-    registered objects, and coloured pointers are well-formed.  Intended
-    for tests and debugging; O(heap). *)

@@ -81,20 +81,6 @@ let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
     | Some layout -> Heap.create ~layout ~max_bytes:max_heap ()
     | None -> Heap.create ~max_bytes:max_heap ()
   in
-  (* Far-memory tier: one shared object, consulted by the machine on the
-     LLC-miss path and mutated by the collector (demote/promote/free). *)
-  let tier =
-    if config.Config.tier_capacity_pages > 0 then
-      Some
-        (Hcsgc_memsim.Tier.create
-           ~granule_bytes:(Layout.granule (Heap.layout heap))
-           ~capacity_bytes:
-             (config.Config.tier_capacity_pages
-             * (Heap.layout heap).Layout.small_page)
-           ~lat_far:config.Config.lat_far ())
-    else None
-  in
-  Machine.set_tier machine tier;
   let roots = Vec.create () in
   let locals = Vec.create () in
   (* Root iterator: named roots first, then local frames — the same stable
@@ -108,7 +94,7 @@ let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
     let sink =
       Option.map Hcsgc_core.Gc_log.sink_of_recorder recorder
     in
-    Collector.create ?sink ?tier ~heap ~machine ~config
+    Collector.create ?sink ~heap ~machine ~config
       ~gc_core:(if saturated then 0 else mutators)
       ~roots:root_fn ()
   in
@@ -379,7 +365,7 @@ let ops t = t.op_count
 
 let counters t = Machine.counters t.machine
 
-let tier t = Machine.tier t.machine
+let tier t = Collector.tier t.collector
 
 let far_loads t = Machine.far_loads t.machine
 

@@ -299,13 +299,8 @@ let run ?(verify = true) ?(oracle = true) ?(mutators = 1) ~config ~slots
     current := (List.length actions, None);
     final_validation st;
     Vm.finish vm;
-    if verify then begin
-      (match Collector.verify (Vm.collector vm) with
-      | Ok () -> ()
-      | Error errors -> raise (Mismatch (String.concat "; " errors)));
-      if Collector.cycle_number (Vm.collector vm) > 0 then
-        Invariants.check_exn (Vm.collector vm) ~edge:Collector.Cycle_done
-    end;
+    if verify then
+      Invariants.check_exn (Vm.collector vm) ~edge:Collector.Cycle_done;
     Pass { gc_cycles = Gc_stats.cycles (Vm.gc_stats vm) }
   with e ->
     let action_index, action = !current in

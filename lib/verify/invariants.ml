@@ -60,6 +60,8 @@ let check_state ctx =
   | (Collector.Stw1_done | Collector.Mark_done), Addr.R ->
       err ctx "good colour is R at %s (expected a mark colour)" edge_name
   | (Collector.Stw3_done | Collector.Cycle_done), Addr.R -> ()
+  (* Idle before the first cycle: the initial good colour is M1. *)
+  | Collector.Cycle_done, Addr.M1 when Collector.cycle_number ctx.col = 0 -> ()
   | (Collector.Stw3_done | Collector.Cycle_done), c ->
       err ctx "good colour is %s at %s (expected R)" (Addr.color_to_string c)
         edge_name);
@@ -253,7 +255,21 @@ let check_stale_fwd_pages ctx =
             err ctx "freed page #%d live bit %d has no forwarding entry"
               page.Page.id bit);
       Fwd_table.iter page.Page.fwd (fun ~offset ~new_addr ->
-          check_fwd_entry ~allow_dead_chain:true ctx page ~offset ~new_addr))
+          check_fwd_entry ~allow_dead_chain:true ctx page ~offset ~new_addr));
+  (* And the reverse: every index entry is an unmapped granule of a
+     queued page. *)
+  Collector.iter_stale_fwd_index ctx.col (fun g page ->
+      (match Heap.page_of_addr heap (g * granule) with
+      | Some p ->
+          err ctx "forwarding-index granule %d is mapped to live page #%d" g
+            p.Page.id
+      | None -> ());
+      match page with
+      | None -> err ctx "forwarding-index granule %d names no queued page" g
+      | Some p ->
+          if not (Page.contains p (g * granule)) then
+            err ctx "forwarding-index granule %d lies outside its page #%d" g
+              p.Page.id)
 
 (* ------------------------------------------------------------------ *)
 (* The reachable object graph                                          *)

@@ -14,7 +14,8 @@
       pages have empty forwarding tables; every forwarding entry resolves to
       a registered object that fits both its source slot and destination
       page; freed-but-unretired pages are unmapped, indexed for
-      stale-pointer remapping, and forward {e every} live bit; the in-EC
+      stale-pointer remapping, and forward {e every} live bit; every entry
+      of that index is an unmapped granule of such a page; the in-EC
       page population matches {!Collector.pending_relocation_pages}; the
       good colour and phase match the edge; and the object graph reachable
       from the roots is well formed — colours are valid and good-coloured
@@ -26,7 +27,8 @@
       is in the livemap; the hotmap is a subset of the livemap and
       [hot_bytes] equals the sum over hot bits.
     - {b at [Cycle_done]}: phase is [Idle]; without LAZYRELOCATE no in-EC
-      page remains.
+      page remains.  Before the first cycle the idle good colour is M1, so
+      a fresh collector checks clean at this edge too.
 
     {!install} wires these checks (plus, optionally, the {!Oracle} diff at
     [Mark_done]) into a collector's phase hook; a failure raises

@@ -5,8 +5,9 @@ module Page = Hcsgc_heap.Page
 module Addr = Hcsgc_heap.Addr
 
 (* The collector's own chains are at most two hops (one relocation per
-   cycle, tables retired after one cycle); anything deeper is corruption. *)
-let max_chain = 8
+   cycle, tables retired after one cycle); anything deeper than four is
+   corruption. *)
+let max_chain = 4
 
 type resolve_error = { dead_chain : bool; msg : string }
 

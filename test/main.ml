@@ -14,4 +14,4 @@ let () =
    @ Test_misc.suite
    @ Test_fuzz.suite @ Test_verify.suite @ Test_tier.suite
    @ Test_hotpath.suite
-   @ Test_gccycle.suite @ Test_digest.suite)
+   @ Test_gccycle.suite @ Test_micro.suite @ Test_digest.suite)

@@ -11,6 +11,7 @@ module Layout = Hcsgc_heap.Layout
 module Heap = Hcsgc_heap.Heap
 module Addr = Hcsgc_heap.Addr
 module Heap_obj = Hcsgc_heap.Heap_obj
+module Invariants = Hcsgc_verify.Invariants
 
 let check = Alcotest.check
 let case = Alcotest.test_case
@@ -247,7 +248,7 @@ let verify_clean_after_churn () =
       done;
       churn vm 60_000;
       Vm.finish vm;
-      match Collector.verify (Vm.collector vm) with
+      match Invariants.check (Vm.collector vm) ~edge:Collector.Cycle_done with
       | Ok () -> ()
       | Error errors ->
           Alcotest.failf "config %d invariants: %s" id (List.hd errors))
@@ -263,7 +264,7 @@ let verify_detects_corruption () =
   Vm.store_ref vm keeper 0 (Some o);
   (* Bypass the VM and write a wild pointer. *)
   Heap_obj.set_ref keeper 0 (Hcsgc_heap.Addr.make Hcsgc_heap.Addr.M0 0xdead0000);
-  (match Collector.verify (Vm.collector vm) with
+  (match Invariants.check (Vm.collector vm) ~edge:Collector.Cycle_done with
   | Ok () -> Alcotest.fail "verifier accepted a wild pointer"
   | Error _ -> ());
   (* Restore sanity for a clean teardown. *)

@@ -160,7 +160,10 @@ let run_fuzz ~config ~seed ~ops ~slots =
     m.table;
   Vm.finish vm;
   (* Structural invariants must hold after the storm. *)
-  (match Collector.verify (Vm.collector vm) with
+  (match
+     Hcsgc_verify.Invariants.check (Vm.collector vm)
+       ~edge:Collector.Cycle_done
+   with
   | Ok () -> ()
   | Error errors ->
       Alcotest.failf "heap invariants violated:\n%s"

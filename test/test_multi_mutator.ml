@@ -101,7 +101,10 @@ let gc_with_multiple_mutators () =
   done;
   Vm.finish vm;
   check Alcotest.bool "cycles ran" true (Gc_stats.cycles (Vm.gc_stats vm) >= 2);
-  match Hcsgc_core.Collector.verify (Vm.collector vm) with
+  match
+    Hcsgc_verify.Invariants.check (Vm.collector vm)
+      ~edge:Hcsgc_core.Collector.Cycle_done
+  with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" (List.hd e)
 

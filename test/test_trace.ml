@@ -75,7 +75,10 @@ let synthesized_traces_trigger_gc () =
   Vm.finish vm;
   check Alcotest.bool "cycles ran" true
     (Hcsgc_core.Gc_stats.cycles (Vm.gc_stats vm) > 0);
-  match Hcsgc_core.Collector.verify (Vm.collector vm) with
+  match
+    Hcsgc_verify.Invariants.check (Vm.collector vm)
+      ~edge:Hcsgc_core.Collector.Cycle_done
+  with
   | Ok () -> ()
   | Error e -> Alcotest.failf "invariants: %s" (List.hd e)
 
