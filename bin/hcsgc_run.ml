@@ -412,13 +412,7 @@ let specjbb_cmd =
     let module S = Hcsgc_workloads.Specjbb_sim in
     let config = Config.of_id config_id in
     let params = E.Fig_specjbb.experiment_params ~scale in
-    let vm =
-      Vm.create
-        ~layout:(Layout.scaled ~small_page:(64 * 1024))
-        ~machine_config:E.Scaled_machine.config
-        ~mutators:params.S.handlers ~config
-        ~max_heap:(24 * 1024 * 1024) ()
-    in
+    let vm = E.Fig_specjbb.make_vm ~params config in
     if verify then Vm.enable_verification vm;
     let r = S.run vm { params with S.seed } in
     Vm.finish vm;
@@ -561,12 +555,7 @@ let serve_cmd =
       (Config.to_string config)
       (if verify then " [verified]" else "");
     let vm =
-      Vm.create
-        ~layout:(Layout.scaled ~small_page:(64 * 1024))
-        ~machine_config:E.Scaled_machine.config ~mutators ~trigger:0.10
-        ~config
-        ~max_heap:(heap_mb * 1024 * 1024)
-        ()
+      E.Fig_serve.make_vm ~params:p ~heap:(heap_mb * 1024 * 1024) config
     in
     if verify then Vm.enable_verification vm;
     (* Telemetry is always on here: pause intervals feed the SLO
@@ -720,25 +709,14 @@ type artefact = {
   what : string;
   fast : int * int;  (** default (runs, scale) *)
   full : int * int;  (** (runs, scale) under --full: paper-closer sizes *)
-  render : runs:int -> scale:int -> jobs:int -> E.Runner.cache option -> unit;
+  render : E.Runner.renderer;
 }
 
-type cached =
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:E.Runner.cache ->
-  Format.formatter -> unit
-
-type uncached = ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
-
 (* The one registry of artefacts, in the order [figure all] renders them.
-   Tables, the SPECjbb composite (which keeps a workload-specific result
-   record the store does not model) and the ablations ignore the store. *)
+   The tables simulate nothing, so they ignore runs, jobs and the store. *)
 let artefacts =
   let a id what fast full render = { id; what; fast; full; render } in
-  let cached (f : cached) ~runs ~scale ~jobs cache =
-    f ~runs ~scale ~jobs ?cache fmt
-  in
-  let uncached (f : uncached) ~runs ~scale ~jobs _ = f ~runs ~scale ~jobs fmt in
-  let table f ~runs:_ ~scale ~jobs:_ _ = f scale fmt in
+  let table f ?runs:_ ?(scale = 1) ?jobs:_ ?cache:_ fmt = f scale fmt in
   [
     a "t1" "Table 1: ZGC page size classes" (1, 1) (1, 1)
       (table (fun _ -> E.Tables.t1));
@@ -747,33 +725,31 @@ let artefacts =
     a "t3" "Table 3: LAW graph datasets (generator stand-ins)" (1, 4) (1, 4)
       (table (fun scale -> E.Tables.t3 ~scale));
     a "f4" "Fig. 4: synthetic, single phase" (3, 2) (10, 1)
-      (cached E.Fig_synthetic.fig4);
+      E.Fig_synthetic.fig4;
     a "f5" "Fig. 5: synthetic, three phases" (3, 2) (10, 1)
-      (cached E.Fig_synthetic.fig5);
+      E.Fig_synthetic.fig5;
     a "f6" "Fig. 6: ample relocation, saturated core" (2, 4) (5, 2)
-      (cached E.Fig_synthetic.fig6);
-    a "f7" "Fig. 7: CC on uk" (3, 16) (3, 8) (cached E.Fig_graph.fig7);
-    a "f8" "Fig. 8: CC on enwiki" (3, 16) (3, 8) (cached E.Fig_graph.fig8);
-    a "f9" "Fig. 9: MC on uk" (2, 4) (2, 2) (cached E.Fig_graph.fig9);
-    a "f10" "Fig. 10: MC on enwiki" (2, 4) (2, 2) (cached E.Fig_graph.fig10);
+      E.Fig_synthetic.fig6;
+    a "f7" "Fig. 7: CC on uk" (3, 16) (3, 8) E.Fig_graph.fig7;
+    a "f8" "Fig. 8: CC on enwiki" (3, 16) (3, 8) E.Fig_graph.fig8;
+    a "f9" "Fig. 9: MC on uk" (2, 4) (2, 2) E.Fig_graph.fig9;
+    a "f10" "Fig. 10: MC on enwiki" (2, 4) (2, 2) E.Fig_graph.fig10;
     a "f11" "Fig. 11: DaCapo tradebeans (simulated)" (3, 2) (5, 1)
-      (cached E.Fig_dacapo.fig11);
-    a "f12" "Fig. 12: DaCapo h2 (simulated)" (2, 2) (5, 1)
-      (cached E.Fig_dacapo.fig12);
+      E.Fig_dacapo.fig11;
+    a "f12" "Fig. 12: DaCapo h2 (simulated)" (2, 2) (5, 1) E.Fig_dacapo.fig12;
     a "f13" "Fig. 13: SPECjbb2015 (simulated)" (2, 2) (2, 1)
-      (uncached E.Fig_specjbb.fig13);
+      E.Fig_specjbb.fig13;
     a "abl-prefetch" "ablation: access-order layout needs prefetching" (3, 2)
-      (3, 1) (uncached E.Ablations.prefetcher);
+      (3, 1) E.Ablations.prefetcher;
     a "abl-tlb" "ablation: page-locality (dTLB) effect" (3, 2) (3, 1)
-      (uncached E.Ablations.tlb);
+      E.Ablations.tlb;
     a "abl-pagesize" "ablation: page-size-class granularity" (3, 2) (3, 1)
-      (uncached E.Ablations.page_size);
+      E.Ablations.page_size;
     a "abl-autotune" "ablation: COLDCONFIDENCE feedback loop" (3, 2) (3, 1)
-      (uncached E.Ablations.autotuner);
+      E.Ablations.autotuner;
     a "fserve" "serving tier: tail latency and SLO attribution" (3, 2) (3, 2)
-      (cached E.Fig_serve.figure);
-    a "ftier" "far-memory tier: capacity sweep" (3, 2) (3, 2)
-      (cached E.Fig_tier.figure);
+      E.Fig_serve.figure;
+    a "ftier" "far-memory tier: capacity sweep" (3, 2) (3, 2) E.Fig_tier.figure;
   ]
 
 let figure_cmd =
@@ -805,7 +781,7 @@ let figure_cmd =
         a.render
           ~runs:(Option.value sweep.runs ~default:default_runs)
           ~scale:(Option.value scale ~default:default_scale)
-          ~jobs:sweep.jobs sweep.cache)
+          ~jobs:sweep.jobs ?cache:sweep.cache fmt)
       selected;
     report_store "figure" sweep.cache
   in

@@ -62,8 +62,6 @@ let create ~jobs =
     t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.jobs
-
 let settle p state =
   Mutex.lock p.pm;
   p.state <- state;
@@ -107,16 +105,6 @@ let await p =
   | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
   | Pending -> assert false
 
-let map_list t f xs =
-  (* Submit everything first, then await in submission order: results are
-     deterministic no matter how workers interleave. *)
-  let promises = List.map (fun x -> async t (fun () -> f x)) xs in
-  List.map await promises
-
-let map_array t f xs =
-  let promises = Array.map (fun x -> async t (fun () -> f x)) xs in
-  Array.map await promises
-
 let map_array_in_order t ~order f xs =
   let n = Array.length xs in
   if Array.length order <> n then
@@ -130,7 +118,7 @@ let map_array_in_order t ~order f xs =
     order;
   (* Submit in the caller's order (this is what a scheduler controls),
      hold each promise at its original index, then await in index order:
-     the result array is position-for-position what map_array returns. *)
+     the result array is in input order whatever the submission order. *)
   let promises = Array.make n None in
   Array.iter (fun i -> promises.(i) <- Some (async t (fun () -> f xs.(i)))) order;
   Array.map (function Some p -> await p | None -> assert false) promises

@@ -7,12 +7,13 @@
       when [jobs > 1]; [jobs <= 1] spawns {e no} domains and every thunk
       runs immediately on the submitting domain — the sequential in-process
       path, bit-identical to a plain [List.map].
-    - {b Ordered results.} {!map_list} / {!map_array} return results in
-      submission order regardless of completion order, so aggregation is
-      deterministic under any scheduling.
+    - {b Ordered results.} {!map_array_in_order} returns results in
+      input order regardless of submission or completion order, so
+      aggregation is deterministic under any scheduling.
     - {b Exception transparency.} An exception raised by a thunk is
       captured together with its backtrace and re-raised (with that
-      backtrace) from {!await} / {!map_list} on the submitting domain.
+      backtrace) from {!await} / {!map_array_in_order} on the submitting
+      domain.
 
     Thunks must not themselves block on promises from the same pool
     (workers do not steal), and anything they share must be domain-safe. *)
@@ -29,9 +30,6 @@ val default_jobs : unit -> int
 
 val create : jobs:int -> t
 (** [create ~jobs] starts [max 1 jobs] workers ([jobs <= 1]: none). *)
-
-val jobs : t -> int
-(** Worker count the pool was created with (>= 1). *)
 
 val shutdown : t -> unit
 (** Drain outstanding tasks, join all workers.  Idempotent.  Submitting
@@ -52,22 +50,17 @@ val await : 'a promise -> 'a
 (** Block until the thunk finished; return its value or re-raise its
     exception with the original backtrace. *)
 
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list t f xs] = [List.map f xs], fanned across the pool, results
-    in submission (list) order.  On a thunk exception, the first failure
-    in submission order is re-raised after all tasks settle. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Array analogue of {!map_list}. *)
-
 val map_array_in_order : t -> order:int array -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array_in_order t ~order f xs] is {!map_array}[ t f xs] — same
-    results, same positions — but thunks are {e submitted} to the queue in
-    the sequence [xs.(order.(0)), xs.(order.(1)), ...].  [order] must be a
-    permutation of the indices of [xs] (checked;
-    @raise Invalid_argument otherwise).  This is the hook cost-aware
-    schedulers use ({!Hcsgc_store.Scheduler}): submission order decides
-    which jobs the workers pick up first and hence the sweep's makespan,
-    while result order — and therefore every output byte — stays fixed.
-    With [jobs <= 1] thunks run at submission, so [order] is then also the
+(** [map_array_in_order t ~order f xs] is [Array.map f xs], fanned across
+    the pool — results in input positions — with thunks {e submitted} to
+    the queue in the sequence [xs.(order.(0)), xs.(order.(1)), ...].
+    [order] must be a permutation of the indices of [xs] (checked;
+    @raise Invalid_argument otherwise).  If thunks raise, the failure
+    re-raised is the first in input order, whatever the submission order.
+
+    This is the hook cost-aware schedulers use
+    ({!Hcsgc_store.Scheduler}): submission order decides which jobs the
+    workers pick up first and hence the sweep's makespan, while result
+    order — and therefore every output byte — stays fixed.  With
+    [jobs <= 1] thunks run at submission, so [order] is then also the
     execution order. *)

@@ -1,16 +1,7 @@
 type t = { mutex : Mutex.t; emit : string -> unit }
 
-let stderr_emit line =
-  (* One buffered write + flush so the line reaches the fd in one piece. *)
-  output_string stderr (line ^ "\n");
-  flush stderr
-
-let create ?(emit = stderr_emit) () = { mutex = Mutex.create (); emit }
+let create emit = { mutex = Mutex.create (); emit }
 
 let say t line =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) (fun () -> t.emit line)
-
-let sayf t fmt = Printf.ksprintf (say t) fmt
-
-let null () = { mutex = Mutex.create (); emit = ignore }

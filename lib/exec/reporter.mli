@@ -7,18 +7,12 @@
 
 type t
 
-val create : ?emit:(string -> unit) -> unit -> t
-(** [create ~emit ()] wraps [emit] (called with one line, no trailing
-    newline) in a mutex.  The default sink writes ["line\n"] to stderr in
-    a single buffered write and flushes.  [emit] itself runs under the
-    reporter's lock, so it need not be domain-safe — but it must not call
-    back into the same reporter. *)
+val create : (string -> unit) -> t
+(** [create emit] wraps [emit] (called with one line, no trailing
+    newline) in a mutex.  [emit] runs under the reporter's lock, so it
+    need not be domain-safe — but it must not call back into the same
+    reporter. *)
 
 val say : t -> string -> unit
 (** Deliver one line, atomically with respect to other [say]s on [t]. *)
 
-val sayf : t -> ('a, unit, string, unit) format4 -> 'a
-(** [Printf]-style {!say}. *)
-
-val null : unit -> t
-(** Drops everything. *)

@@ -1,49 +1,79 @@
-module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
-module Layout = Hcsgc_heap.Layout
-module Synthetic = Hcsgc_workloads.Synthetic
-module H = Hcsgc_memsim.Hierarchy
 module Render = Hcsgc_stats.Render
 module Bootstrap = Hcsgc_stats.Bootstrap
-module Pool = Hcsgc_exec.Pool
 
-let layout = Layout.scaled ~small_page:(64 * 1024)
+type variant = string * Runner.experiment * Config.t
 
-let synth_params ~scale =
-  let base = Synthetic.default in
-  {
-    base with
-    Synthetic.elements = max 1_000 (base.Synthetic.elements / scale);
-    accesses_per_loop = max 1_000 (base.Synthetic.accesses_per_loop / scale);
-  }
+let prefetcher_variants ~scale =
+  let on = Fig_synthetic.experiment ~scale ()
+  and off = Fig_synthetic.experiment ~prefetch:false ~scale () in
+  [
+    ("zgc, prefetch on", on, Config.of_id 0);
+    ("cfg 16, prefetch on", on, Config.of_id 16);
+    ("zgc, prefetch off", off, Config.of_id 0);
+    ("cfg 16, prefetch off", off, Config.of_id 16);
+  ]
 
-let run_one ?(layout = layout) ~machine_config ~autotune ~config ~scale ~seed
-    () =
-  let params = synth_params ~scale in
-  let max_heap = max (4 * 1024 * 1024) (5 * params.Synthetic.elements * 48) in
-  let vm = Vm.create ~layout ~machine_config ~autotune ~config ~max_heap () in
-  ignore (Synthetic.run vm { params with Synthetic.seed });
-  Vm.finish vm;
-  vm
+let tlb_variants ~scale =
+  let exp = Fig_synthetic.experiment ~tlb:true ~scale () in
+  [
+    ("zgc, tlb on", exp, Config.of_id 0);
+    ("cfg 16, tlb on", exp, Config.of_id 16);
+  ]
 
-(* Expand every (variant, seed) pair into one engine job, fan across the
-   pool, then bootstrap each variant from its seed-ordered samples — the
-   same ordered-aggregation determinism as Runner.sweep. *)
-let estimates ~jobs ~runs variants =
-  let job_list =
+let autotuner_variants ~scale =
+  let fixed = Fig_synthetic.experiment ~scale ()
+  and tuned = Fig_synthetic.experiment ~autotune:true ~scale () in
+  let lazy_cc cold_confidence =
+    Config.make ~hotness:true ~cold_confidence ~lazy_relocate:true ()
+  in
+  [
+    ("fixed cc=0.0 (+lazy)", fixed, lazy_cc 0.0);
+    ("fixed cc=0.5 (+lazy)", fixed, lazy_cc 0.5);
+    ("fixed cc=1.0 (+lazy)", fixed, lazy_cc 1.0);
+    ("autotuned (+lazy)", tuned, lazy_cc 0.0);
+  ]
+
+(* §3.4 / §4.8: smaller pages mean finer relocation granularity — EC
+   selection can isolate hot objects more precisely, at the cost of more
+   page bookkeeping. *)
+let page_size_variants ~scale =
+  let pages small_page = Fig_synthetic.experiment ~small_page ~scale () in
+  [
+    ("zgc, 64K pages", pages (64 * 1024), Config.of_id 0);
+    ("cfg 16, 64K pages", pages (64 * 1024), Config.of_id 16);
+    ("cfg 16, 32K pages", pages (32 * 1024), Config.of_id 16);
+    ("cfg 16, 16K pages", pages (16 * 1024), Config.of_id 16);
+  ]
+
+let variants ~scale =
+  [
+    ("prefetcher", prefetcher_variants ~scale);
+    ("tlb", tlb_variants ~scale);
+    ("autotuner", autotuner_variants ~scale);
+    ("page_size", page_size_variants ~scale);
+  ]
+
+(* Every (variant, run) pair is one engine task; the walls come back in
+   task order, so each variant bootstraps its seed-ordered samples. *)
+let sweep ~runs ~jobs ?cache variants =
+  let tasks =
     List.concat_map
-      (fun (name, f) -> List.init runs (fun seed -> (name, f, seed)))
+      (fun (name, exp, config) ->
+        List.init runs (fun run ->
+            Runner.experiment_task ~verify:false ~group:("ablation: " ^ name)
+              exp config ~run))
       variants
   in
-  let samples =
-    Pool.with_pool ~jobs (fun pool ->
-        Pool.map_list pool (fun (_, f, seed) -> f ~seed) job_list)
-  in
-  List.mapi
-    (fun i (name, _) ->
-      let mine = List.filteri (fun j _ -> j / runs = i) samples in
-      (name, Bootstrap.estimate ~seed:42 (Array.of_list mine)))
-    variants
+  Runner.sweep ~jobs ?cache
+    ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
+    ~verify:false ~encode:Runner.metrics_to_string
+    ~decode:Runner.metrics_of_string (Array.of_list tasks)
+  |> Runner.chunks variants ~size:runs
+  |> List.map (fun ((name, _, _), ms) ->
+         ( name,
+           Bootstrap.estimate ~seed:42 (Array.map (fun m -> m.Runner.wall) ms)
+         ))
 
 let table fmt ~title ~note rows =
   Format.fprintf fmt "=== Ablation — %s ===@.%s@.@." title note;
@@ -63,23 +93,8 @@ let table fmt ~title ~note rows =
          rows);
   Format.pp_print_newline fmt ()
 
-let prefetcher ?(runs = 3) ?(scale = 2) ?(jobs = 1) fmt =
-  let go ~prefetch ~config_id ~seed =
-    let machine_config = { Scaled_machine.config with H.prefetch } in
-    float_of_int
-      (Vm.wall_cycles
-         (run_one ~machine_config ~autotune:false
-            ~config:(Config.of_id config_id) ~scale ~seed ()))
-  in
-  let rows =
-    estimates ~jobs ~runs
-      [
-        ("zgc, prefetch on", go ~prefetch:true ~config_id:0);
-        ("cfg 16, prefetch on", go ~prefetch:true ~config_id:16);
-        ("zgc, prefetch off", go ~prefetch:false ~config_id:0);
-        ("cfg 16, prefetch off", go ~prefetch:false ~config_id:16);
-      ]
-  in
+let prefetcher ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
+  let rows = sweep ~runs ~jobs ?cache (prefetcher_variants ~scale) in
   table fmt ~title:"hardware prefetching"
     ~note:
       "expectation: HCSGC's win shrinks substantially without the stream \
@@ -95,75 +110,23 @@ let prefetcher ?(runs = 3) ?(scale = 2) ?(jobs = 1) fmt =
         (Render.pct (win off0 off16))
   | _ -> ())
 
-let tlb ?(runs = 3) ?(scale = 2) ?(jobs = 1) fmt =
-  let go ~config_id ~seed =
-    let machine_config = { Scaled_machine.config with H.tlb = true } in
-    let vm =
-      run_one ~machine_config ~autotune:false ~config:(Config.of_id config_id)
-        ~scale ~seed ()
-    in
-    float_of_int (Vm.wall_cycles vm)
-  in
+let tlb ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
   table fmt ~title:"dTLB pressure"
     ~note:
       "expectation: with the dTLB model on, HCSGC's packing of hot objects \
        onto fewer pages also cuts page walks (the page-locality effect)"
-    (estimates ~jobs ~runs
-       [
-         ("zgc, tlb on", go ~config_id:0);
-         ("cfg 16, tlb on", go ~config_id:16);
-       ])
+    (sweep ~runs ~jobs ?cache (tlb_variants ~scale))
 
-let autotuner ?(runs = 3) ?(scale = 2) ?(jobs = 1) fmt =
-  let fixed cc ~seed =
-    let config =
-      if cc = 0.0 then Config.make ~hotness:true ~lazy_relocate:true ()
-      else Config.make ~hotness:true ~cold_confidence:cc ~lazy_relocate:true ()
-    in
-    float_of_int
-      (Vm.wall_cycles
-         (run_one ~machine_config:Scaled_machine.config ~autotune:false ~config
-            ~scale ~seed ()))
-  in
-  let tuned ~seed =
-    let config = Config.make ~hotness:true ~lazy_relocate:true () in
-    float_of_int
-      (Vm.wall_cycles
-         (run_one ~machine_config:Scaled_machine.config ~autotune:true ~config
-            ~scale ~seed ()))
-  in
+let autotuner ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
   table fmt ~title:"COLDCONFIDENCE feedback loop (§4.8 future work)"
     ~note:
       "expectation: the autotuner approaches the best fixed setting without \
        being told it"
-    (estimates ~jobs ~runs
-       [
-         ("fixed cc=0.0 (+lazy)", fixed 0.0);
-         ("fixed cc=0.5 (+lazy)", fixed 0.5);
-         ("fixed cc=1.0 (+lazy)", fixed 1.0);
-         ("autotuned (+lazy)", tuned);
-       ])
+    (sweep ~runs ~jobs ?cache (autotuner_variants ~scale))
 
-let page_size ?(runs = 3) ?(scale = 2) ?(jobs = 1) fmt =
-  (* §3.4 / §4.8: smaller pages mean finer relocation granularity — EC
-     selection can isolate hot objects more precisely, at the cost of more
-     page bookkeeping. *)
-  let go ~small_page ~config_id ~seed =
-    float_of_int
-      (Vm.wall_cycles
-         (run_one
-            ~layout:(Layout.scaled ~small_page)
-            ~machine_config:Scaled_machine.config ~autotune:false
-            ~config:(Config.of_id config_id) ~scale ~seed ()))
-  in
+let page_size ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
   table fmt ~title:"page size class granularity (§3.4 future work)"
     ~note:
       "expectation: under cfg 16 (WLB selection), smaller pages excavate hot \
        objects more precisely; the baseline is largely insensitive"
-    (estimates ~jobs ~runs
-       [
-         ("zgc, 64K pages", go ~small_page:(64 * 1024) ~config_id:0);
-         ("cfg 16, 64K pages", go ~small_page:(64 * 1024) ~config_id:16);
-         ("cfg 16, 32K pages", go ~small_page:(32 * 1024) ~config_id:16);
-         ("cfg 16, 16K pages", go ~small_page:(16 * 1024) ~config_id:16);
-       ])
+    (sweep ~runs ~jobs ?cache (page_size_variants ~scale))

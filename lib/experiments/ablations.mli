@@ -9,12 +9,21 @@
       pressure (the page-locality angle of Chen et al. discussed in §5).
     - {!autotuner}: the §4.8 feedback loop should land within the ballpark
       of the best hand-tuned COLDCONFIDENCE without knowing it in advance.
-
     - {!page_size}: §3.4/§4.8 suggest a finer page size class would allow
       finer-grained relocation; sweeping the (scaled) page size shows the
-      granularity effect directly. *)
+      granularity effect directly.
 
-val prefetcher : ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
-val tlb : ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
-val autotuner : ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
-val page_size : ?runs:int -> ?scale:int -> ?jobs:int -> Format.formatter -> unit
+    Each variant is a {!Fig_synthetic.experiment} with one ablation knob
+    turned, under one configuration; its runs go through {!Runner.sweep},
+    so a variant that is a Fig. 4 job shares that job's store entry. *)
+
+type variant = string * Runner.experiment * Hcsgc_core.Config.t
+(** Display name, experiment, configuration. *)
+
+val variants : scale:int -> (string * variant list) list
+(** Each renderer's variants in table order, keyed by its name. *)
+
+val prefetcher : Runner.renderer
+val tlb : Runner.renderer
+val autotuner : Runner.renderer
+val page_size : Runner.renderer

@@ -4,13 +4,9 @@
     [cache] is the incremental-sweep knob of {!Runner.run_configs}; it
     never changes output bytes. *)
 
-val fig11 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig11 : Runner.renderer
 
-val fig12 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig12 : Runner.renderer
 
 val tradebeans_experiment : scale:int -> unit -> Runner.experiment
 

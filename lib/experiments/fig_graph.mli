@@ -7,24 +7,16 @@
     incremental-sweep knob of {!Runner.run_configs}; it never changes
     output bytes. *)
 
-val fig7 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig7 : Runner.renderer
 (** CC on uk. *)
 
-val fig8 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig8 : Runner.renderer
 (** CC on enwiki. *)
 
-val fig9 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig9 : Runner.renderer
 (** MC on uk. *)
 
-val fig10 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig10 : Runner.renderer
 (** MC on enwiki. *)
 
 val cc_experiment :

@@ -85,12 +85,12 @@ let experiment_key ?(heap = max_heap) ~params ~shard_domains ~slo () =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
+let make_vm ~params ~heap config =
+  Vm.create ~layout ~machine_config:Scaled_machine.config
+    ~mutators:params.Serve.mutators ~trigger ~config ~max_heap:heap ()
+
 let compute ~heap ~verify ~params id run =
-  let vm =
-    Vm.create ~layout ~machine_config:Scaled_machine.config
-      ~mutators:params.Serve.mutators ~trigger
-      ~config:(Config.of_id id) ~max_heap:heap ()
-  in
+  let vm = make_vm ~params ~heap (Config.of_id id) in
   if verify then Vm.enable_verification vm;
   let recorder = Vm.enable_telemetry vm in
   let r = Serve.run vm { params with Serve.seed = run } in

@@ -53,6 +53,11 @@ val experiment_key :
     exists now.
     @raise Invalid_argument if [shard_domains <> 0]. *)
 
+val make_vm :
+  params:Serve.params -> heap:int -> Hcsgc_core.Config.t -> Hcsgc_runtime.Vm.t
+(** The VM of every serve run: 64 KiB pages, the scaled machine,
+    [params.mutators] mutators, a 10 % GC trigger and a [heap]-byte heap. *)
+
 val sweep :
   ?config_ids:int list ->
   ?runs:int ->
@@ -79,13 +84,7 @@ val scaled_heap : scale:int -> int
 (** The heap budget matching [scaled_params ~scale]: [8 MiB / scale],
     floored at 2 MiB. *)
 
-val figure :
-  ?runs:int ->
-  ?scale:int ->
-  ?jobs:int ->
-  ?cache:Runner.cache ->
-  Format.formatter ->
-  unit
+val figure : Runner.renderer
 (** Render the figure over {!default_configs} at {!default_slo}: percentile table with bootstrap CIs on p99.9,
     violation attribution, and throughput.  [scale] divides the default
     workload's duration and key count (for quick smokes). *)

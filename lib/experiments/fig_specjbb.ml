@@ -1,12 +1,9 @@
 module Vm = Hcsgc_runtime.Vm
 module Layout = Hcsgc_heap.Layout
 module Config = Hcsgc_core.Config
-module Gc_stats = Hcsgc_core.Gc_stats
 module Specjbb = Hcsgc_workloads.Specjbb_sim
 module Bootstrap = Hcsgc_stats.Bootstrap
 module Render = Hcsgc_stats.Render
-module Pool = Hcsgc_exec.Pool
-module Reporter = Hcsgc_exec.Reporter
 
 let layout = Layout.scaled ~small_page:(64 * 1024)
 
@@ -21,49 +18,83 @@ let experiment_params ~scale =
     txns_per_step = max 100 (base.Specjbb.txns_per_step / scale);
   }
 
-let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) fmt =
+let make_vm ~params config =
+  Vm.create ~layout ~machine_config:Scaled_machine.config
+    ~mutators:params.Specjbb.handlers ~config ~max_heap ()
+
+(* What one job stores: the workload's four scores, then its metrics. *)
+type outcome = { result : Specjbb.result; metrics : Runner.run_metrics }
+
+let magic = "hcsgc-specjbb-metrics 1"
+
+let outcome_to_string { result = r; metrics } =
+  Printf.sprintf "%s\n%h %h %h %h\n%s" magic r.Specjbb.max_jops
+    r.Specjbb.critical_jops r.Specjbb.mean_latency r.Specjbb.survival_rate
+    (Runner.metrics_to_string metrics)
+
+let outcome_of_string s =
+  match String.split_on_char '\n' s with
+  | m :: scores :: rest when m = magic -> (
+      match
+        ( List.map float_of_string_opt (String.split_on_char ' ' scores),
+          Runner.metrics_of_string (String.concat "\n" rest) )
+      with
+      | ( [ Some max_jops; Some critical_jops; Some mean_latency;
+            Some survival_rate ],
+          Some metrics ) ->
+          Some
+            {
+              result =
+                { Specjbb.max_jops; critical_jops; mean_latency; survival_rate };
+              metrics;
+            }
+      | _ -> None)
+  | _ -> None
+
+(* Content-addressing key: every scaled workload knob and the heap. *)
+let key p =
+  Printf.sprintf "specjbb;wh=%d;items=%d;txns=%d;handlers=%d;heap=%d"
+    p.Specjbb.warehouses p.Specjbb.items_per_warehouse p.Specjbb.txns_per_step
+    p.Specjbb.handlers max_heap
+
+let sweep ~runs ~jobs ?cache ~params () =
+  let experiment = key params in
+  let task (id, config) run =
+    {
+      Runner.group = Printf.sprintf "specjbb: config %d" id;
+      experiment;
+      config = Runner.config_value_key config;
+      run;
+      compute =
+        (fun () ->
+          let vm = make_vm ~params config in
+          let result = Specjbb.run vm { params with Specjbb.seed = run } in
+          Vm.finish vm;
+          { result; metrics = Runner.collect vm });
+    }
+  in
+  let tasks =
+    List.concat_map (fun c -> List.init runs (task c)) Config.table2
+  in
+  Runner.sweep ~jobs ?cache
+    ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
+    ~verify:false ~encode:outcome_to_string ~decode:outcome_of_string
+    (Array.of_list tasks)
+  |> Runner.chunks (List.map fst Config.table2) ~size:runs
+
+let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
   let params = experiment_params ~scale in
   Format.fprintf fmt "=== Fig. 13 — SPECjbb2015 (simulated composite) ===@.";
   Format.fprintf fmt
     "paper: overlapping CIs — no conclusive effect (survival ~1%%); heap \
      usage grows as the injector ramps@.@.";
-  (* Fig. 13 keeps the workload's own result record, which has no store
-     codec, alongside run_metrics, so it is an uncached parallel map
-     rather than a Runner.sweep: same (config, run) job expansion, same
-     job-order aggregation, hence the same determinism guarantee. *)
-  let reporter = Reporter.create () in
-  let job_list =
-    List.concat_map
-      (fun (id, config) ->
-        List.init runs (fun run -> (id, config, run)))
-      Config.table2
-  in
-  let run_job (id, config, run) =
-    if run = 0 then Reporter.sayf reporter "[bench] specjbb: config %d" id;
-    let vm =
-      Vm.create ~layout ~machine_config:Scaled_machine.config
-        ~mutators:params.Specjbb.handlers ~config ~max_heap ()
-    in
-    let r = Specjbb.run vm { params with Specjbb.seed = run } in
-    Vm.finish vm;
-    (r, Runner.collect vm)
-  in
-  let flat =
-    Pool.with_pool ~jobs (fun pool -> Pool.map_list pool run_job job_list)
-  in
-  let per_config =
-    List.mapi
-      (fun i (id, _) ->
-        (id, List.filteri (fun j _ -> j / runs = i) flat))
-      Config.table2
-  in
-  let seed = 42 in
+  let per_config = sweep ~runs ~jobs ?cache ~params () in
   let estimate f samples =
-    Bootstrap.estimate ~seed (Array.of_list (List.map f samples))
+    Bootstrap.estimate ~seed:42 (Array.map (fun o -> f o.result) samples)
   in
   let base = List.assoc 0 per_config in
-  let base_tp = estimate (fun (r, _) -> r.Specjbb.max_jops) base in
-  let base_lat = estimate (fun (r, _) -> r.Specjbb.critical_jops) base in
+  let base_tp = estimate (fun r -> r.Specjbb.max_jops) base in
+  let base_lat = estimate (fun r -> r.Specjbb.critical_jops) base in
   Render.table fmt
     ~headers:
       [ "cfg"; "throughput (max-jOPS) [CI]"; "latency (critical-jOPS) [CI]";
@@ -71,12 +102,13 @@ let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) fmt =
     ~rows:
       (List.map
          (fun (id, samples) ->
-           let tp = estimate (fun (r, _) -> r.Specjbb.max_jops) samples in
-           let lat = estimate (fun (r, _) -> r.Specjbb.critical_jops) samples in
+           let tp = estimate (fun r -> r.Specjbb.max_jops) samples in
+           let lat = estimate (fun r -> r.Specjbb.critical_jops) samples in
            let surv =
-             List.fold_left (fun acc (r, _) -> acc +. r.Specjbb.survival_rate)
+             Array.fold_left
+               (fun acc o -> acc +. o.result.Specjbb.survival_rate)
                0.0 samples
-             /. float_of_int (List.length samples)
+             /. float_of_int (Array.length samples)
            in
            [
              string_of_int id;
@@ -90,7 +122,7 @@ let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) fmt =
          per_config);
   Format.pp_print_newline fmt ();
   (* Heap usage over time, config 0, first run (Fig. 13 rightmost). *)
-  (match base with
-  | (_, m) :: _ -> Report.heap_usage_series fmt ~max_heap m.Runner.heap_samples
-  | [] -> ());
+  if Array.length base > 0 then
+    Report.heap_usage_series fmt ~max_heap
+      base.(0).metrics.Runner.heap_samples;
   Format.pp_print_newline fmt ()

@@ -1,11 +1,13 @@
 module Vm = Hcsgc_runtime.Vm
 module Layout = Hcsgc_heap.Layout
+module H = Hcsgc_memsim.Hierarchy
 module Synthetic = Hcsgc_workloads.Synthetic
 
-let layout = Layout.scaled ~small_page:(64 * 1024)
+let default_small_page = 64 * 1024
 
 let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
-    ?(heap_mult = 5) ~scale () =
+    ?(heap_mult = 5) ?(prefetch = true) ?(tlb = false)
+    ?(small_page = default_small_page) ?(autotune = false) ~scale () =
   let base = Synthetic.default in
   let elements = max 1_000 (base.Synthetic.elements / scale) in
   let params =
@@ -24,6 +26,8 @@ let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
      work per cycle, which this keeps constant across --scale settings. *)
   let live_bytes = (1 + cold_ratio) * elements * 48 in
   let max_heap = max (4 * 1024 * 1024) (heap_mult * live_bytes) in
+  let layout = Layout.scaled ~small_page in
+  let machine_config = { Scaled_machine.config with H.prefetch; tlb } in
   {
     Runner.name =
       Printf.sprintf "synthetic(phases=%d,cold=%dx%s)" phases cold_ratio
@@ -33,14 +37,24 @@ let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
        share a display name. *)
     key =
       Printf.sprintf
-        "synthetic;el=%d;apl=%d;phases=%d;loops=%d;cold=%d;sat=%b;heap=%d"
+        "synthetic;el=%d;apl=%d;phases=%d;loops=%d;cold=%d;sat=%b;heap=%d%s"
         elements params.Synthetic.accesses_per_loop phases
         params.Synthetic.loops params.Synthetic.cold_elements saturated
-        max_heap;
+        max_heap
+        (* The ablation knobs add a term only away from their defaults,
+           so the figures' keys (and store entries) never move. *)
+        (String.concat ""
+           [
+             (if prefetch then "" else ";prefetch=false");
+             (if tlb then ";tlb=true" else "");
+             (if small_page = default_small_page then ""
+              else Printf.sprintf ";page=%d" small_page);
+             (if autotune then ";autotune=true" else "");
+           ]);
     make_vm =
       (fun config ->
-        Vm.create ~layout ~machine_config:Scaled_machine.config ~saturated
-          ~config ~max_heap ());
+        Vm.create ~layout ~machine_config ~saturated ~autotune ~config
+          ~max_heap ());
     workload =
       (fun vm ~run ->
         ignore (Synthetic.run vm { params with Synthetic.seed = run }));

@@ -14,24 +14,30 @@
     repeats from a {!Hcsgc_store.Result_store} (see
     {!Runner.run_configs}); it never changes a byte of output. *)
 
-val fig4 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig4 : Runner.renderer
 
-val fig5 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig5 : Runner.renderer
 
-val fig6 :
-  ?runs:int -> ?scale:int -> ?jobs:int ->
-  ?cache:Runner.cache -> Format.formatter -> unit
+val fig6 : Runner.renderer
 
 val experiment :
   ?phases:int ->
   ?cold_ratio:int ->
   ?saturated:bool ->
   ?heap_mult:int ->
+  ?prefetch:bool ->
+  ?tlb:bool ->
+  ?small_page:int ->
+  ?autotune:bool ->
   scale:int ->
   unit ->
   Runner.experiment
-(** The underlying experiment, exposed for tests and the CLI. *)
+(** The underlying experiment, exposed for tests, the CLI and
+    {!Ablations}.  The last four knobs are the ablations' variations of
+    the Fig. 4 setup: [prefetch] (default [true]) runs the stream
+    prefetcher, [tlb] (default [false]) the dTLB model, [small_page]
+    (default 64 KiB) is the scaled small-page size, and [autotune]
+    (default [false]) the §4.8 COLDCONFIDENCE feedback loop.  Each adds a
+    term to the experiment's key only when it differs from its default,
+    so an ablation variant that is a Fig. 4 job shares that job's store
+    entry. *)

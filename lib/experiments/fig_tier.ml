@@ -1,6 +1,5 @@
 module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
-module Layout = Hcsgc_heap.Layout
 module Tier = Hcsgc_memsim.Tier
 module Serve = Hcsgc_serve.Serve
 module Bootstrap = Hcsgc_stats.Bootstrap
@@ -25,8 +24,6 @@ let tier_config ~capacity ~lat_far ~promote =
 (* Workload families                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let layout = Layout.scaled ~small_page:(64 * 1024)
-
 (* The serving workload as a plain runner experiment (Fig_serve wraps it
    in SLO analysis, which the tier figure does not need). *)
 let serve_experiment ~scale () =
@@ -38,11 +35,7 @@ let serve_experiment ~scale () =
       Printf.sprintf "tier-serve;%s;heap=%d;trig=%h"
         (Serve.params_key { params with Serve.seed = 0 })
         heap 0.10;
-    make_vm =
-      (fun config ->
-        Vm.create ~layout ~machine_config:Scaled_machine.config
-          ~mutators:params.Serve.mutators ~trigger:0.10
-          ~config ~max_heap:heap ());
+    make_vm = Fig_serve.make_vm ~params ~heap;
     workload =
       (fun vm ~run -> ignore (Serve.run vm { params with Serve.seed = run }));
   }

@@ -59,13 +59,7 @@ val sweep :
     order, and are byte-identical at any [jobs] and whether served from
     [cache] or computed. *)
 
-val figure :
-  ?runs:int ->
-  ?scale:int ->
-  ?jobs:int ->
-  ?cache:Runner.cache ->
-  Format.formatter ->
-  unit
+val figure : Runner.renderer
 (** Render the figure over {!default_capacities} at {!default_lat_far},
     with promotion on: one table per family — wall time (bootstrap CI),
     wall delta vs capacity 0, far hit rate (far loads / LLC misses),

@@ -167,6 +167,10 @@ let cache ?(refresh = false) ~dir () = { store = Result_store.open_ ~dir; refres
 
 let default_cache_dir = "_hcsgc_cache"
 
+type renderer =
+  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:cache ->
+  Format.formatter -> unit
+
 (* ------------------------------------------------------------------ *)
 (* The sweep engine                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -184,7 +188,7 @@ type 'a task = {
    barely move a job's duration, but configurations move it a lot
    (relocate-all vs baseline), so this is the level the scheduler can
    usefully distinguish. *)
-let address ~verify t =
+let task_fingerprint ~verify t =
   Fingerprint.make ~experiment:t.experiment ~config:t.config ~run:t.run ~verify
 
 let task_cost_key t = t.experiment ^ "#" ^ t.config
@@ -197,7 +201,8 @@ let compute_and_store ?cache ~verify ~encode t =
   (match cache with
   | None -> ()
   | Some c ->
-      Result_store.add c.store (address ~verify t) ~cost_key:(task_cost_key t)
+      Result_store.add c.store (task_fingerprint ~verify t)
+        ~cost_key:(task_cost_key t)
         ~cost:(Unix.gettimeofday () -. t0)
         (encode v));
   v
@@ -213,7 +218,7 @@ let sweep ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify ~encode ~decode
   let lookup t =
     match cache with
     | Some c when not c.refresh -> (
-        match Result_store.find c.store (address ~verify t) with
+        match Result_store.find c.store (task_fingerprint ~verify t) with
         | None -> None
         | Some payload ->
             let v = decode payload in
@@ -240,7 +245,7 @@ let sweep ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify ~encode ~decode
   (* Progress lines go through a Reporter so concurrent workers cannot
      interleave them mid-line.  Each group that computes anything is
      announced once, by whichever of its tasks starts first. *)
-  let reporter = Reporter.create ~emit:progress () in
+  let reporter = Reporter.create progress in
   let announced = Hashtbl.create 32 in
   Array.iter
     (fun t -> Hashtbl.replace announced t.group (Atomic.make false))
@@ -272,19 +277,24 @@ let simulate ~verify exp config ~run =
   Vm.finish vm;
   vm
 
-let task ~verify { exp; config_id; run } =
-  let config = Config.of_id config_id in
+let experiment_task ~verify ~group exp config ~run =
   {
-    group =
-      Printf.sprintf "%s: config %d (%s)" exp.name config_id
-        (Config.to_string config);
+    group;
     experiment = exp.key;
     config = config_value_key config;
     run;
     compute = (fun () -> collect (simulate ~verify exp config ~run));
   }
 
-let fingerprint ~verify job = address ~verify (task ~verify job)
+let task ~verify { exp; config_id; run } =
+  let config = Config.of_id config_id in
+  experiment_task ~verify
+    ~group:
+      (Printf.sprintf "%s: config %d (%s)" exp.name config_id
+         (Config.to_string config))
+    exp config ~run
+
+let fingerprint ~verify job = task_fingerprint ~verify (task ~verify job)
 let cost_key job = task_cost_key (task ~verify:false job)
 
 let sweep_jobs ?jobs ?cache ?progress ~verify job_arr =

@@ -75,6 +75,13 @@ val cache : ?refresh:bool -> dir:string -> unit -> cache
 val default_cache_dir : string
 (** ["_hcsgc_cache"] — the CLIs' default store location. *)
 
+type renderer =
+  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:cache ->
+  Format.formatter -> unit
+(** The one shape of a simulated artefact, a figure or an ablation:
+    [runs] repetitions, workload size divided by [scale], [jobs] worker
+    domains and an optional result store. *)
+
 val config_key : int -> string
 (** Lossless rendering of a Table 2 configuration's knob {e values} (not
     its id — ids 0 and 1 share a knob vector, hence a key), the
@@ -106,8 +113,9 @@ val metrics_of_string : string -> run_metrics option
 
 (** {2 The sweep engine}
 
-    Every cached sweep in the experiment stack — Table 2 figures, the
-    serving tier, the far-tier capacity sweep — runs through {!sweep}.
+    Every simulated artefact in the experiment stack — Table 2 figures,
+    Fig. 13, the ablations, the serving tier, the far-tier capacity
+    sweep — runs through {!sweep}.
     Callers describe each job as a {!task} and supply their payload
     codec; the engine owns lookup, scheduling, the pool, the store and
     progress. *)
@@ -124,6 +132,9 @@ type 'a task = {
 (** One content-addressed unit of work.  Its fingerprint is
     [Fingerprint.make ~experiment ~config ~run ~verify] and its cost key
     [experiment ^ "#" ^ config]. *)
+
+val task_fingerprint : verify:bool -> 'a task -> Hcsgc_store.Fingerprint.t
+(** The task's content address, as {!sweep} looks it up and stores it. *)
 
 val sweep :
   ?jobs:int ->
@@ -166,6 +177,13 @@ val simulate : verify:bool -> experiment -> Config.t -> run:int -> Vm.t
 (** The one simulation step: fresh VM ({!field:experiment.make_vm}), the
     heap sanitizer when [verify] ({!Vm.enable_verification}), the
     workload, {!Vm.finish}.  Returns the finished VM for {!collect}. *)
+
+val experiment_task :
+  verify:bool -> group:string -> experiment -> Config.t -> run:int ->
+  run_metrics task
+(** Repetition [run] of an experiment under any configuration value, as a
+    {!task} ({!simulate}, then {!collect}).  A task whose knob vector is
+    a Table 2 row shares that {!job}'s store entry. *)
 
 val execute : ?verify:bool -> ?cache:cache -> job -> run_metrics
 (** Run one job to completion: {!simulate}, then {!collect}.  Pure

@@ -19,7 +19,6 @@ type t = {
   heap : Heap.t;
   collector : Collector.t;
   saturated : bool;
-  gc_share : float;
   trigger : float;
   mutators : int;
   roots : Heap_obj.t Vec.t;
@@ -59,8 +58,8 @@ let env_verify () =
   | Some ("1" | "true" | "yes") -> true
   | _ -> false
 
-let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
-    ?(trigger = 0.25) ?(autotune = false) ?(gc_log = false) ?(mutators = 1)
+let create ?layout ?machine_config ?(saturated = false) ?(trigger = 0.25)
+    ?(autotune = false) ?(gc_log = false) ?(mutators = 1)
     ?verify ~config ~max_heap () =
   if autotune && not config.Config.hotness then
     invalid_arg "Vm.create: autotuning requires a HOTNESS-enabled config";
@@ -105,7 +104,6 @@ let create ?layout ?machine_config ?(saturated = false) ?(gc_share = 1.0)
     heap;
     collector;
     saturated;
-    gc_share;
     trigger;
     mutators;
     roots;
@@ -221,9 +219,9 @@ let maybe_sample t =
         take_sample t
       end
 
-(* Give GC threads CPU time proportional to the mutator cycles elapsed. *)
+(* Give GC threads as many cycles as the mutators spent since the last pump. *)
 let pump t =
-  let budget = int_of_float (float_of_int t.credit *. t.gc_share) in
+  let budget = t.credit in
   t.credit <- 0;
   Collector.set_wall_hint t.collector (wall_cycles t);
   if Collector.needs_cycle t.collector ~trigger:t.trigger then

@@ -29,7 +29,6 @@ val create :
   ?layout:Hcsgc_heap.Layout.t ->
   ?machine_config:Hcsgc_memsim.Hierarchy.config ->
   ?saturated:bool ->
-  ?gc_share:float ->
   ?trigger:float ->
   ?autotune:bool ->
   ?gc_log:bool ->
@@ -43,8 +42,8 @@ val create :
     [machine_config] overrides the cache geometry (default: the paper's
     client machine; benches use a proportionally scaled-down hierarchy to
     match their scaled-down working sets).
-    [saturated] (default false) pins mutator and GC to one core.  [gc_share]
-    (default 1.0) is GC-thread cycles available per mutator cycle.
+    [saturated] (default false) pins mutator and GC to one core.  GC
+    threads get one cycle of work per mutator cycle.
     [trigger] (default 0.25) is the fraction of the heap that must be
     allocated since the last cycle start before a new GC cycle begins
     (allocation-budget pacing, the deterministic stand-in for ZGC's

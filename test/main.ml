@@ -7,7 +7,8 @@ let () =
    @ Test_stats.suite
    @ Test_core.suite @ Test_runtime.suite @ Test_multi_mutator.suite
    @ Test_graph.suite
-   @ Test_workloads.suite @ Test_experiments.suite @ Test_store.suite
+   @ Test_workloads.suite @ Test_experiments.suite @ Test_artefacts.suite
+   @ Test_store.suite
    @ Test_collector_unit.suite
    @ Test_autotuner.suite @ Test_gc_log.suite @ Test_telemetry.suite
    @ Test_lru.suite @ Test_keydist.suite @ Test_serve.suite @ Test_trace.suite

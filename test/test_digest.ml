@@ -19,6 +19,9 @@ module Fig_graph = Hcsgc_experiments.Fig_graph
 module Fig_dacapo = Hcsgc_experiments.Fig_dacapo
 module Fig_serve = Hcsgc_experiments.Fig_serve
 module Fig_tier = Hcsgc_experiments.Fig_tier
+module Fig_specjbb = Hcsgc_experiments.Fig_specjbb
+module Specjbb = Hcsgc_workloads.Specjbb_sim
+module Config = Hcsgc_core.Config
 module Dataset = Hcsgc_graph.Dataset
 module Fingerprint = Hcsgc_store.Fingerprint
 
@@ -33,6 +36,8 @@ let pins =
         ("tradebeans", "f33d6507f119c919c64b0aba6770a464");
         ("serve", "b940b416715ee1c68107b4586c8a8d32");
         ("tier", "43e846ffcd636ab512605d8459b5b370");
+        ("specjbb", "a1ebecb3793f2906be3261572e5814ac");
+        ("ablation", "c44b1e6b5c15548ad9ef552a678db47b");
       ] );
   ]
 
@@ -63,6 +68,13 @@ let tier_job () =
   Vm.finish vm;
   Runner.metrics_to_string (Runner.collect vm)
 
+let specjbb_job () =
+  let params = Fig_specjbb.experiment_params ~scale:16 in
+  let vm = Fig_specjbb.make_vm ~params (Config.of_id 16) in
+  let result = Specjbb.run vm params in
+  Vm.finish vm;
+  Fig_specjbb.outcome_to_string { result; metrics = Runner.collect vm }
+
 let families =
   [
     ("synthetic", table2_job (Fig_synthetic.experiment ~scale:64 ()));
@@ -75,6 +87,13 @@ let families =
     ("tradebeans", table2_job (Fig_dacapo.tradebeans_experiment ~scale:2 ()));
     ("serve", serve_job);
     ("tier", tier_job);
+    ("specjbb", specjbb_job);
+    (* Every ablation knob turned at once: no prefetcher, the dTLB model,
+       16 KiB pages and the COLDCONFIDENCE autotuner. *)
+    ( "ablation",
+      table2_job
+        (Fig_synthetic.experiment ~prefetch:false ~tlb:true
+           ~small_page:(16 * 1024) ~autotune:true ~scale:64 ()) );
   ]
 
 let digests () =

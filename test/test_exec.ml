@@ -14,44 +14,82 @@ let case = Alcotest.test_case
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* [Pool.map_array_in_order] is the pool's one mapping entry point.  Every
+   property below holds under the identity submission order and its
+   reverse: submission order may only change which worker runs what. *)
+let orders n =
+  [
+    ("identity", Array.init n Fun.id);
+    ("reversed", Array.init n (fun i -> n - 1 - i));
+  ]
+
+let map_each_order ~jobs f xs =
+  List.map
+    (fun (name, order) ->
+      (name, Pool.with_pool ~jobs (fun pool ->
+                 Pool.map_array_in_order pool ~order f xs)))
+    (orders (Array.length xs))
+
 let results_in_submission_order () =
-  let items = List.init 100 Fun.id in
-  let got =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Pool.map_list pool
-          (fun i ->
-            (* Stagger work so completion order differs from submission
-               order: early items spin longest. *)
-            let spin = ref ((100 - i) * 50) in
-            while !spin > 0 do
-              decr spin;
-              Domain.cpu_relax ()
-            done;
-            i * i)
-          items)
-  in
-  check (Alcotest.list Alcotest.int) "squares in submission order"
-    (List.map (fun i -> i * i) items)
-    got
+  let items = Array.init 100 Fun.id in
+  List.iter
+    (fun (name, got) ->
+      check (Alcotest.array Alcotest.int)
+        ("squares in submission order, " ^ name)
+        (Array.map (fun i -> i * i) items)
+        got)
+    (map_each_order ~jobs:4
+       (fun i ->
+         (* Stagger work so completion order differs from submission
+            order: early items spin longest. *)
+         let spin = ref ((100 - i) * 50) in
+         while !spin > 0 do
+           decr spin;
+           Domain.cpu_relax ()
+         done;
+         i * i)
+       items)
 
 let map_array_ordered () =
-  let got =
-    Pool.with_pool ~jobs:3 (fun pool ->
-        Pool.map_array pool (fun i -> 2 * i) (Array.init 37 Fun.id))
-  in
-  check (Alcotest.array Alcotest.int) "doubled, ordered"
-    (Array.init 37 (fun i -> 2 * i))
-    got
+  List.iter
+    (fun (name, got) ->
+      check (Alcotest.array Alcotest.int) ("doubled, ordered, " ^ name)
+        (Array.init 37 (fun i -> 2 * i))
+        got)
+    (map_each_order ~jobs:3 (fun i -> 2 * i) (Array.init 37 Fun.id))
 
 exception Boom of int
 
 let exception_propagates () =
-  Alcotest.check_raises "worker exception re-raised" (Boom 7) (fun () ->
-      ignore
-        (Pool.with_pool ~jobs:2 (fun pool ->
-             Pool.map_list pool
-               (fun i -> if i = 5 then raise (Boom 7) else i)
-               (List.init 10 Fun.id))))
+  List.iter
+    (fun (name, order) ->
+      Alcotest.check_raises ("worker exception re-raised, " ^ name) (Boom 7)
+        (fun () ->
+          ignore
+            (Pool.with_pool ~jobs:2 (fun pool ->
+                 Pool.map_array_in_order pool ~order
+                   (fun i -> if i = 5 then raise (Boom 7) else i)
+                   (Array.init 10 Fun.id)))))
+    (orders 10)
+
+let first_failure_in_input_order () =
+  (* Items 3 and 7 both fail; reversed, 7 is submitted (and at jobs:1
+     run) first, yet the re-raised failure is still item 3's. *)
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun (name, order) ->
+          Alcotest.check_raises
+            (Printf.sprintf "first failure re-raised, %s, jobs:%d" name jobs)
+            (Boom 3)
+            (fun () ->
+              ignore
+                (Pool.with_pool ~jobs (fun pool ->
+                     Pool.map_array_in_order pool ~order
+                       (fun i -> if i = 3 || i = 7 then raise (Boom i) else i)
+                       (Array.init 10 Fun.id)))))
+        (orders 10))
+    [ 1; 2 ]
 
 let exception_keeps_backtrace () =
   (* The re-raise must carry the worker's backtrace, not the awaiter's:
@@ -61,35 +99,39 @@ let exception_keeps_backtrace () =
     let rec go n = if n = 0 then raise (Boom 1) else 1 + go (n - 1) in
     ignore (go 5)
   in
-  match
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Pool.map_list pool (fun () -> deep_raise ()) [ () ])
-  with
-  | _ -> Alcotest.fail "expected Boom"
-  | exception Boom 1 -> ()
+  List.iter
+    (fun (_, order) ->
+      match
+        Pool.with_pool ~jobs:2 (fun pool ->
+            Pool.map_array_in_order pool ~order (fun () -> deep_raise ())
+              [| (); () |])
+      with
+      | _ -> Alcotest.fail "expected Boom"
+      | exception Boom 1 -> ())
+    (orders 2)
 
 let jobs1_runs_on_calling_domain () =
   let caller = (Domain.self () :> int) in
-  let seen =
-    Pool.with_pool ~jobs:1 (fun pool ->
-        Pool.map_list pool
-          (fun _ -> (Domain.self () :> int))
-          (List.init 8 Fun.id))
-  in
   List.iter
-    (fun d -> check Alcotest.int "no extra domain at jobs:1" caller d)
-    seen
+    (fun (_, seen) ->
+      Array.iter
+        (fun d -> check Alcotest.int "no extra domain at jobs:1" caller d)
+        seen)
+    (map_each_order ~jobs:1
+       (fun _ -> (Domain.self () :> int))
+       (Array.init 8 Fun.id))
 
 let jobsn_uses_worker_domains () =
   let caller = (Domain.self () :> int) in
-  let seen =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Pool.map_list pool
-          (fun _ -> (Domain.self () :> int))
-          (List.init 8 Fun.id))
-  in
-  check Alcotest.bool "some job ran off the calling domain" true
-    (List.exists (fun d -> d <> caller) seen)
+  List.iter
+    (fun (name, seen) ->
+      check Alcotest.bool
+        ("some job ran off the calling domain, " ^ name)
+        true
+        (Array.exists (fun d -> d <> caller) seen))
+    (map_each_order ~jobs:2
+       (fun _ -> (Domain.self () :> int))
+       (Array.init 8 Fun.id))
 
 let async_await_roundtrip () =
   Pool.with_pool ~jobs:2 (fun pool ->
@@ -141,16 +183,17 @@ let default_jobs_env_override () =
 
 let reporter_lines_stay_whole () =
   let buf = Buffer.create 4096 in
-  let r = Reporter.create ~emit:(fun l -> Buffer.add_string buf (l ^ "\n")) () in
+  let r = Reporter.create (fun l -> Buffer.add_string buf (l ^ "\n")) in
   let domains = 4 and lines = 50 in
   Pool.with_pool ~jobs:domains (fun pool ->
       ignore
-        (Pool.map_list pool
+        (Pool.map_array_in_order pool
+           ~order:(Array.init domains Fun.id)
            (fun d ->
              for i = 0 to lines - 1 do
-               Reporter.sayf r "domain=%d line=%d tail" d i
+               Reporter.say r (Printf.sprintf "domain=%d line=%d tail" d i)
              done)
-           (List.init domains Fun.id)));
+           (Array.init domains Fun.id)));
   let got = String.split_on_char '\n' (Buffer.contents buf) in
   let got = List.filter (fun l -> l <> "") got in
   check Alcotest.int "every line arrived" (domains * lines) (List.length got);
@@ -199,6 +242,7 @@ let suite =
         case "results in submission order" `Quick results_in_submission_order;
         case "map_array ordered" `Quick map_array_ordered;
         case "exception propagates" `Quick exception_propagates;
+        case "first failure in input order" `Quick first_failure_in_input_order;
         case "exception keeps backtrace" `Quick exception_keeps_backtrace;
         case "jobs:1 uses no domains" `Quick jobs1_runs_on_calling_domain;
         case "jobs:n uses worker domains" `Quick jobsn_uses_worker_domains;

@@ -580,25 +580,33 @@ let telemetry_costs_zero_cycles () =
    nothing about any job's trace, byte for byte. *)
 let parallel_traces_deterministic () =
   let exp = Fig_synthetic.experiment ~scale:16 () in
-  let jobs = Runner.jobs_of ~config_ids:[ 0; 4; 9; 16 ] ~runs:1 exp in
+  let jobs =
+    Array.of_list (Runner.jobs_of ~config_ids:[ 0; 4; 9; 16 ] ~runs:1 exp)
+  in
+  let n = Array.length jobs in
   let trace job =
     let _, recorder = Runner.profile ~sample_interval:25_000 job in
     Chrome_trace.to_string recorder
   in
+  (* Sequential in job order; parallel submitted in reverse. *)
   let sequential =
-    Pool.with_pool ~jobs:1 (fun pool -> Pool.map_list pool trace jobs)
+    Pool.with_pool ~jobs:1 (fun pool ->
+        Pool.map_array_in_order pool ~order:(Array.init n Fun.id) trace jobs)
   in
   let parallel =
-    Pool.with_pool ~jobs:4 (fun pool -> Pool.map_list pool trace jobs)
+    Pool.with_pool ~jobs:4 (fun pool ->
+        Pool.map_array_in_order pool
+          ~order:(Array.init n (fun i -> n - 1 - i))
+          trace jobs)
   in
-  check Alcotest.int "same job count" (List.length sequential)
-    (List.length parallel);
-  List.iteri
-    (fun i (s, p) ->
+  check Alcotest.int "same job count" (Array.length sequential)
+    (Array.length parallel);
+  Array.iteri
+    (fun i s ->
       check Alcotest.bool
         (Printf.sprintf "job %d trace byte-identical" i)
-        true (String.equal s p))
-    (List.combine sequential parallel)
+        true (String.equal s parallel.(i)))
+    sequential
 
 let attribution_of_real_run () =
   let metrics, recorder = Runner.profile ~sample_interval:20_000 (small_job ()) in
