@@ -6,29 +6,67 @@ type stats = {
   expansions : int;
 }
 
-(* Sorted, deduplicated int arrays as sets. *)
-let sorted_of_list xs = List.sort_uniq compare xs |> Array.of_list
+(* Sets are sorted, duplicate-free int arrays, never mutated once built.
+   [set_of_array] sorts and deduplicates a fresh array in place. *)
+let set_of_array (a : int array) =
+  Array.stable_sort Int.compare a;
+  let k = ref 0 in
+  Array.iter
+    (fun x ->
+      if !k = 0 || x <> a.(!k - 1) then begin
+        a.(!k) <- x;
+        incr k
+      end)
+    a;
+  if !k = Array.length a then a else Array.sub a 0 !k
 
-let inter a b =
-  let out = ref [] in
-  let i = ref 0 and j = ref 0 in
+(* Index of the first element of [set] not below [x]. *)
+let lower_bound set (x : int) =
+  let lo = ref 0 and hi = ref (Array.length set) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if set.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
+let mem set x =
+  let i = lower_bound set x in
+  i < Array.length set && set.(i) = x
+
+let inter (a : int array) (b : int array) =
+  let out = Array.make (min (Array.length a) (Array.length b)) 0 in
+  let i = ref 0 and j = ref 0 and k = ref 0 in
   while !i < Array.length a && !j < Array.length b do
-    let c = compare a.(!i) b.(!j) in
-    if c = 0 then begin
-      out := a.(!i) :: !out;
+    let x = a.(!i) and y = b.(!j) in
+    if x = y then begin
+      out.(!k) <- x;
+      incr k;
       incr i;
       incr j
     end
-    else if c < 0 then incr i
+    else if x < y then incr i
     else incr j
   done;
-  Array.of_list (List.rev !out)
+  if !k = Array.length out then out else Array.sub out 0 !k
 
-let remove set x = Array.of_list (List.filter (fun y -> y <> x) (Array.to_list set))
+let remove set x =
+  let i = lower_bound set x and n = Array.length set in
+  if i = n || set.(i) <> x then set
+  else begin
+    let out = Array.sub set 0 (n - 1) in
+    Array.blit set (i + 1) out i (n - 1 - i);
+    out
+  end
 
-let add set x = sorted_of_list (x :: Array.to_list set)
-
-let mem set x = Array.exists (fun y -> y = x) set
+let add set x =
+  let i = lower_bound set x and n = Array.length set in
+  if i < n && set.(i) = x then set
+  else begin
+    let out = Array.make (n + 1) x in
+    Array.blit set 0 out 0 i;
+    Array.blit set i out (i + 1) (n - i);
+    out
+  end
 
 (* The paper uses JGraphT's plain [BronKerboschCliqueFinder] — the
    non-pivoting variant — so this follows it: every vertex of P branches.
@@ -46,7 +84,7 @@ let run ?(max_expansions = max_int) ?(garbage_every = 1) g =
   let neighbors v =
     (* Graphs.neighborSetOf: a fresh set per call, reading the adjacency
        through the barriers. *)
-    let ns = sorted_of_list (Mgraph.neighbors g v) in
+    let ns = set_of_array (Mgraph.neighbors g v) in
     charge_sets (Array.length ns);
     ns
   in

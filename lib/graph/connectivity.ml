@@ -59,8 +59,9 @@ let articulation_points ?(garbage_every = 2) g ~visits =
   let timer = ref 0 in
   for start = 0 to n - 1 do
     if disc.(start) < 0 then begin
-      (* Explicit DFS stack of (vertex, unprocessed neighbour list). *)
-      let stack = ref [ (start, ref (Mgraph.neighbors g start)) ] in
+      (* Explicit DFS stack of (vertex, neighbours, next unprocessed
+         neighbour). *)
+      let stack = ref [ (start, Mgraph.neighbors g start, ref 0) ] in
       disc.(start) <- !timer;
       low.(start) <- !timer;
       incr timer;
@@ -68,30 +69,32 @@ let articulation_points ?(garbage_every = 2) g ~visits =
       while !stack <> [] do
         match !stack with
         | [] -> ()
-        | (v, rest) :: tl -> (
+        | (v, ns, next) :: tl ->
             gc_pressure vm ~garbage_every ~counter:visits;
-            match !rest with
-            | [] ->
-                stack := tl;
-                (match tl with
-                | (u, _) :: _ ->
-                    if low.(v) < low.(u) then low.(u) <- low.(v);
-                    if parent.(v) = u && u <> start && low.(v) >= disc.(u) then
-                      is_cut.(u) <- true
-                | [] -> ())
-            | w :: ws -> (
-                rest := ws;
-                gc_pressure vm ~garbage_every ~counter:visits;
-                if disc.(w) < 0 then begin
-                  parent.(w) <- v;
-                  if v = start then incr root_children;
-                  disc.(w) <- !timer;
-                  low.(w) <- !timer;
-                  incr timer;
-                  stack := (w, ref (Mgraph.neighbors g w)) :: !stack
-                end
-                else if w <> parent.(v) && disc.(w) < low.(v) then
-                  low.(v) <- disc.(w)))
+            if !next = Array.length ns then begin
+              stack := tl;
+              match tl with
+              | (u, _, _) :: _ ->
+                  if low.(v) < low.(u) then low.(u) <- low.(v);
+                  if parent.(v) = u && u <> start && low.(v) >= disc.(u) then
+                    is_cut.(u) <- true
+              | [] -> ()
+            end
+            else begin
+              let w = ns.(!next) in
+              incr next;
+              gc_pressure vm ~garbage_every ~counter:visits;
+              if disc.(w) < 0 then begin
+                parent.(w) <- v;
+                if v = start then incr root_children;
+                disc.(w) <- !timer;
+                low.(w) <- !timer;
+                incr timer;
+                stack := (w, Mgraph.neighbors g w, ref 0) :: !stack
+              end
+              else if w <> parent.(v) && disc.(w) < low.(v) then
+                low.(v) <- disc.(w)
+            end
       done;
       if !root_children > 1 then is_cut.(start) <- true
     end

@@ -25,6 +25,7 @@ type t = {
   root : Heap_obj.t;  (* managed table of node refs; registered as root *)
   nodes : Heap_obj.t array;  (* OCaml-side handles, index = id *)
   mutable arcs : int;
+  mutable scratch : int array;  (* [neighbors]' growable buffer *)
 }
 
 let create vm ~n =
@@ -38,7 +39,7 @@ let create vm ~n =
         Vm.store_ref vm root i (Some node);
         node)
   in
-  { vm; root; nodes; arcs = 0 }
+  { vm; root; nodes; arcs = 0; scratch = Array.make 16 0 }
 
 let vm t = t.vm
 
@@ -115,9 +116,16 @@ let iter_neighbors t v f =
   walk (Vm.load_ref vm self node_adj_slot)
 
 let neighbors t v =
-  let acc = ref [] in
-  iter_neighbors t v (fun id -> acc := id :: !acc);
-  List.rev !acc
+  let n = ref 0 in
+  iter_neighbors t v (fun id ->
+      if !n = Array.length t.scratch then begin
+        let grown = Array.make (2 * !n) 0 in
+        Array.blit t.scratch 0 grown 0 !n;
+        t.scratch <- grown
+      end;
+      t.scratch.(!n) <- id;
+      incr n);
+  Array.sub t.scratch 0 !n
 
 let degree t v =
   let c = ref 0 in

@@ -43,8 +43,8 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Walk the adjacency cells of a vertex through the load barrier, reading
     each neighbour's id from the neighbour object itself. *)
 
-val neighbors : t -> int -> int list
-(** Neighbour ids in insertion order. *)
+val neighbors : t -> int -> int array
+(** Neighbour ids in {!iter_neighbors} order, as a fresh array. *)
 
 val degree : t -> int -> int
 (** Number of out-neighbours (walks the chain). *)

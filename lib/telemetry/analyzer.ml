@@ -33,21 +33,19 @@ let percentile xs ~pct =
   Array.sort Int.compare arr;
   nearest_rank arr ~pct
 
-let is_pause (s : Recorder.span) =
-  s.Recorder.track = Recorder.Gc
-  && s.Recorder.kind = Recorder.Slice
-  && String.length s.Recorder.name >= 6
-  && String.sub s.Recorder.name 0 6 = "Pause "
-
-let pause_spans r = List.filter is_pause (Recorder.spans r)
+(* STW pause slices are the GC track's slices named "Pause ...". *)
+let pause_intervals r =
+  Recorder.fold_spans r ~init:[]
+    (fun acc track kind ~name ~start ~stop ~args:_ ->
+      match (track, kind) with
+      | Recorder.Gc, Recorder.Slice
+        when String.starts_with ~prefix:"Pause " name ->
+          (start, stop) :: acc
+      | _ -> acc)
+  |> List.rev
 
 let pause_durations r =
-  List.map (fun (s : Recorder.span) -> s.Recorder.stop - s.Recorder.start)
-    (pause_spans r)
-
-let pause_intervals r =
-  List.map (fun (s : Recorder.span) -> (s.Recorder.start, s.Recorder.stop))
-    (pause_spans r)
+  List.map (fun (start, stop) -> stop - start) (pause_intervals r)
 
 let pause_stats r =
   match pause_durations r with
@@ -128,9 +126,8 @@ let mmu ~window ~total ~pauses =
   end
 
 let last_wall r =
-  List.fold_left
-    (fun acc (s : Recorder.span) -> max acc s.Recorder.stop)
-    0 (Recorder.spans r)
+  Recorder.fold_spans r ~init:0 (fun acc _ _ ~name:_ ~start:_ ~stop ~args:_ ->
+      max acc stop)
 
 let mmu_of r ~window =
   mmu ~window ~total:(last_wall r) ~pauses:(pause_intervals r)
@@ -163,13 +160,14 @@ let attribution r =
     in
     let final = List.nth samples (List.length samples - 1) in
     let starts =
-      Recorder.spans r
-      |> List.filter_map (fun (s : Recorder.span) ->
-             if s.Recorder.track = Recorder.Gc && s.Recorder.kind = Recorder.Slice
-             then
-               Option.map (fun n -> (n, s.Recorder.start))
-                 (cycle_of_name s.Recorder.name)
-             else None)
+      Recorder.fold_spans r ~init:[]
+        (fun acc track kind ~name ~start ~stop:_ ~args:_ ->
+          match (track, kind) with
+          | Recorder.Gc, Recorder.Slice -> (
+              match cycle_of_name name with
+              | Some n -> (n, start) :: acc
+              | None -> acc)
+          | _ -> acc)
       |> List.sort compare
     in
     let rec epochs = function

@@ -65,6 +65,10 @@ val mmu : window:int -> total:int -> pauses:(int * int) list -> float
     [total = 0].
     @raise Invalid_argument when [window <= 0]. *)
 
+val last_wall : Recorder.t -> int
+(** The latest span-edge wall clock: the largest [stop] among the surviving
+    spans, 0 when there are none. *)
+
 val mmu_of : Recorder.t -> window:int -> float
 (** {!mmu} over the recorder's pause slices, with [total] the latest
     span-edge wall clock. *)

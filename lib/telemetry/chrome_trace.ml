@@ -51,28 +51,20 @@ let write fmt r =
             (tid track)
             (escape (track_name track))))
     (Recorder.tracks r);
-  List.iter
-    (fun (s : Recorder.span) ->
+  Recorder.fold_spans ~with_args:true r ~init:()
+    (fun () track kind ~name ~start ~stop ~args ->
       event (fun fmt ->
-          match s.Recorder.kind with
+          match kind with
           | Recorder.Slice ->
               Format.fprintf fmt
                 "{\"ph\":\"X\",\"ts\":%d,\"dur\":%d,\"pid\":0,\"tid\":%d,\
                  \"name\":\"%s\",\"args\":%a}"
-                s.Recorder.start
-                (s.Recorder.stop - s.Recorder.start)
-                (tid s.Recorder.track)
-                (escape s.Recorder.name)
-                pp_args s.Recorder.args
+                start (stop - start) (tid track) (escape name) pp_args args
           | Recorder.Instant ->
               Format.fprintf fmt
                 "{\"ph\":\"i\",\"ts\":%d,\"pid\":0,\"tid\":%d,\"s\":\"t\",\
                  \"name\":\"%s\",\"args\":%a}"
-                s.Recorder.start
-                (tid s.Recorder.track)
-                (escape s.Recorder.name)
-                pp_args s.Recorder.args))
-    (Recorder.spans r);
+                start (tid track) (escape name) pp_args args));
   List.iter
     (fun (s : Recorder.sample) ->
       event (fun fmt ->

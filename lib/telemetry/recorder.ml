@@ -36,8 +36,29 @@ type open_span = {
   o_args : (string * int) list;
 }
 
+(* Spans live in a struct-of-arrays ring: one flat array per field, so a
+   recorded span costs 15 words in place instead of a [span] record, an
+   option box and a list of boxed pairs.  Slot [i]'s first
+   [inline_args] args sit at [i * inline_args ..] of [sp_key]/[sp_val];
+   any further ones are kept as a list in [sp_more] ([[]], an immediate,
+   when unused).  The arrays start at [initial_slots] and double up to
+   [span_cap]; the ring wraps only once it is at capacity, so before that
+   slot [i] is the [i]th span recorded. *)
+let inline_args = 4
+
+let initial_slots = 256
+
 type t = {
-  span_buf : span option array;
+  span_cap : int;
+  mutable sp_track : int array;  (* [Gc] = -1, [Mutator m] = m *)
+  mutable sp_kind : int array;  (* [Slice] = 0, [Instant] = 1 *)
+  mutable sp_name : string array;
+  mutable sp_start : int array;
+  mutable sp_stop : int array;
+  mutable sp_nargs : int array;
+  mutable sp_key : string array;
+  mutable sp_val : int array;
+  mutable sp_more : (string * int) list array;
   mutable span_next : int;
   mutable span_total : int;
   sample_buf : sample option array;
@@ -46,23 +67,88 @@ type t = {
   open_stacks : (track, open_span list) Hashtbl.t;
 }
 
+(* Reallocate the span arrays at [n] slots, keeping the first [keep]. *)
+let resize t n ~keep =
+  let extend ?(width = 1) a fill =
+    let b = Array.make (n * width) fill in
+    Array.blit a 0 b 0 (keep * width);
+    b
+  in
+  t.sp_track <- extend t.sp_track 0;
+  t.sp_kind <- extend t.sp_kind 0;
+  t.sp_name <- extend t.sp_name "";
+  t.sp_start <- extend t.sp_start 0;
+  t.sp_stop <- extend t.sp_stop 0;
+  t.sp_nargs <- extend t.sp_nargs 0;
+  t.sp_key <- extend ~width:inline_args t.sp_key "";
+  t.sp_val <- extend ~width:inline_args t.sp_val 0;
+  t.sp_more <- extend t.sp_more []
+
+let reset_spans t =
+  resize t (min initial_slots t.span_cap) ~keep:0;
+  t.span_next <- 0;
+  t.span_total <- 0
+
 let create ?(span_capacity = 65536) ?(sample_capacity = 16384) () =
   if span_capacity <= 0 || sample_capacity <= 0 then
     invalid_arg "Recorder.create: capacities must be positive";
-  {
-    span_buf = Array.make span_capacity None;
-    span_next = 0;
-    span_total = 0;
-    sample_buf = Array.make sample_capacity None;
-    sample_next = 0;
-    sample_total = 0;
-    open_stacks = Hashtbl.create 8;
-  }
+  let t =
+    {
+      span_cap = span_capacity;
+      sp_track = [||];
+      sp_kind = [||];
+      sp_name = [||];
+      sp_start = [||];
+      sp_stop = [||];
+      sp_nargs = [||];
+      sp_key = [||];
+      sp_val = [||];
+      sp_more = [||];
+      span_next = 0;
+      span_total = 0;
+      sample_buf = Array.make sample_capacity None;
+      sample_next = 0;
+      sample_total = 0;
+      open_stacks = Hashtbl.create 8;
+    }
+  in
+  reset_spans t;
+  t
 
-let push_span t span =
-  t.span_buf.(t.span_next) <- Some span;
-  t.span_next <- (t.span_next + 1) mod Array.length t.span_buf;
-  t.span_total <- t.span_total + 1
+let track_code = function Gc -> -1 | Mutator m -> m
+
+let kind_code = function Slice -> 0 | Instant -> 1
+
+(* Store [args] then [more] as the args of [slot], from position [i]:
+   inline while they fit, the rest as one list.  Returns the arg count. *)
+let rec put_args t slot i args more =
+  match args with
+  | [] -> ( match more with [] -> i | _ -> put_args t slot i more [])
+  | (k, v) :: rest when i < inline_args ->
+      let j = (slot * inline_args) + i in
+      t.sp_key.(j) <- k;
+      t.sp_val.(j) <- v;
+      put_args t slot (i + 1) rest more
+  | _ ->
+      let extra = match more with [] -> args | _ -> args @ more in
+      t.sp_more.(slot) <- extra;
+      i + List.length extra
+
+(* Claim the next slot, growing the arrays while below capacity and
+   overwriting the oldest span once at it. *)
+let push_span t track kind ~name ~start ~stop args more =
+  let slot = t.span_next in
+  if slot = Array.length t.sp_start then
+    resize t (min t.span_cap (2 * slot)) ~keep:slot;
+  t.span_next <- (if slot + 1 = t.span_cap then 0 else slot + 1);
+  t.span_total <- t.span_total + 1;
+  t.sp_track.(slot) <- track_code track;
+  t.sp_kind.(slot) <- kind_code kind;
+  t.sp_name.(slot) <- name;
+  t.sp_start.(slot) <- start;
+  t.sp_stop.(slot) <- stop;
+  t.sp_more.(slot) <- [];
+  t.sp_nargs.(slot) <- put_args t slot 0 args more
 
 let stack t track =
   match Hashtbl.find_opt t.open_stacks track with Some s -> s | None -> []
@@ -75,15 +161,8 @@ let close t track ~args ~wall (o : open_span) =
   (* Clamp: a span opened speculatively (e.g. a concurrent phase entered at
      [pause_wall + pause_cost]) may be closed by an event stamped at the
      pre-pause wall; render it as zero-length rather than negative. *)
-  push_span t
-    {
-      track;
-      kind = Slice;
-      name = o.o_name;
-      start = o.o_start;
-      stop = max o.o_start wall;
-      args = o.o_args @ args;
-    }
+  push_span t track Slice ~name:o.o_name ~start:o.o_start
+    ~stop:(max o.o_start wall) o.o_args args
 
 let end_span t ?(args = []) track ~wall =
   match stack t track with
@@ -113,18 +192,15 @@ let end_named t ?(args = []) track ~name ~wall =
   end
 
 let complete_span t ?(args = []) track ~name ~wall ~dur =
-  push_span t
-    { track; kind = Slice; name; start = wall; stop = wall + max 0 dur; args }
+  push_span t track Slice ~name ~start:wall ~stop:(wall + max 0 dur) args []
 
 let instant t ?(args = []) track ~name ~wall =
-  push_span t { track; kind = Instant; name; start = wall; stop = wall; args }
-
-let track_order = function Gc -> -1 | Mutator m -> m
+  push_span t track Instant ~name ~start:wall ~stop:wall args []
 
 let close_all t ~wall =
   let tracks =
     Hashtbl.fold (fun track _ acc -> track :: acc) t.open_stacks []
-    |> List.sort (fun a b -> compare (track_order a) (track_order b))
+    |> List.sort (fun a b -> Int.compare (track_code a) (track_code b))
   in
   List.iter
     (fun track ->
@@ -178,33 +254,61 @@ let on_gc_event t (e : Gc_log.event) =
         ~args:[ ("heap_used_end", heap_used) ]
         ~wall
 
-let ring_to_list buf next =
-  let cap = Array.length buf in
+let samples t =
+  let cap = Array.length t.sample_buf in
   let out = ref [] in
   for i = 0 to cap - 1 do
-    match buf.((next + i) mod cap) with
+    match t.sample_buf.((t.sample_next + i) mod cap) with
     | Some x -> out := x :: !out
     | None -> ()
   done;
   List.rev !out
 
-let spans t = ring_to_list t.span_buf t.span_next
+let track_of_code c = if c < 0 then Gc else Mutator c
 
-let samples t = ring_to_list t.sample_buf t.sample_next
+let args_of t slot =
+  let inline = min t.sp_nargs.(slot) inline_args in
+  let rec go i =
+    if i = inline then t.sp_more.(slot)
+    else
+      let j = (slot * inline_args) + i in
+      (t.sp_key.(j), t.sp_val.(j)) :: go (i + 1)
+  in
+  go 0
 
-let dropped_spans t = max 0 (t.span_total - Array.length t.span_buf)
+let fold_spans ?(with_args = false) t ~init f =
+  let live = min t.span_total t.span_cap in
+  let first = if t.span_total <= t.span_cap then 0 else t.span_next in
+  let acc = ref init in
+  for i = 0 to live - 1 do
+    let slot = first + i in
+    let slot = if slot >= t.span_cap then slot - t.span_cap else slot in
+    acc :=
+      f !acc
+        (track_of_code t.sp_track.(slot))
+        (if t.sp_kind.(slot) = 0 then Slice else Instant)
+        ~name:t.sp_name.(slot) ~start:t.sp_start.(slot) ~stop:t.sp_stop.(slot)
+        ~args:(if with_args then args_of t slot else [])
+  done;
+  !acc
+
+let spans t =
+  fold_spans ~with_args:true t ~init:[]
+    (fun acc track kind ~name ~start ~stop ~args ->
+      { track; kind; name; start; stop; args } :: acc)
+  |> List.rev
+
+let dropped_spans t = max 0 (t.span_total - t.span_cap)
 
 let dropped_samples t = max 0 (t.sample_total - Array.length t.sample_buf)
 
 let tracks t =
-  spans t
-  |> List.fold_left (fun acc s -> if List.mem s.track acc then acc else s.track :: acc) []
-  |> List.sort (fun a b -> compare (track_order a) (track_order b))
+  fold_spans t ~init:[] (fun acc track _ ~name:_ ~start:_ ~stop:_ ~args:_ ->
+      if List.mem track acc then acc else track :: acc)
+  |> List.sort (fun a b -> Int.compare (track_code a) (track_code b))
 
 let clear t =
-  Array.fill t.span_buf 0 (Array.length t.span_buf) None;
-  t.span_next <- 0;
-  t.span_total <- 0;
+  reset_spans t;
   Array.fill t.sample_buf 0 (Array.length t.sample_buf) None;
   t.sample_next <- 0;
   t.sample_total <- 0;

@@ -12,7 +12,10 @@
     simulated cycles, so an instrumented run's simulated clock is
     byte-identical to an uninstrumented one (asserted by the test suite).
     Both stores are ring buffers — when full, the oldest entry is dropped
-    and the drop is counted, like {!Hcsgc_core.Gc_log}.
+    and the drop is counted, like {!Hcsgc_core.Gc_log}.  Spans are stored
+    field by field (a struct-of-arrays ring that starts small and doubles
+    up to its capacity), so a recorded span costs a fixed 15 words and
+    recording an arg-less span allocates nothing.
 
     The recorder is not domain-safe: keep one recorder per VM, and one VM
     per worker domain (as {!Hcsgc_experiments.Runner} does), and parallel
@@ -73,6 +76,12 @@ val end_span : t -> ?args:(string * int) list -> track -> wall:int -> unit
 (** Close the innermost open span on the track (no-op when none is open).
     [args] are appended to the span's begin-time args. *)
 
+val end_named :
+  t -> ?args:(string * int) list -> track -> name:string -> wall:int -> unit
+(** Close the innermost open span named [name] on the track, and first every
+    span nested inside it (those with no extra args); no-op when no span of
+    that name is open.  [args] are appended to the named span's args. *)
+
 val complete_span :
   t -> ?args:(string * int) list -> track -> name:string -> wall:int ->
   dur:int -> unit
@@ -95,6 +104,19 @@ val on_gc_event : t -> Hcsgc_core.Gc_log.event -> unit
     available through {!Hcsgc_core.Gc_log}. *)
 
 (** {2 Reading} *)
+
+val fold_spans :
+  ?with_args:bool ->
+  t ->
+  init:'a ->
+  ('a -> track -> kind -> name:string -> start:int -> stop:int ->
+   args:(string * int) list -> 'a) ->
+  'a
+(** Fold over the closed spans, oldest surviving first (completion order),
+    reading the ring in place: no {!span} record is built.  [args] is the
+    span's arg list only when [with_args] is [true] (default [false]);
+    otherwise [[]] and nothing is allocated for it.  Every other reader
+    goes through this one. *)
 
 val spans : t -> span list
 (** Closed spans, oldest surviving first (completion order). *)

@@ -3,37 +3,39 @@ let mmu_windows = [ 10_000; 100_000; 1_000_000 ]
 (* Aggregate slice time by (track, name), like perf report's symbol rows. *)
 let rows r =
   let tbl = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iter
-    (fun (s : Recorder.span) ->
-      if s.Recorder.kind = Recorder.Slice then begin
-        let key = (s.Recorder.track, s.Recorder.name) in
-        let dur = s.Recorder.stop - s.Recorder.start in
-        match Hashtbl.find_opt tbl key with
-        | Some (n, total) -> Hashtbl.replace tbl key (n + 1, total + dur)
-        | None ->
-            Hashtbl.replace tbl key (1, dur);
-            order := key :: !order
-      end)
-    (Recorder.spans r);
-  List.rev_map (fun key -> (key, Hashtbl.find tbl key)) !order
+  let order =
+    Recorder.fold_spans r ~init:[]
+      (fun order track kind ~name ~start ~stop ~args:_ ->
+        match kind with
+        | Recorder.Instant -> order
+        | Recorder.Slice -> (
+            let key = (track, name) in
+            let dur = stop - start in
+            match Hashtbl.find_opt tbl key with
+            | Some (n, total) ->
+                Hashtbl.replace tbl key (n + 1, total + dur);
+                order
+            | None ->
+                Hashtbl.replace tbl key (1, dur);
+                key :: order))
+  in
+  List.rev_map (fun key -> (key, Hashtbl.find tbl key)) order
   |> List.sort (fun ((_, _), (_, t1)) ((_, _), (_, t2)) -> compare t2 t1)
 
 let write fmt r =
-  let spans = Recorder.spans r in
+  let nspans =
+    Recorder.fold_spans r ~init:0 (fun n _ _ ~name:_ ~start:_ ~stop:_ ~args:_ ->
+        n + 1)
+  in
   let samples = Recorder.samples r in
   let wall =
-    List.fold_left (fun acc (s : Recorder.span) -> max acc s.Recorder.stop) 0
-      spans
-  in
-  let wall =
     List.fold_left (fun acc (s : Recorder.sample) -> max acc s.Recorder.wall)
-      wall samples
+      (Analyzer.last_wall r) samples
   in
   Format.fprintf fmt "== hcsgc telemetry summary ==@\n";
   Format.fprintf fmt "wall: %d simulated cycles@\n" wall;
   Format.fprintf fmt "spans: %d recorded, %d dropped; samples: %d recorded, %d dropped@\n"
-    (List.length spans) (Recorder.dropped_spans r) (List.length samples)
+    nspans (Recorder.dropped_spans r) (List.length samples)
     (Recorder.dropped_samples r);
   (* STW pauses. *)
   let ps = Analyzer.pause_stats r in

@@ -15,6 +15,7 @@ module Fig_tier = Hcsgc_experiments.Fig_tier
 module Pool = Hcsgc_exec.Pool
 module Vm = Hcsgc_runtime.Vm
 module Gc_log = Hcsgc_core.Gc_log
+module Alloc_meter = Hcsgc_util.Alloc_meter
 
 let check = Alcotest.check
 let case = Alcotest.test_case
@@ -285,6 +286,218 @@ let recorder_gc_event_translation () =
         check Alcotest.int (s.Recorder.name ^ " duration") 20
           (s.Recorder.stop - s.Recorder.start))
     (Recorder.spans r)
+
+(* The span ring against a naive model: a list of every closed span and
+   per-track stacks of open ones.  Capacities from 1 to 600 with up to
+   1,500 operations cross the ring's doubling (256 -> 512) and its wrap;
+   names include "Pause " ones so [pause_intervals] has work, and 0-6 args
+   cross the inline/overflow boundary at 4. *)
+type op =
+  | Begin of Recorder.track * string * int * (string * int) list
+  | End of Recorder.track * int * (string * int) list
+  | End_named of Recorder.track * string * int * (string * int) list
+  | Complete of Recorder.track * string * int * int * (string * int) list
+  | Instant of Recorder.track * string * int * (string * int) list
+  | Close_all of int
+  | Clear
+
+let apply r = function
+  | Begin (track, name, wall, args) ->
+      Recorder.begin_span r ~args track ~name ~wall
+  | End (track, wall, args) -> Recorder.end_span r ~args track ~wall
+  | End_named (track, name, wall, args) ->
+      Recorder.end_named r ~args track ~name ~wall
+  | Complete (track, name, wall, dur, args) ->
+      Recorder.complete_span r ~args track ~name ~wall ~dur
+  | Instant (track, name, wall, args) ->
+      Recorder.instant r ~args track ~name ~wall
+  | Close_all wall -> Recorder.close_all r ~wall
+  | Clear -> Recorder.clear r
+
+module Model = struct
+  type opened = string * int * (string * int) list  (* name, start, args *)
+
+  type t = {
+    mutable closed : Recorder.span list;  (* newest first, never evicted *)
+    mutable stacks : (Recorder.track * opened list) list;
+  }
+
+  let code = function Recorder.Gc -> -1 | Recorder.Mutator m -> m
+
+  let stack m track =
+    Option.value ~default:[] (List.assoc_opt track m.stacks)
+
+  let set_stack m track st =
+    m.stacks <- (track, st) :: List.remove_assoc track m.stacks
+
+  let record m track kind name start stop args =
+    m.closed <- { Recorder.track; kind; name; start; stop; args } :: m.closed
+
+  let close m track wall extra (name, start, args) =
+    record m track Recorder.Slice name start (max start wall) (args @ extra)
+
+  let apply m = function
+    | Begin (track, name, wall, args) ->
+        set_stack m track ((name, wall, args) :: stack m track)
+    | End (track, wall, args) -> (
+        match stack m track with
+        | [] -> ()
+        | o :: rest ->
+            set_stack m track rest;
+            close m track wall args o)
+    | End_named (track, name, wall, args) ->
+        let st = stack m track in
+        if List.exists (fun (n, _, _) -> n = name) st then begin
+          let rec pop = function
+            | [] -> []
+            | ((n, _, _) as o) :: rest ->
+                if n = name then (close m track wall args o; rest)
+                else (close m track wall [] o; pop rest)
+          in
+          set_stack m track (pop st)
+        end
+    | Complete (track, name, wall, dur, args) ->
+        record m track Recorder.Slice name wall (wall + max 0 dur) args
+    | Instant (track, name, wall, args) ->
+        record m track Recorder.Instant name wall wall args
+    | Close_all wall ->
+        List.map fst m.stacks
+        |> List.sort (fun a b -> Int.compare (code a) (code b))
+        |> List.iter (fun track ->
+               List.iter (close m track wall []) (stack m track);
+               set_stack m track [])
+    | Clear ->
+        m.closed <- [];
+        m.stacks <- []
+
+  (* The spans a ring of [capacity] keeps, oldest first, and the drops. *)
+  let survivors m ~capacity =
+    let n = List.length m.closed in
+    ( List.rev (List.filteri (fun i _ -> i < capacity) m.closed),
+      max 0 (n - capacity) )
+end
+
+let gen_ops =
+  let open QCheck.Gen in
+  let track =
+    frequency
+      [ (2, return Recorder.Gc);
+        (3, map (fun m -> Recorder.Mutator m) (int_bound 2)) ]
+  in
+  let name =
+    oneofl
+      [ "GC(1)"; "GC(2)"; "Pause Mark Start"; "Pause Relocate"; "phase";
+        "req:get" ]
+  in
+  let wall = int_bound 1000 in
+  let args =
+    list_size (int_bound 6)
+      (pair (oneofl [ "a"; "b"; "wait"; "latency" ]) (int_range (-5) 99))
+  in
+  let op ~clears =
+    frequency
+      ([ (40, map4 (fun t n w a -> Begin (t, n, w, a)) track name wall args);
+         (30, map3 (fun t w a -> End (t, w, a)) track wall args);
+         (20, map4 (fun t n w a -> End_named (t, n, w, a)) track name wall args);
+         ( 60,
+           map4
+             (fun (t, n) w d a -> Complete (t, n, w, d, a))
+             (pair track name) wall (int_range (-3) 50) args );
+         (30, map4 (fun t n w a -> Instant (t, n, w, a)) track name wall args);
+         (4, map (fun w -> Close_all w) wall) ]
+      @ if clears then [ (1, return Clear) ] else [])
+  in
+  pair
+    (oneof [ int_range 1 10; int_range 200 600 ])
+    (bool >>= fun clears -> list_size (int_bound 1500) (op ~clears))
+
+let pp_op op =
+  let tr = function
+    | Recorder.Gc -> "gc"
+    | Recorder.Mutator m -> Printf.sprintf "mut%d" m
+  in
+  let pp = Printf.sprintf in
+  match op with
+  | Begin (t, n, w, a) -> pp "begin %s %s@%d/%d" (tr t) n w (List.length a)
+  | End (t, w, a) -> pp "end %s@%d/%d" (tr t) w (List.length a)
+  | End_named (t, n, w, a) ->
+      pp "end_named %s %s@%d/%d" (tr t) n w (List.length a)
+  | Complete (t, n, w, d, a) ->
+      pp "complete %s %s@%d+%d/%d" (tr t) n w d (List.length a)
+  | Instant (t, n, w, a) -> pp "instant %s %s@%d/%d" (tr t) n w (List.length a)
+  | Close_all w -> pp "close_all@%d" w
+  | Clear -> "clear"
+
+let prop_ring_matches_model =
+  QCheck.Test.make ~name:"recorder: span ring = list model" ~count:200
+    (QCheck.make gen_ops
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap
+           (String.concat "; " (List.map pp_op ops)))
+       ~shrink:QCheck.Shrink.(pair nil list))
+    (fun (capacity, ops) ->
+      let r = Recorder.create ~span_capacity:capacity () in
+      let m = { Model.closed = []; stacks = [] } in
+      List.iter
+        (fun op ->
+          apply r op;
+          Model.apply m op)
+        ops;
+      let spans, dropped = Model.survivors m ~capacity in
+      let tracks =
+        List.map (fun (s : Recorder.span) -> s.Recorder.track) spans
+        |> List.sort_uniq (fun a b -> Int.compare (Model.code a) (Model.code b))
+      in
+      let pauses =
+        List.filter_map
+          (fun (s : Recorder.span) ->
+            match (s.Recorder.track, s.Recorder.kind) with
+            | Recorder.Gc, Recorder.Slice
+              when String.starts_with ~prefix:"Pause " s.Recorder.name ->
+                Some (s.Recorder.start, s.Recorder.stop)
+            | _ -> None)
+          spans
+      in
+      let last_wall =
+        List.fold_left
+          (fun acc (s : Recorder.span) -> max acc s.Recorder.stop)
+          0 spans
+      in
+      (* The default fold hands out no args. *)
+      let bare =
+        Recorder.fold_spans r ~init:[]
+          (fun acc track kind ~name ~start ~stop ~args ->
+            { Recorder.track; kind; name; start; stop; args } :: acc)
+        |> List.rev
+      in
+      Recorder.spans r = spans
+      && bare
+         = List.map (fun (s : Recorder.span) -> { s with Recorder.args = [] })
+             spans
+      && Recorder.dropped_spans r = dropped
+      && Recorder.tracks r = tracks
+      && Analyzer.pause_intervals r = pauses
+      && Analyzer.last_wall r = last_wall)
+
+(* Recording an arg-less span into a full ring writes its fields in place:
+   no record, no option, no list. *)
+let recorder_full_ring_allocates_nothing () =
+  let r = Recorder.create ~span_capacity:1024 () in
+  for i = 0 to 4095 do
+    Recorder.complete_span r Recorder.Gc ~name:"Pause Mark Start" ~wall:i
+      ~dur:1
+  done;
+  let ovh = Alloc_meter.overhead_per_call () in
+  let a0 = Alloc_meter.words () in
+  for i = 0 to 99_999 do
+    Recorder.complete_span r (Recorder.Mutator 0) ~name:"req:get" ~wall:i
+      ~dur:1
+  done;
+  let words = Alloc_meter.words () -. a0 -. ovh in
+  check (Alcotest.float 0.0) "words for 100k spans" 0.0 words;
+  check Alcotest.int "all 104,096 spans past the first 1,024 dropped"
+    (4096 + 100_000 - 1024)
+    (Recorder.dropped_spans r)
 
 (* ------------------------------------------------------------------ *)
 (* Analyzer: percentiles and MMU on hand-computed fixtures             *)
@@ -712,6 +925,9 @@ let suite =
         case "ring drops" `Quick recorder_ring_drops;
         case "close_all" `Quick recorder_close_all;
         case "gc event translation" `Quick recorder_gc_event_translation;
+        QCheck_alcotest.to_alcotest prop_ring_matches_model;
+        case "full ring allocates nothing" `Quick
+          recorder_full_ring_allocates_nothing;
       ] );
     ( "telemetry.analyzer",
       [
