@@ -68,9 +68,9 @@ let bare ?(cores = 2) ?(config = Config.zgc) () =
   (col, roots)
 
 let alloc_obj col ~core =
-  match Collector.alloc col ~core ~nrefs:1 ~nwords:6 with
-  | Some (obj, _cost) -> obj
-  | None -> failwith "bench/micro: heap exhausted"
+  let obj = Collector.alloc col ~core ~nrefs:1 ~nwords:6 in
+  if obj == Heap_obj.none then failwith "bench/micro: heap exhausted";
+  obj
 
 (* Each returns the collector and the mutator phase for round [r]. *)
 

@@ -41,6 +41,7 @@ let tgt_gc_cold = 5
 
 type t = {
   heap : Heap.t;
+  objs : Heap_obj.arena;  (* [Heap.objects heap] *)
   machine : Machine.t;
   config : Config.t;
   (* Far-memory tier shared with the machine ([Machine.set_tier]); [None]
@@ -151,8 +152,8 @@ type t = {
 }
 
 (* Placeholder for [relo_page]/[bump_page] while inactive; never read. *)
-let dummy_page layout =
-  Page.create ~layout ~id:(-1) ~cls:Layout.Small ~start:0 ~size:0
+let dummy_page layout arena =
+  Page.create ~layout ~arena ~id:(-1) ~cls:Layout.Small ~start:0 ~size:0
     ~birth_cycle:0
 
 let heap t = t.heap
@@ -292,8 +293,9 @@ let rec target_bump t ~which ~core bytes cost =
    to [who].  The forwarding-table insertion is the linearisation point. *)
 let relocate t ~who (obj : Heap_obj.t) (src : Page.t) =
   assert (src.Page.state = Page.In_ec);
-  let offset = obj.Heap_obj.addr - src.Page.start in
-  let bytes = obj.Heap_obj.size in
+  let old_addr = Heap_obj.addr t.objs obj in
+  let offset = old_addr - src.Page.start in
+  let bytes = Heap_obj.size t.objs obj in
   (* Pick the destination bump target (§3.3: with COLDPAGE on, GC threads
      send cold objects to a dedicated cold page; hot objects — and
      everything, when the knob is off — go to the hot page). *)
@@ -323,13 +325,10 @@ let relocate t ~who (obj : Heap_obj.t) (src : Page.t) =
       assert false
   | Fwd_table.Claimed ->
       let copy_cost =
-        Machine.load_range t.machine ~core obj.Heap_obj.addr bytes
+        Machine.load_range t.machine ~core old_addr bytes
         + Machine.store_range t.machine ~core new_addr bytes
       in
-      Page.remove_object src obj;
-      obj.Heap_obj.addr <- new_addr;
-      obj.Heap_obj.relocations <- obj.Heap_obj.relocations + 1;
-      Page.add_object dst obj;
+      Page.move_object ~src ~dst obj ~new_addr;
       Gc_stats.on_relocate t.stats
         ~by_mutator:(match who with Mutator _ -> true | Gc -> false)
         ~bytes;
@@ -353,7 +352,7 @@ let rec resolve t ~who addr =
       | Some page -> (
           let offset = addr - page.Page.start in
           let obj = Page.object_at page ~offset in
-          if obj != Page.no_obj then begin
+          if obj != Heap_obj.none then begin
             if page.Page.state = Page.In_ec then
               t.acc_cost <- t.acc_cost + relocate t ~who obj page;
             obj
@@ -387,13 +386,13 @@ let rec resolve t ~who addr =
 (* ------------------------------------------------------------------ *)
 
 let page_of_obj t (obj : Heap_obj.t) =
-  match Heap.page_of_addr t.heap obj.Heap_obj.addr with
+  match Heap.page_of_addr t.heap (Heap_obj.addr t.objs obj) with
   | Some page -> page
   | None ->
       raise
         (Invalid_handle
            (Printf.sprintf "object #%d at unmapped address 0x%x"
-              obj.Heap_obj.id obj.Heap_obj.addr))
+              (Heap_obj.id t.objs obj) (Heap_obj.addr t.objs obj)))
 
 (* Mark [obj] live on its (to-space) page; push for tracing when newly
    marked.  Only meaningful during the marking phase. *)
@@ -441,18 +440,32 @@ let flag_hot t ~(page : Page.t) (obj : Heap_obj.t) =
 (* Mutator interface                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The handle-validity check shared by both [use_handle] paths: [obj] must
-   still be the object registered at its own address on [page].  Because an
-   object's table key is always its current address offset, registration is
-   equivalent to [page_id] matching — one integer compare, no hash walk. *)
-let[@inline] check_handle (page : Page.t) (obj : Heap_obj.t) =
-  if obj.Heap_obj.page_id <> page.Page.id then
+(* The handle-validity check: [obj] must not have been freed.  An object
+   stays registered on the page at its own address from allocation until
+   its page is freed, which frees the object and bumps its slot's
+   generation — so validity is one generation compare, no hash walk, and
+   a stale handle fails it even after its slot is reused. *)
+let[@inline] check_handle t (obj : Heap_obj.t) =
+  if not (Heap_obj.is_live t.objs obj) then
     raise
       (Invalid_handle
-         (Printf.sprintf "handle to reclaimed object #%d" obj.Heap_obj.id))
+         (Printf.sprintf "handle to reclaimed object (handle 0x%x)"
+            (Heap_obj.to_int obj)))
 
-let use_handle t ~core (obj : Heap_obj.t) =
-  let page = page_of_obj t obj in
+(* Roots are handles the workload registered; validate before trusting
+   their [addr]. *)
+let page_of_root t (root : Heap_obj.t) =
+  check_handle t root;
+  page_of_obj t root
+
+let use_handle_page t ~core (obj : Heap_obj.t) =
+  let addr = Heap_obj.live_addr t.objs obj in
+  if addr < 0 then check_handle t obj;
+  let page =
+    match Heap.page_of_addr t.heap addr with
+    | Some page -> page
+    | None -> page_of_obj t obj (* raises *)
+  in
   let relocated = page.Page.state = Page.In_ec in
   Gc_stats.on_barrier t.stats ~slow:relocated;
   if relocated || t.phase = Marking then begin
@@ -465,7 +478,6 @@ let use_handle t ~core (obj : Heap_obj.t) =
       end
       else page
     in
-    check_handle page obj;
     (* Hotness is recorded on barrier slow paths only (§3.1.2): a handle use
        flags the object just when it forced relocation work — freshly
        allocated objects reached through good-coloured pointers are never
@@ -473,22 +485,32 @@ let use_handle t ~core (obj : Heap_obj.t) =
     if relocated then cost := !cost + flag_hot t ~page obj;
     if t.phase = Marking then cost := !cost + mark_object t obj;
     if page.Page.tier = Page.Far then cost := !cost + promote_page t page;
-    !cost
+    t.last_cost <- !cost;
+    page
   end
   else begin
-    (* Fast path — the steady-state barrier: validate the handle, charge
-       nothing, allocate nothing.  The tier-bit compare is the only
+    (* Fast path — the steady-state barrier: the handle is validated above;
+       charge nothing, allocate nothing.  The tier-bit compare is the only
        tiering footprint here; it is always [Dram] when tiering is off. *)
-    check_handle page obj;
-    if page.Page.tier = Page.Far then promote_page t page else 0
+    t.last_cost <- (if page.Page.tier = Page.Far then promote_page t page else 0);
+    page
   end
 
-let slot_addr t obj slot = Heap_obj.ref_slot_addr ~layout:(layout t) obj slot
+let use_handle t ~core obj =
+  ignore (use_handle_page t ~core obj : Page.t);
+  t.last_cost
+
+let slot_addr t obj slot =
+  Heap_obj.ref_slot_addr ~layout:(layout t) t.objs obj slot
 
 let load_ref t ~core (src : Heap_obj.t) ~slot =
-  let c0 = use_handle t ~core src in
-  let c1 = Machine.load t.machine ~core (slot_addr t src slot) in
-  let ptr = Heap_obj.get_ref src slot in
+  (* The barrier moved [src] off any in-EC page; nothing below moves it
+     again (a referent on an in-EC page is never [src] itself). *)
+  let src_page = use_handle_page t ~core src in
+  let c0 = t.last_cost in
+  let slot_addr = slot_addr t src slot in
+  let c1 = Machine.load t.machine ~core slot_addr in
+  let ptr = Page.read src_page slot_addr in
   if Addr.is_null ptr then begin
     t.last_cost <- c0 + c1;
     None
@@ -504,18 +526,15 @@ let load_ref t ~core (src : Heap_obj.t) ~slot =
           (Invalid_handle
              (Printf.sprintf "good-coloured pointer 0x%x has no object"
                 (Addr.addr ptr)))
-    | Some page -> (
-        match
-          Page.find_object_exn page ~offset:(Addr.addr ptr - page.Page.start)
-        with
-        | obj ->
-            t.last_cost <- c0 + c1;
-            Some obj
-        | exception Not_found ->
-            raise
-              (Invalid_handle
-                 (Printf.sprintf "good-coloured pointer 0x%x has no object"
-                    (Addr.addr ptr))))
+    | Some page ->
+        let obj = Page.object_at page ~offset:(Addr.addr ptr - page.Page.start) in
+        if obj == Heap_obj.none then
+          raise
+            (Invalid_handle
+               (Printf.sprintf "good-coloured pointer 0x%x has no object"
+                  (Addr.addr ptr)));
+        t.last_cost <- c0 + c1;
+        Some obj
   end
   else begin
     (* Slow path: remap / mark / relocate, flag hotness, self-heal. *)
@@ -524,70 +543,63 @@ let load_ref t ~core (src : Heap_obj.t) ~slot =
     let obj = resolve t ~who:(Mutator core) (Addr.addr ptr) in
     if t.phase = Marking then t.acc_cost <- t.acc_cost + mark_object t obj;
     t.acc_cost <- t.acc_cost + flag_hot t ~page:(page_of_obj t obj) obj;
-    Heap_obj.set_ref src slot (Addr.make t.good obj.Heap_obj.addr);
-    t.acc_cost <-
-      t.acc_cost + Machine.store t.machine ~core (slot_addr t src slot);
+    Page.write src_page slot_addr (Addr.make t.good (Heap_obj.addr t.objs obj));
+    t.acc_cost <- t.acc_cost + Machine.store t.machine ~core slot_addr;
     t.last_cost <- t.acc_cost;
     Some obj
   end
 
 let store_ref t ~core (src : Heap_obj.t) ~slot target =
-  let c0 = use_handle t ~core src in
+  let src_page = use_handle_page t ~core src in
+  let c0 = t.last_cost in
+  let slot_addr = slot_addr t src slot in
   let c1 =
     match target with
     | None ->
-        Heap_obj.set_ref src slot Addr.null;
+        Page.write src_page slot_addr Addr.null;
         0
     | Some obj ->
         let cu = use_handle t ~core obj in
         (* Keep handle-published objects from hiding during marking. *)
         let cm = if t.phase = Marking then mark_object t obj else 0 in
-        Heap_obj.set_ref src slot (Addr.make t.good obj.Heap_obj.addr);
+        Page.write src_page slot_addr
+          (Addr.make t.good (Heap_obj.addr t.objs obj));
         cu + cm
   in
-  c0 + c1 + Machine.store t.machine ~core (slot_addr t src slot)
+  c0 + c1 + Machine.store t.machine ~core slot_addr
+
+(* Charge a successful allocation's header store; the cost goes to
+   [last_cost]. *)
+let allocated t ~core obj page_cost =
+  let header_cost =
+    Machine.store_range t.machine ~core (Heap_obj.addr t.objs obj)
+      (layout t).Layout.header_bytes
+  in
+  t.last_cost <- Cost.alloc + page_cost + header_cost;
+  obj
 
 let alloc t ~core ~nrefs ~nwords =
   let lay = layout t in
   let bytes = Layout.object_bytes lay ~nrefs ~nwords in
   t.allocated_since_cycle <- t.allocated_since_cycle + bytes;
   Gc_stats.on_alloc t.stats ~bytes;
-  let finish obj page_cost =
-    let header_cost =
-      Machine.store_range t.machine ~core obj.Heap_obj.addr
-        lay.Layout.header_bytes
-    in
-    Some (obj, Cost.alloc + page_cost + header_cost)
-  in
   match Layout.class_of_object_size lay bytes with
   | Layout.Large -> (
       match
         Heap.alloc_large_object t.heap ~nrefs ~nwords ~birth_cycle:t.cycle_no
       with
-      | Some obj -> finish obj Cost.alloc_page
-      | None -> None)
-  | Layout.Medium ->
-      let page_cost = target_bump t ~which:tgt_medium_alloc ~core bytes 0 in
-      if page_cost < 0 then None
-      else begin
-        let obj =
-          Heap_obj.create ~layout:lay ~id:(Heap.fresh_obj_id t.heap)
-            ~addr:t.bump_addr ~nrefs ~nwords
-        in
-        Page.add_object t.bump_page obj;
-        finish obj page_cost
-      end
-  | Layout.Small ->
-      let page_cost = target_bump t ~which:tgt_mut_alloc ~core bytes 0 in
-      if page_cost < 0 then None
-      else begin
-        let obj =
-          Heap_obj.create ~layout:lay ~id:(Heap.fresh_obj_id t.heap)
-            ~addr:t.bump_addr ~nrefs ~nwords
-        in
-        Page.add_object t.bump_page obj;
-        finish obj page_cost
-      end
+      | Some obj -> allocated t ~core obj Cost.alloc_page
+      | None -> Heap_obj.none)
+  | (Layout.Medium | Layout.Small) as cls ->
+      let which =
+        if cls = Layout.Medium then tgt_medium_alloc else tgt_mut_alloc
+      in
+      let page_cost = target_bump t ~which ~core bytes 0 in
+      if page_cost < 0 then Heap_obj.none
+      else
+        allocated t ~core
+          (Heap.new_object t.heap t.bump_page ~addr:t.bump_addr ~nrefs ~nwords)
+          page_cost
 
 (* ------------------------------------------------------------------ *)
 (* The GC cycle                                                        *)
@@ -656,11 +668,14 @@ let scan_chunk = 64
    to it directly). *)
 let scan_object t (obj : Heap_obj.t) from_slot =
   let lay = layout t in
-  let nrefs = Heap_obj.nrefs obj in
+  let nrefs = Heap_obj.nrefs t.objs obj in
   let upto = min nrefs (from_slot + scan_chunk) in
+  (* Marked objects sit on pages that stay out of the EC until marking
+     ends, so resolving the slots below cannot move [obj]. *)
+  let page = page_of_obj t obj in
   t.acc_cost <-
     (if from_slot = 0 then
-       Machine.load_range t.machine ~core:t.gc_core obj.Heap_obj.addr
+       Machine.load_range t.machine ~core:t.gc_core (Heap_obj.addr t.objs obj)
          lay.Layout.header_bytes
      else 0);
   if upto < nrefs then begin
@@ -671,11 +686,11 @@ let scan_object t (obj : Heap_obj.t) from_slot =
     t.acc_cost <-
       t.acc_cost
       + Machine.load_range t.machine ~core:t.gc_core
-          (Heap_obj.ref_slot_addr ~layout:lay obj from_slot)
+          (Heap_obj.ref_slot_addr ~layout:lay t.objs obj from_slot)
           ((upto - from_slot) * lay.Layout.word_bytes);
   for slot = from_slot to upto - 1 do
     t.acc_cost <- t.acc_cost + Cost.scan_slot;
-    let ptr = Heap_obj.get_ref obj slot in
+    let ptr = Page.get_ref page obj slot in
     if not (Addr.is_null ptr) then begin
       (* The R colour proves a mutator touched this pointer since STW3 of
          the previous cycle — the referent is hot (§3.1.2). *)
@@ -685,9 +700,9 @@ let scan_object t (obj : Heap_obj.t) from_slot =
         t.acc_cost <-
           t.acc_cost + flag_hot t ~page:(page_of_obj t target) target;
       t.acc_cost <- t.acc_cost + mark_object t target;
-      let healed = Addr.make t.good target.Heap_obj.addr in
+      let healed = Addr.make t.good (Heap_obj.addr t.objs target) in
       if healed <> ptr then begin
-        Heap_obj.set_ref obj slot healed;
+        Page.set_ref page obj slot healed;
         t.acc_cost <-
           t.acc_cost + Machine.store t.machine ~core:t.gc_core (slot_addr t obj slot)
       end
@@ -923,7 +938,7 @@ let rec collect_victims t (page : Page.t) bit =
   let bit = Bitmap.next_set page.Page.livemap bit in
   if bit >= 0 then begin
     let obj = Page.object_at page ~offset:(bit * 8) in
-    if obj != Page.no_obj then Vec.push t.relo_victims obj;
+    if obj != Heap_obj.none then Vec.push t.relo_victims obj;
     collect_victims t page (bit + 1)
   end
 
@@ -952,7 +967,10 @@ let relo_step t =
     let obj = Vec.unsafe_get t.relo_victims t.relo_next in
     t.relo_next <- t.relo_next + 1;
     (* The mutator may have beaten us to it (the relocation race). *)
-    if Page.contains t.relo_page obj.Heap_obj.addr then
+    if
+      Heap_obj.is_live t.objs obj
+      && Page.contains t.relo_page (Heap_obj.addr t.objs obj)
+    then
       relocate t ~who:Gc obj t.relo_page
     else Cost.fwd_lookup
   end
@@ -1016,14 +1034,14 @@ let init_callbacks t =
   t.seed_root_fn <-
     (fun root ->
       t.acc_cost <- t.acc_cost + Cost.root_fixup;
-      let page = page_of_obj t root in
+      let page = page_of_root t root in
       if page.Page.state = Page.In_ec then
         t.acc_cost <- t.acc_cost + relocate t ~who:Gc root page;
       t.acc_cost <- t.acc_cost + mark_object t root);
   t.fixup_root_fn <-
     (fun root ->
       t.acc_cost <- t.acc_cost + Cost.root_fixup;
-      let page = page_of_obj t root in
+      let page = page_of_root t root in
       if page.Page.state = Page.In_ec then
         t.acc_cost <- t.acc_cost + relocate t ~who:Gc root page);
   t.collect_candidate_fn <-
@@ -1068,10 +1086,11 @@ let create ?(sink = Gc_log.null_sink) ~heap ~machine ~config ~gc_core ~roots
     else None
   in
   Machine.set_tier machine tier;
-  let dummy = dummy_page lay in
+  let dummy = dummy_page lay (Heap.objects heap) in
   let t =
     {
       heap;
+      objs = Heap.objects heap;
       machine;
       config;
       tier;

@@ -142,12 +142,12 @@ val stale_fwd_page_at : t -> addr:int -> Page.t option
 
 (** {2 Mutator interface} *)
 
-val alloc :
-  t -> core:int -> nrefs:int -> nwords:int -> (Heap_obj.t * int) option
+val alloc : t -> core:int -> nrefs:int -> nwords:int -> Heap_obj.t
 (** Allocate an object (choosing the page class per Table 1) from the
-    per-core bump page.  Returns the object and the mutator cycle cost, or
-    [None] if the heap limit is hit — the caller should force a collection
-    and retry. *)
+    per-core bump page.  Returns the object, with the mutator cycle cost
+    left in {!last_cost}, or {!Heap_obj.none} if the heap limit is hit —
+    the caller should force a collection and retry.  Nothing is boxed on
+    the host heap. *)
 
 val use_handle : t -> core:int -> Heap_obj.t -> int
 (** The {e handle barrier}: declares that the mutator is about to access the
@@ -155,6 +155,11 @@ val use_handle : t -> core:int -> Heap_obj.t -> int
     pointer).  Maintains the to-space invariant — if the object sits on an
     evacuation-candidate page the mutator relocates it now, in access order —
     and flags hotness.  Returns the cycle cost. *)
+
+val use_handle_page : t -> core:int -> Heap_obj.t -> Page.t
+(** {!use_handle}, returning the page the object sits on afterwards (where
+    {!Page.get_word} and friends find its words) with the cycle cost left
+    in {!last_cost}. *)
 
 val load_ref : t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option
 (** [load_ref t ~core src ~slot] loads reference slot [slot] of [src] through
@@ -165,13 +170,14 @@ val load_ref : t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option
     tuple. *)
 
 val last_cost : t -> int
-(** Cycle cost of the most recent {!load_ref} call.  Read it immediately
+(** Cycle cost of the most recent {!load_ref}, {!use_handle_page} or
+    successful {!alloc} call.  Read it immediately
     after the call — any later barrier overwrites it. *)
 
 val store_ref :
   t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option -> int
 (** [store_ref t ~core src ~slot target] writes [target] (or null) into
-    [src.refs.(slot)] with the good colour.  During marking the stored
+    reference slot [slot] of [src] with the good colour.  During marking the stored
     referent is marked (keeping unregistered handles from hiding objects).
     Returns the cycle cost. *)
 

@@ -5,6 +5,7 @@ type free_range = { mutable granule : int; mutable ngranules : int }
 
 type t = {
   layout : Layout.t;
+  objects : Heap_obj.arena;
   page_table : Page_table.t;
   mutable next_granule : int;  (* next never-used granule; granule 0 reserved *)
   free_small : int Vec.t;  (* granule indices of freed small pages *)
@@ -43,6 +44,7 @@ let class_index (cls : Layout.size_class) =
 let create ?(layout = Layout.paper) ~max_bytes () =
   {
     layout;
+    objects = Heap_obj.create_arena ();
     page_table = Page_table.create ~layout;
     next_granule = 1;
     free_small = Vec.create ();
@@ -60,6 +62,7 @@ let create ?(layout = Layout.paper) ~max_bytes () =
   }
 
 let[@inline] layout t = t.layout
+let[@inline] objects t = t.objects
 let[@inline] max_bytes t = t.max_bytes
 let[@inline] used_bytes t = t.used
 let[@inline] used_ratio t = float_of_int t.used /. float_of_int t.max_bytes
@@ -140,7 +143,7 @@ let alloc_page ?(force = false) t ~cls ~bytes ~birth_cycle =
     let ngranules = size / granule_bytes t in
     let g = take_granules t ~cls ~ngranules in
     let page =
-      Page.create ~layout:t.layout ~id:(fresh_page_id t) ~cls
+      Page.create ~layout:t.layout ~arena:t.objects ~id:(fresh_page_id t) ~cls
         ~start:(g * granule_bytes t) ~size ~birth_cycle
     in
     Page_table.register t.page_table page;
@@ -161,6 +164,7 @@ let free_page t (page : Page.t) =
   if page.Page.state = Page.Freed then
     invalid_arg "Heap.free_page: page already freed";
   Page_table.unregister t.page_table page;
+  Page.release page;
   page.Page.state <- Page.Freed;
   t.used <- t.used - page.Page.size;
   t.hot_total <- t.hot_total - page.Page.hot_bytes;
@@ -171,12 +175,10 @@ let free_page t (page : Page.t) =
   t.page_counts.(class_index page.Page.cls) <-
     t.page_counts.(class_index page.Page.cls) - 1;
   (* Keep the page vector from accumulating tombstones: compact once more
-     than half of a reasonably large vector is freed pages. *)
+     than half of it is freed pages.  Each compaction at least halves the
+     vector, so the sweeps cost O(1) amortised per freed page. *)
   t.freed_tombstones <- t.freed_tombstones + 1;
-  if
-    Vec.length t.pages > 256
-    && 2 * t.freed_tombstones > Vec.length t.pages
-  then compact_pages t
+  if 2 * t.freed_tombstones > Vec.length t.pages then compact_pages t
 
 let recycle_range t (page : Page.t) =
   if page.Page.state <> Page.Freed then
@@ -188,17 +190,15 @@ let recycle_range t (page : Page.t) =
   | Layout.Medium -> Vec.push t.free_medium g
   | Layout.Large -> Vec.push t.free_large { granule = g; ngranules }
 
+let new_object t page ~addr ~nrefs ~nwords =
+  Page.new_object page ~id:(fresh_obj_id t) ~addr ~nrefs ~nwords
+
 let alloc_object_in t (page : Page.t) ~nrefs ~nwords =
   let size = Layout.object_bytes t.layout ~nrefs ~nwords in
   match Page.bump_alloc page size with
   | None -> None
   | Some offset ->
-      let obj =
-        Heap_obj.create ~layout:t.layout ~id:(fresh_obj_id t)
-          ~addr:(page.Page.start + offset) ~nrefs ~nwords
-      in
-      Page.add_object page obj;
-      Some obj
+      Some (new_object t page ~addr:(page.Page.start + offset) ~nrefs ~nwords)
 
 let alloc_large_object t ~nrefs ~nwords ~birth_cycle =
   let size = Layout.object_bytes t.layout ~nrefs ~nwords in
@@ -209,7 +209,19 @@ let alloc_large_object t ~nrefs ~nwords ~birth_cycle =
       | Some obj -> Some obj
       | None -> assert false (* a large page always fits its single object *))
 
-let page_of_addr t addr = Page_table.page_of_addr t.page_table addr
+let[@inline] page_of_addr t addr = Page_table.page_of_addr t.page_table addr
+
+let page_of_obj t obj =
+  if not (Heap_obj.is_live t.objects obj) then
+    invalid_arg "Heap: handle to a freed object";
+  match page_of_addr t (Heap_obj.addr t.objects obj) with
+  | Some page -> page
+  | None -> invalid_arg "Heap: object on an unmapped page"
+
+let get_ref t obj i = Page.get_ref (page_of_obj t obj) obj i
+let set_ref t obj i p = Page.set_ref (page_of_obj t obj) obj i p
+let get_word t obj i = Page.get_word (page_of_obj t obj) obj i
+let set_word t obj i v = Page.set_word (page_of_obj t obj) obj i v
 
 let obj_at t addr =
   match page_of_addr t addr with
@@ -227,9 +239,12 @@ let iter_pages t f =
 
 let page_count t cls = t.page_counts.(class_index cls)
 
+let pages_held t = Vec.length t.pages
+let tombstones t = t.freed_tombstones
+
 let flag_hot t (page : Page.t) obj =
   let newly = Page.flag_hot page obj in
-  if newly then t.hot_total <- t.hot_total + obj.Heap_obj.size;
+  if newly then t.hot_total <- t.hot_total + Heap_obj.size t.objects obj;
   newly
 
 let reset_mark_state t (page : Page.t) =

@@ -15,6 +15,10 @@ val create : ?layout:Layout.t -> max_bytes:int -> unit -> t
     committed page memory.  Default layout is {!Layout.paper}. *)
 
 val layout : t -> Layout.t
+
+val objects : t -> Heap_obj.arena
+(** The heap's object arena: every handle the heap issues indexes it. *)
+
 val max_bytes : t -> int
 
 val used_bytes : t -> int
@@ -45,12 +49,20 @@ val free_page : t -> Page.t -> unit
     pointers into it must keep resolving through the page's forwarding table
     until the next mark phase has remapped them (ZGC gets the same effect
     from heap multi-mapping).  The caller recycles the range later with
-    {!recycle_range}.  The page's state becomes [Freed].
+    {!recycle_range}.  The page's state becomes [Freed]; its objects are
+    freed and its object index and word storage go back to the arena's
+    pools ({!Page.release}), so a stale handle to one of its objects fails
+    {!Heap_obj.is_live}.  Once more than half of the page vector is freed
+    pages it is compacted in place (order preserved).
     @raise Invalid_argument if the page is already freed. *)
 
 val recycle_range : t -> Page.t -> unit
 (** Return a freed page's granules to the allocation free lists.  Call only
     once per page, after its forwarding table has been retired. *)
+
+val new_object : t -> Page.t -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t
+(** {!Page.new_object} with the next object id, at an address already
+    bump-reserved on the page. *)
 
 val alloc_object_in : t -> Page.t -> nrefs:int -> nwords:int -> Heap_obj.t option
 (** Bump-allocate an object in the given (small or medium) page; [None] if it
@@ -64,12 +76,32 @@ val obj_at : t -> int -> Heap_obj.t option
 (** The object whose start address is exactly the given address, on the
     currently mapped page. *)
 
+(** {2 Object words}
+
+    {!Page.get_ref} and friends on the page the object sits on — for
+    verifiers, tests and fault injection; the collector reads words through
+    the page it already holds.
+    @raise Invalid_argument if the handle is freed or its page unmapped. *)
+
+val get_ref : t -> Heap_obj.t -> int -> Addr.t
+val set_ref : t -> Heap_obj.t -> int -> Addr.t -> unit
+val get_word : t -> Heap_obj.t -> int -> int
+val set_word : t -> Heap_obj.t -> int -> int -> unit
+
 val iter_pages : t -> (Page.t -> unit) -> unit
 (** Iterate all non-freed pages. *)
 
 val page_count : t -> Layout.size_class -> int
 (** Number of non-freed pages of a class.  O(1) — maintained as a running
     counter at page allocation/free. *)
+
+val pages_held : t -> int
+(** Length of the internal page vector: the non-freed pages plus the
+    freed ones not yet compacted away. *)
+
+val tombstones : t -> int
+(** Freed pages still in the page vector; at most half of
+    {!pages_held}. *)
 
 (** {2 Hot-byte accounting}
 

@@ -1,58 +1,209 @@
-type t = {
-  id : int;
-  mutable addr : int;
-  size : int;
-  refs : int array;
-  words : int;
-  mutable payload : int array;
-  mutable relocations : int;
-  mutable page_id : int;
+module Vec = Hcsgc_util.Vec
+
+(* A handle is [generation lsl slot_bits lor slot]. *)
+type t = int
+
+let slot_bits = 32
+let slot_mask = (1 lsl slot_bits) - 1
+let gen_mask = (1 lsl (Sys.int_size - slot_bits - 1)) - 1
+
+let none = -1
+let[@inline] to_int h = h
+let[@inline] of_int h = h
+
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* One int column per field, indexed by slot.  A column is a directory of
+   fixed-size chunks, and growing the arena adds one chunk to every
+   column: no column is ever copied, so growth leaves no doubled array
+   behind and the slack is under one chunk.  Returned slots wait on the
+   [free_slots] stack (its first [nfree] entries); [high] is the first
+   never-used slot. *)
+type arena = {
+  mutable id : int array array;
+  mutable addr : int array array;
+  mutable size : int array array;
+  mutable nrefs : int array array;
+  mutable nwords : int array array;
+  mutable relocations : int array array;
+  mutable page_id : int array array;
+  mutable written : int array array;  (* 1 once the payload is materialised *)
+  mutable gen : int array array;
+  mutable free_slots : int array;
+  mutable nfree : int;
+  mutable high : int;
+  words_pool : words Vec.t;
+  index_pool : int array Vec.t;
 }
 
-let no_payload : int array = [||]
+let chunk_bits = 12
+let chunk_mask = (1 lsl chunk_bits) - 1
 
-let create ~layout ~id ~addr ~nrefs ~nwords =
+(* No chunk until the first allocation: building a VM allocates none. *)
+let create_arena () =
   {
-    id;
-    addr;
-    size = Layout.object_bytes layout ~nrefs ~nwords;
-    refs = Array.make nrefs Addr.null;
-    words = nwords;
-    payload = no_payload;
-    relocations = 0;
-    page_id = -1;
+    id = [||];
+    addr = [||];
+    size = [||];
+    nrefs = [||];
+    nwords = [||];
+    relocations = [||];
+    page_id = [||];
+    written = [||];
+    gen = [||];
+    free_slots = [||];
+    nfree = 0;
+    high = 0;
+    words_pool = Vec.create ();
+    index_pool = Vec.create ();
   }
 
-let nrefs t = Array.length t.refs
-let nwords t = t.words
+let[@inline] slot h = h land slot_mask
 
-let ref_slot_addr ~layout t i =
-  if i < 0 || i >= Array.length t.refs then
+(* Typed [int]: a polymorphic array access would compile to the generic
+   path (a float-array tag test, and [caml_modify] on every store). *)
+let[@inline] get (col : int array array) s : int =
+  Array.unsafe_get (Array.unsafe_get col (s lsr chunk_bits)) (s land chunk_mask)
+
+let[@inline] set (col : int array array) s (v : int) =
+  Array.unsafe_set (Array.unsafe_get col (s lsr chunk_bits)) (s land chunk_mask) v
+
+let add_chunk col = Array.append col [| Array.make (chunk_mask + 1) 0 |]
+
+let grow a =
+  a.id <- add_chunk a.id;
+  a.addr <- add_chunk a.addr;
+  a.size <- add_chunk a.size;
+  a.nrefs <- add_chunk a.nrefs;
+  a.nwords <- add_chunk a.nwords;
+  a.relocations <- add_chunk a.relocations;
+  a.page_id <- add_chunk a.page_id;
+  a.written <- add_chunk a.written;
+  a.gen <- add_chunk a.gen
+
+let fresh_slot a =
+  if a.nfree > 0 then begin
+    a.nfree <- a.nfree - 1;
+    Array.unsafe_get a.free_slots a.nfree
+  end
+  else begin
+    if a.high = Array.length a.id lsl chunk_bits then grow a;
+    let s = a.high in
+    a.high <- s + 1;
+    s
+  end
+
+let alloc a ~layout ~id ~addr ~nrefs ~nwords =
+  let size = Layout.object_bytes layout ~nrefs ~nwords in
+  let s = fresh_slot a in
+  set a.id s id;
+  set a.addr s addr;
+  set a.size s size;
+  set a.nrefs s nrefs;
+  set a.nwords s nwords;
+  set a.relocations s 0;
+  set a.page_id s (-1);
+  set a.written s 0;
+  (get a.gen s lsl slot_bits) lor s
+
+let[@inline] is_live a h =
+  let s = slot h in
+  h >= 0 && s < a.high && get a.gen s = h lsr slot_bits
+
+let push_free a s =
+  if a.nfree = Array.length a.free_slots then begin
+    let bigger = Array.make (max 64 (2 * a.nfree)) 0 in
+    Array.blit a.free_slots 0 bigger 0 a.nfree;
+    a.free_slots <- bigger
+  end;
+  Array.unsafe_set a.free_slots a.nfree s;
+  a.nfree <- a.nfree + 1
+
+(* Only the generation column is touched: a page frees its objects in
+   index order, which is scattered over the slots, so every further
+   column written here would be another cache miss per object. *)
+let[@inline] free a h =
+  if is_live a h then begin
+    let s = slot h in
+    set a.gen s ((get a.gen s + 1) land gen_mask);
+    push_free a s
+  end
+
+let live_count a = a.high - a.nfree
+
+(* Every access bounds-checks the slot against [high] (one compare), so a
+   forged or [none] handle raises rather than reading outside a column. *)
+let out_of_range () = invalid_arg "Heap_obj: handle out of range"
+
+let[@inline] checked a h =
+  let s = slot h in
+  if s >= a.high then out_of_range ();
+  s
+
+let[@inline] id a h = get a.id (checked a h)
+let[@inline] addr a h = get a.addr (checked a h)
+let[@inline] size a h = get a.size (checked a h)
+let[@inline] nrefs a h = get a.nrefs (checked a h)
+let[@inline] nwords a h = get a.nwords (checked a h)
+let[@inline] relocations a h = get a.relocations (checked a h)
+let[@inline] page_id a h = get a.page_id (checked a h)
+let[@inline] payload_written a h = get a.written (checked a h) <> 0
+let[@inline] set_addr a h v = set a.addr (checked a h) v
+let[@inline] set_page_id a h v = set a.page_id (checked a h) v
+let[@inline] set_payload_written a h = set a.written (checked a h) 1
+
+let incr_relocations a h =
+  let s = checked a h in
+  set a.relocations s (get a.relocations s + 1)
+
+let[@inline] live_addr a h =
+  let s = slot h in
+  if h >= 0 && s < a.high && get a.gen s = h lsr slot_bits then get a.addr s
+  else -1
+
+let ref_slot_addr ~layout a h i =
+  let s = checked a h in
+  if i < 0 || i >= get a.nrefs s then
     invalid_arg "Heap_obj.ref_slot_addr: slot out of range";
-  t.addr + layout.Layout.header_bytes + (i * layout.Layout.word_bytes)
+  get a.addr s + layout.Layout.header_bytes + (i * layout.Layout.word_bytes)
 
-let payload_addr ~layout t i =
-  if i < 0 || i >= t.words then
+let payload_addr ~layout a h i =
+  let s = checked a h in
+  if i < 0 || i >= get a.nwords s then
     invalid_arg "Heap_obj.payload_addr: word out of range";
-  t.addr
-  + layout.Layout.header_bytes
-  + ((Array.length t.refs + i) * layout.Layout.word_bytes)
+  get a.addr s + layout.Layout.header_bytes
+  + ((get a.nrefs s + i) * layout.Layout.word_bytes)
 
-let get_ref t i = t.refs.(i)
-let set_ref t i p = t.refs.(i) <- p
+let pp a fmt h =
+  Format.fprintf fmt "obj#%d@0x%x{%dB,%dr,%dw}" (id a h) (addr a h) (size a h)
+    (nrefs a h) (nwords a h)
 
-let check_word t i =
-  if i < 0 || i >= t.words then invalid_arg "Heap_obj: word out of range"
+(* ---- page resources ---------------------------------------------- *)
 
-let get_word t i =
-  check_word t i;
-  if t.payload == no_payload then 0 else t.payload.(i)
+(* Exact-length reuse, newest first; the pool never holds more entries
+   than the heap's peak page count. *)
+let take_words a n =
+  let pool = a.words_pool in
+  let rec find i =
+    if i < 0 then Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+    else
+      let w = Vec.unsafe_get pool i in
+      if Bigarray.Array1.dim w = n then begin
+        let last = Vec.length pool - 1 in
+        Vec.set pool i (Vec.unsafe_get pool last);
+        Vec.truncate pool last;
+        w
+      end
+      else find (i - 1)
+  in
+  find (Vec.length pool - 1)
 
-let set_word t i v =
-  check_word t i;
-  if t.payload == no_payload then t.payload <- Array.make t.words 0;
-  t.payload.(i) <- v
+let give_words a w = if Bigarray.Array1.dim w > 0 then Vec.push a.words_pool w
 
-let pp fmt t =
-  Format.fprintf fmt "obj#%d@0x%x{%dB,%dr,%dw}" t.id t.addr t.size
-    (Array.length t.refs) t.words
+let index_capacity = 16
+
+let take_index a =
+  if Vec.is_empty a.index_pool then Array.make (2 * index_capacity) (-1)
+  else Vec.pop_last a.index_pool
+
+let give_index a ix = Vec.push a.index_pool ix

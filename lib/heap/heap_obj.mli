@@ -1,49 +1,137 @@
-(** The simulated object model.
+(** The simulated object model: int handles into a per-heap arena.
 
     An object is a fixed-shape cell: a VM header, [nrefs] reference slots
     (each holding a coloured pointer, see {!Addr}) followed by [nwords]
-    scalar payload words.  The OCaml record is the object's {e stable
-    identity}: relocation updates [addr] in place, so OCaml-side handles
-    survive moves exactly like registers fixed up by ZGC's stop-the-world
-    root processing. *)
+    scalar payload words.  A handle ({!t}) names an arena slot and the
+    slot's generation; the slot's int columns hold the object's metadata,
+    and its reference and payload words live in the flat word storage of
+    the page it sits on ({!Page}), at the object's own word offset.
+    Allocating, relocating and freeing an object therefore put nothing on
+    the OCaml heap.
 
-type t = {
-  id : int;  (** allocation-order identity, never reused *)
-  mutable addr : int;  (** current virtual byte address (uncoloured) *)
-  size : int;  (** total aligned size in bytes, header included *)
-  refs : int array;  (** coloured pointer slots *)
-  words : int;  (** scalar payload word count *)
-  mutable payload : int array;
-      (** payload storage, materialised on first write (objects that are
-          never read or written — e.g. pure garbage — cost no OCaml array);
-          use {!get_word}/{!set_word} *)
-  mutable relocations : int;  (** times this object has been moved *)
-  mutable page_id : int;
-      (** id of the page whose object table currently registers this object,
-          -1 when unregistered — maintained by {!Page.add_object} /
-          {!Page.remove_object}.  Because an object's table key is always
-          derived from its current [addr], [page_id = page.id] is equivalent
-          to "the table lookup at this object's offset returns it", which is
-          what makes the barrier's handle-validity check O(1). *)
-}
+    The handle is the object's {e stable identity}: relocation updates the
+    [addr] column in place, so OCaml-side handles survive moves exactly like
+    registers fixed up by ZGC's stop-the-world root processing.  When the
+    object's page is freed the slot is returned and its generation bumped,
+    so a stale handle fails {!is_live} even after the slot is reused. *)
 
-val create : layout:Layout.t -> id:int -> addr:int -> nrefs:int -> nwords:int -> t
-(** A fresh object with null refs and zero payload. *)
+type t
+(** A handle.  Two handles are equal ([==] or [=]) exactly when they name
+    the same object. *)
 
-val nrefs : t -> int
-val nwords : t -> int
+val none : t
+(** A handle that never names an object (what lookups return on a miss). *)
 
-val ref_slot_addr : layout:Layout.t -> t -> int -> int
+val slot : t -> int
+(** The arena slot a handle names.  Slots are reused once their object is
+    freed; handles never are. *)
+
+val to_int : t -> int
+val of_int : int -> t
+(** The handle's raw encoding, for flat int tables that store handles
+    (page object indexes).  [of_int] of an int that [to_int] did not
+    produce names no live object. *)
+
+type arena
+(** The per-heap object arena: one int column per field, indexed by slot
+    and grown a fixed-size chunk at a time, plus the pools of page
+    resources (object indexes and word storage) that {!Page.release}
+    returns for reuse. *)
+
+val create_arena : unit -> arena
+(** An empty arena.  It allocates its first chunk of slots on the first
+    {!alloc}. *)
+
+val alloc :
+  arena -> layout:Layout.t -> id:int -> addr:int -> nrefs:int -> nwords:int -> t
+(** A fresh object in a free slot, not registered on any page
+    ([page_id = -1]).  Its words are not initialised here:
+    {!Page.new_object} does that. *)
+
+val free : arena -> t -> unit
+(** Return the object's slot: bumps its generation, so [t] (and every copy
+    of it) stops being {!is_live}.  A no-op on a handle that is not live. *)
+
+val is_live : arena -> t -> bool
+(** [t] names an object that has not been freed — one generation
+    compare. *)
+
+val live_addr : arena -> t -> int
+(** The object's [addr] if the handle {!is_live}, else -1: the barrier's
+    validity check and address read in one. *)
+
+val live_count : arena -> int
+(** Objects allocated and not yet freed. *)
+
+(** {2 Fields}
+
+    Reading a field of a handle that is not {!is_live} reads whatever its
+    slot holds now; validate first where that matters.  A handle whose
+    slot the arena never issued (such as {!none}) raises
+    [Invalid_argument]. *)
+
+val id : arena -> t -> int
+(** Allocation-order identity, never reused. *)
+
+val addr : arena -> t -> int
+(** Current virtual byte address (uncoloured). *)
+
+val size : arena -> t -> int
+(** Total aligned size in bytes, header included. *)
+
+val nrefs : arena -> t -> int
+val nwords : arena -> t -> int
+
+val relocations : arena -> t -> int
+(** Times this object has been moved. *)
+
+val page_id : arena -> t -> int
+(** Id of the page whose object index currently registers this object, -1
+    while a live object is unregistered — maintained by {!Page.add_object}
+    / {!Page.remove_object}. *)
+
+val payload_written : arena -> t -> bool
+(** Whether the payload words have been materialised in page storage.
+    Payload words read 0 until the first write; objects that are never
+    written (pure garbage) never touch their page's storage. *)
+
+val set_addr : arena -> t -> int -> unit
+(** Move the [addr] column without touching storage or registration — for
+    {!Page.move_object} and fault injection in tests. *)
+
+val set_page_id : arena -> t -> int -> unit
+val incr_relocations : arena -> t -> unit
+val set_payload_written : arena -> t -> unit
+
+val ref_slot_addr : layout:Layout.t -> arena -> t -> int -> int
 (** Byte address of reference slot [i] (for the cache simulator).
     @raise Invalid_argument if out of range. *)
 
-val payload_addr : layout:Layout.t -> t -> int -> int
+val payload_addr : layout:Layout.t -> arena -> t -> int -> int
 (** Byte address of payload word [i].
     @raise Invalid_argument if out of range. *)
 
-val get_ref : t -> int -> Addr.t
-val set_ref : t -> int -> Addr.t -> unit
-val get_word : t -> int -> int
-val set_word : t -> int -> int -> unit
+val pp : arena -> Format.formatter -> t -> unit
 
-val pp : Format.formatter -> t -> unit
+(** {2 Page resources}
+
+    Word storage and object-index arrays outlive the pages that use them:
+    {!Page.create} takes them from these pools and {!Page.release} gives
+    them back, so a steady state of page churn allocates nothing. *)
+
+type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Flat per-page word storage, outside the OCaml heap: word [i] mirrors
+    the page's byte offset [8 i].  Not initialised on creation. *)
+
+val take_words : arena -> int -> words
+(** Storage of exactly [n] words: a pooled one of that length, or a fresh
+    one. *)
+
+val give_words : arena -> words -> unit
+
+val take_index : arena -> int array
+(** A cleared object-index array (every key -1), pooled or fresh; its
+    length is twice a power-of-two capacity. *)
+
+val give_index : arena -> int array -> unit
+(** Return an index array, which the caller has already cleared. *)

@@ -21,23 +21,27 @@ type state =
     sync. *)
 type tier_loc = Dram | Far
 
-type obj_index
-(** The page's byte offset → object index: open addressing over two flat
-    arrays, so a lookup allocates nothing and runs no polymorphic hash or
-    compare.  Read it through {!object_at}, {!find_object} and
-    {!iter_objects}; change it only through {!add_object} and
-    {!remove_object}. *)
-
 type t = {
   id : int;
   cls : Layout.size_class;
   start : int;  (** first byte address (granule-aligned) *)
   size : int;  (** page size in bytes *)
   birth_cycle : int;  (** GC cycle sequence number at allocation *)
+  arena : Heap_obj.arena;  (** the heap's object arena *)
+  layout : Layout.t;
   mutable top : int;  (** bump offset; next free byte within the page *)
   mutable state : state;
-  objects : obj_index;
-      (** byte offset → object of every object registered on the page *)
+  mutable index : int array;
+      (** byte offset -> object handle of every object registered on the
+          page: open addressing over (key, handle) pairs side by side, so a
+          lookup allocates nothing and runs no polymorphic hash or compare.
+          Read it through {!object_at} and {!iter_objects}; change it only
+          through {!add_object}, {!remove_object} and {!release}. *)
+  mutable index_shift : int;  (** [Sys.int_size - log2 capacity] *)
+  mutable index_used : int;  (** slots holding a key, removed ones included *)
+  mutable words : Heap_obj.words;
+      (** reference and payload words of the page's objects: word [i]
+          mirrors byte offset [8 i] *)
   livemap : Hcsgc_util.Bitmap.t;  (** bit per word-offset of object starts *)
   mutable hot_cur : Hcsgc_util.Bitmap.t;  (** hotness, current epoch *)
   mutable hot_prev : Hcsgc_util.Bitmap.t;  (** snapshot for lazy relocation *)
@@ -52,20 +56,26 @@ type t = {
       (** currently a bump-allocation / relocation target; excluded from EC *)
   mutable tier : tier_loc;  (** memory level of the page's address range *)
   fwd : Fwd_table.t;
-  mutable memo_off : int;
-      (** last-find memo offset for {!find_object_exn}; -1 = empty.
-          Invalidated by {!add_object}/{!remove_object}. *)
-  mutable memo_obj : Heap_obj.t;  (** object last found at [memo_off] *)
 }
 
 val create :
   layout:Layout.t ->
+  arena:Heap_obj.arena ->
   id:int ->
   cls:Layout.size_class ->
   start:int ->
   size:int ->
   birth_cycle:int ->
   t
+(** A fresh page whose object index and word storage come from the
+    arena's pools ({!Heap_obj.take_index}, {!Heap_obj.take_words}). *)
+
+val release : t -> unit
+(** Free every object still registered on the page ({!Heap_obj.free}) and
+    return the page's object index and word storage to the arena's pools.
+    The page keeps its bitmaps and forwarding table (stale pointers still
+    resolve through it) but registers nothing afterwards; adding an object
+    to it raises [Invalid_argument].  Called by [Heap.free_page]. *)
 
 val bump_alloc : t -> int -> int option
 (** [bump_alloc t bytes] reserves [bytes] (already aligned) and returns the
@@ -76,9 +86,9 @@ val bump_try : t -> int -> int
     page is full.  The collector's bump-target path uses this so a
     steady-state allocation touches no host heap. *)
 
-val no_obj : Heap_obj.t
-(** The "no object" sentinel {!object_at} returns on a miss (id and addr
-    -1).  Compare with [==]. *)
+val new_object : t -> id:int -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t
+(** Allocate an object at [addr] (already bump-reserved on this page) in
+    the arena, null its reference slots and register it. *)
 
 val add_object : t -> Heap_obj.t -> unit
 (** Register an object at the offset of its [addr], which must lie within
@@ -89,23 +99,54 @@ val remove_object : t -> Heap_obj.t -> unit
     is).  The slot keeps its key with the value blanked, so probe chains
     stay intact; re-adding at that offset reuses the slot. *)
 
+val move_object : src:t -> dst:t -> Heap_obj.t -> new_addr:int -> unit
+(** Relocate an object registered on [src] to [new_addr] on [dst]: copy
+    its words, re-register it and count the relocation.  The handle stays
+    valid. *)
+
 val object_at : t -> offset:int -> Heap_obj.t
-(** The object registered at byte [offset], or {!no_obj}.  Allocates
-    nothing; any offset (negative included) is accepted. *)
+(** The object registered at byte [offset], or {!Heap_obj.none}.
+    Allocates nothing; any offset (negative included) is accepted. *)
 
 val find_object : t -> offset:int -> Heap_obj.t option
 (** {!object_at} as an option. *)
 
-val find_object_exn : t -> offset:int -> Heap_obj.t
-(** {!object_at} for the barrier hot path: repeated lookups of the same
-    offset hit a last-find memo instead of probing the index.
-    @raise Not_found if no object starts at [offset]. *)
-
 val iter_objects : t -> (int -> Heap_obj.t -> unit) -> unit
 (** [iter_objects t f] applies [f offset obj] to every registered object,
     in index slot order (deterministic, not sorted).  [offset] is the key
-    the object was registered under, not recomputed from [obj.addr], so
-    verifiers can check that the two still agree. *)
+    the object was registered under, not recomputed from the object's
+    [addr], so verifiers can check that the two still agree. *)
+
+val object_count : t -> int
+(** Number of registered objects (an index walk). *)
+
+(** {2 Object words}
+
+    The fields of an object registered on this page, kept in the page's
+    word storage at the object's own word offset.
+    @raise Invalid_argument if the slot or word is out of the object's
+    range, or the address is off the page. *)
+
+val read : t -> int -> int
+(** [read t addr]: the storage word at byte address [addr] (a reference
+    slot address from {!Heap_obj.ref_slot_addr}) — the barrier's load
+    path, which computes that address for the cache simulator anyway. *)
+
+val write : t -> int -> int -> unit
+
+val get_ref : t -> Heap_obj.t -> int -> Addr.t
+val set_ref : t -> Heap_obj.t -> int -> Addr.t -> unit
+
+val get_word : t -> Heap_obj.t -> int -> int
+(** 0 until the payload is first written. *)
+
+val set_word : t -> Heap_obj.t -> int -> int -> unit
+
+val get_word_at : t -> Heap_obj.t -> int -> int
+(** [get_word_at t obj addr]: {!get_word} for the payload word at byte
+    address [addr], as {!Heap_obj.payload_addr} computed it. *)
+
+val set_word_at : t -> Heap_obj.t -> int -> int -> unit
 
 val offset_of_addr : t -> int -> int
 (** Byte offset of an address within the page.

@@ -1,25 +1,19 @@
 module Vec = Hcsgc_util.Vec
 
 type t = {
-  granule_bytes : int;
+  granule_shift : int;  (* log2 of the granule, a power of two *)
   slots : Page.t option Vec.t;
-  (* Last-lookup memo: the result of [page_of_addr] for granule [last_g]
-     ([min_int] = empty).  Invalidated by [register]/[unregister], so a hit
-     is always the same stored option the slot lookup would return — this
-     only skips the bounds-checked vector read on the barrier hot path. *)
-  mutable last_g : int;
-  mutable last_p : Page.t option;
 }
 
-let create ~layout =
-  {
-    granule_bytes = Layout.granule layout;
-    slots = Vec.create ();
-    last_g = min_int;
-    last_p = None;
-  }
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let[@inline] granule_of_addr t addr = addr / t.granule_bytes
+let create ~layout =
+  let granule = Layout.granule layout in
+  assert (granule land (granule - 1) = 0);
+  { granule_shift = log2 granule; slots = Vec.create () }
+
+(* A shift, not a division: this runs on every barrier. *)
+let[@inline] granule_of_addr t addr = addr asr t.granule_shift
 
 let ensure t n =
   while Vec.length t.slots <= n do
@@ -36,7 +30,6 @@ let[@inline] last_granule t (page : Page.t) =
   granule_of_addr t (page.Page.start + page.Page.size - 1)
 
 let register t page =
-  t.last_g <- min_int;
   let first = first_granule t page
   and last = last_granule t page in
   ensure t last;
@@ -45,7 +38,6 @@ let register t page =
   done
 
 let unregister t page =
-  t.last_g <- min_int;
   let first = first_granule t page
   and last = last_granule t page in
   ensure t last;
@@ -57,12 +49,6 @@ let unregister t page =
     | _ -> ()
   done
 
-let page_of_addr t addr =
+let[@inline] page_of_addr t addr =
   let g = granule_of_addr t addr in
-  if g = t.last_g then t.last_p
-  else begin
-    let p = if g < 0 || g >= Vec.length t.slots then None else Vec.get t.slots g in
-    t.last_g <- g;
-    t.last_p <- p;
-    p
-  end
+  if g < 0 || g >= Vec.length t.slots then None else Vec.unsafe_get t.slots g

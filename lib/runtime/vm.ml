@@ -249,44 +249,46 @@ let safepoint t =
    page is available, as with ZGC's allocation stalls. *)
 let stall_chunk = 100_000
 
+(* The allocation-stall loop: [Collector.alloc] returned [Heap_obj.none]
+   for mutator [m]. *)
+let rec alloc_stalled t ~m ~nrefs ~nwords started_extra_cycle =
+  Collector.set_wall_hint t.collector (wall_cycles t);
+  if
+    Collector.in_cycle t.collector
+    || Collector.pending_relocation_pages t.collector > 0
+  then begin
+    if not (Collector.in_cycle t.collector) then begin
+      (* Pending lazy relocation while idle: start the next cycle so its
+         leading RE pass can release the floating garbage. *)
+      Collector.start_cycle t.collector;
+      absorb_as_stall t
+    end;
+    Collector.gc_work t.collector ~budget:stall_chunk;
+    absorb_as_stall t;
+    let obj = Collector.alloc t.collector ~core:m ~nrefs ~nwords in
+    if obj != Heap_obj.none then begin
+      charge ~m t (Collector.last_cost t.collector);
+      obj
+    end
+    else alloc_stalled t ~m ~nrefs ~nwords started_extra_cycle
+  end
+  else if not started_extra_cycle then begin
+    (* Idle with nothing pending: one full extra cycle is the last resort
+       before declaring the heap exhausted. *)
+    Collector.start_cycle t.collector;
+    absorb_as_stall t;
+    alloc_stalled t ~m ~nrefs ~nwords true
+  end
+  else raise Collector.Out_of_memory
+
 let alloc ?(m = 0) t ~nrefs ~nwords =
   check_m t m;
-  let try_alloc () = Collector.alloc t.collector ~core:m ~nrefs ~nwords in
-  match try_alloc () with
-  | Some (obj, cost) ->
-      charge ~m t cost;
-      obj
-  | None ->
-      let rec stall_loop started_extra_cycle =
-        Collector.set_wall_hint t.collector (wall_cycles t);
-        if
-          Collector.in_cycle t.collector
-          || Collector.pending_relocation_pages t.collector > 0
-        then begin
-          if not (Collector.in_cycle t.collector) then begin
-            (* Pending lazy relocation while idle: start the next cycle so
-               its leading RE pass can release the floating garbage. *)
-            Collector.start_cycle t.collector;
-            absorb_as_stall t
-          end;
-          Collector.gc_work t.collector ~budget:stall_chunk;
-          absorb_as_stall t;
-          match try_alloc () with
-          | Some (obj, cost) ->
-              charge ~m t cost;
-              obj
-          | None -> stall_loop started_extra_cycle
-        end
-        else if not started_extra_cycle then begin
-          (* Idle with nothing pending: one full extra cycle is the last
-             resort before declaring the heap exhausted. *)
-          Collector.start_cycle t.collector;
-          absorb_as_stall t;
-          stall_loop true
-        end
-        else raise Collector.Out_of_memory
-      in
-      stall_loop false
+  let obj = Collector.alloc t.collector ~core:m ~nrefs ~nwords in
+  if obj != Heap_obj.none then begin
+    charge ~m t (Collector.last_cost t.collector);
+    obj
+  end
+  else alloc_stalled t ~m ~nrefs ~nwords false
 
 let load_ref ?(m = 0) t obj slot =
   check_m t m;
@@ -303,24 +305,34 @@ let layout t = Heap.layout t.heap
 
 let load_word ?(m = 0) t obj i =
   check_m t m;
-  let cost = Collector.use_handle t.collector ~core:m obj in
-  let addr = Heap_obj.payload_addr ~layout:(layout t) obj i in
-  let cost = cost + Machine.load t.machine ~core:m addr in
+  let page = Collector.use_handle_page t.collector ~core:m obj in
+  let addr =
+    Heap_obj.payload_addr ~layout:(layout t) (Heap.objects t.heap) obj i
+  in
+  let cost =
+    Collector.last_cost t.collector + Machine.load t.machine ~core:m addr
+  in
+  let v = Page.get_word_at page obj addr in
   charge ~m t cost;
-  Heap_obj.get_word obj i
+  v
 
 let store_word ?(m = 0) t obj i v =
   check_m t m;
-  let cost = Collector.use_handle t.collector ~core:m obj in
-  let addr = Heap_obj.payload_addr ~layout:(layout t) obj i in
-  let cost = cost + Machine.store t.machine ~core:m addr in
-  Heap_obj.set_word obj i v;
+  let page = Collector.use_handle_page t.collector ~core:m obj in
+  let addr =
+    Heap_obj.payload_addr ~layout:(layout t) (Heap.objects t.heap) obj i
+  in
+  let cost =
+    Collector.last_cost t.collector + Machine.store t.machine ~core:m addr
+  in
+  Page.set_word_at page obj addr v;
   charge ~m t cost
 
 let touch ?(m = 0) t obj =
   check_m t m;
   let cost = Collector.use_handle t.collector ~core:m obj in
-  let cost = cost + Machine.load t.machine ~core:m obj.Heap_obj.addr in
+  let addr = Heap_obj.addr (Heap.objects t.heap) obj in
+  let cost = cost + Machine.load t.machine ~core:m addr in
   charge ~m t cost
 
 let work ?(m = 0) t n =

@@ -206,11 +206,12 @@ let exec st = function
       match Vm.load_ref ~m:st.cur_m st.vm st.root slot with
       | None -> ()
       | Some obj ->
-          let ptr = Heap_obj.get_ref obj field in
+          let heap = Vm.heap st.vm in
+          let ptr = Heap.get_ref heap obj field in
           if not (Addr.is_null ptr) then
             (* Both mark bits set at once: no colour is ever encoded that
                way, so the sanitizer's walk must flag the slot. *)
-            Heap_obj.set_ref obj field
+            Heap.set_ref heap obj field
               (Addr.retint Addr.M0 ptr lor Addr.retint Addr.M1 ptr))
   | Corrupt_fwd { slot = _ } -> (
       (* Forge a dangling forwarding entry on the root table's page.  The
@@ -218,7 +219,7 @@ let exec st = function
          relocation, and nothing ever retires an active page's table: the
          damage persists to every subsequent phase edge. *)
       let heap = Vm.heap st.vm in
-      match Heap.page_of_addr heap st.root.Heap_obj.addr with
+      match Heap.page_of_addr heap (Heap_obj.addr (Heap.objects heap) st.root) with
       | None -> ()
       | Some page ->
           ignore (Fwd_table.claim page.Page.fwd ~offset:4 ~new_addr:0xdead0))
@@ -228,7 +229,7 @@ let exec st = function
          set fall out of lock-step, so the sanitizer's far-sum round-trip
          must flag it at the next phase edge. *)
       let heap = Vm.heap st.vm in
-      match Heap.page_of_addr heap st.root.Heap_obj.addr with
+      match Heap.page_of_addr heap (Heap_obj.addr (Heap.objects heap) st.root) with
       | None -> ()
       | Some page ->
           page.Page.tier <-

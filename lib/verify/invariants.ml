@@ -36,6 +36,7 @@ let bit_bytes = 8
 
 type ctx = {
   col : Collector.t;
+  objs : Heap_obj.arena;
   edge : Collector.phase_edge;
   mutable errors : string list;  (* newest first *)
   mutable n_errors : int;  (* including suppressed ones *)
@@ -86,6 +87,7 @@ let check_state ctx =
    the in-flight cycle's tables, whose targets cannot have been freed. *)
 let check_fwd_entry ?(allow_dead_chain = false) ctx (src : Page.t) ~offset
     ~new_addr =
+  let objs = ctx.objs in
   if offset < 0 || offset >= src.Page.size then
     err ctx "page #%d forwarding entry at offset %d outside the page"
       src.Page.id offset
@@ -99,17 +101,18 @@ let check_fwd_entry ?(allow_dead_chain = false) ctx (src : Page.t) ~offset
         err ctx "page #%d forwarding entry %d->0x%x dangles: %s" src.Page.id
           offset new_addr e.Oracle.msg
     | Ok obj ->
-        if offset + obj.Heap_obj.size > src.Page.size then
+        if offset + (Heap_obj.size objs obj) > src.Page.size then
           err ctx
             "page #%d forwarding entry %d->0x%x: object #%d (%d bytes) could \
              not have fit its source slot"
-            src.Page.id offset new_addr obj.Heap_obj.id obj.Heap_obj.size
+            src.Page.id offset new_addr (Heap_obj.id objs obj) (Heap_obj.size objs obj)
 
 (* ------------------------------------------------------------------ *)
 (* Pages: structure, accounting, livemap, hotmap                       *)
 (* ------------------------------------------------------------------ *)
 
 let check_pages ctx =
+  let objs = ctx.objs in
   let heap = Collector.heap ctx.col in
   let lay = Heap.layout heap in
   let granule = Layout.granule lay in
@@ -132,22 +135,22 @@ let check_pages ctx =
         err ctx "page #%d bump pointer %d outside [0, %d]" page.Page.id
           page.Page.top page.Page.size;
       Page.iter_objects page (fun offset (obj : Heap_obj.t) ->
-          if obj.Heap_obj.addr <> page.Page.start + offset then
+          if (Heap_obj.addr objs obj) <> page.Page.start + offset then
             err ctx
               "object #%d registered at offset %d of page #%d but addr=0x%x"
-              obj.Heap_obj.id offset page.Page.id obj.Heap_obj.addr;
+              (Heap_obj.id objs obj) offset page.Page.id (Heap_obj.addr objs obj);
           if offset mod bit_bytes <> 0 then
             err ctx "object #%d at unaligned offset %d on page #%d"
-              obj.Heap_obj.id offset page.Page.id;
+              (Heap_obj.id objs obj) offset page.Page.id;
           if
-            obj.Heap_obj.addr + obj.Heap_obj.size
+            (Heap_obj.addr objs obj) + (Heap_obj.size objs obj)
             > page.Page.start + page.Page.top
           then
             err ctx "object #%d extends past the bump pointer of page #%d"
-              obj.Heap_obj.id page.Page.id;
-          if obj.Heap_obj.id >= ids_issued then
+              (Heap_obj.id objs obj) page.Page.id;
+          if (Heap_obj.id objs obj) >= ids_issued then
             err ctx "object #%d on page #%d exceeds the issued-id watermark %d"
-              obj.Heap_obj.id page.Page.id ids_issued);
+              (Heap_obj.id objs obj) page.Page.id ids_issued);
       (* Livemap vs object registration vs byte accounting. *)
       let live_bytes = ref 0 in
       let live_objects = ref 0 in
@@ -155,7 +158,7 @@ let check_pages ctx =
       Bitmap.iter_set page.Page.livemap (fun bit ->
           match Page.find_object page ~offset:(bit * bit_bytes) with
           | Some obj ->
-              live_bytes := !live_bytes + obj.Heap_obj.size;
+              live_bytes := !live_bytes + (Heap_obj.size objs obj);
               incr live_objects
           | None ->
               incr orphan_bits;
@@ -197,7 +200,7 @@ let check_pages ctx =
                 page.Page.id bit
             else
               match Page.find_object page ~offset:(bit * bit_bytes) with
-              | Some obj -> hot_bytes := !hot_bytes + obj.Heap_obj.size
+              | Some obj -> hot_bytes := !hot_bytes + (Heap_obj.size objs obj)
               | None -> ());
         if !hot_bytes <> page.Page.hot_bytes then
           err ctx "page #%d hot_bytes=%d but hot objects sum to %d"
@@ -279,62 +282,66 @@ let check_stale_fwd_pages ctx =
    forwarding hop and no pending evacuation — the to-space invariant the
    load barrier's fast path relies on. *)
 let check_direct ctx (obj : Heap_obj.t) slot addr =
+  let objs = ctx.objs in
   let heap = Collector.heap ctx.col in
   match Heap.page_of_addr heap addr with
   | None ->
       err ctx "object #%d slot %d: good-coloured 0x%x maps to no page"
-        obj.Heap_obj.id slot addr;
+        (Heap_obj.id objs obj) slot addr;
       None
   | Some page -> (
       match Page.find_object page ~offset:(addr - page.Page.start) with
       | None ->
           err ctx
             "object #%d slot %d: good-coloured 0x%x does not resolve directly"
-            obj.Heap_obj.id slot addr;
+            (Heap_obj.id objs obj) slot addr;
           None
       | Some target ->
           if page.Page.state = Page.In_ec then
             err ctx
               "object #%d slot %d: good-coloured 0x%x points into in-ec page \
                #%d"
-              obj.Heap_obj.id slot addr page.Page.id;
+              (Heap_obj.id objs obj) slot addr page.Page.id;
           Some target)
 
 let check_reachable ctx =
+  let objs = ctx.objs in
   let heap = Collector.heap ctx.col in
   let good = Collector.good_color ctx.col in
   let watermark = Collector.mark_watermark ctx.col in
   let seen = Hashtbl.create 4096 in
   let stack = ref [] in
   let visit (obj : Heap_obj.t) =
-    if not (Hashtbl.mem seen obj.Heap_obj.id) then begin
-      Hashtbl.add seen obj.Heap_obj.id ();
+    if not (Heap_obj.is_live objs obj) then
+      err ctx "reachable handle 0x%x names a freed object" (Heap_obj.to_int obj)
+    else if not (Hashtbl.mem seen (Heap_obj.id objs obj)) then begin
+      Hashtbl.add seen (Heap_obj.id objs obj) ();
       stack := obj :: !stack;
-      match Heap.page_of_addr heap obj.Heap_obj.addr with
+      match Heap.page_of_addr heap (Heap_obj.addr objs obj) with
       | None ->
-          err ctx "reachable object #%d sits at unmapped 0x%x" obj.Heap_obj.id
-            obj.Heap_obj.addr
+          err ctx "reachable object #%d sits at unmapped 0x%x" (Heap_obj.id objs obj)
+            (Heap_obj.addr objs obj)
       | Some page -> (
           (match
              Page.find_object page
-               ~offset:(obj.Heap_obj.addr - page.Page.start)
+               ~offset:((Heap_obj.addr objs obj) - page.Page.start)
            with
           | Some o when o == obj -> ()
           | _ ->
               err ctx "reachable object #%d is not registered at its 0x%x"
-                obj.Heap_obj.id obj.Heap_obj.addr);
+                (Heap_obj.id objs obj) (Heap_obj.addr objs obj));
           if ctx.edge = Collector.Mark_done then begin
             if page.Page.state = Page.In_ec then
               err ctx "reachable object #%d is on in-ec page #%d at mark-done"
-                obj.Heap_obj.id page.Page.id;
+                (Heap_obj.id objs obj) page.Page.id;
             if
-              obj.Heap_obj.id < watermark
+              (Heap_obj.id objs obj) < watermark
               && not (Page.is_marked_live page obj)
             then
               err ctx
                 "reachable object #%d (born before STW1) is unmarked at \
                  mark-done"
-                obj.Heap_obj.id
+                (Heap_obj.id objs obj)
           end)
     end
   in
@@ -342,15 +349,15 @@ let check_reachable ctx =
   List.iter
     (fun (root : Heap_obj.t) ->
       if ctx.edge = Collector.Stw1_done then (
-        match Heap.page_of_addr heap root.Heap_obj.addr with
+        match Heap.page_of_addr heap (Heap_obj.addr objs root) with
         | None -> () (* reported by visit *)
         | Some page ->
             if page.Page.state = Page.In_ec then
               err ctx "root #%d still on in-ec page #%d after STW1"
-                root.Heap_obj.id page.Page.id
+                (Heap_obj.id objs root) page.Page.id
             else if not (Page.is_marked_live page root) then
               err ctx "root #%d not marked by STW1 root seeding"
-                root.Heap_obj.id);
+                (Heap_obj.id objs root));
       visit root)
     roots;
   let continue_ = ref true in
@@ -359,13 +366,12 @@ let check_reachable ctx =
     | [] -> continue_ := false
     | obj :: rest ->
         stack := rest;
-        Array.iteri
-          (fun slot ptr ->
+        Oracle.iter_refs heap obj (fun slot ptr ->
             if not (Addr.is_null ptr) then
               match Addr.color ptr with
               | exception Invalid_argument _ ->
                   err ctx "object #%d slot %d holds malformed pointer 0x%x"
-                    obj.Heap_obj.id slot ptr
+                    (Heap_obj.id objs obj) slot ptr
               | c ->
                   if c = good then (
                     match check_direct ctx obj slot (Addr.addr ptr) with
@@ -376,15 +382,14 @@ let check_reachable ctx =
                       err ctx
                         "object #%d slot %d: colour %s survives mark-done \
                          (all reachable slots must be healed to %s)"
-                        obj.Heap_obj.id slot (Addr.color_to_string c)
+                        (Heap_obj.id objs obj) slot (Addr.color_to_string c)
                         (Addr.color_to_string good);
                     match Oracle.resolve_ro ctx.col (Addr.addr ptr) with
                     | Ok target -> visit target
                     | Error e ->
-                        err ctx "object #%d slot %d: %s" obj.Heap_obj.id slot
+                        err ctx "object #%d slot %d: %s" (Heap_obj.id objs obj) slot
                           e.Oracle.msg
                   end)
-          obj.Heap_obj.refs
   done
 
 (* ------------------------------------------------------------------ *)
@@ -445,7 +450,10 @@ let check_tier ctx =
 (* ------------------------------------------------------------------ *)
 
 let check col ~edge =
-  let ctx = { col; edge; errors = []; n_errors = 0 } in
+  let ctx =
+    { col; objs = Heap.objects (Collector.heap col); edge; errors = [];
+      n_errors = 0 }
+  in
   check_state ctx;
   check_pages ctx;
   check_stale_fwd_pages ctx;

@@ -61,13 +61,27 @@ let resolve_ro c addr0 =
   in
   go addr0 0
 
+(* [f slot ptr] over the reference slots of a live object on a mapped
+   page; nothing for a stale handle (the reachable walks report those). *)
+let iter_refs heap (obj : Heap_obj.t) f =
+  let objs = Heap.objects heap in
+  if Heap_obj.is_live objs obj then
+    match Heap.page_of_addr heap (Heap_obj.addr objs obj) with
+    | None -> ()
+    | Some page ->
+        for slot = 0 to Heap_obj.nrefs objs obj - 1 do
+          f slot (Page.get_ref page obj slot)
+        done
+
 let reachable c =
+  let heap = Collector.heap c in
+  let objs = Heap.objects heap in
   let errors = ref [] in
   let seen : (int, Heap_obj.t) Hashtbl.t = Hashtbl.create 4096 in
   let stack = ref [] in
   let visit (obj : Heap_obj.t) =
-    if not (Hashtbl.mem seen obj.Heap_obj.id) then begin
-      Hashtbl.add seen obj.Heap_obj.id obj;
+    if not (Hashtbl.mem seen (Heap_obj.id objs obj)) then begin
+      Hashtbl.add seen (Heap_obj.id objs obj) obj;
       stack := obj :: !stack
     end
   in
@@ -78,17 +92,15 @@ let reachable c =
     | [] -> continue_ := false
     | obj :: rest ->
         stack := rest;
-        Array.iteri
-          (fun slot ptr ->
+        iter_refs heap obj (fun slot ptr ->
             if not (Addr.is_null ptr) then
               match resolve_ro c (Addr.addr ptr) with
               | Ok target -> visit target
               | Error e ->
                   errors :=
-                    Printf.sprintf "object #%d slot %d: %s" obj.Heap_obj.id
-                      slot e.msg
+                    Printf.sprintf "object #%d slot %d: %s"
+                      (Heap_obj.id objs obj) slot e.msg
                     :: !errors)
-          obj.Heap_obj.refs
   done;
   (seen, List.rev !errors)
 
@@ -102,22 +114,23 @@ type diff = {
 
 let diff c =
   let heap = Collector.heap c in
+  let objs = Heap.objects heap in
   let watermark = Collector.mark_watermark c in
   let reach, errors = reachable c in
   let missed = ref [] in
   let reachable_marked = ref 0 in
   Hashtbl.iter
     (fun _ (obj : Heap_obj.t) ->
-      match Heap.page_of_addr heap obj.Heap_obj.addr with
+      match Heap.page_of_addr heap (Heap_obj.addr objs obj) with
       | None -> () (* already reported by [reachable] via a dangling slot *)
       | Some page ->
           if Page.is_marked_live page obj then incr reachable_marked
-          else if obj.Heap_obj.id < watermark then
+          else if Heap_obj.id objs obj < watermark then
             missed :=
               Printf.sprintf
                 "object #%d at 0x%x (born before STW1, reachable) is not in \
                  the livemap"
-                obj.Heap_obj.id obj.Heap_obj.addr
+                (Heap_obj.id objs obj) (Heap_obj.addr objs obj)
               :: !missed)
     reach;
   let marked_count = ref 0 in

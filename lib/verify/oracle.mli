@@ -36,6 +36,12 @@ type resolve_error = {
   msg : string;
 }
 
+val iter_refs :
+  Hcsgc_heap.Heap.t -> Heap_obj.t -> (int -> Hcsgc_heap.Addr.t -> unit) -> unit
+(** [iter_refs heap obj f] applies [f slot ptr] to every reference slot of
+    [obj], read from its page's word storage; nothing when the handle is
+    freed or its page unmapped (the reachable walks report those). *)
+
 val resolve_ro : Collector.t -> int -> (Heap_obj.t, resolve_error) result
 (** [resolve_ro c addr] follows forwarding chains from the uncoloured
     address [addr] to the object currently living there — the barrier slow

@@ -57,8 +57,9 @@ let replay vm t =
   Vm.add_root vm file;
   let checksum = ref 0 in
   let executed = ref 0 in
-  let in_bounds obj slot = slot < Hcsgc_heap.Heap_obj.nrefs obj in
-  let word_in_bounds obj w = w < Hcsgc_heap.Heap_obj.nwords obj in
+  let objs = Hcsgc_heap.Heap.objects (Vm.heap vm) in
+  let in_bounds obj slot = slot < Hcsgc_heap.Heap_obj.nrefs objs obj in
+  let word_in_bounds obj w = w < Hcsgc_heap.Heap_obj.nwords objs obj in
   Array.iter
     (fun op ->
       incr executed;

@@ -186,6 +186,48 @@ let stale_handle_detected () =
   in
   check Alcotest.bool "stale handle use raises Invalid_handle" true raised
 
+(* A handle must stay stale after its arena slot is reused: the regression
+   for generation-checked handles.  Drop an object, collect until its page
+   is freed (which frees the slot) and a new object takes the slot, then
+   use the old handle: it must raise, and must not alias the new object. *)
+let stale_handle_after_slot_reuse () =
+  let vm = mk_vm () in
+  let objs = Heap.objects (Vm.heap vm) in
+  let doomed = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+  Vm.store_word vm doomed 0 42;
+  let rounds = ref 0 in
+  while Heap_obj.is_live objs doomed && !rounds < 1_000 do
+    churn vm 64;
+    incr rounds
+  done;
+  check Alcotest.bool "dropped object freed with its page" false
+    (Heap_obj.is_live objs doomed);
+  let heir = ref Heap_obj.none in
+  let tries = ref 0 in
+  while !heir == Heap_obj.none && !tries < 200_000 do
+    let o = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+    if Heap_obj.slot o = Heap_obj.slot doomed then heir := o;
+    incr tries
+  done;
+  let heir = !heir in
+  check Alcotest.bool "slot reused by a new object" true (heir != Heap_obj.none);
+  check Alcotest.bool "under a new handle" true (heir != doomed);
+  Vm.add_root vm heir;
+  Vm.store_word vm heir 0 7;
+  let raises f =
+    match f () with
+    | () -> false
+    | exception Collector.Invalid_handle _ -> true
+  in
+  check Alcotest.bool "load through the stale handle raises" true
+    (raises (fun () -> ignore (Vm.load_word vm doomed 0)));
+  check Alcotest.bool "store through the stale handle raises" true
+    (raises (fun () -> Vm.store_word vm doomed 0 99));
+  check Alcotest.bool "ref load through the stale handle raises" true
+    (raises (fun () -> ignore (Vm.load_ref vm doomed 0)));
+  check Alcotest.int "the slot's new object is untouched" 7
+    (Vm.load_word vm heir 0)
+
 (* ------------------------------------------------------------------ *)
 (* Barrier behaviour                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -263,12 +305,12 @@ let verify_detects_corruption () =
   let o = Vm.alloc vm ~nrefs:0 ~nwords:1 in
   Vm.store_ref vm keeper 0 (Some o);
   (* Bypass the VM and write a wild pointer. *)
-  Heap_obj.set_ref keeper 0 (Hcsgc_heap.Addr.make Hcsgc_heap.Addr.M0 0xdead0000);
+  Hcsgc_heap.Heap.set_ref (Vm.heap vm) keeper 0 (Hcsgc_heap.Addr.make Hcsgc_heap.Addr.M0 0xdead0000);
   (match Invariants.check (Vm.collector vm) ~edge:Collector.Cycle_done with
   | Ok () -> Alcotest.fail "verifier accepted a wild pointer"
   | Error _ -> ());
   (* Restore sanity for a clean teardown. *)
-  Heap_obj.set_ref keeper 0 Hcsgc_heap.Addr.null
+  Hcsgc_heap.Heap.set_ref (Vm.heap vm) keeper 0 Hcsgc_heap.Addr.null
 
 let suite =
   [
@@ -283,6 +325,8 @@ let suite =
           address_space_bounded_all_configs;
         case "medium objects survive" `Quick medium_objects_collected_and_relocated;
         case "stale handle detected" `Quick stale_handle_detected;
+        case "stale handle after slot reuse" `Quick
+          stale_handle_after_slot_reuse;
         case "self-healing cheapens loads" `Quick self_healing_makes_loads_cheap;
         case "relocate-all enlarges EC" `Quick ec_median_tracks_relocate_all;
         case "verifier clean after churn" `Slow verify_clean_after_churn;

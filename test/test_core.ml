@@ -200,7 +200,8 @@ let relocation_happens_and_handles_survive () =
   churn_cycles vm 4;
   (* Touch everything so pending relocations resolve. *)
   Array.iteri (fun i o -> check Alcotest.int "payload" i (Vm.load_word vm o 0)) objs;
-  let moved = Array.exists (fun o -> o.Heap_obj.relocations > 0) objs in
+  let relocations o = Heap_obj.relocations (Heap.objects (Vm.heap vm)) o in
+  let moved = Array.exists (fun o -> relocations o > 0) objs in
   check Alcotest.bool "some objects relocated" true moved;
   check Alcotest.bool "stats recorded relocations" true
     (Gc_stats.objects_relocated_by_gc (Vm.gc_stats vm)
@@ -221,7 +222,9 @@ let baseline_zgc_skips_dense_pages () =
   in
   churn_cycles vm 4;
   let moved =
-    Array.fold_left (fun acc o -> acc + o.Heap_obj.relocations) 0 objs
+    Array.fold_left
+      (fun acc o -> acc + Heap_obj.relocations (Heap.objects (Vm.heap vm)) o)
+      0 objs
   in
   check Alcotest.int "no live-dense page evacuated" 0 moved
 
@@ -312,7 +315,8 @@ let large_objects_never_relocate () =
   Vm.add_root vm big;
   Vm.store_word vm big 0 99;
   churn_cycles vm 3;
-  check Alcotest.int "large object in place" 0 big.Heap_obj.relocations;
+  check Alcotest.int "large object in place" 0
+    (Heap_obj.relocations (Heap.objects (Vm.heap vm)) big);
   check Alcotest.int "payload intact" 99 (Vm.load_word vm big 0)
 
 let out_of_memory_raised () =
@@ -349,7 +353,9 @@ let cold_page_segregation () =
   (* Count pages whose population is mixed hot/cold by our ground truth
      (id < n/4 = hot). *)
   let heap = Vm.heap vm in
-  let page_of o = Option.get (Heap.page_of_addr heap o.Heap_obj.addr) in
+  let page_of o =
+    Option.get (Heap.page_of_addr heap (Heap_obj.addr (Heap.objects heap) o))
+  in
   let tbl = Hashtbl.create 32 in
   for i = 0 to n - 1 do
     match Vm.load_ref vm keeper i with

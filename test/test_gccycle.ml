@@ -9,6 +9,8 @@
    relocated object. *)
 
 module Heap = Hcsgc_heap.Heap
+module Heap_obj = Hcsgc_heap.Heap_obj
+module Page = Hcsgc_heap.Page
 module Collector = Hcsgc_core.Collector
 module Gc_stats = Hcsgc_core.Gc_stats
 module Tier = Hcsgc_memsim.Tier
@@ -71,6 +73,33 @@ let churn_cycle_allocates_nothing () =
   match Invariants.check col ~edge:Collector.Cycle_done with
   | Ok () -> ()
   | Error msgs -> Alcotest.failf "invariants: %s" (String.concat "; " msgs)
+
+(* A freed page gives its objects, object index and word storage back at
+   once: after churn cycles no freed page awaiting retirement still
+   registers an object, every live arena slot belongs to an object on a
+   live page, and the page vector holds at most as many tombstones as
+   live pages (it compacts once more than half of it is freed pages). *)
+let freed_pages_release_objects () =
+  let ((col, _) as kernel) = Kernels.churn ~div in
+  ignore (rounds kernel ~first:1 ~last:12);
+  let heap = Collector.heap col in
+  let freed = ref 0 in
+  Collector.iter_stale_fwd_pages col (fun page ->
+      incr freed;
+      check Alcotest.int
+        (Printf.sprintf "freed page #%d registers no object" page.Page.id)
+        0 (Page.object_count page));
+  check Alcotest.bool "the last cycle freed pages" true (!freed > 0);
+  let registered = ref 0 in
+  Heap.iter_pages heap (fun page ->
+      registered := !registered + Page.object_count page);
+  check Alcotest.int "live slots = objects on live pages" !registered
+    (Heap_obj.live_count (Heap.objects heap));
+  check Alcotest.bool
+    (Printf.sprintf "%d tombstones in a page vector of %d" (Heap.tombstones heap)
+       (Heap.pages_held heap))
+    true
+    (2 * Heap.tombstones heap <= Heap.pages_held heap)
 
 (* The relocation fence: the relocation-storm kernel — a rooted live set
    with a third replaced each round, so every cycle evacuates survivors of
@@ -145,6 +174,8 @@ let suite =
       [
         case "churn cycle allocates nothing" `Quick churn_cycle_allocates_nothing;
         case "churn deterministic" `Quick churn_deterministic;
+        case "freed pages release their objects" `Quick
+          freed_pages_release_objects;
         case "allocation meter is exact" `Quick meter_is_exact;
         case "relocation words per object" `Quick relocation_words_per_object;
         case "tiered cycle allocates nothing" `Quick

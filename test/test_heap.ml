@@ -122,36 +122,85 @@ let layout_rejects_bad_scale () =
 (* ------------------------------------------------------------------ *)
 
 let obj_field_addresses () =
+  let arena = Heap_obj.create_arena () in
   let o =
-    Heap_obj.create ~layout:test_layout ~id:1 ~addr:0x1000 ~nrefs:2 ~nwords:2
+    Heap_obj.alloc arena ~layout:test_layout ~id:1 ~addr:0x1000 ~nrefs:2
+      ~nwords:2
   in
   check Alcotest.int "ref 0 after header" 0x1010
-    (Heap_obj.ref_slot_addr ~layout:test_layout o 0);
-  check Alcotest.int "ref 1" 0x1018 (Heap_obj.ref_slot_addr ~layout:test_layout o 1);
+    (Heap_obj.ref_slot_addr ~layout:test_layout arena o 0);
+  check Alcotest.int "ref 1" 0x1018
+    (Heap_obj.ref_slot_addr ~layout:test_layout arena o 1);
   check Alcotest.int "payload 0 after refs" 0x1020
-    (Heap_obj.payload_addr ~layout:test_layout o 0);
-  check Alcotest.int "size" 48 o.Heap_obj.size
+    (Heap_obj.payload_addr ~layout:test_layout arena o 0);
+  check Alcotest.int "size" 48 (Heap_obj.size arena o)
+
+let make_page ?(birth = 0) () =
+  Page.create ~layout:test_layout ~arena:(Heap_obj.create_arena ()) ~id:0
+    ~cls:Layout.Small ~start:(Layout.granule test_layout)
+    ~size:test_layout.Layout.small_page ~birth_cycle:birth
 
 let obj_accessors () =
+  let p = make_page () in
   let o =
-    Heap_obj.create ~layout:test_layout ~id:2 ~addr:0x2000 ~nrefs:1 ~nwords:1
+    Page.new_object p ~id:2 ~addr:(p.Page.start + 0x100) ~nrefs:1 ~nwords:1
   in
-  check Alcotest.int "refs start null" Addr.null (Heap_obj.get_ref o 0);
-  Heap_obj.set_ref o 0 (Addr.make Addr.M0 0x3000);
-  check Alcotest.int "ref stored" 0x3000 (Addr.addr (Heap_obj.get_ref o 0));
-  Heap_obj.set_word o 0 77;
-  check Alcotest.int "word stored" 77 (Heap_obj.get_word o 0)
+  check Alcotest.int "refs start null" Addr.null (Page.get_ref p o 0);
+  Page.set_ref p o 0 (Addr.make Addr.M0 0x3000);
+  check Alcotest.int "ref stored" 0x3000 (Addr.addr (Page.get_ref p o 0));
+  check Alcotest.int "payload reads 0 before its first write" 0
+    (Page.get_word p o 0);
+  Page.set_word p o 0 77;
+  check Alcotest.int "word stored" 77 (Page.get_word p o 0);
+  check Alcotest.int "ref untouched by the payload write" 0x3000
+    (Addr.addr (Page.get_ref p o 0))
 
 let obj_bounds () =
+  let arena = Heap_obj.create_arena () in
   let o =
-    Heap_obj.create ~layout:test_layout ~id:3 ~addr:0x1000 ~nrefs:1 ~nwords:1
+    Heap_obj.alloc arena ~layout:test_layout ~id:3 ~addr:0x1000 ~nrefs:1
+      ~nwords:1
   in
   Alcotest.check_raises "ref slot oob"
     (Invalid_argument "Heap_obj.ref_slot_addr: slot out of range") (fun () ->
-      ignore (Heap_obj.ref_slot_addr ~layout:test_layout o 1));
+      ignore (Heap_obj.ref_slot_addr ~layout:test_layout arena o 1));
   Alcotest.check_raises "payload oob"
     (Invalid_argument "Heap_obj.payload_addr: word out of range") (fun () ->
-      ignore (Heap_obj.payload_addr ~layout:test_layout o 1))
+      ignore (Heap_obj.payload_addr ~layout:test_layout arena o 1));
+  let p = make_page () in
+  let o = Page.new_object p ~id:4 ~addr:p.Page.start ~nrefs:1 ~nwords:1 in
+  Alcotest.check_raises "ref read oob"
+    (Invalid_argument "Heap_obj.ref_slot_addr: slot out of range") (fun () ->
+      ignore (Page.get_ref p o 1));
+  Alcotest.check_raises "word read oob"
+    (Invalid_argument "Heap_obj.payload_addr: word out of range") (fun () ->
+      ignore (Page.get_word p o 1));
+  Alcotest.check_raises "address off the page"
+    (Invalid_argument "Page: address outside the page's storage") (fun () ->
+      ignore (Page.read p (p.Page.start + p.Page.size)))
+
+(* A freed slot is reused by the next allocation, under a new generation:
+   the old handle is no longer live and differs from the new one. *)
+let obj_generation () =
+  let arena = Heap_obj.create_arena () in
+  let alloc id =
+    Heap_obj.alloc arena ~layout:test_layout ~id ~addr:0x1000 ~nrefs:0
+      ~nwords:1
+  in
+  let a = alloc 1 in
+  check Alcotest.bool "fresh handle live" true (Heap_obj.is_live arena a);
+  Heap_obj.free arena a;
+  check Alcotest.bool "freed handle dead" false (Heap_obj.is_live arena a);
+  let b = alloc 2 in
+  check Alcotest.bool "slot reused under a new handle" true (a != b);
+  check Alcotest.bool "old handle still dead" false (Heap_obj.is_live arena a);
+  check Alcotest.int "new object's id" 2 (Heap_obj.id arena b);
+  Heap_obj.free arena a;
+  check Alcotest.bool "freeing a stale handle is a no-op" true
+    (Heap_obj.is_live arena b);
+  check Alcotest.int "one live object" 1 (Heap_obj.live_count arena);
+  check Alcotest.bool "none is never live" false
+    (Heap_obj.is_live arena Heap_obj.none)
 
 (* ------------------------------------------------------------------ *)
 (* Fwd_table                                                           *)
@@ -172,11 +221,6 @@ let fwd_claim_semantics () =
 (* Page                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let make_page ?(birth = 0) () =
-  Page.create ~layout:test_layout ~id:0 ~cls:Layout.Small
-    ~start:(Layout.granule test_layout) ~size:test_layout.Layout.small_page
-    ~birth_cycle:birth
-
 let page_bump_alloc () =
   let p = make_page () in
   check (Alcotest.option Alcotest.int) "first at 0" (Some 0) (Page.bump_alloc p 64);
@@ -194,12 +238,8 @@ let page_bump_full () =
   check (Alcotest.option Alcotest.int) "full" None (Page.bump_alloc p 8)
 
 let obj_on_page page offset =
-  let o =
-    Heap_obj.create ~layout:test_layout ~id:offset
-      ~addr:(page.Page.start + offset) ~nrefs:0 ~nwords:2
-  in
-  Page.add_object page o;
-  o
+  Page.new_object page ~id:offset ~addr:(page.Page.start + offset) ~nrefs:0
+    ~nwords:2
 
 let page_object_registry () =
   let p = make_page () in
@@ -211,7 +251,7 @@ let page_object_registry () =
 (* The object index against an assoc-list model: word-aligned offsets
    in any order (production registers only increasing bump offsets),
    removal, re-adding at a removed offset, and growth well past the
-   initial 16 slots.  After every step all four readers must agree with
+   initial 16 slots.  After every step all three readers must agree with
    the model; [iter_live] runs over a livemap that also has bits at every
    unregistered offset, which it must skip. *)
 let prop_page_index_matches_model =
@@ -230,8 +270,8 @@ let prop_page_index_matches_model =
     (fun script ->
       let p = make_page () in
       let obj_at offset id =
-        Heap_obj.create ~layout:test_layout ~id ~addr:(p.Page.start + offset)
-          ~nrefs:0 ~nwords:1
+        Heap_obj.alloc p.Page.arena ~layout:test_layout ~id
+          ~addr:(p.Page.start + offset) ~nrefs:0 ~nwords:1
       in
       let model = ref [] in
       let agrees () =
@@ -246,15 +286,9 @@ let prop_page_index_matches_model =
             (fun w ->
               let offset = w * 8 in
               let expect = List.assoc_opt offset !model in
-              let exn_found =
-                match Page.find_object_exn p ~offset with
-                | o -> Some o
-                | exception Not_found -> None
-              in
               let at = Page.object_at p ~offset in
               same (Page.find_object p ~offset) expect
-              && same exn_found expect
-              && same (if at == Page.no_obj then None else Some at) expect)
+              && same (if at == Heap_obj.none then None else Some at) expect)
             (List.init words Fun.id)
         in
         let sorted l = List.sort (fun (a, _) (b, _) -> Int.compare a b) l in
@@ -303,8 +337,8 @@ let page_liveness_accounting () =
   check Alcotest.bool "first marking" true (Page.mark_live p o1);
   check Alcotest.bool "re-marking is idempotent" false (Page.mark_live p o1);
   ignore (Page.mark_live p o2);
-  check Alcotest.int "live bytes" (o1.Heap_obj.size + o2.Heap_obj.size)
-    p.Page.live_bytes;
+  let size o = Heap_obj.size p.Page.arena o in
+  check Alcotest.int "live bytes" (size o1 + size o2) p.Page.live_bytes;
   check Alcotest.int "live objects" 2 p.Page.live_objects;
   check Alcotest.bool "is marked" true (Page.is_marked_live p o1)
 
@@ -313,7 +347,7 @@ let page_iter_live_order () =
   let o1 = obj_on_page p 192 and o2 = obj_on_page p 0 and o3 = obj_on_page p 64 in
   List.iter (fun o -> ignore (Page.mark_live p o)) [ o1; o2; o3 ];
   let order = ref [] in
-  Page.iter_live p (fun o -> order := o.Heap_obj.addr :: !order);
+  Page.iter_live p (fun o -> order := Heap_obj.addr p.Page.arena o :: !order);
   check (Alcotest.list Alcotest.int) "ascending address order"
     [ p.Page.start; p.Page.start + 64; p.Page.start + 192 ]
     (List.rev !order)
@@ -326,7 +360,8 @@ let page_hotness () =
   check Alcotest.bool "first flag" true (Page.flag_hot p o);
   check Alcotest.bool "second flag is a no-op" false (Page.flag_hot p o);
   check Alcotest.bool "hot" true (Page.is_hot p o);
-  check Alcotest.int "hot bytes" o.Heap_obj.size p.Page.hot_bytes;
+  check Alcotest.int "hot bytes" (Heap_obj.size p.Page.arena o)
+    p.Page.hot_bytes;
   check Alcotest.int "cold bytes" 0 (Page.cold_bytes p)
 
 let page_hot_epoch_flip () =
@@ -367,7 +402,7 @@ let page_live_ratio () =
   let o = obj_on_page p 0 in
   ignore (Page.mark_live p o);
   check (Alcotest.float 1e-9) "ratio"
-    (float_of_int o.Heap_obj.size /. float_of_int p.Page.size)
+    (float_of_int (Heap_obj.size p.Page.arena o) /. float_of_int p.Page.size)
     (Page.live_ratio p)
 
 (* ------------------------------------------------------------------ *)
@@ -389,7 +424,8 @@ let page_table_register_lookup () =
 let page_table_medium_spans_granules () =
   let pt = Page_table.create ~layout:test_layout in
   let p =
-    Page.create ~layout:test_layout ~id:1 ~cls:Layout.Medium
+    Page.create ~layout:test_layout ~arena:(Heap_obj.create_arena ()) ~id:1
+      ~cls:Layout.Medium
       ~start:(4 * Layout.granule test_layout)
       ~size:test_layout.Layout.medium_page ~birth_cycle:0
   in
@@ -452,10 +488,11 @@ let heap_object_allocation () =
   let h = mk_heap () in
   let p = Option.get (Heap.alloc_page h ~cls:Layout.Small ~bytes:0 ~birth_cycle:0) in
   let o = Option.get (Heap.alloc_object_in h p ~nrefs:1 ~nwords:1) in
-  check Alcotest.bool "object at page start" true (o.Heap_obj.addr = p.Page.start);
-  check Alcotest.bool "obj_at finds it" true (Heap.obj_at h o.Heap_obj.addr = Some o);
+  let addr = Heap_obj.addr (Heap.objects h) o in
+  check Alcotest.bool "object at page start" true (addr = p.Page.start);
+  check Alcotest.bool "obj_at finds it" true (Heap.obj_at h addr = Some o);
   check Alcotest.bool "obj_at misses elsewhere" true
-    (Heap.obj_at h (o.Heap_obj.addr + 8) = None)
+    (Heap.obj_at h (addr + 8) = None)
 
 let heap_object_fills_page () =
   let h = mk_heap () in
@@ -478,16 +515,19 @@ let heap_large_object () =
   (* An object bigger than medium_obj_max must land on its own large page. *)
   let words = (test_layout.Layout.medium_obj_max / 8) + 16 in
   let o = Option.get (Heap.alloc_large_object h ~nrefs:0 ~nwords:words ~birth_cycle:0) in
-  let p = Option.get (Heap.page_of_addr h o.Heap_obj.addr) in
+  let objs = Heap.objects h in
+  let p = Option.get (Heap.page_of_addr h (Heap_obj.addr objs o)) in
   check Alcotest.bool "large class" true (p.Page.cls = Layout.Large);
-  check Alcotest.bool "single object page" true (p.Page.size >= o.Heap_obj.size)
+  check Alcotest.bool "single object page" true
+    (p.Page.size >= Heap_obj.size objs o)
 
 let heap_ids_monotone () =
   let h = mk_heap () in
   let p = Option.get (Heap.alloc_page h ~cls:Layout.Small ~bytes:0 ~birth_cycle:0) in
   let a = Option.get (Heap.alloc_object_in h p ~nrefs:0 ~nwords:1) in
   let b = Option.get (Heap.alloc_object_in h p ~nrefs:0 ~nwords:1) in
-  check Alcotest.bool "ids increase" true (b.Heap_obj.id > a.Heap_obj.id)
+  let id = Heap_obj.id (Heap.objects h) in
+  check Alcotest.bool "ids increase" true (id b > id a)
 
 let prop_object_bytes_aligned =
   QCheck.Test.make ~name:"layout: object sizes word-aligned and monotone"
@@ -551,6 +591,152 @@ let prop_heap_pages_disjoint =
             && disjoint rest
       in
       disjoint !ranges)
+
+(* ------------------------------------------------------------------ *)
+(* Handles against a model                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Every live handle's id, address, reference slots and payload words
+   agree with a plain [Hashtbl] model across interleaved allocation,
+   writes, relocation (to another page, or further up the same one) and
+   page frees; every handle freed with its page stays dead even after
+   its slot is reused.  [k] picks the k-th model object, mod the count. *)
+type model_obj = {
+  m_id : int;
+  mutable m_addr : int;
+  m_refs : int array;
+  m_words : int array;
+}
+
+let prop_handles_match_model =
+  let op =
+    QCheck.(
+      oneof
+        [
+          map (fun (r, w) -> `Alloc (r, w)) (pair (int_bound 3) (int_bound 4));
+          map (fun (k, v) -> `Set_ref (k, v)) (pair small_nat (int_bound 9999));
+          map (fun (k, v) -> `Set_word (k, v)) (pair small_nat (int_bound 9999));
+          map (fun k -> `Relocate k) small_nat;
+          map (fun k -> `Free_page k) small_nat;
+        ])
+  in
+  QCheck.Test.make ~name:"heap: handles agree with a Hashtbl model" ~count:60
+    QCheck.(list_of_size Gen.(int_range 20 300) op)
+    (fun script ->
+      let h = Heap.create ~layout:test_layout ~max_bytes:(1 lsl 30) () in
+      let objs = Heap.objects h in
+      let model : (Heap_obj.t, model_obj) Hashtbl.t = Hashtbl.create 64 in
+      let dead = ref [] in
+      let target = ref None and relo = ref None in
+      let new_page () =
+        Option.get
+          (Heap.alloc_page h ~cls:Layout.Small ~bytes:0 ~birth_cycle:0)
+      in
+      let rec bump slot bytes =
+        let page =
+          match !slot with
+          | Some p -> p
+          | None ->
+              let p = new_page () in
+              slot := Some p;
+              p
+        in
+        match Page.bump_alloc page bytes with
+        | Some offset -> (page, page.Page.start + offset)
+        | None ->
+            slot := None;
+            bump slot bytes
+      in
+      let nth k =
+        let n = Hashtbl.length model in
+        if n = 0 then None
+        else begin
+          let sorted =
+            List.sort
+              (fun (_, a) (_, b) -> Int.compare a.m_id b.m_id)
+              (Hashtbl.fold (fun o m acc -> (o, m) :: acc) model [])
+          in
+          Some (List.nth sorted (k mod n))
+        end
+      in
+      let step = function
+        | `Alloc (nrefs, nwords) ->
+            let bytes = Layout.object_bytes test_layout ~nrefs ~nwords in
+            let page, addr = bump target bytes in
+            let o = Heap.new_object h page ~addr ~nrefs ~nwords in
+            Hashtbl.replace model o
+              {
+                m_id = Heap_obj.id objs o;
+                m_addr = addr;
+                m_refs = Array.make nrefs Addr.null;
+                m_words = Array.make nwords 0;
+              }
+        | `Set_ref (k, v) -> (
+            match nth k with
+            | Some (o, m) when Array.length m.m_refs > 0 ->
+                let i = v mod Array.length m.m_refs in
+                let p = Addr.make Addr.M0 (8 * (v + 1)) in
+                Heap.set_ref h o i p;
+                m.m_refs.(i) <- p
+            | _ -> ())
+        | `Set_word (k, v) -> (
+            match nth k with
+            | Some (o, m) when Array.length m.m_words > 0 ->
+                let i = v mod Array.length m.m_words in
+                Heap.set_word h o i v;
+                m.m_words.(i) <- v
+            | _ -> ())
+        | `Relocate k -> (
+            match nth k with
+            | None -> ()
+            | Some (o, m) ->
+                let src = Option.get (Heap.page_of_addr h m.m_addr) in
+                let dst, new_addr = bump relo (Heap_obj.size objs o) in
+                Page.move_object ~src ~dst o ~new_addr;
+                m.m_addr <- new_addr)
+        | `Free_page k -> (
+            match nth k with
+            | None -> ()
+            | Some (_, m) ->
+                let page = Option.get (Heap.page_of_addr h m.m_addr) in
+                let forget slot =
+                  match !slot with
+                  | Some p when p == page -> slot := None
+                  | _ -> ()
+                in
+                forget target;
+                forget relo;
+                Heap.free_page h page;
+                Hashtbl.filter_map_inplace
+                  (fun o m ->
+                    if Page.contains page m.m_addr then begin
+                      dead := o :: !dead;
+                      None
+                    end
+                    else Some m)
+                  model)
+      in
+      let agrees () =
+        Heap_obj.live_count objs = Hashtbl.length model
+        && List.for_all (fun o -> not (Heap_obj.is_live objs o)) !dead
+        && Hashtbl.fold
+             (fun o m ok ->
+               ok
+               && Heap_obj.is_live objs o
+               && Heap_obj.id objs o = m.m_id
+               && Heap_obj.addr objs o = m.m_addr
+               && Heap.obj_at h m.m_addr = Some o
+               && Array.for_all Fun.id
+                    (Array.mapi (fun i p -> Heap.get_ref h o i = p) m.m_refs)
+               && Array.for_all Fun.id
+                    (Array.mapi (fun i v -> Heap.get_word h o i = v) m.m_words))
+             model true
+      in
+      List.for_all
+        (fun op ->
+          step op;
+          agrees ())
+        script)
 
 (* ------------------------------------------------------------------ *)
 (* Large-range free list: in-place first-fit splitting                 *)
@@ -618,8 +804,8 @@ let heap_large_skips_too_small () =
 (* Page-vector compaction: iteration order survives tombstone sweeps   *)
 (* ------------------------------------------------------------------ *)
 
-(* [Heap.free_page] compacts the page vector in place once enough freed
-   tombstones accumulate.  EC selection iterates pages in this vector's
+(* [Heap.free_page] compacts the page vector in place once more than half
+   of it is freed tombstones.  EC selection iterates pages in this vector's
    order, so the sweep must preserve the relative order of live pages —
    a reordering here would silently change every figure. *)
 let heap_compaction_preserves_page_order () =
@@ -630,8 +816,8 @@ let heap_compaction_preserves_page_order () =
         Option.get
           (Heap.alloc_page h ~cls:Layout.Small ~bytes:g ~birth_cycle:0))
   in
-  (* Free enough to cross the compaction trigger (> 256 entries, more
-     than half tombstones), in a scattered pattern. *)
+  (* Free two in three, in a scattered pattern: the compaction trigger
+     (more than half tombstones) fires repeatedly on the way. *)
   Array.iteri
     (fun i p -> if i mod 3 <> 1 then Heap.free_page h p)
     pages;
@@ -680,6 +866,7 @@ let suite =
         case "field addresses" `Quick obj_field_addresses;
         case "accessors" `Quick obj_accessors;
         case "bounds" `Quick obj_bounds;
+        case "generations" `Quick obj_generation;
       ] );
     ("heap.fwd", [ case "claim semantics" `Quick fwd_claim_semantics ]);
     ( "heap.page",
@@ -716,6 +903,7 @@ let suite =
         case "compaction keeps page order" `Quick
           heap_compaction_preserves_page_order;
         QCheck_alcotest.to_alcotest prop_heap_pages_disjoint;
+        QCheck_alcotest.to_alcotest prop_handles_match_model;
         QCheck_alcotest.to_alcotest prop_object_bytes_aligned;
         QCheck_alcotest.to_alcotest prop_addr_retint_idempotent;
         QCheck_alcotest.to_alcotest prop_fwd_first_claim_wins;

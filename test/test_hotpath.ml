@@ -54,31 +54,27 @@ let remove_root_preserves_order () =
   Vm.add_root vm o3;
   let o4 = Vm.alloc vm ~nrefs:0 ~nwords:1 in
   Vm.add_root vm o4;
-  let ids () =
-    List.map
-      (fun (o : Vm.Heap_obj.t) -> o.Vm.Heap_obj.id)
-      (Collector.roots_list (Vm.collector vm))
-  in
+  let id o = Vm.Heap_obj.id (Hcsgc_heap.Heap.objects (Vm.heap vm)) o in
+  let ids () = List.map id (Collector.roots_list (Vm.collector vm)) in
   let before = ids () in
   check (Alcotest.list Alcotest.int) "registration order"
-    [ o1.Vm.Heap_obj.id; o2.Vm.Heap_obj.id; o3.Vm.Heap_obj.id;
-      o4.Vm.Heap_obj.id ]
+    [ id o1; id o2; id o3; id o4 ]
     before;
   (* Removing a middle root must keep the survivors in their original
      relative order — root enumeration order feeds the mark queue, so a
      reordering here would silently change GC traversal determinism. *)
   Vm.remove_root vm o2;
   check (Alcotest.list Alcotest.int) "middle removal keeps order"
-    [ o1.Vm.Heap_obj.id; o3.Vm.Heap_obj.id; o4.Vm.Heap_obj.id ]
+    [ id o1; id o3; id o4 ]
     (ids ());
   Vm.remove_root vm o4;
   check (Alcotest.list Alcotest.int) "tail removal keeps order"
-    [ o1.Vm.Heap_obj.id; o3.Vm.Heap_obj.id ]
+    [ id o1; id o3 ]
     (ids ());
   (* Re-adding goes to the end, as before the Vec.remove rewrite. *)
   Vm.add_root vm o2;
   check (Alcotest.list Alcotest.int) "re-add appends"
-    [ o1.Vm.Heap_obj.id; o3.Vm.Heap_obj.id; o2.Vm.Heap_obj.id ]
+    [ id o1; id o3; id o2 ]
     (ids ())
 
 (* ------------------------------------------------------------------ *)

@@ -43,6 +43,8 @@ let contains ~needle hay =
 (* A ripe heap: live graph, at least one completed GC cycle, quiescent  *)
 (* ------------------------------------------------------------------ *)
 
+let obj_addr vm o = Heap_obj.addr (Heap.objects (Vm.heap vm)) o
+
 let ripe_vm ?(config = Config.of_id 16) () =
   let vm = Vm.create ~layout ~config ~max_heap:(1024 * 1024) () in
   let keeper = Vm.alloc vm ~nrefs:32 ~nwords:0 in
@@ -79,17 +81,17 @@ let clean_heap_passes () =
 
 let corrupt_color_detected () =
   let vm, keeper = ripe_vm () in
-  let ptr = Heap_obj.get_ref keeper 0 in
+  let ptr = Heap.get_ref (Vm.heap vm) keeper 0 in
   check Alcotest.bool "slot 0 is populated" false (Addr.is_null ptr);
   (* Both mark bits at once is a colour no barrier ever writes. *)
-  Heap_obj.set_ref keeper 0
+  Heap.set_ref (Vm.heap vm) keeper 0
     (Addr.retint Addr.M0 ptr lor Addr.retint Addr.M1 ptr);
   expect_violation ~what:"colour-bit flip" ~needle:"malformed pointer" vm
 
 let corrupt_fwd_detected () =
   let vm, keeper = ripe_vm () in
   let page =
-    Option.get (Heap.page_of_addr (Vm.heap vm) keeper.Heap_obj.addr)
+    Option.get (Heap.page_of_addr (Vm.heap vm) (obj_addr vm keeper))
   in
   check Alcotest.bool "keeper's page is active" true
     (page.Page.state = Page.Active);
@@ -99,18 +101,18 @@ let corrupt_fwd_detected () =
 let corrupt_livemap_detected () =
   let vm, keeper = ripe_vm () in
   let page =
-    Option.get (Heap.page_of_addr (Vm.heap vm) keeper.Heap_obj.addr)
+    Option.get (Heap.page_of_addr (Vm.heap vm) (obj_addr vm keeper))
   in
   check Alcotest.bool "keeper survived the cycle marked" true
     (Page.is_marked_live page keeper);
-  let offset = Page.offset_of_addr page keeper.Heap_obj.addr in
+  let offset = Page.offset_of_addr page (obj_addr vm keeper) in
   Bitmap.clear page.Page.livemap (offset / 8);
   expect_violation ~what:"cleared live bit" ~needle:"live objects sum" vm
 
 let corrupt_live_objects_detected () =
   let vm, keeper = ripe_vm () in
   let page =
-    Option.get (Heap.page_of_addr (Vm.heap vm) keeper.Heap_obj.addr)
+    Option.get (Heap.page_of_addr (Vm.heap vm) (obj_addr vm keeper))
   in
   page.Page.live_objects <- page.Page.live_objects + 1;
   expect_violation ~what:"skewed live_objects" ~needle:"livemap covers" vm
@@ -121,19 +123,19 @@ let corrupt_live_objects_detected () =
 let corrupt_registration_detected () =
   let vm, _ = ripe_vm () in
   let o = Vm.alloc vm ~nrefs:0 ~nwords:2 in
-  let page = Option.get (Heap.page_of_addr (Vm.heap vm) o.Heap_obj.addr) in
-  let offset = Page.offset_of_addr page o.Heap_obj.addr in
-  o.Heap_obj.addr <- o.Heap_obj.addr + 8;
+  let page = Option.get (Heap.page_of_addr (Vm.heap vm) (obj_addr vm o)) in
+  let offset = Page.offset_of_addr page (obj_addr vm o) in
+  Heap_obj.set_addr (Heap.objects (Vm.heap vm)) o (obj_addr vm o + 8);
   expect_violation ~what:"object moved without re-registering"
     ~needle:
       (Printf.sprintf "registered at offset %d of page #%d but addr=0x%x"
-         offset page.Page.id o.Heap_obj.addr)
+         offset page.Page.id (obj_addr vm o))
     vm
 
 let check_exn_raises () =
   let vm, keeper = ripe_vm () in
-  let ptr = Heap_obj.get_ref keeper 0 in
-  Heap_obj.set_ref keeper 0
+  let ptr = Heap.get_ref (Vm.heap vm) keeper 0 in
+  Heap.set_ref (Vm.heap vm) keeper 0
     (Addr.retint Addr.M0 ptr lor Addr.retint Addr.M1 ptr);
   match Invariants.check_exn (Vm.collector vm) ~edge:Collector.Cycle_done with
   | () -> Alcotest.fail "check_exn did not raise"
