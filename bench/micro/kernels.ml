@@ -235,6 +235,14 @@ let kernels =
            for i = lo to hi - 1 do
              ignore (Vm.load_ref vm objs.(i mod n) 0)
            done));
+    (* Steady-state allocation of garbage through the full VM path (bump,
+       arena slot, index registration, header store) and the GC cycles it
+       drives, which free whole pages and recycle their slots. *)
+    op_kernel "alloc"
+      (on_vm (fun vm _objs _n lo hi ->
+           for _ = lo to hi - 1 do
+             ignore (Vm.alloc vm ~nrefs:1 ~nwords:6 : Heap_obj.t)
+           done));
     op_kernel "machine-load-seq"
       (on_machine (fun m lo hi ->
            for i = lo to hi - 1 do

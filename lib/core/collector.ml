@@ -385,14 +385,17 @@ let rec resolve t ~who addr =
 (* Marking                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let page_of_obj t (obj : Heap_obj.t) =
-  match Heap.page_of_addr t.heap (Heap_obj.addr t.objs obj) with
+(* The page at [addr], the address of [obj]. *)
+let page_at t (obj : Heap_obj.t) addr =
+  match Heap.page_of_addr t.heap addr with
   | Some page -> page
   | None ->
       raise
         (Invalid_handle
            (Printf.sprintf "object #%d at unmapped address 0x%x"
-              (Heap_obj.id t.objs obj) (Heap_obj.addr t.objs obj)))
+              (Heap_obj.id t.objs obj) addr))
+
+let page_of_obj t obj = page_at t obj (Heap_obj.addr t.objs obj)
 
 (* Mark [obj] live on its (to-space) page; push for tracing when newly
    marked.  Only meaningful during the marking phase. *)
@@ -440,32 +443,28 @@ let flag_hot t ~(page : Page.t) (obj : Heap_obj.t) =
 (* Mutator interface                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* The handle-validity check: [obj] must not have been freed.  An object
-   stays registered on the page at its own address from allocation until
-   its page is freed, which frees the object and bumps its slot's
-   generation — so validity is one generation compare, no hash walk, and
-   a stale handle fails it even after its slot is reused. *)
-let[@inline] check_handle t (obj : Heap_obj.t) =
-  if not (Heap_obj.is_live t.objs obj) then
-    raise
-      (Invalid_handle
-         (Printf.sprintf "handle to reclaimed object (handle 0x%x)"
-            (Heap_obj.to_int obj)))
+(* Handle validity ([Heap_obj.live_addr], [is_live]): [obj] must not
+   have been freed.  An object stays registered on the page at its own
+   address from allocation until its page is freed, which frees the
+   object and bumps its slot's generation — so validity is one generation
+   compare, no hash walk, and a stale handle fails it even after its slot
+   is reused. *)
+let stale_handle (obj : Heap_obj.t) =
+  raise
+    (Invalid_handle
+       (Printf.sprintf "handle to reclaimed object (handle 0x%x)"
+          (Heap_obj.to_int obj)))
 
 (* Roots are handles the workload registered; validate before trusting
    their [addr]. *)
 let page_of_root t (root : Heap_obj.t) =
-  check_handle t root;
+  if not (Heap_obj.is_live t.objs root) then stale_handle root;
   page_of_obj t root
 
 let use_handle_page t ~core (obj : Heap_obj.t) =
   let addr = Heap_obj.live_addr t.objs obj in
-  if addr < 0 then check_handle t obj;
-  let page =
-    match Heap.page_of_addr t.heap addr with
-    | Some page -> page
-    | None -> page_of_obj t obj (* raises *)
-  in
+  if addr < 0 then stale_handle obj;
+  let page = page_at t obj addr in
   let relocated = page.Page.state = Page.In_ec in
   Gc_stats.on_barrier t.stats ~slow:relocated;
   if relocated || t.phase = Marking then begin
@@ -492,7 +491,8 @@ let use_handle_page t ~core (obj : Heap_obj.t) =
     (* Fast path — the steady-state barrier: the handle is validated above;
        charge nothing, allocate nothing.  The tier-bit compare is the only
        tiering footprint here; it is always [Dram] when tiering is off. *)
-    t.last_cost <- (if page.Page.tier = Page.Far then promote_page t page else 0);
+    t.last_cost <-
+      (if page.Page.tier = Page.Far then promote_page t page else 0);
     page
   end
 
@@ -527,7 +527,9 @@ let load_ref t ~core (src : Heap_obj.t) ~slot =
              (Printf.sprintf "good-coloured pointer 0x%x has no object"
                 (Addr.addr ptr)))
     | Some page ->
-        let obj = Page.object_at page ~offset:(Addr.addr ptr - page.Page.start) in
+        let obj =
+          Page.object_at page ~offset:(Addr.addr ptr - page.Page.start)
+        in
         if obj == Heap_obj.none then
           raise
             (Invalid_handle
@@ -543,7 +545,8 @@ let load_ref t ~core (src : Heap_obj.t) ~slot =
     let obj = resolve t ~who:(Mutator core) (Addr.addr ptr) in
     if t.phase = Marking then t.acc_cost <- t.acc_cost + mark_object t obj;
     t.acc_cost <- t.acc_cost + flag_hot t ~page:(page_of_obj t obj) obj;
-    Page.write src_page slot_addr (Addr.make t.good (Heap_obj.addr t.objs obj));
+    Page.write src_page slot_addr
+      (Addr.make t.good (Heap_obj.addr t.objs obj));
     t.acc_cost <- t.acc_cost + Machine.store t.machine ~core slot_addr;
     t.last_cost <- t.acc_cost;
     Some obj
@@ -675,8 +678,8 @@ let scan_object t (obj : Heap_obj.t) from_slot =
   let page = page_of_obj t obj in
   t.acc_cost <-
     (if from_slot = 0 then
-       Machine.load_range t.machine ~core:t.gc_core (Heap_obj.addr t.objs obj)
-         lay.Layout.header_bytes
+       Machine.load_range t.machine ~core:t.gc_core
+         (Heap_obj.addr t.objs obj) lay.Layout.header_bytes
      else 0);
   if upto < nrefs then begin
     Vec.push t.mark_objs obj;

@@ -171,15 +171,15 @@ val load_ref : t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option
 
 val last_cost : t -> int
 (** Cycle cost of the most recent {!load_ref}, {!use_handle_page} or
-    successful {!alloc} call.  Read it immediately
-    after the call — any later barrier overwrites it. *)
+    successful {!alloc} call.  Read it immediately after the call — any
+    later barrier overwrites it. *)
 
 val store_ref :
   t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option -> int
 (** [store_ref t ~core src ~slot target] writes [target] (or null) into
-    reference slot [slot] of [src] with the good colour.  During marking the stored
-    referent is marked (keeping unregistered handles from hiding objects).
-    Returns the cycle cost. *)
+    reference slot [slot] of [src] with the good colour.  During marking
+    the stored referent is marked (keeping unregistered handles from
+    hiding objects).  Returns the cycle cost. *)
 
 (** {2 GC driving (called from VM safepoints)} *)
 

@@ -60,7 +60,8 @@ val recycle_range : t -> Page.t -> unit
 (** Return a freed page's granules to the allocation free lists.  Call only
     once per page, after its forwarding table has been retired. *)
 
-val new_object : t -> Page.t -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t
+val new_object :
+  t -> Page.t -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t
 (** {!Page.new_object} with the next object id, at an address already
     bump-reserved on the page. *)
 

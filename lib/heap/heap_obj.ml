@@ -66,7 +66,9 @@ let[@inline] get (col : int array array) s : int =
   Array.unsafe_get (Array.unsafe_get col (s lsr chunk_bits)) (s land chunk_mask)
 
 let[@inline] set (col : int array array) s (v : int) =
-  Array.unsafe_set (Array.unsafe_get col (s lsr chunk_bits)) (s land chunk_mask) v
+  Array.unsafe_set
+    (Array.unsafe_get col (s lsr chunk_bits))
+    (s land chunk_mask) v
 
 let add_chunk col = Array.append col [| Array.make (chunk_mask + 1) 0 |]
 

@@ -24,7 +24,8 @@ val none : t
 
 val slot : t -> int
 (** The arena slot a handle names.  Slots are reused once their object is
-    freed; handles never are. *)
+    freed; handles are not, short of one slot's 30-bit generation wrapping
+    after 2{^30} reuses. *)
 
 val to_int : t -> int
 val of_int : int -> t

@@ -54,6 +54,8 @@ let word_bits layout size = size / layout.Layout.word_bytes
    written — [add_object] refuses a released page) and no storage. *)
 let released_index = Array.make 4 (-1)
 
+(* The storage of a page no object has written to yet, and of a released
+   page. *)
 let no_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
 
 let[@inline] capacity ix = Array.length ix / 2
@@ -83,7 +85,9 @@ let index_grow t =
     if k <> -1 then begin
       let j = slot t k in
       Array.unsafe_set t.index (2 * j) k;
-      Array.unsafe_set t.index ((2 * j) + 1) (Array.unsafe_get old ((2 * i) + 1))
+      Array.unsafe_set t.index
+        ((2 * j) + 1)
+        (Array.unsafe_get old ((2 * i) + 1))
     end
   done
 
@@ -114,7 +118,7 @@ let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
     index;
     index_shift = Int_tbl.shift_for ~capacity:(capacity index);
     index_used = 0;
-    words = Heap_obj.take_words arena bits;
+    words = no_words;
     livemap = Bitmap.create bits;
     hot_cur = Bitmap.create bits;
     hot_prev = Bitmap.create bits;
@@ -210,8 +214,11 @@ let object_count t =
 
    An object's words sit in [t.words] at its own word offset: reference
    slot [i] at [(addr - start) / 8 + header words + i], its payload right
-   after — so the word of byte address [a] is [(a - start) / 8].  Payload words are materialised on first write, so an object
-   that is never written never touches the storage. *)
+   after, so the word of byte address [a] is [(a - start) / 8].  Payload
+   words are materialised on first write, so an object that is never
+   written never touches the storage; an object with words to keep
+   (references, or a written payload) sits only on pages that have
+   storage. *)
 
 let[@inline] header_words t = t.layout.Layout.header_bytes / 8
 
@@ -227,18 +234,28 @@ let[@inline] word_index t addr =
     invalid_arg "Page: address outside the page's storage";
   i
 
-let[@inline] read t addr = Bigarray.Array1.unsafe_get t.words (word_index t addr)
+let[@inline] read t addr =
+  Bigarray.Array1.unsafe_get t.words (word_index t addr)
 
 let[@inline] write t addr v =
   Bigarray.Array1.unsafe_set t.words (word_index t addr) v
 
-let get_ref t obj i = read t (Heap_obj.ref_slot_addr ~layout:t.layout t.arena obj i)
+let get_ref t obj i =
+  read t (Heap_obj.ref_slot_addr ~layout:t.layout t.arena obj i)
 
 let set_ref t obj i p =
   write t (Heap_obj.ref_slot_addr ~layout:t.layout t.arena obj i) p
 
+(* A page takes its word storage on its first write: one with only
+   never-written objects (pure garbage without references) never needs
+   any. *)
+let ensure_words t =
+  if Bigarray.Array1.dim t.words = 0 then
+    t.words <- Heap_obj.take_words t.arena (word_bits t.layout t.size)
+
 (* Zero the payload on its first write. *)
 let materialise t obj =
+  ensure_words t;
   let base = refs_base t obj + Heap_obj.nrefs t.arena obj in
   for j = base to base + Heap_obj.nwords t.arena obj - 1 do
     Bigarray.Array1.unsafe_set t.words j 0
@@ -258,31 +275,42 @@ let get_word t obj i =
 let set_word t obj i v =
   set_word_at t obj (Heap_obj.payload_addr ~layout:t.layout t.arena obj i) v
 
+(* The word loops below skip bounds checks, so the object must fit. *)
+let check_fits t addr bytes =
+  if addr < t.start || addr + bytes > t.start + t.size then
+    invalid_arg "Page: object does not fit the page"
+
 let new_object t ~id ~addr ~nrefs ~nwords =
+  check_fits t addr (Layout.object_bytes t.layout ~nrefs ~nwords);
   let obj = Heap_obj.alloc t.arena ~layout:t.layout ~id ~addr ~nrefs ~nwords in
-  let base = refs_base t obj in
-  for i = base to base + nrefs - 1 do
-    Bigarray.Array1.unsafe_set t.words i Addr.null
-  done;
   add_object t obj;
+  if nrefs > 0 then begin
+    ensure_words t;
+    let base = refs_base t obj in
+    for i = base to base + nrefs - 1 do
+      Bigarray.Array1.unsafe_set t.words i Addr.null
+    done
+  end;
   obj
 
 let move_object ~src ~dst obj ~new_addr =
   let a = src.arena in
+  check_fits dst new_addr (Heap_obj.size a obj);
+  remove_object src obj;
   let from = refs_base src obj in
   let n =
     Heap_obj.nrefs a obj
     + if Heap_obj.payload_written a obj then Heap_obj.nwords a obj else 0
   in
-  remove_object src obj;
   Heap_obj.set_addr a obj new_addr;
   Heap_obj.incr_relocations a obj;
+  add_object dst obj;
+  if n > 0 then ensure_words dst;
   let into = refs_base dst obj in
   for i = 0 to n - 1 do
     Bigarray.Array1.unsafe_set dst.words (into + i)
       (Bigarray.Array1.unsafe_get src.words (from + i))
-  done;
-  add_object dst obj
+  done
 
 let free_bytes t = t.size - t.top
 

@@ -41,7 +41,9 @@ type t = {
   mutable index_used : int;  (** slots holding a key, removed ones included *)
   mutable words : Heap_obj.words;
       (** reference and payload words of the page's objects: word [i]
-          mirrors byte offset [8 i] *)
+          mirrors byte offset [8 i].  Empty until the page's first write
+          (an object with references, or a payload write), taken from the
+          arena's pool then. *)
   livemap : Hcsgc_util.Bitmap.t;  (** bit per word-offset of object starts *)
   mutable hot_cur : Hcsgc_util.Bitmap.t;  (** hotness, current epoch *)
   mutable hot_prev : Hcsgc_util.Bitmap.t;  (** snapshot for lazy relocation *)
@@ -67,8 +69,9 @@ val create :
   size:int ->
   birth_cycle:int ->
   t
-(** A fresh page whose object index and word storage come from the
-    arena's pools ({!Heap_obj.take_index}, {!Heap_obj.take_words}). *)
+(** A fresh page whose object index comes from the arena's pool
+    ({!Heap_obj.take_index}); its word storage comes from the pool
+    ({!Heap_obj.take_words}) on its first write. *)
 
 val release : t -> unit
 (** Free every object still registered on the page ({!Heap_obj.free}) and
@@ -86,7 +89,8 @@ val bump_try : t -> int -> int
     page is full.  The collector's bump-target path uses this so a
     steady-state allocation touches no host heap. *)
 
-val new_object : t -> id:int -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t
+val new_object :
+  t -> id:int -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t
 (** Allocate an object at [addr] (already bump-reserved on this page) in
     the arena, null its reference slots and register it. *)
 

@@ -13,12 +13,13 @@
 
     {2 Rooting discipline}
 
-    Objects are reached through OCaml-side handles ({!Hcsgc_heap.Heap_obj.t});
-    handles survive relocation.  Any object the workload holds across an
-    allocation must be reachable from a registered root (or a pushed local),
-    otherwise the collector may reclaim it and later use raises
-    {!Hcsgc_core.Collector.Invalid_handle}.  Objects are also kept alive by
-    being stored to or loaded from during a cycle. *)
+    Objects are reached through int handles ({!Hcsgc_heap.Heap_obj.t}) into
+    the heap's object arena; handles survive relocation.  Any object the
+    workload holds across an allocation must be reachable from a registered
+    root (or a pushed local), otherwise the collector may reclaim it and
+    later use raises {!Hcsgc_core.Collector.Invalid_handle} — also after
+    the object's arena slot has been reused.  Objects are also kept alive
+    by being stored to or loaded from during a cycle. *)
 
 module Heap_obj = Hcsgc_heap.Heap_obj
 module Collector = Hcsgc_core.Collector

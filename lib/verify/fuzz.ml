@@ -219,7 +219,8 @@ let exec st = function
          relocation, and nothing ever retires an active page's table: the
          damage persists to every subsequent phase edge. *)
       let heap = Vm.heap st.vm in
-      match Heap.page_of_addr heap (Heap_obj.addr (Heap.objects heap) st.root) with
+      let root = Heap_obj.addr (Heap.objects heap) st.root in
+      match Heap.page_of_addr heap root with
       | None -> ()
       | Some page ->
           ignore (Fwd_table.claim page.Page.fwd ~offset:4 ~new_addr:0xdead0))
@@ -229,7 +230,8 @@ let exec st = function
          set fall out of lock-step, so the sanitizer's far-sum round-trip
          must flag it at the next phase edge. *)
       let heap = Vm.heap st.vm in
-      match Heap.page_of_addr heap (Heap_obj.addr (Heap.objects heap) st.root) with
+      let root = Heap_obj.addr (Heap.objects heap) st.root in
+      match Heap.page_of_addr heap root with
       | None -> ()
       | Some page ->
           page.Page.tier <-

@@ -105,11 +105,32 @@ let check_fwd_entry ?(allow_dead_chain = false) ctx (src : Page.t) ~offset
           err ctx
             "page #%d forwarding entry %d->0x%x: object #%d (%d bytes) could \
              not have fit its source slot"
-            src.Page.id offset new_addr (Heap_obj.id objs obj) (Heap_obj.size objs obj)
+            src.Page.id offset new_addr (Heap_obj.id objs obj)
+            (Heap_obj.size objs obj)
 
 (* ------------------------------------------------------------------ *)
 (* Pages: structure, accounting, livemap, hotmap                       *)
 (* ------------------------------------------------------------------ *)
+
+(* An object registered at [offset] of [page] must agree with it. *)
+let check_registered ctx (page : Page.t) ~offset ~ids_issued obj =
+  let objs = ctx.objs in
+  let id = Heap_obj.id objs obj and addr = Heap_obj.addr objs obj in
+  if Heap_obj.page_id objs obj <> page.Page.id then
+    err ctx "object #%d registered on page #%d but its page_id is %d" id
+      page.Page.id (Heap_obj.page_id objs obj);
+  if addr <> page.Page.start + offset then
+    err ctx "object #%d registered at offset %d of page #%d but addr=0x%x" id
+      offset page.Page.id addr;
+  if offset mod bit_bytes <> 0 then
+    err ctx "object #%d at unaligned offset %d on page #%d" id offset
+      page.Page.id;
+  if addr + Heap_obj.size objs obj > page.Page.start + page.Page.top then
+    err ctx "object #%d extends past the bump pointer of page #%d" id
+      page.Page.id;
+  if id >= ids_issued then
+    err ctx "object #%d on page #%d exceeds the issued-id watermark %d" id
+      page.Page.id ids_issued
 
 let check_pages ctx =
   let objs = ctx.objs in
@@ -134,23 +155,12 @@ let check_pages ctx =
       if page.Page.top < 0 || page.Page.top > page.Page.size then
         err ctx "page #%d bump pointer %d outside [0, %d]" page.Page.id
           page.Page.top page.Page.size;
-      Page.iter_objects page (fun offset (obj : Heap_obj.t) ->
-          if (Heap_obj.addr objs obj) <> page.Page.start + offset then
-            err ctx
-              "object #%d registered at offset %d of page #%d but addr=0x%x"
-              (Heap_obj.id objs obj) offset page.Page.id (Heap_obj.addr objs obj);
-          if offset mod bit_bytes <> 0 then
-            err ctx "object #%d at unaligned offset %d on page #%d"
-              (Heap_obj.id objs obj) offset page.Page.id;
-          if
-            (Heap_obj.addr objs obj) + (Heap_obj.size objs obj)
-            > page.Page.start + page.Page.top
-          then
-            err ctx "object #%d extends past the bump pointer of page #%d"
-              (Heap_obj.id objs obj) page.Page.id;
-          if (Heap_obj.id objs obj) >= ids_issued then
-            err ctx "object #%d on page #%d exceeds the issued-id watermark %d"
-              (Heap_obj.id objs obj) page.Page.id ids_issued);
+      Page.iter_objects page (fun offset obj ->
+          if Heap_obj.is_live objs obj then
+            check_registered ctx page ~offset ~ids_issued obj
+          else
+            err ctx "page #%d registers freed handle 0x%x at offset %d"
+              page.Page.id (Heap_obj.to_int obj) offset);
       (* Livemap vs object registration vs byte accounting. *)
       let live_bytes = ref 0 in
       let live_objects = ref 0 in
@@ -319,8 +329,8 @@ let check_reachable ctx =
       stack := obj :: !stack;
       match Heap.page_of_addr heap (Heap_obj.addr objs obj) with
       | None ->
-          err ctx "reachable object #%d sits at unmapped 0x%x" (Heap_obj.id objs obj)
-            (Heap_obj.addr objs obj)
+          err ctx "reachable object #%d sits at unmapped 0x%x"
+            (Heap_obj.id objs obj) (Heap_obj.addr objs obj)
       | Some page -> (
           (match
              Page.find_object page
@@ -387,7 +397,8 @@ let check_reachable ctx =
                     match Oracle.resolve_ro ctx.col (Addr.addr ptr) with
                     | Ok target -> visit target
                     | Error e ->
-                        err ctx "object #%d slot %d: %s" (Heap_obj.id objs obj) slot
+                        err ctx "object #%d slot %d: %s"
+                          (Heap_obj.id objs obj) slot
                           e.Oracle.msg
                   end)
   done

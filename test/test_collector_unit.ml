@@ -210,7 +210,8 @@ let stale_handle_after_slot_reuse () =
     incr tries
   done;
   let heir = !heir in
-  check Alcotest.bool "slot reused by a new object" true (heir != Heap_obj.none);
+  check Alcotest.bool "slot reused by a new object" true
+    (heir != Heap_obj.none);
   check Alcotest.bool "under a new handle" true (heir != doomed);
   Vm.add_root vm heir;
   Vm.store_word vm heir 0 7;
@@ -305,12 +306,12 @@ let verify_detects_corruption () =
   let o = Vm.alloc vm ~nrefs:0 ~nwords:1 in
   Vm.store_ref vm keeper 0 (Some o);
   (* Bypass the VM and write a wild pointer. *)
-  Hcsgc_heap.Heap.set_ref (Vm.heap vm) keeper 0 (Hcsgc_heap.Addr.make Hcsgc_heap.Addr.M0 0xdead0000);
+  Heap.set_ref (Vm.heap vm) keeper 0 (Addr.make Addr.M0 0xdead0000);
   (match Invariants.check (Vm.collector vm) ~edge:Collector.Cycle_done with
   | Ok () -> Alcotest.fail "verifier accepted a wild pointer"
   | Error _ -> ());
   (* Restore sanity for a clean teardown. *)
-  Hcsgc_heap.Heap.set_ref (Vm.heap vm) keeper 0 Hcsgc_heap.Addr.null
+  Heap.set_ref (Vm.heap vm) keeper 0 Addr.null
 
 let suite =
   [

@@ -614,8 +614,8 @@ let prop_handles_match_model =
       oneof
         [
           map (fun (r, w) -> `Alloc (r, w)) (pair (int_bound 3) (int_bound 4));
-          map (fun (k, v) -> `Set_ref (k, v)) (pair small_nat (int_bound 9999));
-          map (fun (k, v) -> `Set_word (k, v)) (pair small_nat (int_bound 9999));
+          map (fun kv -> `Set_ref kv) (pair small_nat (int_bound 9999));
+          map (fun kv -> `Set_word kv) (pair small_nat (int_bound 9999));
           map (fun k -> `Relocate k) small_nat;
           map (fun k -> `Free_page k) small_nat;
         ])

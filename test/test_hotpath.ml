@@ -216,6 +216,27 @@ let load_ref_allocation_bounded () =
     Alcotest.failf "load_ref allocates beyond its Some: %.4f words/op"
       words_per_op
 
+(* Steady-state allocation is host-allocation-free: an object is an arena
+   slot, its words live in page storage, and [Vm.alloc] returns the bare
+   handle.  What is left is page creation — the page record and its
+   bitmaps, one page per ~29k of these 72-byte objects on the default
+   2 MiB pages — which lands in few enough windows that the median is
+   clean; the warm-up runs GC cycles first, so the index and storage
+   pools are full and freed slots are being reused. *)
+let alloc_allocation_free () =
+  let vm = Vm.create ~config:Config.zgc ~max_heap:(64 * 1024 * 1024) () in
+  let kernel ops =
+    for _ = 1 to ops do
+      ignore (Vm.alloc vm ~nrefs:1 ~nwords:6 : Vm.Heap_obj.t)
+    done
+  in
+  kernel 600_000;
+  check Alcotest.bool "warm-up ran GC cycles" true
+    (Hcsgc_core.Gc_stats.cycles (Vm.gc_stats vm) >= 2);
+  let words_per_op = median_words_per_op ~windows:20 ~ops:5_000 kernel in
+  if words_per_op >= 0.05 then
+    Alcotest.failf "steady-state alloc allocates: %.4f words/op" words_per_op
+
 (* ------------------------------------------------------------------ *)
 (* Satellite 4: observe_into matches the list semantics.               *)
 (* ------------------------------------------------------------------ *)
@@ -364,6 +385,8 @@ let suite =
           steady_state_allocation_free;
         case "vm: load_ref allocates only its Some" `Quick
           load_ref_allocation_bounded;
+        case "vm: steady-state alloc allocates 0 words/op" `Quick
+          alloc_allocation_free;
         QCheck_alcotest.to_alcotest prop_observe_into_matches_model;
         case "prefetcher: observe wrapper = observe_into" `Quick
           observe_wrapper_matches_into;
