@@ -176,10 +176,6 @@ let payload_addr ~layout a h i =
   get a.addr s + layout.Layout.header_bytes
   + ((get a.nrefs s + i) * layout.Layout.word_bytes)
 
-let pp a fmt h =
-  Format.fprintf fmt "obj#%d@0x%x{%dB,%dr,%dw}" (id a h) (addr a h) (size a h)
-    (nrefs a h) (nwords a h)
-
 (* ---- page resources ---------------------------------------------- *)
 
 (* Exact-length reuse, newest first; the pool never holds more entries

@@ -112,8 +112,6 @@ val payload_addr : layout:Layout.t -> arena -> t -> int -> int
 (** Byte address of payload word [i].
     @raise Invalid_argument if out of range. *)
 
-val pp : arena -> Format.formatter -> t -> unit
-
 (** {2 Page resources}
 
     Word storage and object-index arrays outlive the pages that use them:
