@@ -11,7 +11,14 @@ let none = -1
 let[@inline] to_int h = h
 let[@inline] of_int h = h
 
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Word [i] is the native-endian int64 at byte [8 i]; [Bytes.create]
+   leaves it uninitialised and the GC never scans it. *)
+type words = Bytes.t
+
+let no_words = Bytes.empty
+let[@inline] words_length w = Bytes.length w lsr 3
+let[@inline] word_get w i = Int64.to_int (Bytes.get_int64_ne w (i lsl 3))
+let[@inline] word_set w i v = Bytes.set_int64_ne w (i lsl 3) (Int64.of_int v)
 
 (* One int column per field, indexed by slot.  A column is a directory of
    fixed-size chunks, and growing the arena adds one chunk to every
@@ -183,10 +190,10 @@ let payload_addr ~layout a h i =
 let take_words a n =
   let pool = a.words_pool in
   let rec find i =
-    if i < 0 then Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+    if i < 0 then Bytes.create (8 * n)
     else
       let w = Vec.unsafe_get pool i in
-      if Bigarray.Array1.dim w = n then begin
+      if words_length w = n then begin
         let last = Vec.length pool - 1 in
         Vec.set pool i (Vec.unsafe_get pool last);
         Vec.truncate pool last;
@@ -196,7 +203,7 @@ let take_words a n =
   in
   find (Vec.length pool - 1)
 
-let give_words a w = if Bigarray.Array1.dim w > 0 then Vec.push a.words_pool w
+let give_words a w = if words_length w > 0 then Vec.push a.words_pool w
 
 let index_capacity = 16
 

@@ -118,9 +118,18 @@ val payload_addr : layout:Layout.t -> arena -> t -> int -> int
     {!Page.create} takes them from these pools and {!Page.release} gives
     them back, so a steady state of page churn allocates nothing. *)
 
-type words = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Flat per-page word storage, outside the OCaml heap: word [i] mirrors
-    the page's byte offset [8 i].  Not initialised on creation. *)
+type words
+(** Flat per-page word storage: word [i] mirrors the page's byte offset
+    [8 i].  Not initialised on creation, and never scanned by the OCaml
+    GC. *)
+
+val no_words : words
+(** Zero-length storage. *)
+
+val words_length : words -> int
+val word_get : words -> int -> int
+val word_set : words -> int -> int -> unit
+(** @raise Invalid_argument if the word is out of range. *)
 
 val take_words : arena -> int -> words
 (** Storage of exactly [n] words: a pooled one of that length, or a fresh

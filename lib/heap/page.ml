@@ -56,7 +56,7 @@ let released_index = Array.make 4 (-1)
 
 (* The storage of a page no object has written to yet, and of a released
    page. *)
-let no_words = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+let no_words = Heap_obj.no_words
 
 let[@inline] capacity ix = Array.length ix / 2
 
@@ -230,15 +230,15 @@ let[@inline] refs_base t obj =
    page, whose storage is empty). *)
 let[@inline] word_index t addr =
   let i = (addr - t.start) lsr 3 in
-  if i >= Bigarray.Array1.dim t.words then
+  if i >= Heap_obj.words_length t.words then
     invalid_arg "Page: address outside the page's storage";
   i
 
 let[@inline] read t addr =
-  Bigarray.Array1.unsafe_get t.words (word_index t addr)
+  Heap_obj.word_get t.words (word_index t addr)
 
 let[@inline] write t addr v =
-  Bigarray.Array1.unsafe_set t.words (word_index t addr) v
+  Heap_obj.word_set t.words (word_index t addr) v
 
 let get_ref t obj i =
   read t (Heap_obj.ref_slot_addr ~layout:t.layout t.arena obj i)
@@ -250,7 +250,7 @@ let set_ref t obj i p =
    never-written objects (pure garbage without references) never needs
    any. *)
 let ensure_words t =
-  if Bigarray.Array1.dim t.words = 0 then
+  if Heap_obj.words_length t.words = 0 then
     t.words <- Heap_obj.take_words t.arena (word_bits t.layout t.size)
 
 (* Zero the payload on its first write. *)
@@ -258,7 +258,7 @@ let materialise t obj =
   ensure_words t;
   let base = refs_base t obj + Heap_obj.nrefs t.arena obj in
   for j = base to base + Heap_obj.nwords t.arena obj - 1 do
-    Bigarray.Array1.unsafe_set t.words j 0
+    Heap_obj.word_set t.words j 0
   done;
   Heap_obj.set_payload_written t.arena obj
 
@@ -288,7 +288,7 @@ let new_object t ~id ~addr ~nrefs ~nwords =
     ensure_words t;
     let base = refs_base t obj in
     for i = base to base + nrefs - 1 do
-      Bigarray.Array1.unsafe_set t.words i Addr.null
+      Heap_obj.word_set t.words i Addr.null
     done
   end;
   obj
@@ -308,8 +308,8 @@ let move_object ~src ~dst obj ~new_addr =
   if n > 0 then ensure_words dst;
   let into = refs_base dst obj in
   for i = 0 to n - 1 do
-    Bigarray.Array1.unsafe_set dst.words (into + i)
-      (Bigarray.Array1.unsafe_get src.words (from + i))
+    Heap_obj.word_set dst.words (into + i)
+      (Heap_obj.word_get src.words (from + i))
   done
 
 let free_bytes t = t.size - t.top
