@@ -15,7 +15,6 @@ module E = Hcsgc_experiments
 module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
 module Gc_stats = Hcsgc_core.Gc_stats
-module Layout = Hcsgc_heap.Layout
 module H = Hcsgc_memsim.Hierarchy
 module Result_store = Hcsgc_store.Result_store
 
@@ -36,6 +35,24 @@ let int_conv ~expected ok =
   Arg.conv (parse, Format.pp_print_int)
 
 let positive = int_conv ~expected:"a positive integer" (fun n -> n > 0)
+let non_negative = int_conv ~expected:"a non-negative integer" (fun n -> n >= 0)
+
+let positive_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x && x > 0.0 -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
+(* A converter over a library's own parser.  The value keeps its
+   spelling, so --help prints a default as it was written. *)
+let spelled parse =
+  Arg.conv'
+    ( (fun s -> Result.map (fun v -> (s, v)) (parse s)),
+      fun ppf (s, _) -> Format.pp_print_string ppf s )
+
+let spelled_default parse s = (s, Result.get_ok (parse s))
 
 let config_id =
   let doc = "Table 2 configuration id (0-18); 0 is unmodified ZGC." in
@@ -404,7 +421,7 @@ let tradebeans_cmd =
     (Term.const (List.assoc "tradebeans" experiments))
 
 (* ------------------------------------------------------------------ *)
-(* specjbb / lru                                                       *)
+(* specjbb                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let specjbb_cmd =
@@ -429,39 +446,6 @@ let specjbb_cmd =
     (Cmd.info "specjbb" ~doc:"SPECjbb2015-style ramping workload (§4.7)")
     Term.(const run $ config_id $ scale $ seed $ verify_flag)
 
-let lru_cmd =
-  let gc_log_flag =
-    let doc = "Print the structured GC event log after the run." in
-    Arg.(value & flag & info [ "gc-log" ] ~doc)
-  in
-  let run config_id gc_log seed verify =
-    let module L = Hcsgc_workloads.Lru_sim in
-    let config = Config.of_id config_id in
-    let vm =
-      Vm.create
-        ~layout:(Layout.scaled ~small_page:(64 * 1024))
-        ~machine_config:E.Scaled_machine.config ~gc_log ~config
-        ~max_heap:(4 * 1024 * 1024) ()
-    in
-    if verify then Vm.enable_verification vm;
-    let r = L.run vm { L.default with L.seed } in
-    Vm.finish vm;
-    Format.fprintf fmt "gets=%d hits=%d (%.1f%%) puts=%d evictions=%d@."
-      r.L.gets r.L.hits
-      (100.0 *. float_of_int r.L.hits /. float_of_int (max 1 r.L.gets))
-      r.L.puts r.L.evictions;
-    report_single vm;
-    if gc_log then
-      match Vm.gc_log vm with
-      | Some recorder ->
-          Format.fprintf fmt "@.-- GC event log (newest window) --@.%a"
-            Hcsgc_core.Gc_log.pp recorder
-      | None -> ()
-  in
-  Cmd.v
-    (Cmd.info "lru" ~doc:"LRU object-cache service (pointer-surgery workload)")
-    Term.(const run $ config_id $ gc_log_flag $ seed $ verify_flag)
-
 (* ------------------------------------------------------------------ *)
 (* serve: the KV serving tier with SLO accounting                      *)
 (* ------------------------------------------------------------------ *)
@@ -473,70 +457,75 @@ let serve_cmd =
   let module Keydist = Hcsgc_workloads.Keydist in
   let d = Serve.default in
   let keys =
-    Arg.(value & opt int d.Serve.keys & info [ "keys" ] ~docv:"N"
+    Arg.(value & opt positive d.Serve.keys & info [ "keys" ] ~docv:"N"
            ~doc:"Distinct keys in the store (all prepopulated).")
   in
   let value_words =
-    Arg.(value & opt int d.Serve.value_words & info [ "value-words" ]
+    Arg.(value & opt positive d.Serve.value_words & info [ "value-words" ]
            ~docv:"W" ~doc:"Payload words per entry.")
   in
   let mutators =
-    Arg.(value & opt int d.Serve.mutators & info [ "mutators" ] ~docv:"N"
+    Arg.(value & opt positive d.Serve.mutators & info [ "mutators" ] ~docv:"N"
            ~doc:"Serving threads; keys are sharded across them by key mod N.")
   in
   let dist =
-    Arg.(value & opt string "zipf:0.99" & info [ "dist" ] ~docv:"SPEC"
+    Arg.(value
+        & opt (spelled Keydist.spec_of_string)
+            (spelled_default Keydist.spec_of_string "zipf:0.99")
+        & info [ "dist" ] ~docv:"SPEC"
            ~doc:"Key distribution: uniform, hotset:HOT,BIAS, zipf[:THETA], \
                  seq[:STRIDE].")
   in
   let mix =
-    Arg.(value & opt string "60,35,5" & info [ "mix" ] ~docv:"G,U,S"
-           ~doc:"Request mix as get,update,scan percentages (sum 100).")
+    let parse s =
+      match String.split_on_char ',' s |> List.map int_of_string_opt with
+      | [ Some g; Some u; Some sc ]
+        when g >= 0 && u >= 0 && sc >= 0 && g + u + sc = 100 ->
+          Ok (g, u, sc)
+      | _ ->
+          Error
+            (Printf.sprintf
+               "expected G,U,S percentages summing to 100, got %S" s)
+    in
+    let print ppf (g, u, sc) = Format.fprintf ppf "%d,%d,%d" g u sc in
+    let m = d.Serve.mix in
+    Arg.(value
+        & opt (conv' (parse, print))
+            (m.Serve.gets, m.Serve.updates, m.Serve.scans)
+        & info [ "mix" ] ~docv:"G,U,S"
+            ~doc:"Request mix as get,update,scan percentages (sum 100).")
   in
   let scan_len =
-    Arg.(value & opt int d.Serve.mix.Serve.scan_len & info [ "scan-len" ]
+    Arg.(value & opt positive d.Serve.mix.Serve.scan_len & info [ "scan-len" ]
            ~docv:"L" ~doc:"Consecutive slots read per scan request.")
   in
   let arrivals =
-    Arg.(value & opt string "constant" & info [ "arrivals" ] ~docv:"PROC"
+    Arg.(value
+        & opt (spelled Arrival.process_of_string)
+            (spelled_default Arrival.process_of_string "constant")
+        & info [ "arrivals" ] ~docv:"PROC"
            ~doc:"Arrival process: constant, diurnal[:TROUGH], \
                  bursty[:PERIOD,BURST,MULT].")
   in
   let load =
-    Arg.(value & opt float d.Serve.load & info [ "load" ] ~docv:"R"
+    Arg.(value & opt positive_float d.Serve.load & info [ "load" ] ~docv:"R"
            ~doc:"Offered load in requests per megacycle (open loop).")
   in
   let duration =
-    Arg.(value & opt int (d.Serve.duration / 1_000_000) & info [ "duration" ]
+    Arg.(value & opt positive (d.Serve.duration / 1_000_000) & info [ "duration" ]
            ~docv:"MC" ~doc:"Arrival window in megacycles.")
   in
   let slo_us =
-    Arg.(value & opt int 5 & info [ "slo-us" ] ~docv:"US"
+    Arg.(value & opt non_negative 5 & info [ "slo-us" ] ~docv:"US"
            ~doc:"Latency SLO in microseconds (at 3 GHz); 0 disables \
                  violation accounting.")
   in
   let heap_mb =
-    Arg.(value & opt int 8 & info [ "heap-mb" ] ~docv:"MB"
+    Arg.(value & opt positive 8 & info [ "heap-mb" ] ~docv:"MB"
            ~doc:"Max heap in MiB.")
   in
-  let run config_id keys value_words mutators dist mix scan_len arrivals load
-      duration slo_us heap_mb seed trace verify tier =
-    let fail fmt_str = Format.kasprintf (fun m -> Format.eprintf "%s@." m; exit 2) fmt_str in
-    let dist =
-      match Keydist.spec_of_string dist with
-      | Ok s -> s
-      | Error e -> fail "%s" e
-    in
-    let process =
-      match Arrival.process_of_string arrivals with
-      | Ok p -> p
-      | Error e -> fail "%s" e
-    in
-    let gets, updates, scans =
-      match String.split_on_char ',' mix |> List.map int_of_string_opt with
-      | [ Some g; Some u; Some s ] -> (g, u, s)
-      | _ -> fail "bad --mix %S (expected G,U,S percentages)" mix
-    in
+  let run config_id keys value_words mutators (_, dist) (gets, updates, scans)
+      scan_len (_, process) load duration slo_us heap_mb seed trace verify tier =
     let p =
       {
         Serve.keys;
@@ -633,15 +622,15 @@ let profile_cmd =
 let fuzz_cmd =
   let module Fuzz = Hcsgc_fuzz.Fuzz in
   let seeds =
-    Arg.(value & opt int 200 & info [ "seeds" ] ~docv:"N"
+    Arg.(value & opt positive 200 & info [ "seeds" ] ~docv:"N"
            ~doc:"Number of consecutive seeds to fuzz (starting at --seed).")
   in
   let ops =
-    Arg.(value & opt int 1_500 & info [ "ops" ] ~docv:"N"
+    Arg.(value & opt positive 1_500 & info [ "ops" ] ~docv:"N"
            ~doc:"Actions per seed.")
   in
   let slots =
-    Arg.(value & opt int 24 & info [ "slots" ] ~docv:"N"
+    Arg.(value & opt positive 24 & info [ "slots" ] ~docv:"N"
            ~doc:"Root-table slots.")
   in
   let out =
@@ -655,7 +644,7 @@ let fuzz_cmd =
            ~doc:"Skip the mark-sweep reachability oracle (invariants only).")
   in
   let mutators =
-    Arg.(value & opt int 1 & info [ "mutators" ] ~docv:"N"
+    Arg.(value & opt positive 1 & info [ "mutators" ] ~docv:"N"
            ~doc:"Deal actions round-robin over $(docv) mutator threads.")
   in
   let run config_id seed seeds ops slots out no_oracle mutators tier =
@@ -811,4 +800,4 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [ synthetic_cmd; graph_cmd; h2_cmd; tradebeans_cmd; specjbb_cmd;
-            lru_cmd; serve_cmd; profile_cmd; fuzz_cmd; figure_cmd ]))
+            serve_cmd; profile_cmd; fuzz_cmd; figure_cmd ]))

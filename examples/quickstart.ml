@@ -1,7 +1,8 @@
 (* Quickstart: create a VM, allocate a managed object graph, watch HCSGC
    relocate it, and read the statistics the paper's evaluation is built on.
 
-   Run with:  dune exec examples/quickstart.exe *)
+   Run with:  dune exec examples/quickstart.exe
+   Its output is pinned by examples/quickstart.t. *)
 
 module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config

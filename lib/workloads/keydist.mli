@@ -1,9 +1,9 @@
 (** Shared key-distribution generators for request-driven workloads.
 
-    Every workload that asks "which key next?" — the LRU cache service, the
-    multi-mutator array walker, the serving tier — draws from one of these
-    distributions, so skew is specified once and content-address keys can
-    name it unambiguously ({!spec_key}).
+    Every workload that asks "which key next?" — the multi-mutator array
+    walker, the serving tier — draws from one of these distributions, so
+    skew is specified once and content-address keys can name it
+    unambiguously ({!spec_key}).
 
     Sampling consumes randomness only from the {!Hcsgc_util.Rng} the caller
     passes, in a fixed number of draws per sample, so a migrated workload
@@ -14,8 +14,9 @@ type spec =
   | Uniform  (** every key equally likely *)
   | Hotset of { hot_keys : int; hot_bias : float }
       (** with probability [hot_bias], a key from the [hot_keys]-sized
-          scattered hot set ([rank * 31 mod key_space] — the LRU service's
-          historical generator, kept bit-for-bit); otherwise uniform *)
+          scattered hot set ([rank * 31 mod key_space] — the historical
+          generator of an earlier LRU cache workload, kept bit-for-bit);
+          otherwise uniform *)
   | Zipfian of { theta : float }
       (** YCSB-style Zipf over ranks 0..key_space-1 (rank 0 hottest);
           [theta] in [\[0, 1)], typically 0.99 *)

@@ -11,7 +11,7 @@ let () =
    @ Test_store.suite
    @ Test_collector_unit.suite
    @ Test_autotuner.suite @ Test_gc_log.suite @ Test_telemetry.suite
-   @ Test_lru.suite @ Test_keydist.suite @ Test_serve.suite @ Test_trace.suite
+   @ Test_keydist.suite @ Test_serve.suite
    @ Test_misc.suite
    @ Test_fuzz.suite @ Test_verify.suite @ Test_tier.suite
    @ Test_hotpath.suite

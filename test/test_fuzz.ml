@@ -17,6 +17,7 @@ module Gc_stats = Hcsgc_core.Gc_stats
 module Layout = Hcsgc_heap.Layout
 module Heap_obj = Hcsgc_heap.Heap_obj
 module Rng = Hcsgc_util.Rng
+module Fuzz = Hcsgc_fuzz.Fuzz
 
 let check = Alcotest.check
 let case = Alcotest.test_case
@@ -186,6 +187,56 @@ let fuzz_relocation_counts () =
   let cycles = run_fuzz ~config:(Config.of_id 4) ~seed:77 ~ops:15_000 ~slots:96 in
   if cycles < 2 then Alcotest.failf "only %d GC cycles during fuzz" cycles
 
+(* An LRU cache's pointer surgery as fuzz actions.  Table objects are
+   nodes of doubly linked lists (field 1 = prev, field 2 = next).  Most
+   steps splice a node's neighbours together, leaving the successor
+   reachable only through the list, and move another node to the front of
+   a list, so nearly every action is a Link or Unlink through the barriers
+   on objects the collector may be marking or relocating.  Inserts,
+   evictions and garbage keep cycles running.  A wide table keeps the
+   root object's scan long enough for the surgery to race it: with the
+   load barrier's marking removed, config 18 fails here. *)
+let surgery_actions ~seed ~steps ~slots =
+  let rng = Rng.create seed in
+  let slot () = Rng.int rng slots in
+  let prev = 1 and next = 2 in
+  List.concat
+    (List.init steps (fun _ ->
+         match Rng.int rng 10 with
+         | 0 | 1 | 2 -> [ Fuzz.Alloc { slot = slot () } ]
+         | 3 -> [ Fuzz.Drop { slot = slot () }; Fuzz.Churn { count = 64 } ]
+         | _ ->
+             let node = slot () and p = slot () and n = slot () in
+             let head = slot () in
+             [
+               Fuzz.Link { src_slot = p; field = next; dst_slot = n };
+               Fuzz.Link { src_slot = n; field = prev; dst_slot = p };
+               Fuzz.Drop { slot = n };
+               Fuzz.Unlink { slot = node; field = prev };
+               Fuzz.Link { src_slot = node; field = next; dst_slot = head };
+               Fuzz.Link { src_slot = head; field = prev; dst_slot = node };
+               Fuzz.Read_path { slot = head; fields = [ prev; next; next ] };
+             ]))
+
+(* Checked by Fuzz.run against its mirror model, with the invariant
+   sweeps and the mark-sweep oracle at every phase edge, on one mutator
+   and on three. *)
+let pointer_surgery config_id () =
+  let slots = 128 in
+  let actions = surgery_actions ~seed:config_id ~steps:4_000 ~slots in
+  List.iter
+    (fun mutators ->
+      match
+        Fuzz.run ~mutators ~config:(Config.of_id config_id) ~slots actions
+      with
+      | Fuzz.Pass { gc_cycles } ->
+          if gc_cycles < 4 then
+            Alcotest.failf "%d mutator(s): only %d GC cycles" mutators
+              gc_cycles
+      | Fuzz.Fail f ->
+          Alcotest.failf "%d mutator(s): %a" mutators Fuzz.pp_failure f)
+    [ 1; 3 ]
+
 let suite =
   [
     ( "fuzz.model",
@@ -201,5 +252,7 @@ let suite =
         case "config 18 (everything)" `Slow (fuzz_config 18);
         case "many seeds (cfg 18)" `Slow fuzz_many_seeds;
         case "relocating fuzz (cfg 4)" `Slow fuzz_relocation_counts;
+        case "pointer surgery (cfg 4)" `Quick (pointer_surgery 4);
+        case "pointer surgery (cfg 18)" `Quick (pointer_surgery 18);
       ] );
   ]

@@ -1,11 +1,7 @@
-(* Tests for the shared key-distribution module: the pinned byte-identical
-   lru_sim regression (the Keydist extraction must not move a single draw),
+(* Tests for the shared key-distribution module: pinned LRU hit counts of
+   the Hotset stream (the Keydist extraction must not move a single draw),
    distribution shape properties, and the CLI spec parser. *)
 
-module Vm = Hcsgc_runtime.Vm
-module Config = Hcsgc_core.Config
-module Layout = Hcsgc_heap.Layout
-module Lru = Hcsgc_workloads.Lru_sim
 module Keydist = Hcsgc_workloads.Keydist
 module Rng = Hcsgc_util.Rng
 
@@ -13,61 +9,61 @@ let check = Alcotest.check
 let case = Alcotest.test_case
 
 (* ------------------------------------------------------------------ *)
-(* Pinned lru_sim goldens: captured on the pre-extraction tree.  These
-   runs flow every key draw through Keydist.Hotset, so any change in RNG
-   consumption (an extra draw, a reordered draw) shows up here first.    *)
+(* Pinned LRU goldens: captured on the pre-extraction tree from the LRU
+   cache service that first drew this stream.  A reference LRU fed the
+   Hotset keys must reproduce its hit and eviction counts, so any change
+   in RNG consumption (an extra draw, a reordered draw) shows up here.   *)
 (* ------------------------------------------------------------------ *)
 
-let small seed =
-  {
-    Lru.default with
-    Lru.capacity = 200;
-    buckets = 64;
-    operations = 8_000;
-    key_space = 1_000;
-    hot_keys = 100;
-    seed;
-  }
-
-let lru_golden ~seed ~gets ~hits ~puts ~evictions ~checksum ~wall () =
-  let vm =
-    Vm.create
-      ~layout:(Layout.scaled ~small_page:(16 * 1024))
-      ~config:Config.zgc
-      ~max_heap:(8 * 1024 * 1024)
-      ()
+(* Hits, misses and evictions of an LRU cache of [capacity] entries over
+   [operations] Hotset draws (bias 0.85). *)
+let lru_counts ~seed ~capacity ~operations ~key_space ~hot_keys =
+  let dist =
+    Keydist.create (Keydist.Hotset { hot_keys; hot_bias = 0.85 }) ~key_space
   in
-  let r = Lru.run vm (small seed) in
-  check Alcotest.int "gets" gets r.Lru.gets;
-  check Alcotest.int "hits" hits r.Lru.hits;
-  check Alcotest.int "puts" puts r.Lru.puts;
-  check Alcotest.int "evictions" evictions r.Lru.evictions;
-  check Alcotest.int "checksum" checksum r.Lru.checksum;
-  check Alcotest.int "wall cycles" wall (Vm.wall_cycles vm)
+  let rng = Rng.create seed in
+  (* key -> time of last use; [order] holds (key, time) oldest first, and
+     an entry is stale once its key has been used again or evicted. *)
+  let last_use = Hashtbl.create 1024 and order = Queue.create () in
+  let hits = ref 0 and evictions = ref 0 in
+  for t = 1 to operations do
+    let key = Keydist.sample dist rng in
+    if Hashtbl.mem last_use key then incr hits
+    else if Hashtbl.length last_use >= capacity then begin
+      let rec evict () =
+        let k, used = Queue.pop order in
+        if Hashtbl.find_opt last_use k = Some used then begin
+          Hashtbl.remove last_use k;
+          incr evictions
+        end
+        else evict ()
+      in
+      evict ()
+    end;
+    Hashtbl.replace last_use key t;
+    Queue.push (key, t) order
+  done;
+  (!hits, operations - !hits, !evictions)
+
+let lru_golden ~seed ~hits ~puts ~evictions () =
+  check
+    (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int)
+    "hits, puts, evictions" (hits, puts, evictions)
+    (lru_counts ~seed ~capacity:200 ~operations:8_000 ~key_space:1_000
+       ~hot_keys:100)
 
 let lru_pinned_seed0 () =
-  lru_golden ~seed:0 ~gets:8000 ~hits:6929 ~puts:1071 ~evictions:871
-    ~checksum:246 ~wall:669_176 ()
+  lru_golden ~seed:0 ~hits:6929 ~puts:1071 ~evictions:871 ()
 
 let lru_pinned_seed7 () =
-  lru_golden ~seed:7 ~gets:8000 ~hits:6945 ~puts:1055 ~evictions:855
-    ~checksum:409 ~wall:664_147 ()
+  lru_golden ~seed:7 ~hits:6945 ~puts:1055 ~evictions:855 ()
 
-let lru_pinned_default_c18 () =
-  let vm =
-    Vm.create
-      ~layout:(Layout.scaled ~small_page:(64 * 1024))
-      ~config:(Config.of_id 18)
-      ~max_heap:(4 * 1024 * 1024)
-      ()
-  in
-  let r = Lru.run vm Lru.default in
-  check Alcotest.int "gets" 150_000 r.Lru.gets;
-  check Alcotest.int "hits" 128_523 r.Lru.hits;
-  check Alcotest.int "puts" 21_477 r.Lru.puts;
-  check Alcotest.int "evictions" 1_477 r.Lru.evictions;
-  check Alcotest.int "checksum" 51_618 r.Lru.checksum;
-  check Alcotest.int "wall cycles" 55_935_416 (Vm.wall_cycles vm)
+let lru_pinned_default () =
+  check
+    (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int)
+    "hits, puts, evictions" (128_523, 21_477, 1_477)
+    (lru_counts ~seed:0 ~capacity:20_000 ~operations:150_000
+       ~key_space:60_000 ~hot_keys:4_000)
 
 (* The Hotset sampler must consume the RNG exactly like the historical
    inline generator: one float draw, then one int draw. *)
@@ -246,8 +242,8 @@ let suite =
       [
         case "lru pinned golden (seed 0)" `Quick lru_pinned_seed0;
         case "lru pinned golden (seed 7)" `Quick lru_pinned_seed7;
-        case "lru pinned golden (default, config 18)" `Slow
-          lru_pinned_default_c18;
+        case "lru pinned golden (default parameters)" `Quick
+          lru_pinned_default;
         case "hotset = historical inline formula" `Quick
           hotset_matches_inline_formula;
         case "all kinds stay in range" `Quick all_in_range;

@@ -289,6 +289,14 @@ let fuzz_generation_is_deterministic () =
   let c = Fuzz.generate ~seed:6 ~ops:500 ~slots:16 in
   check Alcotest.bool "different seed diverges" true (a <> c)
 
+(* The counterexample text a failing fuzz run writes. *)
+let pp_action_renders () =
+  let render a = Format.asprintf "%a" Fuzz.pp_action a in
+  check Alcotest.string "link" "Link{src=1;field=2;dst=3}"
+    (render (Fuzz.Link { src_slot = 1; field = 2; dst_slot = 3 }));
+  check Alcotest.string "read path" "Read_path{slot=4;fields=[1;2]}"
+    (render (Fuzz.Read_path { slot = 4; fields = [ 1; 2 ] }))
+
 let shrinker_isolates_seeded_corruption () =
   (* Splice one forged-forwarding corruption into an otherwise healthy
      800-action sequence; the harness must (a) fail, (b) keep the
@@ -418,6 +426,7 @@ let suite =
       [
         case "clean seeds pass" `Slow fuzz_clean_seeds_pass;
         case "generation deterministic" `Quick fuzz_generation_is_deterministic;
+        case "action printer" `Quick pp_action_renders;
         case "shrinker isolates corruption" `Slow
           shrinker_isolates_seeded_corruption;
         case "shrinker minimises a predicate" `Quick shrink_respects_predicate;
