@@ -146,12 +146,16 @@ let sweep =
   in
   let jobs =
     let doc =
-      "Worker domains for sweeps. The default is the machine's recommended \
-       domain count, clamped. Results are aggregated in job order, so \
-       output is identical at any $(docv)."
+      "Worker domains for sweeps, at most 127 (OCaml 5.1 runs 128 domains \
+       per process, this one included). The default is the machine's \
+       recommended domain count, clamped. Results are aggregated in job \
+       order, so output is identical at any $(docv)."
+    in
+    let workers =
+      int_conv ~expected:"a worker count in 1-127" (fun n -> n > 0 && n <= 127)
     in
     Arg.(value
-        & opt positive (Hcsgc_exec.Pool.default_jobs ())
+        & opt workers (Hcsgc_exec.Pool.default_jobs ())
         & info [ "jobs"; "j" ] ~docv:"N" ~doc)
   in
   Term.(const (fun runs jobs cache -> { runs; jobs; cache })
@@ -159,7 +163,8 @@ let sweep =
 
 (* Far-memory tier knobs.  [None] when --tier-capacity is 0 (the default),
    which leaves each command's output byte-identical to the tier-free
-   build; otherwise the function puts the knobs on a configuration. *)
+   build; otherwise the function puts the knobs on a configuration and
+   runs [Config.validate]'s cross-knob check. *)
 let tier =
   let capacity =
     let doc =
@@ -168,14 +173,14 @@ let tier =
        behind DRAM at mark end and promoted back on barrier access. \
        Requires a HOTNESS configuration."
     in
-    Arg.(value & opt int 0 & info [ "tier-capacity" ] ~docv:"PAGES" ~doc)
+    Arg.(value & opt non_negative 0 & info [ "tier-capacity" ] ~docv:"PAGES" ~doc)
   in
   let lat_far =
     let doc =
       "Far-tier access latency in cycles (a demand load into a far-resident \
        line pays $(docv) instead of DRAM latency)."
     in
-    Arg.(value & opt int 800 & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
+    Arg.(value & opt positive 800 & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
   in
   let no_promote =
     let doc =
@@ -189,25 +194,31 @@ let tier =
     else
       Some
         (fun config ->
-          match
-            Config.validate
-              {
-                config with
-                Config.tier_capacity_pages = capacity;
-                lat_far;
-                tier_promote = not no_promote;
-              }
-          with
-          | Ok c -> c
-          | Error e ->
-              Format.eprintf "invalid tier flags: %s@." e;
-              exit 2)
+          Config.validate
+            {
+              config with
+              Config.tier_capacity_pages = capacity;
+              lat_far;
+              tier_promote = not no_promote;
+            })
   in
   Term.(const make $ capacity $ lat_far $ no_promote)
 
-let config_of ~tier config_id =
-  let config = Config.of_id config_id in
-  match tier with Some f -> f config | None -> config
+(* The --config row with the tier knobs on it.  A knob the row cannot
+   take (TIER requires HOTNESS) is a usage error, like any bad flag;
+   [skip] (a --all-configs sweep, which ignores both) leaves the row
+   plain. *)
+let configured ?(skip = Term.const false) () =
+  let make skip config_id tier =
+    let config = Config.of_id config_id in
+    match tier with
+    | Some with_tier when not skip ->
+        Result.map_error
+          (fun e -> `Msg ("invalid tier flags: " ^ e))
+          (with_tier config)
+    | _ -> Ok config
+  in
+  Term.(cli_parse_result (const make $ skip $ config_id $ tier))
 
 type trace = { out : string option; sample : int }
 
@@ -316,7 +327,7 @@ let report_single vm =
 (* synthetic / graph / h2 / tradebeans                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_experiment config_id all sweep tier trace verify
+let run_experiment config_id config all sweep tier trace verify
     (exp : E.Runner.experiment) =
   if all then begin
     if trace.out <> None then
@@ -338,7 +349,6 @@ let run_experiment config_id all sweep tier trace verify
     report_store "run" sweep.cache
   end
   else begin
-    let config = config_of ~tier config_id in
     Format.fprintf fmt "workload %s under config %d (%s)%s@." exp.E.Runner.name
       config_id (Config.to_string config)
       (if verify then " [verified]" else "");
@@ -362,13 +372,13 @@ let run_experiment config_id all sweep tier trace verify
    flag, and [exp] adds the command's own workload flags, giving the
    experiment at a --scale. *)
 let workload_cmd name ~doc exp =
-  let run config_id all sweep scale tier trace verify exp =
-    run_experiment config_id all sweep tier trace verify (exp scale)
+  let run config_id config all sweep scale tier trace verify exp =
+    run_experiment config_id config all sweep tier trace verify (exp scale)
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ config_id $ all_configs $ sweep $ scale $ tier $ trace
-      $ verify_flag $ exp)
+      const run $ config_id $ configured ~skip:all_configs () $ all_configs
+      $ sweep $ scale $ tier $ trace $ verify_flag $ exp)
 
 let synthetic_cmd =
   let saturated =
@@ -525,7 +535,7 @@ let serve_cmd =
            ~doc:"Max heap in MiB.")
   in
   let run config_id keys value_words mutators (_, dist) (gets, updates, scans)
-      scan_len (_, process) load duration slo_us heap_mb seed trace verify tier =
+      scan_len (_, process) load duration slo_us heap_mb seed trace verify config =
     let p =
       {
         Serve.keys;
@@ -539,7 +549,6 @@ let serve_cmd =
         seed;
       }
     in
-    let config = config_of ~tier config_id in
     Format.fprintf fmt "serve under config %d (%s)%s@." config_id
       (Config.to_string config)
       (if verify then " [verified]" else "");
@@ -574,7 +583,7 @@ let serve_cmd =
     Term.(
       const run $ config_id $ keys $ value_words $ mutators $ dist $ mix
       $ scan_len $ arrivals $ load $ duration $ slo_us $ heap_mb $ seed
-      $ trace $ verify_flag $ tier)
+      $ trace $ verify_flag $ configured ())
 
 (* ------------------------------------------------------------------ *)
 (* profile: one (experiment, config) pair with full telemetry          *)
@@ -647,8 +656,7 @@ let fuzz_cmd =
     Arg.(value & opt positive 1 & info [ "mutators" ] ~docv:"N"
            ~doc:"Deal actions round-robin over $(docv) mutator threads.")
   in
-  let run config_id seed seeds ops slots out no_oracle mutators tier =
-    let config = config_of ~tier config_id in
+  let run config_id seed seeds ops slots out no_oracle mutators config =
     Format.fprintf fmt
       "fuzzing %d seed(s) from %d: config %d (%s), %d ops x %d slots, %d \
        mutator(s)@."
@@ -687,7 +695,7 @@ let fuzz_cmd =
           sequence (written to --out)")
     Term.(
       const run $ config_id $ seed $ seeds $ ops $ slots $ out $ no_oracle
-      $ mutators $ tier)
+      $ mutators $ configured ())
 
 (* ------------------------------------------------------------------ *)
 (* figure: the paper's tables and figures, plus our ablations          *)

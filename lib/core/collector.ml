@@ -562,12 +562,12 @@ let store_ref t ~core (src : Heap_obj.t) ~slot target =
         Page.write src_page slot_addr Addr.null;
         0
     | Some obj ->
+        (* The handle barrier marks [obj] during marking, so a stored
+           object cannot hide from the cycle in a slot already traced. *)
         let cu = use_handle t ~core obj in
-        (* Keep handle-published objects from hiding during marking. *)
-        let cm = if t.phase = Marking then mark_object t obj else 0 in
         Page.write src_page slot_addr
           (Addr.make t.good (Heap_obj.addr t.objs obj));
-        cu + cm
+        cu
   in
   c0 + c1 + Machine.store t.machine ~core slot_addr
 
@@ -635,7 +635,7 @@ let start_cycle t =
       (Gc_log.Cycle_start
          { cycle = t.cycle_no; wall = t.wall_hint;
            heap_used = Heap.used_bytes t.heap });
-  ignore (Gc_stats.on_cycle_start t.stats ~wall:t.wall_hint);
+  ignore (Gc_stats.on_cycle_start t.stats);
   Gc_stats.on_stw t.stats;
   t.mark_color <- Addr.next_mark_color t.mark_color;
   t.good <- t.mark_color;
@@ -865,7 +865,7 @@ let finish_mark t =
   let medium =
     select_class t ~cls:Layout.Medium ~page_size:(layout t).Layout.medium_page
   in
-  Gc_stats.on_ec_selected t.stats ~small ~medium;
+  Gc_stats.on_ec_selected t.stats ~small;
   if not (Gc_log.is_null t.sink) then
     t.sink
       (Gc_log.Ec_selected
@@ -916,11 +916,6 @@ let finish_mark t =
 (* Free a fully evacuated page and keep its forwarding table reachable for
    stale-pointer remapping until retirement. *)
 let release_page t (page : Page.t) =
-  if not (Gc_log.is_null t.sink) then
-    t.sink
-      (Gc_log.Page_freed
-         { cycle = t.cycle_no; page_id = page.Page.id; bytes = page.Page.size;
-           wall = t.wall_hint });
   (* Drop far-tier residency before the range can be recycled: a later
      page reusing these granules must start DRAM-resident. *)
   (if page.Page.tier = Page.Far then

@@ -48,8 +48,7 @@ val create :
   unit ->
   t
 (** [sink] receives structured GC events ({!Gc_log}); defaults to
-    {!Gc_log.null_sink}.  Fan out to several consumers (event log,
-    telemetry, ...) with {!Gc_log.tee}.
+    {!Gc_log.null_sink}.
 
     When [config.tier_capacity_pages > 0] the collector builds the
     far-memory tier ({!tier}: [tier_capacity_pages] small pages, one
@@ -178,8 +177,9 @@ val store_ref :
   t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option -> int
 (** [store_ref t ~core src ~slot target] writes [target] (or null) into
     reference slot [slot] of [src] with the good colour.  During marking
-    the stored referent is marked (keeping unregistered handles from
-    hiding objects).  Returns the cycle cost. *)
+    the stored referent is marked by its handle barrier ({!use_handle}),
+    keeping unregistered handles from hiding objects.  Returns the cycle
+    cost. *)
 
 (** {2 GC driving (called from VM safepoints)} *)
 

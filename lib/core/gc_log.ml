@@ -7,7 +7,6 @@ type event =
   | Ec_selected of { cycle : int; small : int; medium : int; wall : int }
   | Relocation_deferred of { cycle : int; pages : int; wall : int }
   | Pages_demoted of { cycle : int; pages : int; wall : int }
-  | Page_freed of { cycle : int; page_id : int; bytes : int; wall : int }
   | Cycle_end of { cycle : int; wall : int; heap_used : int }
 
 type sink = event -> unit
@@ -16,93 +15,7 @@ let null_sink (_ : event) = ()
 
 let is_null (s : sink) = s == null_sink
 
-(* Every sink sees every event even when an earlier sink raises: a
-   diagnostic consumer (e.g. a verifier reporting a violation) must not be
-   able to starve the consumers after it in the list.  The first exception
-   is re-raised once the fan-out completes. *)
-let tee sinks event =
-  let first_exn = ref None in
-  List.iter
-    (fun sink ->
-      try sink event
-      with exn ->
-        if !first_exn = None then
-          first_exn := Some (exn, Printexc.get_raw_backtrace ()))
-    sinks;
-  match !first_exn with
-  | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-  | None -> ()
-
-type recorder = {
-  buf : event option array;
-  mutable next : int;
-  mutable total : int;
-}
-
-let recorder ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Gc_log.recorder: capacity must be positive";
-  { buf = Array.make capacity None; next = 0; total = 0 }
-
-let listen r event =
-  r.buf.(r.next) <- Some event;
-  r.next <- (r.next + 1) mod Array.length r.buf;
-  r.total <- r.total + 1
-
-let sink_of_recorder r = listen r
-
-let events r =
-  let cap = Array.length r.buf in
-  let out = ref [] in
-  for i = 0 to cap - 1 do
-    match r.buf.((r.next + i) mod cap) with
-    | Some e -> out := e :: !out
-    | None -> ()
-  done;
-  List.rev !out
-
-let count r = r.total
-
-let dropped r = max 0 (r.total - Array.length r.buf)
-
-let clear r =
-  Array.fill r.buf 0 (Array.length r.buf) None;
-  r.next <- 0;
-  r.total <- 0
-
 let pause_name = function
   | STW1 -> "Pause Mark Start"
   | STW2 -> "Pause Mark End"
   | STW3 -> "Pause Relocate Start"
-
-let pp_event fmt = function
-  | Cycle_start { cycle; wall; heap_used } ->
-      Format.fprintf fmt "[gc] GC(%d) Garbage Collection start (wall=%d used=%dK)"
-        cycle wall (heap_used / 1024)
-  | Pause { cycle; pause; cost; wall = _ } ->
-      Format.fprintf fmt "[gc] GC(%d) %s %dc" cycle (pause_name pause) cost
-  | Mark_end { cycle; marked_objects; wall = _ } ->
-      Format.fprintf fmt "[gc] GC(%d) Concurrent Mark end: %d objects" cycle
-        marked_objects
-  | Ec_selected { cycle; small; medium; wall = _ } ->
-      Format.fprintf fmt
-        "[gc] GC(%d) Relocation Set: %d small, %d medium pages" cycle small
-        medium
-  | Relocation_deferred { cycle; pages; wall = _ } ->
-      Format.fprintf fmt
-        "[gc] GC(%d) Relocation deferred to next cycle (%d pages, lazy)" cycle
-        pages
-  | Pages_demoted { cycle; pages; wall = _ } ->
-      Format.fprintf fmt "[gc] GC(%d) Demoted %d cold pages to far tier" cycle
-        pages
-  | Page_freed { cycle; page_id; bytes; wall = _ } ->
-      Format.fprintf fmt "[gc] GC(%d) Page freed: #%d (%dK)" cycle page_id
-        (bytes / 1024)
-  | Cycle_end { cycle; wall; heap_used } ->
-      Format.fprintf fmt "[gc] GC(%d) Garbage Collection end (wall=%d used=%dK)"
-        cycle wall (heap_used / 1024)
-
-let pp fmt r =
-  if dropped r > 0 then
-    Format.fprintf fmt "[gc] ... %d older events dropped (buffer capacity %d)@."
-      (dropped r) (Array.length r.buf);
-  List.iter (fun e -> Format.fprintf fmt "%a@." pp_event e) (events r)

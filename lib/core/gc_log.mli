@@ -1,15 +1,15 @@
-(** Structured GC event log — the analogue of ZGC's [-Xlog:gc*] output,
+(** Structured GC events — the analogue of ZGC's [-Xlog:gc*] output,
     which the paper extends to report per-cycle EC sizes (§4.2).
 
-    The collector emits events through an optional {!sink}; this module
-    provides the event type, a bounded in-memory recorder, and ZGC-style
-    one-line rendering.  Recording is off unless a sink is installed, so
-    the default fast path pays nothing.
+    The collector emits events through one optional {!sink}; the
+    telemetry recorder ({!Hcsgc_telemetry.Recorder.on_gc_event}) is the
+    consumer that turns them into trace spans and instants.  Emission is
+    off unless a sink is installed, so the default fast path pays
+    nothing.
 
     Every event carries [wall], the simulated wall clock at emission (the
-    collector's latest {!Collector.set_wall_hint}), so downstream consumers
-    — notably {!Hcsgc_telemetry} — can place events on a timeline without a
-    second callback channel. *)
+    collector's latest {!Collector.set_wall_hint}), so consumers can place
+    events on a timeline without a second callback channel. *)
 
 type pause = STW1 | STW2 | STW3
 
@@ -23,13 +23,10 @@ type event =
   | Pages_demoted of { cycle : int; pages : int; wall : int }
       (** Cold pages demoted to the far-memory tier at sweep (only emitted
           with tiering on). *)
-  | Page_freed of { cycle : int; page_id : int; bytes : int; wall : int }
   | Cycle_end of { cycle : int; wall : int; heap_used : int }
 
 type sink = event -> unit
-(** What {!Collector.create} consumes: one callback, however many
-    consumers.  Compose consumers with {!tee} rather than growing the
-    collector a second optional callback. *)
+(** What {!Collector.create} consumes: one callback. *)
 
 val null_sink : sink
 (** Drops every event (the collector's default). *)
@@ -39,46 +36,5 @@ val is_null : sink -> bool
     it to skip constructing event records nobody will see, keeping the
     no-sink path allocation-free. *)
 
-val tee : sink list -> sink
-(** Fan one event stream out to several sinks, called in list order.
-    Delivery is all-or-nothing per sink, not per event: if a sink raises,
-    the remaining sinks still receive the event, and the first exception
-    raised is re-thrown (with its backtrace) once every sink has run.
-    Later exceptions are dropped in favour of the first. *)
-
-type recorder
-
-val recorder : ?capacity:int -> unit -> recorder
-(** A bounded recorder (default capacity 4096 events; older events are
-    dropped first). *)
-
-val listen : recorder -> event -> unit
-(** Record one event; the oldest event is dropped when full. *)
-
-val sink_of_recorder : recorder -> sink
-(** [listen] partially applied — the sink to hand to {!Collector.create}
-    (directly, or through {!tee}). *)
-
-val events : recorder -> event list
-(** Recorded events, oldest surviving first. *)
-
-val count : recorder -> int
-(** Total events ever recorded — {b including} events that have since been
-    dropped from the bounded buffer, so [count r] may exceed
-    [List.length (events r)].  Use {!dropped} for the difference. *)
-
-val dropped : recorder -> int
-(** Events evicted from the buffer so far ([count] minus the events still
-    retrievable via {!events}). *)
-
-val clear : recorder -> unit
-
 val pause_name : pause -> string
 (** ZGC's pause names: ["Pause Mark Start"] etc. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** One line per event, ZGC-log style: ["[gc] GC(3) Pause Mark Start 20000c"]. *)
-
-val pp : Format.formatter -> recorder -> unit
-(** Render every recorded event; when events were dropped, a leading line
-    notes the truncation. *)

@@ -1,21 +1,12 @@
 module Vec = Hcsgc_util.Vec
 
-type cycle_record = {
-  cycle : int;
-  small_pages_in_ec : int;
-  medium_pages_in_ec : int;
-  wall_at_start : int;
-}
-
-(* Per-cycle and per-sample history is kept in parallel int vectors
-   (cycle number = index + 1) rather than vectors of records/tuples:
-   recording on the GC phase paths then allocates nothing — int array
-   stores only.  The vectors are pre-reserved so steady-state runs never
-   even grow them; accessors materialise records on demand. *)
+(* Per-cycle and per-sample history is kept in int vectors (cycle
+   number = index + 1) rather than vectors of records/tuples: recording
+   on the GC phase paths then allocates nothing — int array stores only.
+   The vectors are pre-reserved so steady-state runs never even grow
+   them. *)
 type t = {
-  rec_small : int Vec.t;  (* small_pages_in_ec, per cycle *)
-  rec_medium : int Vec.t;  (* medium_pages_in_ec, per cycle *)
-  rec_wall : int Vec.t;  (* wall_at_start, per cycle *)
+  rec_small : int Vec.t;  (* small pages selected for evacuation, per cycle *)
   mutable allocated : int;
   mutable relocated_mutator : int;
   mutable relocated_gc : int;
@@ -40,8 +31,6 @@ let reserved n =
 let create () =
   {
     rec_small = reserved 1024;
-    rec_medium = reserved 1024;
-    rec_wall = reserved 1024;
     allocated = 0;
     relocated_mutator = 0;
     relocated_gc = 0;
@@ -58,17 +47,14 @@ let create () =
     sample_used = reserved 4096;
   }
 
-let on_cycle_start t ~wall =
+let on_cycle_start t =
   Vec.push t.rec_small 0;
-  Vec.push t.rec_medium 0;
-  Vec.push t.rec_wall wall;
-  Vec.length t.rec_wall
+  Vec.length t.rec_small
 
-let on_ec_selected t ~small ~medium =
-  let n = Vec.length t.rec_wall in
+let on_ec_selected t ~small =
+  let n = Vec.length t.rec_small in
   if n = 0 then invalid_arg "Gc_stats.on_ec_selected: no cycle in progress";
-  Vec.set t.rec_small (n - 1) small;
-  Vec.set t.rec_medium (n - 1) medium
+  Vec.set t.rec_small (n - 1) small
 
 let on_alloc t ~bytes = t.allocated <- t.allocated + bytes
 
@@ -93,16 +79,7 @@ let on_heap_sample t ~wall ~used =
 let on_page_demoted t = t.pages_demoted <- t.pages_demoted + 1
 let on_page_promoted t = t.pages_promoted <- t.pages_promoted + 1
 
-let cycles t = Vec.length t.rec_wall
-
-let cycle_records t =
-  List.init (Vec.length t.rec_wall) (fun i ->
-      {
-        cycle = i + 1;
-        small_pages_in_ec = Vec.get t.rec_small i;
-        medium_pages_in_ec = Vec.get t.rec_medium i;
-        wall_at_start = Vec.get t.rec_wall i;
-      })
+let cycles t = Vec.length t.rec_small
 
 let median_small_pages_in_ec t =
   if Vec.is_empty t.rec_small then 0.0

@@ -5,20 +5,13 @@
 
 type t
 
-type cycle_record = {
-  cycle : int;  (** sequence number, 1-based *)
-  small_pages_in_ec : int;
-  medium_pages_in_ec : int;
-  wall_at_start : int;  (** wall clock (cycles) when the GC cycle began *)
-}
-
 val create : unit -> t
 
-val on_cycle_start : t -> wall:int -> int
+val on_cycle_start : t -> int
 (** Record a cycle start; returns the new cycle sequence number. *)
 
-val on_ec_selected : t -> small:int -> medium:int -> unit
-(** Record the EC size chosen in the current cycle. *)
+val on_ec_selected : t -> small:int -> unit
+(** Record the small-page EC size chosen in the current cycle. *)
 
 val on_alloc : t -> bytes:int -> unit
 (** Record an object allocation (cumulative bytes). *)
@@ -43,9 +36,6 @@ val on_page_promoted : t -> unit
 
 val cycles : t -> int
 (** Completed-or-started GC cycles. *)
-
-val cycle_records : t -> cycle_record list
-(** Oldest first. *)
 
 val median_small_pages_in_ec : t -> float
 (** Median over cycles of small pages selected for evacuation (the per-run

@@ -8,9 +8,9 @@
     [runs] is the sample size per configuration (the paper uses 30; the
     default here is 5 to keep the full suite minutes-scale — raise it for
     tighter intervals).  [scale] divides workload size.  [jobs] fans the
-    sweep's (configuration, run) jobs across a {!Hcsgc_exec.Pool} of
-    domains (default 1 = in-process); results are aggregated in job order,
-    so the rendered figure is identical at any [jobs].  [cache] serves
+    sweep's (configuration, run) jobs across that many domains
+    ({!Hcsgc_exec.Pool}; default 1 = in-process); results are aggregated
+    in job order, so the rendered figure is identical at any [jobs].  [cache] serves
     repeats from a {!Hcsgc_store.Result_store} (see
     {!Runner.run_configs}); it never changes a byte of output. *)
 

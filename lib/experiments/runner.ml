@@ -3,7 +3,6 @@ module Config = Hcsgc_core.Config
 module Gc_stats = Hcsgc_core.Gc_stats
 module H = Hcsgc_memsim.Hierarchy
 module Pool = Hcsgc_exec.Pool
-module Reporter = Hcsgc_exec.Reporter
 module Fingerprint = Hcsgc_store.Fingerprint
 module Result_store = Hcsgc_store.Result_store
 module Scheduler = Hcsgc_store.Scheduler
@@ -242,10 +241,10 @@ let sweep ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify ~encode ~decode
       (Array.map (fun k -> misses.(k))
          (Scheduler.order ~estimate (Array.length misses)))
   in
-  (* Progress lines go through a Reporter so concurrent workers cannot
+  (* Progress calls are serialized so concurrent workers cannot
      interleave them mid-line.  Each group that computes anything is
      announced once, by whichever of its tasks starts first. *)
-  let reporter = Reporter.create progress in
+  let progress_lock = Mutex.create () in
   let announced = Hashtbl.create 32 in
   Array.iter
     (fun t -> Hashtbl.replace announced t.group (Atomic.make false))
@@ -257,11 +256,10 @@ let sweep ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify ~encode ~decode
         let t = tasks.(i) in
         let flag = Hashtbl.find announced t.group in
         if Atomic.compare_and_set flag false true then
-          Reporter.say reporter t.group;
+          Mutex.protect progress_lock (fun () -> progress t.group);
         compute_and_store ?cache ~verify ~encode t
   in
-  Pool.with_pool ~jobs (fun pool ->
-      Pool.map_array_in_order pool ~order run_one (Array.init n Fun.id))
+  Pool.map_array_in_order ~jobs ~order run_one (Array.init n Fun.id)
 
 let chunks keys ~size xs =
   List.mapi (fun i k -> (k, Array.sub xs (i * size) size)) keys

@@ -117,7 +117,7 @@ val metrics_of_string : string -> run_metrics option
     Fig. 13, the ablations, the serving tier, the far-tier capacity
     sweep — runs through {!sweep}.
     Callers describe each job as a {!task} and supply their payload
-    codec; the engine owns lookup, scheduling, the pool, the store and
+    codec; the engine owns lookup, scheduling, the domains, the store and
     progress. *)
 
 type 'a task = {
@@ -160,8 +160,9 @@ val sweep :
 
     [progress] receives each group's [group] line once, when the first of
     its tasks starts computing; fully cached groups stay silent.  Calls
-    are serialized through a {!Hcsgc_exec.Reporter}, so each message
-    arrives whole, but under [~jobs:n] they come from worker domains:
+    are serialized under a mutex, so each message arrives whole and
+    [progress] need not be domain-safe, but under [~jobs:n] they come
+    from worker domains:
     [progress] must not assume it runs on the calling domain, and must
     not call back into the runner. *)
 
@@ -208,9 +209,9 @@ val profile :
     additionally returns the job's span/counter recorder, ready for the
     {!Hcsgc_telemetry} exporters.  Telemetry charges no simulated cycles,
     so the metrics equal an unprofiled {!execute} of the same job; the
-    recorder is domain-local, so profiled jobs may be fanned across a
-    {!Hcsgc_exec.Pool} and still produce byte-identical traces at any
-    [--jobs] setting.
+    recorder is domain-local, so profiled jobs may be fanned across
+    domains ({!Hcsgc_exec.Pool}) and still produce byte-identical traces
+    at any [--jobs] setting.
 
     A profiled run always simulates (the trace cannot come from the
     store), but with [cache] it {e stores} its metrics afterwards through

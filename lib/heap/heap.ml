@@ -264,10 +264,3 @@ let set_tier_dram t (page : Page.t) =
     page.Page.tier <- Page.Dram;
     t.far_total <- t.far_total - page.Page.size
   end
-
-let pp_stats fmt t =
-  Format.fprintf fmt "heap{used=%dK/%dK pages:s=%d,m=%d,l=%d}" (t.used / 1024)
-    (t.max_bytes / 1024)
-    (page_count t Layout.Small)
-    (page_count t Layout.Medium)
-    (page_count t Layout.Large)

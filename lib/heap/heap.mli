@@ -139,15 +139,9 @@ val set_tier_far : t -> Page.t -> unit
 val set_tier_dram : t -> Page.t -> unit
 (** Move the page back to DRAM (no-op if already there). *)
 
-val fresh_obj_id : t -> int
-(** Next object identity (also used by the collector when splitting objects
-    is simulated — monotone, never reused). *)
-
 val obj_ids_issued : t -> int
 (** Number of object identities issued so far — equivalently, the id the
-    next {!fresh_obj_id} call will return.  Read-only; lets the verifier
+    next allocation will get.  Read-only; lets the verifier
     ({!Hcsgc_verify}) tell objects allocated before a cycle's STW1 (which
     marking must cover) from objects born during the cycle (which it need
     not). *)
-
-val pp_stats : Format.formatter -> t -> unit

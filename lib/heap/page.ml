@@ -372,8 +372,6 @@ let state_to_string = function
   | In_ec -> "in-ec"
   | Freed -> "freed"
 
-let tier_to_string = function Dram -> "dram" | Far -> "far"
-
 let pp fmt t =
   Format.fprintf fmt "page#%d[%s,%s,0x%x+%dK,top=%d,live=%d,hot=%d]" t.id
     (Layout.size_class_to_string t.cls)

@@ -205,6 +205,4 @@ val weighted_live_bytes : t -> cold_confidence:float -> int
 (** The paper's WLB (§3.1.3): [cold] if there are no hot bytes, otherwise
     [hot + cold × (1 − cold_confidence)]. *)
 
-val tier_to_string : tier_loc -> string
-
 val pp : Format.formatter -> t -> unit

@@ -40,7 +40,6 @@ type t = {
   mutable tuner_cycle : int;
   mutable tuner_loads : int;
   mutable tuner_misses : int;
-  recorder : Hcsgc_core.Gc_log.recorder option;
   (* Telemetry (hcsgc.telemetry): off unless enable_telemetry installed a
      recorder.  Recording charges no simulated cycles, so instrumented and
      plain runs have identical clocks. *)
@@ -59,16 +58,13 @@ let env_verify () =
   | _ -> false
 
 let create ?layout ?machine_config ?(saturated = false) ?(trigger = 0.25)
-    ?(autotune = false) ?(gc_log = false) ?(mutators = 1)
+    ?(autotune = false) ?(mutators = 1)
     ?verify ~config ~max_heap () =
   if autotune && not config.Config.hotness then
     invalid_arg "Vm.create: autotuning requires a HOTNESS-enabled config";
   if mutators < 1 then invalid_arg "Vm.create: need at least one mutator";
   if saturated && mutators > 1 then
     invalid_arg "Vm.create: saturated mode models a single mutator core";
-  let recorder =
-    if gc_log then Some (Hcsgc_core.Gc_log.recorder ()) else None
-  in
   let cores = if saturated then 1 else mutators + 1 in
   let machine =
     match machine_config with
@@ -90,10 +86,7 @@ let create ?layout ?machine_config ?(saturated = false) ?(trigger = 0.25)
     Vec.iter f locals
   in
   let collector =
-    let sink =
-      Option.map Hcsgc_core.Gc_log.sink_of_recorder recorder
-    in
-    Collector.create ?sink ~heap ~machine ~config
+    Collector.create ~heap ~machine ~config
       ~gc_core:(if saturated then 0 else mutators)
       ~roots:root_fn ()
   in
@@ -122,7 +115,6 @@ let create ?layout ?machine_config ?(saturated = false) ?(trigger = 0.25)
     tuner_cycle = 0;
     tuner_loads = 0;
     tuner_misses = 0;
-    recorder;
     telemetry = None;
     trace_sample = 0;
     next_sample = 0;
@@ -237,10 +229,6 @@ let charge ?(m = 0) t cost =
   t.credit <- t.credit + cost + Cost.op_base;
   t.op_count <- t.op_count + 1;
   if t.credit >= pump_quantum then pump t
-
-let safepoint t =
-  Collector.set_wall_hint t.collector (wall_cycles t);
-  pump t
 
 (* Allocation stall: the mutator blocks until the collector frees enough
    memory for the allocation to succeed.  GC work done while the mutator is
@@ -399,8 +387,6 @@ let mutator_counters t =
 let autotuned_cold_confidence t =
   Option.map Hcsgc_core.Autotuner.cold_confidence t.tuner
 
-let gc_log t = t.recorder
-
 let enable_telemetry ?(sample_interval = 50_000) t =
   if sample_interval <= 0 then
     invalid_arg "Vm.enable_telemetry: sample_interval must be positive";
@@ -411,23 +397,15 @@ let enable_telemetry ?(sample_interval = 50_000) t =
       t.telemetry <- Some r;
       t.trace_sample <- sample_interval;
       t.next_sample <- sample_interval;
-      (* One sink for everything: the Gc_log recorder (if any) and the
-         telemetry translation share the collector's event stream.  Extra
-         counter samples are forced at cycle boundaries so per-cycle deltas
-         (relocation attribution, heap growth) are exact. *)
+      (* The telemetry translation is the collector's one event sink.
+         Extra counter samples are forced at cycle boundaries so per-cycle
+         deltas (relocation attribution, heap growth) are exact. *)
       let module Gc_log = Hcsgc_core.Gc_log in
-      let tele event =
-        Recorder.on_gc_event r event;
-        match event with
-        | Gc_log.Cycle_start _ | Gc_log.Cycle_end _ -> take_sample t
-        | _ -> ()
-      in
-      let sinks =
-        match t.recorder with
-        | Some gr -> [ Gc_log.sink_of_recorder gr; tele ]
-        | None -> [ tele ]
-      in
-      Collector.set_sink t.collector (Gc_log.tee sinks);
+      Collector.set_sink t.collector (fun event ->
+          Recorder.on_gc_event r event;
+          match event with
+          | Gc_log.Cycle_start _ | Gc_log.Cycle_end _ -> take_sample t
+          | _ -> ());
       take_sample t;
       r
 

@@ -32,7 +32,6 @@ val create :
   ?saturated:bool ->
   ?trigger:float ->
   ?autotune:bool ->
-  ?gc_log:bool ->
   ?mutators:int ->
   ?verify:bool ->
   config:Hcsgc_core.Config.t ->
@@ -52,8 +51,6 @@ val create :
     [autotune] (default false) enables the §4.8 feedback loop: the mutator's
     L1 miss rate is sampled once per GC cycle and COLDCONFIDENCE retuned by
     {!Hcsgc_core.Autotuner} — requires a HOTNESS-enabled config.
-    [gc_log] (default false) records structured GC events
-    ({!Hcsgc_core.Gc_log}), retrievable via {!gc_log}.
     [mutators] (default 1) is the number of logical mutator threads, each
     with its own core (private L1/L2, own relocation/allocation target
     pages, own clock); the workload interleaves them cooperatively by
@@ -91,9 +88,6 @@ val touch : ?m:int -> t -> Heap_obj.t -> unit
 val work : ?m:int -> t -> int -> unit
 (** Charge [n] cycles of pure compute (no memory traffic). *)
 
-val safepoint : t -> unit
-(** Explicit safepoint: give the collector a chance to start/advance. *)
-
 (** {2 Telemetry}
 
     The {!Hcsgc_telemetry} integration: an optional recorder of spans and
@@ -106,7 +100,7 @@ val enable_telemetry :
   ?sample_interval:int -> t -> Hcsgc_telemetry.Recorder.t
 (** Attach a telemetry recorder (idempotent — returns the existing one on
     a second call).  GC events are translated onto the recorder's GC
-    track through the same {!Hcsgc_core.Gc_log.sink} the event log uses;
+    track through the collector's one {!Hcsgc_core.Gc_log.sink};
     machine counters are sampled every [sample_interval] wall cycles
     (default 50000) plus once at every GC cycle boundary, so per-cycle
     deltas are exact. *)
@@ -174,9 +168,6 @@ val mutator_counters : t -> Hcsgc_memsim.Hierarchy.counters
 
 val autotuned_cold_confidence : t -> float option
 (** The feedback loop's current COLDCONFIDENCE, when autotuning is on. *)
-
-val gc_log : t -> Hcsgc_core.Gc_log.recorder option
-(** The GC event recorder, when the VM was created with [~gc_log:true]. *)
 
 val gc_stats : t -> Hcsgc_core.Gc_stats.t
 val heap : t -> Hcsgc_heap.Heap.t

@@ -14,7 +14,7 @@
     {e first}, before all estimated jobs: an unknown job may be arbitrarily
     long, and running it early both bounds the tail and teaches the model.
 
-    Only the {e submission} order changes.  Results are still awaited and
+    Only the {e start} order changes.  Results are still collected and
     aggregated in the caller's original job order
     ({!Hcsgc_exec.Pool.map_array_in_order}), so scheduling never affects
     output bytes — only wall-clock. *)

@@ -27,9 +27,6 @@ val percentile_sorted : int array -> pct:float -> int
     once, then read several ranks.
     @raise Invalid_argument on an empty array or [pct] outside (0, 100]. *)
 
-val pause_durations : Recorder.t -> int list
-(** Durations of the recorded STW pause slices, chronological. *)
-
 val pause_intervals : Recorder.t -> (int * int) list
 (** [(start, stop)] of each STW pause slice, chronological. *)
 

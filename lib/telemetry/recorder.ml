@@ -215,8 +215,7 @@ let sample t s =
 
 (* GC events -> trace form.  Pauses are slices of their cost; the
    concurrent phases between them become nested slices under the cycle
-   slice; milestones become instants.  Page_freed is skipped: a busy run
-   frees thousands of pages and the event log already has them. *)
+   slice; milestones become instants. *)
 let on_gc_event t (e : Gc_log.event) =
   match e with
   | Gc_log.Cycle_start { cycle; wall; heap_used } ->
@@ -247,7 +246,6 @@ let on_gc_event t (e : Gc_log.event) =
       instant t Gc ~name:"Relocation deferred" ~args:[ ("pages", pages) ] ~wall
   | Gc_log.Pages_demoted { cycle = _; pages; wall } ->
       instant t Gc ~name:"Pages demoted" ~args:[ ("pages", pages) ] ~wall
-  | Gc_log.Page_freed _ -> ()
   | Gc_log.Cycle_end { cycle; wall; heap_used } ->
       end_named t Gc
         ~name:(Printf.sprintf "GC(%d)" cycle)

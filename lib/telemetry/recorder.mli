@@ -12,7 +12,7 @@
     simulated cycles, so an instrumented run's simulated clock is
     byte-identical to an uninstrumented one (asserted by the test suite).
     Both stores are ring buffers — when full, the oldest entry is dropped
-    and the drop is counted, like {!Hcsgc_core.Gc_log}.  Spans are stored
+    and the drop is counted.  Spans are stored
     field by field (a struct-of-arrays ring that starts small and doubles
     up to its capacity), so a recorded span costs a fixed 15 words and
     recording an arg-less span allocates nothing.
@@ -99,9 +99,7 @@ val sample : t -> sample -> unit
 val on_gc_event : t -> Hcsgc_core.Gc_log.event -> unit
 (** Translate one structured GC event into trace form on the {!Gc} track:
     cycles and concurrent phases become nested slices, STW pauses become
-    slices of their cost, mark/EC/deferral milestones become instants.
-    [Page_freed] is deliberately not traced (too frequent); it remains
-    available through {!Hcsgc_core.Gc_log}. *)
+    slices of their cost, mark/EC/deferral milestones become instants. *)
 
 (** {2 Reading} *)
 

@@ -104,11 +104,6 @@ let store_line ~dir ~hits ~misses ~corrupt ~stored ~bytes_read ~bytes_written =
      read, %.1f KiB written at %s"
     hits misses corrupt stored (kib bytes_read) (kib bytes_written) dir
 
-let write_store fmt ~dir ~hits ~misses ~corrupt ~stored ~bytes_read
-    ~bytes_written =
-  Format.fprintf fmt "@\n-- result store --@\n%s@\n"
-    (store_line ~dir ~hits ~misses ~corrupt ~stored ~bytes_read ~bytes_written)
-
 let to_string r =
   let buf = Buffer.create 2048 in
   let fmt = Format.formatter_of_buffer buf in

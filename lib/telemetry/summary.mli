@@ -29,14 +29,3 @@ val store_line :
     figure text on stdout stays byte-identical between cold and warm
     runs). *)
 
-val write_store :
-  Format.formatter ->
-  dir:string ->
-  hits:int ->
-  misses:int ->
-  corrupt:int ->
-  stored:int ->
-  bytes_read:int ->
-  bytes_written:int ->
-  unit
-(** {!store_line} as a [-- result store --] summary section. *)

@@ -501,5 +501,3 @@ let install ?(oracle = true) col =
                raise
                  (Violation
                     { edge; cycle = Collector.cycle_number col; errors })))
-
-let uninstall col = Collector.set_phase_hook col None

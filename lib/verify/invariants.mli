@@ -60,5 +60,3 @@ val install : ?oracle:bool -> Collector.t -> unit
 (** Install the sanitizer as the collector's phase hook: {!check_exn} at
     every edge and — when [oracle] is [true], the default — {!Oracle.check}
     at [Mark_done].  Replaces any previously installed hook. *)
-
-val uninstall : Collector.t -> unit

@@ -150,9 +150,3 @@ let check c =
   match (d.missed, d.errors) with
   | [], [] -> Ok d
   | missed, errors -> Error (missed @ errors)
-
-let pp_diff fmt d =
-  Format.fprintf fmt
-    "oracle{reachable=%d marked=%d floating=%d missed=%d errors=%d}"
-    d.reachable_count d.marked_count d.floating (List.length d.missed)
-    (List.length d.errors)

@@ -74,5 +74,3 @@ val diff : Collector.t -> diff
 
 val check : Collector.t -> (diff, string list) result
 (** [Ok] when {!diff} found no missed objects and no resolution errors. *)
-
-val pp_diff : Format.formatter -> diff -> unit

@@ -233,6 +233,35 @@ let stale_handle_after_slot_reuse () =
 (* Barrier behaviour                                                   *)
 (* ------------------------------------------------------------------ *)
 
+(* Vm.mli's promise that objects "are also kept alive by being stored"
+   during a cycle.  [obj] predates the cycle but is held only in an OCaml
+   variable at STW1, so root scanning cannot find it; [keeper] is born
+   during marking, so marking never traces its slots.  Only the barrier
+   on the stored target can mark [obj]; without it the oracle reports a
+   reachable pre-cycle object missing from the livemap at Mark End. *)
+let store_during_marking_keeps_target () =
+  let vm =
+    Vm.create ~layout ~verify:true ~config:(Config.of_id 18)
+      ~max_heap:(2 * 1024 * 1024) ()
+  in
+  let col = Vm.collector vm in
+  let obj = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+  Vm.store_word vm obj 0 42;
+  check Alcotest.bool "no cycle yet" false (Collector.in_cycle col);
+  Collector.start_cycle col;
+  let keeper = Vm.alloc vm ~nrefs:1 ~nwords:0 in
+  Vm.add_root vm keeper;
+  check Alcotest.bool "still marking at the store" true
+    (Collector.phase col = Collector.Marking);
+  Vm.store_ref vm keeper 0 (Some obj);
+  Collector.drain col;
+  churn_one_cycle vm;
+  Vm.finish vm;
+  match Vm.load_ref vm keeper 0 with
+  | Some o -> check Alcotest.int "stored object survives" 42 (Vm.load_word vm o 0)
+  | None -> Alcotest.fail "stored reference lost"
+
+
 let self_healing_makes_loads_cheap () =
   (* After a colour flip, the first load of a slot takes the slow path; the
      second takes the fast path — visible as a cost difference. *)
@@ -328,6 +357,8 @@ let suite =
         case "stale handle detected" `Quick stale_handle_detected;
         case "stale handle after slot reuse" `Quick
           stale_handle_after_slot_reuse;
+        case "store during marking keeps target" `Quick
+          store_during_marking_keeps_target;
         case "self-healing cheapens loads" `Quick self_healing_makes_loads_cheap;
         case "relocate-all enlarges EC" `Quick ec_median_tracks_relocate_all;
         case "verifier clean after churn" `Slow verify_clean_after_churn;

@@ -81,12 +81,12 @@ let config_to_string () =
 
 let stats_cycles_and_median () =
   let st = Gc_stats.create () in
-  check Alcotest.int "first cycle is 1" 1 (Gc_stats.on_cycle_start st ~wall:0);
-  Gc_stats.on_ec_selected st ~small:7 ~medium:1;
-  ignore (Gc_stats.on_cycle_start st ~wall:100);
-  Gc_stats.on_ec_selected st ~small:3 ~medium:0;
-  ignore (Gc_stats.on_cycle_start st ~wall:200);
-  Gc_stats.on_ec_selected st ~small:5 ~medium:0;
+  check Alcotest.int "first cycle is 1" 1 (Gc_stats.on_cycle_start st);
+  Gc_stats.on_ec_selected st ~small:7;
+  ignore (Gc_stats.on_cycle_start st);
+  Gc_stats.on_ec_selected st ~small:3;
+  ignore (Gc_stats.on_cycle_start st);
+  Gc_stats.on_ec_selected st ~small:5;
   check Alcotest.int "cycles" 3 (Gc_stats.cycles st);
   check (Alcotest.float 1e-9) "median of [7;3;5]" 5.0
     (Gc_stats.median_small_pages_in_ec st)
@@ -95,8 +95,8 @@ let stats_median_even () =
   let st = Gc_stats.create () in
   List.iter
     (fun n ->
-      ignore (Gc_stats.on_cycle_start st ~wall:0);
-      Gc_stats.on_ec_selected st ~small:n ~medium:0)
+      ignore (Gc_stats.on_cycle_start st);
+      Gc_stats.on_ec_selected st ~small:n)
     [ 2; 8; 4; 6 ];
   check (Alcotest.float 1e-9) "median of [2;8;4;6]" 5.0
     (Gc_stats.median_small_pages_in_ec st)
@@ -114,7 +114,7 @@ let stats_ec_requires_cycle () =
   let st = Gc_stats.create () in
   Alcotest.check_raises "no cycle"
     (Invalid_argument "Gc_stats.on_ec_selected: no cycle in progress")
-    (fun () -> Gc_stats.on_ec_selected st ~small:1 ~medium:0)
+    (fun () -> Gc_stats.on_ec_selected st ~small:1)
 
 (* ------------------------------------------------------------------ *)
 (* Collector behaviour (driven through a small VM)                     *)

@@ -1,9 +1,8 @@
-(* Tests for hcsgc.exec: the domain pool (ordering, exception transparency,
-   sequential fallback), the serialized reporter, and the determinism
-   guarantee the experiment runner builds on top of them. *)
+(* Tests for hcsgc.exec: the ordered parallel map (ordering, exception
+   transparency, sequential fallback) and the determinism guarantee the
+   experiment runner builds on top of it, serialized progress included. *)
 
 module Pool = Hcsgc_exec.Pool
-module Reporter = Hcsgc_exec.Reporter
 module Runner = Hcsgc_experiments.Runner
 module Fig_synthetic = Hcsgc_experiments.Fig_synthetic
 
@@ -14,9 +13,8 @@ let case = Alcotest.test_case
 (* Pool                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* [Pool.map_array_in_order] is the pool's one mapping entry point.  Every
-   property below holds under the identity submission order and its
-   reverse: submission order may only change which worker runs what. *)
+(* Every property below holds under the identity start order and its
+   reverse: start order may only change which domain runs what. *)
 let orders n =
   [
     ("identity", Array.init n Fun.id);
@@ -26,8 +24,7 @@ let orders n =
 let map_each_order ~jobs f xs =
   List.map
     (fun (name, order) ->
-      (name, Pool.with_pool ~jobs (fun pool ->
-                 Pool.map_array_in_order pool ~order f xs)))
+      (name, Pool.map_array_in_order ~jobs ~order f xs))
     (orders (Array.length xs))
 
 let results_in_submission_order () =
@@ -66,10 +63,9 @@ let exception_propagates () =
       Alcotest.check_raises ("worker exception re-raised, " ^ name) (Boom 7)
         (fun () ->
           ignore
-            (Pool.with_pool ~jobs:2 (fun pool ->
-                 Pool.map_array_in_order pool ~order
-                   (fun i -> if i = 5 then raise (Boom 7) else i)
-                   (Array.init 10 Fun.id)))))
+            (Pool.map_array_in_order ~jobs:2 ~order
+               (fun i -> if i = 5 then raise (Boom 7) else i)
+               (Array.init 10 Fun.id))))
     (orders 10)
 
 let first_failure_in_input_order () =
@@ -84,10 +80,9 @@ let first_failure_in_input_order () =
             (Boom 3)
             (fun () ->
               ignore
-                (Pool.with_pool ~jobs (fun pool ->
-                     Pool.map_array_in_order pool ~order
-                       (fun i -> if i = 3 || i = 7 then raise (Boom i) else i)
-                       (Array.init 10 Fun.id)))))
+                (Pool.map_array_in_order ~jobs ~order
+                   (fun i -> if i = 3 || i = 7 then raise (Boom i) else i)
+                   (Array.init 10 Fun.id))))
         (orders 10))
     [ 1; 2 ]
 
@@ -102,9 +97,8 @@ let exception_keeps_backtrace () =
   List.iter
     (fun (_, order) ->
       match
-        Pool.with_pool ~jobs:2 (fun pool ->
-            Pool.map_array_in_order pool ~order (fun () -> deep_raise ())
-              [| (); () |])
+        Pool.map_array_in_order ~jobs:2 ~order (fun () -> deep_raise ())
+          [| (); () |]
       with
       | _ -> Alcotest.fail "expected Boom"
       | exception Boom 1 -> ())
@@ -133,20 +127,6 @@ let jobsn_uses_worker_domains () =
        (fun _ -> (Domain.self () :> int))
        (Array.init 8 Fun.id))
 
-let async_await_roundtrip () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let p = Pool.async pool (fun () -> 40 + 2) in
-      let q = Pool.async pool (fun () -> "ok") in
-      check Alcotest.int "int promise" 42 (Pool.await p);
-      check Alcotest.string "string promise" "ok" (Pool.await q))
-
-let submit_after_shutdown_rejected () =
-  let pool = Pool.create ~jobs:2 in
-  Pool.shutdown pool;
-  Alcotest.check_raises "async on shut-down pool"
-    (Invalid_argument "Pool.async: pool is shut down") (fun () ->
-      ignore (Pool.await (Pool.async pool (fun () -> ()))))
-
 let default_jobs_clamped () =
   let d = Pool.default_jobs () in
   check Alcotest.bool "1 <= default <= 16" true (d >= 1 && d <= 16)
@@ -166,6 +146,10 @@ let default_jobs_env_override () =
       check Alcotest.int "HCSGC_JOBS=3 honoured" 3 (Pool.default_jobs ()));
   with_jobs_env " 24 " (fun () ->
       check Alcotest.int "not clamped to 16" 24 (Pool.default_jobs ()));
+  (* OCaml 5.1's domain limit: 128 per process, the caller included. *)
+  with_jobs_env "1000" (fun () ->
+      check Alcotest.int "clamped to the domain limit" 127
+        (Pool.default_jobs ()));
   (* Malformed or non-positive values fall back to the clamped default. *)
   List.iter
     (fun v ->
@@ -176,36 +160,6 @@ let default_jobs_env_override () =
             true
             (d >= 1 && d <= 16)))
     [ "0"; "-2"; "many"; "" ]
-
-(* ------------------------------------------------------------------ *)
-(* Reporter                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let reporter_lines_stay_whole () =
-  let buf = Buffer.create 4096 in
-  let r = Reporter.create (fun l -> Buffer.add_string buf (l ^ "\n")) in
-  let domains = 4 and lines = 50 in
-  Pool.with_pool ~jobs:domains (fun pool ->
-      ignore
-        (Pool.map_array_in_order pool
-           ~order:(Array.init domains Fun.id)
-           (fun d ->
-             for i = 0 to lines - 1 do
-               Reporter.say r (Printf.sprintf "domain=%d line=%d tail" d i)
-             done)
-           (Array.init domains Fun.id)));
-  let got = String.split_on_char '\n' (Buffer.contents buf) in
-  let got = List.filter (fun l -> l <> "") got in
-  check Alcotest.int "every line arrived" (domains * lines) (List.length got);
-  List.iter
-    (fun l ->
-      let intact =
-        String.length l > 5
-        && String.sub l 0 7 = "domain="
-        && String.sub l (String.length l - 4) 4 = "tail"
-      in
-      check Alcotest.bool ("line intact: " ^ l) true intact)
-    got
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of parallel sweeps                                      *)
@@ -220,6 +174,36 @@ let jobs_of_expansion () =
     "deterministic (config, run) order"
     [ (0, 0); (0, 1); (4, 0); (4, 1); (16, 0); (16, 1) ]
     (List.map (fun j -> (j.Runner.config_id, j.Runner.run)) jobs)
+
+(* [Runner.sweep] serializes [progress]: a sink that is not domain-safe
+   (a shared Buffer) still receives every group's line whole, once. *)
+let progress_lines_stay_whole () =
+  let groups = 200 in
+  let tasks =
+    Array.init groups (fun g ->
+        {
+          Runner.group = Printf.sprintf "group=%d %s tail" g (String.make 64 'x');
+          experiment = "progress-test";
+          config = string_of_int g;
+          run = 0;
+          compute = (fun () -> g);
+        })
+  in
+  let buf = Buffer.create 4096 in
+  let got =
+    Runner.sweep ~jobs:4
+      ~progress:(fun l -> Buffer.add_string buf (l ^ "\n"))
+      ~verify:false ~encode:string_of_int ~decode:int_of_string_opt tasks
+  in
+  check (Alcotest.array Alcotest.int) "results in task order"
+    (Array.init groups Fun.id) got;
+  let lines =
+    List.filter (fun l -> l <> "") (String.split_on_char '\n' (Buffer.contents buf))
+  in
+  (* A torn or interleaved line would not equal any group string. *)
+  check (Alcotest.list Alcotest.string) "every group's line, whole, once"
+    (List.sort compare (Array.to_list (Array.map (fun t -> t.Runner.group) tasks)))
+    (List.sort compare lines)
 
 let parallel_sweep_bit_identical () =
   (* A small Fig. 4 sweep: every run_metrics field (including the
@@ -246,15 +230,13 @@ let suite =
         case "exception keeps backtrace" `Quick exception_keeps_backtrace;
         case "jobs:1 uses no domains" `Quick jobs1_runs_on_calling_domain;
         case "jobs:n uses worker domains" `Quick jobsn_uses_worker_domains;
-        case "async/await" `Quick async_await_roundtrip;
-        case "shutdown rejects submits" `Quick submit_after_shutdown_rejected;
         case "default_jobs clamped" `Quick default_jobs_clamped;
         case "default_jobs env override" `Quick default_jobs_env_override;
       ] );
-    ("exec.reporter", [ case "lines stay whole" `Quick reporter_lines_stay_whole ]);
     ( "exec.determinism",
       [
         case "jobs_of expansion" `Quick jobs_of_expansion;
+        case "progress lines stay whole" `Quick progress_lines_stay_whole;
         case "parallel sweep bit-identical" `Slow parallel_sweep_bit_identical;
       ] );
   ]

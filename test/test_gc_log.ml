@@ -1,7 +1,8 @@
-(* Tests for the structured GC event log (the -Xlog:gc analogue). *)
+(* Tests for the structured GC events (the -Xlog:gc analogue). *)
 
 module Gc_log = Hcsgc_core.Gc_log
 module Vm = Hcsgc_runtime.Vm
+module Collector = Hcsgc_core.Collector
 module Config = Hcsgc_core.Config
 module Gc_stats = Hcsgc_core.Gc_stats
 module Layout = Hcsgc_heap.Layout
@@ -11,68 +12,26 @@ let case = Alcotest.test_case
 
 let layout = Layout.scaled ~small_page:(16 * 1024)
 
-let recorder_ring_buffer () =
-  let r = Gc_log.recorder ~capacity:3 () in
-  for i = 1 to 5 do
-    Gc_log.listen r
-      (Gc_log.Mark_end { cycle = i; marked_objects = i; wall = i * 10 })
-  done;
-  check Alcotest.int "total counted" 5 (Gc_log.count r);
-  check Alcotest.int "dropped counted" 2 (Gc_log.dropped r);
-  let cycles =
-    List.map
-      (function Gc_log.Mark_end { cycle; _ } -> cycle | _ -> -1)
-      (Gc_log.events r)
-  in
-  check (Alcotest.list Alcotest.int) "keeps the newest, in order" [ 3; 4; 5 ]
-    cycles;
-  Gc_log.clear r;
-  check Alcotest.int "cleared" 0 (Gc_log.count r);
-  check Alcotest.int "dropped cleared" 0 (Gc_log.dropped r);
-  check (Alcotest.list Alcotest.int) "no events" []
-    (List.map (fun _ -> 0) (Gc_log.events r))
+(* Install a sink that keeps every event the VM's collector emits; the
+   returned thunk reads them back, oldest first. *)
+let record vm =
+  let events = ref [] in
+  Collector.set_sink (Vm.collector vm) (fun e -> events := e :: !events);
+  fun () -> List.rev !events
 
-let recorder_reports_truncation () =
-  let r = Gc_log.recorder ~capacity:2 () in
-  for i = 1 to 5 do
-    Gc_log.listen r
-      (Gc_log.Mark_end { cycle = i; marked_objects = i; wall = i * 10 })
-  done;
-  let rendered = Format.asprintf "%a" Gc_log.pp r in
-  let contains ~needle hay =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  let first_line = List.hd (String.split_on_char '\n' rendered) in
-  check Alcotest.bool "pp notes the dropped events" true
-    (contains ~needle:"3 older events dropped" first_line);
-  (* A recorder that never overflowed prints no truncation line. *)
-  let small = Gc_log.recorder ~capacity:8 () in
-  Gc_log.listen small
-    (Gc_log.Mark_end { cycle = 1; marked_objects = 1; wall = 0 });
-  check Alcotest.int "no drops" 0 (Gc_log.dropped small)
-
-let event_rendering () =
-  let line e = Format.asprintf "%a" Gc_log.pp_event e in
-  check Alcotest.string "pause line" "[gc] GC(2) Pause Mark Start 20000c"
-    (line
-       (Gc_log.Pause
-          { cycle = 2; pause = Gc_log.STW1; cost = 20_000; wall = 123 }));
-  check Alcotest.string "ec line" "[gc] GC(1) Relocation Set: 5 small, 1 medium pages"
-    (line (Gc_log.Ec_selected { cycle = 1; small = 5; medium = 1; wall = 0 }))
+let pause_names () =
+  check (Alcotest.list Alcotest.string) "ZGC pause names"
+    [ "Pause Mark Start"; "Pause Mark End"; "Pause Relocate Start" ]
+    (List.map Gc_log.pause_name [ Gc_log.STW1; Gc_log.STW2; Gc_log.STW3 ])
 
 let vm_records_cycle_structure () =
-  let vm =
-    Vm.create ~layout ~gc_log:true ~config:Config.zgc
-      ~max_heap:(1024 * 1024) ()
-  in
+  let vm = Vm.create ~layout ~config:Config.zgc ~max_heap:(1024 * 1024) () in
+  let events = record vm in
   for _ = 1 to 40_000 do
     ignore (Vm.alloc vm ~nrefs:0 ~nwords:12)
   done;
   Vm.finish vm;
-  let r = Option.get (Vm.gc_log vm) in
-  let events = Gc_log.events r in
+  let events = events () in
   let count p = List.length (List.filter p events) in
   let starts = count (function Gc_log.Cycle_start _ -> true | _ -> false) in
   let ends = count (function Gc_log.Cycle_end _ -> true | _ -> false) in
@@ -106,9 +65,9 @@ let vm_records_cycle_structure () =
 
 let lazy_deferral_logged () =
   let vm =
-    Vm.create ~layout ~gc_log:true ~config:(Config.of_id 4)
-      ~max_heap:(1024 * 1024) ()
+    Vm.create ~layout ~config:(Config.of_id 4) ~max_heap:(1024 * 1024) ()
   in
+  let events = record vm in
   let keeper = Vm.alloc vm ~nrefs:64 ~nwords:0 in
   Vm.add_root vm keeper;
   for i = 0 to 63 do
@@ -119,84 +78,35 @@ let lazy_deferral_logged () =
     ignore (Vm.alloc vm ~nrefs:0 ~nwords:12)
   done;
   Vm.finish vm;
-  let r = Option.get (Vm.gc_log vm) in
   check Alcotest.bool "lazy deferral events present" true
     (List.exists
        (function Gc_log.Relocation_deferred _ -> true | _ -> false)
-       (Gc_log.events r))
+       (events ()))
 
-let page_frees_logged () =
-  let vm =
-    Vm.create ~layout ~gc_log:true ~config:Config.zgc
-      ~max_heap:(1024 * 1024) ()
-  in
-  for _ = 1 to 40_000 do
-    ignore (Vm.alloc vm ~nrefs:0 ~nwords:12)
-  done;
-  Vm.finish vm;
-  let r = Option.get (Vm.gc_log vm) in
-  let freed_events =
-    List.length
-      (List.filter
-         (function Gc_log.Page_freed _ -> true | _ -> false)
-         (Gc_log.events r))
-  in
-  check Alcotest.bool "page frees logged" true (freed_events > 0)
-
+(* No consumer, no events: a VM emits GC events only once telemetry
+   installs the recorder's translator as the collector's sink. *)
 let off_by_default () =
   let vm = Vm.create ~layout ~config:Config.zgc ~max_heap:(1024 * 1024) () in
-  check Alcotest.bool "no recorder" true (Vm.gc_log vm = None)
-
-exception Sink_boom
-
-(* A sink raising must not starve the sinks after it: every sink sees every
-   event, in sink order, and the first exception is re-raised once all sinks
-   have run. *)
-let tee_survives_raising_sink () =
-  let log = ref [] in
-  let sink name e = log := (name, e) :: !log in
-  let raising e =
-    sink "raising" e;
-    raise Sink_boom
+  let churn () =
+    for _ = 1 to 40_000 do
+      ignore (Vm.alloc vm ~nrefs:0 ~nwords:12)
+    done
   in
-  let ev cycle = Gc_log.Mark_end { cycle; marked_objects = 0; wall = 0 } in
-  let tee = Gc_log.tee [ raising; sink "second"; sink "third" ] in
-  (match tee (ev 1) with
-  | () -> Alcotest.fail "tee swallowed the sink's exception"
-  | exception Sink_boom -> ());
-  check (Alcotest.list Alcotest.string) "all sinks ran, in order"
-    [ "raising"; "second"; "third" ]
-    (List.rev_map fst !log);
-  (* The exception is per-event: the tee keeps working afterwards. *)
-  log := [];
-  (match tee (ev 2) with () -> () | exception Sink_boom -> ());
-  check Alcotest.int "subsequent events still fan out" 3 (List.length !log)
-
-let tee_reraises_first_exception () =
-  let last_ran = ref false in
-  let tee =
-    Gc_log.tee
-      [ (fun _ -> failwith "a"); (fun _ -> failwith "b");
-        (fun _ -> last_ran := true) ]
-  in
-  match tee (Gc_log.Mark_end { cycle = 1; marked_objects = 0; wall = 0 }) with
-  | () -> Alcotest.fail "expected an exception"
-  | exception Failure msg ->
-      check Alcotest.string "first sink's exception wins" "a" msg;
-      check Alcotest.bool "later sinks still ran" true !last_ran
+  churn ();
+  check Alcotest.bool "no recorder" true (Vm.telemetry vm = None);
+  let r = Vm.enable_telemetry vm in
+  churn ();
+  Vm.finish vm;
+  check Alcotest.bool "pauses reach the recorder once enabled" true
+    (Hcsgc_telemetry.Analyzer.pause_intervals r <> [])
 
 let suite =
   [
     ( "core.gc_log",
       [
-        case "ring buffer" `Quick recorder_ring_buffer;
-        case "truncation notice" `Quick recorder_reports_truncation;
-        case "rendering" `Quick event_rendering;
+        case "rendering" `Quick pause_names;
         case "cycle structure" `Quick vm_records_cycle_structure;
         case "lazy deferral" `Quick lazy_deferral_logged;
-        case "page frees" `Quick page_frees_logged;
         case "off by default" `Quick off_by_default;
-        case "tee survives raising sink" `Quick tee_survives_raising_sink;
-        case "tee re-raises first exception" `Quick tee_reraises_first_exception;
       ] );
   ]

@@ -2,7 +2,6 @@
    miscellaneous API corners. *)
 
 module Cost = Hcsgc_core.Cost
-module Gc_log = Hcsgc_core.Gc_log
 module Scaled_machine = Hcsgc_experiments.Scaled_machine
 module H = Hcsgc_memsim.Hierarchy
 module C = Hcsgc_memsim.Cache
@@ -48,11 +47,6 @@ let scaled_machine_proportions () =
   check Alcotest.bool "same latencies" true
     (c.H.lat_l1 = d.H.lat_l1 && c.H.lat_mem = d.H.lat_mem)
 
-let gc_log_rejects_bad_capacity () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Gc_log.recorder: capacity must be positive") (fun () ->
-      ignore (Gc_log.recorder ~capacity:0 ()))
-
 let connectivity_counts_visits () =
   let vm =
     Vm.create
@@ -94,7 +88,6 @@ let suite =
       [
         case "cost model ordering" `Quick cost_model_ordering;
         case "scaled machine proportions" `Quick scaled_machine_proportions;
-        case "gc_log capacity validated" `Quick gc_log_rejects_bad_capacity;
         case "connectivity visit counting" `Quick connectivity_counts_visits;
         case "mgraph dispose unroots" `Quick mgraph_dispose_unroots;
         case "saturated note" `Quick saturated_note_nonempty;

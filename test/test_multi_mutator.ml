@@ -8,7 +8,6 @@ module Gc_stats = Hcsgc_core.Gc_stats
 module Layout = Hcsgc_heap.Layout
 module H = Hcsgc_memsim.Hierarchy
 module Runner = Hcsgc_experiments.Runner
-module Multi = Hcsgc_workloads.Multi_synthetic
 module Fuzz = Hcsgc_fuzz.Fuzz
 
 let check = Alcotest.check
@@ -137,33 +136,6 @@ let counters_cover_all_mutators () =
   let mc = Vm.mutator_counters vm in
   check Alcotest.bool "both threads' loads counted" true (mc.H.loads >= 2)
 
-(* The verification mirror observes the heap and never touches the memory
-   hierarchy, so a verified Multi_synthetic run must match an unverified
-   one metric for metric. *)
-let verifier_transparent () =
-  let params =
-    {
-      Multi.default with
-      Multi.mutators = 4;
-      elements_per_mutator = 800;
-      rounds = 10;
-      accesses_per_round = 1_000;
-    }
-  in
-  let run verify =
-    let vm =
-      Vm.create ~layout ~verify ~mutators:params.Multi.mutators
-        ~config:(Config.of_id 18) ~max_heap:(16 * 1024 * 1024) ()
-    in
-    let r = Multi.run vm params in
-    Vm.finish vm;
-    Runner.metrics_to_string (Runner.collect vm)
-    ^ "|"
-    ^ String.concat ","
-        (List.map string_of_int (Array.to_list r.Multi.checksums))
-  in
-  check Alcotest.string "verify:true = verify:false" (run false) (run true)
-
 (* Random heap-op sequences over three mutators; [check_seed] keeps the
    invariant sweeps and the mark-sweep oracle on. *)
 let fuzz_seeds ~config seeds =
@@ -209,7 +181,6 @@ let suite =
         case "GC with two mutators" `Slow gc_with_multiple_mutators;
         case "deterministic" `Quick deterministic;
         case "counters cover mutators" `Quick counters_cover_all_mutators;
-        case "verifier transparent" `Quick verifier_transparent;
         case "fuzz three mutators" `Slow fuzz_multi_mutator;
         case "fuzz three mutators tiered" `Slow fuzz_multi_mutator_tiered;
         case "fuzz outcome repeatable" `Quick fuzz_outcome_repeatable;

@@ -271,15 +271,14 @@ let scheduler_orders_longest_first () =
 
 let pool_in_order_respects_result_positions () =
   let xs = Array.init 8 Fun.id in
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let order = [| 7; 6; 5; 4; 3; 2; 1; 0 |] in
-      let ys = Pool.map_array_in_order pool ~order (fun x -> x * x) xs in
-      check (Alcotest.array Alcotest.int) "results in original positions"
-        (Array.map (fun x -> x * x) xs) ys;
-      Alcotest.check_raises "rejects non-permutation"
-        (Invalid_argument "Pool.map_array_in_order: order is not a permutation")
-        (fun () ->
-          ignore (Pool.map_array_in_order pool ~order:[| 0; 0 |] (fun x -> x) [| 1; 2 |])))
+  let order = [| 7; 6; 5; 4; 3; 2; 1; 0 |] in
+  let ys = Pool.map_array_in_order ~jobs:3 ~order (fun x -> x * x) xs in
+  check (Alcotest.array Alcotest.int) "results in original positions"
+    (Array.map (fun x -> x * x) xs) ys;
+  Alcotest.check_raises "rejects non-permutation"
+    (Invalid_argument "Pool.map_array_in_order: order is not a permutation")
+    (fun () ->
+      ignore (Pool.map_array_in_order ~jobs:3 ~order:[| 0; 0 |] (fun x -> x) [| 1; 2 |]))
 
 (* ------------------------------------------------------------------ *)
 (* End to end: warm sweeps are byte-identical and cheaper              *)

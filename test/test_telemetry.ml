@@ -789,7 +789,7 @@ let telemetry_costs_zero_cycles () =
   check Alcotest.bool "identical heap samples" true
     (plain.Runner.heap_samples = profiled.Runner.heap_samples)
 
-(* Domain-local recorders: fanning profiled jobs across a pool changes
+(* Domain-local recorders: fanning profiled jobs across domains changes
    nothing about any job's trace, byte for byte. *)
 let parallel_traces_deterministic () =
   let exp = Fig_synthetic.experiment ~scale:16 () in
@@ -803,14 +803,12 @@ let parallel_traces_deterministic () =
   in
   (* Sequential in job order; parallel submitted in reverse. *)
   let sequential =
-    Pool.with_pool ~jobs:1 (fun pool ->
-        Pool.map_array_in_order pool ~order:(Array.init n Fun.id) trace jobs)
+    Pool.map_array_in_order ~jobs:1 ~order:(Array.init n Fun.id) trace jobs
   in
   let parallel =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        Pool.map_array_in_order pool
-          ~order:(Array.init n (fun i -> n - 1 - i))
-          trace jobs)
+    Pool.map_array_in_order ~jobs:4
+      ~order:(Array.init n (fun i -> n - 1 - i))
+      trace jobs
   in
   check Alcotest.int "same job count" (Array.length sequential)
     (Array.length parallel);
