@@ -164,7 +164,8 @@ let sweep =
 (* Far-memory tier knobs.  [None] when --tier-capacity is 0 (the default),
    which leaves each command's output byte-identical to the tier-free
    build; otherwise the function puts the knobs on a configuration and
-   runs [Config.validate]'s cross-knob check. *)
+   runs [Config.validate]'s cross-knob check.  The other two knobs only
+   shape a tier, so giving either without a capacity is a usage error. *)
 let tier =
   let capacity =
     let doc =
@@ -178,47 +179,59 @@ let tier =
   let lat_far =
     let doc =
       "Far-tier access latency in cycles (a demand load into a far-resident \
-       line pays $(docv) instead of DRAM latency)."
+       line pays $(docv) instead of DRAM latency). Requires \
+       $(b,--tier-capacity)."
     in
-    Arg.(value & opt positive 800 & info [ "lat-far" ] ~docv:"CYCLES" ~doc)
+    Arg.(value
+        & opt (some positive) None
+        & info [ "lat-far" ] ~absent:"800" ~docv:"CYCLES" ~doc)
   in
   let no_promote =
     let doc =
       "Leave far pages stranded on mutator access (demote-only tiering) \
-       instead of promoting them back to DRAM."
+       instead of promoting them back to DRAM. Requires \
+       $(b,--tier-capacity)."
     in
     Arg.(value & flag & info [ "tier-no-promote" ] ~doc)
   in
   let make capacity lat_far no_promote =
-    if capacity = 0 then None
-    else
-      Some
-        (fun config ->
-          Config.validate
-            {
-              config with
-              Config.tier_capacity_pages = capacity;
-              lat_far;
-              tier_promote = not no_promote;
-            })
+    if capacity > 0 then
+      Ok
+        (Some
+           (fun config ->
+             Config.validate
+               {
+                 config with
+                 Config.tier_capacity_pages = capacity;
+                 lat_far = Option.value lat_far ~default:config.Config.lat_far;
+                 tier_promote = not no_promote;
+               }))
+    else if Option.is_some lat_far || no_promote then
+      Error (`Msg "--lat-far and --tier-no-promote require --tier-capacity")
+    else Ok None
   in
-  Term.(const make $ capacity $ lat_far $ no_promote)
+  Term.(cli_parse_result (const make $ capacity $ lat_far $ no_promote))
 
 (* The --config row with the tier knobs on it.  A knob the row cannot
-   take (TIER requires HOTNESS) is a usage error, like any bad flag;
-   [skip] (a --all-configs sweep, which ignores both) leaves the row
-   plain. *)
-let configured ?(skip = Term.const false) () =
-  let make skip config_id tier =
+   take (TIER requires HOTNESS) is a usage error, like any bad flag; so
+   is any tier knob under [all] (a --all-configs sweep runs the plain
+   Table 2 rows). *)
+let configured ?(all = Term.const false) () =
+  let make all config_id tier =
     let config = Config.of_id config_id in
     match tier with
-    | Some with_tier when not skip ->
+    | None -> Ok config
+    | Some _ when all ->
+        Error
+          (`Msg
+            "tier flags do not apply to --all-configs (figure ftier sweeps \
+             tier capacities)")
+    | Some with_tier ->
         Result.map_error
           (fun e -> `Msg ("invalid tier flags: " ^ e))
           (with_tier config)
-    | _ -> Ok config
   in
-  Term.(cli_parse_result (const make $ skip $ config_id $ tier))
+  Term.(cli_parse_result (const make $ all $ config_id $ tier))
 
 type trace = { out : string option; sample : int }
 
@@ -327,15 +340,9 @@ let report_single vm =
 (* synthetic / graph / h2 / tradebeans                                 *)
 (* ------------------------------------------------------------------ *)
 
-let run_experiment config_id config all sweep tier trace verify
+let run_experiment config_id config all sweep trace verify
     (exp : E.Runner.experiment) =
   if all then begin
-    if trace.out <> None then
-      Format.eprintf "[run] --trace-out ignored with --all-configs@.";
-    if Option.is_some tier then
-      Format.eprintf
-        "[run] tier flags ignored with --all-configs (Table 2 sweep; use \
-         figure ftier for capacity sweeps)@.";
     let results =
       E.Runner.run_configs
         ~runs:(Option.value sweep.runs ~default:3)
@@ -372,13 +379,22 @@ let run_experiment config_id config all sweep tier trace verify
    flag, and [exp] adds the command's own workload flags, giving the
    experiment at a --scale. *)
 let workload_cmd name ~doc exp =
-  let run config_id config all sweep scale tier trace verify exp =
-    run_experiment config_id config all sweep tier trace verify (exp scale)
+  let run config_id config all sweep scale trace verify exp =
+    run_experiment config_id config all sweep trace verify (exp scale)
+  in
+  (* A sweep writes no trace, so --trace-out with it is a usage error. *)
+  let trace =
+    let check all trace =
+      if all && trace.out <> None then
+        Error (`Msg "--trace-out does not apply to --all-configs")
+      else Ok trace
+    in
+    Term.(cli_parse_result (const check $ all_configs $ trace))
   in
   Cmd.v (Cmd.info name ~doc)
     Term.(
-      const run $ config_id $ configured ~skip:all_configs () $ all_configs
-      $ sweep $ scale $ tier $ trace $ verify_flag $ exp)
+      const run $ config_id $ configured ~all:all_configs () $ all_configs
+      $ sweep $ scale $ trace $ verify_flag $ exp)
 
 let synthetic_cmd =
   let saturated =

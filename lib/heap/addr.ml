@@ -39,7 +39,3 @@ let next_mark_color = function
   | R -> invalid_arg "Addr.next_mark_color: R is not a mark colour"
 
 let color_to_string = function M0 -> "M0" | M1 -> "M1" | R -> "R"
-
-let pp fmt p =
-  if is_null p then Format.pp_print_string fmt "null"
-  else Format.fprintf fmt "%s:0x%x" (color_to_string (color p)) (addr p)

@@ -41,5 +41,3 @@ val next_mark_color : color -> color
     @raise Invalid_argument on [R]. *)
 
 val color_to_string : color -> string
-
-val pp : Format.formatter -> t -> unit

@@ -22,6 +22,4 @@ let find t ~offset =
 
 let entries t = Int_tbl.length t
 
-let clear t = Int_tbl.clear t
-
 let iter t f = Int_tbl.iter t (fun offset new_addr -> f ~offset ~new_addr)

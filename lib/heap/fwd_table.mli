@@ -34,10 +34,6 @@ val get : t -> offset:int -> int
 val entries : t -> int
 (** Number of forwardings installed. *)
 
-val clear : t -> unit
-(** Drop every forwarding, keeping the backing store — table reuse
-    across cycles allocates nothing once at high-water capacity. *)
-
 val iter : t -> (offset:int -> new_addr:int -> unit) -> unit
 (** Iterate the installed forwardings (slot order — deterministic for a
     given insertion history, not sorted). *)

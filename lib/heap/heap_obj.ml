@@ -9,7 +9,6 @@ let gen_mask = (1 lsl (Sys.int_size - slot_bits - 1)) - 1
 
 let none = -1
 let[@inline] to_int h = h
-let[@inline] of_int h = h
 
 (* Word [i] is the native-endian int64 at byte [8 i]; [Bytes.create]
    leaves it uninitialised and the GC never scans it. *)
@@ -39,8 +38,8 @@ type arena = {
   mutable free_slots : int array;
   mutable nfree : int;
   mutable high : int;
-  words_pool : words Vec.t;
-  index_pool : int array Vec.t;
+  words_pool : Bytes.t Vec.t;
+  index_pool : Bytes.t Vec.t;
 }
 
 let chunk_bits = 12
@@ -115,6 +114,8 @@ let alloc a ~layout ~id ~addr ~nrefs ~nwords =
   set a.written s 0;
   (get a.gen s lsl slot_bits) lor s
 
+let[@inline] of_slot a s = (get a.gen s lsl slot_bits) lor s
+
 let[@inline] is_live a h =
   let s = slot h in
   h >= 0 && s < a.high && get a.gen s = h lsr slot_bits
@@ -128,15 +129,14 @@ let push_free a s =
   Array.unsafe_set a.free_slots a.nfree s;
   a.nfree <- a.nfree + 1
 
-(* Only the generation column is touched: a page frees its objects in
-   index order, which is scattered over the slots, so every further
-   column written here would be another cache miss per object. *)
-let[@inline] free a h =
-  if is_live a h then begin
-    let s = slot h in
-    set a.gen s ((get a.gen s + 1) land gen_mask);
-    push_free a s
-  end
+(* Only the generation column is touched: every further column written
+   here would be another cache miss per object when a page frees its
+   objects. *)
+let[@inline] free_slot a s =
+  set a.gen s ((get a.gen s + 1) land gen_mask);
+  push_free a s
+
+let[@inline] free a h = if is_live a h then free_slot a (slot h)
 
 let live_count a = a.high - a.nfree
 
@@ -185,30 +185,29 @@ let payload_addr ~layout a h i =
 
 (* ---- page resources ---------------------------------------------- *)
 
-(* Exact-length reuse, newest first; the pool never holds more entries
+(* Exact-length reuse, newest first; a pool never holds more buffers
    than the heap's peak page count. *)
-let take_words a n =
-  let pool = a.words_pool in
+let take_exact pool len fresh =
   let rec find i =
-    if i < 0 then Bytes.create (8 * n)
+    if i < 0 then fresh len
     else
-      let w = Vec.unsafe_get pool i in
-      if words_length w = n then begin
+      let b = Vec.unsafe_get pool i in
+      if Bytes.length b = len then begin
         let last = Vec.length pool - 1 in
         Vec.set pool i (Vec.unsafe_get pool last);
         Vec.truncate pool last;
-        w
+        b
       end
       else find (i - 1)
   in
   find (Vec.length pool - 1)
 
+let take_words a n = take_exact a.words_pool (8 * n) Bytes.create
+
 let give_words a w = if words_length w > 0 then Vec.push a.words_pool w
 
-let index_capacity = 16
-
-let take_index a =
-  if Vec.is_empty a.index_pool then Array.make (2 * index_capacity) (-1)
-  else Vec.pop_last a.index_pool
+(* Every byte 0xff: every 32-bit entry reads -1. *)
+let take_index a n =
+  take_exact a.index_pool (4 * n) (fun len -> Bytes.make len '\xff')
 
 let give_index a ix = Vec.push a.index_pool ix

@@ -28,10 +28,7 @@ val slot : t -> int
     after 2{^30} reuses. *)
 
 val to_int : t -> int
-val of_int : int -> t
-(** The handle's raw encoding, for flat int tables that store handles
-    (page object indexes).  [of_int] of an int that [to_int] did not
-    produce names no live object. *)
+(** The handle's raw encoding, for diagnostics. *)
 
 type arena
 (** The per-heap object arena: one int column per field, indexed by slot
@@ -49,9 +46,18 @@ val alloc :
     ([page_id = -1]).  Its words are not initialised here:
     {!Page.new_object} does that. *)
 
+val of_slot : arena -> int -> t
+(** The handle of whatever object slot [s] holds now: the slot with its
+    current generation — how a page's object index, which stores slots,
+    rebuilds a handle.  [s] must be below the arena's high-water mark. *)
+
 val free : arena -> t -> unit
 (** Return the object's slot: bumps its generation, so [t] (and every copy
     of it) stops being {!is_live}.  A no-op on a handle that is not live. *)
+
+val free_slot : arena -> int -> unit
+(** Free the object slot [s] holds, which must be live ({!free} without
+    the handle's generation check). *)
 
 val is_live : arena -> t -> bool
 (** [t] names an object that has not been freed — one generation
@@ -114,7 +120,7 @@ val payload_addr : layout:Layout.t -> arena -> t -> int -> int
 
 (** {2 Page resources}
 
-    Word storage and object-index arrays outlive the pages that use them:
+    Word storage and object-index buffers outlive the pages that use them:
     {!Page.create} takes them from these pools and {!Page.release} gives
     them back, so a steady state of page churn allocates nothing. *)
 
@@ -137,9 +143,11 @@ val take_words : arena -> int -> words
 
 val give_words : arena -> words -> unit
 
-val take_index : arena -> int array
-(** A cleared object-index array (every key -1), pooled or fresh; its
-    length is twice a power-of-two capacity. *)
+val take_index : arena -> int -> Bytes.t
+(** A buffer of exactly [n] native-endian 32-bit entries, every one -1
+    (empty): a pooled one of that length, or a fresh one.  A page's object
+    index ({!Page}). *)
 
-val give_index : arena -> int array -> unit
-(** Return an index array, which the caller has already cleared. *)
+val give_index : arena -> Bytes.t -> unit
+(** Return an index buffer, which the caller has already reset to all
+    -1. *)

@@ -48,14 +48,3 @@ let object_bytes t ~nrefs ~nwords =
   if nrefs < 0 || nwords < 0 then invalid_arg "Layout.object_bytes: negative";
   let raw = t.header_bytes + (t.word_bytes * (nrefs + nwords)) in
   round_up raw t.word_bytes
-
-let size_class_to_string = function
-  | Small -> "small"
-  | Medium -> "medium"
-  | Large -> "large"
-
-let pp fmt t =
-  Format.fprintf fmt
-    "layout{small=%dK medium=%dK small_obj_max=%dK medium_obj_max=%dK}"
-    (t.small_page / 1024) (t.medium_page / 1024) (t.small_obj_max / 1024)
-    (t.medium_obj_max / 1024)

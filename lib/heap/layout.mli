@@ -40,7 +40,3 @@ val granule : t -> int
 val object_bytes : t -> nrefs:int -> nwords:int -> int
 (** Total aligned byte size of an object with [nrefs] reference slots and
     [nwords] scalar payload words, header included. *)
-
-val size_class_to_string : size_class -> string
-
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,4 @@
 module Bitmap = Hcsgc_util.Bitmap
-module Int_tbl = Hcsgc_util.Int_tbl
 
 type state = Active | In_ec | Freed
 
@@ -15,9 +14,10 @@ type t = {
   layout : Layout.t;
   mutable top : int;
   mutable state : state;
-  mutable index : int array;
-  mutable index_shift : int;
-  mutable index_used : int;
+  entry_shift : int;
+  mutable entries : int;
+  mutable extent : int;
+  mutable index : Bytes.t;
   mutable words : Heap_obj.words;
   livemap : Bitmap.t;
   mutable hot_cur : Bitmap.t;
@@ -35,76 +35,47 @@ let word_bits layout size = size / layout.Layout.word_bytes
 
 (* ---- object index ------------------------------------------------
 
-   Byte offset -> handle, open-addressed with linear probing over one
-   flat int array of (key, handle) pairs: [index.(2 i)] is slot [i]'s key
-   (-1 = empty), [index.(2 i + 1)] its handle ([Heap_obj.none] = empty or
-   removed).
+   Byte offset -> object, direct-mapped: entry [offset lsr entry_shift]
+   of [index] (a native-endian int32) holds the arena slot of the object
+   registered in that span, or -1.  A small page has one entry per 8-byte
+   word, so an entry's position is its object's offset.  A medium page
+   has one entry per [small_obj_max] bytes (its objects are larger than
+   that, so no two start in one span) and a large page a single entry;
+   there the word offset each entry was registered at is kept after the
+   [entries] slot entries.  A lookup is a shift, one load and a read of
+   the slot's generation: no hashing, no probing, no growth.  Entries at
+   [extent] and above were never written.  [release] resets the written
+   entries to -1 and pools the buffer by exact length. *)
 
-   Removal blanks the slot's handle and keeps its key, so probe chains
-   never break and there are no tombstones.  This is exact for any call
-   order: a removed key's handle reads exactly as a miss does, and
-   re-adding at that offset reuses the slot.  Dead keys keep their slots,
-   but a page never re-keys one: production registrations are bump
-   allocations, whose offsets only increase, so the index holds at most
-   one key per object ever placed on the page.  [release] clears the
-   array and hands it back to the arena's pool, so a recycled index may
-   start larger than 16 slots. *)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-(* What a released page keeps: a two-slot index of empty keys (never
-   written — [add_object] refuses a released page) and no storage. *)
-let released_index = Array.make 4 (-1)
+let entry_shift_of layout (cls : Layout.size_class) =
+  match cls with
+  | Small -> 3
+  | Medium -> log2 layout.Layout.small_obj_max
+  | Large -> Sys.int_size - 1
 
 (* The storage of a page no object has written to yet, and of a released
    page. *)
 let no_words = Heap_obj.no_words
 
-let[@inline] capacity ix = Array.length ix / 2
+(* Unchecked reads: every caller keeps the entries it reads below the
+   ones the buffer holds (a released page holds none).  The bounds check
+   of [Bytes.get_int32_ne] doubled the cost of [release]'s walk. *)
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 
-(* The slot holding [key], or the empty slot where it would go (the load
-   factor stays at most 3/4, so one exists).  A negative key stops at an
-   empty slot, whose handle is [none]. *)
-let rec probe ix mask i key =
-  let k = Array.unsafe_get ix (2 * i) in
-  if k = key || k = -1 then i else probe ix mask ((i + 1) land mask) key
+let[@inline] entry ix i = Int32.to_int (get32u ix (i lsl 2))
+let[@inline] set_entry ix i v = Bytes.set_int32_ne ix (i lsl 2) (Int32.of_int v)
 
-let[@inline] slot t key =
-  let ix = t.index in
-  probe ix (capacity ix - 1) (Int_tbl.home_slot ~shift:t.index_shift key) key
-
-(* The outgrown array is left to the OCaml GC, not pooled: pooling it
-   would hand small indexes to new pages that then grow again, and the
-   pool would gain an entry per growth.  Only [release] pools, so the
-   pool holds at most one array per page and its arrays are full-grown. *)
-let index_grow t =
-  let old = t.index in
-  let cap = 2 * capacity old in
-  t.index <- Array.make (2 * cap) (-1);
-  t.index_shift <- Int_tbl.shift_for ~capacity:cap;
-  for i = 0 to capacity old - 1 do
-    let k = Array.unsafe_get old (2 * i) in
-    if k <> -1 then begin
-      let j = slot t k in
-      Array.unsafe_set t.index (2 * j) k;
-      Array.unsafe_set t.index
-        ((2 * j) + 1)
-        (Array.unsafe_get old ((2 * i) + 1))
-    end
-  done
-
-let index_set t key obj =
-  let i = slot t key in
-  if Array.unsafe_get t.index (2 * i) = key then
-    Array.unsafe_set t.index ((2 * i) + 1) (Heap_obj.to_int obj)
-  else begin
-    Array.unsafe_set t.index (2 * i) key;
-    Array.unsafe_set t.index ((2 * i) + 1) (Heap_obj.to_int obj);
-    t.index_used <- t.index_used + 1;
-    if 4 * t.index_used > 3 * capacity t.index then index_grow t
-  end
+(* The byte offset entry [i] was registered at. *)
+let[@inline] entry_offset t i =
+  if t.entry_shift = 3 then i lsl 3 else entry t.index (t.entries + i) lsl 3
 
 let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
   let bits = word_bits layout size in
-  let index = Heap_obj.take_index arena in
+  let entry_shift = entry_shift_of layout cls in
+  let entries = if size = 0 then 0 else ((size - 1) lsr entry_shift) + 1 in
   {
     id;
     cls;
@@ -115,9 +86,12 @@ let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
     layout;
     top = 0;
     state = Active;
-    index;
-    index_shift = Int_tbl.shift_for ~capacity:(capacity index);
-    index_used = 0;
+    entry_shift;
+    entries;
+    extent = 0;
+    index =
+      Heap_obj.take_index arena
+        (if entry_shift = 3 then entries else 2 * entries);
     words = no_words;
     livemap = Bitmap.create bits;
     hot_cur = Bitmap.create bits;
@@ -131,22 +105,35 @@ let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
     fwd = Fwd_table.create ();
   }
 
+(* Free the slots of entries [i, n) and reset them, in address order, so
+   slots return to the arena in allocation order.  Most entries of a small
+   page are empty (one per word), so empty ones are skipped four to a
+   test. *)
+let rec free_entries t ix i n =
+  if
+    i + 4 <= n
+    && Int64.equal
+         (Int64.logand (get64u ix (i lsl 2)) (get64u ix ((i + 2) lsl 2)))
+         (-1L)
+  then free_entries t ix (i + 4) n
+  else if i < n then begin
+    let s = entry ix i in
+    if s >= 0 then begin
+      Heap_obj.free_slot t.arena s;
+      set_entry ix i (-1)
+    end;
+    free_entries t ix (i + 1) n
+  end
+
 let release t =
-  let ix = t.index in
-  if ix != released_index then begin
-    for i = 0 to capacity ix - 1 do
-      if Array.unsafe_get ix (2 * i) <> -1 then begin
-        let h = Array.unsafe_get ix ((2 * i) + 1) in
-        if h <> -1 then Heap_obj.free t.arena (Heap_obj.of_int h);
-        Array.unsafe_set ix (2 * i) (-1);
-        Array.unsafe_set ix ((2 * i) + 1) (-1)
-      end
-    done;
+  if t.entries > 0 then begin
+    let ix = t.index in
+    free_entries t ix 0 t.extent;
     Heap_obj.give_index t.arena ix;
     Heap_obj.give_words t.arena t.words;
-    t.index <- released_index;
-    t.index_shift <- Int_tbl.shift_for ~capacity:(capacity released_index);
-    t.index_used <- 0;
+    t.index <- Bytes.empty;
+    t.entries <- 0;
+    t.extent <- 0;
     t.words <- no_words
   end
 
@@ -177,32 +164,42 @@ let offset_of_addr t addr =
 let contains t addr = addr >= t.start && addr < t.start + t.size
 
 let add_object t obj =
-  if t.index == released_index then
-    invalid_arg "Page.add_object: page is released";
+  if t.entries = 0 then invalid_arg "Page.add_object: page is released";
+  let offset = offset_of_addr t (Heap_obj.addr t.arena obj) in
+  if offset land 7 <> 0 then
+    invalid_arg "Page.add_object: offset is not word-aligned";
+  let i = offset lsr t.entry_shift in
+  if entry t.index i >= 0 && entry_offset t i <> offset then
+    invalid_arg "Page.add_object: entry held by an object at another offset";
   Heap_obj.set_page_id t.arena obj t.id;
-  index_set t (offset_of_addr t (Heap_obj.addr t.arena obj)) obj
+  set_entry t.index i (Heap_obj.slot obj);
+  if t.entry_shift <> 3 then set_entry t.index (t.entries + i) (offset lsr 3);
+  if i >= t.extent then t.extent <- i + 1
 
 let remove_object t obj =
   Heap_obj.set_page_id t.arena obj (-1);
   let offset = offset_of_addr t (Heap_obj.addr t.arena obj) in
-  let i = slot t offset in
-  if Array.unsafe_get t.index (2 * i) = offset then
-    Array.unsafe_set t.index ((2 * i) + 1) (-1)
+  let i = offset lsr t.entry_shift in
+  if i < t.entries && entry_offset t i = offset then set_entry t.index i (-1)
 
-(* A miss ends on an empty slot (handle [none]) or on a removed key
-   (handle [none]), so the handle read is the answer either way. *)
+(* A negative offset shifts to a huge entry number, so the one compare
+   rejects it too. *)
 let object_at t ~offset =
-  Heap_obj.of_int (Array.unsafe_get t.index ((2 * slot t offset) + 1))
+  let i = offset lsr t.entry_shift in
+  if i >= t.entries then Heap_obj.none
+  else
+    let s = entry t.index i in
+    if s < 0 || entry_offset t i <> offset then Heap_obj.none
+    else Heap_obj.of_slot t.arena s
 
 let find_object t ~offset =
   let obj = object_at t ~offset in
   if obj == Heap_obj.none then None else Some obj
 
 let iter_objects t f =
-  let ix = t.index in
-  for i = 0 to capacity ix - 1 do
-    let h = Array.unsafe_get ix ((2 * i) + 1) in
-    if h <> -1 then f (Array.unsafe_get ix (2 * i)) (Heap_obj.of_int h)
+  for i = 0 to t.extent - 1 do
+    let s = entry t.index i in
+    if s >= 0 then f (entry_offset t i) (Heap_obj.of_slot t.arena s)
   done
 
 let object_count t =
@@ -366,14 +363,3 @@ let weighted_live_bytes t ~cold_confidence =
   else
     t.hot_bytes
     + int_of_float (float_of_int cold *. (1.0 -. cold_confidence))
-
-let state_to_string = function
-  | Active -> "active"
-  | In_ec -> "in-ec"
-  | Freed -> "freed"
-
-let pp fmt t =
-  Format.fprintf fmt "page#%d[%s,%s,0x%x+%dK,top=%d,live=%d,hot=%d]" t.id
-    (Layout.size_class_to_string t.cls)
-    (state_to_string t.state) t.start (t.size / 1024) t.top t.live_bytes
-    t.hot_bytes

@@ -7,7 +7,11 @@
     are accumulated.  Pages selected for evacuation move to [In_ec]; once
     every live object has been copied out the page is [Freed] and its address
     range recycled, while its forwarding table stays reachable until the next
-    mark phase has remapped all stale pointers. *)
+    mark phase has remapped all stale pointers.
+
+    As in ZGC, address arithmetic alone finds an object: the page's object
+    index is direct-mapped (one entry per word on a small page), so a
+    lookup is a shift, one load and a generation read. *)
 
 type state =
   | Active  (** holds objects; may be selected for evacuation *)
@@ -31,14 +35,14 @@ type t = {
   layout : Layout.t;
   mutable top : int;  (** bump offset; next free byte within the page *)
   mutable state : state;
-  mutable index : int array;
-      (** byte offset -> object handle of every object registered on the
-          page: open addressing over (key, handle) pairs side by side, so a
-          lookup allocates nothing and runs no polymorphic hash or compare.
-          Read it through {!object_at} and {!iter_objects}; change it only
-          through {!add_object}, {!remove_object} and {!release}. *)
-  mutable index_shift : int;  (** [Sys.int_size - log2 capacity] *)
-  mutable index_used : int;  (** slots holding a key, removed ones included *)
+  entry_shift : int;  (** log2 of the bytes one index entry spans *)
+  mutable entries : int;  (** object-index entries; 0 once released *)
+  mutable extent : int;  (** one past the highest entry ever written *)
+  mutable index : Bytes.t;
+      (** the object index: entry [offset lsr entry_shift] (an int32) holds
+          the arena slot of the object registered in its span, or -1.
+          Change it only through {!add_object}, {!remove_object} and
+          {!release}. *)
   mutable words : Heap_obj.words;
       (** reference and payload words of the page's objects: word [i]
           mirrors byte offset [8 i].  Empty until the page's first write
@@ -74,8 +78,9 @@ val create :
     ({!Heap_obj.take_words}) on its first write. *)
 
 val release : t -> unit
-(** Free every object still registered on the page ({!Heap_obj.free}) and
-    return the page's object index and word storage to the arena's pools.
+(** Free every object still registered on the page
+    ({!Heap_obj.free_slot}), in address order, and return the page's object index and word storage to
+    the arena's pools.
     The page keeps its bitmaps and forwarding table (stale pointers still
     resolve through it) but registers nothing afterwards; adding an object
     to it raises [Invalid_argument].  Called by [Heap.free_page]. *)
@@ -95,13 +100,16 @@ val new_object :
     the arena, null its reference slots and register it. *)
 
 val add_object : t -> Heap_obj.t -> unit
-(** Register an object at the offset of its [addr], which must lie within
-    this page, replacing any object registered there. *)
+(** Register an object at the offset of its [addr], replacing any object
+    registered at that same offset.
+    @raise Invalid_argument if the page is released, or the offset is off
+    the page or not word-aligned, or its index entry is held by an object
+    registered at another offset (two objects starting in one entry's
+    span). *)
 
 val remove_object : t -> Heap_obj.t -> unit
 (** Unregister the object at the offset of its [addr] (a no-op if none
-    is).  The slot keeps its key with the value blanked, so probe chains
-    stay intact; re-adding at that offset reuses the slot. *)
+    is). *)
 
 val move_object : src:t -> dst:t -> Heap_obj.t -> new_addr:int -> unit
 (** Relocate an object registered on [src] to [new_addr] on [dst]: copy
@@ -117,9 +125,9 @@ val find_object : t -> offset:int -> Heap_obj.t option
 
 val iter_objects : t -> (int -> Heap_obj.t -> unit) -> unit
 (** [iter_objects t f] applies [f offset obj] to every registered object,
-    in index slot order (deterministic, not sorted).  [offset] is the key
-    the object was registered under, not recomputed from the object's
-    [addr], so verifiers can check that the two still agree. *)
+    in ascending offset order.  [offset] is the one the object was
+    registered at, not recomputed from the object's [addr], so verifiers
+    can check that the two still agree. *)
 
 val object_count : t -> int
 (** Number of registered objects (an index walk). *)
@@ -204,5 +212,3 @@ val cold_bytes : t -> int
 val weighted_live_bytes : t -> cold_confidence:float -> int
 (** The paper's WLB (§3.1.3): [cold] if there are no hot bytes, otherwise
     [hot + cold × (1 − cold_confidence)]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
-module Vec = Hcsgc_util.Vec
-
+(* [slots] is indexed by granule: a plain array of a non-float type, so
+   the barrier's lookup inlines to one compare and one load. *)
 type t = {
   granule_shift : int;  (* log2 of the granule, a power of two *)
-  slots : Page.t option Vec.t;
+  mutable slots : Page.t option array;
 }
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
@@ -10,15 +10,15 @@ let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 let create ~layout =
   let granule = Layout.granule layout in
   assert (granule land (granule - 1) = 0);
-  { granule_shift = log2 granule; slots = Vec.create () }
+  { granule_shift = log2 granule; slots = [||] }
 
 (* A shift, not a division: this runs on every barrier. *)
 let[@inline] granule_of_addr t addr = addr asr t.granule_shift
 
 let ensure t n =
-  while Vec.length t.slots <= n do
-    Vec.push t.slots None
-  done
+  let len = Array.length t.slots in
+  if len <= n then
+    t.slots <- Array.append t.slots (Array.make (max (n + 1 - len) len) None)
 
 (* First/last granule of a page's range, as two functions rather than one
    returning a pair: [unregister] runs on the GC sweep path, where a boxed
@@ -33,8 +33,9 @@ let register t page =
   let first = first_granule t page
   and last = last_granule t page in
   ensure t last;
+  let entry = Some page in
   for g = first to last do
-    Vec.set t.slots g (Some page)
+    Array.unsafe_set t.slots g entry
   done
 
 let unregister t page =
@@ -44,11 +45,12 @@ let unregister t page =
   for g = first to last do
     (* Only clear entries that still point at this page; the range may have
        been re-registered already. *)
-    match Vec.get t.slots g with
-    | Some p when p == page -> Vec.set t.slots g None
+    match Array.unsafe_get t.slots g with
+    | Some p when p == page -> Array.unsafe_set t.slots g None
     | _ -> ()
   done
 
 let[@inline] page_of_addr t addr =
   let g = granule_of_addr t addr in
-  if g < 0 || g >= Vec.length t.slots then None else Vec.unsafe_get t.slots g
+  if g < 0 || g >= Array.length t.slots then None
+  else Array.unsafe_get t.slots g

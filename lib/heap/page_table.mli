@@ -16,6 +16,3 @@ val unregister : t -> Page.t -> unit
 
 val page_of_addr : t -> int -> Page.t option
 (** The page currently mapped at the given byte address. *)
-
-val granule_of_addr : t -> int -> int
-(** Granule index of a byte address. *)

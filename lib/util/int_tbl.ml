@@ -29,13 +29,9 @@ let empty = -1
    [Sys.int_size] and every key lands in slot 0. *)
 let fib = 0x1E3779B97F4A7C15
 
-let[@inline] home_slot ~shift key = (key * fib) lsr shift
-
-let[@inline] slot_of t key = home_slot ~shift:t.shift key
+let[@inline] slot_of t key = (key * fib) lsr t.shift
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
-
-let shift_for ~capacity = Sys.int_size - log2 capacity
 
 let default_capacity = 16
 
@@ -48,7 +44,7 @@ let create ?(capacity = default_capacity) () =
     keys = Array.make !cap empty;
     vals = Array.make !cap 0;
     mask = !cap - 1;
-    shift = shift_for ~capacity:!cap;
+    shift = Sys.int_size - log2 !cap;
     count = 0;
   }
 

@@ -49,15 +49,6 @@ val iter : t -> (int -> int -> unit) -> unit
 (** [iter t f] applies [f key value] to every binding, in slot order
     (deterministic for a given insertion history, but not sorted). *)
 
-val home_slot : shift:int -> int -> int
-(** [home_slot ~shift key] is the slot a probe for [key] starts from in
-    a table of [2^(Sys.int_size - shift)] slots: the top bits of
-    [key * fib].  Exposed so other flat tables (the heap's per-page
-    object index) hash the same way. *)
-
-val shift_for : capacity:int -> int
-(** The [shift] for a power-of-two [capacity]. *)
-
 val mean_probe_length : t -> float
 (** Diagnostic: the mean number of slots a lookup of a present key
     examines (1.0 = every key in its home slot; 0.0 when empty).

@@ -331,6 +331,80 @@ let prop_page_index_matches_model =
           agrees ())
         script)
 
+(* Medium and large pages index one entry per [small_obj_max] bytes and
+   one per page.  A lookup must still hit only an object's exact offset,
+   and [release] must free every registered slot.  One unrelated object
+   sits in the arena throughout, so the count [release] restores is not
+   simply 0. *)
+let sized_page cls ~bytes =
+  Page.create ~layout:test_layout ~arena:(Heap_obj.create_arena ()) ~id:0 ~cls
+    ~start:(Layout.granule test_layout)
+    ~size:(Layout.page_bytes_for test_layout cls bytes)
+    ~birth_cycle:0
+
+let place page ~nwords =
+  let bytes = Layout.object_bytes test_layout ~nrefs:1 ~nwords in
+  let offset = Option.get (Page.bump_alloc page bytes) in
+  ( offset,
+    Page.new_object page ~id:offset ~addr:(page.Page.start + offset) ~nrefs:1
+      ~nwords )
+
+let sized_page_registry cls ~nwords ~count () =
+  let p =
+    sized_page cls ~bytes:(Layout.object_bytes test_layout ~nrefs:1 ~nwords)
+  in
+  let arena = p.Page.arena in
+  ignore
+    (Heap_obj.alloc arena ~layout:test_layout ~id:(-1) ~addr:0 ~nrefs:0
+       ~nwords:0);
+  let before = Heap_obj.live_count arena in
+  let objs = List.init count (fun _ -> place p ~nwords) in
+  List.iter
+    (fun (offset, o) ->
+      check Alcotest.bool "found at its offset" true
+        (Page.find_object p ~offset = Some o);
+      check Alcotest.bool "missed one word later" true
+        (Page.find_object p ~offset:(offset + 8) = None))
+    objs;
+  let first_offset, first = List.hd objs in
+  Page.remove_object p first;
+  check Alcotest.bool "removed" true
+    (Page.find_object p ~offset:first_offset = None);
+  let iterated = ref [] in
+  Page.iter_objects p (fun offset o -> iterated := (offset, o) :: !iterated);
+  check Alcotest.bool "iter_objects: the others, in address order" true
+    (List.rev !iterated = List.tl objs);
+  Page.add_object p first;
+  check Alcotest.bool "re-added" true
+    (Page.find_object p ~offset:first_offset = Some first);
+  check Alcotest.int "registered" count (Page.object_count p);
+  Page.release p;
+  check Alcotest.int "release frees every registered slot" before
+    (Heap_obj.live_count arena);
+  check Alcotest.int "released page registers nothing" 0 (Page.object_count p);
+  check Alcotest.bool "released page finds nothing" true
+    (Page.find_object p ~offset:first_offset = None)
+
+(* Two objects starting in one index entry's span cannot both be
+   registered: the second raises and the first stays. *)
+let page_overlap_rejected () =
+  let nwords = 1100 in
+  let p =
+    sized_page Layout.Medium
+      ~bytes:(Layout.object_bytes test_layout ~nrefs:1 ~nwords)
+  in
+  let offset, o = place p ~nwords in
+  let squeezed =
+    Heap_obj.alloc p.Page.arena ~layout:test_layout ~id:1
+      ~addr:(p.Page.start + offset + 8) ~nrefs:0 ~nwords:1
+  in
+  Alcotest.check_raises "second object in one entry's span"
+    (Invalid_argument
+       "Page.add_object: entry held by an object at another offset")
+    (fun () -> Page.add_object p squeezed);
+  check Alcotest.bool "first registration kept" true
+    (Page.find_object p ~offset = Some o)
+
 let page_liveness_accounting () =
   let p = make_page () in
   let o1 = obj_on_page p 0 and o2 = obj_on_page p 64 in
@@ -875,6 +949,13 @@ let suite =
         case "bump full" `Quick page_bump_full;
         case "object registry" `Quick page_object_registry;
         QCheck_alcotest.to_alcotest prop_page_index_matches_model;
+        (* Medium objects are larger than [small_obj_max] (8 KiB here),
+           large ones than [medium_obj_max] (128 KiB). *)
+        case "medium page registry" `Quick
+          (sized_page_registry Layout.Medium ~nwords:1100 ~count:3);
+        case "large page registry" `Quick
+          (sized_page_registry Layout.Large ~nwords:20_000 ~count:1);
+        case "overlapping registration rejected" `Quick page_overlap_rejected;
         case "liveness accounting" `Quick page_liveness_accounting;
         case "iter_live order" `Quick page_iter_live_order;
         case "hotness" `Quick page_hotness;
