@@ -15,6 +15,10 @@ type stats = {
   expansions : int;  (** recursion nodes explored *)
 }
 
+val set_of_array : int array -> int array
+(** The sorted, duplicate-free set of an array's elements, sorting the
+    array in place (the result may share it). *)
+
 val run : ?max_expansions:int -> ?garbage_every:int -> Mgraph.t -> stats
 (** Enumerate maximal cliques, stopping after [max_expansions] recursion
     nodes (default unlimited) — clique counts explode on dense graphs and

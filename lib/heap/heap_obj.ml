@@ -19,22 +19,22 @@ let[@inline] words_length w = Bytes.length w lsr 3
 let[@inline] word_get w i = Int64.to_int (Bytes.get_int64_ne w (i lsl 3))
 let[@inline] word_set w i v = Bytes.set_int64_ne w (i lsl 3) (Int64.of_int v)
 
-(* One int column per field, indexed by slot.  A column is a directory of
-   fixed-size chunks, and growing the arena adds one chunk to every
-   column: no column is ever copied, so growth leaves no doubled array
-   behind and the slack is under one chunk.  Returned slots wait on the
-   [free_slots] stack (its first [nfree] entries); [high] is the first
+(* One cell of [cell_words] ints per slot, so an object's metadata sits
+   on one or two host cache lines rather than one line per field:
+
+     word 0  gen | written lsl 30 | relocations lsl 31
+     word 1  addr
+     word 2  id
+     word 3  nrefs | nwords lsl 31
+     word 4  size | (page_id + 1) lsl 31
+
+   The cells are a directory of fixed-size chunks, and growing the arena
+   adds one chunk: no cell is ever copied, so growth leaves no doubled
+   array behind and the slack is under one chunk.  Returned slots wait on
+   the [free_slots] stack (its first [nfree] entries); [high] is the first
    never-used slot. *)
 type arena = {
-  mutable id : int array array;
-  mutable addr : int array array;
-  mutable size : int array array;
-  mutable nrefs : int array array;
-  mutable nwords : int array array;
-  mutable relocations : int array array;
-  mutable page_id : int array array;
-  mutable written : int array array;  (* 1 once the payload is materialised *)
-  mutable gen : int array array;
+  mutable cells : int array array;
   mutable free_slots : int array;
   mutable nfree : int;
   mutable high : int;
@@ -44,19 +44,27 @@ type arena = {
 
 let chunk_bits = 12
 let chunk_mask = (1 lsl chunk_bits) - 1
+let cell_words = 5
+
+(* Word 0.  [relocations] takes bits 31-62, so [incr_relocations] adds
+   [1 lsl 31] and a count wrapping at 2{^32} leaves the bits below it
+   alone. *)
+let f_flags = 0
+let written_bit = gen_mask + 1
+let reloc_shift = 31
+let f_addr = 1
+let f_id = 2
+
+(* Words 3 and 4: a 31-bit field below, a 32-bit one above. *)
+let f_counts = 3
+let f_size = 4
+let low_bits = 31
+let low_mask = (1 lsl low_bits) - 1
 
 (* No chunk until the first allocation: building a VM allocates none. *)
 let create_arena () =
   {
-    id = [||];
-    addr = [||];
-    size = [||];
-    nrefs = [||];
-    nwords = [||];
-    relocations = [||];
-    page_id = [||];
-    written = [||];
-    gen = [||];
+    cells = [||];
     free_slots = [||];
     nfree = 0;
     high = 0;
@@ -66,28 +74,19 @@ let create_arena () =
 
 let[@inline] slot h = h land slot_mask
 
-(* Typed [int]: a polymorphic array access would compile to the generic
-   path (a float-array tag test, and [caml_modify] on every store). *)
-let[@inline] get (col : int array array) s : int =
-  Array.unsafe_get (Array.unsafe_get col (s lsr chunk_bits)) (s land chunk_mask)
+(* Slot [s]'s field [f] is [at s f] of chunk [chunk a s].  Typed [int]:
+   a polymorphic array access would compile to the generic path (a
+   float-array tag test, and [caml_modify] on every store). *)
+let[@inline] chunk a s : int array = Array.unsafe_get a.cells (s lsr chunk_bits)
+let[@inline] at s f = ((s land chunk_mask) * cell_words) + f
+let[@inline] get a s f = Array.unsafe_get (chunk a s) (at s f)
+let[@inline] set a s f (v : int) = Array.unsafe_set (chunk a s) (at s f) v
 
-let[@inline] set (col : int array array) s (v : int) =
-  Array.unsafe_set
-    (Array.unsafe_get col (s lsr chunk_bits))
-    (s land chunk_mask) v
-
-let add_chunk col = Array.append col [| Array.make (chunk_mask + 1) 0 |]
+let[@inline] gen a s = get a s f_flags land gen_mask
 
 let grow a =
-  a.id <- add_chunk a.id;
-  a.addr <- add_chunk a.addr;
-  a.size <- add_chunk a.size;
-  a.nrefs <- add_chunk a.nrefs;
-  a.nwords <- add_chunk a.nwords;
-  a.relocations <- add_chunk a.relocations;
-  a.page_id <- add_chunk a.page_id;
-  a.written <- add_chunk a.written;
-  a.gen <- add_chunk a.gen
+  a.cells <-
+    Array.append a.cells [| Array.make ((chunk_mask + 1) * cell_words) 0 |]
 
 let fresh_slot a =
   if a.nfree > 0 then begin
@@ -95,30 +94,30 @@ let fresh_slot a =
     Array.unsafe_get a.free_slots a.nfree
   end
   else begin
-    if a.high = Array.length a.id lsl chunk_bits then grow a;
+    if a.high = Array.length a.cells lsl chunk_bits then grow a;
     let s = a.high in
     a.high <- s + 1;
     s
   end
 
+(* [size] is the narrowest of the fields [alloc] sets: it bounds [nrefs]
+   and [nwords] (each under [size / 8]) well inside their own widths. *)
 let alloc a ~layout ~id ~addr ~nrefs ~nwords =
   let size = Layout.object_bytes layout ~nrefs ~nwords in
+  if size lsr low_bits <> 0 then
+    invalid_arg "Heap_obj.alloc: object size does not fit 31 bits";
   let s = fresh_slot a in
-  set a.id s id;
-  set a.addr s addr;
-  set a.size s size;
-  set a.nrefs s nrefs;
-  set a.nwords s nwords;
-  set a.relocations s 0;
-  set a.page_id s (-1);
-  set a.written s 0;
-  (get a.gen s lsl slot_bits) lor s
+  set a s f_addr addr;
+  set a s f_id id;
+  set a s f_counts (nrefs lor (nwords lsl low_bits));
+  set a s f_size size;
+  (gen a s lsl slot_bits) lor s
 
-let[@inline] of_slot a s = (get a.gen s lsl slot_bits) lor s
+let[@inline] of_slot a s = (gen a s lsl slot_bits) lor s
 
 let[@inline] is_live a h =
   let s = slot h in
-  h >= 0 && s < a.high && get a.gen s = h lsr slot_bits
+  h >= 0 && s < a.high && gen a s = h lsr slot_bits
 
 let push_free a s =
   if a.nfree = Array.length a.free_slots then begin
@@ -129,11 +128,13 @@ let push_free a s =
   Array.unsafe_set a.free_slots a.nfree s;
   a.nfree <- a.nfree + 1
 
-(* Only the generation column is touched: every further column written
-   here would be another cache miss per object when a page frees its
-   objects. *)
+(* Only word 0 is written, to the bumped generation alone: that also
+   clears [written] and [relocations] for the slot's next object, and
+   [alloc] rewrites words 1-4.  The cell is found once: this runs for
+   every object a freed page held. *)
 let[@inline] free_slot a s =
-  set a.gen s ((get a.gen s + 1) land gen_mask);
+  let c = chunk a s and i = at s f_flags in
+  Array.unsafe_set c i ((Array.unsafe_get c i + 1) land gen_mask);
   push_free a s
 
 let[@inline] free a h = if is_live a h then free_slot a (slot h)
@@ -141,7 +142,7 @@ let[@inline] free a h = if is_live a h then free_slot a (slot h)
 let live_count a = a.high - a.nfree
 
 (* Every access bounds-checks the slot against [high] (one compare), so a
-   forged or [none] handle raises rather than reading outside a column. *)
+   forged or [none] handle raises rather than reading outside a cell. *)
 let out_of_range () = invalid_arg "Heap_obj: handle out of range"
 
 let[@inline] checked a h =
@@ -149,39 +150,51 @@ let[@inline] checked a h =
   if s >= a.high then out_of_range ();
   s
 
-let[@inline] id a h = get a.id (checked a h)
-let[@inline] addr a h = get a.addr (checked a h)
-let[@inline] size a h = get a.size (checked a h)
-let[@inline] nrefs a h = get a.nrefs (checked a h)
-let[@inline] nwords a h = get a.nwords (checked a h)
-let[@inline] relocations a h = get a.relocations (checked a h)
-let[@inline] page_id a h = get a.page_id (checked a h)
-let[@inline] payload_written a h = get a.written (checked a h) <> 0
-let[@inline] set_addr a h v = set a.addr (checked a h) v
-let[@inline] set_page_id a h v = set a.page_id (checked a h) v
-let[@inline] set_payload_written a h = set a.written (checked a h) 1
+let[@inline] id a h = get a (checked a h) f_id
+let[@inline] addr a h = get a (checked a h) f_addr
+let[@inline] size a h = get a (checked a h) f_size land low_mask
+let[@inline] nrefs a h = get a (checked a h) f_counts land low_mask
+let[@inline] nwords a h = get a (checked a h) f_counts lsr low_bits
+let[@inline] relocations a h = get a (checked a h) f_flags lsr reloc_shift
+let[@inline] page_id a h = (get a (checked a h) f_size lsr low_bits) - 1
+
+let[@inline] payload_written a h =
+  get a (checked a h) f_flags land written_bit <> 0
+
+let[@inline] set_addr a h v = set a (checked a h) f_addr v
+
+let[@inline] set_page_id a h p =
+  let s = checked a h in
+  if (p + 1) lsr 32 <> 0 then
+    invalid_arg "Heap_obj.set_page_id: page id does not fit 32 bits";
+  set a s f_size ((get a s f_size land low_mask) lor ((p + 1) lsl low_bits))
+
+let[@inline] set_payload_written a h =
+  let s = checked a h in
+  set a s f_flags (get a s f_flags lor written_bit)
 
 let incr_relocations a h =
   let s = checked a h in
-  set a.relocations s (get a.relocations s + 1)
+  set a s f_flags (get a s f_flags + (1 lsl reloc_shift))
 
 let[@inline] live_addr a h =
   let s = slot h in
-  if h >= 0 && s < a.high && get a.gen s = h lsr slot_bits then get a.addr s
+  if h >= 0 && s < a.high && gen a s = h lsr slot_bits then get a s f_addr
   else -1
 
 let ref_slot_addr ~layout a h i =
   let s = checked a h in
-  if i < 0 || i >= get a.nrefs s then
+  if i < 0 || i >= get a s f_counts land low_mask then
     invalid_arg "Heap_obj.ref_slot_addr: slot out of range";
-  get a.addr s + layout.Layout.header_bytes + (i * layout.Layout.word_bytes)
+  get a s f_addr + layout.Layout.header_bytes + (i * layout.Layout.word_bytes)
 
 let payload_addr ~layout a h i =
   let s = checked a h in
-  if i < 0 || i >= get a.nwords s then
+  let counts = get a s f_counts in
+  if i < 0 || i >= counts lsr low_bits then
     invalid_arg "Heap_obj.payload_addr: word out of range";
-  get a.addr s + layout.Layout.header_bytes
-  + ((get a.nrefs s + i) * layout.Layout.word_bytes)
+  get a s f_addr + layout.Layout.header_bytes
+  + (((counts land low_mask) + i) * layout.Layout.word_bytes)
 
 (* ---- page resources ---------------------------------------------- *)
 

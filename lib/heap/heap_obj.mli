@@ -3,14 +3,14 @@
     An object is a fixed-shape cell: a VM header, [nrefs] reference slots
     (each holding a coloured pointer, see {!Addr}) followed by [nwords]
     scalar payload words.  A handle ({!t}) names an arena slot and the
-    slot's generation; the slot's int columns hold the object's metadata,
-    and its reference and payload words live in the flat word storage of
-    the page it sits on ({!Page}), at the object's own word offset.
-    Allocating, relocating and freeing an object therefore put nothing on
-    the OCaml heap.
+    slot's generation; the slot's cell, five packed ints, holds the
+    object's metadata, and its reference and payload words live in the
+    flat word storage of the page it sits on ({!Page}), at the object's
+    own word offset.  Allocating, relocating and freeing an object
+    therefore put nothing on the OCaml heap.
 
     The handle is the object's {e stable identity}: relocation updates the
-    [addr] column in place, so OCaml-side handles survive moves exactly like
+    [addr] field in place, so OCaml-side handles survive moves exactly like
     registers fixed up by ZGC's stop-the-world root processing.  When the
     object's page is freed the slot is returned and its generation bumped,
     so a stale handle fails {!is_live} even after the slot is reused. *)
@@ -31,10 +31,12 @@ val to_int : t -> int
 (** The handle's raw encoding, for diagnostics. *)
 
 type arena
-(** The per-heap object arena: one int column per field, indexed by slot
-    and grown a fixed-size chunk at a time, plus the pools of page
-    resources (object indexes and word storage) that {!Page.release}
-    returns for reuse. *)
+(** The per-heap object arena: one 5-int cell per slot, holding the
+    object's fields packed ([addr] and [id] a word each; [nrefs] and
+    [size] 31 bits; [nwords], [page_id + 1] and [relocations] 32 bits;
+    the generation and the [written] flag), grown 4096 cells at a time;
+    plus the pools of page resources (object indexes and word storage)
+    that {!Page.release} returns for reuse. *)
 
 val create_arena : unit -> arena
 (** An empty arena.  It allocates its first chunk of slots on the first
@@ -44,7 +46,9 @@ val alloc :
   arena -> layout:Layout.t -> id:int -> addr:int -> nrefs:int -> nwords:int -> t
 (** A fresh object in a free slot, not registered on any page
     ([page_id = -1]).  Its words are not initialised here:
-    {!Page.new_object} does that. *)
+    {!Page.new_object} does that.
+    @raise Invalid_argument if the object's size is 2{^31} bytes or more
+    (which also keeps [nrefs] and [nwords] inside their fields). *)
 
 val of_slot : arena -> int -> t
 (** The handle of whatever object slot [s] holds now: the slot with its
@@ -90,7 +94,7 @@ val nrefs : arena -> t -> int
 val nwords : arena -> t -> int
 
 val relocations : arena -> t -> int
-(** Times this object has been moved. *)
+(** Times this object has been moved, modulo 2{^32}. *)
 
 val page_id : arena -> t -> int
 (** Id of the page whose object index currently registers this object, -1
@@ -103,10 +107,12 @@ val payload_written : arena -> t -> bool
     written (pure garbage) never touch their page's storage. *)
 
 val set_addr : arena -> t -> int -> unit
-(** Move the [addr] column without touching storage or registration — for
+(** Move the [addr] field without touching storage or registration — for
     {!Page.move_object} and fault injection in tests. *)
 
 val set_page_id : arena -> t -> int -> unit
+(** @raise Invalid_argument if the id is below -1 or above 2{^32} - 2. *)
+
 val incr_relocations : arena -> t -> unit
 val set_payload_written : arena -> t -> unit
 

@@ -36,22 +36,32 @@ let word_bits layout size = size / layout.Layout.word_bytes
 (* ---- object index ------------------------------------------------
 
    Byte offset -> object, direct-mapped: entry [offset lsr entry_shift]
-   of [index] (a native-endian int32) holds the arena slot of the object
-   registered in that span, or -1.  A small page has one entry per 8-byte
-   word, so an entry's position is its object's offset.  A medium page
+   of [index] (a native-endian int32) names the object registered in that
+   span, or is -1.  A small page has one entry per 16 bytes, the minimum
+   object size ([header_bytes]), so no two objects start in one span; its
+   entry holds [slot lsl 1 lor word parity], and the entry's position and
+   parity bit give back the offset it was registered at.  A medium page
    has one entry per [small_obj_max] bytes (its objects are larger than
-   that, so no two start in one span) and a large page a single entry;
-   there the word offset each entry was registered at is kept after the
-   [entries] slot entries.  A lookup is a shift, one load and a read of
-   the slot's generation: no hashing, no probing, no growth.  Entries at
-   [extent] and above were never written.  [release] resets the written
-   entries to -1 and pools the buffer by exact length. *)
+   that) and a large page a single entry; there an entry holds the slot,
+   and the word offset it was registered at is kept after the [entries]
+   slot entries.  Either way the registered offset is stored, not
+   recomputed from the object's [addr], so a verifier can compare the
+   two.  A lookup is a shift, one load and a read of the slot's
+   generation: no hashing, no probing, no growth.  Entries at [extent]
+   and above were never written.  [release] resets the written entries
+   to -1 and pools the buffer by exact length. *)
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
+let small_shift = 4
+
+(* An entry holds [slot lsl 1] on a small page, and [slot] elsewhere:
+   slots below 2{^30} keep both under the int32's sign bit. *)
+let max_slot_bits = 30
+
 let entry_shift_of layout (cls : Layout.size_class) =
   match cls with
-  | Small -> 3
+  | Small -> small_shift
   | Medium -> log2 layout.Layout.small_obj_max
   | Large -> Sys.int_size - 1
 
@@ -68,9 +78,13 @@ external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 let[@inline] entry ix i = Int32.to_int (get32u ix (i lsl 2))
 let[@inline] set_entry ix i v = Bytes.set_int32_ne ix (i lsl 2) (Int32.of_int v)
 
-(* The byte offset entry [i] was registered at. *)
-let[@inline] entry_offset t i =
-  if t.entry_shift = 3 then i lsl 3 else entry t.index (t.entries + i) lsl 3
+(* The byte offset entry [i], holding [e >= 0], was registered at, and
+   the slot it names. *)
+let[@inline] entry_offset t i e =
+  if t.entry_shift = small_shift then (i lsl small_shift) lor ((e land 1) lsl 3)
+  else entry t.index (t.entries + i) lsl 3
+
+let[@inline] entry_slot t e = if t.entry_shift = small_shift then e lsr 1 else e
 
 let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
   let bits = word_bits layout size in
@@ -91,7 +105,7 @@ let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
     extent = 0;
     index =
       Heap_obj.take_index arena
-        (if entry_shift = 3 then entries else 2 * entries);
+        (if entry_shift = small_shift then entries else 2 * entries);
     words = no_words;
     livemap = Bitmap.create bits;
     hot_cur = Bitmap.create bits;
@@ -107,8 +121,9 @@ let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
 
 (* Free the slots of entries [i, n) and reset them, in address order, so
    slots return to the arena in allocation order.  Most entries of a small
-   page are empty (one per word), so empty ones are skipped four to a
-   test. *)
+   page are empty (one per 16 bytes), so empty ones are skipped four to a
+   test.  A medium or large page's registered offsets are reset too, so
+   the pool holds only all -1 buffers. *)
 let rec free_entries t ix i n =
   if
     i + 4 <= n
@@ -117,10 +132,11 @@ let rec free_entries t ix i n =
          (-1L)
   then free_entries t ix (i + 4) n
   else if i < n then begin
-    let s = entry ix i in
-    if s >= 0 then begin
-      Heap_obj.free_slot t.arena s;
-      set_entry ix i (-1)
+    let e = entry ix i in
+    if e >= 0 then begin
+      Heap_obj.free_slot t.arena (entry_slot t e);
+      set_entry ix i (-1);
+      if t.entry_shift <> small_shift then set_entry ix (t.entries + i) (-1)
     end;
     free_entries t ix (i + 1) n
   end
@@ -165,22 +181,33 @@ let contains t addr = addr >= t.start && addr < t.start + t.size
 
 let add_object t obj =
   if t.entries = 0 then invalid_arg "Page.add_object: page is released";
+  let s = Heap_obj.slot obj in
+  if s lsr max_slot_bits <> 0 then
+    invalid_arg "Page.add_object: slot does not fit 30 bits";
   let offset = offset_of_addr t (Heap_obj.addr t.arena obj) in
   if offset land 7 <> 0 then
     invalid_arg "Page.add_object: offset is not word-aligned";
   let i = offset lsr t.entry_shift in
-  if entry t.index i >= 0 && entry_offset t i <> offset then
+  let e = entry t.index i in
+  if e >= 0 && entry_offset t i e <> offset then
     invalid_arg "Page.add_object: entry held by an object at another offset";
   Heap_obj.set_page_id t.arena obj t.id;
-  set_entry t.index i (Heap_obj.slot obj);
-  if t.entry_shift <> 3 then set_entry t.index (t.entries + i) (offset lsr 3);
+  if t.entry_shift = small_shift then
+    set_entry t.index i ((s lsl 1) lor ((offset lsr 3) land 1))
+  else begin
+    set_entry t.index i s;
+    set_entry t.index (t.entries + i) (offset lsr 3)
+  end;
   if i >= t.extent then t.extent <- i + 1
 
 let remove_object t obj =
   Heap_obj.set_page_id t.arena obj (-1);
   let offset = offset_of_addr t (Heap_obj.addr t.arena obj) in
   let i = offset lsr t.entry_shift in
-  if i < t.entries && entry_offset t i = offset then set_entry t.index i (-1)
+  if i < t.entries then begin
+    let e = entry t.index i in
+    if e >= 0 && entry_offset t i e = offset then set_entry t.index i (-1)
+  end
 
 (* A negative offset shifts to a huge entry number, so the one compare
    rejects it too. *)
@@ -188,9 +215,9 @@ let object_at t ~offset =
   let i = offset lsr t.entry_shift in
   if i >= t.entries then Heap_obj.none
   else
-    let s = entry t.index i in
-    if s < 0 || entry_offset t i <> offset then Heap_obj.none
-    else Heap_obj.of_slot t.arena s
+    let e = entry t.index i in
+    if e < 0 || entry_offset t i e <> offset then Heap_obj.none
+    else Heap_obj.of_slot t.arena (entry_slot t e)
 
 let find_object t ~offset =
   let obj = object_at t ~offset in
@@ -198,8 +225,9 @@ let find_object t ~offset =
 
 let iter_objects t f =
   for i = 0 to t.extent - 1 do
-    let s = entry t.index i in
-    if s >= 0 then f (entry_offset t i) (Heap_obj.of_slot t.arena s)
+    let e = entry t.index i in
+    if e >= 0 then
+      f (entry_offset t i e) (Heap_obj.of_slot t.arena (entry_slot t e))
   done
 
 let object_count t =

@@ -10,8 +10,9 @@
     mark phase has remapped all stale pointers.
 
     As in ZGC, address arithmetic alone finds an object: the page's object
-    index is direct-mapped (one entry per word on a small page), so a
-    lookup is a shift, one load and a generation read. *)
+    index is direct-mapped (one entry per 16 bytes, the minimum object
+    size, on a small page), so a lookup is a shift, one load and a
+    generation read. *)
 
 type state =
   | Active  (** holds objects; may be selected for evacuation *)
@@ -39,10 +40,12 @@ type t = {
   mutable entries : int;  (** object-index entries; 0 once released *)
   mutable extent : int;  (** one past the highest entry ever written *)
   mutable index : Bytes.t;
-      (** the object index: entry [offset lsr entry_shift] (an int32) holds
-          the arena slot of the object registered in its span, or -1.
-          Change it only through {!add_object}, {!remove_object} and
-          {!release}. *)
+      (** the object index: entry [offset lsr entry_shift] (an int32) names
+          the object registered in its span, or is -1 — on a small page
+          [slot lsl 1 lor ((offset lsr 3) land 1)], elsewhere the slot,
+          with the registered word offsets after the [entries] slot
+          entries.  Change it only through {!add_object},
+          {!remove_object} and {!release}. *)
   mutable words : Heap_obj.words;
       (** reference and payload words of the page's objects: word [i]
           mirrors byte offset [8 i].  Empty until the page's first write
@@ -102,10 +105,11 @@ val new_object :
 val add_object : t -> Heap_obj.t -> unit
 (** Register an object at the offset of its [addr], replacing any object
     registered at that same offset.
-    @raise Invalid_argument if the page is released, or the offset is off
-    the page or not word-aligned, or its index entry is held by an object
-    registered at another offset (two objects starting in one entry's
-    span). *)
+    @raise Invalid_argument if the page is released, or the object's slot
+    is 2{^30} or more, or the offset is off the page or not word-aligned,
+    or its index entry is held by an object registered at another offset
+    (two objects starting in one entry's span: 16 bytes on a small
+    page). *)
 
 val remove_object : t -> Heap_obj.t -> unit
 (** Unregister the object at the offset of its [addr] (a no-op if none

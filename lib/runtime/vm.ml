@@ -125,7 +125,7 @@ let check_m t m =
 
 (* Wall time follows the slowest mutator thread; pauses (and, on a
    saturated core, GC work) are serial additions. *)
-let mutator_cycles t = Array.fold_left max 0 t.mut_clock
+let mutator_cycles t = Array.fold_left Int.max 0 t.mut_clock
 
 let wall_cycles t =
   mutator_cycles t + t.stw_cycles_ + if t.saturated then t.gc_cycles_ else 0

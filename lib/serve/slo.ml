@@ -58,7 +58,7 @@ let analyze ~slo ~duration ~pauses (result : Serve.result) =
        a request's wall window carries to everything queued behind it; a
        request that starts with zero wait opens a fresh busy period. *)
     let mutators =
-      1 + Array.fold_left (fun acc r -> max acc r.Serve.mutator) 0 requests
+      1 + Array.fold_left (fun acc r -> Int.max acc r.Serve.mutator) 0 requests
     in
     let carry = Array.make mutators 0 in
     let violations = ref 0 in

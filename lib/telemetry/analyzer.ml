@@ -97,7 +97,7 @@ let overlap_sorted ivs ~window:(w0, w1) =
   let acc = ref 0 and i = ref !lo in
   while !i < Array.length ivs && fst ivs.(!i) < w1 do
     let a, b = ivs.(!i) in
-    acc := !acc + max 0 (min b w1 - max a w0);
+    acc := !acc + Int.max 0 (Int.min b w1 - Int.max a w0);
     incr i
   done;
   !acc

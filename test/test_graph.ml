@@ -219,6 +219,16 @@ let articulation_bridge_chain () =
   let r = Connectivity.analyse ~passes:1 g in
   check Alcotest.int "interior cut points" 3 r.Connectivity.cut_points
 
+(* The int-specialised sort behind every candidate set: short arrays
+   take insertion sort, longer ones heap sort. *)
+let prop_set_of_array =
+  QCheck.Test.make ~name:"bron-kerbosch: set_of_array = List.sort_uniq"
+    ~count:200
+    QCheck.(array_of_size Gen.(int_range 0 80) (int_range (-40) 40))
+    (fun a ->
+      let expect = List.sort_uniq Int.compare (Array.to_list a) in
+      Array.to_list (Bron_kerbosch.set_of_array (Array.copy a)) = expect)
+
 let prop_cc_matches_reference =
   QCheck.Test.make ~name:"connectivity: matches union-find reference" ~count:25
     QCheck.(pair (int_range 2 30) (small_list (pair (int_bound 29) (int_bound 29))))
@@ -348,6 +358,7 @@ let suite =
         case "independent set" `Quick bk_independent_set;
         case "complete graph" `Quick bk_complete_graph;
         case "expansion cap" `Quick bk_expansion_cap;
+        QCheck_alcotest.to_alcotest prop_set_of_array;
         case "GC-safe enumeration" `Slow bk_gc_safe;
       ] );
   ]

@@ -202,6 +202,120 @@ let obj_generation () =
   check Alcotest.bool "none is never live" false
     (Heap_obj.is_live arena Heap_obj.none)
 
+(* Each object's metadata is packed into one arena cell: [addr] and [id]
+   take a word each, [nrefs] and [size] 31 bits, [nwords] and
+   [page_id + 1] 32 bits, next to the generation, [written] and a 32-bit
+   [relocations] count.  Every field must read back what was written,
+   with every neighbour at its own limit, and a reused slot must start
+   clean.  [size] is the binding limit of [alloc]: it caps
+   [nrefs + nwords]. *)
+type packed = {
+  p_addr : int;
+  p_id : int;
+  p_nrefs : int;
+  p_nwords : int;
+  p_page_id : int;
+  p_written : bool;
+  p_relocs : int;
+}
+
+let max_page_id = (1 lsl 32) - 2
+
+(* The most reference and payload words one object can have: its size
+   must stay below 2^31. *)
+let max_obj_words = ((1 lsl 31) - 1 - test_layout.Layout.header_bytes) / 8
+
+let prop_packed_fields_roundtrip =
+  let open QCheck.Gen in
+  let edge lo hi = oneof [ oneofl [ lo; hi ]; int_range lo hi ] in
+  let any_int = oneof [ oneofl [ min_int; max_int; -1; 0 ]; int ] in
+  let packed =
+    let* p_addr = any_int and* p_id = any_int in
+    let* n = edge 0 max_obj_words in
+    let* p_nrefs = edge 0 n in
+    let* p_page_id = edge (-1) max_page_id in
+    let* p_written = bool and* p_relocs = int_range 0 3 in
+    return
+      { p_addr; p_id; p_nrefs; p_nwords = n - p_nrefs; p_page_id; p_written;
+        p_relocs }
+  in
+  QCheck.Test.make
+    ~name:"heap_obj: packed fields read back at their width limits" ~count:100
+    (QCheck.make (list_size (int_range 1 100) (pair packed (opt small_nat))))
+    (fun script ->
+      let arena = Heap_obj.create_arena () in
+      let live = ref [] in
+      let reads_back (o, p) =
+        Heap_obj.is_live arena o
+        && Heap_obj.addr arena o = p.p_addr
+        && Heap_obj.id arena o = p.p_id
+        && Heap_obj.nrefs arena o = p.p_nrefs
+        && Heap_obj.nwords arena o = p.p_nwords
+        && Heap_obj.size arena o
+           = Layout.object_bytes test_layout ~nrefs:p.p_nrefs
+               ~nwords:p.p_nwords
+        && Heap_obj.page_id arena o = p.p_page_id
+        && Heap_obj.payload_written arena o = p.p_written
+        && Heap_obj.relocations arena o = p.p_relocs
+        && Heap_obj.live_addr arena o = p.p_addr
+      in
+      List.for_all
+        (fun (p, free) ->
+          let o =
+            Heap_obj.alloc arena ~layout:test_layout ~id:p.p_id ~addr:p.p_addr
+              ~nrefs:p.p_nrefs ~nwords:p.p_nwords
+          in
+          let clean =
+            Heap_obj.page_id arena o = -1
+            && (not (Heap_obj.payload_written arena o))
+            && Heap_obj.relocations arena o = 0
+          in
+          Heap_obj.set_page_id arena o p.p_page_id;
+          if p.p_written then Heap_obj.set_payload_written arena o;
+          for _ = 1 to p.p_relocs do
+            Heap_obj.incr_relocations arena o
+          done;
+          live := (o, p) :: !live;
+          let freed_dead =
+            match free with
+            | None -> true
+            | Some k ->
+                let k = k mod List.length !live in
+                let gone, _ = List.nth !live k in
+                Heap_obj.free arena gone;
+                live := List.filteri (fun i _ -> i <> k) !live;
+                not (Heap_obj.is_live arena gone)
+          in
+          clean && freed_dead && List.for_all reads_back !live)
+        script)
+
+(* A value wider than its field raises instead of spilling into the
+   next one, and so does a slot the page index cannot hold. *)
+let obj_field_widths () =
+  let arena = Heap_obj.create_arena () in
+  let alloc ~nrefs ~nwords =
+    Heap_obj.alloc arena ~layout:test_layout ~id:0 ~addr:0 ~nrefs ~nwords
+  in
+  let too_big = Invalid_argument "Heap_obj.alloc: object size does not fit 31 bits" in
+  Alcotest.check_raises "nrefs past the size limit" too_big (fun () ->
+      ignore (alloc ~nrefs:(max_obj_words + 1) ~nwords:0));
+  Alcotest.check_raises "nwords past the size limit" too_big (fun () ->
+      ignore (alloc ~nrefs:1 ~nwords:max_obj_words));
+  check Alcotest.int "a failed alloc takes no slot" 0
+    (Heap_obj.live_count arena);
+  let o = alloc ~nrefs:0 ~nwords:max_obj_words in
+  check Alcotest.int "size at its limit" ((1 lsl 31) - 8) (Heap_obj.size arena o);
+  let bad_page = Invalid_argument "Heap_obj.set_page_id: page id does not fit 32 bits" in
+  Alcotest.check_raises "page id past 32 bits" bad_page (fun () ->
+      Heap_obj.set_page_id arena o (max_page_id + 1));
+  Alcotest.check_raises "page id below -1" bad_page (fun () ->
+      Heap_obj.set_page_id arena o (-2));
+  check Alcotest.int "page id unchanged" (-1) (Heap_obj.page_id arena o);
+  let p = make_page () in
+  Alcotest.check_raises "slot of 2^30 or more"
+    (Invalid_argument "Page.add_object: slot does not fit 30 bits") (fun () ->
+      Page.add_object p Heap_obj.none)
+
 (* ------------------------------------------------------------------ *)
 (* Fwd_table                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -250,10 +364,13 @@ let page_object_registry () =
 
 (* The object index against an assoc-list model: word-aligned offsets
    in any order (production registers only increasing bump offsets),
-   removal, re-adding at a removed offset, and growth well past the
-   initial 16 slots.  After every step all three readers must agree with
-   the model; [iter_live] runs over a livemap that also has bits at every
-   unregistered offset, which it must skip. *)
+   removal, and re-adding at a removed offset.  A small page's index
+   holds at most one object start per 16-byte span (the minimum object
+   size), so the model predicts [Invalid_argument] for a start at the
+   other word of an occupied span, and no change.  After every step all
+   three readers must agree with the model; [iter_live] runs over a
+   livemap that also has bits at every unregistered offset, which it
+   must skip. *)
 let prop_page_index_matches_model =
   let words = 200 in
   let op =
@@ -318,10 +435,18 @@ let prop_page_index_matches_model =
       List.for_all
         (fun step ->
           (match step with
-          | `Add offset ->
+          | `Add offset -> (
               let o = obj_at offset (List.length !model) in
-              Page.add_object p o;
-              model := (offset, o) :: List.remove_assoc offset !model
+              let span_taken =
+                List.exists
+                  (fun (at, _) -> at lsr 4 = offset lsr 4 && at <> offset)
+                  !model
+              in
+              match Page.add_object p o with
+              | () ->
+                  if span_taken then failwith "second start in a span accepted";
+                  model := (offset, o) :: List.remove_assoc offset !model
+              | exception Invalid_argument _ when span_taken -> ())
           | `Remove offset -> (
               match List.assoc_opt offset !model with
               | Some o ->
@@ -386,24 +511,30 @@ let sized_page_registry cls ~nwords ~count () =
     (Page.find_object p ~offset:first_offset = None)
 
 (* Two objects starting in one index entry's span cannot both be
-   registered: the second raises and the first stays. *)
+   registered: the second raises and the first stays.  A small page's
+   span is 16 bytes, a medium page's [small_obj_max]. *)
 let page_overlap_rejected () =
+  let rejects p ~nwords =
+    let offset, o = place p ~nwords in
+    let squeezed =
+      Heap_obj.alloc p.Page.arena ~layout:test_layout ~id:1
+        ~addr:(p.Page.start + offset + 8) ~nrefs:0 ~nwords:1
+    in
+    Alcotest.check_raises "second object in one entry's span"
+      (Invalid_argument
+         "Page.add_object: entry held by an object at another offset")
+      (fun () -> Page.add_object p squeezed);
+    check Alcotest.bool "first registration kept" true
+      (Page.find_object p ~offset = Some o);
+    check Alcotest.bool "nothing registered at the second offset" true
+      (Page.find_object p ~offset:(offset + 8) = None)
+  in
+  rejects (make_page ()) ~nwords:0;
   let nwords = 1100 in
-  let p =
-    sized_page Layout.Medium
-      ~bytes:(Layout.object_bytes test_layout ~nrefs:1 ~nwords)
-  in
-  let offset, o = place p ~nwords in
-  let squeezed =
-    Heap_obj.alloc p.Page.arena ~layout:test_layout ~id:1
-      ~addr:(p.Page.start + offset + 8) ~nrefs:0 ~nwords:1
-  in
-  Alcotest.check_raises "second object in one entry's span"
-    (Invalid_argument
-       "Page.add_object: entry held by an object at another offset")
-    (fun () -> Page.add_object p squeezed);
-  check Alcotest.bool "first registration kept" true
-    (Page.find_object p ~offset = Some o)
+  rejects
+    (sized_page Layout.Medium
+       ~bytes:(Layout.object_bytes test_layout ~nrefs:1 ~nwords))
+    ~nwords
 
 let page_liveness_accounting () =
   let p = make_page () in
@@ -941,6 +1072,8 @@ let suite =
         case "accessors" `Quick obj_accessors;
         case "bounds" `Quick obj_bounds;
         case "generations" `Quick obj_generation;
+        QCheck_alcotest.to_alcotest prop_packed_fields_roundtrip;
+        case "field widths enforced" `Quick obj_field_widths;
       ] );
     ("heap.fwd", [ case "claim semantics" `Quick fwd_claim_semantics ]);
     ( "heap.page",

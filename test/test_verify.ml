@@ -117,20 +117,40 @@ let corrupt_live_objects_detected () =
   page.Page.live_objects <- page.Page.live_objects + 1;
   expect_violation ~what:"skewed live_objects" ~needle:"livemap covers" vm
 
-(* An object moved by one word without re-registering: the page walk
-   must report the offset the object was registered under, which only
-   [Page.iter_objects] yielding stored keys (not [addr - start]) can. *)
+(* An object moved without re-registering: the page walk must report the
+   offset the object was registered under, which only [Page.iter_objects]
+   yielding stored offsets (not [addr - start]) can.  A small page's
+   index has one entry per 16 bytes, so the offset comes from the entry's
+   position and a parity bit: moves by one word and by two (into the next
+   entry's span), and one that stays in the object's span and flips only
+   the parity, must all be caught. *)
 let corrupt_registration_detected () =
-  let vm, _ = ripe_vm () in
-  let o = Vm.alloc vm ~nrefs:0 ~nwords:2 in
-  let page = Option.get (Heap.page_of_addr (Vm.heap vm) (obj_addr vm o)) in
-  let offset = Page.offset_of_addr page (obj_addr vm o) in
-  Heap_obj.set_addr (Heap.objects (Vm.heap vm)) o (obj_addr vm o + 8);
-  expect_violation ~what:"object moved without re-registering"
-    ~needle:
-      (Printf.sprintf "registered at offset %d of page #%d but addr=0x%x"
-         offset page.Page.id (obj_addr vm o))
-    vm
+  let moved ~what delta_of =
+    let vm, _ = ripe_vm () in
+    let o = Vm.alloc vm ~nrefs:0 ~nwords:2 in
+    let page = Option.get (Heap.page_of_addr (Vm.heap vm) (obj_addr vm o)) in
+    let offset = Page.offset_of_addr page (obj_addr vm o) in
+    let moved_to = offset + delta_of offset in
+    Heap_obj.set_addr (Heap.objects (Vm.heap vm)) o (page.Page.start + moved_to);
+    expect_violation ~what
+      ~needle:
+        (Printf.sprintf "registered at offset %d of page #%d but addr=0x%x"
+           offset page.Page.id (obj_addr vm o))
+      vm;
+    (offset lsr 4, moved_to lsr 4)
+  in
+  ignore (moved ~what:"moved 8 bytes without re-registering" (fun _ -> 8));
+  let span, span' =
+    moved ~what:"moved 16 bytes without re-registering" (fun _ -> 16)
+  in
+  check Alcotest.bool "the 16-byte move leaves its index span" true
+    (span <> span');
+  let span, span' =
+    moved ~what:"moved within its index span" (fun offset ->
+        if offset land 8 = 0 then 8 else -8)
+  in
+  check Alcotest.bool "the parity move stays in its index span" true
+    (span = span')
 
 let check_exn_raises () =
   let vm, keeper = ripe_vm () in
