@@ -206,9 +206,10 @@ let obj_generation () =
    take a word each, [nrefs] and [size] 31 bits, [nwords] and
    [page_id + 1] 32 bits, next to the generation, [written] and a 32-bit
    [relocations] count.  Every field must read back what was written,
-   with every neighbour at its own limit, and a reused slot must start
+   with its neighbours at their limits, and a reused slot must start
    clean.  [size] is the binding limit of [alloc]: it caps
-   [nrefs + nwords]. *)
+   [nrefs + nwords].  [relocations] can only be counted up, so it is
+   read back at small counts; reaching 2^32 would take 2^32 moves. *)
 type packed = {
   p_addr : int;
   p_id : int;
