@@ -122,8 +122,10 @@ let create ~layout ~arena ~id ~cls ~start ~size ~birth_cycle =
 (* Free the slots of entries [i, n) and reset them, in address order, so
    slots return to the arena in allocation order.  Most entries of a small
    page are empty (one per 16 bytes), so empty ones are skipped four to a
-   test.  A medium or large page's registered offsets are reset too, so
-   the pool holds only all -1 buffers. *)
+   test.  A medium or large page's registered offsets are reset with
+   their slots, here and in [remove_object], so the pool holds only all
+   -1 buffers: at a 4 KiB small page a medium page's buffer has a small
+   page's length, and a small page would read a stale offset as a slot. *)
 let rec free_entries t ix i n =
   if
     i + 4 <= n
@@ -206,7 +208,10 @@ let remove_object t obj =
   let i = offset lsr t.entry_shift in
   if i < t.entries then begin
     let e = entry t.index i in
-    if e >= 0 && entry_offset t i e = offset then set_entry t.index i (-1)
+    if e >= 0 && entry_offset t i e = offset then begin
+      set_entry t.index i (-1);
+      if t.entry_shift <> small_shift then set_entry t.index (t.entries + i) (-1)
+    end
   end
 
 (* A negative offset shifts to a huge entry number, so the one compare

@@ -219,8 +219,8 @@ let articulation_bridge_chain () =
   let r = Connectivity.analyse ~passes:1 g in
   check Alcotest.int "interior cut points" 3 r.Connectivity.cut_points
 
-(* The int-specialised sort behind every candidate set: short arrays
-   take insertion sort, longer ones heap sort. *)
+(* The int-specialised heap sort behind every neighbour set, with
+   duplicates and the empty and one-element arrays. *)
 let prop_set_of_array =
   QCheck.Test.make ~name:"bron-kerbosch: set_of_array = List.sort_uniq"
     ~count:200

@@ -537,6 +537,40 @@ let page_overlap_rejected () =
        ~bytes:(Layout.object_bytes test_layout ~nrefs:1 ~nwords))
     ~nwords
 
+(* Index buffers are pooled by byte length, so at a 4 KiB small page a
+   medium page's buffer (128 slot entries, then 128 registered offsets)
+   has the length of a small page's (256 entries).  An object moved off a
+   medium page must leave its offset entry reset too: a small page that
+   takes the buffer after [release] would read it as a registered slot. *)
+let page_pooled_index_clean () =
+  let layout = Layout.scaled ~small_page:4096 in
+  let arena = Heap_obj.create_arena () in
+  let page ~id cls ~start =
+    Page.create ~layout ~arena ~id ~cls ~start
+      ~size:(Layout.page_bytes_for layout cls 0)
+      ~birth_cycle:0
+  in
+  let medium = page ~id:0 Layout.Medium ~start:0x100000 in
+  let other = page ~id:1 Layout.Medium ~start:0x200000 in
+  let nwords = 100 in
+  let bytes = Layout.object_bytes layout ~nrefs:0 ~nwords in
+  let objs =
+    List.init 3 (fun k ->
+        Page.new_object medium ~id:k ~addr:(medium.Page.start + (k * bytes))
+          ~nrefs:0 ~nwords)
+  in
+  Page.move_object ~src:medium ~dst:other (List.nth objs 1)
+    ~new_addr:other.Page.start;
+  Page.release medium;
+  let small = page ~id:2 Layout.Small ~start:0x300000 in
+  check Alcotest.int "small page registers nothing" 0 (Page.object_count small);
+  for w = 0 to (small.Page.size / 8) - 1 do
+    if Page.object_at small ~offset:(w * 8) != Heap_obj.none then
+      Alcotest.failf "stale object at offset %d of a fresh small page" (w * 8)
+  done;
+  ignore (Page.new_object small ~id:9 ~addr:small.Page.start ~nrefs:0 ~nwords:0);
+  check Alcotest.int "then registers one" 1 (Page.object_count small)
+
 let page_liveness_accounting () =
   let p = make_page () in
   let o1 = obj_on_page p 0 and o2 = obj_on_page p 64 in
@@ -1090,6 +1124,8 @@ let suite =
         case "large page registry" `Quick
           (sized_page_registry Layout.Large ~nwords:20_000 ~count:1);
         case "overlapping registration rejected" `Quick page_overlap_rejected;
+        case "pooled index buffer comes back clean" `Quick
+          page_pooled_index_clean;
         case "liveness accounting" `Quick page_liveness_accounting;
         case "iter_live order" `Quick page_iter_live_order;
         case "hotness" `Quick page_hotness;
