@@ -198,9 +198,7 @@ let on_vm ?(nobjs = 64) body () =
 
 let on_machine body () = (None, body (Machine.create ~cores:1 ()))
 
-let on_prefetcher body () =
-  let pf = Prefetcher.create () in
-  (None, body pf (Array.make (Prefetcher.degree pf) 0))
+let on_prefetcher body () = (None, body (Prefetcher.create ()))
 
 (* ---- the table ----------------------------------------------------- *)
 
@@ -258,23 +256,22 @@ let kernels =
     (* Two interleaved sequences with a stride of +/-2 lines: no access
        extends a stream, so this measures only the no-match path (a new
        stream over the LRU slot).  The descending sequence starts at 2^40
-       so that no op count reaches a negative line, which observe_into
-       rejects. *)
+       so that no op count reaches a negative line, which
+       [Prefetcher.step] rejects. *)
     op_kernel "prefetcher-observe"
-      (on_prefetcher (fun pf buf lo hi ->
+      (on_prefetcher (fun pf lo hi ->
            for i = lo to hi - 1 do
              let line = if i land 1 = 0 then i else (1 lsl 40) - i in
-             ignore (Prefetcher.observe_into pf line buf)
+             ignore (Prefetcher.step pf line : int)
            done));
     (* Two interleaved +1/-1 streams, as mark/evacuation scans do: after
-       the first accesses every one extends a confirmed stream and issues
-       [degree] prefetches. *)
+       the first accesses every one extends a confirmed stream. *)
     op_kernel "prefetcher-stream"
-      (on_prefetcher (fun pf buf lo hi ->
+      (on_prefetcher (fun pf lo hi ->
            for i = lo to hi - 1 do
              let j = i lsr 1 in
              let line = if i land 1 = 0 then j else (1 lsl 40) - j in
-             ignore (Prefetcher.observe_into pf line buf)
+             ignore (Prefetcher.step pf line : int)
            done));
     cycle_kernel "churn" ~warmup:30 ~rounds:300 churn;
     cycle_kernel "relocation-storm" ~warmup:15 ~rounds:150 relocation_storm;

@@ -4,7 +4,9 @@
    Each kernel runs warm-up rounds, then timed rounds; only a round's
    [step] is timed and metered (Hcsgc_util.Alloc_meter).  Reported per op
    or cycle: throughput, host time, host words allocated, and the
-   simulated GC cycles the kernel's collector completed.
+   simulated GC cycles the kernel's collector completed.  Host time is
+   also given per round, as the median, minimum and interquartile range
+   of the rounds' ns per op or cycle, so one run shows its own spread.
 
    Usage:
      dune exec --profile release bench/micro/main.exe -- [--quick]
@@ -14,6 +16,7 @@ module Kernels = Bench_micro.Kernels
 module Alloc_meter = Hcsgc_util.Alloc_meter
 module Gc_stats = Hcsgc_core.Gc_stats
 module Collector = Hcsgc_core.Collector
+module Descriptive = Hcsgc_stats.Descriptive
 
 type result = {
   name : string;
@@ -21,6 +24,10 @@ type result = {
   count : int;  (* measured ops or cycles *)
   per_sec : float;
   ns_per_unit : float;
+  (* Per-round ns per op or cycle: median, minimum, Q3 - Q1. *)
+  ns_median : float;
+  ns_min : float;
+  ns_iqr : float;
   words_per_unit : float;
   sim_gc_cycles : int;
 }
@@ -34,24 +41,30 @@ let measure ~quick (k : Kernels.t) =
   done;
   let ovh = Alloc_meter.overhead_per_call () in
   let words = ref 0.0 and secs = ref 0.0 in
-  for r = k.warmup + 1 to k.warmup + rounds do
-    s.mutate r;
+  let round_ns = Array.make rounds 0.0 in
+  for r = 0 to rounds - 1 do
+    s.mutate (k.warmup + 1 + r);
     let t0 = Unix.gettimeofday () in
     let a0 = Alloc_meter.words () in
     s.step ();
     let a1 = Alloc_meter.words () in
     let t1 = Unix.gettimeofday () in
     words := !words +. (a1 -. a0 -. ovh);
-    secs := !secs +. (t1 -. t0)
+    secs := !secs +. (t1 -. t0);
+    round_ns.(r) <- (t1 -. t0) *. 1e9 /. float_of_int s.per_step
   done;
   let count = rounds * s.per_step in
   let n = float_of_int count in
+  let q = Descriptive.quantile round_ns in
   {
     name = k.name;
     unit_ = k.unit_;
     count;
     per_sec = (if !secs > 0.0 then n /. !secs else 0.0);
     ns_per_unit = !secs *. 1e9 /. n;
+    ns_median = q 0.5;
+    ns_min = Descriptive.min round_ns;
+    ns_iqr = q 0.75 -. q 0.25;
     words_per_unit = !words /. n;
     sim_gc_cycles =
       (match s.col with
@@ -63,11 +76,12 @@ let json ~label results =
   let kernel r =
     Printf.sprintf
       "    { \"name\": %S, \"unit\": %S, \"count\": %d, \"per_sec\": %.0f, \
-       \"ns_per_unit\": %.2f, \"words_per_unit\": %.4f, \"sim_gc_cycles\": \
-       %d }"
+       \"ns_per_unit\": %.2f, \"ns_median\": %.2f, \"ns_min\": %.2f, \
+       \"ns_iqr\": %.2f, \"words_per_unit\": %.4f, \"sim_gc_cycles\": %d }"
       r.name
       (Kernels.unit_name r.unit_)
-      r.count r.per_sec r.ns_per_unit r.words_per_unit r.sim_gc_cycles
+      r.count r.per_sec r.ns_per_unit r.ns_median r.ns_min r.ns_iqr
+      r.words_per_unit r.sim_gc_cycles
   in
   Printf.sprintf
     "{\n\
@@ -110,9 +124,10 @@ let () =
         let r = measure ~quick:!quick k in
         let u = Kernels.unit_name r.unit_ in
         Printf.printf
-          "%-20s %12.0f %ss/s %12.1f ns/%s %11.4f words/%s %5d sim cycles\n%!"
-          r.name r.per_sec u r.ns_per_unit u r.words_per_unit u
-          r.sim_gc_cycles;
+          "%-20s %12.0f %ss/s %12.1f ns/%s (rounds: median %.1f, min %.1f, \
+           IQR %.1f) %11.4f words/%s %5d sim cycles\n%!"
+          r.name r.per_sec u r.ns_per_unit u r.ns_median r.ns_min r.ns_iqr
+          r.words_per_unit u r.sim_gc_cycles;
         r)
       !selected
   in

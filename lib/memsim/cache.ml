@@ -6,14 +6,17 @@ type geometry = {
 
 type t = {
   geom : geometry;
-  ways : int;
+  rest : int;  (* ranks below rank 0: ways - 1 *)
   set_mask : int;
   line_shift : int;
-  (* tags.(set * ways + rank), each set in recency order: rank 0 is the
-     most recently used line, the last valid rank the least recently used.
-     -1 = invalid; a set fills rank by rank and only [invalidate_all]
-     clears a tag, so a set's invalid ranks are always a suffix of it.
-     True LRU per set is fully determined by this order, so no stamps. *)
+  (* Each set in recency order: rank 0, the most recently used line, is
+     mru.(set); ranks 1 .. ways-1 are tags.(set * rest + rank - 1), the
+     last valid rank the least recently used.  -1 = invalid; a set fills
+     rank by rank and only [invalidate_all] clears a tag, so a set's
+     invalid ranks are always a suffix of it.  True LRU per set is fully
+     determined by this order, so no stamps.  Rank 0 apart keeps the fast
+     path's reads in a dense array of one int per set. *)
+  mru : int array;
   tags : int array;
 }
 
@@ -32,35 +35,40 @@ let create geom =
     invalid_arg "Cache.create: geometry must yield a power-of-two set count";
   {
     geom;
-    ways = geom.ways;
+    rest = geom.ways - 1;
     set_mask = sets - 1;
     line_shift = log2 geom.line_bytes;
-    tags = Array.make (sets * geom.ways) (-1);
+    mru = Array.make sets (-1);
+    tags = Array.make (sets * (geom.ways - 1)) (-1);
   }
 
 let geometry t = t.geom
 
 let[@inline] line_of_addr t addr = addr lsr t.line_shift
 
-(* Move-to-front in one pass: [line] goes to rank 0 and each older tag
-   moves down one rank, until the pass reaches [line] itself (a hit), the
-   first invalid rank (a fill) or the end of the set, where the last tag
-   drops out as the LRU victim.  A counting loop over mutable locals, not a
-   local recursive function, so nothing is allocated per call. *)
+(* Move-to-front in one pass, for a [line] that is not at rank 0: [line]
+   goes to rank 0 and each older tag moves down one rank, until the pass
+   reaches [line] itself (a hit) or the end of the set, where the last tag
+   drops out as the LRU victim.  In a set that is not full the pass also
+   moves the invalid suffix down one rank, which leaves it as it was.  A
+   counting loop over mutable locals, not a local recursive function, so
+   nothing is allocated per call. *)
 let[@inline never] access_slow t line =
+  let set = line land t.set_mask in
+  let carry = ref (Array.unsafe_get t.mru set) in
+  Array.unsafe_set t.mru set line;
   let tags = t.tags in
-  let slot = ref ((line land t.set_mask) * t.ways) in
-  let last = !slot + t.ways - 1 in
-  let carry = ref line and hit = ref false and go = ref true in
-  while !go do
+  let slot = ref (set * t.rest) in
+  let stop = !slot + t.rest in
+  let hit = ref false in
+  while !slot < stop do
     let s = !slot in
     let tag = Array.unsafe_get tags s in
     Array.unsafe_set tags s !carry;
     if tag = line then begin
       hit := true;
-      go := false
+      slot := stop
     end
-    else if tag = -1 || s = last then go := false
     else begin
       carry := tag;
       slot := s + 1
@@ -68,20 +76,23 @@ let[@inline never] access_slow t line =
   done;
   !hit
 
+let[@inline] is_mru t line = Array.unsafe_get t.mru (line land t.set_mask) = line
+
 (* Small enough to inline across modules without flambda, so a hit on the
    set's MRU line costs the callers one tag compare and no call. *)
-let[@inline] access t line =
-  Array.unsafe_get t.tags ((line land t.set_mask) * t.ways) = line
-  || access_slow t line
+let[@inline] access t line = is_mru t line || access_slow t line
 
 let[@inline] insert t line = ignore (access t line : bool)
 
 let probe t line =
-  let slot = ref ((line land t.set_mask) * t.ways) in
-  let stop = !slot + t.ways in
+  let set = line land t.set_mask in
+  let slot = ref (set * t.rest) in
+  let stop = !slot + t.rest in
   while !slot < stop && Array.unsafe_get t.tags !slot <> line do
     incr slot
   done;
-  !slot < stop
+  Array.unsafe_get t.mru set = line || !slot < stop
 
-let invalidate_all t = Array.fill t.tags 0 (Array.length t.tags) (-1)
+let invalidate_all t =
+  Array.fill t.mru 0 (Array.length t.mru) (-1);
+  Array.fill t.tags 0 (Array.length t.tags) (-1)

@@ -7,11 +7,12 @@
 
     Each set keeps its tags in recency order (move-to-front): rank 0 is the
     most recently used line and the last valid rank the least recently
-    used.  A hit on rank 0 costs one tag compare; anything else takes one
-    pass that moves the line to rank 0, shifting older tags down one rank
-    and dropping the last one on a miss in a full set.  True LRU is fully
-    determined by recency order, so hits, misses and evictions are exactly
-    true LRU's. *)
+    used.  Rank 0 of every set sits in one dense array, one int per set,
+    and ranks 1 and below in another.  A hit on rank 0 costs one tag
+    compare in the dense array; anything else takes one pass that moves
+    the line to rank 0, shifting older tags down one rank and dropping the
+    last one on a miss in a full set.  True LRU is fully determined by
+    recency order, so hits, misses and evictions are exactly true LRU's. *)
 
 type t
 
@@ -34,6 +35,11 @@ val access : t -> int -> bool
 (** [access t line] looks up line-address [line]; on hit, refreshes LRU and
     returns [true]; on miss, inserts [line] (evicting the LRU way) and returns
     [false]. *)
+
+val is_mru : t -> int -> bool
+(** [is_mru t line] is whether [line] is the most recently used line of its
+    set: the one tag compare {!access} makes first.  No side effects; when
+    it holds, {!access} and {!insert} change nothing. *)
 
 val probe : t -> int -> bool
 (** [probe t line] is a lookup with no side effects (no LRU update, no fill). *)

@@ -2,7 +2,6 @@ type core = {
   l1 : Cache.t;
   l2 : Cache.t;
   pf : Prefetcher.t;
-  pf_buf : int array;  (* preallocated Prefetcher.observe_into target *)
   tlb : Cache.t option;
   mutable c_tlbm : int;
   mutable c_loads : int;
@@ -17,16 +16,8 @@ type core = {
 type t = {
   cfg : Hierarchy.config;
   llc : Cache.t;
+  (* The counters live in the cores only; machine-wide readings sum them. *)
   core_arr : core array;
-  (* Machine-wide counter totals. *)
-  mutable loads : int;
-  mutable stores : int;
-  mutable l1_misses : int;
-  mutable l2_misses : int;
-  mutable llc_misses : int;
-  mutable prefetches : int;
-  mutable tlb_misses_ : int;
-  mutable far_loads_ : int;
   (* Optional far-memory tier behind the LLC, consulted only on the
      demand-load LLC-miss path.  [None] (the default) charges [lat_mem]
      for every LLC miss, exactly the pre-tier machine. *)
@@ -45,12 +36,10 @@ let create ?(cfg = Hierarchy.default_config) ~cores () =
     llc = Cache.create cfg.Hierarchy.llc;
     core_arr =
       Array.init cores (fun _ ->
-          let pf = Prefetcher.create () in
           {
             l1 = Cache.create cfg.Hierarchy.l1;
             l2 = Cache.create cfg.Hierarchy.l2;
-            pf;
-            pf_buf = Array.make (Prefetcher.degree pf) 0;
+            pf = Prefetcher.create ();
             tlb =
               (if cfg.Hierarchy.tlb then
                  (* A TLB is a cache of page translations: model it as a
@@ -73,14 +62,6 @@ let create ?(cfg = Hierarchy.default_config) ~cores () =
             c_pf = 0;
             c_far = 0;
           });
-    loads = 0;
-    stores = 0;
-    l1_misses = 0;
-    l2_misses = 0;
-    llc_misses = 0;
-    prefetches = 0;
-    tlb_misses_ = 0;
-    far_loads_ = 0;
     tier = None;
   }
 
@@ -92,25 +73,38 @@ let tier t = t.tier
 
 let line_bytes t = t.cfg.Hierarchy.l1.Cache.line_bytes
 
-let core t i =
+let[@inline] core t i =
   if i < 0 || i >= Array.length t.core_arr then
     invalid_arg "Machine: core index out of range";
-  t.core_arr.(i)
+  Array.unsafe_get t.core_arr i
 
-let[@inline] prefetch_fill t c line =
+let[@inline never] prefetch_fill t c line =
   Cache.insert t.llc line;
   Cache.insert c.l2 line;
-  Cache.insert c.l1 line;
-  t.prefetches <- t.prefetches + 1;
-  c.c_pf <- c.c_pf + 1
+  Cache.insert c.l1 line
 
-let run_prefetcher t c line =
+(* A confirmed stream of stride [d] fills the [degree] lines after [line]
+   in that direction, nearest first, skipping any below line 0.  Most
+   fills find the line already most recent in all three levels, where
+   filling changes nothing; such a fill costs three compares and no
+   call. *)
+let[@inline never] fill_ahead t c line d =
+  let llc = t.llc and l2 = c.l2 and l1 = c.l1 in
+  let l = ref line and n = ref 0 in
+  for _ = 1 to Prefetcher.degree c.pf do
+    l := !l + d;
+    if !l >= 0 then begin
+      incr n;
+      if not (Cache.is_mru llc !l && Cache.is_mru l2 !l && Cache.is_mru l1 !l)
+      then prefetch_fill t c !l
+    end
+  done;
+  c.c_pf <- c.c_pf + !n
+
+let[@inline] run_prefetcher t c line =
   if t.cfg.Hierarchy.prefetch then begin
-    let n = Prefetcher.observe_into c.pf line c.pf_buf in
-    for i = 0 to n - 1 do
-      let l = Array.unsafe_get c.pf_buf i in
-      if l >= 0 then prefetch_fill t c l
-    done
+    let d = Prefetcher.step c.pf line in
+    if d <> 0 then fill_ahead t c line d
   end
 
 (* Memory-level latency of a demand load that missed the whole cache
@@ -121,35 +115,27 @@ let[@inline] far_or_mem t c line =
   match t.tier with
   | Some tier when Tier.resident tier (line * t.cfg.Hierarchy.l1.Cache.line_bytes)
     ->
-      t.far_loads_ <- t.far_loads_ + 1;
       c.c_far <- c.c_far + 1;
       Tier.lat_far tier
   | _ -> t.cfg.Hierarchy.lat_mem
 
-let demand t c line ~is_load =
-  if Cache.access c.l1 line then t.cfg.Hierarchy.lat_l1
+(* The demand walk below L1, out of line: [load_line] and [store_line]
+   inline only L1's rank-0 compare.  Loads count a miss at each level they
+   pass; a store fills the same levels uncounted. *)
+let[@inline never] load_below_l1 t c line =
+  c.c_l1m <- c.c_l1m + 1;
+  if Cache.access c.l2 line then t.cfg.Hierarchy.lat_l2
   else begin
-    if is_load then begin
-      t.l1_misses <- t.l1_misses + 1;
-      c.c_l1m <- c.c_l1m + 1
-    end;
-    if Cache.access c.l2 line then t.cfg.Hierarchy.lat_l2
+    c.c_l2m <- c.c_l2m + 1;
+    if Cache.access t.llc line then t.cfg.Hierarchy.lat_llc
     else begin
-      if is_load then begin
-        t.l2_misses <- t.l2_misses + 1;
-        c.c_l2m <- c.c_l2m + 1
-      end;
-      if Cache.access t.llc line then t.cfg.Hierarchy.lat_llc
-      else begin
-        if is_load then begin
-          t.llc_misses <- t.llc_misses + 1;
-          c.c_llcm <- c.c_llcm + 1;
-          far_or_mem t c line
-        end
-        else t.cfg.Hierarchy.lat_mem
-      end
+      c.c_llcm <- c.c_llcm + 1;
+      far_or_mem t c line
     end
   end
+
+let[@inline never] store_below_l1 t c line =
+  if not (Cache.access c.l2 line) then Cache.insert t.llc line
 
 (* Translate [addr]: 0 extra cycles on a dTLB hit, a page walk on a miss. *)
 let[@inline] translate t c addr =
@@ -158,34 +144,39 @@ let[@inline] translate t c addr =
   | Some tlb ->
       if Cache.access tlb (Cache.line_of_addr tlb addr) then 0
       else begin
-        t.tlb_misses_ <- t.tlb_misses_ + 1;
         c.c_tlbm <- c.c_tlbm + 1;
         t.cfg.Hierarchy.lat_tlb_miss
       end
 
-let load t ~core:i addr =
-  let c = core t i in
-  let line = Cache.line_of_addr c.l1 addr in
-  t.loads <- t.loads + 1;
+(* One demand access to [line], which holds byte address [addr]:
+   counters, translation, the cache walk, then the prefetcher. *)
+let[@inline] load_line t c line addr =
   c.c_loads <- c.c_loads + 1;
   let walk = translate t c addr in
-  let lat = demand t c line ~is_load:true in
+  let lat =
+    if Cache.access c.l1 line then t.cfg.Hierarchy.lat_l1
+    else load_below_l1 t c line
+  in
   run_prefetcher t c line;
   walk + lat
 
-let store t ~core:i addr =
-  let c = core t i in
-  let line = Cache.line_of_addr c.l1 addr in
-  t.stores <- t.stores + 1;
+let[@inline] store_line t c line addr =
   c.c_stores <- c.c_stores + 1;
   let walk = translate t c addr in
-  ignore (demand t c line ~is_load:false);
+  if not (Cache.access c.l1 line) then store_below_l1 t c line;
   run_prefetcher t c line;
   walk + t.cfg.Hierarchy.lat_store
 
-(* The range walks repeat the exact per-line sequence of [load]/[store]
-   (counters, translation, demand, prefetcher), but resolve the core once
-   and run a direct loop — the closure-per-call [range_fold]/partial
+let load t ~core:i addr =
+  let c = core t i in
+  load_line t c (Cache.line_of_addr c.l1 addr) addr
+
+let store t ~core:i addr =
+  let c = core t i in
+  store_line t c (Cache.line_of_addr c.l1 addr) addr
+
+(* The range walks resolve the core once and run [load_line]/[store_line]
+   per line in a direct loop — the closure-per-call [range_fold]/partial
    application this replaces dominated the GC relocation copy path. *)
 let load_range t ~core:i addr bytes =
   if bytes <= 0 then 0
@@ -195,12 +186,7 @@ let load_range t ~core:i addr bytes =
     let first = addr / lb and last = (addr + bytes - 1) / lb in
     let total = ref 0 in
     for line = first to last do
-      t.loads <- t.loads + 1;
-      c.c_loads <- c.c_loads + 1;
-      let walk = translate t c (line * lb) in
-      let lat = demand t c line ~is_load:true in
-      run_prefetcher t c line;
-      total := !total + walk + lat
+      total := !total + load_line t c line (line * lb)
     done;
     !total
   end
@@ -211,28 +197,12 @@ let store_range t ~core:i addr bytes =
     let c = core t i in
     let lb = line_bytes t in
     let first = addr / lb and last = (addr + bytes - 1) / lb in
-    let lat_store = t.cfg.Hierarchy.lat_store in
     let total = ref 0 in
     for line = first to last do
-      t.stores <- t.stores + 1;
-      c.c_stores <- c.c_stores + 1;
-      let walk = translate t c (line * lb) in
-      ignore (demand t c line ~is_load:false);
-      run_prefetcher t c line;
-      total := !total + walk + lat_store
+      total := !total + store_line t c line (line * lb)
     done;
     !total
   end
-
-let counters t =
-  {
-    Hierarchy.loads = t.loads;
-    stores = t.stores;
-    l1_misses = t.l1_misses;
-    l2_misses = t.l2_misses;
-    llc_misses = t.llc_misses;
-    prefetches = t.prefetches;
-  }
 
 let core_counters t ~core:i =
   let c = core t i in
@@ -245,23 +215,27 @@ let core_counters t ~core:i =
     prefetches = c.c_pf;
   }
 
-let tlb_misses t = t.tlb_misses_
+let sum t f = Array.fold_left (fun acc c -> acc + f c) 0 t.core_arr
+
+let counters t =
+  {
+    Hierarchy.loads = sum t (fun c -> c.c_loads);
+    stores = sum t (fun c -> c.c_stores);
+    l1_misses = sum t (fun c -> c.c_l1m);
+    l2_misses = sum t (fun c -> c.c_l2m);
+    llc_misses = sum t (fun c -> c.c_llcm);
+    prefetches = sum t (fun c -> c.c_pf);
+  }
+
+let tlb_misses t = sum t (fun c -> c.c_tlbm)
 
 let core_tlb_misses t ~core:i = (core t i).c_tlbm
 
-let far_loads t = t.far_loads_
+let far_loads t = sum t (fun c -> c.c_far)
 
 let core_far_loads t ~core:i = (core t i).c_far
 
 let reset_counters t =
-  t.loads <- 0;
-  t.stores <- 0;
-  t.l1_misses <- 0;
-  t.l2_misses <- 0;
-  t.llc_misses <- 0;
-  t.prefetches <- 0;
-  t.tlb_misses_ <- 0;
-  t.far_loads_ <- 0;
   Array.iter
     (fun c ->
       c.c_loads <- 0;

@@ -11,11 +11,15 @@
     Two counter families coexist and it matters which one a reading comes
     from:
 
-    - {b Machine-wide} ({!counters}, {!tlb_misses}): all cores summed —
-      what process-level perf reports (§4.2: "the statistics is for the
-      whole process").
-    - {b Per-core} ({!core_counters}, {!core_tlb_misses}): one private
-      hierarchy's view, for attributing traffic to mutator vs GC threads.
+    - {b Machine-wide} ({!counters}, {!tlb_misses}, {!far_loads}): all
+      cores summed — what process-level perf reports (§4.2: "the
+      statistics is for the whole process").
+    - {b Per-core} ({!core_counters}, {!core_tlb_misses},
+      {!core_far_loads}): one private hierarchy's view, for attributing
+      traffic to mutator vs GC threads.
+
+    Only the per-core counters are kept; a machine-wide reading sums them
+    over the cores when it is made.
 
     Every access is simulated inline, when it is made: it walks the
     core's private levels and the shared LLC and returns its latency. *)

@@ -33,6 +33,8 @@ let create ?(streams = 16) ?(degree = 4) ?(confirm = 2) () =
   if streams < 1 then invalid_arg "Prefetcher.create: need at least one stream";
   if streams > max_streams then
     invalid_arg "Prefetcher.create: at most 62 streams";
+  if degree < 1 then invalid_arg "Prefetcher.create: degree must be positive";
+  if confirm < 1 then invalid_arg "Prefetcher.create: confirm must be positive";
   {
     last = Array.make streams (-1);
     dir = Array.make streams 0;
@@ -100,13 +102,11 @@ let[@inline] set_last t s line =
   Array.unsafe_set t.last s line
 
 (* The hot path: called once per demand access by the cache simulators.
-   Writes at most [degree t] prefetch line addresses into [buf] and returns
-   how many were written; allocation-free (index loops over mutable locals,
-   no closures or options). *)
-let observe_into t line buf =
-  if Array.length buf < t.degree then
-    invalid_arg "Prefetcher.observe_into: buffer shorter than degree";
-  if line < 0 then invalid_arg "Prefetcher.observe_into: negative line";
+   Returns the confirmed stride (+1 or -1) when [line] extends a confirmed
+   stream, else 0; allocation-free (index loops over mutable locals, no
+   closures or options). *)
+let step t line =
+  if line < 0 then invalid_arg "Prefetcher.step: negative line";
   (* The first stream, in index order, whose expected next line is [line]:
      try the candidate bits lowest first and verify each, so a bucket
      collision never matches and no true match is skipped. *)
@@ -136,13 +136,7 @@ let observe_into t line buf =
     Array.unsafe_set t.dir s delta;
     Array.unsafe_set t.hits s hits;
     touch t s;
-    if hits >= t.confirm then begin
-      for i = 0 to t.degree - 1 do
-        Array.unsafe_set buf i (line + (delta * (i + 1)))
-      done;
-      t.degree
-    end
-    else 0
+    if hits >= t.confirm then delta else 0
   end
   else begin
     (* A new stream: the first free slot, else the least recently used. *)
@@ -169,6 +163,5 @@ let observe_into t line buf =
   end
 
 let observe t line =
-  let buf = Array.make t.degree 0 in
-  let n = observe_into t line buf in
-  List.init n (fun i -> buf.(i))
+  let d = step t line in
+  if d = 0 then [] else List.init t.degree (fun i -> line + (d * (i + 1)))

@@ -20,27 +20,27 @@ val create : ?streams:int -> ?degree:int -> ?confirm:int -> unit -> t
 (** [create ()] uses 16 stream slots, degree 4, and 2 accesses to confirm a
     stream — roughly an L2 stream prefetcher on a client core.
     @raise Invalid_argument if [streams < 1] or [streams > 62] (a stream
-    is one bit of an OCaml int in the match table). *)
+    is one bit of an OCaml int in the match table), or if [degree < 1] or
+    [confirm < 1]. *)
 
 val degree : t -> int
-(** Prefetch distance: the maximum number of line addresses one
-    {!observe_into} call can produce (the minimum caller buffer size). *)
+(** Prefetch distance: the number of lines a confirmed stream fetches
+    ahead of the access. *)
 
-val observe_into : t -> int -> int array -> int
-(** [observe_into t line buf] records a demand access to line-address
-    [line]; when a confirmed stream matches, the line addresses to prefetch
-    are written into [buf.(0 .. n-1)] (in issue order, nearest first) and
-    [n] is returned, else 0.  This is the allocation-free hot path the cache
-    simulators drive once per demand access — the caller owns [buf]
-    (preallocated, at least [degree t] long) and inserts the returned lines
-    into the cache levels.
-    @raise Invalid_argument if [buf] is shorter than [degree t] or [line]
-    is negative. *)
+val step : t -> int -> int
+(** [step t line] records a demand access to line-address [line] and
+    returns the stride of the confirmed stream it extends, [1] ascending
+    or [-1] descending, else [0].  A stride [d] asks for the lines
+    [line + d], [line + 2d], ..., [line + degree t * d], nearest first.
+    This is the allocation-free hot path the cache simulators drive once
+    per demand access; the caller inserts those lines into its cache
+    levels.
+    @raise Invalid_argument if [line] is negative. *)
 
 val observe : t -> int -> int list
-(** [observe t line] is {!observe_into} with the result as a list (empty if
-    no stream matched) — convenience for tests; allocates, so simulators
-    use {!observe_into}. *)
+(** [observe t line] is {!step} with the lines to prefetch as a list, in
+    issue order (empty if no confirmed stream matched) — convenience for
+    tests; allocates, so simulators use {!step}. *)
 
 val reset : t -> unit
 (** Forget all streams (between benchmark runs). *)

@@ -1,6 +1,7 @@
-(* Tests for the allocation-free hot path (perf PR): Vec.remove-based root
-   removal, direct-loop range accesses, steady-state allocation bounds, and
-   the buffered prefetcher interface.  These guard the *equivalence* claims
+(* Tests for the allocation-free hot path: Vec.remove-based root removal,
+   direct-loop range accesses, steady-state allocation bounds, the
+   prefetcher's stride interface, and the whole machine against a
+   reference hierarchy.  These guard the *equivalence* claims
    the optimisations rest on — every fast path must simulate the exact same
    numbers as the code it replaced. *)
 
@@ -9,6 +10,9 @@ module Alloc_meter = Hcsgc_util.Alloc_meter
 module Prefetcher = Hcsgc_memsim.Prefetcher
 module Machine = Hcsgc_memsim.Machine
 module Hierarchy = Hcsgc_memsim.Hierarchy
+module Cache = Hcsgc_memsim.Cache
+module Tier = Hcsgc_memsim.Tier
+module Lru_model = Test_memsim.Lru_model
 module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
 module Collector = Hcsgc_core.Collector
@@ -238,12 +242,12 @@ let alloc_allocation_free () =
     Alcotest.failf "steady-state alloc allocates: %.4f words/op" words_per_op
 
 (* ------------------------------------------------------------------ *)
-(* Satellite 4: observe_into matches the list semantics.               *)
+(* The prefetcher's stride matches the list semantics.                 *)
 (* ------------------------------------------------------------------ *)
 
 (* An independent reimplementation of the prefetcher's original
    list-returning semantics (closures, options and List.init — the
-   allocating style observe_into replaced), used as the model. *)
+   allocating style the stride interface replaced), used as the model. *)
 module Model = struct
   type stream = {
     mutable last : int;
@@ -313,8 +317,8 @@ end
    the same or a neighbouring match bucket (lines mod 64); 13 repeats the
    previous line, leaving two streams with the same [last]; 14 resets both
    prefetchers; anything else jumps to line [v]. *)
-let prop_observe_into_matches_model =
-  QCheck.Test.make ~name:"prefetcher: observe_into = list semantics"
+let prop_step_matches_model =
+  QCheck.Test.make ~name:"prefetcher: step = list semantics"
     ~count:300
     QCheck.(
       quad (int_range 1 16) (int_range 1 6) (int_range 1 3)
@@ -322,7 +326,6 @@ let prop_observe_into_matches_model =
     (fun (streams, degree, confirm, ops) ->
       let real = Prefetcher.create ~streams ~degree ~confirm () in
       let model = ref (Model.create ~streams ~degree ~confirm) in
-      let buf = Array.make (Prefetcher.degree real) 0 in
       let last = ref 0 in
       List.for_all
         (fun (kind, v) ->
@@ -343,18 +346,20 @@ let prop_observe_into_matches_model =
               else v
             in
             last := line;
-            let n = Prefetcher.observe_into real line buf in
-            let got = List.init n (fun i -> buf.(i)) in
-            got = Model.observe !model line
+            let d = Prefetcher.step real line in
+            let got =
+              if d = 0 then []
+              else List.init degree (fun i -> line + (d * (i + 1)))
+            in
+            (d = 0 || d = 1 || d = -1) && got = Model.observe !model line
           end)
         ops)
 
-let observe_wrapper_matches_into () =
-  (* The compat wrapper and the buffered path, driven in lockstep on twin
+let observe_wrapper_matches_step () =
+  (* The list wrapper and the stride path, driven in lockstep on twin
      prefetchers, step for step. *)
   let a = Prefetcher.create () in
   let b = Prefetcher.create () in
-  let buf = Array.make (Prefetcher.degree b) 0 in
   let stream =
     List.concat
       [ List.init 10 (fun i -> 100 + i);
@@ -365,12 +370,313 @@ let observe_wrapper_matches_into () =
   List.iter
     (fun line ->
       let via_list = Prefetcher.observe a line in
-      let n = Prefetcher.observe_into b line buf in
-      let via_buf = List.init n (fun i -> buf.(i)) in
+      let d = Prefetcher.step b line in
+      let via_step =
+        if d = 0 then []
+        else List.init (Prefetcher.degree b) (fun i -> line + (d * (i + 1)))
+      in
       check (Alcotest.list Alcotest.int)
         (Printf.sprintf "line %d" line)
-        via_list via_buf)
+        via_list via_step)
     stream
+
+(* ------------------------------------------------------------------ *)
+(* The whole machine against a reference hierarchy.                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A reference machine built from the naive models alone: a true-LRU list
+   model per cache level and per dTLB, the list-semantics prefetcher
+   [Model] above, and plain per-core counters.  It follows the machine's
+   documented rules, written out directly: a load counts a miss at each
+   level it misses and pays the first level that hits (a far-resident
+   line pays [lat_far]); a store fills the same levels uncounted and pays
+   [lat_store]; a dTLB miss adds [lat_tlb_miss]; then a confirmed stream
+   fills each of its non-negative lines into LLC, L2 and L1.  A range is
+   its lines one by one. *)
+module Ref_machine = struct
+  type core = {
+    l1 : Lru_model.t;
+    l2 : Lru_model.t;
+    tlb : Lru_model.t option;
+    mutable pf : Model.t;
+    (* loads, stores, l1, l2, llc misses, prefetches, tlb misses, far *)
+    n : int array;
+  }
+
+  type t = {
+    cfg : Hierarchy.config;
+    llc : Lru_model.t;
+    cores : core array;
+    tier : Tier.t option;
+  }
+
+  let level (g : Cache.geometry) =
+    Lru_model.create ~ways:g.Cache.ways
+      ~sets:(g.Cache.size_bytes / (g.Cache.ways * g.Cache.line_bytes))
+
+  let pf () = Model.create ~streams:16 ~degree:4 ~confirm:2
+
+  let create (cfg : Hierarchy.config) ~cores ~tier =
+    let tlb () =
+      if cfg.Hierarchy.tlb then
+        Some
+          (Lru_model.create ~ways:cfg.Hierarchy.tlb_ways
+             ~sets:(cfg.Hierarchy.tlb_entries / cfg.Hierarchy.tlb_ways))
+      else None
+    in
+    {
+      cfg;
+      llc = level cfg.Hierarchy.llc;
+      cores =
+        Array.init cores (fun _ ->
+            {
+              l1 = level cfg.Hierarchy.l1;
+              l2 = level cfg.Hierarchy.l2;
+              tlb = tlb ();
+              pf = pf ();
+              n = Array.make 8 0;
+            });
+      tier;
+    }
+
+  let lb t = t.cfg.Hierarchy.l1.Cache.line_bytes
+  let bump c k = c.n.(k) <- c.n.(k) + 1
+
+  let walk t c addr =
+    match c.tlb with
+    | Some tlb
+      when not (Lru_model.access tlb (addr / t.cfg.Hierarchy.tlb_page_bytes))
+      ->
+        bump c 6;
+        t.cfg.Hierarchy.lat_tlb_miss
+    | _ -> 0
+
+  let prefetch t c line =
+    if t.cfg.Hierarchy.prefetch then
+      List.iter
+        (fun l ->
+          if l >= 0 then begin
+            List.iter
+              (fun m -> ignore (Lru_model.access m l : bool))
+              [ t.llc; c.l2; c.l1 ];
+            bump c 5
+          end)
+        (Model.observe c.pf line)
+
+  let load t ~core addr =
+    let c = t.cores.(core) and line = addr / lb t in
+    bump c 0;
+    let w = walk t c addr in
+    let cfg = t.cfg in
+    let lat =
+      if Lru_model.access c.l1 line then cfg.Hierarchy.lat_l1
+      else begin
+        bump c 2;
+        if Lru_model.access c.l2 line then cfg.Hierarchy.lat_l2
+        else begin
+          bump c 3;
+          if Lru_model.access t.llc line then cfg.Hierarchy.lat_llc
+          else begin
+            bump c 4;
+            match t.tier with
+            | Some tier when Tier.resident tier (line * lb t) ->
+                bump c 7;
+                Tier.lat_far tier
+            | _ -> cfg.Hierarchy.lat_mem
+          end
+        end
+      end
+    in
+    prefetch t c line;
+    w + lat
+
+  let store t ~core addr =
+    let c = t.cores.(core) and line = addr / lb t in
+    bump c 1;
+    let w = walk t c addr in
+    ignore
+      (Lru_model.access c.l1 line
+      || Lru_model.access c.l2 line
+      || Lru_model.access t.llc line);
+    prefetch t c line;
+    w + t.cfg.Hierarchy.lat_store
+
+  let range f t ~core addr bytes =
+    let total = ref 0 in
+    if bytes > 0 then
+      for line = addr / lb t to (addr + bytes - 1) / lb t do
+        total := !total + f t ~core (line * lb t)
+      done;
+    !total
+
+  let reset_counters t = Array.iter (fun c -> Array.fill c.n 0 8 0) t.cores
+
+  let flush t =
+    Lru_model.invalidate_all t.llc;
+    Array.iter
+      (fun c ->
+        Lru_model.invalidate_all c.l1;
+        Lru_model.invalidate_all c.l2;
+        Option.iter Lru_model.invalidate_all c.tlb;
+        c.pf <- pf ())
+      t.cores;
+    reset_counters t
+
+  let core_counters t ~core =
+    let n = t.cores.(core).n in
+    {
+      Hierarchy.loads = n.(0);
+      stores = n.(1);
+      l1_misses = n.(2);
+      l2_misses = n.(3);
+      llc_misses = n.(4);
+      prefetches = n.(5);
+    }
+
+  let total t k = Array.fold_left (fun acc c -> acc + c.n.(k)) 0 t.cores
+end
+
+(* Tiny levels, so that sets evict often: a 4-set L1, an 8-set L2, a
+   16-set LLC (2, 4 and 8 ways) and a 4-set, 2-way dTLB. *)
+let ref_cfg ~prefetch ~tlb =
+  {
+    Hierarchy.default_config with
+    Hierarchy.l1 = { Cache.size_bytes = 512; ways = 2; line_bytes = 64 };
+    l2 = { Cache.size_bytes = 2048; ways = 4; line_bytes = 64 };
+    llc = { Cache.size_bytes = 8192; ways = 8; line_bytes = 64 };
+    prefetch;
+    tlb;
+    tlb_entries = 8;
+    tlb_ways = 2;
+  }
+
+(* An op is (kind, core, v, bytes) over a 32 KiB address span, so lines
+   repeat, streams confirm and descending streams reach line 0: kind < 8
+   loads, < 13 stores, < 15 is a load range and < 17 a store range of
+   [bytes]; kind 17 resets the counters, 18 flushes.  Even [v] continues
+   the core's previous address one line up or down (by [v land 2]), odd
+   [v] jumps to [v]. *)
+let prop_machine_matches_reference =
+  QCheck.Test.make ~name:"machine: every latency and counter = reference"
+    ~count:200
+    QCheck.(
+      pair
+        (quad (int_range 1 3) bool bool (int_range (-0xFFFF) 0xFFFF))
+        (list_of_size Gen.(0 -- 400)
+           (quad (int_bound 18) (int_bound 2) (int_bound 32767)
+              (int_bound 300))))
+    (fun ((cores, prefetch, tlb, far_mask), ops) ->
+      let cfg = ref_cfg ~prefetch ~tlb in
+      (* A [far_mask] <= 0 runs without a tier; otherwise its bits name
+         the far-resident 2 KiB granules of the span. *)
+      let tier =
+        if far_mask <= 0 then None
+        else begin
+          let granule = 2048 in
+          let tier =
+            Tier.create ~granule_bytes:granule ~capacity_bytes:(16 * granule)
+              ~lat_far:333 ()
+          in
+          for g = 0 to 15 do
+            if far_mask land (1 lsl g) <> 0 then
+              assert (Tier.demote tier ~addr:(g * granule) ~bytes:granule)
+          done;
+          Some tier
+        end
+      in
+      let m = Machine.create ~cfg ~cores () in
+      Machine.set_tier m tier;
+      let r = Ref_machine.create cfg ~cores ~tier in
+      let prev = Array.make cores 0 in
+      let counters_agree () =
+        let per_core = List.init cores Fun.id in
+        Machine.counters m
+        = {
+            Hierarchy.loads = Ref_machine.total r 0;
+            stores = Ref_machine.total r 1;
+            l1_misses = Ref_machine.total r 2;
+            l2_misses = Ref_machine.total r 3;
+            llc_misses = Ref_machine.total r 4;
+            prefetches = Ref_machine.total r 5;
+          }
+        && Machine.tlb_misses m = Ref_machine.total r 6
+        && Machine.far_loads m = Ref_machine.total r 7
+        && List.for_all
+             (fun core ->
+               Machine.core_counters m ~core = Ref_machine.core_counters r ~core
+               && Machine.core_tlb_misses m ~core = r.cores.(core).n.(6)
+               && Machine.core_far_loads m ~core = r.cores.(core).n.(7))
+             per_core
+      in
+      List.for_all
+        (fun (kind, core, v, bytes) ->
+          let core = core mod cores in
+          let addr =
+            if v land 1 = 1 then v
+            else if v land 2 = 0 then prev.(core) + 64
+            else max 0 (prev.(core) - 64)
+          in
+          prev.(core) <- addr;
+          let same =
+            if kind < 8 then
+              Machine.load m ~core addr = Ref_machine.load r ~core addr
+            else if kind < 13 then
+              Machine.store m ~core addr = Ref_machine.store r ~core addr
+            else if kind < 15 then
+              Machine.load_range m ~core addr bytes
+              = Ref_machine.range Ref_machine.load r ~core addr bytes
+            else if kind < 17 then
+              Machine.store_range m ~core addr bytes
+              = Ref_machine.range Ref_machine.store r ~core addr bytes
+            else if kind = 17 then begin
+              Machine.reset_counters m;
+              Ref_machine.reset_counters r;
+              true
+            end
+            else begin
+              Machine.flush m;
+              Ref_machine.flush r;
+              true
+            end
+          in
+          same && counters_agree ())
+        ops)
+
+(* Machine-level fence: every access path on a machine with everything on
+   (3 cores, prefetch, a dTLB and a far tier with resident granules)
+   allocates 0 host words per op. *)
+let machine_allocation_free () =
+  let cfg = { Hierarchy.default_config with Hierarchy.tlb = true } in
+  let m = Machine.create ~cfg ~cores:3 () in
+  let granule = 64 * 1024 in
+  let tier =
+    Tier.create ~granule_bytes:granule ~capacity_bytes:(8 * granule)
+      ~lat_far:300 ()
+  in
+  for g = 0 to 7 do
+    assert (Tier.demote tier ~addr:(2 * g * granule) ~bytes:granule)
+  done;
+  Machine.set_tier m (Some tier);
+  let span = 16 * granule in
+  let kernel ops =
+    for i = 0 to ops - 1 do
+      let core = i mod 3 in
+      (* Sequential, strided and random-looking addresses, so every level
+         misses, streams confirm and far-resident lines are loaded. *)
+      let addr = (i * (if i land 4 = 0 then 64 else 4160)) mod span in
+      match i land 3 with
+      | 0 -> ignore (Machine.load m ~core addr : int)
+      | 1 -> ignore (Machine.store m ~core addr : int)
+      | 2 -> ignore (Machine.load_range m ~core addr 200 : int)
+      | _ -> ignore (Machine.store_range m ~core addr 200 : int)
+    done
+  in
+  kernel 100_000;
+  check Alcotest.bool "far loads happen" true (Machine.far_loads m > 0);
+  check Alcotest.bool "dTLB walks happen" true (Machine.tlb_misses m > 0);
+  let words_per_op = median_words_per_op ~windows:10 ~ops:10_000 kernel in
+  if words_per_op >= 0.05 then
+    Alcotest.failf "machine ops allocate: %.4f words/op" words_per_op
 
 let suite =
   [
@@ -387,8 +693,11 @@ let suite =
           load_ref_allocation_bounded;
         case "vm: steady-state alloc allocates 0 words/op" `Quick
           alloc_allocation_free;
-        QCheck_alcotest.to_alcotest prop_observe_into_matches_model;
-        case "prefetcher: observe wrapper = observe_into" `Quick
-          observe_wrapper_matches_into;
+        QCheck_alcotest.to_alcotest prop_step_matches_model;
+        case "prefetcher: observe wrapper = step" `Quick
+          observe_wrapper_matches_step;
+        QCheck_alcotest.to_alcotest prop_machine_matches_reference;
+        case "machine: 3 cores, prefetch, dTLB and far tier allocate 0 words/op"
+          `Quick machine_allocation_free;
       ] );
   ]

@@ -215,8 +215,21 @@ let prefetcher_stream_limit () =
 let prefetcher_rejects_negative_line () =
   let pf = Prefetcher.create () in
   Alcotest.check_raises "line -1"
-    (Invalid_argument "Prefetcher.observe_into: negative line")
+    (Invalid_argument "Prefetcher.step: negative line")
     (fun () -> ignore (Prefetcher.observe pf (-1)))
+
+let prefetcher_rejects_zero_degree () =
+  Alcotest.check_raises "degree 0"
+    (Invalid_argument "Prefetcher.create: degree must be positive")
+    (fun () -> ignore (Prefetcher.create ~degree:0 ()));
+  Alcotest.check_raises "degree -1"
+    (Invalid_argument "Prefetcher.create: degree must be positive")
+    (fun () -> ignore (Prefetcher.create ~degree:(-1) ()))
+
+let prefetcher_rejects_zero_confirm () =
+  Alcotest.check_raises "confirm 0"
+    (Invalid_argument "Prefetcher.create: confirm must be positive")
+    (fun () -> ignore (Prefetcher.create ~confirm:0 ()))
 
 (* ------------------------------------------------------------------ *)
 (* Hierarchy: the three levels as one core of a Machine sees them      *)
@@ -360,6 +373,8 @@ let suite =
         case "no streams rejected" `Quick prefetcher_needs_a_stream;
         case "too many streams rejected" `Quick prefetcher_stream_limit;
         case "negative line rejected" `Quick prefetcher_rejects_negative_line;
+        case "degree below 1 rejected" `Quick prefetcher_rejects_zero_degree;
+        case "confirm below 1 rejected" `Quick prefetcher_rejects_zero_confirm;
       ] );
     ( "memsim.hierarchy",
       [
