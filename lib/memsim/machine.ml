@@ -177,13 +177,15 @@ let store t ~core:i addr =
 
 (* The range walks resolve the core once and run [load_line]/[store_line]
    per line in a direct loop — the closure-per-call [range_fold]/partial
-   application this replaces dominated the GC relocation copy path. *)
+   application this replaces dominated the GC relocation copy path.  They
+   find their lines by shift, as [load] does, not by division. *)
 let load_range t ~core:i addr bytes =
   if bytes <= 0 then 0
   else begin
     let c = core t i in
     let lb = line_bytes t in
-    let first = addr / lb and last = (addr + bytes - 1) / lb in
+    let first = Cache.line_of_addr c.l1 addr
+    and last = Cache.line_of_addr c.l1 (addr + bytes - 1) in
     let total = ref 0 in
     for line = first to last do
       total := !total + load_line t c line (line * lb)
@@ -196,7 +198,8 @@ let store_range t ~core:i addr bytes =
   else begin
     let c = core t i in
     let lb = line_bytes t in
-    let first = addr / lb and last = (addr + bytes - 1) / lb in
+    let first = Cache.line_of_addr c.l1 addr
+    and last = Cache.line_of_addr c.l1 (addr + bytes - 1) in
     let total = ref 0 in
     for line = first to last do
       total := !total + store_line t c line (line * lb)
