@@ -184,7 +184,9 @@ let tier =
     in
     Arg.(value
         & opt (some positive) None
-        & info [ "lat-far" ] ~absent:"800" ~docv:"CYCLES" ~doc)
+        & info [ "lat-far" ]
+            ~absent:(string_of_int Config.zgc.Config.lat_far)
+            ~docv:"CYCLES" ~doc)
   in
   let no_promote =
     let doc =

@@ -213,7 +213,7 @@ let cold_confidence t = t.dyn_cold_confidence
 let set_cold_confidence t v =
   if not t.config.Config.hotness then
     invalid_arg "Collector.set_cold_confidence: requires HOTNESS";
-  if v < 0.0 || v > 1.0 then
+  if not (v >= 0.0 && v <= 1.0) then
     invalid_arg "Collector.set_cold_confidence: outside [0,1]";
   t.dyn_cold_confidence <- v
 

@@ -232,7 +232,7 @@ val cold_confidence : t -> float
 val set_cold_confidence : t -> float -> unit
 (** Retune COLDCONFIDENCE at run time (the {!Autotuner} feedback loop,
     §4.8).  @raise Invalid_argument if HOTNESS is off or the value is
-    outside [0, 1]. *)
+    outside [0, 1] or NaN. *)
 
 val pending_relocation_pages : t -> int
 (** Pages selected for evacuation and not yet fully evacuated (includes the

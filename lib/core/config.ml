@@ -24,7 +24,7 @@ let zgc =
 let validate t =
   if t.coldpage && not t.hotness then
     Error "COLDPAGE requires HOTNESS to be enabled"
-  else if t.cold_confidence < 0.0 || t.cold_confidence > 1.0 then
+  else if not (t.cold_confidence >= 0.0 && t.cold_confidence <= 1.0) then
     Error "COLDCONFIDENCE must lie in [0, 1]"
   else if t.cold_confidence > 0.0 && not t.hotness then
     Error "COLDCONFIDENCE requires HOTNESS to be enabled"
@@ -35,9 +35,12 @@ let validate t =
   else if t.lat_far <= 0 then Error "LATFAR must be positive"
   else Ok t
 
-let make ?(hotness = false) ?(coldpage = false) ?(cold_confidence = 0.0)
-    ?(relocate_all_small_pages = false) ?(lazy_relocate = false)
-    ?(tier_capacity_pages = 0) ?(lat_far = 800) ?(tier_promote = true) () =
+let make ?(hotness = zgc.hotness) ?(coldpage = zgc.coldpage)
+    ?(cold_confidence = zgc.cold_confidence)
+    ?(relocate_all_small_pages = zgc.relocate_all_small_pages)
+    ?(lazy_relocate = zgc.lazy_relocate)
+    ?(tier_capacity_pages = zgc.tier_capacity_pages) ?(lat_far = zgc.lat_far)
+    ?(tier_promote = zgc.tier_promote) () =
   let t =
     { hotness; coldpage; cold_confidence; relocate_all_small_pages;
       lazy_relocate; tier_capacity_pages; lat_far; tier_promote }
@@ -80,28 +83,13 @@ let of_id n =
   | Some t -> t
   | None -> invalid_arg "Config.of_id: id must be in 0-18"
 
-(* [equal] and [to_string] destructure with closed record patterns, so a
-   knob added to [t] is a compile error here until it is compared and
-   named (as it is in [Runner.config_value_key]). *)
-let equal a
-    {
-      hotness;
-      coldpage;
-      cold_confidence;
-      relocate_all_small_pages;
-      lazy_relocate;
-      tier_capacity_pages;
-      lat_far;
-      tier_promote;
-    } =
-  a.hotness = hotness && a.coldpage = coldpage
-  && Float.equal a.cold_confidence cold_confidence
-  && a.relocate_all_small_pages = relocate_all_small_pages
-  && a.lazy_relocate = lazy_relocate
-  && a.tier_capacity_pages = tier_capacity_pages
-  && a.lat_far = lat_far
-  && a.tier_promote = tier_promote
+(* Validation rejects a NaN [cold_confidence], so structural equality is
+   knob equality. *)
+let equal (a : t) b = a = b
 
+(* [to_string] destructures with a closed record pattern, so a knob added
+   to [t] is a compile error here until it is named (as it is in
+   [Runner.config_value_key]). *)
 let to_string
     {
       hotness;

@@ -54,12 +54,13 @@ val make :
   ?tier_promote:bool ->
   unit ->
   t
-(** Build a configuration; all knobs default to off.
+(** Build a configuration; every knob defaults to its {!zgc} value.
     @raise Invalid_argument if the combination is invalid (see {!validate}). *)
 
 val validate : t -> (t, string) result
 (** Check the dependency rules: [coldpage] requires [hotness];
-    [cold_confidence] must be in [0, 1] and non-zero only with [hotness];
+    [cold_confidence] must be in [0, 1] (so not NaN) and non-zero only
+    with [hotness];
     [tier_capacity_pages] must be non-negative and positive only with
     [hotness]; [lat_far] must be positive. *)
 
@@ -77,6 +78,7 @@ val id_count : int
 (** 19. *)
 
 val equal : t -> t -> bool
+(** Knob-by-knob equality; structural, since a valid [t] holds no NaN. *)
 
 val to_string : t -> string
 (** Compact knob listing, e.g. ["hot+cp+cc0.5+lazy"].  Tier parts

@@ -8,6 +8,8 @@ let layout = Layout.scaled ~small_page:(64 * 1024)
 let make_vm ~max_heap config =
   Vm.create ~layout ~machine_config:Scaled_machine.config ~config ~max_heap ()
 
+let tradebeans_heap = 12 * 1024 * 1024
+
 let tradebeans_experiment ~scale () =
   let base = Tradebeans.default in
   let params =
@@ -25,8 +27,8 @@ let tradebeans_experiment ~scale () =
       Printf.sprintf "tradebeans;acct=%d;instr=%d;orders=%d;hot=%d;heap=%d"
         params.Tradebeans.accounts params.Tradebeans.instruments
         params.Tradebeans.orders params.Tradebeans.hot_accounts
-        (12 * 1024 * 1024);
-    make_vm = make_vm ~max_heap:(12 * 1024 * 1024);
+        tradebeans_heap;
+    make_vm = make_vm ~max_heap:tradebeans_heap;
     workload =
       (fun vm ~run ->
         ignore (Tradebeans.run vm { params with Tradebeans.seed = run }));

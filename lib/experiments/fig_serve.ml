@@ -31,41 +31,40 @@ type outcome = {
 (* Payload codec: what a job stores under its fingerprint.             *)
 (* ------------------------------------------------------------------ *)
 
-let magic = "hcsgc-serve-metrics 1"
+(* The SLO report's fields.  The histogram's [Slo.histogram_buckets]
+   counts follow on one line, then the checksum and the run's metrics. *)
+let format : _ format6 =
+  "hcsgc-serve-metrics 1\nslo1 n=%d g=%d u=%d s=%d dur=%d thr=%h mean=%h \
+   p50=%d p95=%d p99=%d p999=%d max=%d slo=%d viol=%d pause=%d service=%d \
+   pcycles=%d\n"
 
-let outcome_to_string o =
-  String.concat "\n"
-    [
-      magic;
-      Slo.to_line o.report;
-      Slo.histogram_to_string o.histogram;
-      string_of_int o.checksum;
-      Runner.metrics_to_string o.metrics;
-    ]
+let outcome_to_string { report = r; histogram; checksum; metrics } =
+  Printf.sprintf format r.Slo.requests r.gets r.updates r.scans r.duration
+    r.throughput r.mean r.p50 r.p95 r.p99 r.p999 r.max_latency r.slo
+    r.violations r.pause_attributed r.service_attributed r.pause_cycles
+  ^ String.concat " " (Array.to_list (Array.map string_of_int histogram))
+  ^ Printf.sprintf "\n%d\n" checksum
+  ^ Runner.metrics_to_string metrics
 
-let outcome_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: slo_line :: hist :: cs :: rest when m = magic -> (
-      let histogram =
-        String.split_on_char ' ' hist
-        |> List.fold_left
-             (fun acc tok ->
-               match (acc, int_of_string_opt tok) with
-               | Some acc, Some n -> Some (n :: acc)
-               | _ -> None)
-             (Some [])
-        |> Option.map (fun l -> Array.of_list (List.rev l))
+let outcome_of_string =
+  Runner.decode (fun ib ->
+      let report =
+        Scanf.bscanf ib format
+          (fun requests gets updates scans duration throughput mean p50 p95
+               p99 p999 max_latency slo violations pause_attributed
+               service_attributed pause_cycles ->
+            { Slo.requests; gets; updates; scans; duration; throughput; mean;
+              p50; p95; p99; p999; max_latency; slo; violations;
+              pause_attributed; service_attributed; pause_cycles })
       in
-      match
-        ( Slo.of_line slo_line,
-          histogram,
-          int_of_string_opt cs,
-          Runner.metrics_of_string (String.concat "\n" rest) )
-      with
-      | Ok report, Some histogram, Some checksum, Some metrics ->
-          Some { report; histogram; checksum; metrics }
-      | _ -> None)
-  | _ -> None
+      Scanf.bscanf ib "%[^\n]\n%d\n" (fun counts checksum ->
+          let histogram =
+            Array.of_list
+              (List.map int_of_string (String.split_on_char ' ' counts))
+          in
+          if Array.length histogram <> Slo.histogram_buckets then
+            failwith "histogram length";
+          { report; histogram; checksum; metrics = Runner.scan_metrics ib }))
 
 (* ------------------------------------------------------------------ *)
 (* Content addressing                                                  *)

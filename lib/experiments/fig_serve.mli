@@ -33,9 +33,18 @@ type outcome = {
 }
 
 val outcome_to_string : outcome -> string
-(** Versioned lossless payload codec (the cached representation). *)
+(** Versioned lossless payload codec (the cached representation): the
+    SLO report's fields in one [format6], the histogram's counts on one
+    line, the checksum, then {!Runner.metrics_to_string}. *)
 
 val outcome_of_string : string -> outcome option
+(** Strict inverse of {!outcome_to_string} through {!Runner.decode}:
+    [None] on any malformation, a truncation, trailing bytes, or a
+    histogram that is not {!Slo.histogram_buckets} long. *)
+
+val trigger : float
+(** [0.10]: the GC trigger of every serve VM, part of every serve
+    experiment key (here and in {!Fig_tier}'s serve family). *)
 
 val experiment_key :
   ?heap:int ->
@@ -56,7 +65,7 @@ val experiment_key :
 val make_vm :
   params:Serve.params -> heap:int -> Hcsgc_core.Config.t -> Hcsgc_runtime.Vm.t
 (** The VM of every serve run: 64 KiB pages, the scaled machine,
-    [params.mutators] mutators, a 10 % GC trigger and a [heap]-byte heap. *)
+    [params.mutators] mutators, the {!trigger} and a [heap]-byte heap. *)
 
 val sweep :
   ?config_ids:int list ->

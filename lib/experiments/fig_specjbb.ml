@@ -25,31 +25,21 @@ let make_vm ~params config =
 (* What one job stores: the workload's four scores, then its metrics. *)
 type outcome = { result : Specjbb.result; metrics : Runner.run_metrics }
 
-let magic = "hcsgc-specjbb-metrics 1"
+let format : _ format6 = "hcsgc-specjbb-metrics 1\n%h %h %h %h\n"
 
 let outcome_to_string { result = r; metrics } =
-  Printf.sprintf "%s\n%h %h %h %h\n%s" magic r.Specjbb.max_jops
-    r.Specjbb.critical_jops r.Specjbb.mean_latency r.Specjbb.survival_rate
-    (Runner.metrics_to_string metrics)
+  Printf.sprintf format r.Specjbb.max_jops r.Specjbb.critical_jops
+    r.Specjbb.mean_latency r.Specjbb.survival_rate
+  ^ Runner.metrics_to_string metrics
 
-let outcome_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: scores :: rest when m = magic -> (
-      match
-        ( List.map float_of_string_opt (String.split_on_char ' ' scores),
-          Runner.metrics_of_string (String.concat "\n" rest) )
-      with
-      | ( [ Some max_jops; Some critical_jops; Some mean_latency;
-            Some survival_rate ],
-          Some metrics ) ->
-          Some
-            {
-              result =
-                { Specjbb.max_jops; critical_jops; mean_latency; survival_rate };
-              metrics;
-            }
-      | _ -> None)
-  | _ -> None
+let outcome_of_string =
+  Runner.decode (fun ib ->
+      let result =
+        Scanf.bscanf ib format
+          (fun max_jops critical_jops mean_latency survival_rate ->
+            { Specjbb.max_jops; critical_jops; mean_latency; survival_rate })
+      in
+      { result; metrics = Runner.scan_metrics ib })
 
 (* Content-addressing key: every scaled workload knob and the heap. *)
 let key p =

@@ -29,4 +29,5 @@ val outcome_to_string : outcome -> string
 (** Versioned, lossless payload codec ([%h] floats). *)
 
 val outcome_of_string : string -> outcome option
-(** Strict inverse of {!outcome_to_string}; [None] on any malformation. *)
+(** Strict inverse of {!outcome_to_string} through {!Runner.decode}:
+    [None] on any malformation, a truncation or trailing bytes. *)

@@ -34,7 +34,7 @@ let serve_experiment ~scale () =
     key =
       Printf.sprintf "tier-serve;%s;heap=%d;trig=%h"
         (Serve.params_key { params with Serve.seed = 0 })
-        heap 0.10;
+        heap Fig_serve.trigger;
     make_vm = Fig_serve.make_vm ~params ~heap;
     workload =
       (fun vm ~run -> ignore (Serve.run vm { params with Serve.seed = run }));
@@ -65,46 +65,17 @@ type outcome = {
   promoted : int;
 }
 
-let magic = "hcsgc-tier-metrics 1"
+let format : _ format6 = "hcsgc-tier-metrics 1\n%h %h %h %h %d %d %d\n"
 
 let outcome_to_string o =
-  Printf.sprintf "%s\n%h %h %h %h %d %d %d\n" magic o.wall o.loads
-    o.llc_misses o.far_loads o.far_peak o.demoted o.promoted
+  Printf.sprintf format o.wall o.loads o.llc_misses o.far_loads o.far_peak
+    o.demoted o.promoted
 
-let outcome_of_string s =
-  match String.split_on_char '\n' s with
-  | m :: line :: _ when m = magic -> (
-      match String.split_on_char ' ' line with
-      | [ w; lo; ll; fl; fp; d; p ] -> (
-          match
-            ( float_of_string_opt w,
-              float_of_string_opt lo,
-              float_of_string_opt ll,
-              float_of_string_opt fl,
-              int_of_string_opt fp,
-              int_of_string_opt d,
-              int_of_string_opt p )
-          with
-          | ( Some wall,
-              Some loads,
-              Some llc_misses,
-              Some far_loads,
-              Some far_peak,
-              Some demoted,
-              Some promoted ) ->
-              Some
-                {
-                  wall;
-                  loads;
-                  llc_misses;
-                  far_loads;
-                  far_peak;
-                  demoted;
-                  promoted;
-                }
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
+let outcome_of_string =
+  Runner.decode (fun ib ->
+      Scanf.bscanf ib format
+        (fun wall loads llc_misses far_loads far_peak demoted promoted ->
+          { wall; loads; llc_misses; far_loads; far_peak; demoted; promoted }))
 
 (* ------------------------------------------------------------------ *)
 (* Execution                                                           *)

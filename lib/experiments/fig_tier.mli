@@ -38,10 +38,12 @@ type outcome = {
 }
 
 val outcome_to_string : outcome -> string
-(** Versioned, lossless payload stored under the job's fingerprint. *)
+(** Versioned, lossless payload stored under the job's fingerprint: a
+    magic line, then the seven fields on one line ([%h] floats). *)
 
 val outcome_of_string : string -> outcome option
-(** Strict inverse of {!outcome_to_string}; [None] on malformation. *)
+(** Strict inverse of {!outcome_to_string} through {!Runner.decode}:
+    [None] on any malformation, a truncation or trailing bytes. *)
 
 val sweep :
   ?capacities:int list ->

@@ -85,80 +85,55 @@ let config_value_key
 
 let config_key config_id = config_value_key (Config.of_id config_id)
 
-let metrics_magic = "hcsgc-metrics 2"
+(* Every stored payload lists its fields once, in a [format6] that
+   [Printf] writes and [Scanf.bscanf] reads back; only a variable-length
+   line (heap samples, a histogram) is written and split by hand.  [%h]
+   round-trips every float bit-exactly (NaN payloads aside).  A payload
+   must be read to its last byte. *)
+let decode scan s =
+  let ib = Scanf.Scanning.from_string s in
+  match
+    let v = scan ib in
+    Scanf.bscanf ib "%!" v
+  with
+  | v -> Some v
+  | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) -> None
+
+let metrics_format : _ format6 =
+  "hcsgc-metrics 2\n%h %h %h %h %h %h %h %d %h %d %d %d %d\n"
 
 let metrics_to_string m =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf metrics_magic;
-  Buffer.add_char buf '\n';
-  (* [%h] round-trips every finite float exactly through float_of_string. *)
-  Printf.bprintf buf "%h %h %h %h %h %h %h %d %h %d %d %d %d\n" m.wall m.loads
-    m.l1_misses m.llc_misses m.mut_l1_misses m.mut_llc_misses m.far_loads
-    m.gc_cycle_count m.ec_median m.reloc_mut m.reloc_gc m.pages_demoted
-    m.pages_promoted;
-  List.iter
-    (fun (wall, used) -> Printf.bprintf buf "%d,%d " wall used)
-    m.heap_samples;
+  Printf.bprintf buf metrics_format m.wall m.loads m.l1_misses m.llc_misses
+    m.mut_l1_misses m.mut_llc_misses m.far_loads m.gc_cycle_count m.ec_median
+    m.reloc_mut m.reloc_gc m.pages_demoted m.pages_promoted;
+  List.iter (fun (w, u) -> Printf.bprintf buf "%d,%d " w u) m.heap_samples;
   Buffer.add_char buf '\n';
   Buffer.contents buf
 
-let metrics_of_string s =
-  let ( let* ) = Option.bind in
-  match String.split_on_char '\n' s with
-  | [ magic; scalars; samples; "" ] when magic = metrics_magic ->
-      let* wall, loads, l1, llc, mut_l1, mut_llc, far, gc_cycles, ec, rm, rg,
-           pd, pp =
-        match String.split_on_char ' ' scalars with
-        | [ w; lo; l1; ll; m1; ml; fr; gc; ec; rm; rg; pd; pp ] ->
-            let* w = float_of_string_opt w in
-            let* lo = float_of_string_opt lo in
-            let* l1 = float_of_string_opt l1 in
-            let* ll = float_of_string_opt ll in
-            let* m1 = float_of_string_opt m1 in
-            let* ml = float_of_string_opt ml in
-            let* fr = float_of_string_opt fr in
-            let* gc = int_of_string_opt gc in
-            let* ec = float_of_string_opt ec in
-            let* rm = int_of_string_opt rm in
-            let* rg = int_of_string_opt rg in
-            let* pd = int_of_string_opt pd in
-            let* pp = int_of_string_opt pp in
-            Some (w, lo, l1, ll, m1, ml, fr, gc, ec, rm, rg, pd, pp)
-        | _ -> None
-      in
-      let* heap_samples =
-        String.split_on_char ' ' samples
-        |> List.filter (fun p -> p <> "")
-        |> List.fold_left
-             (fun acc pair ->
-               let* acc = acc in
-               match String.split_on_char ',' pair with
-               | [ w; u ] ->
-                   let* w = int_of_string_opt w in
-                   let* u = int_of_string_opt u in
-                   Some ((w, u) :: acc)
-               | _ -> None)
-             (Some [])
-        |> Option.map List.rev
-      in
-      Some
-        {
-          wall;
-          loads;
-          l1_misses = l1;
-          llc_misses = llc;
-          mut_l1_misses = mut_l1;
-          mut_llc_misses = mut_llc;
-          far_loads = far;
-          gc_cycle_count = gc_cycles;
-          ec_median = ec;
-          reloc_mut = rm;
-          reloc_gc = rg;
-          pages_demoted = pd;
-          pages_promoted = pp;
-          heap_samples;
-        }
-  | _ -> None
+(* The heap samples are one line of "w,u " items, split by hand: a
+   [Scanf] call per sample made decoding four times slower. *)
+let heap_samples line =
+  let sample p =
+    match String.split_on_char ',' p with
+    | [ w; u ] -> (int_of_string w, int_of_string u)
+    | _ -> failwith "heap sample"
+  in
+  match List.rev (String.split_on_char ' ' line) with
+  | "" :: rev_samples -> List.rev_map sample rev_samples
+  | _ -> failwith "heap samples"
+
+let scan_metrics ib =
+  Scanf.bscanf ib metrics_format
+    (fun wall loads l1_misses llc_misses mut_l1_misses mut_llc_misses
+         far_loads gc_cycle_count ec_median reloc_mut reloc_gc pages_demoted
+         pages_promoted ->
+      let heap_samples = heap_samples (Scanf.bscanf ib "%[^\n]\n" Fun.id) in
+      { wall; loads; l1_misses; llc_misses; mut_l1_misses; mut_llc_misses;
+        far_loads; gc_cycle_count; ec_median; reloc_mut; reloc_gc;
+        pages_demoted; pages_promoted; heap_samples })
+
+let metrics_of_string = decode scan_metrics
 
 type cache = { store : Result_store.t; refresh : bool }
 

@@ -103,12 +103,25 @@ val cost_key : job -> string
 (** The job's cost-model key: one per (experiment key, knob vector) —
     the granularity at which durations are predictable. *)
 
+val decode : (Scanf.Scanning.in_channel -> 'a) -> string -> 'a option
+(** [decode scan s] runs [scan] over [s] and then demands the end of
+    input; [None] if [scan] fails ([Scan_failure], [Failure] or
+    [End_of_file]) or leaves anything unread.  The one decoder of every
+    stored payload: each payload's [scan] reads the [format6] its encoder
+    writes. *)
+
 val metrics_to_string : run_metrics -> string
 (** Versioned, lossless text serialization ([%h] floats); the payload
     stored under the job's fingerprint. *)
 
+val scan_metrics : Scanf.Scanning.in_channel -> run_metrics
+(** Read one {!metrics_to_string} payload from the channel, for payloads
+    that end with a job's metrics.
+    @raise Scanf.Scan_failure, [Failure] or [End_of_file] on malformation. *)
+
 val metrics_of_string : string -> run_metrics option
-(** Strict inverse of {!metrics_to_string}; [None] on any malformation.
+(** [decode scan_metrics]: the strict inverse of {!metrics_to_string},
+    [None] on any malformation, a truncation or trailing bytes.
     Round-trips every value bit-exactly. *)
 
 (** {2 The sweep engine}

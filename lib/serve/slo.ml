@@ -110,48 +110,6 @@ let histogram requests =
     requests;
   counts
 
-let histogram_to_string counts =
-  String.concat " " (Array.to_list (Array.map string_of_int counts))
-
-let to_line r =
-  Printf.sprintf
-    "slo1 n=%d g=%d u=%d s=%d dur=%d thr=%h mean=%h p50=%d p95=%d p99=%d \
-     p999=%d max=%d slo=%d viol=%d pause=%d service=%d pcycles=%d"
-    r.requests r.gets r.updates r.scans r.duration r.throughput r.mean r.p50
-    r.p95 r.p99 r.p999 r.max_latency r.slo r.violations r.pause_attributed
-    r.service_attributed r.pause_cycles
-
-let of_line line =
-  match
-    Scanf.sscanf_opt line
-      "slo1 n=%d g=%d u=%d s=%d dur=%d thr=%h mean=%h p50=%d p95=%d p99=%d \
-       p999=%d max=%d slo=%d viol=%d pause=%d service=%d pcycles=%d"
-      (fun requests gets updates scans duration throughput mean p50 p95 p99
-           p999 max_latency slo violations pause_attributed service_attributed
-           pause_cycles ->
-        {
-          requests;
-          gets;
-          updates;
-          scans;
-          duration;
-          throughput;
-          mean;
-          p50;
-          p95;
-          p99;
-          p999;
-          max_latency;
-          slo;
-          violations;
-          pause_attributed;
-          service_attributed;
-          pause_cycles;
-        })
-  with
-  | Some r -> Ok r
-  | None -> Error (Printf.sprintf "Slo.of_line: unparseable %S" line)
-
 let pp_histogram fmt counts =
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then Format.fprintf fmt "(no requests)@."

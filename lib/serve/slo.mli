@@ -9,7 +9,12 @@
     it on the same shard (the queue only drains when a request starts with
     zero wait), so a violation is {e pause-attributed} when its own window
     or its busy period absorbed pause time, and {e service-attributed}
-    otherwise. *)
+    otherwise.
+
+    A report and its {!histogram} are stored, with the run's metrics, by
+    the serving figure's payload codec
+    ([Hcsgc_experiments.Fig_serve.outcome_to_string]); this module has
+    no codec of its own. *)
 
 val cycles_per_us : int
 (** 3000 — the 3 GHz convention used to convert [--slo-us] to cycles and
@@ -44,22 +49,17 @@ val analyze :
     here.  [slo = 0] disables violation counting (all violation fields
     zero). *)
 
+val histogram_buckets : int
+(** 40: the length of every {!histogram}. *)
+
 val histogram : Serve.request array -> int array
 (** Log2-bucketed latency histogram: bucket [i] counts requests with
-    latency in [\[2^i, 2^(i+1))] (bucket 0 also counts 0 and 1); fixed
-    length so equal workloads compare byte-for-byte. *)
-
-val histogram_to_string : int array -> string
-(** Space-joined counts — the determinism tests' byte-compare form. *)
+    latency in [\[2^i, 2^(i+1))] (bucket 0 also counts 0 and 1, the last
+    bucket everything above); {!histogram_buckets} long, so equal
+    workloads compare byte-for-byte. *)
 
 val pp_histogram : Format.formatter -> int array -> unit
 (** Render the non-empty buckets as cycle ranges with scaled bars. *)
-
-val to_line : report -> string
-(** One-line machine-readable codec (floats in hex), inverse of
-    {!of_line}. *)
-
-val of_line : string -> (report, string) result
 
 val pp : Format.formatter -> report -> unit
 (** Human-readable report: percentiles in cycles and microseconds (at

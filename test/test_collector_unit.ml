@@ -342,6 +342,13 @@ let verify_detects_corruption () =
   (* Restore sanity for a clean teardown. *)
   Heap.set_ref (Vm.heap vm) keeper 0 Addr.null
 
+let set_cold_confidence_rejects_nan () =
+  let col = Vm.collector (mk_vm ~config:(Config.of_id 6) ()) in
+  Alcotest.check_raises "NaN"
+    (Invalid_argument "Collector.set_cold_confidence: outside [0,1]")
+    (fun () -> Collector.set_cold_confidence col Float.nan);
+  check (Alcotest.float 0.0) "unchanged" 0.5 (Collector.cold_confidence col)
+
 let suite =
   [
     ( "core.collector_unit",
@@ -363,5 +370,7 @@ let suite =
         case "relocate-all enlarges EC" `Quick ec_median_tracks_relocate_all;
         case "verifier clean after churn" `Slow verify_clean_after_churn;
         case "verifier detects corruption" `Quick verify_detects_corruption;
+        case "set_cold_confidence rejects NaN" `Quick
+          set_cold_confidence_rejects_nan;
       ] );
   ]

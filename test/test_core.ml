@@ -66,6 +66,17 @@ let config_validation () =
     (Invalid_argument "Config: COLDPAGE requires HOTNESS to be enabled")
     (fun () -> ignore (Config.make ~coldpage:true ()))
 
+let config_rejects_nan_cold_confidence () =
+  (* NaN fails every comparison, so a range test written as
+     [v < 0 || v > 1] would let it through. *)
+  check Alcotest.bool "validate" true
+    (Result.is_error
+       (Config.validate
+          { Config.zgc with Config.hotness = true; cold_confidence = Float.nan }));
+  Alcotest.check_raises "make"
+    (Invalid_argument "Config: COLDCONFIDENCE must lie in [0, 1]")
+    (fun () -> ignore (Config.make ~hotness:true ~cold_confidence:Float.nan ()))
+
 let config_of_id_bounds () =
   Alcotest.check_raises "id 19" (Invalid_argument "Config.of_id: id must be in 0-18")
     (fun () -> ignore (Config.of_id 19))
@@ -379,6 +390,8 @@ let suite =
         case "Table 2 complete & valid" `Quick config_table2_complete;
         case "Table 2 spot checks" `Quick config_table2_spot_checks;
         case "validation rules" `Quick config_validation;
+        case "NaN cold confidence rejected" `Quick
+          config_rejects_nan_cold_confidence;
         case "of_id bounds" `Quick config_of_id_bounds;
         case "to_string" `Quick config_to_string;
       ] );

@@ -45,16 +45,19 @@ let run_small ?config ?(telemetry = true) ?(verify = false) () =
     | Some rec_ -> Analyzer.pause_intervals rec_
     | None -> []
   in
-  (r, pauses, Runner.metrics_to_string (Runner.collect vm))
+  (r, pauses, Runner.collect vm)
 
+(* A run as the serve figure stores it. *)
 let signature (r, pauses, metrics) =
-  let report =
-    Slo.analyze ~slo:(5 * Slo.cycles_per_us)
-      ~duration:small_params.Serve.duration ~pauses r
-  in
-  Slo.to_line report ^ "|"
-  ^ Slo.histogram_to_string (Slo.histogram r.Serve.requests)
-  ^ "|" ^ string_of_int r.Serve.checksum ^ "|" ^ metrics
+  Fig_serve.outcome_to_string
+    {
+      Fig_serve.report =
+        Slo.analyze ~slo:(5 * Slo.cycles_per_us)
+          ~duration:small_params.Serve.duration ~pauses r;
+      histogram = Slo.histogram r.Serve.requests;
+      checksum = r.Serve.checksum;
+      metrics;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Arrival process                                                     *)
@@ -163,7 +166,9 @@ let serve_telemetry_free () =
   Alcotest.(check bool) "request arrays equal" true
     (r1.Serve.requests = r2.Serve.requests);
   Alcotest.(check int) "checksum" r1.Serve.checksum r2.Serve.checksum;
-  Alcotest.(check string) "metrics" m1 m2
+  Alcotest.(check string) "metrics"
+    (Runner.metrics_to_string m1)
+    (Runner.metrics_to_string m2)
 
 let serve_verified_identical () =
   let s_plain = signature (run_small ()) in
@@ -307,12 +312,28 @@ let slo_codec_roundtrip () =
     Slo.analyze ~slo:800 ~duration:123_456 ~pauses:[ (1, 5) ]
       (result_of requests)
   in
-  (match Slo.of_line (Slo.to_line r) with
-  | Ok r' -> Alcotest.(check string) "round-trip" (Slo.to_line r) (Slo.to_line r')
-  | Error e -> Alcotest.fail e);
-  match Slo.of_line "not a report" with
-  | Ok _ -> Alcotest.fail "parsed garbage"
-  | Error _ -> ()
+  let o =
+    {
+      Fig_serve.report = r;
+      histogram = Slo.histogram requests;
+      checksum = 42;
+      metrics = Runner.collect (make_vm ());
+    }
+  in
+  let payload = Fig_serve.outcome_to_string o in
+  (match Fig_serve.outcome_of_string payload with
+  | Some o' ->
+      Alcotest.(check bool) "round-trip" true (o' = o);
+      Alcotest.(check string) "re-encodes" payload
+        (Fig_serve.outcome_to_string o')
+  | None -> Alcotest.fail "codec failed to round-trip");
+  let with_line i l =
+    String.concat "\n"
+      (List.mapi (fun j x -> if j = i then l else x)
+         (String.split_on_char '\n' payload))
+  in
+  Alcotest.(check bool) "garbage report rejected" true
+    (Fig_serve.outcome_of_string (with_line 1 "not a report") = None)
 
 let slo_histogram_buckets () =
   let requests =
@@ -326,6 +347,7 @@ let slo_histogram_buckets () =
     |]
   in
   let h = Slo.histogram requests in
+  Alcotest.(check int) "fixed length" Slo.histogram_buckets (Array.length h);
   Alcotest.(check int) "bucket 0 counts 0 and 1" 2 h.(0);
   Alcotest.(check int) "bucket 1 counts 2..3" 2 h.(1);
   Alcotest.(check int) "bucket 10 counts 1024..2047" 2 h.(10);

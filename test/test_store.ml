@@ -7,6 +7,11 @@ module Vm = Hcsgc_runtime.Vm
 module Config = Hcsgc_core.Config
 module Layout = Hcsgc_heap.Layout
 module Runner = Hcsgc_experiments.Runner
+module Fig_serve = Hcsgc_experiments.Fig_serve
+module Fig_specjbb = Hcsgc_experiments.Fig_specjbb
+module Fig_tier = Hcsgc_experiments.Fig_tier
+module Slo = Hcsgc_serve.Slo
+module Specjbb = Hcsgc_workloads.Specjbb_sim
 module Report = Hcsgc_experiments.Report
 module Synthetic = Hcsgc_workloads.Synthetic
 module Fingerprint = Hcsgc_store.Fingerprint
@@ -163,6 +168,102 @@ let codec_rejects_malformed () =
   reject "wrong magic" ("nope\n" ^ good);
   reject "truncated" (String.sub good 0 (String.length good - 3));
   reject "trailing garbage" (good ^ "junk")
+
+(* A stored payload under test: its name and bytes; whether the bytes
+   decode to the encoded value and re-encode to themselves, so floats
+   come back bit for bit; the decoder as a predicate; and the encodings
+   of values no payload may hold, which must not decode. *)
+let payload ?(malformed = []) name encode decode v =
+  let bytes = encode v in
+  ( name,
+    bytes,
+    (match decode bytes with
+    | Some v' -> v' = v && encode v' = bytes
+    | None -> false),
+    (fun s -> Option.is_some (decode s)),
+    List.map encode malformed )
+
+let payload_gen =
+  QCheck.Gen.(
+    let f =
+      let* neg = bool and* m = float_bound_inclusive 1.0 in
+      let* e = int_range (-1074) 1023 in
+      let* x =
+        frequency
+          [ (8, return (ldexp m e)); (1, return infinity); (1, return 0.0) ]
+      in
+      return (if neg then -.x else x)
+    in
+    let metrics = QCheck.gen arbitrary_metrics in
+    let serve =
+      let* r = array_repeat 10 int and* thr = f and* mean = f in
+      let* histogram = array_repeat Slo.histogram_buckets (int_bound 1_000_000) in
+      let* checksum = int and* metrics = metrics in
+      (* A histogram of any other length is not a serve payload. *)
+      let* n = int_bound (2 * Slo.histogram_buckets) in
+      let n = if n >= Slo.histogram_buckets then n + 1 else n in
+      let o =
+        {
+          Fig_serve.report =
+            {
+              Slo.requests = r.(0); gets = r.(1); updates = r.(2);
+              scans = r.(3); duration = r.(4); throughput = thr; mean;
+              p50 = r.(5); p95 = r.(6); p99 = r.(7); p999 = r.(8);
+              max_latency = r.(9); slo = r.(0) / 3; violations = r.(1) / 3;
+              pause_attributed = r.(2) / 3; service_attributed = r.(3) / 3;
+              pause_cycles = r.(4) / 3;
+            };
+          histogram;
+          checksum;
+          metrics;
+        }
+      in
+      return
+        (payload "serve" Fig_serve.outcome_to_string Fig_serve.outcome_of_string
+           ~malformed:[ { o with histogram = Array.make n 1 } ]
+           o)
+    in
+    oneof
+      [
+        map (payload "metrics" Runner.metrics_to_string Runner.metrics_of_string)
+          metrics;
+        (let* wall = f and* loads = f and* llc_misses = f and* far_loads = f in
+         let* far_peak = int and* demoted = int and* promoted = int in
+         return
+           (payload "tier" Fig_tier.outcome_to_string Fig_tier.outcome_of_string
+              { Fig_tier.wall; loads; llc_misses; far_loads; far_peak; demoted;
+                promoted }));
+        serve;
+        (let* max_jops = f and* critical_jops = f and* mean_latency = f in
+         let* survival_rate = f and* metrics = metrics in
+         return
+           (payload "specjbb" Fig_specjbb.outcome_to_string
+              Fig_specjbb.outcome_of_string
+              {
+                Fig_specjbb.result =
+                  { Specjbb.max_jops; critical_jops; mean_latency;
+                    survival_rate };
+                metrics;
+              }));
+      ])
+
+let prop_payloads_strict =
+  QCheck.Test.make
+    ~name:
+      "store: every payload round-trips; prefixes and trailing bytes rejected"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ((name, bytes, _, _, _), c, line) ->
+         Printf.sprintf "%s payload %S, appended %C / %S" name bytes c line)
+       QCheck.Gen.(
+         triple payload_gen char (string_size ~gen:printable (int_bound 8))))
+    (fun ((_, bytes, round_trips, decodes, malformed), c, line) ->
+      let prefix_rejected n = not (decodes (String.sub bytes 0 n)) in
+      round_trips
+      && List.for_all prefix_rejected (List.init (String.length bytes) Fun.id)
+      && (not (decodes (bytes ^ String.make 1 c)))
+      && (not (decodes (bytes ^ line ^ "\n")))
+      && not (List.exists decodes malformed))
 
 (* ------------------------------------------------------------------ *)
 (* Store robustness                                                    *)
@@ -363,7 +464,6 @@ let corrupt_entry_rerun_end_to_end () =
 (* Serving-tier experiment keys                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Fig_serve = Hcsgc_experiments.Fig_serve
 module Serve = Hcsgc_serve.Serve
 module Arrival = Hcsgc_serve.Arrival
 module Keydist = Hcsgc_workloads.Keydist
@@ -556,7 +656,6 @@ let engine_announces_each_group_once () =
 (* Store addresses the end-to-end benchmark computes on its own        *)
 (* ------------------------------------------------------------------ *)
 
-module Fig_tier = Hcsgc_experiments.Fig_tier
 
 (* bench/e2e's tier and serve jobs spell out their fingerprints by hand
    rather than through the figures' sweeps; so do these checks.  A change
@@ -611,6 +710,7 @@ let suite =
     ( "store.codec",
       [
         QCheck_alcotest.to_alcotest prop_metrics_roundtrip;
+        QCheck_alcotest.to_alcotest prop_payloads_strict;
         case "rejects malformed payloads" `Quick codec_rejects_malformed;
       ] );
     ( "store.robustness",
