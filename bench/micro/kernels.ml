@@ -1,5 +1,6 @@
-(* The micro-benchmark kernels: the mutator hot path (per op) and the GC
-   cycle (per cycle), the two places HCSGC spends host time.
+(* The micro-benchmark kernels: the mutator hot path (per op), the GC
+   cycle (per cycle), the two places HCSGC spends host time, and the
+   telemetry recorder's span push (per op).
 
    A session runs rounds: [mutate r] is the untimed phase before round
    [r], [step] the timed round.  Op kernels drive one primitive of the
@@ -19,6 +20,7 @@ module Prefetcher = Hcsgc_memsim.Prefetcher
 module Collector = Hcsgc_core.Collector
 module Config = Hcsgc_core.Config
 module Vec = Hcsgc_util.Vec
+module Recorder = Hcsgc_telemetry.Recorder
 
 type unit_ = Op | Cycle
 
@@ -200,6 +202,10 @@ let on_machine body () = (None, body (Machine.create ~cores:1 ()))
 
 let on_prefetcher body () = (None, body (Prefetcher.create ()))
 
+(* A telemetry recorder at the default 65,536-span capacity: the ring
+   fills during warm-up, so measured rounds overwrite the oldest span. *)
+let on_recorder body () = (None, body (Recorder.create ()))
+
 (* ---- the table ----------------------------------------------------- *)
 
 let kernels =
@@ -273,6 +279,18 @@ let kernels =
              let line = if i land 1 = 0 then j else (1 lsl 40) - j in
              ignore (Prefetcher.step pf line : int)
            done));
+    (* The serve request span: a named slice with four args from a
+       preallocated list. *)
+    op_kernel "recorder-push"
+      (on_recorder (fun r ->
+           let args =
+             [ ("arrival", 1); ("wait", 2); ("stall", 3); ("latency", 4) ]
+           in
+           fun lo hi ->
+             for i = lo to hi - 1 do
+               Recorder.complete_span r (Recorder.Mutator 0) ~name:"req:get"
+                 ~wall:i ~dur:3 ~args
+             done));
     cycle_kernel "churn" ~warmup:30 ~rounds:300 churn;
     cycle_kernel "relocation-storm" ~warmup:15 ~rounds:150 relocation_storm;
     cycle_kernel "tiered-demotion" ~warmup:15 ~rounds:150 tiered_demotion;

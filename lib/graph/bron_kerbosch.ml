@@ -6,41 +6,10 @@ type stats = {
   expansions : int;
 }
 
-(* In-place ascending heap sort specialised to ints, so no comparison
-   goes through a closure.  graph-mc's neighbour sets hold 60 to 119
-   unsorted ids; on those this takes 2.4 us a set, [Array.stable_sort
-   Int.compare] 8.0 and an insertion sort 3.9 (BENCH_heap.json).  Ints
-   have no identity, so the result equals a stable sort's. *)
-let sort_ints (a : int array) =
-  let n = Array.length a in
-  (* Move [x] down from [root] of the max-heap [a.(0 .. len - 1)]. *)
-  let rec sift x root len =
-    let child = (2 * root) + 1 in
-    if child >= len then a.(root) <- x
-    else
-      let child =
-        if child + 1 < len && a.(child + 1) > a.(child) then child + 1
-        else child
-      in
-      if a.(child) > x then begin
-        a.(root) <- a.(child);
-        sift x child len
-      end
-      else a.(root) <- x
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift a.(i) i n
-  done;
-  for last = n - 1 downto 1 do
-    let x = a.(last) in
-    a.(last) <- a.(0);
-    sift x 0 last
-  done
-
 (* Sets are sorted, duplicate-free int arrays, never mutated once built.
    [set_of_array] sorts and deduplicates a fresh array in place. *)
 let set_of_array (a : int array) =
-  sort_ints a;
+  Hcsgc_util.Int_sort.sort a;
   let k = ref 0 in
   Array.iter
     (fun x ->

@@ -108,10 +108,24 @@ let run vm p =
       ~seed:(p.seed + 1)
   in
   let free_at = Array.make m_count 0 in
-  let reqs = ref [] in
+  (* The timeline is a pure function of its seed: count it first, so the
+     request log is built at its final length. *)
+  let count =
+    let a =
+      Arrival.create p.process ~rate:p.load ~duration:p.duration
+        ~seed:(p.seed + 1)
+    in
+    let rec go n = match Arrival.next a with None -> n | Some _ -> go (n + 1) in
+    go 0
+  in
+  let requests =
+    Array.make count
+      { arrival = 0; mutator = 0; kind = Get; wait = 0; service = 0;
+        stall = 0; latency = 0; w0 = 0; w1 = 0 }
+  in
   let gets = ref 0 and updates = ref 0 and scans = ref 0 in
   let checksum = ref 0 in
-  let rec loop () =
+  let rec loop i =
     match Arrival.next arrivals with
     | None -> ()
     | Some arrival ->
@@ -170,16 +184,15 @@ let run vm p =
                 [ ("arrival", arrival); ("wait", wait); ("stall", stall);
                   ("latency", latency) ]
         | None -> ());
-        reqs :=
-          { arrival; mutator = m; kind; wait; service; stall; latency; w0; w1 }
-          :: !reqs;
-        loop ()
+        requests.(i) <-
+          { arrival; mutator = m; kind; wait; service; stall; latency; w0; w1 };
+        loop (i + 1)
   in
-  loop ();
+  loop 0;
   Vm.span_end vm;
   Vm.remove_root vm root;
   {
-    requests = Array.of_list (List.rev !reqs);
+    requests;
     gets = !gets;
     updates = !updates;
     scans = !scans;
@@ -187,10 +200,11 @@ let run vm p =
   }
 
 let params_key p =
+  Keydist.validate p.dist ~key_space:p.keys;
   Printf.sprintf
     "serve(keys=%d,vw=%d,mut=%d,dist=%s,mix=%d/%d/%d x%d,proc=%s,load=%h,dur=%d,seed=%d)"
     p.keys p.value_words p.mutators
-    (Keydist.spec_key (Keydist.create p.dist ~key_space:p.keys))
+    (Keydist.spec_key p.dist)
     p.mix.gets p.mix.updates p.mix.scans p.mix.scan_len
     (Arrival.process_key p.process)
     p.load p.duration p.seed

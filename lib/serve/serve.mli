@@ -89,4 +89,7 @@ val run : Vm.t -> params -> result
 
 val params_key : params -> string
 (** Stable one-line rendering of every result-affecting parameter, for
-    content-address fingerprints (floats in hex). *)
+    content-address fingerprints (floats in hex).  The key distribution is
+    named by its spec and checked with {!Keydist.validate}, not built.
+    @raise Invalid_argument on a spec or key count {!Keydist.create}
+    rejects. *)

@@ -53,7 +53,7 @@ let analyze ~slo ~duration ~pauses (result : Serve.result) =
     let pauses = Array.of_list (Analyzer.coalesce pauses) in
     let latencies = Array.map (fun r -> r.Serve.latency) requests in
     let total = Array.fold_left ( + ) 0 latencies in
-    Array.sort Int.compare latencies;
+    Hcsgc_util.Int_sort.sort latencies;
     (* Busy-period pause attribution, per shard: pause overlap absorbed by
        a request's wall window carries to everything queued behind it; a
        request that starts with zero wait opens a fresh busy period. *)

@@ -57,8 +57,10 @@ val estimate : t -> cost_key:string -> float option
 
 val note_invalid : t -> unit
 (** Count one caller-detected invalid entry (e.g. the payload passed the
-    envelope checksum but failed the caller's decoder).  Callers should
-    treat such entries as misses and overwrite them via {!add}. *)
+    envelope checksum but failed the caller's decoder), just returned by
+    {!find}: the hit [find] counted becomes a miss, and [corrupt] grows
+    by one.  Callers should treat such entries as misses and overwrite
+    them via {!add}. *)
 
 type counters = {
   hits : int;

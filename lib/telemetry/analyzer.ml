@@ -1,3 +1,5 @@
+module Int_sort = Hcsgc_util.Int_sort
+
 type pause_stats = {
   count : int;
   total : int;
@@ -30,7 +32,7 @@ let percentile xs ~pct =
   if xs = [] then invalid_arg "Analyzer.percentile: empty list";
   check_pct "Analyzer.percentile" pct;
   let arr = Array.of_list xs in
-  Array.sort Int.compare arr;
+  Int_sort.sort arr;
   nearest_rank arr ~pct
 
 (* STW pause slices are the GC track's slices named "Pause ...". *)
@@ -52,7 +54,7 @@ let pause_stats r =
   | [] -> { count = 0; total = 0; p50 = 0; p95 = 0; p99 = 0; p999 = 0; max = 0 }
   | ds ->
       let arr = Array.of_list ds in
-      Array.sort Int.compare arr;
+      Int_sort.sort arr;
       let n = Array.length arr in
       {
         count = n;
@@ -67,13 +69,16 @@ let pause_stats r =
 (* Coalesce overlapping/touching intervals so summed window overlap never
    exceeds the window.  Simulated pauses can share a wall stamp (the wall
    hint only advances at mutator pumps), so overlap is not hypothetical. *)
+let compare_intervals (a1, b1) (a2, b2) =
+  match Int.compare a1 a2 with 0 -> Int.compare b1 b2 | c -> c
+
 let merge_intervals pauses =
   let rec go = function
     | (a1, b1) :: (a2, b2) :: rest when a2 <= b1 -> go ((a1, max b1 b2) :: rest)
     | iv :: rest -> iv :: go rest
     | [] -> []
   in
-  go (List.sort compare (List.filter (fun (a, b) -> b > a) pauses))
+  go (List.sort compare_intervals (List.filter (fun (a, b) -> b > a) pauses))
 
 let coalesce = merge_intervals
 
@@ -168,7 +173,7 @@ let attribution r =
               | Some n -> (n, start) :: acc
               | None -> acc)
           | _ -> acc)
-      |> List.sort compare
+      |> List.sort compare_intervals
     in
     let rec epochs = function
       | [] -> []

@@ -1,4 +1,5 @@
 module Gc_log = Hcsgc_core.Gc_log
+module Vec = Hcsgc_util.Vec
 
 type track = Mutator of int | Gc
 
@@ -36,58 +37,144 @@ type open_span = {
   o_args : (string * int) list;
 }
 
-(* Spans live in a struct-of-arrays ring: one flat array per field, so a
-   recorded span costs 15 words in place instead of a [span] record, an
-   option box and a list of boxed pairs.  Slot [i]'s first
-   [inline_args] args sit at [i * inline_args ..] of [sp_key]/[sp_val];
-   any further ones are kept as a list in [sp_more] ([[]], an immediate,
-   when unused).  The arrays start at [initial_slots] and double up to
-   [span_cap]; the ring wraps only once it is at capacity, so before that
-   slot [i] is the [i]th span recorded. *)
-let inline_args = 4
+(* Span names and arg keys are interned per recorder, so a ring slot holds
+   only ints.  A lookup first compares the string by address with recently
+   looked-up ones (the serve and GC call sites pass literals, so this
+   nearly always hits), then by content in [codes].  A name is looked for
+   among the last [recent] names; an arg key only in the cache entry of
+   its position in the args list, since call sites pass the same keys in
+   the same order. *)
+let recent = 8
 
+type interner = {
+  codes : (string, int) Hashtbl.t;
+  mutable strings : string Vec.t;  (* by code; readers get these back *)
+  recent_str : string array;
+  recent_code : int array;
+  mutable recent_next : int;
+}
+
+(* Fills the address cache's empty entries: no caller can hold it. *)
+let unseen = Bytes.to_string (Bytes.make 1 '\000')
+
+let interner () =
+  {
+    codes = Hashtbl.create 64;
+    strings = Vec.create ();
+    recent_str = Array.make recent unseen;
+    recent_code = Array.make recent 0;
+    recent_next = 0;
+  }
+
+let reset_interner it =
+  Hashtbl.reset it.codes;
+  it.strings <- Vec.create ();
+  Array.fill it.recent_str 0 recent unseen;
+  it.recent_next <- 0
+
+let by_content it s =
+  match Hashtbl.find it.codes s with
+  | code -> code
+  | exception Not_found ->
+      let code = Vec.length it.strings in
+      Hashtbl.add it.codes s code;
+      Vec.push it.strings s;
+      code
+
+let remember it i s code =
+  it.recent_str.(i) <- s;
+  it.recent_code.(i) <- code
+
+let rec find_recent it s i =
+  if i = recent then -1
+  else if Array.unsafe_get it.recent_str i == s then
+    Array.unsafe_get it.recent_code i
+  else find_recent it s (i + 1)
+
+let intern it s =
+  let code = find_recent it s 0 in
+  if code >= 0 then code
+  else begin
+    let code = by_content it s in
+    let i = it.recent_next in
+    remember it i s code;
+    it.recent_next <- (if i + 1 = recent then 0 else i + 1);
+    code
+  end
+
+(* [intern] for the [i]th arg key ([i < recent]). *)
+let intern_at it i s =
+  if Array.unsafe_get it.recent_str i == s then Array.unsafe_get it.recent_code i
+  else begin
+    let code = by_content it s in
+    remember it i s code;
+    code
+  end
+
+(* Spans live in one flat [int array] ring of [stride] ints per slot:
+
+     start | stop | head | keys | v0 | v1 | v2 | v3
+
+   [head] packs the kind (bit 0, [Instant] = 1), the inline arg count
+   (bits 1-3), an overflow flag (bit 4), the track (bits 5-20: [Gc] = 0,
+   [Mutator m] = m + 1) and the name's code (bits 21 up).  [keys] packs
+   the codes of up to [inline_args] arg keys, [key_bits] each, whose
+   values are [v0 ..].  Args that do not fit (past the fourth, or a key
+   whose code needs more bits) are kept as a list in [overflow] under the
+   slot, and leave it when the slot is overwritten.  A recorded span thus
+   costs 8 words and writing it never calls [caml_modify].  The ring
+   starts at [initial_slots] and doubles up to [span_cap]; it wraps only
+   once it is at capacity, so before that slot [i] is the [i]th span
+   recorded. *)
+let stride = 8
+let inline_args = 4
 let initial_slots = 256
+let key_bits = 15
+let key_limit = 1 lsl key_bits
+let overflow_bit = 16
+let track_shift = 5
+let track_limit = 1 lsl 16
+let name_shift = 21
 
 type t = {
   span_cap : int;
-  mutable sp_track : int array;  (* [Gc] = -1, [Mutator m] = m *)
-  mutable sp_kind : int array;  (* [Slice] = 0, [Instant] = 1 *)
-  mutable sp_name : string array;
-  mutable sp_start : int array;
-  mutable sp_stop : int array;
-  mutable sp_nargs : int array;
-  mutable sp_key : string array;
-  mutable sp_val : int array;
-  mutable sp_more : (string * int) list array;
+  mutable ring : int array;
   mutable span_next : int;
   mutable span_total : int;
+  names : interner;
+  keys : interner;
+  overflow : (int, (string * int) list) Hashtbl.t;
+  (* Interned strings evicted spans no longer use are dropped once the
+     two tables together hold more than this. *)
+  mutable intern_limit : int;
   sample_buf : sample option array;
   mutable sample_next : int;
   mutable sample_total : int;
   open_stacks : (track, open_span list) Hashtbl.t;
 }
 
-(* Reallocate the span arrays at [n] slots, keeping the first [keep]. *)
-let resize t n ~keep =
-  let extend ?(width = 1) a fill =
-    let b = Array.make (n * width) fill in
-    Array.blit a 0 b 0 (keep * width);
-    b
-  in
-  t.sp_track <- extend t.sp_track 0;
-  t.sp_kind <- extend t.sp_kind 0;
-  t.sp_name <- extend t.sp_name "";
-  t.sp_start <- extend t.sp_start 0;
-  t.sp_stop <- extend t.sp_stop 0;
-  t.sp_nargs <- extend t.sp_nargs 0;
-  t.sp_key <- extend ~width:inline_args t.sp_key "";
-  t.sp_val <- extend ~width:inline_args t.sp_val 0;
-  t.sp_more <- extend t.sp_more []
+let live t = min t.span_total t.span_cap
+
+(* Ring slot of the [i]th oldest surviving span. *)
+let slot_of t i =
+  let first = if t.span_total <= t.span_cap then 0 else t.span_next in
+  let slot = first + i in
+  if slot >= t.span_cap then slot - t.span_cap else slot
+
+let interned t = Vec.length t.names.strings + Vec.length t.keys.strings
+
+(* After a compaction, the next one waits for at least as many new
+   strings as there are live spans, so its cost is amortised. *)
+let set_intern_limit t = t.intern_limit <- 256 + max (2 * interned t) (live t)
 
 let reset_spans t =
-  resize t (min initial_slots t.span_cap) ~keep:0;
+  t.ring <- Array.make (stride * min initial_slots t.span_cap) 0;
   t.span_next <- 0;
-  t.span_total <- 0
+  t.span_total <- 0;
+  reset_interner t.names;
+  reset_interner t.keys;
+  Hashtbl.reset t.overflow;
+  set_intern_limit t
 
 let create ?(span_capacity = 65536) ?(sample_capacity = 16384) () =
   if span_capacity <= 0 || sample_capacity <= 0 then
@@ -95,17 +182,13 @@ let create ?(span_capacity = 65536) ?(sample_capacity = 16384) () =
   let t =
     {
       span_cap = span_capacity;
-      sp_track = [||];
-      sp_kind = [||];
-      sp_name = [||];
-      sp_start = [||];
-      sp_stop = [||];
-      sp_nargs = [||];
-      sp_key = [||];
-      sp_val = [||];
-      sp_more = [||];
+      ring = [||];
       span_next = 0;
       span_total = 0;
+      names = interner ();
+      keys = interner ();
+      overflow = Hashtbl.create 8;
+      intern_limit = 0;
       sample_buf = Array.make sample_capacity None;
       sample_next = 0;
       sample_total = 0;
@@ -115,40 +198,95 @@ let create ?(span_capacity = 65536) ?(sample_capacity = 16384) () =
   reset_spans t;
   t
 
+let inline_count head = (head lsr 1) land 7
+
+(* Re-intern only the names and keys the surviving spans use, renumbering
+   their codes in place. *)
+let compact t =
+  let old_names = t.names.strings and old_keys = t.keys.strings in
+  let name_map = Array.make (Vec.length old_names) (-1) in
+  let key_map = Array.make (Vec.length old_keys) (-1) in
+  reset_interner t.names;
+  reset_interner t.keys;
+  let renumber it old map code =
+    if map.(code) < 0 then map.(code) <- by_content it (Vec.get old code);
+    map.(code)
+  in
+  let ring = t.ring in
+  for i = 0 to live t - 1 do
+    let base = stride * slot_of t i in
+    let head = ring.(base + 2) in
+    let name = renumber t.names old_names name_map (head lsr name_shift) in
+    ring.(base + 2) <-
+      (head land ((1 lsl name_shift) - 1)) lor (name lsl name_shift);
+    let keys = ring.(base + 3) in
+    let fresh = ref 0 in
+    for j = 0 to inline_count head - 1 do
+      let code = (keys lsr (key_bits * j)) land (key_limit - 1) in
+      fresh :=
+        !fresh lor (renumber t.keys old_keys key_map code lsl (key_bits * j))
+    done;
+    ring.(base + 3) <- !fresh
+  done;
+  set_intern_limit t
+
 let track_code = function Gc -> -1 | Mutator m -> m
 
 let kind_code = function Slice -> 0 | Instant -> 1
 
-(* Store [args] then [more] as the args of [slot], from position [i]:
-   inline while they fit, the rest as one list.  Returns the arg count. *)
-let rec put_args t slot i args more =
-  match args with
-  | [] -> ( match more with [] -> i | _ -> put_args t slot i more [])
-  | (k, v) :: rest when i < inline_args ->
-      let j = (slot * inline_args) + i in
-      t.sp_key.(j) <- k;
-      t.sp_val.(j) <- v;
-      put_args t slot (i + 1) rest more
-  | _ ->
-      let extra = match more with [] -> args | _ -> args @ more in
-      t.sp_more.(slot) <- extra;
-      i + List.length extra
+let track_field = function
+  | Gc -> 0
+  | Mutator m ->
+      if m < 0 || m + 1 >= track_limit then
+        invalid_arg "Recorder: mutator id outside [0, 65535)";
+      m + 1
 
-(* Claim the next slot, growing the arrays while below capacity and
+(* Store [args] then [more] as the args of the slot at [base], from
+   position [i]: inline while they fit, the rest as one [overflow] list.
+   Returns the head's arg bits. *)
+let rec put_args t slot base i args more =
+  match args with
+  | [] -> (
+      match more with [] -> i lsl 1 | _ -> put_args t slot base i more [])
+  | (k, v) :: rest ->
+      let code = if i < inline_args then intern_at t.keys i k else key_limit in
+      if code < key_limit then begin
+        let ring = t.ring in
+        ring.(base + 3) <- ring.(base + 3) lor (code lsl (key_bits * i));
+        ring.(base + 4 + i) <- v;
+        put_args t slot base (i + 1) rest more
+      end
+      else begin
+        Hashtbl.replace t.overflow slot
+          (match more with [] -> args | _ -> args @ more);
+        (i lsl 1) lor overflow_bit
+      end
+
+(* Claim the next slot, growing the ring while below capacity and
    overwriting the oldest span once at it. *)
 let push_span t track kind ~name ~start ~stop args more =
+  let track = track_field track in
+  if interned t > t.intern_limit then compact t;
   let slot = t.span_next in
-  if slot = Array.length t.sp_start then
-    resize t (min t.span_cap (2 * slot)) ~keep:slot;
+  let base = stride * slot in
+  if base = Array.length t.ring then begin
+    let ring = Array.make (stride * min t.span_cap (2 * slot)) 0 in
+    Array.blit t.ring 0 ring 0 base;
+    t.ring <- ring
+  end;
+  let ring = t.ring in
+  if ring.(base + 2) land overflow_bit <> 0 then Hashtbl.remove t.overflow slot;
   t.span_next <- (if slot + 1 = t.span_cap then 0 else slot + 1);
   t.span_total <- t.span_total + 1;
-  t.sp_track.(slot) <- track_code track;
-  t.sp_kind.(slot) <- kind_code kind;
-  t.sp_name.(slot) <- name;
-  t.sp_start.(slot) <- start;
-  t.sp_stop.(slot) <- stop;
-  t.sp_more.(slot) <- [];
-  t.sp_nargs.(slot) <- put_args t slot 0 args more
+  let head =
+    kind_code kind
+    lor (track lsl track_shift)
+    lor (intern t.names name lsl name_shift)
+  in
+  ring.(base) <- start;
+  ring.(base + 1) <- stop;
+  ring.(base + 3) <- 0;
+  ring.(base + 2) <- head lor put_args t slot base 0 args more
 
 let stack t track =
   match Hashtbl.find_opt t.open_stacks track with Some s -> s | None -> []
@@ -262,31 +400,36 @@ let samples t =
   done;
   List.rev !out
 
-let track_of_code c = if c < 0 then Gc else Mutator c
+let track_of head =
+  let field = (head lsr track_shift) land (track_limit - 1) in
+  if field = 0 then Gc else Mutator (field - 1)
 
-let args_of t slot =
-  let inline = min t.sp_nargs.(slot) inline_args in
+let args_of t slot base head =
+  let more =
+    if head land overflow_bit = 0 then [] else Hashtbl.find t.overflow slot
+  in
+  let keys = t.ring.(base + 3) in
   let rec go i =
-    if i = inline then t.sp_more.(slot)
+    if i = inline_count head then more
     else
-      let j = (slot * inline_args) + i in
-      (t.sp_key.(j), t.sp_val.(j)) :: go (i + 1)
+      let code = (keys lsr (key_bits * i)) land (key_limit - 1) in
+      (Vec.get t.keys.strings code, t.ring.(base + 4 + i)) :: go (i + 1)
   in
   go 0
 
 let fold_spans ?(with_args = false) t ~init f =
-  let live = min t.span_total t.span_cap in
-  let first = if t.span_total <= t.span_cap then 0 else t.span_next in
   let acc = ref init in
-  for i = 0 to live - 1 do
-    let slot = first + i in
-    let slot = if slot >= t.span_cap then slot - t.span_cap else slot in
+  for i = 0 to live t - 1 do
+    let slot = slot_of t i in
+    let base = stride * slot in
+    let ring = t.ring in
+    let head = ring.(base + 2) in
     acc :=
-      f !acc
-        (track_of_code t.sp_track.(slot))
-        (if t.sp_kind.(slot) = 0 then Slice else Instant)
-        ~name:t.sp_name.(slot) ~start:t.sp_start.(slot) ~stop:t.sp_stop.(slot)
-        ~args:(if with_args then args_of t slot else [])
+      f !acc (track_of head)
+        (if head land 1 = 0 then Slice else Instant)
+        ~name:(Vec.get t.names.strings (head lsr name_shift))
+        ~start:ring.(base) ~stop:ring.(base + 1)
+        ~args:(if with_args then args_of t slot base head else [])
   done;
   !acc
 

@@ -12,17 +12,23 @@
     simulated cycles, so an instrumented run's simulated clock is
     byte-identical to an uninstrumented one (asserted by the test suite).
     Both stores are ring buffers — when full, the oldest entry is dropped
-    and the drop is counted.  Spans are stored
-    field by field (a struct-of-arrays ring that starts small and doubles
-    up to its capacity), so a recorded span costs a fixed 15 words and
-    recording an arg-less span allocates nothing.
+    and the drop is counted.  Spans are stored as ints only, 8 words a
+    span in one flat array that starts small and doubles up to its
+    capacity: names and arg keys are interned per recorder (readers get
+    back strings equal to the ones recorded), a span keeps up to four args
+    in place and any further ones in a side table.  Recording a span whose
+    name and keys were seen before allocates nothing beyond its args
+    list, and the strings only evicted spans used are dropped as new ones
+    arrive.
 
     The recorder is not domain-safe: keep one recorder per VM, and one VM
     per worker domain (as {!Hcsgc_experiments.Runner} does), and parallel
     profiled sweeps stay deterministic. *)
 
 type track =
-  | Mutator of int  (** one track per mutator core *)
+  | Mutator of int
+      (** one track per mutator core; recording a span on a core id
+          outside [\[0, 65535)] raises [Invalid_argument] *)
   | Gc  (** the GC thread's track *)
 
 type kind =

@@ -25,7 +25,7 @@ let zeta n theta =
   done;
   !sum
 
-let create spec ~key_space =
+let validate spec ~key_space =
   if key_space <= 0 then invalid_arg "Keydist.create: key_space must be positive";
   (match spec with
   | Uniform -> ()
@@ -37,7 +37,10 @@ let create spec ~key_space =
       if theta < 0.0 || theta >= 1.0 then
         invalid_arg "Keydist.create: zipfian theta outside [0, 1)"
   | Sequential { stride } ->
-      if stride <= 0 then invalid_arg "Keydist.create: stride must be positive");
+      if stride <= 0 then invalid_arg "Keydist.create: stride must be positive")
+
+let create spec ~key_space =
+  validate spec ~key_space;
   let zetan, eta, theta =
     match spec with
     | Zipfian { theta } ->
@@ -80,8 +83,7 @@ let sample t rng =
       t.cursor <- (t.cursor + stride) mod t.key_space;
       k
 
-let spec_key t =
-  match t.spec with
+let spec_key = function
   | Uniform -> "uniform"
   | Hotset { hot_keys; hot_bias } ->
       Printf.sprintf "hotset(%d,%h)" hot_keys hot_bias

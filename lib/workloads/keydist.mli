@@ -27,10 +27,15 @@ type spec =
 
 type t
 
-val create : spec -> key_space:int -> t
-(** @raise Invalid_argument on [key_space <= 0], a [Hotset] with
+val validate : spec -> key_space:int -> unit
+(** Raise what {!create} raises on these arguments, without building the
+    distribution (a Zipfian one sums [key_space] powers).
+    @raise Invalid_argument on [key_space <= 0], a [Hotset] with
     non-positive [hot_keys] or bias outside [\[0, 1\]], a [Zipfian] theta
     outside [\[0, 1)], or a [Sequential] stride that is not positive. *)
+
+val create : spec -> key_space:int -> t
+(** @raise Invalid_argument as {!validate}. *)
 
 val spec : t -> spec
 val key_space : t -> int
@@ -39,9 +44,9 @@ val sample : t -> Hcsgc_util.Rng.t -> int
 (** The next key, in [\[0, key_space)].  [Sequential] ignores the RNG and
     advances its internal cursor. *)
 
-val spec_key : t -> string
+val spec_key : spec -> string
 (** Stable rendering for content-address keys, e.g. ["zipf(0x1.fae1...)"];
-    two distributions that can produce different key streams render
+    two specs that can produce different key streams render
     differently. *)
 
 val spec_of_string : string -> (spec, string) result

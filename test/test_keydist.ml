@@ -201,7 +201,7 @@ let parse_roundtrip () =
 let spec_keys_distinct () =
   let keys =
     List.map
-      (fun spec -> Keydist.spec_key (Keydist.create spec ~key_space:100))
+      (fun spec -> Keydist.spec_key spec)
       [
         Keydist.Uniform;
         Keydist.Hotset { hot_keys = 10; hot_bias = 0.9 };

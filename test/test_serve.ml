@@ -9,6 +9,7 @@ module Layout = Hcsgc_heap.Layout
 module Rng = Hcsgc_util.Rng
 module Arrival = Hcsgc_serve.Arrival
 module Serve = Hcsgc_serve.Serve
+module Keydist = Hcsgc_workloads.Keydist
 module Slo = Hcsgc_serve.Slo
 module Analyzer = Hcsgc_telemetry.Analyzer
 module Runner = Hcsgc_experiments.Runner
@@ -194,7 +195,38 @@ let serve_counts_consistent () =
       Alcotest.(check bool) "latency = wait + service + stall" true
         (q.Serve.latency = q.Serve.wait + q.Serve.service + q.Serve.stall);
       Alcotest.(check bool) "window well-formed" true (q.Serve.w1 >= q.Serve.w0))
-    r.Serve.requests
+    r.Serve.requests;
+  let timeline =
+    drain
+      (Arrival.create small_params.Serve.process ~rate:small_params.Serve.load
+         ~duration:small_params.Serve.duration
+         ~seed:(small_params.Serve.seed + 1))
+  in
+  Alcotest.(check (list int)) "one request per arrival, in arrival order"
+    timeline
+    (Array.to_list (Array.map (fun q -> q.Serve.arrival) r.Serve.requests))
+
+(* The key names the distribution by its spec alone, yet refuses what
+   building the distribution refuses, with the same message. *)
+let serve_params_key_validates () =
+  let bad =
+    [ (Keydist.Zipfian { theta = 1.0 }, 100);
+      (Keydist.Hotset { hot_keys = 0; hot_bias = 0.5 }, 100);
+      (Keydist.Sequential { stride = 0 }, 100);
+      (Keydist.Uniform, 0) ]
+  in
+  List.iter
+    (fun (dist, keys) ->
+      let expected =
+        match Keydist.create dist ~key_space:keys with
+        | exception Invalid_argument msg -> msg
+        | _ -> Alcotest.fail "Keydist.create accepted a bad spec"
+      in
+      match Serve.params_key { small_params with Serve.dist; keys } with
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "same message" expected msg
+      | key -> Alcotest.failf "params_key accepted a bad spec: %s" key)
+    bad
 
 let serve_validates_params () =
   let expect_invalid p =
@@ -462,6 +494,8 @@ let suite =
         Alcotest.test_case "exercises GC" `Quick serve_exercises_gc;
         Alcotest.test_case "request invariants" `Quick serve_counts_consistent;
         Alcotest.test_case "parameter validation" `Quick serve_validates_params;
+        Alcotest.test_case "params key validates" `Quick
+          serve_params_key_validates;
         Alcotest.test_case "slo: direct attribution" `Quick
           slo_attribution_direct;
         Alcotest.test_case "slo: busy-period carry" `Quick slo_attribution_carry;

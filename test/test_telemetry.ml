@@ -236,6 +236,22 @@ let recorder_ring_drops () =
   Recorder.clear r;
   check Alcotest.int "cleared" 0 (Recorder.dropped_spans r)
 
+(* A core id the ring cannot pack is refused before anything is
+   recorded. *)
+let recorder_mutator_range () =
+  let r = Recorder.create () in
+  Recorder.instant r (Recorder.Mutator 65_534) ~name:"last" ~wall:1;
+  List.iter
+    (fun m ->
+      match Recorder.instant r (Recorder.Mutator m) ~name:"bad" ~wall:2 with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "Mutator %d accepted" m)
+    [ 65_535; -1 ];
+  check Alcotest.(list string) "only the valid span" [ "last" ]
+    (List.map (fun (s : Recorder.span) -> s.name) (Recorder.spans r));
+  check Alcotest.bool "on its track" true
+    (Recorder.tracks r = [ Recorder.Mutator 65_534 ])
+
 let recorder_close_all () =
   let r = Recorder.create () in
   Recorder.begin_span r (Recorder.Mutator 0) ~name:"phase" ~wall:0;
@@ -290,8 +306,11 @@ let recorder_gc_event_translation () =
 (* The span ring against a naive model: a list of every closed span and
    per-track stacks of open ones.  Capacities from 1 to 600 with up to
    1,500 operations cross the ring's doubling (256 -> 512) and its wrap;
-   names include "Pause " ones so [pause_intervals] has work, and 0-6 args
-   cross the inline/overflow boundary at 4. *)
+   names include "Pause " ones so [pause_intervals] has work, and 0-9 args
+   cross the inline/overflow boundary at 4.  Names and keys come as
+   literals, as copies equal in content but at another address, and built
+   by [Printf.sprintf] from a range wide enough that the interned strings
+   of evicted spans are dropped several times in one run. *)
 type op =
   | Begin of Recorder.track * string * int * (string * int) list
   | End of Recorder.track * int * (string * int) list
@@ -384,15 +403,28 @@ let gen_ops =
       [ (2, return Recorder.Gc);
         (3, map (fun m -> Recorder.Mutator m) (int_bound 2)) ]
   in
+  let copy s = Bytes.to_string (Bytes.of_string s) in
+  let literal_or_copy l =
+    frequency [ (3, oneofl l); (1, map copy (oneofl l)) ]
+  in
   let name =
-    oneofl
-      [ "GC(1)"; "GC(2)"; "Pause Mark Start"; "Pause Relocate"; "phase";
-        "req:get" ]
+    frequency
+      [ ( 6,
+          literal_or_copy
+            [ "GC(1)"; "GC(2)"; "Pause Mark Start"; "Pause Relocate"; "phase";
+              "req:get" ] );
+        (1, map (Printf.sprintf "GC(%d)") (int_bound 3000)) ]
   in
   let wall = int_bound 1000 in
+  let key =
+    frequency
+      [ (6, literal_or_copy [ "a"; "b"; "wait"; "latency" ]);
+        (1, map (Printf.sprintf "k%d") (int_bound 3000)) ]
+  in
   let args =
-    list_size (int_bound 6)
-      (pair (oneofl [ "a"; "b"; "wait"; "latency" ]) (int_range (-5) 99))
+    list_size
+      (frequency [ (4, int_bound 4); (1, int_range 5 9) ])
+      (pair key (int_range (-5) 99))
   in
   let op ~clears =
     frequency
@@ -479,25 +511,82 @@ let prop_ring_matches_model =
       && Analyzer.pause_intervals r = pauses
       && Analyzer.last_wall r = last_wall)
 
-(* Recording an arg-less span into a full ring writes its fields in place:
-   no record, no option, no list. *)
+(* Recording into a full ring writes ints in place: no record, no option,
+   no list, and for a name and keys already interned no table entry.  The
+   fill loop interns both names and the four keys of the serve request
+   span, which the measured loops then record from a preallocated list. *)
 let recorder_full_ring_allocates_nothing () =
   let r = Recorder.create ~span_capacity:1024 () in
+  let args = [ ("arrival", 1); ("wait", 2); ("stall", 3); ("latency", 4) ] in
   for i = 0 to 4095 do
     Recorder.complete_span r Recorder.Gc ~name:"Pause Mark Start" ~wall:i
-      ~dur:1
-  done;
-  let ovh = Alloc_meter.overhead_per_call () in
-  let a0 = Alloc_meter.words () in
-  for i = 0 to 99_999 do
+      ~dur:1;
     Recorder.complete_span r (Recorder.Mutator 0) ~name:"req:get" ~wall:i
-      ~dur:1
+      ~dur:1 ~args
   done;
-  let words = Alloc_meter.words () -. a0 -. ovh in
-  check (Alcotest.float 0.0) "words for 100k spans" 0.0 words;
-  check Alcotest.int "all 104,096 spans past the first 1,024 dropped"
-    (4096 + 100_000 - 1024)
-    (Recorder.dropped_spans r)
+  let measure f =
+    let ovh = Alloc_meter.overhead_per_call () in
+    let a0 = Alloc_meter.words () in
+    for i = 0 to 99_999 do
+      f i
+    done;
+    Alloc_meter.words () -. a0 -. ovh
+  in
+  let bare =
+    measure (fun i ->
+        Recorder.complete_span r (Recorder.Mutator 0) ~name:"req:get" ~wall:i
+          ~dur:1)
+  in
+  check (Alcotest.float 0.0) "words for 100k arg-less spans" 0.0 bare;
+  let four =
+    measure (fun i ->
+        Recorder.complete_span r (Recorder.Mutator 0) ~name:"req:get" ~wall:i
+          ~dur:1 ~args)
+  in
+  check (Alcotest.float 0.0) "words for 100k four-arg spans" 0.0 four;
+  check Alcotest.int "all 208,192 spans past the first 1,024 dropped"
+    ((2 * 4096) + 200_000 - 1024)
+    (Recorder.dropped_spans r);
+  match List.rev (Recorder.spans r) with
+  | s :: _ -> check Alcotest.(list (pair string int)) "args kept" args s.args
+  | [] -> Alcotest.fail "no spans"
+
+(* Keys whose codes outgrow the packed key word, and names, keys and
+   overflow args that only evicted spans used, are handled off the hot
+   path: the first spill into the overflow table, the others are dropped,
+   so a recorder that sees a new name per span stays as small as its
+   ring. *)
+let recorder_wide_vocabulary () =
+  let cap = 10_000 in
+  let r = Recorder.create ~span_capacity:cap () in
+  let span i =
+    ( Printf.sprintf "n%d" i,
+      List.init 6 (fun j -> (Printf.sprintf "k%d" ((6 * i) + j), j)) )
+  in
+  for i = 0 to cap - 1 do
+    let name, args = span i in
+    Recorder.instant r Recorder.Gc ~name ~args ~wall:i
+  done;
+  let expected =
+    List.init cap (fun i ->
+        let name, args = span i in
+        { Recorder.track = Recorder.Gc; kind = Recorder.Instant; name;
+          start = i; stop = i; args })
+  in
+  check Alcotest.bool "60,000 distinct keys read back" true
+    (Recorder.spans r = expected);
+  let small = Recorder.create ~span_capacity:64 () in
+  for i = 0 to 99_999 do
+    let name, args = span i in
+    Recorder.instant small Recorder.Gc ~name ~args ~wall:i
+  done;
+  let words = Obj.reachable_words (Obj.repr small) in
+  check Alcotest.bool
+    (Printf.sprintf "64-span recorder after 100k names holds %d words" words)
+    true (words < 100_000);
+  check Alcotest.(list string) "newest names survive"
+    (List.init 64 (fun i -> fst (span (99_936 + i))))
+    (List.map (fun (s : Recorder.span) -> s.name) (Recorder.spans small))
 
 (* ------------------------------------------------------------------ *)
 (* Analyzer: percentiles and MMU on hand-computed fixtures             *)
@@ -926,6 +1015,8 @@ let suite =
         QCheck_alcotest.to_alcotest prop_ring_matches_model;
         case "full ring allocates nothing" `Quick
           recorder_full_ring_allocates_nothing;
+        case "wide name and key vocabulary" `Quick recorder_wide_vocabulary;
+        case "mutator id range" `Quick recorder_mutator_range;
       ] );
     ( "telemetry.analyzer",
       [

@@ -4,6 +4,8 @@ module Rng = Hcsgc_util.Rng
 module Bitmap = Hcsgc_util.Bitmap
 module Vec = Hcsgc_util.Vec
 module Int_tbl = Hcsgc_util.Int_tbl
+module Int_sort = Hcsgc_util.Int_sort
+module Alloc_meter = Hcsgc_util.Alloc_meter
 
 let check = Alcotest.check
 let case = Alcotest.test_case
@@ -112,6 +114,80 @@ let rng_invalid_bound () =
   let rng = Rng.create 1 in
   Alcotest.check_raises "bound 0" (Invalid_argument "Rng.int: bound must be positive")
     (fun () -> ignore (Rng.int rng 0))
+
+(* The SplitMix64 stream for seed 42, as the generator produced it when
+   its state was a boxed [int64]: a change of representation must not
+   move a single draw. *)
+let rng_stream_pinned () =
+  let ints = Alcotest.(list int) in
+  let draws n f = List.init n (fun _ -> f ()) in
+  let r = Rng.create 42 in
+  check ints "next"
+    [ 3419864383188818853; 737456523031723072; 1284820937115690964;
+      1587299515064563941 ]
+    (draws 4 (fun () -> Rng.next r));
+  let r = Rng.create 42 in
+  check ints "int 1000" [ 853; 72; 964; 941 ]
+    (draws 4 (fun () -> Rng.int r 1000));
+  let r = Rng.create 42 in
+  check ints "int_in -5 5" [ -3; 1; -5; -2 ]
+    (draws 4 (fun () -> Rng.int_in r (-5) 5));
+  let r = Rng.create 42 in
+  check
+    Alcotest.(list string)
+    "float 1.0"
+    [ "0x1.7bae644c5fd6dp-1"; "0x1.477f199d93378p-3"; "0x1.1d499d5c4c3e6p-2" ]
+    (draws 3 (fun () -> Printf.sprintf "%h" (Rng.float r 1.0)));
+  let r = Rng.create 42 in
+  check
+    Alcotest.(list bool)
+    "bool"
+    [ true; true; false; false; false; false; true; false ]
+    (draws 8 (fun () -> Rng.bool r));
+  let r = Rng.create 42 in
+  let c = Rng.split r in
+  check ints "split child"
+    [ 1784603859227254737; 4248825765098945364; 383306467946929574 ]
+    (draws 3 (fun () -> Rng.next c));
+  check Alcotest.int "split advances the parent by one draw"
+    737456523031723072 (Rng.next r);
+  check Alcotest.int "seed -1" 4122584066742110984 (Rng.next (Rng.create (-1)));
+  check Alcotest.int "int max_int" 1797772400223093621
+    (Rng.int (Rng.create 7) max_int)
+
+(* The hot draws keep the state unboxed: no word allocated per call. *)
+let rng_draws_allocate_nothing () =
+  let r = Rng.create 5 in
+  let sink = ref 0 in
+  let measure name f =
+    let ovh = Alloc_meter.overhead_per_call () in
+    let a0 = Alloc_meter.words () in
+    for i = 1 to 100_000 do
+      sink := !sink + f i
+    done;
+    check (Alcotest.float 0.0) (name ^ ": words for 100k draws") 0.0
+      (Alloc_meter.words () -. a0 -. ovh)
+  in
+  measure "next" (fun _ -> Rng.next r);
+  measure "int" (fun i -> Rng.int r (1 + (i land 1023)));
+  measure "int_in" (fun i -> Rng.int_in r (-i) i);
+  measure "bool" (fun _ -> Bool.to_int (Rng.bool r));
+  ignore (Sys.opaque_identity !sink)
+
+(* ------------------------------------------------------------------ *)
+(* Int_sort                                                            *)
+(* ------------------------------------------------------------------ *)
+
+let prop_int_sort_matches_array_sort =
+  QCheck.Test.make ~name:"int_sort: = Array.sort compare" ~count:500
+    QCheck.(
+      array_of_size Gen.(oneof [ return 0; int_bound 8; int_bound 300 ])
+        (oneof [ int_range (-20) 20; int ]))
+    (fun a ->
+      let expected = Array.copy a and got = Array.copy a in
+      Array.sort compare expected;
+      Int_sort.sort got;
+      got = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Bitmap                                                              *)
@@ -609,7 +685,11 @@ let suite =
         case "exponential positive" `Quick rng_exponential_positive;
         case "exponential mean" `Quick rng_exponential_mean;
         case "invalid bound" `Quick rng_invalid_bound;
+        case "stream pinned" `Quick rng_stream_pinned;
+        case "draws allocate nothing" `Quick rng_draws_allocate_nothing;
       ] );
+    ( "util.int_sort",
+      [ QCheck_alcotest.to_alcotest prop_int_sort_matches_array_sort ] );
     ( "util.bitmap",
       [
         case "basic" `Quick bitmap_basic;
