@@ -136,6 +136,16 @@ type sweep = {
   cache : E.Runner.cache option;
 }
 
+(* Where every sweep runs: every plan's tasks run in one sweep, then each
+   plan renders in order.  HCSGC_VERIFY=1 verifies every VM, so it also
+   gives every task its verified fingerprint, as --verify does. *)
+let render_plans tag ~verify sweep plans =
+  E.Runner.render ~jobs:sweep.jobs ?cache:sweep.cache
+    ~progress:(fun m -> Format.eprintf "[%s] %s@." tag m)
+    ~verify:(verify || Vm.env_verify ())
+    plans fmt;
+  report_store tag sweep.cache
+
 let sweep =
   let runs =
     let doc =
@@ -344,19 +354,14 @@ let report_single vm =
 
 let run_experiment config_id config all sweep trace verify
     (exp : E.Runner.experiment) =
-  if all then begin
-    let results =
-      E.Runner.run_configs
-        ~runs:(Option.value sweep.runs ~default:3)
-        ~jobs:sweep.jobs ~verify ?cache:sweep.cache
-        ~progress:(fun m -> Format.eprintf "[run] %s@." m)
-        exp
-    in
-    E.Report.figure fmt ~title:exp.E.Runner.name
-      ~expectation:"(ad-hoc sweep; see hcsgc-run figure for paper figures)"
-      results;
-    report_store "run" sweep.cache
-  end
+  if all then
+    render_plans "run" ~verify sweep
+      [
+        E.Report.plan ~title:exp.E.Runner.name
+          ~expectation:"(ad-hoc sweep; see hcsgc-run figure for paper figures)"
+          ~runs:(Option.value sweep.runs ~default:3)
+          exp;
+      ]
   else begin
     Format.fprintf fmt "workload %s under config %d (%s)%s@." exp.E.Runner.name
       config_id (Config.to_string config)
@@ -724,21 +729,20 @@ type artefact = {
   what : string;
   fast : int * int;  (** default (runs, scale) *)
   full : int * int;  (** (runs, scale) under --full: paper-closer sizes *)
-  render : E.Runner.renderer;
+  plan : runs:int -> scale:int -> E.Runner.plan;
 }
 
 (* The one registry of artefacts, in the order [figure all] renders them.
-   The tables simulate nothing, so they ignore runs, jobs and the store. *)
+   The tables simulate nothing: they are plans with no tasks. *)
 let artefacts =
-  let a id what fast full render = { id; what; fast; full; render } in
-  let table f ?runs:_ ?(scale = 1) ?jobs:_ ?cache:_ fmt = f scale fmt in
+  let a id what fast full plan = { id; what; fast; full; plan } in
   [
     a "t1" "Table 1: ZGC page size classes" (1, 1) (1, 1)
-      (table (fun _ -> E.Tables.t1));
+      (fun ~runs:_ ~scale:_ -> E.Runner.static E.Tables.t1);
     a "t2" "Table 2: the 19 benchmark configurations" (1, 1) (1, 1)
-      (table (fun _ -> E.Tables.t2));
+      (fun ~runs:_ ~scale:_ -> E.Runner.static E.Tables.t2);
     a "t3" "Table 3: LAW graph datasets (generator stand-ins)" (1, 4) (1, 4)
-      (table (fun scale -> E.Tables.t3 ~scale));
+      (fun ~runs:_ ~scale -> E.Runner.static (E.Tables.t3 ~scale));
     a "f4" "Fig. 4: synthetic, single phase" (3, 2) (10, 1)
       E.Fig_synthetic.fig4;
     a "f5" "Fig. 5: synthetic, three phases" (3, 2) (10, 1)
@@ -789,16 +793,15 @@ let figure_cmd =
           else [ List.find (fun a -> a.id = id) artefacts ])
         ids
     in
-    List.iter
-      (fun a ->
-        let default_runs, default_scale = if full then a.full else a.fast in
-        Format.eprintf "[figure] running %s (%s)@." a.id a.what;
-        a.render
-          ~runs:(Option.value sweep.runs ~default:default_runs)
-          ~scale:(Option.value scale ~default:default_scale)
-          ~jobs:sweep.jobs ?cache:sweep.cache fmt)
-      selected;
-    report_store "figure" sweep.cache
+    render_plans "figure" ~verify:false sweep
+      (List.map
+         (fun a ->
+           let default_runs, default_scale = if full then a.full else a.fast in
+           Format.eprintf "[figure] planning %s (%s)@." a.id a.what;
+           a.plan
+             ~runs:(Option.value sweep.runs ~default:default_runs)
+             ~scale:(Option.value scale ~default:default_scale))
+         selected)
   in
   let man =
     `S "ARTEFACTS"

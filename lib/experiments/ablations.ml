@@ -54,28 +54,33 @@ let variants ~scale =
     ("page_size", page_size_variants ~scale);
   ]
 
-(* Every (variant, run) pair is one engine task; the walls come back in
-   task order, so each variant bootstraps its seed-ordered samples. *)
-let sweep ~runs ~jobs ?cache variants =
-  let tasks =
-    List.concat_map
-      (fun (name, exp, config) ->
-        List.init runs (fun run ->
-            Runner.experiment_task ~verify:false ~group:("ablation: " ^ name)
-              exp config ~run))
-      variants
-  in
-  Runner.sweep ~jobs ?cache
-    ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-    ~verify:false ~encode:Runner.metrics_to_string
-    ~decode:Runner.metrics_of_string (Array.of_list tasks)
-  |> Runner.chunks variants ~size:runs
-  |> List.map (fun ((name, _, _), ms) ->
-         ( name,
-           Bootstrap.estimate ~seed:42 (Array.map (fun m -> m.Runner.wall) ms)
-         ))
+let tasks ~runs variants =
+  Array.concat
+    (List.map
+       (fun (name, exp, config) ->
+         Runner.tasks ~runs ~key:exp.Runner.key (Runner.measure exp)
+           [ ("ablation: " ^ name, config) ])
+       variants)
 
-let table fmt ~title ~note rows =
+(* The walls come back in task order, so each variant bootstraps its
+   seed-ordered samples. *)
+let plan ~runs variants render =
+  let rows ms =
+    List.map
+      (fun ((name, _, _), ms) ->
+        let walls = Array.map (fun m -> m.Runner.wall) ms in
+        (name, Bootstrap.estimate ~seed:42 walls))
+      (Runner.chunks variants ~size:runs ms)
+  in
+  Runner.Plan
+    {
+      tasks = tasks ~runs variants;
+      encode = Runner.metrics_to_string;
+      decode = Runner.metrics_of_string;
+      render = (fun ms -> render (rows ms));
+    }
+
+let table ~title ~note rows fmt =
   Format.fprintf fmt "=== Ablation — %s ===@.%s@.@." title note;
   let base =
     match rows with (_, e) :: _ -> e | [] -> invalid_arg "Ablations: no rows"
@@ -93,40 +98,40 @@ let table fmt ~title ~note rows =
          rows);
   Format.pp_print_newline fmt ()
 
-let prefetcher ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
-  let rows = sweep ~runs ~jobs ?cache (prefetcher_variants ~scale) in
-  table fmt ~title:"hardware prefetching"
-    ~note:
-      "expectation: HCSGC's win shrinks substantially without the stream \
-       prefetcher — access-order layout pays off mainly by making \
-       prefetching effective"
-    rows;
-  (* Also print the win with/without prefetching explicitly. *)
-  (match rows with
-  | [ (_, on0); (_, on16); (_, off0); (_, off16) ] ->
-      let win a b = Bootstrap.relative_to ~baseline:a b in
-      Format.fprintf fmt "HCSGC win with prefetch: %s; without: %s@.@."
-        (Render.pct (win on0 on16))
-        (Render.pct (win off0 off16))
-  | _ -> ())
+let prefetcher ~runs ~scale =
+  plan ~runs (prefetcher_variants ~scale) (fun rows fmt ->
+      table ~title:"hardware prefetching"
+        ~note:
+          "expectation: HCSGC's win shrinks substantially without the stream \
+           prefetcher — access-order layout pays off mainly by making \
+           prefetching effective"
+        rows fmt;
+      (* Also print the win with/without prefetching explicitly. *)
+      match rows with
+      | [ (_, on0); (_, on16); (_, off0); (_, off16) ] ->
+          let win a b = Bootstrap.relative_to ~baseline:a b in
+          Format.fprintf fmt "HCSGC win with prefetch: %s; without: %s@.@."
+            (Render.pct (win on0 on16))
+            (Render.pct (win off0 off16))
+      | _ -> ())
 
-let tlb ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
-  table fmt ~title:"dTLB pressure"
-    ~note:
-      "expectation: with the dTLB model on, HCSGC's packing of hot objects \
-       onto fewer pages also cuts page walks (the page-locality effect)"
-    (sweep ~runs ~jobs ?cache (tlb_variants ~scale))
+let tlb ~runs ~scale =
+  plan ~runs (tlb_variants ~scale)
+    (table ~title:"dTLB pressure"
+       ~note:
+         "expectation: with the dTLB model on, HCSGC's packing of hot objects \
+          onto fewer pages also cuts page walks (the page-locality effect)")
 
-let autotuner ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
-  table fmt ~title:"COLDCONFIDENCE feedback loop (§4.8 future work)"
-    ~note:
-      "expectation: the autotuner approaches the best fixed setting without \
-       being told it"
-    (sweep ~runs ~jobs ?cache (autotuner_variants ~scale))
+let autotuner ~runs ~scale =
+  plan ~runs (autotuner_variants ~scale)
+    (table ~title:"COLDCONFIDENCE feedback loop (§4.8 future work)"
+       ~note:
+         "expectation: the autotuner approaches the best fixed setting \
+          without being told it")
 
-let page_size ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
-  table fmt ~title:"page size class granularity (§3.4 future work)"
-    ~note:
-      "expectation: under cfg 16 (WLB selection), smaller pages excavate hot \
-       objects more precisely; the baseline is largely insensitive"
-    (sweep ~runs ~jobs ?cache (page_size_variants ~scale))
+let page_size ~runs ~scale =
+  plan ~runs (page_size_variants ~scale)
+    (table ~title:"page size class granularity (§3.4 future work)"
+       ~note:
+         "expectation: under cfg 16 (WLB selection), smaller pages excavate \
+          hot objects more precisely; the baseline is largely insensitive")

@@ -14,16 +14,20 @@
       granularity effect directly.
 
     Each variant is a {!Fig_synthetic.experiment} with one ablation knob
-    turned, under one configuration; its runs go through {!Runner.sweep},
-    so a variant that is a Fig. 4 job shares that job's store entry. *)
+    turned, under one configuration; its runs are {!Runner.task}s, so a
+    variant that is a Fig. 4 job shares that job's fingerprint. *)
 
 type variant = string * Runner.experiment * Hcsgc_core.Config.t
 (** Display name, experiment, configuration. *)
 
 val variants : scale:int -> (string * variant list) list
-(** Each renderer's variants in table order, keyed by its name. *)
+(** Each ablation's variants in table order, keyed by its name. *)
 
-val prefetcher : Runner.renderer
-val tlb : Runner.renderer
-val autotuner : Runner.renderer
-val page_size : Runner.renderer
+val tasks : runs:int -> variant list -> Runner.run_metrics Runner.task array
+(** Every (variant, run) pair as one task, variants in order, runs
+    0..runs-1 within each. *)
+
+val prefetcher : runs:int -> scale:int -> Runner.plan
+val tlb : runs:int -> scale:int -> Runner.plan
+val autotuner : runs:int -> scale:int -> Runner.plan
+val page_size : runs:int -> scale:int -> Runner.plan

@@ -56,20 +56,20 @@ let h2_experiment ~scale () =
       (fun vm ~run -> ignore (H2.run vm { params with H2.seed = run }));
   }
 
-let fig11 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache fmt =
-  Report.sweep_figure fmt ~title:"Fig. 11 — DaCapo tradebeans (simulated)" ?cache
+let fig11 ~runs ~scale =
+  Report.plan ~title:"Fig. 11 — DaCapo tradebeans (simulated)"
     ~expectation:
       "little improvement (≤ ~5% at best): most objects are very short \
        lived, and HCSGC only improves locality for objects surviving a GC \
        cycle"
-    ~runs ~jobs
+    ~runs
     (tradebeans_experiment ~scale ())
 
-let fig12 ?(runs = 5) ?(scale = 1) ?(jobs = 1) ?cache fmt =
-  Report.sweep_figure fmt ~title:"Fig. 12 — DaCapo h2 (simulated)" ?cache
+let fig12 ~runs ~scale =
+  Report.plan ~title:"Fig. 12 — DaCapo h2 (simulated)"
     ~expectation:
       "5-9% improvement for several configurations; < 2% overhead for \
        hotness tracking alone (config 5); RELOCATEALLSMALLPAGES outperforms \
        COLDCONFIDENCE"
-    ~runs ~jobs
+    ~runs
     (h2_experiment ~scale ())

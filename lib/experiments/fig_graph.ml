@@ -73,22 +73,22 @@ let mc_expectation =
    14-16; config 3 well ahead of config 2 (hot objects on well-populated \
    pages need the bigger EC)"
 
-let fig7 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache fmt =
-  Report.sweep_figure fmt ~title:"Fig. 7 — connected components, uk dataset"
-    ~expectation:cc_expectation ~runs ~jobs ?cache
+let fig7 ~runs ~scale =
+  Report.plan ~title:"Fig. 7 — connected components, uk dataset"
+    ~expectation:cc_expectation ~runs
     (cc_experiment ~dataset:Dataset.uk_cc ~scale ())
 
-let fig8 ?(runs = 3) ?(scale = 8) ?(jobs = 1) ?cache fmt =
-  Report.sweep_figure fmt ~title:"Fig. 8 — connected components, enwiki dataset"
-    ~expectation:cc_expectation ~runs ~jobs ?cache
+let fig8 ~runs ~scale =
+  Report.plan ~title:"Fig. 8 — connected components, enwiki dataset"
+    ~expectation:cc_expectation ~runs
     (cc_experiment ~dataset:Dataset.enwiki_cc ~scale ())
 
-let fig9 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
-  Report.sweep_figure fmt ~title:"Fig. 9 — Bron-Kerbosch (MC), uk dataset"
-    ~expectation:mc_expectation ~runs ~jobs ?cache
+let fig9 ~runs ~scale =
+  Report.plan ~title:"Fig. 9 — Bron-Kerbosch (MC), uk dataset"
+    ~expectation:mc_expectation ~runs
     (mc_experiment ~dataset:Dataset.uk_mc ~scale ())
 
-let fig10 ?(runs = 3) ?(scale = 2) ?(jobs = 1) ?cache fmt =
-  Report.sweep_figure fmt ~title:"Fig. 10 — Bron-Kerbosch (MC), enwiki dataset"
-    ~expectation:mc_expectation ~runs ~jobs ?cache
+let fig10 ~runs ~scale =
+  Report.plan ~title:"Fig. 10 — Bron-Kerbosch (MC), enwiki dataset"
+    ~expectation:mc_expectation ~runs
     (mc_experiment ~dataset:Dataset.enwiki_mc ~scale ())

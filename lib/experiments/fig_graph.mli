@@ -2,21 +2,20 @@
     and Bron–Kerbosch maximal cliques (MC) on generator stand-ins for the
     LAW uk / enwiki datasets (Table 3).
 
-    [scale] divides Table 3's node/edge counts (default 4 for CC, 2 for MC)
-    so a full 19-configuration sweep stays minutes-scale.  [cache] is the
-    incremental-sweep knob of {!Runner.run_configs}; it never changes
-    output bytes. *)
+    Each is the {!Report.plan} of a Table 2 sweep; [scale] divides
+    Table 3's node/edge counts so a full 19-configuration sweep stays
+    minutes-scale. *)
 
-val fig7 : Runner.renderer
+val fig7 : runs:int -> scale:int -> Runner.plan
 (** CC on uk. *)
 
-val fig8 : Runner.renderer
+val fig8 : runs:int -> scale:int -> Runner.plan
 (** CC on enwiki. *)
 
-val fig9 : Runner.renderer
+val fig9 : runs:int -> scale:int -> Runner.plan
 (** MC on uk. *)
 
-val fig10 : Runner.renderer
+val fig10 : runs:int -> scale:int -> Runner.plan
 (** MC on enwiki. *)
 
 val cc_experiment :

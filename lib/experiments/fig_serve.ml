@@ -88,8 +88,8 @@ let make_vm ~params ~heap config =
   Vm.create ~layout ~machine_config:Scaled_machine.config
     ~mutators:params.Serve.mutators ~trigger ~config ~max_heap:heap ()
 
-let compute ~heap ~verify ~params id run =
-  let vm = make_vm ~params ~heap (Config.of_id id) in
+let compute ~heap ~params config ~run ~verify =
+  let vm = make_vm ~params ~heap config in
   if verify then Vm.enable_verification vm;
   let recorder = Vm.enable_telemetry vm in
   let r = Serve.run vm { params with Serve.seed = run } in
@@ -106,27 +106,10 @@ let compute ~heap ~verify ~params id run =
     metrics = Runner.collect vm;
   }
 
-let sweep ?(config_ids = default_configs) ?(runs = 3) ?jobs ?(verify = false)
-    ?cache ?(heap = max_heap) ?progress ~params () =
-  let experiment = key ~heap ~params ~slo:default_slo in
-  let task id run =
-    {
-      Runner.group =
-        Printf.sprintf "serve: config %d (%s)" id
-          (Config.to_string (Config.of_id id));
-      experiment;
-      config = Runner.config_key id;
-      run;
-      compute = (fun () -> compute ~heap ~verify ~params id run);
-    }
-  in
-  let tasks =
-    Array.of_list
-      (List.concat_map (fun id -> List.init runs (task id)) config_ids)
-  in
-  Runner.sweep ?jobs ?cache ?progress ~verify ~encode:outcome_to_string
-    ~decode:outcome_of_string tasks
-  |> Runner.chunks config_ids ~size:runs
+let tasks ?(config_ids = default_configs) ?(heap = max_heap) ~runs ~params () =
+  Runner.table2_tasks ~config_ids ~runs ~name:"serve"
+    ~key:(key ~heap ~params ~slo:default_slo)
+    (compute ~heap ~params)
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -147,14 +130,9 @@ let scaled_heap ~scale = max (2 * 1024 * 1024) (max_heap / scale)
 
 let bootstrap_seed = 42
 
-let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
-  let params = scaled_params ~scale in
+let render ~runs ~params outcomes fmt =
   let config_ids = default_configs and slo = default_slo in
-  let results =
-    sweep ~config_ids ~runs ~jobs ?cache ~heap:(scaled_heap ~scale)
-      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-      ~params ()
-  in
+  let results = Runner.chunks config_ids ~size:runs outcomes in
   (* Human renderings for the header; the lossless [%h] spellings in
      [Keydist.spec_key]/[Arrival.process_key] are for content addresses. *)
   let dist_label = match params.Serve.dist with
@@ -188,7 +166,7 @@ let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
         (id, Bootstrap.estimate ~seed:bootstrap_seed (p999s os)))
       results
   in
-  let base_est = List.assoc_opt (List.hd config_ids) estimates in
+  let base = List.assoc (List.hd config_ids) estimates in
   let meani f (os : outcome array) =
     Array.fold_left (fun acc o -> acc +. float_of_int (f o)) 0.0 os
     /. float_of_int (Array.length os)
@@ -218,19 +196,26 @@ let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
                /. float_of_int (Array.length os));
            ])
          results);
-  (match base_est with
-  | None -> ()
-  | Some base ->
-      let significant =
-        List.filter_map
-          (fun (id, est) ->
-            if id <> List.hd config_ids && not (Bootstrap.overlaps est base)
-            then Some id
-            else None)
-          estimates
-      in
-      Format.fprintf fmt
-        "significant p99.9 vs config %d (non-overlapping 95%% CIs): %s@.@."
-        (List.hd config_ids)
-        (if significant = [] then "none"
-         else String.concat ", " (List.map string_of_int significant)))
+  let significant =
+    List.filter_map
+      (fun (id, est) ->
+        if id <> List.hd config_ids && not (Bootstrap.overlaps est base) then
+          Some id
+        else None)
+      estimates
+  in
+  Format.fprintf fmt
+    "significant p99.9 vs config %d (non-overlapping 95%% CIs): %s@.@."
+    (List.hd config_ids)
+    (if significant = [] then "none"
+     else String.concat ", " (List.map string_of_int significant))
+
+let figure ~runs ~scale =
+  let params = scaled_params ~scale in
+  Runner.Plan
+    {
+      tasks = tasks ~heap:(scaled_heap ~scale) ~runs ~params ();
+      encode = outcome_to_string;
+      decode = outcome_of_string;
+      render = render ~runs ~params;
+    }

@@ -7,13 +7,9 @@
     SLO violations and their pause/service attribution per
     configuration.
 
-    Each (configuration, run) job is a {!Runner.task} for the one sweep
-    engine, {!Runner.sweep}, so output is byte-identical at any [--jobs].
-    With a [cache], each job's {!outcome} (SLO report + latency histogram
-    + checksum + run metrics) is content-addressed in the
-    {!Hcsgc_store.Result_store} under {!experiment_key} and
-    {!Runner.config_key}, so warm re-renders skip the simulation entirely
-    and stay byte-identical to cold ones. *)
+    Each (configuration, run) job is a {!Runner.task} whose {!outcome}
+    (SLO report + latency histogram + checksum + run metrics) is
+    addressed by {!experiment_key} and {!Runner.config_key}. *)
 
 module Serve = Hcsgc_serve.Serve
 module Slo = Hcsgc_serve.Slo
@@ -67,23 +63,20 @@ val make_vm :
 (** The VM of every serve run: 64 KiB pages, the scaled machine,
     [params.mutators] mutators, the {!trigger} and a [heap]-byte heap. *)
 
-val sweep :
+val tasks :
   ?config_ids:int list ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?verify:bool ->
-  ?cache:Runner.cache ->
   ?heap:int ->
-  ?progress:(string -> unit) ->
+  runs:int ->
   params:Serve.params ->
   unit ->
-  (int * outcome array) list
-(** Execute the sweep through {!Runner.sweep}, judging every run against
-    {!default_slo}; outcomes per configuration in run order.  Repetition
-    [i] reseeds the workload with [seed = i] under every configuration.
-    [heap] is the VM heap budget in bytes (default
-    8 MiB — shrink it alongside scaled-down [params] or the run never
-    paces a GC cycle). *)
+  outcome Runner.task array
+(** Every (configuration, run) job of the sweep, each judging its run
+    against {!default_slo}: configurations in order (default
+    {!default_configs}), runs 0..runs-1 within each.  Repetition [i]
+    reseeds the workload with [seed = i] under every configuration.
+    [heap] is the VM heap budget in bytes (default 8 MiB — shrink it
+    alongside scaled-down [params] or the run never paces a GC
+    cycle). *)
 
 val scaled_params : scale:int -> Serve.params
 (** {!Serve.default} with keys and duration divided by [scale] (floored
@@ -93,7 +86,7 @@ val scaled_heap : scale:int -> int
 (** The heap budget matching [scaled_params ~scale]: [8 MiB / scale],
     floored at 2 MiB. *)
 
-val figure : Runner.renderer
+val figure : runs:int -> scale:int -> Runner.plan
 (** Render the figure over {!default_configs} at {!default_slo}: percentile table with bootstrap CIs on p99.9,
     violation attribution, and throughput.  [scale] divides the default
     workload's duration and key count (for quick smokes). *)

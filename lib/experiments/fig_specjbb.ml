@@ -47,38 +47,23 @@ let key p =
     p.Specjbb.warehouses p.Specjbb.items_per_warehouse p.Specjbb.txns_per_step
     p.Specjbb.handlers max_heap
 
-let sweep ~runs ~jobs ?cache ~params () =
-  let experiment = key params in
-  let task (id, config) run =
-    {
-      Runner.group = Printf.sprintf "specjbb: config %d" id;
-      experiment;
-      config = Runner.config_value_key config;
-      run;
-      compute =
-        (fun () ->
-          let vm = make_vm ~params config in
-          let result = Specjbb.run vm { params with Specjbb.seed = run } in
-          Vm.finish vm;
-          { result; metrics = Runner.collect vm });
-    }
-  in
-  let tasks =
-    List.concat_map (fun c -> List.init runs (task c)) Config.table2
-  in
-  Runner.sweep ~jobs ?cache
-    ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-    ~verify:false ~encode:outcome_to_string ~decode:outcome_of_string
-    (Array.of_list tasks)
-  |> Runner.chunks (List.map fst Config.table2) ~size:runs
+let tasks ~runs ~params =
+  Runner.table2_tasks ~runs ~name:"specjbb" ~key:(key params)
+    (fun config ~run ~verify ->
+      let vm = make_vm ~params config in
+      if verify then Vm.enable_verification vm;
+      let result = Specjbb.run vm { params with Specjbb.seed = run } in
+      Vm.finish vm;
+      { result; metrics = Runner.collect vm })
 
-let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
-  let params = experiment_params ~scale in
+let render ~runs outcomes fmt =
   Format.fprintf fmt "=== Fig. 13 — SPECjbb2015 (simulated composite) ===@.";
   Format.fprintf fmt
     "paper: overlapping CIs — no conclusive effect (survival ~1%%); heap \
      usage grows as the injector ramps@.@.";
-  let per_config = sweep ~runs ~jobs ?cache ~params () in
+  let per_config =
+    Runner.chunks (List.map fst Config.table2) ~size:runs outcomes
+  in
   let estimate f samples =
     Bootstrap.estimate ~seed:42 (Array.map (fun o -> f o.result) samples)
   in
@@ -112,7 +97,14 @@ let fig13 ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
          per_config);
   Format.pp_print_newline fmt ();
   (* Heap usage over time, config 0, first run (Fig. 13 rightmost). *)
-  if Array.length base > 0 then
-    Report.heap_usage_series fmt ~max_heap
-      base.(0).metrics.Runner.heap_samples;
+  Report.heap_usage_series fmt ~max_heap base.(0).metrics.Runner.heap_samples;
   Format.pp_print_newline fmt ()
+
+let fig13 ~runs ~scale =
+  Runner.Plan
+    {
+      tasks = tasks ~runs ~params:(experiment_params ~scale);
+      encode = outcome_to_string;
+      decode = outcome_of_string;
+      render = render ~runs;
+    }

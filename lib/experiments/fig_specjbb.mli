@@ -8,11 +8,11 @@
     are real VM mutator threads.
 
     Each (configuration, run) job is a {!Runner.task} whose {!outcome}
-    {!Runner.sweep} stores, so warm re-renders skip the simulation. *)
+    the engine stores, so warm re-renders skip the simulation. *)
 
 module Specjbb = Hcsgc_workloads.Specjbb_sim
 
-val fig13 : Runner.renderer
+val fig13 : runs:int -> scale:int -> Runner.plan
 
 val experiment_params : scale:int -> Specjbb.params
 (** {!Specjbb.default} with warehouses, items and transactions per step
@@ -31,3 +31,7 @@ val outcome_to_string : outcome -> string
 val outcome_of_string : string -> outcome option
 (** Strict inverse of {!outcome_to_string} through {!Runner.decode}:
     [None] on any malformation, a truncation or trailing bytes. *)
+
+val tasks : runs:int -> params:Specjbb.params -> outcome Runner.task array
+(** Every (Table 2 configuration, run) job, configurations in table
+    order, runs 0..runs-1 within each. *)

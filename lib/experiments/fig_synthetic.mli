@@ -5,20 +5,15 @@
     - {!fig6}: ample-relocation overhead — 1:10 hot/cold population on a
       saturated single core (Fig. 6).
 
-    [runs] is the sample size per configuration (the paper uses 30; the
-    default here is 5 to keep the full suite minutes-scale — raise it for
-    tighter intervals).  [scale] divides workload size.  [jobs] fans the
-    sweep's (configuration, run) jobs across that many domains
-    ({!Hcsgc_exec.Pool}; default 1 = in-process); results are aggregated
-    in job order, so the rendered figure is identical at any [jobs].  [cache] serves
-    repeats from a {!Hcsgc_store.Result_store} (see
-    {!Runner.run_configs}); it never changes a byte of output. *)
+    Each is the {!Report.plan} of a Table 2 sweep: [runs] samples per
+    configuration (the paper uses 30), workload size divided by
+    [scale]. *)
 
-val fig4 : Runner.renderer
+val fig4 : runs:int -> scale:int -> Runner.plan
 
-val fig5 : Runner.renderer
+val fig5 : runs:int -> scale:int -> Runner.plan
 
-val fig6 : Runner.renderer
+val fig6 : runs:int -> scale:int -> Runner.plan
 
 val experiment :
   ?phases:int ->

@@ -81,7 +81,7 @@ let outcome_of_string =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let compute ~verify exp config run =
+let compute exp config ~run ~verify =
   let vm = Runner.simulate ~verify exp config ~run in
   let m = Runner.collect vm in
   let far_peak =
@@ -97,36 +97,19 @@ let compute ~verify exp config run =
     promoted = m.Runner.pages_promoted;
   }
 
-let sweep ?(capacities = default_capacities) ?(runs = 3) ?jobs
-    ?(verify = false) ?cache ?(scale = 1) ?progress () =
-  let fams = families ~scale () in
-  let tasks_at (fam, (exp : Runner.experiment)) cap =
-    let config =
-      tier_config ~capacity:cap ~lat_far:default_lat_far ~promote:true
-    in
-    List.init runs (fun run ->
-        {
-          Runner.group =
-            Printf.sprintf "tier: %s cap=%d pages (lat_far=%d)" fam cap
-              default_lat_far;
-          experiment = "ftier;" ^ exp.Runner.key;
-          config = Runner.config_value_key config;
-          run;
-          compute = (fun () -> compute ~verify exp config run);
-        })
+(* Families in order, then capacities in order, then runs. *)
+let tasks ?(capacities = default_capacities) ~runs ~scale () =
+  let at fam cap =
+    ( Printf.sprintf "tier: %s cap=%d pages (lat_far=%d)" fam cap
+        default_lat_far,
+      tier_config ~capacity:cap ~lat_far:default_lat_far ~promote:true )
   in
-  let tasks =
-    Array.of_list
-      (List.concat_map
-         (fun fam -> List.concat_map (tasks_at fam) capacities)
-         fams)
-  in
-  (* Families in order, then capacities in order, then runs. *)
-  Runner.sweep ?jobs ?cache ?progress ~verify ~encode:outcome_to_string
-    ~decode:outcome_of_string tasks
-  |> Runner.chunks fams ~size:(List.length capacities * runs)
-  |> List.map (fun ((fam, _), os) ->
-         (fam, Runner.chunks capacities ~size:runs os))
+  Array.concat
+    (List.map
+       (fun (fam, (exp : Runner.experiment)) ->
+         Runner.tasks ~runs ~key:("ftier;" ^ exp.Runner.key) (compute exp)
+           (List.map (at fam) capacities))
+       (families ~scale ()))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -138,11 +121,13 @@ let mean f (os : outcome array) =
   Array.fold_left (fun acc o -> acc +. f o) 0.0 os
   /. float_of_int (Array.length os)
 
-let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
+let render ~runs ~scale outcomes fmt =
   let results =
-    sweep ~runs ~jobs ?cache ~scale
-      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-      ()
+    Runner.chunks (families ~scale ())
+      ~size:(List.length default_capacities * runs)
+      outcomes
+    |> List.map (fun ((fam, _), os) ->
+           (fam, Runner.chunks default_capacities ~size:runs os))
   in
   Format.fprintf fmt "=== Far-memory tier — hotness-driven page tiering ===@.";
   Format.fprintf fmt
@@ -153,14 +138,7 @@ let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
     default_lat_far;
   List.iter
     (fun (fam, rows) ->
-      let base_wall =
-        match List.assoc_opt 0 rows with
-        | Some os -> mean (fun o -> o.wall) os
-        | None -> (
-            match rows with
-            | (_, os) :: _ -> mean (fun o -> o.wall) os
-            | [] -> 0.0)
-      in
+      let base_wall = mean (fun o -> o.wall) (List.assoc 0 rows) in
       Format.fprintf fmt "--- %s ---@." fam;
       Render.table fmt
         ~headers:
@@ -196,3 +174,12 @@ let figure ?(runs = 3) ?(scale = 1) ?(jobs = 1) ?cache fmt =
              rows);
       Format.fprintf fmt "@.")
     results
+
+let figure ~runs ~scale =
+  Runner.Plan
+    {
+      tasks = tasks ~runs ~scale ();
+      encode = outcome_to_string;
+      decode = outcome_of_string;
+      render = render ~runs ~scale;
+    }

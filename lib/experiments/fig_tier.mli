@@ -5,11 +5,10 @@
     Unlike the Table 2 figures, the sweep holds the collector fixed (the
     strongest hotness knob vector — the tier consumes the hotmap/EC cold
     evidence) and varies only the tier knobs, so capacity 0 is the
-    tier-free baseline of each family.  Jobs are {!Runner.task}s for the
-    one sweep engine, {!Runner.sweep}, content-addressed like every other
-    figure: the experiment key plus the full knob-vector rendering
-    ({!Runner.config_value_key}) name each outcome, so warm re-renders
-    are byte-identical to cold ones. *)
+    tier-free baseline of each family.  Jobs are {!Runner.task}s,
+    content-addressed like every other figure's: the experiment key plus
+    the full knob-vector rendering ({!Runner.config_value_key}) name each
+    outcome. *)
 
 module Config = Hcsgc_core.Config
 
@@ -45,23 +44,14 @@ val outcome_of_string : string -> outcome option
 (** Strict inverse of {!outcome_to_string} through {!Runner.decode}:
     [None] on any malformation, a truncation or trailing bytes. *)
 
-val sweep :
-  ?capacities:int list ->
-  ?runs:int ->
-  ?jobs:int ->
-  ?verify:bool ->
-  ?cache:Runner.cache ->
-  ?scale:int ->
-  ?progress:(string -> unit) ->
-  unit ->
-  (string * (int * outcome array) list) list
-(** Run every (family, capacity, repetition) job through {!Runner.sweep}
-    at {!default_lat_far} with promotion on, fanning misses over [jobs]
-    domains; results are grouped per family then per capacity, in input
-    order, and are byte-identical at any [jobs] and whether served from
-    [cache] or computed. *)
+val tasks :
+  ?capacities:int list -> runs:int -> scale:int -> unit ->
+  outcome Runner.task array
+(** Every (family, capacity, repetition) job at {!default_lat_far} with
+    promotion on: families in {!families} order, then capacities
+    (default {!default_capacities}) in order, then runs 0..runs-1. *)
 
-val figure : Runner.renderer
+val figure : runs:int -> scale:int -> Runner.plan
 (** Render the figure over {!default_capacities} at {!default_lat_far},
     with promotion on: one table per family — wall time (bootstrap CI),
     wall delta vs capacity 0, far hit rate (far loads / LLC misses),

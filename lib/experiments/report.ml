@@ -116,13 +116,19 @@ let figure fmt ~title ~expectation results =
          results);
   Format.pp_print_newline fmt ()
 
-let sweep_figure fmt ~title ~expectation ~runs ~jobs ?cache exp =
-  let results =
-    Runner.run_configs ~runs ~jobs ?cache
-      ~progress:(fun msg -> Format.eprintf "[bench] %s@." msg)
-      exp
-  in
-  figure fmt ~title ~expectation results
+let plan ~title ~expectation ~runs exp =
+  let ids = List.map fst Config.table2 in
+  Runner.Plan
+    {
+      tasks =
+        Runner.table2_tasks ~runs ~name:exp.Runner.name ~key:exp.Runner.key
+          (Runner.measure exp);
+      encode = Runner.metrics_to_string;
+      decode = Runner.metrics_of_string;
+      render =
+        (fun ms fmt ->
+          figure fmt ~title ~expectation (Runner.chunks ids ~size:runs ms));
+    }
 
 let heap_usage_series fmt ~max_heap samples =
   match samples with

@@ -14,17 +14,11 @@ val figure :
     [expectation] states the paper's reported shape for eyeball comparison.
     Config 0 must be present; it is the normalisation baseline. *)
 
-val sweep_figure :
-  Format.formatter ->
-  title:string ->
-  expectation:string ->
-  runs:int ->
-  jobs:int ->
-  ?cache:Runner.cache ->
-  Runner.experiment ->
-  unit
-(** Run the experiment's Table 2 sweep ({!Runner.run_configs}, progress
-    lines on stderr) and print it with {!figure}. *)
+val plan :
+  title:string -> expectation:string -> runs:int -> Runner.experiment ->
+  Runner.plan
+(** The experiment's sweep over all 19 Table 2 configurations
+    ({!Runner.table2_tasks}), printed with {!figure}. *)
 
 val heap_usage_series :
   Format.formatter -> max_heap:int -> (int * int) list -> unit

@@ -54,10 +54,6 @@ type experiment = {
 
 type job = { exp : experiment; config_id : int; run : int }
 
-let jobs_of ?(config_ids = List.map fst Config.table2) ~runs exp =
-  List.concat_map
-    (fun id -> List.init runs (fun run -> { exp; config_id = id; run }))
-    config_ids
 
 (* ------------------------------------------------------------------ *)
 (* Result-store integration: fingerprints, metrics codec, cache handle *)
@@ -141,10 +137,6 @@ let cache ?(refresh = false) ~dir () = { store = Result_store.open_ ~dir; refres
 
 let default_cache_dir = "_hcsgc_cache"
 
-type renderer =
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:cache ->
-  Format.formatter -> unit
-
 (* ------------------------------------------------------------------ *)
 (* The sweep engine                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -154,7 +146,7 @@ type 'a task = {
   experiment : string;
   config : string;
   run : int;
-  compute : unit -> 'a;
+  compute : verify:bool -> 'a;
 }
 
 (* The one place a content address and a cost key are spelled.  Cost
@@ -167,74 +159,134 @@ let task_fingerprint ~verify t =
 
 let task_cost_key t = t.experiment ^ "#" ^ t.config
 
-(* The store step: simulate, then record the result under its address
-   together with how long it took. *)
-let compute_and_store ?cache ~verify ~encode t =
-  let t0 = Unix.gettimeofday () in
-  let v = t.compute () in
-  (match cache with
-  | None -> ()
-  | Some c ->
-      Result_store.add c.store (task_fingerprint ~verify t)
-        ~cost_key:(task_cost_key t)
-        ~cost:(Unix.gettimeofday () -. t0)
-        (encode v));
-  v
+(* A task made to put its result in place: [compute] does so and returns
+   the result's payload, [accept] decodes a payload into place ([false]
+   if the decoder rejects it).  The engine runs these, whatever the
+   result type. *)
+type cell = { task : string task; accept : string -> bool }
 
-let sweep ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify ~encode ~decode
-    tasks =
-  let n = Array.length tasks in
+let cells ~encode ~decode tasks =
+  let results = Array.make (Array.length tasks) None in
+  let set i v = results.(i) <- Some v in
+  let cell i t =
+    let compute ~verify =
+      let v = t.compute ~verify in
+      set i v;
+      encode v
+    in
+    let accept s =
+      match decode s with
+      | Some v ->
+          set i v;
+          true
+      | None -> false
+    in
+    { task = { t with compute }; accept }
+  in
+  (Array.mapi cell tasks, fun () -> Array.map Option.get results)
+
+let run_cells ?(jobs = 1) ?cache ?(progress = fun _ -> ()) ~verify cells =
+  let fp c = task_fingerprint ~verify c.task in
+  (* Every cell asking for each fingerprint.  The first one is looked up
+     or computed, and hands its payload to the others. *)
+  let askers = Hashtbl.create 64 in
+  let firsts =
+    List.filter
+      (fun c ->
+        let key = Fingerprint.to_hex (fp c) in
+        let first = not (Hashtbl.mem askers key) in
+        Hashtbl.add askers key c;
+        first)
+      (Array.to_list cells)
+  in
+  let share c payload =
+    List.iter
+      (fun other ->
+        if other != c && not (other.accept payload) then
+          invalid_arg "Runner: tasks with one fingerprint and two codecs")
+      (Hashtbl.find_all askers (Fingerprint.to_hex (fp c)))
+  in
   (* Resolve hits up front on the calling domain: hits cost milliseconds,
      and knowing the miss set lets the scheduler order real work only.  A
      payload that passes the store checksum but fails [decode] is counted
      invalid and treated as a miss, so it is recomputed and overwritten
      rather than crashing the sweep. *)
-  let lookup t =
+  let served cell =
     match cache with
     | Some c when not c.refresh -> (
-        match Result_store.find c.store (task_fingerprint ~verify t) with
-        | None -> None
+        match Result_store.find c.store (fp cell) with
+        | Some payload when cell.accept payload ->
+            share cell payload;
+            true
         | Some payload ->
-            let v = decode payload in
-            if Option.is_none v then Result_store.note_invalid c.store;
-            v)
-    | _ -> None
+            Result_store.note_invalid c.store payload;
+            false
+        | None -> false)
+    | _ -> false
   in
-  let cached = Array.map lookup tasks in
-  let hits, misses =
-    List.init n Fun.id |> List.partition (fun i -> Option.is_some cached.(i))
-  in
-  let misses = Array.of_list misses in
+  let misses = Array.of_list (List.filter (fun c -> not (served c)) firsts) in
   let estimate k =
-    let cost_key = task_cost_key tasks.(misses.(k)) in
-    Option.bind cache (fun c -> Result_store.estimate c.store ~cost_key)
-  in
-  (* Hits resolve instantly, so submitting them first never delays a
-     worker; the computing tasks follow longest-estimated-first. *)
-  let order =
-    Array.append (Array.of_list hits)
-      (Array.map (fun k -> misses.(k))
-         (Scheduler.order ~estimate (Array.length misses)))
+    Option.bind cache (fun c ->
+        Result_store.estimate c.store ~cost_key:(task_cost_key misses.(k).task))
   in
   (* Progress calls are serialized so concurrent workers cannot
      interleave them mid-line.  Each group that computes anything is
      announced once, by whichever of its tasks starts first. *)
-  let progress_lock = Mutex.create () in
-  let announced = Hashtbl.create 32 in
-  Array.iter
-    (fun t -> Hashtbl.replace announced t.group (Atomic.make false))
-    tasks;
-  let run_one i =
-    match cached.(i) with
-    | Some v -> v
-    | None ->
-        let t = tasks.(i) in
-        let flag = Hashtbl.find announced t.group in
-        if Atomic.compare_and_set flag false true then
-          Mutex.protect progress_lock (fun () -> progress t.group);
-        compute_and_store ?cache ~verify ~encode t
+  let progress_lock = Mutex.create () and announced = Hashtbl.create 32 in
+  let compute ({ task = t; _ } as cell) =
+    Mutex.protect progress_lock (fun () ->
+        if not (Hashtbl.mem announced t.group) then begin
+          Hashtbl.add announced t.group ();
+          progress t.group
+        end);
+    let t0 = Unix.gettimeofday () in
+    let payload = t.compute ~verify in
+    Option.iter
+      (fun s ->
+        Result_store.add s.store (fp cell) ~cost_key:(task_cost_key t)
+          ~cost:(Unix.gettimeofday () -. t0)
+          payload)
+      cache;
+    payload
   in
-  Pool.map_array_in_order ~jobs ~order run_one (Array.init n Fun.id)
+  Pool.map_array_in_order ~jobs
+    ~order:(Scheduler.order ~estimate (Array.length misses))
+    compute misses
+  |> Array.iteri (fun k payload -> share misses.(k) payload)
+
+let sweep ?jobs ?cache ?progress ~verify ~encode ~decode tasks =
+  let cells, results = cells ~encode ~decode tasks in
+  run_cells ?jobs ?cache ?progress ~verify cells;
+  results ()
+
+type plan =
+  | Plan : {
+      tasks : 'a task array;
+      encode : 'a -> string;
+      decode : string -> 'a option;
+      render : 'a array -> Format.formatter -> unit;
+    }
+      -> plan
+
+let static print =
+  Plan
+    {
+      tasks = [||];
+      encode = Fun.id;
+      decode = Option.some;
+      render = (fun _ -> print);
+    }
+
+let render ?jobs ?cache ?progress ~verify plans fmt =
+  let staged =
+    List.map
+      (fun (Plan p) ->
+        let cells, results = cells ~encode:p.encode ~decode:p.decode p.tasks in
+        (cells, fun () -> p.render (results ()) fmt))
+      plans
+  in
+  run_cells ?jobs ?cache ?progress ~verify (Array.concat (List.map fst staged));
+  List.iter (fun (_, render) -> render ()) staged
 
 let chunks keys ~size xs =
   List.mapi (fun i k -> (k, Array.sub xs (i * size) size)) keys
@@ -250,50 +302,66 @@ let simulate ~verify exp config ~run =
   Vm.finish vm;
   vm
 
-let experiment_task ~verify ~group exp config ~run =
+let measure exp config ~run ~verify = collect (simulate ~verify exp config ~run)
+
+let config_task ~group ~key compute config run =
   {
     group;
-    experiment = exp.key;
+    experiment = key;
     config = config_value_key config;
     run;
-    compute = (fun () -> collect (simulate ~verify exp config ~run));
+    compute = compute config ~run;
   }
 
-let task ~verify { exp; config_id; run } =
-  let config = Config.of_id config_id in
-  experiment_task ~verify
-    ~group:
-      (Printf.sprintf "%s: config %d (%s)" exp.name config_id
-         (Config.to_string config))
-    exp config ~run
+let tasks ~runs ~key compute configs =
+  Array.of_list
+    (List.concat_map
+       (fun (group, config) ->
+         List.init runs (config_task ~group ~key compute config))
+       configs)
 
-let fingerprint ~verify job = task_fingerprint ~verify (task ~verify job)
-let cost_key job = task_cost_key (task ~verify:false job)
+let table2_ids = List.map fst Config.table2
 
-let sweep_jobs ?jobs ?cache ?progress ~verify job_arr =
-  sweep ?jobs ?cache ?progress ~verify ~encode:metrics_to_string
-    ~decode:metrics_of_string
-    (Array.map (task ~verify) job_arr)
+let row ~name id =
+  let config = Config.of_id id in
+  let group =
+    Printf.sprintf "%s: config %d (%s)" name id (Config.to_string config)
+  in
+  (group, config)
+
+let table2_tasks ?(config_ids = table2_ids) ~runs ~name ~key compute =
+  tasks ~runs ~key compute (List.map (row ~name) config_ids)
+
+let job_task { exp; config_id; run } =
+  let group, config = row ~name:exp.name config_id in
+  config_task ~group ~key:exp.key (measure exp) config run
+
+let fingerprint ~verify job = task_fingerprint ~verify (job_task job)
+let cost_key job = task_cost_key (job_task job)
+
+let sweep_metrics = sweep ~encode:metrics_to_string ~decode:metrics_of_string
 
 let execute ?(verify = false) ?cache job =
-  (sweep_jobs ?cache ~verify [| job |]).(0)
+  (sweep_metrics ?cache ~verify [| job_task job |]).(0)
 
 let profile ?sample_interval ?(verify = false) ?cache job =
   (* Telemetry attaches after verification and before the workload, on
      the calling domain; it charges no simulated cycles, so a profiled
      run's metrics equal an unprofiled one's and may seed the store for
-     later sweeps.  The trace itself is not cached. *)
+     later sweeps: it runs as a refresh, computed and stored whatever the
+     store holds.  The trace itself is not cached. *)
   let recorder = ref None in
   let workload vm ~run =
     recorder := Some (Vm.enable_telemetry ?sample_interval vm);
     job.exp.workload vm ~run
   in
-  let t = task ~verify { job with exp = { job.exp with workload } } in
-  let m = compute_and_store ?cache ~verify ~encode:metrics_to_string t in
+  let cache = Option.map (fun c -> { c with refresh = true }) cache in
+  let job = { job with exp = { job.exp with workload } } in
+  let m = (sweep_metrics ?cache ~verify [| job_task job |]).(0) in
   (m, Option.get !recorder)
 
-let run_configs ?(config_ids = List.map fst Config.table2) ?progress ?jobs
-    ?(verify = false) ?cache ~runs exp =
-  let job_arr = Array.of_list (jobs_of ~config_ids ~runs exp) in
-  sweep_jobs ?jobs ?cache ?progress ~verify job_arr
+let run_configs ?(config_ids = table2_ids) ?jobs ?(verify = false) ?cache ~runs
+    exp =
+  table2_tasks ~config_ids ~runs ~name:exp.name ~key:exp.key (measure exp)
+  |> sweep_metrics ?jobs ?cache ~verify
   |> chunks config_ids ~size:runs

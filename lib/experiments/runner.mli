@@ -1,16 +1,11 @@
 (** Running a workload across Table 2's configurations, collecting the
     metrics §4.2 plots: execution time, cache statistics and GC statistics.
 
-    A sweep is expanded into an explicit list of {!job}s — one per
-    (configuration, repetition) pair, each independent and
-    seed-deterministic — and run by the one sweep engine, {!sweep}, which
-    every cached sweep in the experiment stack shares.  Jobs are
-    {e content-addressed}: a {!Hcsgc_store.Fingerprint} of the
-    experiment's parameter {!field:experiment.key}, the configuration
-    knobs, the run seed and the verify flag names each job's metrics, and
-    an optional {!cache} serves repeats from a persistent
-    {!Hcsgc_store.Result_store}.  Results are aggregated in job order
-    whatever the completion order and whether computed or cached, so
+    Every simulated artefact is a {!plan}: {!task}s with their payload
+    codec, and a pure render of their results.  One engine, {!sweep},
+    runs tasks content-addressed by a {!Hcsgc_store.Fingerprint}, each
+    distinct one once, optionally through a persistent
+    {!Hcsgc_store.Result_store}, and hands results back in task order, so
     output is byte-identical at any [--jobs], warm or cold. *)
 
 module Vm = Hcsgc_runtime.Vm
@@ -54,11 +49,6 @@ type job = { exp : experiment; config_id : int; run : int }
     configuration [config_id].  Jobs share nothing — {!execute} builds a
     fresh VM — so any subset may run concurrently. *)
 
-val jobs_of : ?config_ids:int list -> runs:int -> experiment -> job list
-(** Expand a sweep into its jobs, in deterministic order: configurations
-    in the given order (default: all 19 of Table 2), repetitions 0..runs-1
-    within each. *)
-
 (** {2 The result store} *)
 
 type cache = {
@@ -74,13 +64,6 @@ val cache : ?refresh:bool -> dir:string -> unit -> cache
 
 val default_cache_dir : string
 (** ["_hcsgc_cache"] — the CLIs' default store location. *)
-
-type renderer =
-  ?runs:int -> ?scale:int -> ?jobs:int -> ?cache:cache ->
-  Format.formatter -> unit
-(** The one shape of a simulated artefact, a figure or an ablation:
-    [runs] repetitions, workload size divided by [scale], [jobs] worker
-    domains and an optional result store. *)
 
 val config_key : int -> string
 (** Lossless rendering of a Table 2 configuration's knob {e values} (not
@@ -126,12 +109,9 @@ val metrics_of_string : string -> run_metrics option
 
 (** {2 The sweep engine}
 
-    Every simulated artefact in the experiment stack — Table 2 figures,
-    Fig. 13, the ablations, the serving tier, the far-tier capacity
-    sweep — runs through {!sweep}.
-    Callers describe each job as a {!task} and supply their payload
-    codec; the engine owns lookup, scheduling, the domains, the store and
-    progress. *)
+    Callers describe each job as a {!task} with its payload codec; the
+    engine owns lookup, deduplication, scheduling, the domains, the
+    store and progress. *)
 
 type 'a task = {
   group : string;
@@ -140,11 +120,15 @@ type 'a task = {
   experiment : string;  (** stable parameter key, as {!field:experiment.key} *)
   config : string;  (** lossless knob rendering, as {!config_value_key} *)
   run : int;  (** repetition index *)
-  compute : unit -> 'a;  (** simulate; a pure function of the fields above *)
+  compute : verify:bool -> 'a;
+      (** simulate, under the heap sanitizer when [verify]; a pure
+          function of the fields above *)
 }
 (** One content-addressed unit of work.  Its fingerprint is
     [Fingerprint.make ~experiment ~config ~run ~verify] and its cost key
-    [experiment ^ "#" ^ config]. *)
+    [experiment ^ "#" ^ config].  Tasks with one fingerprint must share
+    a payload codec: the engine computes one of them and hands its
+    payload to the others. *)
 
 val task_fingerprint : verify:bool -> 'a task -> Hcsgc_store.Fingerprint.t
 (** The task's content address, as {!sweep} looks it up and stores it. *)
@@ -159,25 +143,48 @@ val sweep :
   'a task array ->
   'a array
 (** Run every task and return the results in task order, bit-identical
-    at any [jobs] (default 1: in-process on the calling domain) and
-    whether served from [cache] or computed.
+    at any [jobs] (default 1: on the calling domain) and whether served
+    from [cache] or computed.
 
-    With [cache], hits are resolved up front on the calling domain; a
-    payload that fails [decode] is counted invalid
-    ({!Hcsgc_store.Result_store.note_invalid}) and treated as a miss.
-    Misses are submitted longest-estimated-first by the store's cost
-    model ({!Hcsgc_store.Scheduler}); with no [cache] or no estimates,
-    that is task order.  Each computed result is stored, [encode]d, with
-    its measured duration.  [verify] enters every fingerprint; the tasks'
-    [compute] closures must honour it themselves.
+    Each distinct fingerprint is looked up once and computed at most
+    once; the other tasks at it [decode] its payload.  With [cache], hits
+    are resolved up front; a payload that fails [decode] is counted
+    invalid ({!Hcsgc_store.Result_store.note_invalid}), recomputed and
+    overwritten.  Misses start longest-estimated-first by the store's
+    cost model ({!Hcsgc_store.Scheduler}), else in task order, and each
+    is stored, [encode]d, with its measured duration.  [verify] enters
+    every fingerprint and is passed to every [compute].
 
-    [progress] receives each group's [group] line once, when the first of
-    its tasks starts computing; fully cached groups stay silent.  Calls
-    are serialized under a mutex, so each message arrives whole and
-    [progress] need not be domain-safe, but under [~jobs:n] they come
-    from worker domains:
-    [progress] must not assume it runs on the calling domain, and must
-    not call back into the runner. *)
+    [progress] receives each group's line once, when the first of its
+    tasks starts computing.  Calls are serialized, so [progress] need
+    not be domain-safe, but under [~jobs:n] they come from worker
+    domains, and must not call back into the runner. *)
+
+type plan =
+  | Plan : {
+      tasks : 'a task array;
+      encode : 'a -> string;
+      decode : string -> 'a option;
+      render : 'a array -> Format.formatter -> unit;
+    }
+      -> plan
+(** An artefact: its tasks with their payload codec, and a pure render
+    of their results in task order. *)
+
+val static : (Format.formatter -> unit) -> plan
+(** A plan with no tasks, e.g. a table. *)
+
+val render :
+  ?jobs:int ->
+  ?cache:cache ->
+  ?progress:(string -> unit) ->
+  verify:bool ->
+  plan list ->
+  Format.formatter ->
+  unit
+(** Run the tasks of every plan in one {!sweep}, so equal tasks of
+    different plans run once and the longest jobs of all start first;
+    then render each plan, in list order. *)
 
 val chunks : 'k list -> size:int -> 'a array -> ('k * 'a array) list
 (** [chunks keys ~size xs] pairs the [i]-th key with [xs.(i*size) ..
@@ -192,12 +199,29 @@ val simulate : verify:bool -> experiment -> Config.t -> run:int -> Vm.t
     heap sanitizer when [verify] ({!Vm.enable_verification}), the
     workload, {!Vm.finish}.  Returns the finished VM for {!collect}. *)
 
-val experiment_task :
-  verify:bool -> group:string -> experiment -> Config.t -> run:int ->
-  run_metrics task
-(** Repetition [run] of an experiment under any configuration value, as a
-    {!task} ({!simulate}, then {!collect}).  A task whose knob vector is
-    a Table 2 row shares that {!job}'s store entry. *)
+val measure :
+  experiment -> Config.t -> run:int -> verify:bool -> run_metrics
+(** {!simulate}, then {!collect}: a Table 2 job's [compute]. *)
+
+val tasks :
+  runs:int ->
+  key:string ->
+  (Config.t -> run:int -> verify:bool -> 'a) ->
+  (string * Config.t) list ->
+  'a task array
+(** [runs] repetitions of experiment [key] under each (progress group,
+    configuration), in order, runs 0..runs-1 within each.  A task whose
+    knob vector is a Table 2 row shares that row's fingerprint. *)
+
+val table2_tasks :
+  ?config_ids:int list ->
+  runs:int ->
+  name:string ->
+  key:string ->
+  (Config.t -> run:int -> verify:bool -> 'a) ->
+  'a task array
+(** {!tasks} under each Table 2 configuration (default: all 19), each
+    its own progress group, [name] and the configuration. *)
 
 val execute : ?verify:bool -> ?cache:cache -> job -> run_metrics
 (** Run one job to completion: {!simulate}, then {!collect}.  Pure
@@ -207,10 +231,7 @@ val execute : ?verify:bool -> ?cache:cache -> job -> run_metrics
     reads state only, so verified metrics are bit-identical to unverified
     ones.
 
-    With [cache], this is a one-task {!sweep}: a valid entry is decoded
-    and returned without simulating; a miss (including a corrupt or
-    undecodable entry) simulates, then stores the metrics and the
-    measured duration. *)
+    This is a one-task {!sweep}. *)
 
 val profile :
   ?sample_interval:int ->
@@ -227,12 +248,10 @@ val profile :
     at any [--jobs] setting.
 
     A profiled run always simulates (the trace cannot come from the
-    store), but with [cache] it {e stores} its metrics afterwards through
-    {!sweep}'s store step, seeding later sweeps. *)
+    store); with [cache] it stores its metrics, as under [refresh]. *)
 
 val run_configs :
   ?config_ids:int list ->
-  ?progress:(string -> unit) ->
   ?jobs:int ->
   ?verify:bool ->
   ?cache:cache ->
@@ -243,7 +262,7 @@ val run_configs :
     Table 2 configuration (default: all 19) through {!sweep}.
     Deterministic: repetition [i] uses the same workload seed under every
     configuration, mirroring the paper's N VM invocations per
-    configuration.  [jobs], [cache] and [progress] are {!sweep}'s; each
-    configuration is one progress group.  [verify] (default false) runs
-    every job under the heap sanitizer (see {!execute}); each VM gets its
-    own verifier, so verified sweeps fan out across domains unchanged. *)
+    configuration.  [jobs] and [cache] are {!sweep}'s.  [verify]
+    (default false) runs every job under the heap sanitizer (see
+    {!execute}); each VM gets its own verifier, so verified sweeps fan
+    out across domains unchanged. *)

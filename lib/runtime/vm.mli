@@ -26,6 +26,10 @@ module Collector = Hcsgc_core.Collector
 
 type t
 
+val env_verify : unit -> bool
+(** Whether the [HCSGC_VERIFY] environment variable asks for verified
+    VMs ([1]/[true]/[yes]): the default of {!create}'s [verify]. *)
+
 val create :
   ?layout:Hcsgc_heap.Layout.t ->
   ?machine_config:Hcsgc_memsim.Hierarchy.config ->

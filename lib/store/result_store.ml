@@ -193,10 +193,12 @@ let estimate t ~cost_key =
       Hashtbl.find_opt t.costs (sanitize_key cost_key)
       |> Option.map (fun (n, s) -> s /. float_of_int n))
 
-(* [find] counted the entry as a hit; it is a miss after all. *)
-let note_invalid t =
+(* [find] counted the entry as a hit and its bytes as read; it is a miss
+   after all. *)
+let note_invalid t payload =
   with_lock t (fun () ->
       t.hits <- t.hits - 1;
+      t.bytes_read <- t.bytes_read - String.length payload;
       t.misses <- t.misses + 1;
       t.corrupt <- t.corrupt + 1)
 

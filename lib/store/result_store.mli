@@ -55,11 +55,12 @@ val estimate : t -> cost_key:string -> float option
 (** Mean observed cost (seconds) for [cost_key], if any run of that key
     was ever recorded here. *)
 
-val note_invalid : t -> unit
-(** Count one caller-detected invalid entry (e.g. the payload passed the
-    envelope checksum but failed the caller's decoder), just returned by
-    {!find}: the hit [find] counted becomes a miss, and [corrupt] grows
-    by one.  Callers should treat such entries as misses and overwrite
+val note_invalid : t -> string -> unit
+(** [note_invalid t payload] counts one caller-detected invalid entry
+    (e.g. the payload passed the envelope checksum but failed the
+    caller's decoder), [payload] just returned by {!find}: the hit [find]
+    counted becomes a miss, its bytes leave [bytes_read], and [corrupt]
+    grows by one.  Callers should treat such entries as misses and overwrite
     them via {!add}. *)
 
 type counters = {

@@ -1,8 +1,10 @@
-(* Tests for the artefacts that run through the sweep engine with their
-   own variant lists or payloads: the four ablations and Fig. 13.  They
-   render the same bytes cold, warm and in parallel; the Fig. 13 payload
-   codec is lossless and strict; and the ablations' store addresses line
-   up with Fig. 4's where a variant is a Fig. 4 job. *)
+(* Tests for artefact plans and the one sweep that runs them: the four
+   ablations and Fig. 13 render the same bytes cold, warm and in
+   parallel; plans rendered together print what they print apart, and
+   each distinct fingerprint among them is computed once; a verified run
+   gets its own store entries; the Fig. 13 payload codec is lossless and
+   strict; and the ablations' store addresses line up with Fig. 4's
+   where a variant is a Fig. 4 job. *)
 
 module Config = Hcsgc_core.Config
 module Runner = Hcsgc_experiments.Runner
@@ -22,7 +24,7 @@ let with_temp_dir = Test_store.with_temp_dir
 (* Cold, warm and parallel renders                                     *)
 (* ------------------------------------------------------------------ *)
 
-let artefacts : (string * Runner.renderer) list =
+let artefacts : (string * (runs:int -> scale:int -> Runner.plan)) list =
   [
     ("abl-prefetch", Ablations.prefetcher);
     ("abl-tlb", Ablations.tlb);
@@ -32,32 +34,159 @@ let artefacts : (string * Runner.renderer) list =
   ]
 
 (* Two runs at scale 100, where every workload sits at its size floor. *)
-let render (f : Runner.renderer) ~jobs cache =
+let plan f = f ~runs:2 ~scale:100
+
+let render ?cache ?(verify = false) ~jobs plans =
   let buf = Buffer.create 4096 in
   let fmt = Format.formatter_of_buffer buf in
-  f ~runs:2 ~scale:100 ~jobs ?cache fmt;
+  Runner.render ~jobs ?cache ~verify plans fmt;
   Format.pp_print_flush fmt ();
   Buffer.contents buf
 
 let same_bytes_cold_warm_parallel (name, f) () =
   with_temp_dir (fun dir ->
       let cold_cache = Runner.cache ~dir () in
-      let cold = render f ~jobs:1 (Some cold_cache) in
+      let cold = render ~jobs:1 ~cache:cold_cache [ plan f ] in
       let c = Result_store.counters cold_cache.Runner.store in
       check Alcotest.int (name ^ ": cold run hits nothing") 0
         c.Result_store.hits;
       check Alcotest.bool (name ^ ": cold run stores its jobs") true
         (c.Result_store.stored > 0);
       let warm_cache = Runner.cache ~dir () in
-      let warm = render f ~jobs:1 (Some warm_cache) in
+      let warm = render ~jobs:1 ~cache:warm_cache [ plan f ] in
       let w = Result_store.counters warm_cache.Runner.store in
       check Alcotest.int (name ^ ": warm run misses nothing") 0
         w.Result_store.misses;
       check Alcotest.int (name ^ ": warm run hits every job")
         c.Result_store.misses w.Result_store.hits;
       check Alcotest.string (name ^ ": warm = cold") cold warm;
-      let parallel = render f ~jobs:2 None in
+      let parallel = render ~jobs:2 [ plan f ] in
       check Alcotest.string (name ^ ": -j2 = cold") cold parallel)
+
+(* ------------------------------------------------------------------ *)
+(* One sweep over several plans                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The variants that are Fig. 4 jobs, with their Table 2 row. *)
+let f4_equal =
+  [
+    ("zgc, prefetch on", 0);
+    ("cfg 16, prefetch on", 16);
+    ("fixed cc=0.0 (+lazy)", 8);
+    ("fixed cc=0.5 (+lazy)", 9);
+    ("fixed cc=1.0 (+lazy)", 10);
+    ("zgc, 64K pages", 0);
+    ("cfg 16, 64K pages", 16);
+  ]
+
+let hex t = Fingerprint.to_hex (Runner.task_fingerprint ~verify:false t)
+
+let distinct (Runner.Plan p) =
+  List.length (List.sort_uniq compare (Array.to_list (Array.map hex p.tasks)))
+
+let f4_stores_distinct_fingerprints () =
+  let f4 = plan Fig_synthetic.fig4 in
+  (* Configs 0 and 1 are one knob vector, so one fingerprint per run. *)
+  check Alcotest.int "19 configs x 2 runs, 0 and 1 shared" 36 (distinct f4);
+  with_temp_dir (fun dir ->
+      let cache = Runner.cache ~dir () in
+      ignore (render ~jobs:2 ~cache [ f4 ]);
+      let c = Result_store.counters cache.Runner.store in
+      check
+        Alcotest.(list int)
+        "hits, misses, stored" [ 0; 36; 36 ]
+        Result_store.[ c.hits; c.misses; c.stored ])
+
+let together_equals_apart () =
+  let f4 = plan Fig_synthetic.fig4 and abl = plan Ablations.prefetcher in
+  let apart = render ~jobs:1 [ f4 ] ^ render ~jobs:1 [ abl ] in
+  List.iter
+    (fun jobs ->
+      check Alcotest.string
+        (Printf.sprintf "f4 + abl-prefetch at -j%d" jobs)
+        apart
+        (render ~jobs [ f4; abl ]))
+    [ 1; 2 ]
+
+(* The plan with [seen] called on each task as it computes, with its
+   fingerprint and the verify flag it computes under. *)
+let watched seen (Runner.Plan p) =
+  let lock = Mutex.create () in
+  let compute t ~verify =
+    Mutex.protect lock (fun () -> seen (hex t) verify);
+    t.Runner.compute ~verify
+  in
+  Runner.Plan
+    {
+      p with
+      tasks =
+        Array.map (fun t -> { t with Runner.compute = compute t }) p.tasks;
+    }
+
+(* Each plan's tasks, counting their computations per fingerprint. *)
+let counted computed =
+  watched (fun fp _ ->
+      Hashtbl.replace computed fp
+        (1 + Option.value (Hashtbl.find_opt computed fp) ~default:0))
+
+let shared_fingerprints_computed_once () =
+  let plans =
+    List.map plan
+      [ Fig_synthetic.fig4; Ablations.prefetcher; Ablations.tlb;
+        Ablations.page_size; Ablations.autotuner ]
+  in
+  let f4_runs config_id =
+    let exp = Fig_synthetic.experiment ~scale:100 () in
+    List.map
+      (fun run ->
+        Fingerprint.to_hex
+          (Runner.fingerprint ~verify:false { Runner.exp; config_id; run }))
+      [ 0; 1 ]
+  in
+  let once label cache =
+    let computed = Hashtbl.create 64 in
+    ignore (render ~jobs:2 ?cache (List.map (counted computed) plans));
+    Hashtbl.iter
+      (fun fp n -> check Alcotest.int (label ^ ": computed once " ^ fp) 1 n)
+      computed;
+    (* 36 Fig. 4 entries, plus the 14 variants less the 7 that are f4
+       jobs, at two runs each. *)
+    check Alcotest.int (label ^ ": distinct fingerprints computed") 50
+      (Hashtbl.length computed);
+    List.iter
+      (fun (name, id) ->
+        List.iter
+          (fun fp ->
+            check Alcotest.(option int) (label ^ ": " ^ name) (Some 1)
+              (Hashtbl.find_opt computed fp))
+          (f4_runs id))
+      f4_equal
+  in
+  once "no cache" None;
+  with_temp_dir (fun dir -> once "cold store" (Some (Runner.cache ~dir ())))
+
+(* A verified run is its own entry: a store filled unverified serves it
+   nothing, every task computes under [~verify:true], and it renders the
+   same bytes. *)
+let verified_plans_miss_unverified_entries () =
+  let plans = [ plan Fig_specjbb.fig13; plan Ablations.tlb ] in
+  with_temp_dir (fun dir ->
+      let plain = render ~jobs:2 ~cache:(Runner.cache ~dir ()) plans in
+      let cache = Runner.cache ~dir () in
+      let unverified = ref 0 in
+      let verified =
+        render ~jobs:2 ~cache ~verify:true
+          (List.map
+             (watched (fun _ verify -> if not verify then incr unverified))
+             plans)
+      in
+      let c = Result_store.counters cache.Runner.store in
+      check Alcotest.int "no hits" 0 c.Result_store.hits;
+      check Alcotest.int "every task computed verified" 0 !unverified;
+      check Alcotest.int "every verified task stored"
+        (List.fold_left (fun n p -> n + distinct p) 0 plans)
+        c.Result_store.stored;
+      check Alcotest.string "verified = plain" plain verified)
 
 (* ------------------------------------------------------------------ *)
 (* Fig. 13 payload codec                                               *)
@@ -149,18 +278,6 @@ let f13_codec_rejects_malformed () =
 (* Store addresses                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* The variants that are Fig. 4 jobs, with their Table 2 row. *)
-let f4_equal =
-  [
-    ("zgc, prefetch on", 0);
-    ("cfg 16, prefetch on", 16);
-    ("fixed cc=0.0 (+lazy)", 8);
-    ("fixed cc=0.5 (+lazy)", 9);
-    ("fixed cc=1.0 (+lazy)", 10);
-    ("zgc, 64K pages", 0);
-    ("cfg 16, 64K pages", 16);
-  ]
-
 let ablation_fingerprints () =
   List.iter
     (fun scale ->
@@ -175,7 +292,8 @@ let ablation_fingerprints () =
           let f4_fps = List.map (fun (id, _) -> f4_fp id) Config.table2 in
           let fp (_, exp, config) =
             Runner.task_fingerprint ~verify:false
-              (Runner.experiment_task ~verify:false ~group:"" exp config ~run)
+              (Runner.tasks ~runs:3 ~key:exp.Runner.key (Runner.measure exp)
+                 [ ("", config) ]).(run)
           in
           List.iter
             (fun ((name, _, _) as v) ->
@@ -223,6 +341,16 @@ let suite =
           case (name ^ " cold = warm = -j2") `Quick
             (same_bytes_cold_warm_parallel a))
         artefacts );
+    ( "artefacts.graph",
+      [
+        case "f4 stores its distinct fingerprints" `Quick
+          f4_stores_distinct_fingerprints;
+        case "f4 + abl-prefetch together = apart" `Quick together_equals_apart;
+        case "shared fingerprints computed once" `Quick
+          shared_fingerprints_computed_once;
+        case "verified plans miss unverified entries" `Quick
+          verified_plans_miss_unverified_entries;
+      ] );
     ( "artefacts.codec",
       [
         QCheck_alcotest.to_alcotest prop_f13_roundtrip;

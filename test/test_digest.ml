@@ -50,11 +50,12 @@ let table2_job exp () =
 let serve_job () =
   let scale = 16 in
   match
-    Fig_serve.sweep ~config_ids:[ 16 ] ~runs:1
-      ~heap:(Fig_serve.scaled_heap ~scale)
-      ~params:(Fig_serve.scaled_params ~scale) ()
+    Runner.sweep ~verify:false ~encode:Fig_serve.outcome_to_string
+      ~decode:Fig_serve.outcome_of_string
+      (Fig_serve.tasks ~config_ids:[ 16 ] ~heap:(Fig_serve.scaled_heap ~scale)
+         ~runs:1 ~params:(Fig_serve.scaled_params ~scale) ())
   with
-  | [ (_, [| o |]) ] -> Fig_serve.outcome_to_string o
+  | [| o |] -> Fig_serve.outcome_to_string o
   | _ -> Alcotest.fail "serve sweep shape"
 
 let tier_job () =

@@ -165,15 +165,19 @@ let default_jobs_env_override () =
 (* Determinism of parallel sweeps                                      *)
 (* ------------------------------------------------------------------ *)
 
-let jobs_of_expansion () =
-  let exp = Fig_synthetic.experiment ~scale:50 () in
-  let jobs = Runner.jobs_of ~config_ids:[ 0; 4; 16 ] ~runs:2 exp in
-  check Alcotest.int "3 configs x 2 runs" 6 (List.length jobs);
+let table2_tasks_expansion () =
+  let tasks =
+    Runner.table2_tasks ~config_ids:[ 0; 4; 16 ] ~runs:2 ~name:"x" ~key:"k"
+      (fun _ ~run ~verify:_ -> run)
+  in
+  check Alcotest.int "3 configs x 2 runs" 6 (Array.length tasks);
   check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
     "deterministic (config, run) order"
-    [ (0, 0); (0, 1); (4, 0); (4, 1); (16, 0); (16, 1) ]
-    (List.map (fun j -> (j.Runner.config_id, j.Runner.run)) jobs)
+    (List.concat_map
+       (fun id -> [ (Runner.config_key id, 0); (Runner.config_key id, 1) ])
+       [ 0; 4; 16 ])
+    (Array.to_list (Array.map (fun t -> (t.Runner.config, t.Runner.run)) tasks))
 
 (* [Runner.sweep] serializes [progress]: a sink that is not domain-safe
    (a shared Buffer) still receives every group's line whole, once. *)
@@ -186,7 +190,7 @@ let progress_lines_stay_whole () =
           experiment = "progress-test";
           config = string_of_int g;
           run = 0;
-          compute = (fun () -> g);
+          compute = (fun ~verify:_ -> g);
         })
   in
   let buf = Buffer.create 4096 in
@@ -235,7 +239,7 @@ let suite =
       ] );
     ( "exec.determinism",
       [
-        case "jobs_of expansion" `Quick jobs_of_expansion;
+        case "table2_tasks expansion" `Quick table2_tasks_expansion;
         case "progress lines stay whole" `Quick progress_lines_stay_whole;
         case "parallel sweep bit-identical" `Slow parallel_sweep_bit_identical;
       ] );

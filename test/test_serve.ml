@@ -392,6 +392,14 @@ let slo_histogram_buckets () =
 let fig_params =
   { small_params with Serve.keys = 2_000; duration = 2_000_000 }
 
+(* The serve figure's tasks over [config_ids] through the engine,
+   outcomes per configuration in run order. *)
+let sweep ?jobs ?cache ?(verify = false) ~config_ids ~runs () =
+  Runner.sweep ?jobs ?cache ~verify ~encode:Fig_serve.outcome_to_string
+    ~decode:Fig_serve.outcome_of_string
+    (Fig_serve.tasks ~config_ids ~runs ~params:fig_params ())
+  |> Runner.chunks config_ids ~size:runs
+
 let outcomes_signature results =
   String.concat "\n---\n"
     (List.concat_map
@@ -403,9 +411,7 @@ let outcomes_signature results =
        results)
 
 let fig_serve_jobs_determinism () =
-  let sweep jobs =
-    Fig_serve.sweep ~config_ids:[ 0; 18 ] ~runs:2 ~jobs ~params:fig_params ()
-  in
+  let sweep jobs = sweep ~config_ids:[ 0; 18 ] ~runs:2 ~jobs () in
   Alcotest.(check string) "-j4 = -j1"
     (outcomes_signature (sweep 1))
     (outcomes_signature (sweep 4))
@@ -429,10 +435,7 @@ let fig_serve_warm_replay () =
   with_temp_dir (fun dir ->
       let sweep () =
         let cache = Runner.cache ~dir () in
-        let r =
-          Fig_serve.sweep ~config_ids:[ 0; 18 ] ~runs:1 ~cache
-            ~params:fig_params ()
-        in
+        let r = sweep ~config_ids:[ 0; 18 ] ~runs:1 ~cache () in
         (outcomes_signature r, Hcsgc_store.Result_store.counters cache.Runner.store)
       in
       let cold, cold_counters = sweep () in
@@ -451,9 +454,7 @@ let fig_serve_verify_distinct_entries () =
   with_temp_dir (fun dir ->
       let cache = Runner.cache ~dir () in
       let run verify =
-        outcomes_signature
-          (Fig_serve.sweep ~config_ids:[ 18 ] ~runs:1 ~verify ~cache
-             ~params:fig_params ())
+        outcomes_signature (sweep ~config_ids:[ 18 ] ~runs:1 ~verify ~cache ())
       in
       let plain = run false in
       let verified = run true in
@@ -463,9 +464,7 @@ let fig_serve_verify_distinct_entries () =
           .Hcsgc_store.Result_store.stored)
 
 let fig_serve_outcome_codec () =
-  let results =
-    Fig_serve.sweep ~config_ids:[ 0 ] ~runs:1 ~params:fig_params ()
-  in
+  let results = sweep ~config_ids:[ 0 ] ~runs:1 () in
   let o = (snd (List.hd results)).(0) in
   match Fig_serve.outcome_of_string (Fig_serve.outcome_to_string o) with
   | None -> Alcotest.fail "codec failed to round-trip"

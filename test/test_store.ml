@@ -530,7 +530,7 @@ let toy_tasks ?(computed = Atomic.make 0) n =
         config;
         run = i mod 3;
         compute =
-          (fun () ->
+          (fun ~verify:_ ->
             Atomic.incr computed;
             i * i);
       })
@@ -590,8 +590,8 @@ let engine_recomputes_undecodable () =
       let c = Result_store.counters cache.Runner.store in
       check
         Alcotest.(list int)
-        "hits, misses, corrupt, stored" [ 0; 1; 1; 2 ]
-        Result_store.[ c.hits; c.misses; c.corrupt; c.stored ];
+        "hits, misses, corrupt, stored, bytes read" [ 0; 1; 1; 2; 0 ]
+        Result_store.[ c.hits; c.misses; c.corrupt; c.stored; c.bytes_read ];
       check
         Alcotest.(option string)
         "overwritten" (Some "4")
@@ -615,9 +615,9 @@ let engine_computes_longest_first () =
             {
               t with
               Runner.compute =
-                (fun () ->
+                (fun ~verify ->
                   started := t.Runner.config :: !started;
-                  t.Runner.compute ());
+                  t.Runner.compute ~verify);
             })
           (toy_tasks 9)
       in
@@ -669,7 +669,10 @@ let engine_announces_each_group_once () =
 let tier_sweep_store_addresses () =
   with_temp_dir (fun dir ->
       let cache = Runner.cache ~dir () in
-      ignore (Fig_tier.sweep ~capacities:[ 8 ] ~runs:1 ~scale:8 ~cache ());
+      ignore
+        (Runner.sweep ~cache ~verify:false ~encode:Fig_tier.outcome_to_string
+           ~decode:Fig_tier.outcome_of_string
+           (Fig_tier.tasks ~capacities:[ 8 ] ~runs:1 ~scale:8 ()));
       let config =
         Fig_tier.tier_config ~capacity:8 ~lat_far:Fig_tier.default_lat_far
           ~promote:true
@@ -691,7 +694,9 @@ let serve_sweep_store_address () =
       let params = Fig_serve.scaled_params ~scale
       and heap = Fig_serve.scaled_heap ~scale in
       ignore
-        (Fig_serve.sweep ~config_ids:[ 18 ] ~runs:1 ~cache ~heap ~params ());
+        (Runner.sweep ~cache ~verify:false ~encode:Fig_serve.outcome_to_string
+           ~decode:Fig_serve.outcome_of_string
+           (Fig_serve.tasks ~config_ids:[ 18 ] ~heap ~runs:1 ~params ()));
       let experiment =
         Fig_serve.experiment_key ~heap ~params ~shard_domains:0
           ~slo:Fig_serve.default_slo ()

@@ -883,7 +883,10 @@ let telemetry_costs_zero_cycles () =
 let parallel_traces_deterministic () =
   let exp = Fig_synthetic.experiment ~scale:16 () in
   let jobs =
-    Array.of_list (Runner.jobs_of ~config_ids:[ 0; 4; 9; 16 ] ~runs:1 exp)
+    Array.of_list
+      (List.map
+         (fun config_id -> { Runner.exp; config_id; run = 0 })
+         [ 0; 4; 9; 16 ])
   in
   let n = Array.length jobs in
   let trace job =

@@ -329,28 +329,23 @@ let tiered_verified_equals_unverified () =
     (tiered_metrics ~verify:false)
     (tiered_metrics ~verify:true)
 
-let render_sweep results =
-  String.concat "\n"
-    (List.concat_map
-       (fun (fam, caps) ->
-         List.concat_map
-           (fun (cap, outcomes) ->
-             Printf.sprintf "%s@%d" fam cap
-             :: Array.to_list (Array.map Fig_tier.outcome_to_string outcomes))
-           caps)
-       results)
+(* The tier figure's tasks at [capacities] through the engine: every
+   family's payloads, one per line in task order. *)
+let sweep ?cache ~jobs capacities =
+  Runner.sweep ?cache ~jobs ~verify:false ~encode:Fig_tier.outcome_to_string
+    ~decode:Fig_tier.outcome_of_string
+    (Fig_tier.tasks ~capacities ~runs:1 ~scale:8 ())
+  |> Array.map Fig_tier.outcome_to_string
+  |> Array.to_list |> String.concat "\n"
 
 let tier_sweep_jobs_identical () =
-  let sweep jobs = render_sweep (Fig_tier.sweep ~capacities:[ 8 ] ~runs:1 ~jobs ~scale:8 ()) in
-  check Alcotest.string "-j4 sweep = -j1 sweep" (sweep 1) (sweep 4)
+  check Alcotest.string "-j4 sweep = -j1 sweep" (sweep ~jobs:1 [ 8 ])
+    (sweep ~jobs:4 [ 8 ])
 
 let tier_sweep_warm_store_identical () =
   with_temp_dir (fun dir ->
       let cache = Runner.cache ~dir () in
-      let sweep () =
-        render_sweep
-          (Fig_tier.sweep ~capacities:[ 0; 8 ] ~runs:1 ~jobs:1 ~cache ~scale:8 ())
-      in
+      let sweep () = sweep ~cache ~jobs:1 [ 0; 8 ] in
       let cold = sweep () in
       let after_cold = Result_store.counters cache.Runner.store in
       check Alcotest.int "cold sweep computed everything" 8
