@@ -5,7 +5,8 @@
    A session runs rounds: [mutate r] is the untimed phase before round
    [r], [step] the timed round.  Op kernels drive one primitive of the
    simulation stack (VM op -> barrier -> cache hierarchy -> prefetcher) in
-   a GC-quiescent steady state; a round is a batch of ops.  Cycle kernels
+   a GC-quiescent steady state, except [barrier-marking], which holds a
+   bare collector in marking; a round is a batch of ops.  Cycle kernels
    drive the collector directly (no VM pump): the mutator phase allocates
    and replaces roots, and a round is one complete cycle (STW1 -> mark ->
    EC selection -> relocation -> sweep -> demotion).  Shared by
@@ -198,6 +199,27 @@ let on_vm ?(nobjs = 64) body () =
   Vm.full_gc vm;
   (Some (Vm.collector vm), body vm objs nobjs)
 
+(* A bare collector with [nobjs] rooted objects in a reference ring
+   through slot 0, held in marking: STW1 has run (marking every root) and
+   nothing ever calls [gc_work], so every barrier takes the marking
+   branch on an already-marked object, the branch most simulated
+   accesses inside a GC cycle window take.  The first pass over the ring
+   heals its slots to the cycle's good colour; from then on [load_ref]
+   is the fast path. *)
+let on_marking ?(nobjs = 64) body () =
+  let col, roots = bare () in
+  let objs = Array.init nobjs (fun _ -> alloc_obj col ~core:0) in
+  Array.iter (Vec.push roots) objs;
+  Array.iteri
+    (fun i o ->
+      ignore
+        (Collector.store_ref col ~core:0 o ~slot:0
+           (Some objs.((i + 1) mod nobjs))))
+    objs;
+  run_cycle col;
+  Collector.start_cycle col;
+  (Some col, body col objs nobjs)
+
 let on_machine body () = (None, body (Machine.create ~cores:1 ()))
 
 let on_prefetcher body () = (None, body (Prefetcher.create ()))
@@ -238,6 +260,16 @@ let kernels =
       (on_vm (fun vm objs n lo hi ->
            for i = lo to hi - 1 do
              ignore (Vm.load_ref vm objs.(i mod n) 0)
+           done));
+    (* Alternating ref loads and handle uses, as the collector sees them
+       inside a cycle window. *)
+    op_kernel "barrier-marking"
+      (on_marking (fun col objs n lo hi ->
+           for i = lo to hi - 1 do
+             let o = objs.(i mod n) in
+             if i land 1 = 0 then
+               ignore (Collector.load_ref col ~core:0 o ~slot:0)
+             else ignore (Collector.use_handle col ~core:0 o)
            done));
     (* Steady-state allocation of garbage through the full VM path (bump,
        arena slot, index registration, header store) and the GC cycles it

@@ -262,32 +262,6 @@ let trace =
   in
   Term.(const (fun out sample -> { out; sample }) $ out $ sample)
 
-(* Named experiments, shared by [profile --exp] and [graph --algo
-   --dataset].  Graph inputs are divided by 4 (CC) or 2 (MC) on top of
-   --scale, so the default sizes stay minutes-scale. *)
-let experiments =
-  let module D = Hcsgc_graph.Dataset in
-  let cc dataset scale =
-    E.Fig_graph.cc_experiment ~dataset ~scale:(4 * scale) ()
-  in
-  let mc dataset scale =
-    E.Fig_graph.mc_experiment ~dataset ~scale:(2 * scale) ()
-  in
-  [
-    ("f4", fun scale -> E.Fig_synthetic.experiment ~scale ());
-    ("f5", fun scale -> E.Fig_synthetic.experiment ~phases:3 ~scale ());
-    ( "f6",
-      fun scale ->
-        E.Fig_synthetic.experiment ~cold_ratio:10 ~saturated:true ~heap_mult:2
-          ~scale () );
-    ("cc-uk", cc D.uk_cc);
-    ("cc-enwiki", cc D.enwiki_cc);
-    ("mc-uk", mc D.uk_mc);
-    ("mc-enwiki", mc D.enwiki_mc);
-    ("h2", fun scale -> E.Fig_dacapo.h2_experiment ~scale ());
-    ("tradebeans", fun scale -> E.Fig_dacapo.tradebeans_experiment ~scale ());
-  ]
-
 (* An [enum] over names only: Cmdliner prints defaults by comparing
    values, which functions do not support. *)
 let names xs = Arg.enum (List.map (fun (n, _) -> (n, n)) xs)
@@ -440,18 +414,18 @@ let graph_cmd =
   in
   workload_cmd "graph" ~doc:"JGraphT-style graph workloads (§4.5)"
     Term.(
-      const (fun algo dataset -> List.assoc (algo ^ "-" ^ dataset) experiments)
+      const (fun algo dataset -> List.assoc (algo ^ "-" ^ dataset) E.Named.experiments)
       $ algo $ dataset)
 
 let h2_cmd =
   workload_cmd "h2"
     ~doc:"In-memory-database workload (DaCapo h2 stand-in, §4.6)"
-    (Term.const (List.assoc "h2" experiments))
+    (Term.const (List.assoc "h2" E.Named.experiments))
 
 let tradebeans_cmd =
   workload_cmd "tradebeans"
     ~doc:"Trading-session workload (DaCapo tradebeans stand-in, §4.6)"
-    (Term.const (List.assoc "tradebeans" experiments))
+    (Term.const (List.assoc "tradebeans" E.Named.experiments))
 
 (* ------------------------------------------------------------------ *)
 (* specjbb                                                             *)
@@ -616,12 +590,12 @@ let profile_cmd =
   let exp_arg =
     let doc =
       Printf.sprintf "Experiment to profile: %s."
-        (String.concat ", " (List.map fst experiments))
+        (String.concat ", " (List.map fst E.Named.experiments))
     in
-    Arg.(value & opt (names experiments) "f4" & info [ "exp" ] ~docv:"NAME" ~doc)
+    Arg.(value & opt (names E.Named.experiments) "f4" & info [ "exp" ] ~docv:"NAME" ~doc)
   in
   let run config_id scale exp_name trace seed verify cache =
-    let exp = List.assoc exp_name experiments scale in
+    let exp = List.assoc exp_name E.Named.experiments scale in
     let trace_out = Option.value trace.out ~default:"trace.json" in
     Format.fprintf fmt "profiling %s under config %d (%s)%s@."
       exp.E.Runner.name config_id

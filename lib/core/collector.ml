@@ -123,6 +123,10 @@ type t = {
   (* Cycle cost of the most recent [load_ref] (see [last_cost] below);
      written instead of returned so the hot path never boxes a tuple. *)
   mutable last_cost : int;
+  (* Current address of the object the most recent [use_handle_page]
+     validated (after any relocation it forced), so callers reuse it
+     instead of reading the arena again. *)
+  mutable last_addr : int;
   (* Cumulative GC-thread and STW cycle totals.  [start_cycle]/[gc_work]/
      [drain] add here instead of returning per-call records (which boxed a
      two-field struct per pump); the VM tracks its own last-seen snapshot
@@ -178,6 +182,7 @@ let roots_list t =
   List.rev !acc
 
 let last_cost t = t.last_cost
+let last_addr t = t.last_addr
 
 let total_gc_work t = t.gc_work_total
 let total_stw_work t = t.stw_work_total
@@ -385,30 +390,40 @@ let rec resolve t ~who addr =
 (* Marking                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The raising halves of the inlined lookups below stay out of line, so
+   the message formatting is not copied into every caller. *)
+let unmapped_object t (obj : Heap_obj.t) addr =
+  raise
+    (Invalid_handle
+       (Printf.sprintf "object #%d at unmapped address 0x%x"
+          (Heap_obj.id t.objs obj) addr))
+
 (* The page at [addr], the address of [obj]. *)
-let page_at t (obj : Heap_obj.t) addr =
+let[@inline] page_at t (obj : Heap_obj.t) addr =
   match Heap.page_of_addr t.heap addr with
   | Some page -> page
-  | None ->
-      raise
-        (Invalid_handle
-           (Printf.sprintf "object #%d at unmapped address 0x%x"
-              (Heap_obj.id t.objs obj) addr))
+  | None -> unmapped_object t obj addr
 
-let page_of_obj t obj = page_at t obj (Heap_obj.addr t.objs obj)
+let[@inline] page_of_obj t obj = page_at t obj (Heap_obj.addr t.objs obj)
 
-(* Mark [obj] live on its (to-space) page; push for tracing when newly
-   marked.  Only meaningful during the marking phase. *)
-let mark_object t (obj : Heap_obj.t) =
-  let page = page_of_obj t obj in
+(* Mark [obj], at [addr] on [page] (a to-space page), live; push it for
+   tracing when newly marked.  Only meaningful during the marking
+   phase.  Inlined: during marking every handle use runs it, and almost
+   every one finds the object marked already. *)
+let[@inline] mark_on t (page : Page.t) (obj : Heap_obj.t) ~addr =
   assert (page.Page.state <> Page.In_ec);
-  if Page.mark_live page obj then begin
+  if Page.mark_live_at page obj ~addr then begin
     Gc_stats.on_mark t.stats;
     Vec.push t.mark_objs obj;
     Vec.push t.mark_from 0;
     Cost.mark_object
   end
   else 0
+
+(* [mark_on] for an object whose page is not in hand. *)
+let mark_object t (obj : Heap_obj.t) =
+  let addr = Heap_obj.addr t.objs obj in
+  mark_on t (page_at t obj addr) obj ~addr
 
 (* Promote a far-resident page back to DRAM.  Called only with
    [page.tier = Far], which implies a tier exists (demotion is the only
@@ -461,38 +476,44 @@ let page_of_root t (root : Heap_obj.t) =
   if not (Heap_obj.is_live t.objs root) then stale_handle root;
   page_of_obj t root
 
+(* The barrier's slow path: the mutator relocates [obj] off the in-EC
+   page [src], in access order, and carries on with the to-space page and
+   address [relocate] leaves in [t.bump_page]/[t.bump_addr].  Hotness is
+   recorded on barrier slow paths only (§3.1.2): a handle use flags the
+   object just when it forced relocation work — freshly allocated objects
+   reached through good-coloured pointers are never flagged, exactly as
+   in ZGC. *)
+let[@inline never] relocate_on_use t ~core (obj : Heap_obj.t) (src : Page.t) =
+  Gc_stats.on_barrier t.stats ~slow:true;
+  let cost = relocate t ~who:(Mutator core) obj src in
+  let page = t.bump_page and addr = t.bump_addr in
+  let cost = cost + flag_hot t ~page obj in
+  let cost =
+    if t.phase = Marking then cost + mark_on t page obj ~addr else cost
+  in
+  t.last_cost <-
+    (if page.Page.tier = Page.Far then cost + promote_page t page else cost);
+  t.last_addr <- addr;
+  page
+
+(* One validation (the generation compare in [live_addr]) and one page
+   lookup per handle use: every later step works on the page and address
+   in hand. *)
 let use_handle_page t ~core (obj : Heap_obj.t) =
   let addr = Heap_obj.live_addr t.objs obj in
   if addr < 0 then stale_handle obj;
   let page = page_at t obj addr in
-  let relocated = page.Page.state = Page.In_ec in
-  Gc_stats.on_barrier t.stats ~slow:relocated;
-  if relocated || t.phase = Marking then begin
-    (* Slow path: relocation work and/or marking may be charged. *)
-    let cost = ref 0 in
-    let page =
-      if relocated then begin
-        cost := !cost + relocate t ~who:(Mutator core) obj page;
-        page_of_obj t obj
-      end
-      else page
-    in
-    (* Hotness is recorded on barrier slow paths only (§3.1.2): a handle use
-       flags the object just when it forced relocation work — freshly
-       allocated objects reached through good-coloured pointers are never
-       flagged, exactly as in ZGC. *)
-    if relocated then cost := !cost + flag_hot t ~page obj;
-    if t.phase = Marking then cost := !cost + mark_object t obj;
-    if page.Page.tier = Page.Far then cost := !cost + promote_page t page;
-    t.last_cost <- !cost;
-    page
-  end
+  if page.Page.state = Page.In_ec then relocate_on_use t ~core obj page
   else begin
-    (* Fast path — the steady-state barrier: the handle is validated above;
-       charge nothing, allocate nothing.  The tier-bit compare is the only
-       tiering footprint here; it is always [Dram] when tiering is off. *)
+    (* The steady-state barrier charges nothing and allocates nothing;
+       during marking it marks the object on the page in hand.  The
+       tier-bit compare is the only tiering footprint here; it is always
+       [Dram] when tiering is off. *)
+    Gc_stats.on_barrier t.stats ~slow:false;
+    let cost = if t.phase = Marking then mark_on t page obj ~addr else 0 in
     t.last_cost <-
-      (if page.Page.tier = Page.Far then promote_page t page else 0);
+      (if page.Page.tier = Page.Far then cost + promote_page t page else cost);
+    t.last_addr <- addr;
     page
   end
 
@@ -500,15 +521,23 @@ let use_handle t ~core obj =
   ignore (use_handle_page t ~core obj : Page.t);
   t.last_cost
 
-let slot_addr t obj slot =
+let[@inline] slot_addr t obj slot =
   Heap_obj.ref_slot_addr ~layout:(layout t) t.objs obj slot
+
+let no_object addr =
+  raise
+    (Invalid_handle
+       (Printf.sprintf "good-coloured pointer 0x%x has no object" addr))
 
 let load_ref t ~core (src : Heap_obj.t) ~slot =
   (* The barrier moved [src] off any in-EC page; nothing below moves it
      again (a referent on an in-EC page is never [src] itself). *)
   let src_page = use_handle_page t ~core src in
   let c0 = t.last_cost in
-  let slot_addr = slot_addr t src slot in
+  let slot_addr =
+    Heap_obj.ref_slot_addr_at ~layout:(layout t) t.objs src ~addr:t.last_addr
+      slot
+  in
   let c1 = Machine.load t.machine ~core slot_addr in
   let ptr = Page.read src_page slot_addr in
   if Addr.is_null ptr then begin
@@ -520,21 +549,12 @@ let load_ref t ~core (src : Heap_obj.t) ~slot =
     (* Fast path: the good colour guarantees a current, to-space address.
        The only allocation left on this path is the [Some] return itself
        (the public API is option-shaped). *)
-    match Heap.page_of_addr t.heap (Addr.addr ptr) with
-    | None ->
-        raise
-          (Invalid_handle
-             (Printf.sprintf "good-coloured pointer 0x%x has no object"
-                (Addr.addr ptr)))
+    let addr = Addr.addr ptr in
+    match Heap.page_of_addr t.heap addr with
+    | None -> no_object addr
     | Some page ->
-        let obj =
-          Page.object_at page ~offset:(Addr.addr ptr - page.Page.start)
-        in
-        if obj == Heap_obj.none then
-          raise
-            (Invalid_handle
-               (Printf.sprintf "good-coloured pointer 0x%x has no object"
-                  (Addr.addr ptr)));
+        let obj = Page.object_at page ~offset:(addr - page.Page.start) in
+        if obj == Heap_obj.none then no_object addr;
         t.last_cost <- c0 + c1;
         Some obj
   end
@@ -555,7 +575,10 @@ let load_ref t ~core (src : Heap_obj.t) ~slot =
 let store_ref t ~core (src : Heap_obj.t) ~slot target =
   let src_page = use_handle_page t ~core src in
   let c0 = t.last_cost in
-  let slot_addr = slot_addr t src slot in
+  let slot_addr =
+    Heap_obj.ref_slot_addr_at ~layout:(layout t) t.objs src ~addr:t.last_addr
+      slot
+  in
   let c1 =
     match target with
     | None ->
@@ -565,8 +588,7 @@ let store_ref t ~core (src : Heap_obj.t) ~slot target =
         (* The handle barrier marks [obj] during marking, so a stored
            object cannot hide from the cycle in a slot already traced. *)
         let cu = use_handle t ~core obj in
-        Page.write src_page slot_addr
-          (Addr.make t.good (Heap_obj.addr t.objs obj));
+        Page.write src_page slot_addr (Addr.make t.good t.last_addr);
         cu
   in
   c0 + c1 + Machine.store t.machine ~core slot_addr
@@ -1126,6 +1148,7 @@ let create ?(sink = Gc_log.null_sink) ~heap ~machine ~config ~gc_core ~roots
       phase_hook = None;
       mark_watermark = 0;
       last_cost = 0;
+      last_addr = 0;
       gc_work_total = 0;
       stw_work_total = 0;
       acc_cost = 0;

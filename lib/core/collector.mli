@@ -173,6 +173,12 @@ val last_cost : t -> int
     successful {!alloc} call.  Read it immediately after the call — any
     later barrier overwrites it. *)
 
+val last_addr : t -> int
+(** Address of the object the most recent {!use_handle} or
+    {!use_handle_page} validated, where it sits after the call (a
+    relocation the barrier forced included).  Read it immediately after
+    the call, like {!last_cost}. *)
+
 val store_ref :
   t -> core:int -> Heap_obj.t -> slot:int -> Heap_obj.t option -> int
 (** [store_ref t ~core src ~slot target] writes [target] (or null) into

@@ -68,7 +68,7 @@ let on_mark t = t.marked <- t.marked + 1
 let on_hot_flag t = t.hot_flags <- t.hot_flags + 1
 let on_stw t = t.stw <- t.stw + 1
 
-let on_barrier t ~slow =
+let[@inline] on_barrier t ~slow =
   if slow then t.barrier_slow <- t.barrier_slow + 1
   else t.barrier_fast <- t.barrier_fast + 1
 

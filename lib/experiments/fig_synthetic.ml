@@ -60,22 +60,28 @@ let experiment ?(phases = 1) ?(cold_ratio = 0) ?(saturated = false)
         ignore (Synthetic.run vm { params with Synthetic.seed = run }));
   }
 
+let fig4_experiment ~scale = experiment ~scale ()
+let fig5_experiment ~scale = experiment ~phases:3 ~scale ()
+
+(* The tighter heap paces cycles frequently, so the 10x cold population is
+   re-evacuated repeatedly — the overhead Fig. 6 is about. *)
+let fig6_experiment ~scale =
+  experiment ~cold_ratio:10 ~saturated:true ~heap_mult:2 ~scale ()
+
 let fig4 ~runs ~scale =
   Report.plan ~title:"Fig. 4 — synthetic, single phase"
     ~expectation:
       "largest speedups for configs 4/10/16/18 (big EC + lazy), next 3/17, \
        some improvement 7/13, none for 2/5/8/11/14; large L1/LLC miss \
        reductions for improving configs; loads increase but are cache-served"
-    ~runs
-    (experiment ~scale ())
+    ~runs (fig4_experiment ~scale)
 
 let fig5 ~runs ~scale =
   Report.plan ~title:"Fig. 5 — synthetic, three phases"
     ~expectation:
       "same shape as Fig. 4: HCSGC adapts to phase changes (per-phase stable \
        access orders are re-captured after each change)"
-    ~runs
-    (experiment ~phases:3 ~scale ())
+    ~runs (fig5_experiment ~scale)
 
 let fig6 ~runs ~scale =
   Report.plan ~title:"Fig. 6 — ample relocation, saturated single core"
@@ -83,7 +89,4 @@ let fig6 ~runs ~scale =
       "large overhead for RELOCATEALLSMALLPAGES configs 3/4/17/18 (copying \
        the 10x cold population on the critical path); COLDCONFIDENCE configs \
        7/10/13/16 still improve"
-    ~runs
-    (* The tighter heap paces cycles frequently, so the 10x cold population
-       is re-evacuated repeatedly — the overhead Fig. 6 is about. *)
-    (experiment ~cold_ratio:10 ~saturated:true ~heap_mult:2 ~scale ())
+    ~runs (fig6_experiment ~scale)

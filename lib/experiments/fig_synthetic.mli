@@ -9,6 +9,13 @@
     configuration (the paper uses 30), workload size divided by
     [scale]. *)
 
+val fig4_experiment : scale:int -> Runner.experiment
+val fig5_experiment : scale:int -> Runner.experiment
+val fig6_experiment : scale:int -> Runner.experiment
+(** The one experiment each figure sweeps, for its plan below and for
+    [hcsgc-run profile --exp f4|f5|f6] ({!Named}), so a profiled job and
+    the figure's job at the same scale share a store key. *)
+
 val fig4 : runs:int -> scale:int -> Runner.plan
 
 val fig5 : runs:int -> scale:int -> Runner.plan

@@ -11,16 +11,16 @@ let color_mask = m0_bit lor m1_bit lor r_bit
 
 let null = 0
 
-let is_null p = p = 0
+let[@inline] is_null p = p = 0
 
-let bit_of = function M0 -> m0_bit | M1 -> m1_bit | R -> r_bit
+let[@inline] bit_of = function M0 -> m0_bit | M1 -> m1_bit | R -> r_bit
 
 let make c addr =
   if addr <= 0 || addr > addr_mask then
     invalid_arg "Addr.make: address out of range";
   addr lor bit_of c
 
-let addr p = p land addr_mask
+let[@inline] addr p = p land addr_mask
 
 let color p =
   match p land color_mask with
@@ -29,7 +29,7 @@ let color p =
   | b when b = r_bit -> R
   | _ -> invalid_arg "Addr.color: null or malformed pointer"
 
-let has_color c p = (not (is_null p)) && p land bit_of c <> 0
+let[@inline] has_color c p = (not (is_null p)) && p land bit_of c <> 0
 
 let retint c p = addr p lor bit_of c
 

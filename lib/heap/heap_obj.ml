@@ -182,19 +182,24 @@ let[@inline] live_addr a h =
   if h >= 0 && s < a.high && gen a s = h lsr slot_bits then get a s f_addr
   else -1
 
-let ref_slot_addr ~layout a h i =
+let[@inline] ref_slot_addr_at ~layout a h ~addr i =
   let s = checked a h in
   if i < 0 || i >= get a s f_counts land low_mask then
     invalid_arg "Heap_obj.ref_slot_addr: slot out of range";
-  get a s f_addr + layout.Layout.header_bytes + (i * layout.Layout.word_bytes)
+  addr + layout.Layout.header_bytes + (i * layout.Layout.word_bytes)
 
-let payload_addr ~layout a h i =
-  let s = checked a h in
-  let counts = get a s f_counts in
+let[@inline] payload_addr_at ~layout a h ~addr i =
+  let counts = get a (checked a h) f_counts in
   if i < 0 || i >= counts lsr low_bits then
     invalid_arg "Heap_obj.payload_addr: word out of range";
-  get a s f_addr + layout.Layout.header_bytes
+  addr + layout.Layout.header_bytes
   + (((counts land low_mask) + i) * layout.Layout.word_bytes)
+
+let[@inline] ref_slot_addr ~layout a h i =
+  ref_slot_addr_at ~layout a h ~addr:(addr a h) i
+
+let[@inline] payload_addr ~layout a h i =
+  payload_addr_at ~layout a h ~addr:(addr a h) i
 
 (* ---- page resources ---------------------------------------------- *)
 

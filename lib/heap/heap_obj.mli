@@ -124,6 +124,14 @@ val payload_addr : layout:Layout.t -> arena -> t -> int -> int
 (** Byte address of payload word [i].
     @raise Invalid_argument if out of range. *)
 
+val ref_slot_addr_at : layout:Layout.t -> arena -> t -> addr:int -> int -> int
+(** {!ref_slot_addr} for an object the caller has just validated at
+    [addr] (its {!live_addr}), without reading the address again.  The
+    slot range check stays. *)
+
+val payload_addr_at : layout:Layout.t -> arena -> t -> addr:int -> int -> int
+(** {!payload_addr} likewise. *)
+
 (** {2 Page resources}
 
     Word storage and object-index buffers outlive the pages that use them:

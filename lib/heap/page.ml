@@ -216,7 +216,7 @@ let remove_object t obj =
 
 (* A negative offset shifts to a huge entry number, so the one compare
    rejects it too. *)
-let object_at t ~offset =
+let[@inline] object_at t ~offset =
   let i = offset lsr t.entry_shift in
   if i >= t.entries then Heap_obj.none
   else
@@ -270,10 +270,10 @@ let[@inline] read t addr =
 let[@inline] write t addr v =
   Heap_obj.word_set t.words (word_index t addr) v
 
-let get_ref t obj i =
+let[@inline] get_ref t obj i =
   read t (Heap_obj.ref_slot_addr ~layout:t.layout t.arena obj i)
 
-let set_ref t obj i p =
+let[@inline] set_ref t obj i p =
   write t (Heap_obj.ref_slot_addr ~layout:t.layout t.arena obj i) p
 
 (* A page takes its word storage on its first write: one with only
@@ -346,8 +346,10 @@ let free_bytes t = t.size - t.top
 
 let used_bytes t = t.top
 
-(* Bit index of an object: its word offset within the page. *)
-let bit_of t obj = (Heap_obj.addr t.arena obj - t.start) / 8
+(* Bit index of the object at [addr]: its word offset within the page. *)
+let[@inline] bit_at t addr = (addr - t.start) / 8
+
+let[@inline] bit_of t obj = bit_at t (Heap_obj.addr t.arena obj)
 
 let reset_mark_state t =
   Bitmap.reset t.livemap;
@@ -360,15 +362,16 @@ let reset_mark_state t =
   Bitmap.reset prev;
   t.hot_cur <- prev
 
-let mark_live t obj =
-  let bit = bit_of t obj in
-  if Bitmap.get t.livemap bit then false
+let[@inline] mark_live_at t obj ~addr =
+  if Bitmap.test_and_set t.livemap (bit_at t addr) then false
   else begin
-    Bitmap.set t.livemap bit;
     t.live_bytes <- t.live_bytes + Heap_obj.size t.arena obj;
     t.live_objects <- t.live_objects + 1;
     true
   end
+
+let[@inline] mark_live t obj =
+  mark_live_at t obj ~addr:(Heap_obj.addr t.arena obj)
 
 let is_marked_live t obj = Bitmap.get t.livemap (bit_of t obj)
 
@@ -379,7 +382,7 @@ let iter_live t f =
 
 let live_ratio t = float_of_int t.live_bytes /. float_of_int t.size
 
-let flag_hot t obj =
+let[@inline] flag_hot t obj =
   let already = Bitmap.test_and_set t.hot_cur (bit_of t obj) in
   if not already then t.hot_bytes <- t.hot_bytes + Heap_obj.size t.arena obj;
   not already

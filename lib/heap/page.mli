@@ -187,6 +187,10 @@ val mark_live : t -> Heap_obj.t -> bool
 (** Set the livemap bit for the object; accumulate live bytes/objects on
     first marking.  Returns [true] if this call marked it (it was unmarked). *)
 
+val mark_live_at : t -> Heap_obj.t -> addr:int -> bool
+(** {!mark_live} for an object the caller knows sits at [addr] (a barrier
+    that has just read and validated it), without reading it again. *)
+
 val is_marked_live : t -> Heap_obj.t -> bool
 
 val iter_live : t -> (Heap_obj.t -> unit) -> unit

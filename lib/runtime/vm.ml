@@ -120,7 +120,7 @@ let create ?layout ?machine_config ?(saturated = false) ?(trigger = 0.25)
     next_sample = 0;
   }
 
-let check_m t m =
+let[@inline] check_m t m =
   if m < 0 || m >= t.mutators then invalid_arg "Vm: mutator index out of range"
 
 (* Wall time follows the slowest mutator thread; pauses (and, on a
@@ -224,7 +224,9 @@ let pump t =
   autotune_step t;
   maybe_sample t
 
-let charge ?(m = 0) t cost =
+(* [~m] is not optional: an optional argument compiles to a wrapper that
+   calls the body out of line on every op. *)
+let charge t ~m cost =
   t.mut_clock.(m) <- t.mut_clock.(m) + cost + Cost.op_base;
   t.credit <- t.credit + cost + Cost.op_base;
   t.op_count <- t.op_count + 1;
@@ -255,7 +257,7 @@ let rec alloc_stalled t ~m ~nrefs ~nwords started_extra_cycle =
     absorb_as_stall t;
     let obj = Collector.alloc t.collector ~core:m ~nrefs ~nwords in
     if obj != Heap_obj.none then begin
-      charge ~m t (Collector.last_cost t.collector);
+      charge t ~m (Collector.last_cost t.collector);
       obj
     end
     else alloc_stalled t ~m ~nrefs ~nwords started_extra_cycle
@@ -273,7 +275,7 @@ let alloc ?(m = 0) t ~nrefs ~nwords =
   check_m t m;
   let obj = Collector.alloc t.collector ~core:m ~nrefs ~nwords in
   if obj != Heap_obj.none then begin
-    charge ~m t (Collector.last_cost t.collector);
+    charge t ~m (Collector.last_cost t.collector);
     obj
   end
   else alloc_stalled t ~m ~nrefs ~nwords false
@@ -281,47 +283,52 @@ let alloc ?(m = 0) t ~nrefs ~nwords =
 let load_ref ?(m = 0) t obj slot =
   check_m t m;
   let target = Collector.load_ref t.collector ~core:m obj ~slot in
-  charge ~m t (Collector.last_cost t.collector);
+  charge t ~m (Collector.last_cost t.collector);
   target
 
 let store_ref ?(m = 0) t obj slot target =
   check_m t m;
   let cost = Collector.store_ref t.collector ~core:m obj ~slot target in
-  charge ~m t cost
+  charge t ~m cost
 
 let layout t = Heap.layout t.heap
 
+(* The word accessors address the payload from the object address the
+   barrier has just validated ([Collector.last_addr]). *)
 let load_word ?(m = 0) t obj i =
   check_m t m;
   let page = Collector.use_handle_page t.collector ~core:m obj in
   let addr =
-    Heap_obj.payload_addr ~layout:(layout t) (Heap.objects t.heap) obj i
+    Heap_obj.payload_addr_at ~layout:(layout t) (Heap.objects t.heap) obj
+      ~addr:(Collector.last_addr t.collector) i
   in
   let cost =
     Collector.last_cost t.collector + Machine.load t.machine ~core:m addr
   in
   let v = Page.get_word_at page obj addr in
-  charge ~m t cost;
+  charge t ~m cost;
   v
 
 let store_word ?(m = 0) t obj i v =
   check_m t m;
   let page = Collector.use_handle_page t.collector ~core:m obj in
   let addr =
-    Heap_obj.payload_addr ~layout:(layout t) (Heap.objects t.heap) obj i
+    Heap_obj.payload_addr_at ~layout:(layout t) (Heap.objects t.heap) obj
+      ~addr:(Collector.last_addr t.collector) i
   in
   let cost =
     Collector.last_cost t.collector + Machine.store t.machine ~core:m addr
   in
   Page.set_word_at page obj addr v;
-  charge ~m t cost
+  charge t ~m cost
 
 let touch ?(m = 0) t obj =
   check_m t m;
   let cost = Collector.use_handle t.collector ~core:m obj in
-  let addr = Heap_obj.addr (Heap.objects t.heap) obj in
-  let cost = cost + Machine.load t.machine ~core:m addr in
-  charge ~m t cost
+  let cost =
+    cost + Machine.load t.machine ~core:m (Collector.last_addr t.collector)
+  in
+  charge t ~m cost
 
 let work ?(m = 0) t n =
   check_m t m;

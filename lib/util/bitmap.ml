@@ -6,14 +6,14 @@ let create n =
 
 let length t = t.length
 
-let check t i =
+let[@inline] check t i =
   if i < 0 || i >= t.length then invalid_arg "Bitmap: index out of range"
 
-let get t i =
+let[@inline] get t i =
   check t i;
   Char.code (Bytes.unsafe_get t.bits (i lsr 3)) land (1 lsl (i land 7)) <> 0
 
-let set t i =
+let[@inline] set t i =
   check t i;
   let byte = i lsr 3 in
   let v = Char.code (Bytes.unsafe_get t.bits byte) lor (1 lsl (i land 7)) in
@@ -25,10 +25,16 @@ let clear t i =
   let v = Char.code (Bytes.unsafe_get t.bits byte) land lnot (1 lsl (i land 7)) in
   Bytes.unsafe_set t.bits byte (Char.unsafe_chr v)
 
-let test_and_set t i =
-  let was = get t i in
-  if not was then set t i;
-  was
+(* One range check for the read and the write. *)
+let[@inline] test_and_set t i =
+  check t i;
+  let byte = i lsr 3 and mask = 1 lsl (i land 7) in
+  let v = Char.code (Bytes.unsafe_get t.bits byte) in
+  if v land mask <> 0 then true
+  else begin
+    Bytes.unsafe_set t.bits byte (Char.unsafe_chr (v lor mask));
+    false
+  end
 
 let reset t = Bytes.fill t.bits 0 (Bytes.length t.bits) '\000'
 

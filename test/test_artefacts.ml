@@ -11,6 +11,7 @@ module Runner = Hcsgc_experiments.Runner
 module Ablations = Hcsgc_experiments.Ablations
 module Fig_specjbb = Hcsgc_experiments.Fig_specjbb
 module Fig_synthetic = Hcsgc_experiments.Fig_synthetic
+module Named = Hcsgc_experiments.Named
 module Result_store = Hcsgc_store.Result_store
 module Fingerprint = Hcsgc_store.Fingerprint
 module Specjbb = Hcsgc_workloads.Specjbb_sim
@@ -323,15 +324,40 @@ let figure_keys_pinned () =
   let key e = e.Runner.key in
   check Alcotest.string "f4"
     "synthetic;el=50000;apl=20000;phases=1;loops=20;cold=0;sat=false;heap=12000000"
-    (key (Fig_synthetic.experiment ~scale:2 ()));
+    (key (Fig_synthetic.fig4_experiment ~scale:2));
   check Alcotest.string "f5"
     "synthetic;el=50000;apl=20000;phases=3;loops=36;cold=0;sat=false;heap=12000000"
-    (key (Fig_synthetic.experiment ~phases:3 ~scale:2 ()));
+    (key (Fig_synthetic.fig5_experiment ~scale:2));
   check Alcotest.string "f6"
     "synthetic;el=25000;apl=10000;phases=1;loops=20;cold=250000;sat=true;heap=26400000"
-    (key
-       (Fig_synthetic.experiment ~cold_ratio:10 ~saturated:true ~heap_mult:2
-          ~scale:4 ()))
+    (key (Fig_synthetic.fig6_experiment ~scale:4))
+
+(* [profile --exp f4|f5|f6] profiles the figure's own job: its
+   experiment key is the key of every task the figure's plan runs. *)
+let profile_exp_is_figure_job () =
+  List.iter
+    (fun (id, plan) ->
+      List.iter
+        (fun scale ->
+          let key = (List.assoc id Named.experiments scale).Runner.key in
+          match plan ~runs:2 ~scale with
+          | Runner.Plan { tasks; _ } ->
+              check Alcotest.int
+                (Printf.sprintf "%s at scale %d: one task per config and run"
+                   id scale)
+                (2 * Config.id_count) (Array.length tasks);
+              Array.iter
+                (fun (t : _ Runner.task) ->
+                  check Alcotest.string
+                    (Printf.sprintf "%s at scale %d" id scale)
+                    key t.Runner.experiment)
+                tasks)
+        [ 2; 4; 16 ])
+    [
+      ("f4", Fig_synthetic.fig4);
+      ("f5", Fig_synthetic.fig5);
+      ("f6", Fig_synthetic.fig6);
+    ]
 
 let suite =
   [
@@ -360,5 +386,7 @@ let suite =
       [
         case "ablation fingerprints" `Quick ablation_fingerprints;
         case "figure keys pinned" `Quick figure_keys_pinned;
+        case "profile --exp is the figure's job" `Quick
+          profile_exp_is_figure_job;
       ] );
   ]

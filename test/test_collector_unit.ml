@@ -11,6 +11,8 @@ module Layout = Hcsgc_heap.Layout
 module Heap = Hcsgc_heap.Heap
 module Addr = Hcsgc_heap.Addr
 module Heap_obj = Hcsgc_heap.Heap_obj
+module Page = Hcsgc_heap.Page
+module Bitmap = Hcsgc_util.Bitmap
 module Invariants = Hcsgc_verify.Invariants
 
 let check = Alcotest.check
@@ -215,6 +217,9 @@ let stale_handle_after_slot_reuse () =
   check Alcotest.bool "under a new handle" true (heir != doomed);
   Vm.add_root vm heir;
   Vm.store_word vm heir 0 7;
+  let holder = Vm.alloc vm ~nrefs:1 ~nwords:0 in
+  Vm.add_root vm holder;
+  Vm.store_ref vm holder 0 (Some heir);
   let raises f =
     match f () with
     | () -> false
@@ -226,8 +231,54 @@ let stale_handle_after_slot_reuse () =
     (raises (fun () -> Vm.store_word vm doomed 0 99));
   check Alcotest.bool "ref load through the stale handle raises" true
     (raises (fun () -> ignore (Vm.load_ref vm doomed 0)));
+  check Alcotest.bool "touch through the stale handle raises" true
+    (raises (fun () -> Vm.touch vm doomed));
+  check Alcotest.bool "ref store into the stale handle raises" true
+    (raises (fun () -> Vm.store_ref vm doomed 0 (Some heir)));
+  check Alcotest.bool "ref store of the stale handle raises" true
+    (raises (fun () -> Vm.store_ref vm holder 0 (Some doomed)));
+  check Alcotest.bool "the failed store left the slot alone" true
+    (Vm.load_ref vm holder 0 = Some heir);
   check Alcotest.int "the slot's new object is untouched" 7
     (Vm.load_word vm heir 0)
+
+(* The range checks hold at the VM entry points too, not only on
+   [Heap_obj]/[Page]: one past the end and -1 raise [Invalid_argument],
+   for reference slots and payload words alike. *)
+let vm_range_checks () =
+  let vm = mk_vm () in
+  let obj = Vm.alloc vm ~nrefs:2 ~nwords:3 in
+  Vm.add_root vm obj;
+  let target = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+  Vm.add_root vm target;
+  let rejects what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun slot ->
+      rejects (Printf.sprintf "load_ref slot %d" slot) (fun () ->
+          ignore (Vm.load_ref vm obj slot));
+      rejects (Printf.sprintf "store_ref slot %d" slot) (fun () ->
+          Vm.store_ref vm obj slot (Some target));
+      rejects (Printf.sprintf "store_ref null into slot %d" slot) (fun () ->
+          Vm.store_ref vm obj slot None))
+    [ 2; -1 ];
+  List.iter
+    (fun word ->
+      rejects (Printf.sprintf "load_word word %d" word) (fun () ->
+          ignore (Vm.load_word vm obj word));
+      rejects (Printf.sprintf "store_word word %d" word) (fun () ->
+          Vm.store_word vm obj word 5))
+    [ 3; -1 ];
+  (* The last slot and word in range still work. *)
+  Vm.store_ref vm obj 1 (Some target);
+  Vm.store_word vm obj 2 9;
+  check Alcotest.bool "last slot" true (Vm.load_ref vm obj 1 = Some target);
+  check Alcotest.int "last word" 9 (Vm.load_word vm obj 2);
+  check Alcotest.bool "first slot still null" true (Vm.load_ref vm obj 0 = None);
+  check Alcotest.int "first word still zero" 0 (Vm.load_word vm obj 0)
 
 (* ------------------------------------------------------------------ *)
 (* Barrier behaviour                                                   *)
@@ -261,6 +312,76 @@ let store_during_marking_keeps_target () =
   | Some o -> check Alcotest.int "stored object survives" 42 (Vm.load_word vm o 0)
   | None -> Alcotest.fail "stored reference lost"
 
+(* The page [obj] sits on now. *)
+let page_of vm obj =
+  let heap = Vm.heap vm in
+  match Heap.page_of_addr heap (Heap_obj.addr (Heap.objects heap) obj) with
+  | Some page -> page
+  | None -> Alcotest.fail "object on no page"
+
+(* Most handle uses inside a cycle window take the barrier's marking
+   branch.  A use during marking on an object whose page is [In_ec]
+   relocates it first, and must mark it on its to-space page: the page it
+   left keeps the livemap snapshot that drives that page's evacuation.
+   LAZYRELOCATE (config 8, with HOTNESS) defers a cycle's evacuation set
+   to the next cycle, so its pages are still [In_ec] when the next STW1
+   hands over to marking.  [obj] is held only in an OCaml variable, so no
+   root marks or moves it before the handle use. *)
+let marking_barrier_on_ec_page () =
+  let vm = mk_vm ~config:(Config.of_id 8) () in
+  let col = Vm.collector vm in
+  let obj = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+  Vm.store_word vm obj 0 42;
+  let from = page_of vm obj in
+  (* Fill [from] so it stops being the allocation target. *)
+  while page_of vm (Vm.alloc vm ~nrefs:0 ~nwords:12) == from do
+    ()
+  done;
+  check Alcotest.bool "no cycle yet" false (Collector.in_cycle col);
+  Collector.start_cycle col;
+  Collector.gc_work col ~budget:max_int;
+  check Alcotest.bool "lazy cycle ended at STW3" false (Collector.in_cycle col);
+  check Alcotest.bool "page deferred in the EC" true
+    (from.Page.state = Page.In_ec);
+  let old_bit =
+    (Heap_obj.addr (Heap.objects (Vm.heap vm)) obj - from.Page.start) / 8
+  in
+  check Alcotest.bool "unmarked on its page" false
+    (Bitmap.get from.Page.livemap old_bit);
+  Collector.start_cycle col;
+  check Alcotest.bool "marking" true (Collector.phase col = Collector.Marking);
+  check Alcotest.bool "page still in the EC" true
+    (from.Page.state = Page.In_ec);
+  let marked = Gc_stats.objects_marked (Vm.gc_stats vm) in
+  check Alcotest.int "load through the barrier" 42 (Vm.load_word vm obj 0);
+  let dest = page_of vm obj in
+  check Alcotest.bool "relocated off the EC page" true (dest != from);
+  check Alcotest.bool "to-space page" true (dest.Page.state = Page.Active);
+  check Alcotest.bool "marked on its to-space page" true
+    (Page.is_marked_live dest obj);
+  check Alcotest.bool "hot on its to-space page" true (Page.is_hot dest obj);
+  check Alcotest.bool "old page's livemap bit still clear" false
+    (Bitmap.get from.Page.livemap old_bit);
+  check Alcotest.int "marked once" (marked + 1)
+    (Gc_stats.objects_marked (Vm.gc_stats vm))
+
+(* The marking branch on an object that stays put: the use marks it on
+   the page in hand, once. *)
+let marking_barrier_in_place () =
+  let vm = mk_vm () in
+  let col = Vm.collector vm in
+  let obj = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+  Collector.start_cycle col;
+  let page = page_of vm obj in
+  check Alcotest.bool "unmarked at STW1" false (Page.is_marked_live page obj);
+  let marked = Gc_stats.objects_marked (Vm.gc_stats vm) in
+  Vm.touch vm obj;
+  check Alcotest.bool "not moved" true (page_of vm obj == page);
+  check Alcotest.bool "marked on its page" true (Page.is_marked_live page obj);
+  Vm.store_word vm obj 0 1;
+  ignore (Vm.load_word vm obj 0);
+  check Alcotest.int "marked once over three uses" (marked + 1)
+    (Gc_stats.objects_marked (Vm.gc_stats vm))
 
 let self_healing_makes_loads_cheap () =
   (* After a colour flip, the first load of a slot takes the slow path; the
@@ -364,8 +485,11 @@ let suite =
         case "stale handle detected" `Quick stale_handle_detected;
         case "stale handle after slot reuse" `Quick
           stale_handle_after_slot_reuse;
+        case "vm range checks" `Quick vm_range_checks;
         case "store during marking keeps target" `Quick
           store_during_marking_keeps_target;
+        case "marking barrier on an EC page" `Quick marking_barrier_on_ec_page;
+        case "marking barrier in place" `Quick marking_barrier_in_place;
         case "self-healing cheapens loads" `Quick self_healing_makes_loads_cheap;
         case "relocate-all enlarges EC" `Quick ec_median_tracks_relocate_all;
         case "verifier clean after churn" `Slow verify_clean_after_churn;

@@ -148,6 +148,17 @@ let median_words_per_op ~windows ~ops kernel =
   Array.sort Float.compare per_window;
   per_window.(windows / 2)
 
+(* The op mix of the load/store fences: alternating payload loads and
+   stores over [objs], each followed by a touch. *)
+let load_store_touch vm objs ops =
+  let n = Array.length objs in
+  for i = 0 to ops - 1 do
+    let o = Array.unsafe_get objs (i mod n) in
+    if i land 1 = 0 then ignore (Vm.load_word vm o (i land 3) : int)
+    else Vm.store_word vm o (i land 3) i;
+    Vm.touch vm o
+  done
+
 let steady_state_allocation_free () =
   let vm =
     Vm.create
@@ -167,14 +178,7 @@ let steady_state_allocation_free () =
   (* Drain any in-flight GC cycle; nothing below allocates simulated
      memory, so no new cycle can start mid-measurement. *)
   Vm.full_gc vm;
-  let kernel ops =
-    for i = 0 to ops - 1 do
-      let o = Array.unsafe_get objs (i mod n) in
-      if i land 1 = 0 then ignore (Vm.load_word vm o (i land 3) : int)
-      else Vm.store_word vm o (i land 3) i;
-      Vm.touch vm o
-    done
-  in
+  let kernel = load_store_touch vm objs in
   kernel 100_000;
   (* warm *)
   let words_per_op = median_words_per_op ~windows:10 ~ops:10_000 kernel in
@@ -188,6 +192,36 @@ let steady_state_allocation_free () =
      and fails this loudly. *)
   if words_per_op >= 0.05 then
     Alcotest.failf "steady-state ops allocate: %.4f words/op" words_per_op
+
+(* Inside a cycle window every handle use takes the barrier's marking
+   branch, and on an object that is marked already it must allocate
+   nothing either.  The GC runs as the ops pump it, so a rooted array of
+   256k null references (2 MiB) gives it enough tracing to stay in
+   marking for the whole measurement — which is checked, not assumed. *)
+let marking_allocation_free () =
+  let vm =
+    Vm.create
+      ~layout:(Layout.scaled ~small_page:(16 * 1024))
+      ~config:Config.zgc
+      ~max_heap:(16 * 1024 * 1024)
+      ()
+  in
+  let n = 64 in
+  let objs = Array.init n (fun _ -> Vm.alloc vm ~nrefs:2 ~nwords:6) in
+  Array.iter (fun o -> Vm.add_root vm o) objs;
+  Array.iter (fun o -> Vm.store_word vm o 0 1) objs;
+  Vm.add_root vm (Vm.alloc vm ~nrefs:(256 * 1024) ~nwords:0);
+  Vm.full_gc vm;
+  let col = Vm.collector vm in
+  (* STW1 marks every root, so each op below finds its object marked. *)
+  Collector.start_cycle col;
+  let kernel = load_store_touch vm objs in
+  kernel 10_000;
+  let words_per_op = median_words_per_op ~windows:10 ~ops:2_000 kernel in
+  check Alcotest.bool "the cycle is still marking" true
+    (Collector.phase col = Collector.Marking);
+  if words_per_op >= 0.05 then
+    Alcotest.failf "marking-phase ops allocate: %.4f words/op" words_per_op
 
 let load_ref_allocation_bounded () =
   let vm =
@@ -699,5 +733,7 @@ let suite =
         QCheck_alcotest.to_alcotest prop_machine_matches_reference;
         case "machine: 3 cores, prefetch, dTLB and far tier allocate 0 words/op"
           `Quick machine_allocation_free;
+        case "vm: load/store/touch during marking allocate 0 words/op" `Quick
+          marking_allocation_free;
       ] );
   ]

@@ -11,7 +11,7 @@ let case = Alcotest.test_case
 (* One tiny round of each kernel (a hundredth of its per-round work): a
    broken kernel fails here, not only in the release bench job. *)
 let every_kernel_runs () =
-  check Alcotest.int "kernels" 15 (List.length Kernels.kernels);
+  check Alcotest.int "kernels" 16 (List.length Kernels.kernels);
   List.iter
     (fun (k : Kernels.t) ->
       let s = k.start ~div:100 in
