@@ -8,7 +8,6 @@ module Alloc_region = Hcsgc_heap.Alloc_region
 module Machine = Hcsgc_memsim.Machine
 module Tier = Hcsgc_memsim.Tier
 module Vec = Hcsgc_util.Vec
-module Int_tbl = Hcsgc_util.Int_tbl
 module Bitmap = Hcsgc_util.Bitmap
 
 type phase = Idle | Marking | Relocating
@@ -84,12 +83,9 @@ type t = {
   pending_ec : Page.t Vec.t;  (* LAZYRELOCATE: EC deferred to next cycle *)
   (* Freed pages whose forwarding tables are still live, as parallel
      queues ([retire_cycles.(i)] is the cycle [retire_pages.(i)] was
-     freed in), plus a flat granule -> queue-index map for stale-pointer
-     resolution.  [fwd_index] is rebuilt from the compacted queue at each
-     retirement sweep; granule ranges in the queue are disjoint (a range
-     is only recycled at retirement, so it cannot be re-freed while
-     queued), making the rebuild order-insensitive. *)
-  fwd_index : Int_tbl.t;
+     freed in).  Their ranges stay mapped to them in the page table until
+     retirement recycles them, so stale pointers resolve through the same
+     lookup as live ones. *)
   retire_cycles : int Vec.t;
   retire_pages : Page.t Vec.t;
   (* Bump targets.  Mutator allocation and relocation pages are per core
@@ -192,22 +188,6 @@ let mark_watermark t = t.mark_watermark
 let iter_stale_fwd_pages t f =
   (* The retire queue holds each freed-but-unretired page exactly once. *)
   Vec.iter f t.retire_pages
-
-let iter_stale_fwd_index t f =
-  Int_tbl.iter t.fwd_index (fun granule idx ->
-      f granule
-        (if idx >= 0 && idx < Vec.length t.retire_pages then
-           Some (Vec.get t.retire_pages idx)
-         else None))
-
-let stale_fwd_page_at t ~addr =
-  match
-    Int_tbl.get t.fwd_index
-      ~key:(addr / Layout.granule (layout t))
-      ~default:(-1)
-  with
-  | -1 -> None
-  | idx -> Some (Vec.get t.retire_pages idx)
 
 let who_core t who = match who with Mutator c -> c | Gc -> t.gc_core
 
@@ -347,44 +327,34 @@ let relocate t ~who (obj : Heap_obj.t) (src : Page.t) =
    object at its current location.  Accumulates cost in [t.acc_cost]
    (callers own the accumulator around the call). *)
 let rec resolve t ~who addr =
-  let granule = addr / Layout.granule (layout t) in
-  match Int_tbl.get t.fwd_index ~key:granule ~default:(-1) with
-  | -1 -> (
-      match Heap.page_of_addr t.heap addr with
-      | None ->
-          raise
-            (Invalid_handle (Printf.sprintf "pointer 0x%x maps to no page" addr))
-      | Some page -> (
-          let offset = addr - page.Page.start in
-          let obj = Page.object_at page ~offset in
-          if obj != Heap_obj.none then begin
-            if page.Page.state = Page.In_ec then
-              t.acc_cost <- t.acc_cost + relocate t ~who obj page;
-            obj
-          end
-          else begin
-            (* Relocated out of an in-EC page: follow its forwarding. *)
-            t.acc_cost <- t.acc_cost + Cost.fwd_lookup;
-            match Fwd_table.get page.Page.fwd ~offset with
-            | -1 ->
-                raise
-                  (Invalid_handle
-                     (Printf.sprintf "no object at 0x%x on page #%d" addr
-                        page.Page.id))
-            | new_addr -> resolve t ~who new_addr
-          end))
-  | idx -> (
-      let old_page = Vec.unsafe_get t.retire_pages idx in
-      t.acc_cost <- t.acc_cost + Cost.fwd_lookup;
-      let offset = addr - old_page.Page.start in
-      match Fwd_table.get old_page.Page.fwd ~offset with
-      | -1 ->
-          raise
-            (Invalid_handle
-               (Printf.sprintf
-                  "stale pointer 0x%x into freed page #%d with no forwarding"
-                  addr old_page.Page.id))
-      | new_addr -> resolve t ~who new_addr)
+  match Heap.page_of_addr t.heap addr with
+  | None ->
+      raise (Invalid_handle (Printf.sprintf "pointer 0x%x maps to no page" addr))
+  | Some page -> (
+      let offset = addr - page.Page.start in
+      let obj = Page.object_at page ~offset in
+      if obj != Heap_obj.none then begin
+        if page.Page.state = Page.In_ec then
+          t.acc_cost <- t.acc_cost + relocate t ~who obj page;
+        obj
+      end
+      else begin
+        (* Relocated out of an in-EC or freed page: follow its forwarding. *)
+        t.acc_cost <- t.acc_cost + Cost.fwd_lookup;
+        match Fwd_table.get page.Page.fwd ~offset with
+        | -1 ->
+            raise
+              (Invalid_handle
+                 (if page.Page.state = Page.Freed then
+                    Printf.sprintf
+                      "stale pointer 0x%x into freed page #%d with no \
+                       forwarding"
+                      addr page.Page.id
+                  else
+                    Printf.sprintf "no object at 0x%x on page #%d" addr
+                      page.Page.id))
+        | new_addr -> resolve t ~who new_addr
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Marking                                                             *)
@@ -822,9 +792,7 @@ let demote_cold_pages t tier =
 
 (* Retire forwarding tables installed before this cycle: marking has
    remapped every live pointer into them, so their address ranges can be
-   recycled.  The queue is compacted in place and the granule index
-   rebuilt from the survivors (their granule ranges are disjoint — see
-   the [fwd_index] field note — so rebuild order is immaterial). *)
+   recycled.  The queue is compacted in place. *)
 let rec retire_compact t i j =
   if i >= Vec.length t.retire_cycles then j
   else begin
@@ -841,22 +809,20 @@ let rec retire_compact t i j =
     end
   end
 
-let index_fwd_granules t (page : Page.t) idx =
-  let granule_bytes = Layout.granule (layout t) in
-  let first = page.Page.start / granule_bytes in
-  let last = (page.Page.start + page.Page.size - 1) / granule_bytes in
-  for g = first to last do
-    Int_tbl.set t.fwd_index ~key:g ~value:idx
-  done
-
 let retire_fwd_tables t =
   let kept = retire_compact t 0 0 in
   Vec.truncate t.retire_cycles kept;
-  Vec.truncate t.retire_pages kept;
-  Int_tbl.clear t.fwd_index;
-  for idx = 0 to kept - 1 do
-    index_fwd_granules t (Vec.unsafe_get t.retire_pages idx) idx
-  done
+  Vec.truncate t.retire_pages kept
+
+let end_cycle t =
+  t.phase <- Idle;
+  if not (Gc_log.is_null t.sink) then
+    t.sink
+      (Gc_log.Cycle_end
+         { cycle = t.cycle_no; wall = t.wall_hint;
+           heap_used = Heap.used_bytes t.heap });
+  sample_heap t;
+  at_edge t Cycle_done
 
 (* STW2 + EC selection + STW3, performed when marking has drained. *)
 let finish_mark t =
@@ -917,14 +883,7 @@ let finish_mark t =
             { cycle = t.cycle_no; pages = Vec.length t.ec_scratch;
               wall = t.wall_hint });
      at_edge t Stw3_done;
-     t.phase <- Idle;
-     if not (Gc_log.is_null t.sink) then
-       t.sink
-         (Gc_log.Cycle_end
-            { cycle = t.cycle_no; wall = t.wall_hint;
-              heap_used = Heap.used_bytes t.heap });
-     sample_heap t;
-     at_edge t Cycle_done
+     end_cycle t
    end
    else begin
      for i = 0 to Vec.length t.ec_scratch - 1 do
@@ -948,7 +907,6 @@ let release_page t (page : Page.t) =
   Heap.free_page t.heap page;
   Vec.push t.retire_cycles t.cycle_no;
   Vec.push t.retire_pages page;
-  index_fwd_granules t page (Vec.length t.retire_pages - 1);
   Gc_stats.on_page_freed t.stats
 
 (* Fill the victim arena with the live objects of [page], in livemap
@@ -994,16 +952,6 @@ let relo_step t =
       relocate t ~who:Gc obj t.relo_page
     else Cost.fwd_lookup
   end
-
-let end_cycle t =
-  t.phase <- Idle;
-  if not (Gc_log.is_null t.sink) then
-    t.sink
-      (Gc_log.Cycle_end
-         { cycle = t.cycle_no; wall = t.wall_hint;
-           heap_used = Heap.used_bytes t.heap });
-  sample_heap t;
-  at_edge t Cycle_done
 
 (* The budgeted GC-work loop, as a tail recursion over the accumulated
    concurrent cost (a [while] with refs would allocate the refs per
@@ -1131,7 +1079,6 @@ let create ?(sink = Gc_log.null_sink) ~heap ~machine ~config ~gc_core ~roots
       relo_victims = Vec.create ();
       relo_next = 0;
       pending_ec = Vec.create ();
-      fwd_index = Int_tbl.create ~capacity:256 ();
       retire_cycles = Vec.create ();
       retire_pages = Vec.create ();
       mut_alloc = Alloc_region.create ~cores:(Machine.cores machine) ();

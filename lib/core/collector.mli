@@ -126,18 +126,9 @@ val mark_watermark : t -> int
 val iter_stale_fwd_pages : t -> (Page.t -> unit) -> unit
 (** Iterate the freed pages whose forwarding tables are still live (i.e.
     not yet retired at a Mark End pause) — the pages stale coloured
-    pointers may still resolve through. *)
-
-val iter_stale_fwd_index : t -> (int -> Page.t option -> unit) -> unit
-(** Iterate the stale-pointer forwarding index: [f granule page] for every
-    indexed granule, with the freed-but-unretired page the entry names, or
-    [None] if the entry names no slot of the retirement queue (the reverse
-    direction of {!iter_stale_fwd_pages}, for the verifier). *)
-
-val stale_fwd_page_at : t -> addr:int -> Page.t option
-(** The freed-but-unretired page whose recycled address range covers
-    [addr], if any (the forwarding-index lookup of the barrier slow path,
-    minus the relocation side effects). *)
+    pointers may still resolve through.  Each one's address range stays
+    mapped to it in the page table ({!Heap.page_of_addr}) until retirement
+    recycles the range. *)
 
 (** {2 Mutator interface} *)
 

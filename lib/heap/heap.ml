@@ -163,7 +163,6 @@ let compact_pages t =
 let free_page t (page : Page.t) =
   if page.Page.state = Page.Freed then
     invalid_arg "Heap.free_page: page already freed";
-  Page_table.unregister t.page_table page;
   Page.release page;
   page.Page.state <- Page.Freed;
   t.used <- t.used - page.Page.size;
@@ -183,6 +182,7 @@ let free_page t (page : Page.t) =
 let recycle_range t (page : Page.t) =
   if page.Page.state <> Page.Freed then
     invalid_arg "Heap.recycle_range: page is not freed";
+  Page_table.unregister t.page_table page;
   let g = page.Page.start / granule_bytes t in
   let ngranules = page.Page.size / granule_bytes t in
   match page.Page.cls with

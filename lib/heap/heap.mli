@@ -44,21 +44,24 @@ val alloc_page :
     compaction can always make progress. *)
 
 val free_page : t -> Page.t -> unit
-(** Release the page's committed memory ([used_bytes] drops) and unmap its
-    address range, but do {e not} recycle the range yet: stale coloured
-    pointers into it must keep resolving through the page's forwarding table
-    until the next mark phase has remapped them (ZGC gets the same effect
-    from heap multi-mapping).  The caller recycles the range later with
-    {!recycle_range}.  The page's state becomes [Freed]; its objects are
-    freed and its object index and word storage go back to the arena's
-    pools ({!Page.release}), so a stale handle to one of its objects fails
-    {!Heap_obj.is_live}.  Once more than half of the page vector is freed
-    pages it is compacted in place (order preserved).
+(** Release the page's committed memory ([used_bytes] drops) but do {e not}
+    recycle its address range yet: the range stays mapped to the freed page,
+    so stale coloured pointers into it keep resolving through the page's
+    forwarding table until the next mark phase has remapped them (ZGC gets
+    the same effect from heap multi-mapping).  The caller unmaps and
+    recycles the range later with {!recycle_range}.  The page's state
+    becomes [Freed]; its objects are freed and its object index and word
+    storage go back to the arena's pools ({!Page.release}), so a stale
+    handle to one of its objects fails {!Heap_obj.is_live}.  Once more than
+    half of the page vector is freed pages it is compacted in place (order
+    preserved).
     @raise Invalid_argument if the page is already freed. *)
 
 val recycle_range : t -> Page.t -> unit
-(** Return a freed page's granules to the allocation free lists.  Call only
-    once per page, after its forwarding table has been retired. *)
+(** Unmap a freed page's range and return its granules to the allocation
+    free lists.  Until this call the range stays mapped to the freed page.
+    Call only once per page, after its forwarding table has been
+    retired. *)
 
 val new_object :
   t -> Page.t -> addr:int -> nrefs:int -> nwords:int -> Heap_obj.t

@@ -5,9 +5,10 @@
     (it is then {e retired} but stays [Active]).  During marking, per-page
     liveness (live bytes / live objects) and — with HOTNESS on — hot bytes
     are accumulated.  Pages selected for evacuation move to [In_ec]; once
-    every live object has been copied out the page is [Freed] and its address
-    range recycled, while its forwarding table stays reachable until the next
-    mark phase has remapped all stale pointers.
+    every live object has been copied out the page is [Freed].  Its address
+    range stays mapped to it, so stale pointers reach its forwarding table,
+    until the next mark phase has remapped them all; then the range is
+    unmapped and recycled.
 
     As in ZGC, address arithmetic alone finds an object: the page's object
     index is direct-mapped (one entry per 16 bytes, the minimum object
@@ -17,7 +18,7 @@
 type state =
   | Active  (** holds objects; may be selected for evacuation *)
   | In_ec  (** selected for evacuation; objects being copied out *)
-  | Freed  (** address range recycled; only the forwarding table matters *)
+  | Freed  (** objects released; only the forwarding table matters *)
 
 (** Which memory level the page's address range currently lives in.  Pages
     are born [Dram]; the collector may demote a cold page to [Far] at sweep

@@ -21,9 +21,9 @@ let ensure t n =
     t.slots <- Array.append t.slots (Array.make (max (n + 1 - len) len) None)
 
 (* First/last granule of a page's range, as two functions rather than one
-   returning a pair: [unregister] runs on the GC sweep path, where a boxed
-   pair per freed page was the last host allocation of a steady-state
-   cycle. *)
+   returning a pair: [unregister] runs on the GC retirement path, where a
+   boxed pair per freed page was the last host allocation of a
+   steady-state cycle. *)
 let[@inline] first_granule t (page : Page.t) = granule_of_addr t page.Page.start
 
 let[@inline] last_granule t (page : Page.t) =
@@ -38,17 +38,11 @@ let register t page =
     Array.unsafe_set t.slots g entry
   done
 
+(* The range is only re-registered after this (recycling unmaps it before
+   the free lists can hand it out), so every entry still names [page]. *)
 let unregister t page =
-  let first = first_granule t page
-  and last = last_granule t page in
-  ensure t last;
-  for g = first to last do
-    (* Only clear entries that still point at this page; the range may have
-       been re-registered already. *)
-    match Array.unsafe_get t.slots g with
-    | Some p when p == page -> Array.unsafe_set t.slots g None
-    | _ -> ()
-  done
+  let first = first_granule t page in
+  Array.fill t.slots first (last_granule t page - first + 1) None
 
 let[@inline] page_of_addr t addr =
   let g = granule_of_addr t addr in

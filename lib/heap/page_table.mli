@@ -12,7 +12,7 @@ val register : t -> Page.t -> unit
 (** Map every granule covered by the page to it. *)
 
 val unregister : t -> Page.t -> unit
-(** Clear the granule entries (at page free, before the range is recycled). *)
+(** Clear the granule entries (when a freed page's range is recycled). *)
 
 val page_of_addr : t -> int -> Page.t option
 (** The page currently mapped at the given byte address. *)

@@ -8,10 +8,9 @@
    No boxing anywhere: lookups return an int sentinel instead of an
    option, and [clear] keeps the backing arrays, so a table reused
    across GC cycles allocates only when it grows past its high-water
-   capacity.  There is deliberately no [remove] — the GC-side users
-   (forwarding tables, the collector's forwarding index) only ever add,
-   look up and bulk-clear, and leaving deletion out keeps probe chains
-   tombstone-free. *)
+   capacity.  There is deliberately no [remove] — the GC-side user
+   (forwarding tables) only ever adds and looks up, and leaving deletion
+   out keeps probe chains tombstone-free. *)
 
 type t = {
   mutable keys : int array;  (* empty slots hold [empty] *)

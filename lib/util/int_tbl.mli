@@ -9,7 +9,7 @@
     cycles allocates nothing once it has reached its high-water size.
     Keys must be non-negative (the empty-slot sentinel is -1); there is
     no removal, which keeps probe chains tombstone-free (the collector's
-    users only add, look up and bulk-clear). *)
+    forwarding tables only add and look up). *)
 
 type t
 

@@ -246,20 +246,19 @@ let check_stale_fwd_pages ctx =
       if page.Page.state <> Page.Freed then
         err ctx "page #%d awaits forwarding retirement but is not freed"
           page.Page.id;
+      (* Stale pointers find the forwarding table through the page table,
+         so the range must stay mapped to the page until retirement. *)
       let first = page.Page.start / granule in
       let last = (page.Page.start + page.Page.size - 1) / granule in
       for g = first to last do
-        (match Heap.page_of_addr heap (g * granule) with
-        | Some p ->
-            err ctx "freed page #%d granule %d already remapped to page #%d"
-              page.Page.id g p.Page.id
-        | None -> ());
-        match Collector.stale_fwd_page_at ctx.col ~addr:(g * granule) with
+        match Heap.page_of_addr heap (g * granule) with
         | Some p when p == page -> ()
-        | _ ->
-            err ctx
-              "freed page #%d granule %d is not indexed for stale-pointer \
-               remapping"
+        | Some p ->
+            err ctx "freed page #%d granule %d remapped to page #%d before \
+                     retirement"
+              page.Page.id g p.Page.id
+        | None ->
+            err ctx "freed page #%d granule %d unmapped before retirement"
               page.Page.id g
       done;
       (* Release requires every live object to have been copied out. *)
@@ -268,21 +267,7 @@ let check_stale_fwd_pages ctx =
             err ctx "freed page #%d live bit %d has no forwarding entry"
               page.Page.id bit);
       Fwd_table.iter page.Page.fwd (fun ~offset ~new_addr ->
-          check_fwd_entry ~allow_dead_chain:true ctx page ~offset ~new_addr));
-  (* And the reverse: every index entry is an unmapped granule of a
-     queued page. *)
-  Collector.iter_stale_fwd_index ctx.col (fun g page ->
-      (match Heap.page_of_addr heap (g * granule) with
-      | Some p ->
-          err ctx "forwarding-index granule %d is mapped to live page #%d" g
-            p.Page.id
-      | None -> ());
-      match page with
-      | None -> err ctx "forwarding-index granule %d names no queued page" g
-      | Some p ->
-          if not (Page.contains p (g * granule)) then
-            err ctx "forwarding-index granule %d lies outside its page #%d" g
-              p.Page.id)
+          check_fwd_entry ~allow_dead_chain:true ctx page ~offset ~new_addr))
 
 (* ------------------------------------------------------------------ *)
 (* The reachable object graph                                          *)

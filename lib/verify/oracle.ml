@@ -21,43 +21,36 @@ let resolve_ro c addr0 =
         (Printf.sprintf "forwarding chain from 0x%x deeper than %d hops" addr0
            max_chain)
     else
-      match Collector.stale_fwd_page_at c ~addr with
-      | Some old_page -> (
-          match
-            Hcsgc_heap.Fwd_table.find old_page.Page.fwd
-              ~offset:(addr - old_page.Page.start)
-          with
-          | Some fwd -> go fwd (depth + 1)
-          | None ->
-              (* Only live-at-relocation objects get entries, so a chain
-                 can legally end here — iff the object died after the hop
-                 that created [addr].  Callers chasing pointers that must
-                 be alive (the reachable walk) treat this as corruption;
-                 callers auditing whole tables may tolerate it. *)
-              Error
-                {
-                  dead_chain = true;
-                  msg =
-                    Printf.sprintf
-                      "stale pointer 0x%x into freed page #%d has no \
-                       forwarding"
-                      addr old_page.Page.id;
-                })
-      | None -> (
-          match Heap.page_of_addr heap addr with
-          | None -> corrupt (Printf.sprintf "pointer 0x%x maps to no page" addr)
-          | Some page -> (
-              let offset = addr - page.Page.start in
-              match Page.find_object page ~offset with
-              | Some obj -> Ok obj
-              | None -> (
-                  match Hcsgc_heap.Fwd_table.find page.Page.fwd ~offset with
-                  | Some fwd -> go fwd (depth + 1)
-                  | None ->
-                      corrupt
-                        (Printf.sprintf
-                           "no object or forwarding at 0x%x on page #%d" addr
-                           page.Page.id))))
+      match Heap.page_of_addr heap addr with
+      | None -> corrupt (Printf.sprintf "pointer 0x%x maps to no page" addr)
+      | Some page -> (
+          let offset = addr - page.Page.start in
+          match Page.find_object page ~offset with
+          | Some obj -> Ok obj
+          | None -> (
+              match Hcsgc_heap.Fwd_table.find page.Page.fwd ~offset with
+              | Some fwd -> go fwd (depth + 1)
+              | None when page.Page.state = Page.Freed ->
+                  (* Only live-at-relocation objects get entries, so a chain
+                     can legally end on a freed page — iff the object died
+                     after the hop that created [addr].  Callers chasing
+                     pointers that must be alive (the reachable walk) treat
+                     this as corruption; callers auditing whole tables may
+                     tolerate it. *)
+                  Error
+                    {
+                      dead_chain = true;
+                      msg =
+                        Printf.sprintf
+                          "stale pointer 0x%x into freed page #%d has no \
+                           forwarding"
+                          addr page.Page.id;
+                    }
+              | None ->
+                  corrupt
+                    (Printf.sprintf
+                       "no object or forwarding at 0x%x on page #%d" addr
+                       page.Page.id)))
   in
   go addr0 0
 

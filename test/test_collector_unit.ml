@@ -383,6 +383,65 @@ let marking_barrier_in_place () =
   check Alcotest.int "marked once over three uses" (marked + 1)
     (Gc_stats.objects_marked (Vm.gc_stats vm))
 
+(* A page freed by relocation stays mapped to itself until the next mark
+   end retires its forwarding table.  [keeper]'s slot was healed by
+   marking to the mark colour, before [obj] moved: after the flip to R it
+   is a bad-coloured pointer into the freed page, and the barrier must
+   resolve it through that page's forwarding.  The next mark end then
+   unmaps the range and hands it back to the allocator. *)
+let stale_pointer_into_freed_page () =
+  let vm = mk_vm () in
+  let col = Vm.collector vm in
+  let heap = Vm.heap vm in
+  let keeper = Vm.alloc vm ~nrefs:1 ~nwords:0 in
+  Vm.add_root vm keeper;
+  let obj = Vm.alloc vm ~nrefs:0 ~nwords:1 in
+  Vm.store_word vm obj 0 42;
+  Vm.store_ref vm keeper 0 (Some obj);
+  let from = page_of vm obj in
+  (* Fill [from] with garbage so it stops being the allocation target and
+     is sparse enough to evacuate. *)
+  while page_of vm (Vm.alloc vm ~nrefs:0 ~nwords:12) == from do
+    ()
+  done;
+  check Alcotest.bool "no cycle yet" false (Collector.in_cycle col);
+  Collector.start_cycle col;
+  Collector.gc_work col ~budget:max_int;
+  check Alcotest.bool "cycle done" false (Collector.in_cycle col);
+  check Alcotest.bool "page freed" true (from.Page.state = Page.Freed);
+  check Alcotest.bool "freed range still mapped to its page" true
+    (match Heap.page_of_addr heap from.Page.start with
+    | Some p -> p == from
+    | None -> false);
+  let ptr = Heap.get_ref heap keeper 0 in
+  check Alcotest.bool "slot is bad-coloured" false
+    (Addr.has_color (Collector.good_color col) ptr);
+  check Alcotest.bool "slot points into the freed page" true
+    (Page.contains from (Addr.addr ptr));
+  (match Vm.load_ref vm keeper 0 with
+  | Some o ->
+      check Alcotest.bool "resolved off the freed page" true
+        (page_of vm o != from);
+      check Alcotest.int "through its forwarding" 42 (Vm.load_word vm o 0)
+  | None -> Alcotest.fail "stale reference lost");
+  (* Stop right after the next mark end: with no roots, nothing allocates
+     between retirement and the first relocation step. *)
+  Vm.remove_root vm keeper;
+  Collector.start_cycle col;
+  while Collector.phase col = Collector.Marking do
+    Collector.gc_work col ~budget:1
+  done;
+  check Alcotest.bool "unmapped at mark end" true
+    (Heap.page_of_addr heap from.Page.start = None);
+  let tries = ref 0 in
+  while Heap.page_of_addr heap from.Page.start = None && !tries < 4096 do
+    ignore (Vm.alloc vm ~nrefs:0 ~nwords:12);
+    incr tries
+  done;
+  match Heap.page_of_addr heap from.Page.start with
+  | Some p -> check Alcotest.bool "range reused by a new page" true (p != from)
+  | None -> Alcotest.fail "recycled range never reused"
+
 let self_healing_makes_loads_cheap () =
   (* After a colour flip, the first load of a slot takes the slow path; the
      second takes the fast path — visible as a cost difference. *)
@@ -490,6 +549,8 @@ let suite =
           store_during_marking_keeps_target;
         case "marking barrier on an EC page" `Quick marking_barrier_on_ec_page;
         case "marking barrier in place" `Quick marking_barrier_in_place;
+        case "stale pointer into a freed page" `Quick
+          stale_pointer_into_freed_page;
         case "self-healing cheapens loads" `Quick self_healing_makes_loads_cheap;
         case "relocate-all enlarges EC" `Quick ec_median_tracks_relocate_all;
         case "verifier clean after churn" `Slow verify_clean_after_churn;

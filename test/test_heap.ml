@@ -708,11 +708,21 @@ let heap_free_then_recycle () =
   let start = p.Page.start in
   Heap.free_page h p;
   check Alcotest.int "memory released" 0 (Heap.used_bytes h);
-  check Alcotest.bool "unmapped" true (Heap.page_of_addr h start = None);
+  (* The quarantined range stays mapped to the freed page, so stale
+     pointers still reach its forwarding table. *)
+  let mapped_to_p addr =
+    match Heap.page_of_addr h addr with Some q -> q == p | None -> false
+  in
+  check Alcotest.bool "start still mapped to the freed page" true
+    (mapped_to_p start);
+  check Alcotest.bool "last byte still mapped to the freed page" true
+    (mapped_to_p (start + p.Page.size - 1));
   (* Address range not recycled yet: the next page gets a fresh range. *)
   let q = Option.get (Heap.alloc_page h ~cls:Layout.Small ~bytes:0 ~birth_cycle:0) in
   check Alcotest.bool "fresh range while quarantined" true (q.Page.start <> start);
   Heap.recycle_range h p;
+  check Alcotest.bool "unmapped once recycled" true
+    (Heap.page_of_addr h start = None);
   let r = Option.get (Heap.alloc_page h ~cls:Layout.Small ~bytes:0 ~birth_cycle:0) in
   check Alcotest.int "recycled range reused" start r.Page.start
 

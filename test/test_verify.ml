@@ -152,6 +152,20 @@ let corrupt_registration_detected () =
   check Alcotest.bool "the parity move stays in its index span" true
     (span = span')
 
+(* A freed page's range must stay mapped to it until its forwarding table
+   is retired: recycling it early cuts stale pointers off from the table. *)
+let early_recycle_detected () =
+  let vm, _ = ripe_vm () in
+  let queued = ref [] in
+  Collector.iter_stale_fwd_pages (Vm.collector vm) (fun page ->
+      queued := page :: !queued);
+  match !queued with
+  | [] -> Alcotest.fail "workload left no freed page awaiting retirement"
+  | page :: _ ->
+      Heap.recycle_range (Vm.heap vm) page;
+      expect_violation ~what:"range recycled before retirement"
+        ~needle:"unmapped before retirement" vm
+
 let check_exn_raises () =
   let vm, keeper = ripe_vm () in
   let ptr = Heap.get_ref (Vm.heap vm) keeper 0 in
@@ -428,6 +442,7 @@ let suite =
         case "cleared live bit detected" `Slow corrupt_livemap_detected;
         case "skewed live_objects detected" `Slow corrupt_live_objects_detected;
         case "unregistered move detected" `Slow corrupt_registration_detected;
+        case "early recycle detected" `Slow early_recycle_detected;
         case "check_exn raises Violation" `Slow check_exn_raises;
         case "verified run stays clean" `Slow verified_run_is_clean;
       ] );
